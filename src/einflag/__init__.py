@@ -11,7 +11,7 @@ pullback witnesses.
 """
 
 from .algebra import build_algebra
-from .curvature import CurvatureReport, curvature, diagonal_ricci, scalar_curvature, u_map
+from .curvature import CurvatureReport, curvature, reduced_ricci, scalar_curvature, u_map
 from .einstein import (
     EinsteinSolution,
     EquivalenceGroup,
@@ -19,7 +19,6 @@ from .einstein import (
     TableExpectation,
     TableRow,
     closed_form_solutions,
-    dedup_homothety,
     equivalence_screen,
     numeric_solutions,
     published_row,
@@ -65,7 +64,7 @@ __all__ = [
     "build_algebra",
     "CurvatureReport",
     "curvature",
-    "diagonal_ricci",
+    "reduced_ricci",
     "scalar_curvature",
     "u_map",
     "EinsteinSolution",
@@ -74,7 +73,6 @@ __all__ = [
     "TableExpectation",
     "TableRow",
     "closed_form_solutions",
-    "dedup_homothety",
     "equivalence_screen",
     "numeric_solutions",
     "published_row",

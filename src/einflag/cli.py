@@ -1,8 +1,9 @@
 """Command-line surface: enumerate flags, solve, tabulate, verify.
 
 Exit codes: 0 on success, 1 when a verified invariant fails (a failed
-check, a solver-route disagreement, or a table row that contradicts the
-published count), 2 for unsupported or malformed inputs.
+check, a solver-route disagreement, a bracket or isotropy generator that
+breaks the construction, or a table row that contradicts the published
+count), 2 for unsupported or malformed inputs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from .einstein import published_row, solve, table1_row
 from .errors import (
     BadFlag,
     BadPartition,
-    ConvergenceGap,
-    InvariantViolation,
+    EinflagError,
     NoCatalogEntry,
-    NotPositiveDefinite,
     TooManyParameters,
     UnimplementedCase,
     UnsupportedRank,
@@ -34,7 +33,6 @@ __all__ = ["main"]
 
 _USAGE_ERRORS = (BadFlag, BadPartition, UnsupportedRank)
 _UNSUPPORTED_ERRORS = (UnimplementedCase, TooManyParameters, NoCatalogEntry)
-_INVARIANT_ERRORS = (ConvergenceGap, InvariantViolation, NotPositiveDefinite)
 
 
 def _round(v):
@@ -290,7 +288,9 @@ def main(argv=None):
     except _UNSUPPORTED_ERRORS as exc:
         print(f"einflag: unsupported case: {exc}", file=sys.stderr)
         return 2
-    except _INVARIANT_ERRORS as exc:
+    except EinflagError as exc:
+        # every other package error is a failed invariant: a solver-route
+        # disagreement or a construction step whose verification failed
         print(f"einflag: invariant failure: {exc}", file=sys.stderr)
         return 1
     parser.error(f"unknown command {args.command!r}")

@@ -1,8 +1,8 @@
-"""Ricci curvature of invariant metrics.
+"""Ricci curvature of invariant metrics, by two routes.
 
-Everything runs through an orthonormal frame of the metric.  With frame
-structure constants ``T[a,b,c] = g([F_a, F_b]_m, F_c)`` the Ricci tensor of
-a homogeneous space of a compact Lie group is
+The reference route, :func:`curvature`, works in an orthonormal frame of
+the metric.  With frame structure constants ``T[a,b,c] = g([F_a, F_b]_m, F_c)``
+the Ricci tensor of a homogeneous space of a compact Lie group is
 
     Ric[a,b] = -1/2 sum_{i,c} T[a,i,c] T[b,i,c]
                + 1/4 sum_{i,j} T[i,j,a] T[i,j,b]
@@ -11,21 +11,33 @@ a homogeneous space of a compact Lie group is
 
 where B is the Killing form of the transitive group and Z_c = sum_i T[c,i,i]
 is the trace vector of the metric.  Z vanishes identically on a reductive
-quotient, but it is cheap, so it is computed rather than assumed.
+quotient, but it is cheap, so it is computed rather than assumed.  Every
+report, defect gate and check goes through this route.
+
+The reduced route, :class:`ReducedRicci`, maps the metric coefficients
+straight to the coefficients of the Ricci form over the metric-space
+operators, without a frame.  It is the coefficient-space form of the
+``[ijk]`` block-sum formula (M. Wang, W. Ziller, Invent. Math. 84, 1986;
+J.-S. Park, Y. Sakane, Tokyo J. Math. 20, 1997), extended to the mixing
+coefficients of equivalent summand pairs; the numeric search
+evaluates its Einstein equations through it, and the check suite compares
+it against the frame route.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .invariant import orthonormal_frame
+from .invariant import metric_space, orthonormal_frame
 
 __all__ = [
     "CurvatureReport",
     "curvature",
     "frame_structure",
     "group_ricci",
-    "diagonal_ricci",
+    "ReducedRicci",
+    "reduced_ricci",
     "scalar_curvature",
     "u_map",
 ]
@@ -226,39 +238,109 @@ def group_ricci(report, tol=1e-8):
     return np.array(out)
 
 
-def diagonal_ricci(metric):
-    """Per-summand Ricci values of a diagonal metric from block triple sums.
+class ReducedRicci:
+    """Ricci coefficients of an invariant metric straight from its coefficients.
 
-    A fast path that never builds the frame: with [ijk] the sum of squared
-    structure constants taken over summand blocks,
+    For A = sum_p c_p O_p over the operators O of the metric space, the
+    inverse A^-1 = sum_q h_q O_q lies in the same span (1/x on an unpaired
+    summand, a closed-form 2x2 inverse on a pair), and the coefficients of
+    the Ricci form are
 
-        r_k = kappa_k/(2 x_k)
-              - 1/(2 x_k d_k) sum_{j,c} (x_c/x_j) [kjc]
-              + x_k/(4 d_k)   sum_{i,j} [ijk]/(x_i x_j)
+        rho_r = -1/2 sum h_q c_p M1[q,p,r]
+                + 1/4 sum h_q h_s c_p c_w M2[q,s,p,w,r] - 1/2 kappa_r
 
-    where kappa_k is the (sign-reversed) Killing constant of the summand.
-    Raises ValueError when the metric has a non-zero mixing coefficient.
+    with, for G(A, B, C) = sum t[i,j,k] A[i,I] B[j,J] C[k,K] t[I,J,K],
+
+        M1[q,p,r]     = G(O_r, O_q, O_p) / |O_r|^2
+        M2[q,s,p,w,r] = G(O_q, O_s, O_p O_r O_w) / |O_r|^2
+        kappa_r       = <killing, O_r> / |O_r|^2.
+
+    On projectors G is the block triple sum ``[ijk]``.  The operators are
+    sums of elementary blocks -- the identity on a summand, or ``B0`` and
+    ``B0^T`` between the two summands of a pair -- which are closed under
+    multiplication because ``B0^T B0 = I``; so G is contracted once per
+    triple of elementary blocks, from the matching sub-blocks of t, and
+    never on a d x d operator.
     """
-    space = metric.space
-    n_sub = space.n_sub
-    coeffs = metric.coeffs
-    if space.dim > n_sub and np.max(np.abs(coeffs[n_sub:])) > 1e-14:
-        raise ValueError("fast path only applies to diagonal metrics")
-    x = coeffs[:n_sub]
-    t2 = space.structure**2
-    dims = np.array([s.stop - s.start for s in space.slices])
-    triple = np.zeros((n_sub, n_sub, n_sub))
-    for i, si in enumerate(space.slices):
-        for j, sj in enumerate(space.slices):
-            for k, sk in enumerate(space.slices):
-                triple[i, j, k] = t2[si, sj, sk].sum()
-    kdiag = np.diag(space.killing)
-    out = np.zeros(n_sub)
-    for k in range(n_sub):
-        kappa = -kdiag[space.slices[k]].mean()
-        ratio = np.outer(1.0 / x, x)  # ratio[j, c] = x_c / x_j
-        r = kappa / (2.0 * x[k])
-        r -= (ratio * triple[k]).sum() / (2.0 * x[k] * dims[k])
-        r += x[k] / (4.0 * dims[k]) * (triple[:, :, k] / np.outer(x, x)).sum()
-        out[k] = r
-    return out
+
+    def __init__(self, space):
+        self.n_sub = s = space.n_sub
+        self.dim = n = space.dim
+        self._pi = np.array([i for i, _, _ in space.pairs], dtype=int)
+        self._pj = np.array([j for _, j, _ in space.pairs], dtype=int)
+
+        # elementary blocks (row summand, column summand, matrix or None
+        # for the identity); L[r, a] = 1 when block a is part of O_r
+        blocks = [(i, i, None) for i in range(s)]
+        L = np.zeros((n, s + 2 * len(space.pairs)))
+        L[np.arange(s), np.arange(s)] = 1.0
+        for k, (i, j, B0) in enumerate(space.pairs):
+            L[s + k, len(blocks)] = L[s + k, len(blocks) + 1] = 1.0
+            blocks += [(j, i, B0), (i, j, B0.T)]
+        m = len(blocks)
+        where = {(u, v): a for a, (u, v, _) in enumerate(blocks)}
+        # E_a E_b = E_c for blocks meeting in a summand; pair blocks multiply
+        # to the identity since B0 is square with B0^T B0 = I
+        prod = np.zeros((m, m, m))
+        for a, (ua, va, _) in enumerate(blocks):
+            for b, (ub, vb, _) in enumerate(blocks):
+                if va == ub:
+                    prod[a, b, where[ua, vb]] = 1.0
+
+        t = space.structure
+        sl = space.slices
+        G = np.zeros((m, m, m))
+        for a, b, c in np.ndindex(m, m, m):
+            trio = (blocks[a], blocks[b], blocks[c])
+            left = t[sl[trio[0][0]], sl[trio[1][0]], sl[trio[2][0]]]
+            for axis, (_, _, M) in enumerate(trio):
+                if M is not None:
+                    left = np.tensordot(left, M, axes=(axis, 0))
+                    left = np.moveaxis(left, -1, axis)
+            right = t[sl[trio[0][1]], sl[trio[1][1]], sl[trio[2][1]]]
+            G[a, b, c] = np.einsum("ijk,ijk->", left, right)
+
+        sizes = np.array([sl[u].stop - sl[u].start for u, _, _ in blocks])
+        killing = space.killing
+        kel = np.array(
+            [
+                np.trace(killing[sl[u], sl[v]]) if M is None
+                else np.sum(killing[sl[u], sl[v]] * M)
+                for u, v, M in blocks
+            ]
+        )
+        norms = L @ sizes
+        triple = np.einsum("pa,rb,wc,abd,dce->prwe", L, L, L, prod, prod)
+        m1 = np.einsum("ra,qb,pc,abc->qpr", L, L, L, G) / norms
+        m2 = np.einsum("qa,sb,prwe,abe->qspwr", L, L, triple, G) / norms
+        # both sums run over the products h_q c_p, flattened to one index
+        self._m1 = -0.5 * m1.reshape(n * n, n)
+        self._m2 = 0.25 * m2.transpose(1, 3, 0, 2, 4).reshape(n * n, n * n * n)
+        self._kappa_term = -0.5 * (L @ kel) / norms
+
+    def _inverse(self, coeffs):
+        """Coefficients of the inverse operator A^-1 over the same basis."""
+        s = self.n_sub
+        if s == self.dim:
+            return 1.0 / coeffs
+        h = np.empty_like(coeffs)
+        h[:s] = 1.0 / coeffs[:s]
+        xi, xj, b = coeffs[self._pi], coeffs[self._pj], coeffs[s:]
+        det = xi * xj - b * b
+        h[self._pi] = xj / det
+        h[self._pj] = xi / det
+        h[s:] = -b / det
+        return h
+
+    def __call__(self, coeffs):
+        """Ricci-form coefficients; equal to ``curvature(metric).coefficients``."""
+        c = np.asarray(coeffs, dtype=float)
+        hc = np.outer(self._inverse(c), c).ravel()
+        quad = (hc @ self._m2).reshape(self._m1.shape)
+        return hc @ (self._m1 + quad) + self._kappa_term
+
+
+@lru_cache(maxsize=None)
+def reduced_ricci(spec):
+    """The :class:`ReducedRicci` engine of one flag, built once per process."""
+    return ReducedRicci(metric_space(spec))

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import optimize
 
-from .curvature import _form_coefficients, curvature
+from .curvature import _form_coefficients, curvature, reduced_ricci
 from .errors import (
     ConvergenceGap,
     InvariantViolation,
@@ -36,7 +36,7 @@ from .errors import (
     TooManyParameters,
 )
 from .flag import manifold_name, parse_flag_spec
-from .invariant import _frame_data, make_metric, metric_space
+from .invariant import make_metric, metric_space
 
 __all__ = [
     "EinsteinSolution",
@@ -46,7 +46,6 @@ __all__ = [
     "TableRow",
     "closed_form_solutions",
     "numeric_solutions",
-    "dedup_homothety",
     "equivalence_screen",
     "published_row",
     "solve",
@@ -276,31 +275,17 @@ def closed_form_solutions(spec):
 # numeric search
 
 
-class _DiagonalSystem:
-    """Cached block sums for fast Ricci evaluation at diagonal metrics."""
+def _einstein_residual(engine, coeffs):
+    """Einstein equations Ric = lambda g over the metric-space coefficients.
 
-    def __init__(self, space):
-        t2 = space.structure**2
-        s = space.n_sub
-        self.dims = np.array(
-            [sl.stop - sl.start for sl in space.slices], dtype=float
-        )
-        self.triple = np.zeros((s, s, s))
-        for i, si in enumerate(space.slices):
-            for j, sj in enumerate(space.slices):
-                for k, sk in enumerate(space.slices):
-                    self.triple[i, j, k] = t2[si, sj, sk].sum()
-        kdiag = np.diag(space.killing)
-        self.kappa = np.array([-kdiag[sl].mean() for sl in space.slices])
-
-    def ricci(self, x):
-        ratio = np.outer(1.0 / x, x)
-        quad = self.triple / np.outer(x, x)[:, :, None]
-        return (
-            self.kappa / (2.0 * x)
-            - np.einsum("jc,kjc->k", ratio, self.triple) / (2.0 * x * self.dims)
-            + x / (4.0 * self.dims) * quad.sum(axis=(0, 1))
-        )
+    With rho the Ricci-form coefficients and r = rho/x the per-summand
+    values, the metric is Einstein exactly when the r agree and every
+    mixing coefficient satisfies rho_b = lambda b.
+    """
+    s = engine.n_sub
+    rho = engine(coeffs)
+    r = rho[:s] / coeffs[:s]
+    return np.concatenate([np.diff(r), rho[s:] - r[s - 1] * coeffs[s:]])
 
 
 def _append_unique(found, vec, rtol=MATCH_RTOL):
@@ -315,18 +300,20 @@ def _canonical_sort(vectors):
     return sorted(vectors, key=lambda v: tuple(np.round(v, 9)))
 
 
-def _diag_roots(space, sysd, n_axis):
+def _diag_roots(space, engine, n_axis):
     """Diagonal Einstein candidates (last coefficient gauged to one)."""
     s = space.n_sub
     if s == 1:
         return [np.array([1.0])]
 
+    # gauge coefficient one, mixing coefficients zero
+    tail = np.eye(space.dim - s + 1)[0]
+
     def fun(u):
         worst = np.max(np.abs(u))
         if worst > _LOG_HI + 3.0:
             return 1e3 * (1.0 + worst) * np.ones_like(u)
-        x = np.append(np.exp(u), 1.0)
-        return np.diff(sysd.ricci(x))
+        return _einstein_residual(engine, np.append(np.exp(u), tail))[: s - 1]
 
     pts = np.linspace(_LOG_LO, _LOG_HI, n_axis)
     found = []
@@ -344,82 +331,34 @@ def _diag_roots(space, sysd, n_axis):
     return _canonical_sort(found)
 
 
-class _MixedSystem:
-    """Lean Einstein equations for a space with equivalent-pair coefficients.
+def _mixed_roots(space, engine, level):
+    """Einstein candidates of a space with equivalent-pair coefficients.
 
-    The residual zeroes the differences of the per-summand frame Ricci
-    values together with one off-diagonal partner entry per pair, which is
-    exactly the Einstein condition (invariance kills every other entry).
     Positive definiteness is built into the parametrization: the mixing
     coefficients are fractions of the geometric mean of their diagonal
     partners.  Accepted roots are re-validated through the full report.
     """
+    s, p = space.n_sub, len(space.pairs)
 
-    def __init__(self, space):
-        self.space = space
-        self.s = space.n_sub
-        self.pair_blocks = [(i, j) for i, j, _ in space.pairs]
-        self.t = space.structure
-        self.k0 = space.killing
-        probe = np.concatenate([np.ones(self.s), np.zeros(space.dim - self.s)])
-        _, _, groups, partners = _frame_data(space, probe)
-        self.groups = [np.array(g) for g in groups]
-        first = {}
-        for pcol, qcol in partners:
-            key = next(
-                k
-                for k, (i, j) in enumerate(self.pair_blocks)
-                if space.slices[i].start <= pcol < space.slices[i].stop
-            )
-            first.setdefault(key, (pcol, qcol))
-        self.partner_cols = [first[k] for k in range(len(self.pair_blocks))]
-
-    def assemble(self, u):
-        s = self.s
+    def assemble(u):
         x = np.append(np.exp(u[: s - 1]), 1.0)
-        b = np.array(
-            [
-                f * math.sqrt(x[i] * x[j])
-                for f, (i, j) in zip(u[s - 1 :], self.pair_blocks)
-            ]
-        )
+        b = [
+            f * math.sqrt(x[i] * x[j])
+            for f, (i, j, _) in zip(u[s - 1 :], space.pairs)
+        ]
         return np.concatenate([x, b])
 
-    def residual(self, u):
-        s = self.s
+    def fun(u):
         over = max(np.max(np.abs(u[s - 1 :])) - 0.999, 0.0) + max(
             np.max(np.abs(u[: s - 1])) - (_LOG_HI + 3.0), 0.0
         )
         if over > 0.0:
             return 1e3 * (1.0 + over) * np.ones_like(u)
-        coeffs = self.assemble(u)
-        V, _, _, _ = _frame_data(self.space, coeffs)
-        t = self.t
-        mid = np.einsum("ia,jb,ijk->abk", V, V, t, optimize=True)
-        T = np.einsum("abk,ck->abc", mid, np.linalg.inv(V), optimize=True)
-        K = V.T @ self.k0 @ V
-        Z = np.einsum("cii->c", T)
-        ric = (
-            -0.5 * np.einsum("aic,bic->ab", T, T, optimize=True)
-            + 0.25 * np.einsum("ija,ijb->ab", T, T, optimize=True)
-            - 0.5 * K
-            - 0.5 * (np.einsum("c,cab->ab", Z, T) + np.einsum("c,cba->ab", Z, T))
-        )
-        diag = np.diag(ric)
-        r = np.array([diag[g].mean() for g in self.groups])
-        off = np.array([ric[p, q] for p, q in self.partner_cols])
-        return np.concatenate([np.diff(r), off])
-
-
-def _mixed_roots(space, sysd, level):
-    """Einstein candidates of a space with equivalent-pair coefficients."""
-    s, p = space.n_sub, len(space.pairs)
-    system = _MixedSystem(space)
-    fun = system.residual
+        return _einstein_residual(engine, assemble(u))
 
     found = [
         np.concatenate([d, np.zeros(p)])
-        for d in _diag_roots(space, sysd, level["diag_axis"])
+        for d in _diag_roots(space, engine, level["diag_axis"])
     ]
     span = 1.5 * math.log(10.0)
     pts = np.linspace(-span, span, level["mixed_axis"])
@@ -441,7 +380,7 @@ def _mixed_roots(space, sysd, level):
                 or np.max(np.abs(u[s - 1 :])) >= 0.999
             ):
                 continue
-            _append_unique(found, system.assemble(u))
+            _append_unique(found, assemble(u))
     # mirror the mixing signs: swapping an equivalent pair is an isometry
     # fixing the diagonal part, so the mirrored coefficients solve too
     for vec in list(found):
@@ -461,10 +400,10 @@ def _mixed_roots(space, sysd, level):
 
 
 def _root_set(space, level):
-    sysd = _DiagonalSystem(space)
+    engine = reduced_ricci(space.spec)
     if space.pairs:
-        return _mixed_roots(space, sysd, level)
-    roots = _diag_roots(space, sysd, level["diag_axis"])
+        return _mixed_roots(space, engine, level)
+    roots = _diag_roots(space, engine, level["diag_axis"])
     # validate diagonal candidates through the frame route before keeping
     out = []
     for vec in roots:
@@ -656,49 +595,41 @@ def _poly_crosscheck(spec, space, roots):
         )
 
 
-def numeric_solutions(spec, base=None, fine=None):
+def numeric_solutions(spec):
     """Einstein metrics located by multi-start root finding.
 
     The root set is computed on two grid densities and must agree; the
     polynomially solvable families are additionally cross-checked against
     companion-matrix roots.  Raises :class:`TooManyParameters` for metric
     families with more than four coefficients and :class:`ConvergenceGap`
-    when the routes disagree.
+    when the routes disagree.  The search runs once per flag and process;
+    each call returns a fresh list of the memoised solutions.
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
+    return list(_numeric_cached(spec))
+
+
+@lru_cache(maxsize=None)
+def _numeric_cached(spec):
     space = metric_space(spec)
     if space.dim > 4:
         raise TooManyParameters(
             f"{spec} has a {space.dim}-parameter metric family; "
             "the numeric search handles at most 4"
         )
-    roots = _root_set(space, base or _BASE)
-    verify = _root_set(space, fine or _FINE)
+    roots = _root_set(space, _BASE)
+    verify = _root_set(space, _FINE)
     if not _same_root_set(roots, verify):
         raise ConvergenceGap(
             f"{spec}: grid densities disagree "
             f"({len(roots)} vs {len(verify)} solutions)"
         )
     _poly_crosscheck(spec, space, roots)
-    return [
+    return tuple(
         _solution(space, vec, "numeric", f"numeric-{k + 1}")
         for k, vec in enumerate(roots)
-    ]
-
-
-def dedup_homothety(coeff_vectors, rtol=MATCH_RTOL):
-    """Normalize coefficient vectors to the unit-gauge and drop repeats.
-
-    The gauge divides by the last diagonal coefficient; mixing coefficients
-    scale along, so homothetic metrics collapse to one representative.
-    """
-    out = []
-    for vec in coeff_vectors:
-        vec = np.asarray(vec, dtype=float)
-        out_vec = vec / vec[-1] if vec.ndim == 1 else vec
-        _append_unique(out, out_vec, rtol=rtol)
-    return _canonical_sort(out)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -443,13 +443,10 @@ class Frame:
     partners: list
 
 
-def _frame_data(space, coeffs):
-    """Frame vectors, eigenvalues, groups, partners for given coefficients.
-
-    Shared between :func:`orthonormal_frame` (which adds the orthonormality
-    verification) and solver-internal fast paths that re-validate accepted
-    roots through the public route.
-    """
+def orthonormal_frame(metric):
+    """The canonical metric-orthonormal eigenframe of an invariant metric."""
+    space = metric.space
+    coeffs = metric.coeffs
     d = space.tangent_dim
     slices = space.slices
     n_sub = space.n_sub
@@ -515,13 +512,6 @@ def _frame_data(space, coeffs):
             V[:, c] = -col
 
     groups = [group_of[idx] for idx in range(n_sub)]
-    return V, eig, groups, partners
-
-
-def orthonormal_frame(metric):
-    space = metric.space
-    V, eig, groups, partners = _frame_data(space, metric.coeffs)
-    d = space.tangent_dim
     if np.max(np.abs(V.T @ metric.matrix @ V - np.eye(d))) > 1e-9:
         raise InvariantViolation("frame is not orthonormal for the metric")
     return Frame(metric, V, eig, groups, partners)

@@ -5,6 +5,7 @@ import pytest
 
 from einflag import __version__
 from einflag.cli import main
+from einflag.errors import ClosureViolation, GeneratorMismatch
 from einflag.verify import CHECK_NAMES
 
 
@@ -104,6 +105,20 @@ def test_too_many_parameters_unsupported(capsys):
     code, _, err = run(capsys, "solve", "A:4:[1,1,1,2]:-")
     assert code == 2
     assert "unsupported case" in err
+
+
+@pytest.mark.parametrize("error", [ClosureViolation, GeneratorMismatch])
+def test_construction_failure_is_invariant_error(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("synthetic construction failure")
+
+    monkeypatch.setattr("einflag.cli.solve", broken)
+    code, _, err = run(capsys, "solve", "B:3:[3]:-")
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "einflag: invariant failure: synthetic construction failure"
+    ]
 
 
 # ---------------------------------------------------------------------------

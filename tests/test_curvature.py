@@ -3,9 +3,9 @@ import pytest
 
 from einflag.curvature import (
     curvature,
-    diagonal_ricci,
     frame_structure,
     group_ricci,
+    reduced_ricci,
     scalar_curvature,
 )
 from einflag.flag import parse_flag_spec
@@ -17,12 +17,12 @@ def report(text, coeffs):
     return curvature(make_metric(sp, coeffs))
 
 
-def random_metric(sp, rng, mixing=True):
+def random_metric(sp, rng):
     x = rng.uniform(0.5, 2.0, sp.n_sub)
     coeffs = list(x)
     for i, j, _ in sp.pairs:
         bound = np.sqrt(x[i] * x[j])
-        coeffs.append(rng.uniform(-0.5, 0.5) * bound if mixing else 0.0)
+        coeffs.append(rng.uniform(-0.5, 0.5) * bound)
     return make_metric(sp, coeffs)
 
 
@@ -73,8 +73,8 @@ class TestTwoSummands:
 
     @pytest.mark.parametrize("text,coeffs,expected", two_summand_cases())
     def test_fast_path_agrees(self, text, coeffs, expected):
-        sp = metric_space(parse_flag_spec(text))
-        assert np.allclose(diagonal_ricci(make_metric(sp, coeffs)), expected)
+        rho = reduced_ricci(parse_flag_spec(text))(coeffs)
+        assert np.allclose(rho / np.array(coeffs), expected)
 
 
 EINSTEIN_POINTS = [
@@ -346,16 +346,15 @@ class TestRicciProperties:
 
     @pytest.mark.parametrize("text", PROPERTY_FLAGS)
     def test_fast_path_matches_frame_path(self, text):
+        # the reduced engine against the frame route, mixing included
         sp = metric_space(parse_flag_spec(text))
+        engine = reduced_ricci(sp.spec)
         rng = np.random.default_rng(abs(hash(text)) % 2**29)
-        for _ in range(2):
-            m = random_metric(sp, rng, mixing=False)
-            assert np.allclose(diagonal_ricci(m), group_ricci(curvature(m)))
-
-    def test_fast_path_rejects_mixing(self):
-        sp = metric_space(parse_flag_spec("A:3:[2,1,1]:-"))
-        with pytest.raises(ValueError):
-            diagonal_ricci(make_metric(sp, [1.0, 1.0, 1.0, 0.3]))
+        for _ in range(3):
+            m = random_metric(sp, rng)
+            want = curvature(m).coefficients
+            err = np.max(np.abs(engine(m.coeffs) - want)) / np.max(np.abs(want))
+            assert err <= 1e-12
 
     @pytest.mark.parametrize("text", PROPERTY_FLAGS)
     def test_frame_structure_antisymmetry(self, text):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from einflag.einstein import (
     CONSTANT_RTOL,
     DEFECT_TOL,
     TableExpectation,
     closed_form_solutions,
-    dedup_homothety,
     numeric_solutions,
     published_row,
     solve,
@@ -16,6 +16,7 @@ from einflag.einstein import (
 )
 from einflag.errors import NoCatalogEntry, TooManyParameters
 from einflag.flag import parse_flag_spec
+from einflag.verify import run_checks
 
 
 def coeff_rows(solutions):
@@ -180,6 +181,26 @@ def test_numeric_solutions_are_certified():
         assert sol.coeffs[n_sub - 1] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_check_suite_reuses_the_numeric_search(monkeypatch):
+    solve("A:3:[2,1,1]:-")
+    calls = []
+    root = scipy.optimize.root
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "root", counted)
+    results = run_checks("A:3:[2,1,1]:-")
+    assert all(r.passed for r in results)
+    assert calls == []
+    # the memo hands out copies: a caller's edit does not reach the next one
+    first = numeric_solutions("A:3:[2,1,1]:-")
+    first.clear()
+    assert len(numeric_solutions("A:3:[2,1,1]:-")) == 5
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # merged solve
 
@@ -224,22 +245,6 @@ def test_solution_constants_consistent():
         assert sol.normalized_constant == pytest.approx(
             sol.constant * det ** (1.0 / d), rel=CONSTANT_RTOL
         )
-
-
-# ---------------------------------------------------------------------------
-# homothety dedup
-
-
-def test_dedup_homothety_collapses_scalings():
-    out = dedup_homothety([(1.0, 2.0, 2.0), (2.0, 4.0, 4.0), (3.0, 1.0, 1.0)])
-    assert [list(v) for v in out] == [[0.5, 1.0, 1.0], [3.0, 1.0, 1.0]]
-
-
-def test_dedup_homothety_respects_tolerance():
-    out = dedup_homothety([(1.0, 1.0), (1.0 + 1e-9, 1.0)])
-    assert len(out) == 1
-    out = dedup_homothety([(1.0, 1.0), (1.01, 1.0)])
-    assert len(out) == 2
 
 
 # ---------------------------------------------------------------------------
