@@ -11,11 +11,19 @@ realized by explicit integer ambient matrices:
   (roots ``2 l_k``, ``l_i - l_j``, ``l_i + l_j``).
 * ``D_l``: k = so(l) + so(l) inside gl(2l), basis ``w(i,j)``, ``u(i,j)``.
 
-Brackets of basis elements are expanded exactly (integer arithmetic) into a
-sparse structure table at build time; a failure to close raises
-:class:`~einflag.errors.ClosureViolation`.  The Killing form is computed as
-the trace of ``ad . ad`` from that table, never from a closed-form multiple
-of the trace form (k is not simple for the B and D families).
+At build time the bracket of every basis pair ``i < j`` is expanded exactly
+(integer arithmetic) into the table ``_struct``, mapping ``(i, j)`` to the
+``(k, c)`` with ``[e_i, e_j] = sum c e_k``; every expansion is rebuilt and
+compared with the matrix commutator, and a failure to close raises
+:class:`~einflag.errors.ClosureViolation`.
+
+Everything downstream reads one flat form of that table,
+``structure_index = (I, J, K, V)`` with ``C[I, J, K] = V``, listing both
+orders ``(i, j)`` and ``(j, i)``.  Brackets and the dense ``ad(x)`` are
+scatter-sums over these arrays, never a loop over vector entries.  The
+Killing form is the trace of ``ad . ad`` from the same arrays, never a
+closed-form multiple of the trace form (k is not simple for the B and D
+families).
 
 The ambient inner product ``(.,.)`` is the family pairing under which each
 basis is orthogonal: minus the Killing form of so(l+1) for the A family, and
@@ -33,10 +41,6 @@ import scipy.sparse
 from .errors import ClosureViolation, UnsupportedRank
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-
-# Dense structure tensors are only materialized for small algebras; larger
-# ones (e.g. so(26) for wide A-family flags) stay in the sparse table.
-_DENSE_LIMIT = 80
 
 
 def _root_label(root):
@@ -229,8 +233,8 @@ class AlgebraModel:
             [self.ambient_inner_matrices(e.matrix, e.matrix) for e in self.basis]
         )
         self._struct = self._build_structure()
+        self.structure_index = self._index_form()
         self.killing_matrix = self._build_killing()
-        self._dense = None
 
     # -- ambient pairing ---------------------------------------------------
 
@@ -329,71 +333,53 @@ class AlgebraModel:
                 struct[(i, j)] = tuple(sorted(entries.items()))
         return struct
 
-    def structure_entries(self, i, j):
-        """Bracket ``[e_i, e_j]`` as a tuple of ``(k, coeff)``."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._struct.get((i, j), ())
-        return tuple((k, -c) for k, c in self._struct.get((j, i), ()))
+    def _index_form(self):
+        """Flatten ``_struct`` into arrays ``I, J, K, V`` with C[I,J,K] = V.
+
+        Both orders ``(i, j)`` and ``(j, i)`` are listed, so every nonzero
+        entry of the antisymmetric tensor C appears exactly once.
+        """
+        table = np.array(
+            [
+                (i, j, k, c)
+                for (i, j), entries in self._struct.items()
+                for k, c in entries
+            ],
+            dtype=float,
+        ).reshape(-1, 4)
+        i, j, k = table[:, :3].astype(np.intp).T
+        c = table[:, 3]
+        arrays = (
+            np.concatenate([i, j]),
+            np.concatenate([j, i]),
+            np.concatenate([k, k]),
+            np.concatenate([c, -c]),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def _build_killing(self):
-        rows1, cols1, vals1 = [], [], []
-        rows2, cols2, vals2 = [], [], []
+        # K[a, b] = tr(ad_a ad_b) = sum_{j,k} C[a,j,k] C[b,k,j]
+        I, J, K, V = self.structure_index
         n = self.n
-        for (i, j), entries in self._struct.items():
-            for k, c in entries:
-                # C[i, j, k] = c and C[j, i, k] = -c
-                rows1.append(i)
-                cols1.append(j * n + k)
-                vals1.append(c)
-                rows1.append(j)
-                cols1.append(i * n + k)
-                vals1.append(-c)
-                # transposed layout: T[m, (q, p)] = C[m, p, q]
-                rows2.append(i)
-                cols2.append(k * n + j)
-                vals2.append(c)
-                rows2.append(j)
-                cols2.append(k * n + i)
-                vals2.append(-c)
-        S = scipy.sparse.csr_matrix((vals1, (rows1, cols1)), shape=(n, n * n))
-        T = scipy.sparse.csr_matrix((vals2, (rows2, cols2)), shape=(n, n * n))
-        K = (S @ T.T).toarray()
-        return (K + K.T) / 2.0
-
-    @property
-    def dense_structure(self):
-        """Dense structure tensor ``C[i, j, k]`` (small algebras only)."""
-        if self._dense is None:
-            if self.n > _DENSE_LIMIT:
-                raise MemoryError(
-                    f"dense structure tensor disabled for n={self.n}"
-                )
-            C = np.zeros((self.n, self.n, self.n))
-            for (i, j), entries in self._struct.items():
-                for k, c in entries:
-                    C[i, j, k] = c
-                    C[j, i, k] = -c
-            self._dense = C
-        return self._dense
+        S = scipy.sparse.csr_matrix((V, (I, J * n + K)), shape=(n, n * n))
+        T = scipy.sparse.csr_matrix((V, (I, K * n + J)), shape=(n, n * n))
+        Kill = (S @ T.T).toarray()
+        return (Kill + Kill.T) / 2.0
 
     # -- coordinate operations ----------------------------------------------
 
     def bracket_coords(self, x, y):
         """Coordinates of ``[x, y]`` for coordinate vectors x, y."""
-        out = np.zeros(self.n)
-        xi = np.nonzero(x)[0]
-        yi = np.nonzero(y)[0]
-        for i in xi:
-            fx = x[i]
-            for j in yi:
-                entries = self.structure_entries(i, j)
-                if entries:
-                    f = fx * y[j]
-                    for k, c in entries:
-                        out[k] += f * c
-        return out
+        I, J, K, V = self.structure_index
+        return np.bincount(K, weights=V * x[I] * y[J], minlength=self.n)
+
+    def ad(self, x):
+        """Dense matrix of ``ad(x)`` acting on row vectors: ``y @ ad(x) == [x, y]``."""
+        I, J, K, V = self.structure_index
+        n = self.n
+        return np.bincount(J * n + K, weights=V * x[I], minlength=n * n).reshape(n, n)
 
     def ambient_inner_coords(self, x, y):
         return float(np.dot(x * self.gram, y))

@@ -192,23 +192,22 @@ def split_reductive(spec):
 
 
 def _check_reductive(model, iso, tan):
-    tan_set = set(tan)
-    iso_set = set(iso)
-    for p in iso:
-        for q in tan:
-            for k, c in model.structure_entries(p, q):
-                if c != 0 and k not in tan_set:
-                    raise InvariantViolation(
-                        f"[{model.basis[p].label}, {model.basis[q].label}] "
-                        f"leaves the tangent space"
-                    )
-            # also check k_Theta is a subalgebra
-        for q in iso:
-            if q <= p:
-                continue
-            for k, c in model.structure_entries(p, q):
-                if c != 0 and k not in iso_set:
-                    raise InvariantViolation("isotropy set is not a subalgebra")
+    """Raise unless [k_Theta, m] lies in m and k_Theta is a subalgebra."""
+    I, J, K, _ = model.structure_index
+    # Position of each basis index in iso / tan, or -1 when absent.
+    iso_pos = np.full(model.n, -1)
+    iso_pos[list(iso)] = np.arange(len(iso))
+    tan_pos = np.full(model.n, -1)
+    tan_pos[list(tan)] = np.arange(len(tan))
+    leaves = np.flatnonzero((iso_pos[I] >= 0) & (tan_pos[J] >= 0) & (tan_pos[K] < 0))
+    if leaves.size:
+        e = leaves[np.lexsort((tan_pos[J[leaves]], iso_pos[I[leaves]]))[0]]
+        raise InvariantViolation(
+            f"[{model.basis[I[e]].label}, {model.basis[J[e]].label}] "
+            f"leaves the tangent space"
+        )
+    if np.any((iso_pos[I] >= 0) & (iso_pos[J] >= 0) & (iso_pos[K] < 0)):
+        raise InvariantViolation("isotropy set is not a subalgebra")
 
 
 @dataclass
@@ -628,12 +627,13 @@ def _verify_decomposition(dec):
                 )
 
     # ad(k_Theta)-invariance of every summand
-    for s, bw in zip(dec.submodules, weighted):
-        B = s.orthonormal
-        for p in dec.isotropy_indices:
-            ep = np.zeros(model.n)
-            ep[p] = 1.0
-            W = np.array([model.bracket_coords(ep, v) for v in B])
+    for p in dec.isotropy_indices:
+        ep = np.zeros(model.n)
+        ep[p] = 1.0
+        ad_p = model.ad(ep)
+        for s, bw in zip(dec.submodules, weighted):
+            B = s.orthonormal
+            W = B @ ad_p
             resid = W - (W @ bw.T) @ B
             worst = np.sqrt(np.max(np.sum(resid * g * resid, axis=1)))
             if worst > 1e-9:

@@ -162,13 +162,15 @@ class MetricSpace:
             d = self.tangent_dim
             g = float(self.spec.inner_scale) * model.gram
             Bw = self.basis * g
-            t = np.zeros((d, d, d))
+            t = np.empty((d, d, d))
+            for a, x in enumerate(self.basis):
+                t[a] = (self.basis @ model.ad(x)) @ Bw.T
+            # t[a, b] and t[b, a] are rounded separately; averaging them makes
+            # t exactly antisymmetric.  Row by row, so no second d^3 array.
             for a in range(d):
-                for b in range(a + 1, d):
-                    w = model.bracket_coords(self.basis[a], self.basis[b])
-                    row = Bw @ w
-                    t[a, b] = row
-                    t[b, a] = -row
+                half = (t[a, a:] - t[a:, a]) / 2
+                t[a, a:] = half
+                t[a:, a] = -half
             self._structure = t
         return self._structure
 
@@ -328,8 +330,7 @@ def metric_space(spec):
     for p in dec.isotropy_indices:
         ep = np.zeros(model.n)
         ep[p] = 1.0
-        W = np.array([model.bracket_coords(ep, v) for v in Bm])
-        R = Bw @ W.T
+        R = Bw @ (Bm @ model.ad(ep)).T
         if np.max(np.abs(R + R.T)) > 1e-10:
             raise InvariantViolation(f"isotropy action on {spec} is not skew")
         reps.append(R)

@@ -220,9 +220,10 @@ def _check_isotropy_stability(ctx):
         z = np.zeros(m.n)
         z[iso] = ctx.rng.standard_normal(len(iso))
         z /= np.linalg.norm(z)
+        ad_z = m.ad(z)
         for sub in dec.submodules:
             R = sub.orthonormal
-            B = np.array([m.bracket_coords(z, r) for r in R])
+            B = R @ ad_z
             coeffs = (R * w) @ B.T
             resid = B - coeffs.T @ R
             r = float(np.sqrt(np.sum((resid * w) * resid)))

@@ -84,7 +84,7 @@ def test_bracket_antisymmetry_and_jacobi(family, rank):
         assert np.max(np.abs(jac)) < 1e-9
 
 
-@pytest.mark.parametrize("family,rank", FAMILIES)
+@pytest.mark.parametrize("family,rank", FAMILIES + [("A", 25)])
 def test_bracket_matches_matrix_commutator(family, rank):
     model = build_algebra(family, rank)
     rng = np.random.default_rng(3)
@@ -94,6 +94,15 @@ def test_bracket_matches_matrix_commutator(family, rank):
         M = bracket(x, y).matrix
         ambient = x.matrix @ y.matrix - y.matrix @ x.matrix
         assert np.allclose(M, ambient, atol=1e-9)
+
+
+@pytest.mark.parametrize("family,rank", FAMILIES)
+def test_ad_matches_bracket(family, rank):
+    model = build_algebra(family, rank)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, model.n))
+        assert np.allclose(y @ model.ad(x), model.bracket_coords(x, y), rtol=0, atol=1e-12)
 
 
 def test_killing_value_a3():

@@ -3,8 +3,9 @@ import pytest
 from fractions import Fraction
 
 from einflag.algebra import build_algebra
-from einflag.errors import BadFlag, BadPartition, UnimplementedCase
+from einflag.errors import BadFlag, BadPartition, InvariantViolation, UnimplementedCase
 from einflag.flag import (
+    _check_reductive,
     decompose_isotropy,
     enumerate_small_flags,
     make_flag,
@@ -110,6 +111,24 @@ class TestSplitReductive:
         iso, _ = split_reductive(spec)
         labels = {spec.algebra.basis[i].label for i in iso}
         assert labels == {"w(3,2)", "w(4,2)", "w(4,3)", "u(5,2)", "u(5,3)", "u(5,4)"}
+
+    @pytest.mark.parametrize(
+        "move,message",
+        [
+            ("tangent-to-isotropy", r"\[w\(3,2\), w\(3,1\)\] leaves the tangent space"),
+            ("drop-isotropy", "isotropy set is not a subalgebra"),
+        ],
+        ids=["tangent-to-isotropy", "drop-isotropy"],
+    )
+    def test_check_reductive_rejects_bad_split(self, move, message):
+        spec = flag("D:5:[1,3,1]:+")
+        iso, tan = split_reductive(spec)
+        if move == "tangent-to-isotropy":
+            iso, tan = iso + tan[:1], tan[1:]
+        else:
+            iso = iso[1:]
+        with pytest.raises(InvariantViolation, match=message):
+            _check_reductive(spec.algebra, iso, tan)
 
 
 DECOMPOSITIONS = [

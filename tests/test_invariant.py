@@ -101,7 +101,7 @@ class TestMetricSpace:
     def test_structure_antisymmetry(self):
         sp = space("B:5:[1,4]:+")
         t = sp.structure
-        assert np.allclose(t, -np.transpose(t, (1, 0, 2)), atol=1e-12)
+        assert np.array_equal(t, -np.transpose(t, (1, 0, 2)))
 
     def test_killing_symmetric_negative(self):
         sp = space("B:5:[5]:-")
