@@ -99,9 +99,12 @@ class TestMetricSpace:
             assert sp.dim == sp.n_sub + len(sp.pairs)
 
     def test_structure_antisymmetry(self):
-        sp = space("B:5:[1,4]:+")
-        t = sp.structure
-        assert np.array_equal(t, -np.transpose(t, (1, 0, 2)))
+        # B:4:[2,2]:+ has tangent basis vectors that are not coordinate
+        # vectors, so t[a, b] and t[b, a] round differently before they
+        # are averaged.
+        for text in ("B:5:[1,4]:+", "B:4:[2,2]:+"):
+            t = space(text).structure
+            assert np.array_equal(t, -np.transpose(t, (1, 0, 2)))
 
     def test_killing_symmetric_negative(self):
         sp = space("B:5:[5]:-")
