@@ -11,7 +11,7 @@ pullback witnesses.
 """
 
 from .algebra import build_algebra
-from .curvature import CurvatureReport, curvature, reduced_ricci, scalar_curvature, u_map
+from .curvature import CurvatureReport, curvature, reduced_ricci, u_map
 from .einstein import (
     EinsteinSolution,
     EquivalenceGroup,
@@ -65,7 +65,6 @@ __all__ = [
     "CurvatureReport",
     "curvature",
     "reduced_ricci",
-    "scalar_curvature",
     "u_map",
     "EinsteinSolution",
     "EquivalenceGroup",

@@ -384,44 +384,8 @@ class AlgebraModel:
     def ambient_inner_coords(self, x, y):
         return float(np.dot(x * self.gram, y))
 
-    def killing_coords(self, x, y):
-        return float(x @ self.killing_matrix @ y)
-
-    def basis_element(self, label):
-        """The named basis vector as an :class:`AlgebraElement`."""
-        coords = np.zeros(self.n)
-        coords[self.label_index[label]] = 1.0
-        return AlgebraElement(self, coords)
-
-    def element(self, coords):
-        return AlgebraElement(self, np.asarray(coords, dtype=float))
-
     def __repr__(self):
         return f"AlgebraModel({self.family}{self.rank}, dim={self.n})"
-
-
-@dataclass
-class AlgebraElement:
-    """An element of the algebra in basis coordinates."""
-
-    model: AlgebraModel
-    coords: np.ndarray
-
-    def __add__(self, other):
-        return AlgebraElement(self.model, self.coords + other.coords)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.model, self.coords - other.coords)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.model, scalar * self.coords)
-
-    @property
-    def matrix(self):
-        M = np.zeros((self.model.ambient_dim, self.model.ambient_dim))
-        for i in np.nonzero(self.coords)[0]:
-            M += self.coords[i] * self.model.basis[i].matrix
-        return M
 
 
 @lru_cache(maxsize=None)
@@ -442,23 +406,3 @@ def build_algebra(family, rank):
         )
     return AlgebraModel(family, rank)
 
-
-def bracket(a, b):
-    """Lie bracket of two algebra elements."""
-    if a.model is not b.model:
-        raise ValueError("elements belong to different algebras")
-    return AlgebraElement(a.model, a.model.bracket_coords(a.coords, b.coords))
-
-
-def ambient_inner(a, b):
-    """Ambient invariant inner product."""
-    if a.model is not b.model:
-        raise ValueError("elements belong to different algebras")
-    return a.model.ambient_inner_coords(a.coords, b.coords)
-
-
-def killing(a, b):
-    """Killing form computed from the cached ad-trace matrix."""
-    if a.model is not b.model:
-        raise ValueError("elements belong to different algebras")
-    return a.model.killing_coords(a.coords, b.coords)

@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a verified invariant fails (a failed
 check, a solver-route disagreement, a bracket or isotropy generator that
 breaks the construction, or a table row that contradicts the published
-count), 2 for unsupported or malformed inputs.
+count), 2 for unsupported or malformed inputs and for an output file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ _UNSUPPORTED_ERRORS = (UnimplementedCase, TooManyParameters, NoCatalogEntry)
 def _round(v):
     """Stable 12-significant-digit float for byte-reproducible reports."""
     return float(f"{float(v):.12g}")
+
+
+def _cannot_write(path, exc):
+    print(f"einflag: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _parse_spec_or_exit(parser, text):
@@ -140,9 +146,12 @@ def _cmd_solve(args, parser, argv_echo):
     elapsed = time.perf_counter() - t0
     report = _solve_report(argv_echo, spec, sol_set, elapsed)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json, "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            return _cannot_write(args.json, exc)
     space = metric_space(spec)
     print(f"{spec} = {manifold_name(spec)}")
     print(f"coefficients: {', '.join(space.names)}  (mode: {mode})")
@@ -218,10 +227,13 @@ def _cmd_table1(args, parser):
     checked = sum(1 for r in table if r[6] != "n/a")
     print(f"# {len(table)} rows, {matched}/{checked} published expectations matched")
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(table)
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(table)
+        except OSError as exc:
+            return _cannot_write(args.csv, exc)
         print(f"# csv written to {args.csv}")
     return 1 if any_mismatch else 0
 
@@ -259,7 +271,6 @@ def _build_parser():
     route = p_solve.add_mutually_exclusive_group()
     route.add_argument("--numeric", action="store_true", help="numeric search only")
     route.add_argument("--closed-form", action="store_true", help="exact catalog only")
-    route.add_argument("--both", action="store_true", help="merge both routes (default)")
     p_solve.add_argument("--json", metavar="FILE", help="write a JSON report to FILE")
 
     p_table = sub.add_parser("table1", help="summarize every 2/3-summand flag up to a rank")

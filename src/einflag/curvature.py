@@ -12,7 +12,8 @@ the Ricci tensor of a homogeneous space of a compact Lie group is
 where B is the Killing form of the transitive group and Z_c = sum_i T[c,i,i]
 is the trace vector of the metric.  Z vanishes identically on a reductive
 quotient, but it is cheap, so it is computed rather than assumed.  Every
-report, defect gate and check goes through this route.
+report goes through this route: it certifies each solution once, through
+the defect gate, and it is the reference of the check suite.
 
 The reduced route, :class:`ReducedRicci`, maps the metric coefficients
 straight to the coefficients of the Ricci form over the metric-space
@@ -20,8 +21,8 @@ operators, without a frame.  It is the coefficient-space form of the
 ``[ijk]`` block-sum formula (M. Wang, W. Ziller, Invent. Math. 84, 1986;
 J.-S. Park, Y. Sakane, Tokyo J. Math. 20, 1997), extended to the mixing
 coefficients of equivalent summand pairs; the numeric search
-evaluates its Einstein equations through it, and the check suite compares
-it against the frame route.
+evaluates its Einstein equations only through it, and the check suite
+compares it against the frame route.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ __all__ = [
     "group_ricci",
     "ReducedRicci",
     "reduced_ricci",
-    "scalar_curvature",
     "u_map",
 ]
 
@@ -186,11 +186,6 @@ def curvature(metric, frame=None):
         normalized_constant=normalized,
         trace_vector=Z,
     )
-
-
-def scalar_curvature(metric):
-    """Scalar curvature of an invariant metric."""
-    return curvature(metric).scalar
 
 
 def u_map(metric, x, y):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,9 +71,13 @@ _FINE = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EinsteinSolution:
-    """One invariant Einstein metric in the unit-last-coefficient gauge."""
+    """One invariant Einstein metric in the unit-last-coefficient gauge.
+
+    Solutions are shared by the memoised routes, so the coefficient vector
+    and the metric matrix are read-only arrays.
+    """
 
     metric: object
     report: object
@@ -105,7 +109,7 @@ class EinsteinSolution:
         return f"EinsteinSolution[{self.rule_id}]({vals})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalenceGroup:
     """Solutions sharing the normalized Einstein constant, with a verdict.
 
@@ -120,13 +124,13 @@ class EquivalenceGroup:
     tag: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionSet:
     """Deduplicated Einstein metrics of one flag plus their screening."""
 
     spec: object
-    solutions: list
-    groups: list = field(default_factory=list)
+    solutions: tuple
+    groups: tuple = ()
 
     @property
     def count(self):
@@ -151,7 +155,14 @@ class SolutionSet:
 
 
 def _solution(space, coeffs, provenance, rule_id):
-    metric = make_metric(space, np.asarray(coeffs, dtype=float))
+    """Certify one candidate through the frame-route curvature report.
+
+    This is the only frame-route evaluation a solution gets; a defect at or
+    above ``DEFECT_TOL`` raises :class:`InvariantViolation`.
+    """
+    metric = make_metric(space, np.array(coeffs, dtype=float))
+    metric.coeffs.setflags(write=False)
+    metric.matrix.setflags(write=False)
     report = curvature(metric)
     if report.einstein_defect >= DEFECT_TOL:
         raise InvariantViolation(
@@ -262,13 +273,22 @@ def closed_form_solutions(spec):
     """Exact Einstein metrics of a catalogued flag, verified numerically.
 
     Raises :class:`NoCatalogEntry` for flags outside the catalog.  Every
-    returned solution has passed the Einstein-defect gate.
+    returned solution has passed the Einstein-defect gate.  The catalog is
+    evaluated once per flag and process; each call returns a fresh list of
+    the memoised solutions.
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
+    return list(_closed_cached(spec))
+
+
+@lru_cache(maxsize=None)
+def _closed_cached(spec):
     entries = _catalog_entries(spec)
     space = metric_space(spec)
-    return [_solution(space, coeffs, "closed-form", rule) for rule, coeffs in entries]
+    return tuple(
+        _solution(space, coeffs, "closed-form", rule) for rule, coeffs in entries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +320,7 @@ def _canonical_sort(vectors):
     return sorted(vectors, key=lambda v: tuple(np.round(v, 9)))
 
 
-def _diag_roots(space, engine, n_axis):
+def _diag_roots(space, engine, level):
     """Diagonal Einstein candidates (last coefficient gauged to one)."""
     s = space.n_sub
     if s == 1:
@@ -315,7 +335,7 @@ def _diag_roots(space, engine, n_axis):
             return 1e3 * (1.0 + worst) * np.ones_like(u)
         return _einstein_residual(engine, np.append(np.exp(u), tail))[: s - 1]
 
-    pts = np.linspace(_LOG_LO, _LOG_HI, n_axis)
+    pts = np.linspace(_LOG_LO, _LOG_HI, level["diag_axis"])
     found = []
     for start in itertools.product(pts, repeat=s - 1):
         res = optimize.root(
@@ -336,7 +356,7 @@ def _mixed_roots(space, engine, level):
 
     Positive definiteness is built into the parametrization: the mixing
     coefficients are fractions of the geometric mean of their diagonal
-    partners.  Accepted roots are re-validated through the full report.
+    partners.
     """
     s, p = space.n_sub, len(space.pairs)
 
@@ -357,8 +377,7 @@ def _mixed_roots(space, engine, level):
         return _einstein_residual(engine, assemble(u))
 
     found = [
-        np.concatenate([d, np.zeros(p)])
-        for d in _diag_roots(space, engine, level["diag_axis"])
+        np.concatenate([d, np.zeros(p)]) for d in _diag_roots(space, engine, level)
     ]
     span = 1.5 * math.log(10.0)
     pts = np.linspace(-span, span, level["mixed_axis"])
@@ -382,35 +401,15 @@ def _mixed_roots(space, engine, level):
                 continue
             _append_unique(found, assemble(u))
     # mirror the mixing signs: swapping an equivalent pair is an isometry
-    # fixing the diagonal part, so the mirrored coefficients solve too
+    # fixing the diagonal part, so the mirrored coefficients solve too; they
+    # are admitted by the same residual test as every grid root
     for vec in list(found):
         if np.max(np.abs(vec[s:])) > 1e-8:
             mirrored = vec.copy()
             mirrored[s:] = -mirrored[s:]
-            rep = curvature(make_metric(space, mirrored))
-            if rep.einstein_defect < DEFECT_TOL:
+            if np.max(np.abs(_einstein_residual(engine, mirrored))) <= 1e-10:
                 _append_unique(found, mirrored)
-    # every candidate must pass the full-report defect gate
-    out = []
-    for vec in _canonical_sort(found):
-        rep = curvature(make_metric(space, vec))
-        if rep.einstein_defect < DEFECT_TOL:
-            out.append(vec)
-    return out
-
-
-def _root_set(space, level):
-    engine = reduced_ricci(space.spec)
-    if space.pairs:
-        return _mixed_roots(space, engine, level)
-    roots = _diag_roots(space, engine, level["diag_axis"])
-    # validate diagonal candidates through the frame route before keeping
-    out = []
-    for vec in roots:
-        rep = curvature(make_metric(space, vec))
-        if rep.einstein_defect < DEFECT_TOL:
-            out.append(vec)
-    return out
+    return _canonical_sort(found)
 
 
 def _same_root_set(a, b, rtol=MATCH_RTOL):
@@ -598,12 +597,14 @@ def _poly_crosscheck(spec, space, roots):
 def numeric_solutions(spec):
     """Einstein metrics located by multi-start root finding.
 
-    The root set is computed on two grid densities and must agree; the
-    polynomially solvable families are additionally cross-checked against
-    companion-matrix roots.  Raises :class:`TooManyParameters` for metric
-    families with more than four coefficients and :class:`ConvergenceGap`
-    when the routes disagree.  The search runs once per flag and process;
-    each call returns a fresh list of the memoised solutions.
+    The root set is computed on two grid densities through the reduced
+    Ricci engine and must agree; the polynomially solvable families are
+    additionally cross-checked against companion-matrix roots.  Each root
+    is then certified once by the frame-route curvature report.  Raises
+    :class:`TooManyParameters` for metric families with more than four
+    coefficients and :class:`ConvergenceGap` when the routes disagree.  The
+    search runs once per flag and process; each call returns a fresh list
+    of the memoised solutions.
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
@@ -618,8 +619,10 @@ def _numeric_cached(spec):
             f"{spec} has a {space.dim}-parameter metric family; "
             "the numeric search handles at most 4"
         )
-    roots = _root_set(space, _BASE)
-    verify = _root_set(space, _FINE)
+    engine = reduced_ricci(spec)
+    search = _mixed_roots if space.pairs else _diag_roots
+    roots = search(space, engine, _BASE)
+    verify = search(space, engine, _FINE)
     if not _same_root_set(roots, verify):
         raise ConvergenceGap(
             f"{spec}: grid densities disagree "
@@ -850,8 +853,9 @@ def _merge(closed, numeric):
 def solve(spec, mode="both"):
     """Locate the invariant Einstein metrics of one flag.
 
-    Results are memoised per (flag, mode); treat the returned set as
-    read-only.
+    Results are memoised per (flag, mode) in an immutable
+    :class:`SolutionSet`: its solutions and groups are tuples, and the
+    coefficient arrays are read-only.
 
     Parameters
     ----------
@@ -880,8 +884,7 @@ def _solve_cached(spec, mode):
         except NoCatalogEntry:
             closed = []
         sols = _merge(closed, numeric_solutions(spec))
-    groups = equivalence_screen(spec, sols)
-    return SolutionSet(spec, sols, groups)
+    return SolutionSet(spec, tuple(sols), tuple(equivalence_screen(spec, sols)))
 
 
 @dataclass(frozen=True)

@@ -560,10 +560,6 @@ def _decompose_d(spec, blocks):
     return subs, equiv
 
 
-def _g0_norm_sq(spec, x):
-    return float(spec.inner_scale) * spec.algebra.ambient_inner_coords(x, x)
-
-
 def _orthonormalize(spec, rows):
     """Gram-Schmidt for the background metric."""
     model = spec.algebra
@@ -588,6 +584,8 @@ def decompose_isotropy(spec):
     iso, tan = split_reductive(spec)
     builder = {"A": _decompose_a, "B": _decompose_b, "C": _decompose_c, "D": _decompose_d}
     raw_subs, equiv = builder[spec.family](spec, blocks)
+    if not raw_subs:
+        raise UnimplementedCase(f"{spec} has no tangent summand: the flag is a point")
 
     submodules = []
     for name, terms in raw_subs:

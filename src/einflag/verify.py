@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .curvature import curvature, reduced_ricci, scalar_curvature, u_map
+from .curvature import curvature, reduced_ricci, u_map
 from .einstein import (
     DEFECT_TOL,
     closed_form_solutions,
@@ -57,7 +57,6 @@ class _Context:
         self.model = spec.algebra
         self.rng = np.random.default_rng(_SEED)
         self._space = None
-        self._closed = None
         self._set = None
 
     @property
@@ -73,12 +72,10 @@ class _Context:
     @property
     def closed(self):
         """Catalog solutions, or None when the family is bound-only."""
-        if self._closed is None:
-            try:
-                self._closed = closed_form_solutions(self.spec)
-            except NoCatalogEntry:
-                self._closed = "none"
-        return None if self._closed == "none" else self._closed
+        try:
+            return closed_form_solutions(self.spec)
+        except NoCatalogEntry:
+            return None
 
     @property
     def numeric(self):
@@ -510,9 +507,10 @@ def _check_solution_certificates(ctx):
 
 
 def _check_catalog_agreement(ctx):
-    if ctx.closed is None:
+    closed = ctx.closed
+    if closed is None:
         return "bound-only family: no exact branch catalog to compare"
-    closed, numeric = ctx.closed, ctx.numeric
+    numeric = ctx.numeric
     _require(
         len(closed) == len(numeric),
         f"catalog finds {len(closed)} solutions, numeric search {len(numeric)}",
@@ -591,7 +589,7 @@ def _check_variational_critical(ctx):
     def vol_scalar(c):
         A = space.metric_matrix(c)
         det = float(np.linalg.det(A))
-        return scalar_curvature(make_metric(space, c / det ** (1.0 / A.shape[0])))
+        return curvature(make_metric(space, c / det ** (1.0 / A.shape[0]))).scalar
 
     def grad_inf(c):
         g = np.zeros(space.dim)

@@ -188,6 +188,35 @@ def test_table1_csv_columns(tmp_path, capsys):
     assert match == "MATCH"
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("flag", ["A:1:[2]:-", "A:4:[5]:-", "C:3:[3]:+", "D:5:[5]:+"])
+def test_point_quotient_is_unsupported(capsys, command, flag):
+    # one block holding every simple root leaves no tangent summand
+    code, out, err = run(capsys, command, flag)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("einflag: unsupported case:")
+    assert err.count("\n") == 1
+
+
+def test_solve_unwritable_json_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, "solve", "B:3:[3]:-", "--json", str(target))
+    assert code == 2
+    assert err.startswith(f"einflag: cannot write {target}")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_table1_unwritable_csv_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "rows.csv"
+    code, _, err = run(capsys, "table1", "--max-l", "2", "--csv", str(target))
+    assert code == 2
+    assert err.startswith(f"einflag: cannot write {target}")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # misc
 

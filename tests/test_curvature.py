@@ -6,7 +6,6 @@ from einflag.curvature import (
     frame_structure,
     group_ricci,
     reduced_ricci,
-    scalar_curvature,
 )
 from einflag.flag import parse_flag_spec
 from einflag.invariant import make_metric, metric_space, orthonormal_frame
@@ -371,8 +370,3 @@ class TestRicciProperties:
         coeffs = [1.0] * sp.n_sub + [0.0] * (sp.dim - sp.n_sub)
         T = frame_structure(orthonormal_frame(make_metric(sp, coeffs)))
         assert np.max(np.abs(T + np.transpose(T, (0, 2, 1)))) < 1e-9
-
-    def test_scalar_helper(self):
-        sp = metric_space(parse_flag_spec("A:3:[2,2]:-"))
-        m = make_metric(sp, [1.0, 1.0])
-        assert np.isclose(scalar_curvature(m), curvature(m).scalar)

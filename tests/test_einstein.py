@@ -1,9 +1,12 @@
+import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import einflag.einstein
 from einflag.einstein import (
     CONSTANT_RTOL,
     DEFECT_TOL,
@@ -14,7 +17,7 @@ from einflag.einstein import (
     solve,
     table1_row,
 )
-from einflag.errors import NoCatalogEntry, TooManyParameters
+from einflag.errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from einflag.flag import parse_flag_spec
 from einflag.verify import run_checks
 
@@ -191,14 +194,59 @@ def test_check_suite_reuses_the_numeric_search(monkeypatch):
         return root(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "root", counted)
+    reports = []
+    curvature = einflag.einstein.curvature
+
+    def counted_curvature(metric):
+        reports.append(metric)
+        return curvature(metric)
+
+    # the catalog is memoised like the numeric search: after solve, the
+    # check suite certifies nothing again through the einstein module
+    monkeypatch.setattr(einflag.einstein, "curvature", counted_curvature)
     results = run_checks("A:3:[2,1,1]:-")
     assert all(r.passed for r in results)
     assert calls == []
+    assert reports == []
     # the memo hands out copies: a caller's edit does not reach the next one
     first = numeric_solutions("A:3:[2,1,1]:-")
     first.clear()
     assert len(numeric_solutions("A:3:[2,1,1]:-")) == 5
     assert calls == []
+
+
+@pytest.fixture
+def cold_search(monkeypatch):
+    """Empty numeric-search and solve memos for one test.
+
+    The test gets fresh memos; the shared ones, and what later tests find
+    in them, come back untouched when it ends.
+    """
+    for name in ("_numeric_cached", "_solve_cached"):
+        memo = getattr(einflag.einstein, name)
+        monkeypatch.setattr(einflag.einstein, name, lru_cache(maxsize=None)(memo.__wrapped__))
+
+
+def test_certificate_failure_raises(cold_search, monkeypatch):
+    # the frame-route certificate is the only gate a root meets after the
+    # search: with a zero tolerance it must raise, not drop the roots
+    monkeypatch.setattr(einflag.einstein, "DEFECT_TOL", 0.0)
+    with pytest.raises(InvariantViolation):
+        numeric_solutions("B:3:[3]:-")
+
+
+def test_one_certificate_per_root(cold_search, monkeypatch):
+    reports = []
+    curvature = einflag.einstein.curvature
+
+    def counted(metric):
+        reports.append(metric)
+        return curvature(metric)
+
+    monkeypatch.setattr(einflag.einstein, "curvature", counted)
+    roots = numeric_solutions("B:3:[3]:-")
+    assert len(roots) == 2
+    assert len(reports) == len(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +363,23 @@ def test_table1_row_fields():
     assert row.has_equivalent is True
     assert row.count == 5
     assert row.normal_is_einstein is False
+
+
+def test_memoised_solutions_are_immutable():
+    first = solve("B:3:[3]:-")
+    count = first.count
+    with pytest.raises(AttributeError):
+        first.solutions.pop()
+    with pytest.raises(ValueError):
+        first.solutions[0].metric.coeffs[0] = 9.0
+    with pytest.raises(ValueError):
+        first.solutions[0].metric.matrix[0, 0] = 9.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.solutions[0].rule_id = "edited"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.groups[0].tag = "edited"
+    again = solve("B:3:[3]:-")
+    assert again.count == count == 2
+    assert again.solutions[0].coeffs[0] != 9.0
+    assert again.solutions[0].rule_id != "edited"
+    assert isinstance(again.solutions, tuple) and isinstance(again.groups, tuple)
