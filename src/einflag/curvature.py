@@ -67,7 +67,7 @@ def frame_structure(frame):
     return np.einsum("abk,ck->abc", mid, W, optimize=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureReport:
     """Curvature data of one invariant metric.
 
@@ -314,25 +314,34 @@ class ReducedRicci:
         self._kappa_term = -0.5 * (L @ kel) / norms
 
     def _inverse(self, coeffs):
-        """Coefficients of the inverse operator A^-1 over the same basis."""
+        """Coefficients of the inverse operator A^-1 over the same basis.
+
+        ``coeffs`` has shape ``(..., n)``; every row is inverted separately.
+        """
         s = self.n_sub
         if s == self.dim:
             return 1.0 / coeffs
         h = np.empty_like(coeffs)
-        h[:s] = 1.0 / coeffs[:s]
-        xi, xj, b = coeffs[self._pi], coeffs[self._pj], coeffs[s:]
+        h[..., :s] = 1.0 / coeffs[..., :s]
+        xi, xj, b = coeffs[..., self._pi], coeffs[..., self._pj], coeffs[..., s:]
         det = xi * xj - b * b
-        h[self._pi] = xj / det
-        h[self._pj] = xi / det
-        h[s:] = -b / det
+        h[..., self._pi] = xj / det
+        h[..., self._pj] = xi / det
+        h[..., s:] = -b / det
         return h
 
     def __call__(self, coeffs):
-        """Ricci-form coefficients; equal to ``curvature(metric).coefficients``."""
+        """Ricci-form coefficients; equal to ``curvature(metric).coefficients``.
+
+        ``coeffs`` may be one coefficient vector or a stack of them, shaped
+        ``(..., n)``; the result has the same shape.
+        """
         c = np.asarray(coeffs, dtype=float)
-        hc = np.outer(self._inverse(c), c).ravel()
-        quad = (hc @ self._m2).reshape(self._m1.shape)
-        return hc @ (self._m1 + quad) + self._kappa_term
+        hc = (self._inverse(c)[..., :, None] * c[..., None, :]).reshape(
+            c.shape[:-1] + self._m1.shape[:1]
+        )
+        quad = (hc @ self._m2).reshape(hc.shape + self._m1.shape[1:])
+        return np.einsum("...k,...kr->...r", hc, self._m1 + quad) + self._kappa_term
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,11 @@
 Einstein metrics come in homothety rays, so everything here works in the
 gauge where the last diagonal coefficient equals one.  Exact solutions are
 catalogued per family branch in :func:`closed_form_solutions`; the numeric
-route in :func:`numeric_solutions` runs a multi-start Newton iteration over
-a logarithmic coefficient grid, re-verifies the root set on a denser grid,
-and -- for the families whose Einstein system eliminates to a single
-polynomial -- cross-checks the root count against companion-matrix roots.
+route in :func:`numeric_solutions` runs a batched damped Newton search over
+all starts of a logarithmic coefficient grid at once, re-verifies the root
+set on a denser grid, and -- for the families whose Einstein system
+eliminates to a single polynomial -- cross-checks the root count against
+companion-matrix roots.
 A disagreement between the routes raises :class:`ConvergenceGap` instead of
 silently trusting either side.
 
@@ -26,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import optimize
 
 from .curvature import _form_coefficients, curvature, reduced_ricci
 from .errors import (
@@ -57,8 +57,10 @@ MATCH_RTOL = 1e-6
 CONSTANT_RTOL = 1e-8
 
 _LOG_LO, _LOG_HI = math.log(1e-2), math.log(1e2)
-# Diagonal axes get the full grid; once an off-diagonal coefficient enters,
-# the start set is a coarser diagonal grid crossed with mixing fractions
+# Every start of one grid level goes through one batched damped Newton
+# search over all starts of the level (:func:`_batched_roots`).  Diagonal
+# axes get the full grid; once an off-diagonal coefficient enters, the
+# start set is a coarser diagonal grid crossed with mixing fractions
 # (the fraction parametrization keeps every start positive definite).  The
 # base level starts only at positive fractions and recovers the negative
 # side through verified sign mirrors; the verification level searches both
@@ -69,14 +71,23 @@ _FINE = {
     "mixed_axis": 9,
     "fracs": (0.2, 0.5, 0.8, -0.2, -0.5, -0.8),
 }
+# Controls of the batched search: iteration cap; initial, least and
+# stalling damping (relative to the largest diagonal entry of J^T J);
+# forward-difference step; relative step size at which a start converges.
+_MAX_ITER = 100
+_DAMP_START = 1e-3
+_DAMP_MIN = 1e-14
+_DAMP_MAX = 1e10
+_DIFF_STEP = 1.49e-8
+_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class EinsteinSolution:
     """One invariant Einstein metric in the unit-last-coefficient gauge.
 
-    Solutions are shared by the memoised routes, so the coefficient vector
-    and the metric matrix are read-only arrays.
+    Solutions are shared by the memoised routes, so the arrays of the
+    metric and of its curvature report are read-only.
     """
 
     metric: object
@@ -161,14 +172,24 @@ def _solution(space, coeffs, provenance, rule_id):
     above ``DEFECT_TOL`` raises :class:`InvariantViolation`.
     """
     metric = make_metric(space, np.array(coeffs, dtype=float))
-    metric.coeffs.setflags(write=False)
-    metric.matrix.setflags(write=False)
     report = curvature(metric)
     if report.einstein_defect >= DEFECT_TOL:
         raise InvariantViolation(
             f"{space.spec} candidate {rule_id} has Einstein defect "
             f"{report.einstein_defect:.3e}"
         )
+    # the solution is memoised and shared: freeze every array it hands out
+    for arr in (
+        metric.coeffs,
+        metric.matrix,
+        report.coefficients,
+        report.ricci,
+        report.ricci_tangent,
+        report.trace_vector,
+        report.frame.vectors,
+        report.frame.eigenvalues,
+    ):
+        arr.setflags(write=False)
     return EinsteinSolution(metric, report, provenance, rule_id)
 
 
@@ -179,7 +200,9 @@ def _catalog_entries(spec):
 
     if fam == "A":
         if l == 3 and len(part) == 2:
-            return [("normal", (1.0, 1.0))]
+            # [2,2] splits into two summands; [3,1] and [1,3] are isotropy
+            # irreducible, so every invariant metric is normal
+            return [("normal", (1.0, 1.0) if part == (2, 2) else (1.0,))]
         if l == 3 and len(part) == 3:
             # three summands with an equivalent pair: one diagonal solution
             # plus four mixed ones related by swaps and mixing-sign flips
@@ -300,20 +323,101 @@ def _einstein_residual(engine, coeffs):
 
     With rho the Ricci-form coefficients and r = rho/x the per-summand
     values, the metric is Einstein exactly when the r agree and every
-    mixing coefficient satisfies rho_b = lambda b.
+    mixing coefficient satisfies rho_b = lambda b.  ``coeffs`` may be one
+    coefficient vector or a stack of them, shaped ``(..., n)``.
     """
     s = engine.n_sub
     rho = engine(coeffs)
-    r = rho[:s] / coeffs[:s]
-    return np.concatenate([np.diff(r), rho[s:] - r[s - 1] * coeffs[s:]])
+    r = rho[..., :s] / coeffs[..., :s]
+    return np.concatenate(
+        [np.diff(r, axis=-1), rho[..., s:] - r[..., s - 1 :] * coeffs[..., s:]],
+        axis=-1,
+    )
 
 
-def _append_unique(found, vec, rtol=MATCH_RTOL):
+def _difference_jacobian(fun, u, F):
+    """Forward-difference Jacobians ``J[b, k, j] = dF_k/du_j`` of a stack.
+
+    ``F`` is ``fun(u)``; all m probes of all rows go through one call.
+    """
+    h = _DIFF_STEP * np.maximum(1.0, np.abs(u))
+    probes = u[:, None, :] + h[:, :, None] * np.eye(u.shape[1])
+    return ((fun(probes) - F[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
+
+
+def _batched_roots(fun, starts):
+    """Solve ``fun(u) = 0`` from every row of ``starts`` at once.
+
+    A Levenberg-Marquardt iteration with one damping factor per start: a
+    step is accepted when it lowers |F|, and the damping then shrinks;
+    otherwise it grows.  ``fun`` maps ``(..., m)`` to ``(..., m)`` and
+    returns ``inf`` on rows outside the search box, so a step out of the
+    box is rejected like any step that does not lower |F|.  The Jacobian
+    is taken by forward differences (:func:`_difference_jacobian`).  A
+    start converges when its proposed step falls below ``_STEP_TOL``
+    relative to u; it stalls when its damping passes ``_DAMP_MAX`` or its
+    Jacobian is not finite.  Converged and stalled starts leave the active
+    set.  Returns the converged rows in start order; starts that do not
+    converge within ``_MAX_ITER`` iterations are dropped.
+    """
+    u = np.array(starts, dtype=float)
+    with np.errstate(all="ignore"):
+        F = fun(u)
+        cost = np.sum(F * F, axis=1)
+        damp = np.full(len(u), _DAMP_START)
+        converged = np.zeros(len(u), dtype=bool)
+        active = np.flatnonzero(np.isfinite(cost))
+        for _ in range(_MAX_ITER):
+            if not active.size:
+                break
+            ua, Fa = u[active], F[active]
+            J = _difference_jacobian(fun, ua, Fa)
+            finite = np.all(np.isfinite(J), axis=(1, 2))
+            active, ua, Fa, J = active[finite], ua[finite], Fa[finite], J[finite]
+            # damped normal equations (J^T J + mu I) step = -J^T F, with mu
+            # at least _DAMP_MIN of the largest diagonal entry of J^T J, so
+            # every pivot stays nonzero when J is singular
+            Jt = J.transpose(0, 2, 1)
+            JtJ = Jt @ J
+            scale = np.max(np.diagonal(JtJ, axis1=1, axis2=2), axis=1)
+            mu = damp[active] * scale + np.finfo(float).tiny
+            A = JtJ + mu[:, None, None] * np.eye(J.shape[2])
+            step = -np.linalg.solve(A, Jt @ Fa[:, :, None])[:, :, 0]
+            trial = ua + step
+            Ft = fun(trial)
+            cost_t = np.sum(Ft * Ft, axis=1)
+            better = cost_t < cost[active]
+            take = active[better]
+            u[take], F[take], cost[take] = trial[better], Ft[better], cost_t[better]
+            damp[active] = np.where(
+                better, np.maximum(damp[active] / 3.0, _DAMP_MIN), damp[active] * 4.0
+            )
+            small = np.max(np.abs(step), axis=1) <= _STEP_TOL * (
+                1.0 + np.max(np.abs(ua), axis=1)
+            )
+            converged[active[small]] = True
+            active = active[~small & (damp[active] <= _DAMP_MAX)]
+    return u[converged]
+
+
+def _append_unique(found, rows, rtol=MATCH_RTOL):
+    """Append the rows (one vector or a stack) that match no earlier entry.
+
+    Rows are taken in order, so of several matching rows the first is kept.
+    """
+    rows = np.atleast_2d(rows)
+
+    def unmatched(rows, other):
+        close = np.max(np.abs(rows - other), axis=1) <= rtol * (
+            1.0 + np.max(np.abs(other))
+        )
+        return rows[~close]
+
     for other in found:
-        if np.max(np.abs(vec - other)) <= rtol * (1.0 + np.max(np.abs(other))):
-            return False
-    found.append(vec)
-    return True
+        rows = unmatched(rows, other)
+    while len(rows):
+        found.append(rows[0])
+        rows = unmatched(rows, rows[0])
 
 
 def _canonical_sort(vectors):
@@ -330,24 +434,21 @@ def _diag_roots(space, engine, level):
     tail = np.eye(space.dim - s + 1)[0]
 
     def fun(u):
-        worst = np.max(np.abs(u))
-        if worst > _LOG_HI + 3.0:
-            return 1e3 * (1.0 + worst) * np.ones_like(u)
-        return _einstein_residual(engine, np.append(np.exp(u), tail))[: s - 1]
+        c = np.concatenate(
+            [np.exp(u), np.broadcast_to(tail, u.shape[:-1] + tail.shape)], axis=-1
+        )
+        F = _einstein_residual(engine, c)[..., : s - 1]
+        outside = np.max(np.abs(u), axis=-1, keepdims=True) > _LOG_HI + 3.0
+        return np.where(outside, np.inf, F)
 
     pts = np.linspace(_LOG_LO, _LOG_HI, level["diag_axis"])
+    u = _batched_roots(fun, list(itertools.product(pts, repeat=s - 1)))
+    keep = (np.max(np.abs(fun(u)), axis=1) <= 1e-10) & (
+        np.max(np.abs(u), axis=1) <= _LOG_HI + 2.0
+    )
     found = []
-    for start in itertools.product(pts, repeat=s - 1):
-        res = optimize.root(
-            fun, np.array(start), method="hybr", options={"maxfev": 300}
-        )
-        if not res.success:
-            continue
-        res = optimize.root(fun, res.x, method="hybr")  # polish
-        u = res.x
-        if np.max(np.abs(fun(u))) > 1e-10 or np.max(np.abs(u)) > _LOG_HI + 2.0:
-            continue
-        _append_unique(found, np.append(np.exp(u), 1.0))
+    # the gauged last coefficient is exp(0) = 1
+    _append_unique(found, np.exp(np.pad(u[keep], ((0, 0), (0, 1)))))
     return _canonical_sort(found)
 
 
@@ -359,47 +460,39 @@ def _mixed_roots(space, engine, level):
     partners.
     """
     s, p = space.n_sub, len(space.pairs)
+    pi = [i for i, _, _ in space.pairs]
+    pj = [j for _, j, _ in space.pairs]
 
     def assemble(u):
-        x = np.append(np.exp(u[: s - 1]), 1.0)
-        b = [
-            f * math.sqrt(x[i] * x[j])
-            for f, (i, j, _) in zip(u[s - 1 :], space.pairs)
-        ]
-        return np.concatenate([x, b])
+        x = np.concatenate(
+            [np.exp(u[..., : s - 1]), np.ones(u.shape[:-1] + (1,))], axis=-1
+        )
+        b = u[..., s - 1 :] * np.sqrt(x[..., pi] * x[..., pj])
+        return np.concatenate([x, b], axis=-1)
 
     def fun(u):
-        over = max(np.max(np.abs(u[s - 1 :])) - 0.999, 0.0) + max(
-            np.max(np.abs(u[: s - 1])) - (_LOG_HI + 3.0), 0.0
+        outside = (np.max(np.abs(u[..., s - 1 :]), axis=-1, keepdims=True) > 0.999) | (
+            np.max(np.abs(u[..., : s - 1]), axis=-1, keepdims=True) > _LOG_HI + 3.0
         )
-        if over > 0.0:
-            return 1e3 * (1.0 + over) * np.ones_like(u)
-        return _einstein_residual(engine, assemble(u))
+        return np.where(outside, np.inf, _einstein_residual(engine, assemble(u)))
 
     found = [
         np.concatenate([d, np.zeros(p)]) for d in _diag_roots(space, engine, level)
     ]
     span = 1.5 * math.log(10.0)
     pts = np.linspace(-span, span, level["mixed_axis"])
-    for diag_start in itertools.product(pts, repeat=s - 1):
-        for frac_start in itertools.product(level["fracs"], repeat=p):
-            res = optimize.root(
-                fun,
-                np.array(diag_start + frac_start),
-                method="hybr",
-                options={"maxfev": 300},
-            )
-            if not res.success:
-                continue
-            res = optimize.root(fun, res.x, method="hybr")  # polish
-            u = res.x
-            if (
-                np.max(np.abs(fun(u))) > 1e-10
-                or np.max(np.abs(u[: s - 1])) > _LOG_HI + 2.0
-                or np.max(np.abs(u[s - 1 :])) >= 0.999
-            ):
-                continue
-            _append_unique(found, assemble(u))
+    starts = [
+        diag_start + frac_start
+        for diag_start in itertools.product(pts, repeat=s - 1)
+        for frac_start in itertools.product(level["fracs"], repeat=p)
+    ]
+    u = _batched_roots(fun, starts)
+    keep = (
+        (np.max(np.abs(fun(u)), axis=1) <= 1e-10)
+        & (np.max(np.abs(u[:, : s - 1]), axis=1) <= _LOG_HI + 2.0)
+        & (np.max(np.abs(u[:, s - 1 :]), axis=1) < 0.999)
+    )
+    _append_unique(found, assemble(u[keep]))
     # mirror the mixing signs: swapping an equivalent pair is an isometry
     # fixing the diagonal part, so the mirrored coefficients solve too; they
     # are admitted by the same residual test as every grid root

@@ -397,7 +397,7 @@ def metric_space(spec):
     return space
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantMetric:
     space: MetricSpace
     coeffs: np.ndarray
@@ -426,7 +426,7 @@ def make_metric(space, coeffs):
     return InvariantMetric(space, coeffs, A)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Frame:
     """A metric-orthonormal frame adapted to the summand structure.
 

@@ -370,3 +370,20 @@ class TestRicciProperties:
         coeffs = [1.0] * sp.n_sub + [0.0] * (sp.dim - sp.n_sub)
         T = frame_structure(orthonormal_frame(make_metric(sp, coeffs)))
         assert np.max(np.abs(T + np.transpose(T, (0, 2, 1)))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "text", ["A:3:[2,1,1]:-", "D:4:[3,1]:-", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
+)
+def test_engine_stack_matches_rows(text):
+    # a (B, n) stack is evaluated row by row, with no leading-axis mixing
+    sp = metric_space(parse_flag_spec(text))
+    engine = reduced_ricci(sp.spec)
+    rng = np.random.default_rng(7)
+    stack = np.array([random_metric(sp, rng).coeffs for _ in range(6)])
+    rows = np.array([engine(c) for c in stack])
+    batched = engine(stack)
+    assert batched.shape == stack.shape
+    assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
+    deeper = engine(stack.reshape(2, 3, -1)).reshape(stack.shape)
+    assert np.max(np.abs(deeper - rows)) <= 1e-14 * np.max(np.abs(rows))

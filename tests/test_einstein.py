@@ -4,13 +4,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import einflag.einstein
+from einflag.curvature import reduced_ricci
 from einflag.einstein import (
     CONSTANT_RTOL,
     DEFECT_TOL,
     TableExpectation,
+    _difference_jacobian,
+    _einstein_residual,
     closed_form_solutions,
     numeric_solutions,
     published_row,
@@ -19,6 +21,7 @@ from einflag.einstein import (
 )
 from einflag.errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from einflag.flag import parse_flag_spec
+from einflag.invariant import metric_space
 from einflag.verify import run_checks
 
 
@@ -115,6 +118,9 @@ def test_d4_corner_flag_collapses_to_five():
 def test_a3_special_flags():
     sols = closed_form_solutions(parse_flag_spec("A:3:[2,2]:-"))
     assert coeff_rows(sols) == [(1.0, 1.0)]
+    # the projective spaces have one summand: the normal metric, one slot
+    for text in ("A:3:[3,1]:-", "A:3:[1,3]:-"):
+        assert coeff_rows(closed_form_solutions(parse_flag_spec(text))) == [(1.0,)]
     sols = closed_form_solutions(parse_flag_spec("A:3:[2,1,1]:-"))
     assert sorted(s.rule_id for s in sols) == ["E1", "E2", "E3", "E4", "E5"]
     mixed = [s for s in sols if abs(s.coeffs[-1]) > 1e-12]
@@ -184,16 +190,69 @@ def test_numeric_solutions_are_certified():
         assert sol.coeffs[n_sub - 1] == pytest.approx(1.0, abs=1e-9)
 
 
+def random_stack(space, rng, rows):
+    """Positive definite coefficient rows of a metric space."""
+    s = space.n_sub
+    stack = np.exp(rng.uniform(-1.0, 1.0, (rows, space.dim)))
+    for k, (i, j, _) in enumerate(space.pairs):
+        stack[:, s + k] = rng.uniform(-0.8, 0.8, rows) * np.sqrt(
+            stack[:, i] * stack[:, j]
+        )
+    return stack
+
+
+@pytest.mark.parametrize("text", ["B:4:[4]:-", "A:3:[2,1,1]:-", "D:5:[4,1]:-"])
+def test_batched_residual_matches_rows(text):
+    spec = parse_flag_spec(text)
+    engine = reduced_ricci(spec)
+    stack = random_stack(metric_space(spec), np.random.default_rng(3), 8)
+    rows = np.array([_einstein_residual(engine, c) for c in stack])
+    batched = _einstein_residual(engine, stack)
+    assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+
+@pytest.mark.parametrize("text", ["A:8:[3,3,3]:-", "D:5:[4,1]:-"])
+def test_difference_jacobian_matches_central_differences(text):
+    spec = parse_flag_spec(text)
+    space = metric_space(spec)
+    engine = reduced_ricci(spec)
+    s = space.n_sub
+
+    def fun(u):
+        # log diagonal coordinates, last one gauged; mixing kept as given
+        logs = np.concatenate([u[..., : s - 1], np.zeros_like(u[..., :1])], axis=-1)
+        coeffs = np.concatenate([np.exp(logs), u[..., s - 1 :]], axis=-1)
+        return _einstein_residual(engine, coeffs)
+
+    stack = random_stack(space, np.random.default_rng(5), 6)
+    stack /= stack[:, s - 1 : s]
+    u = np.concatenate([np.log(stack[:, : s - 1]), stack[:, s:]], axis=1)
+    J = _difference_jacobian(fun, u, fun(u))
+    h = 1e-5
+    for b, row in enumerate(u):
+        for j in range(len(row)):
+            e = np.zeros(len(row))
+            e[j] = h
+            central = (fun(row + e) - fun(row - e)) / (2 * h)
+            assert np.max(np.abs(J[b, :, j] - central)) <= 1e-6 * np.max(np.abs(J[b]))
+
+
+def count_searches(monkeypatch):
+    """Record every batched root search the einstein module runs."""
+    calls = []
+    search = einflag.einstein._batched_roots
+
+    def counted(fun, starts):
+        calls.append(len(starts))
+        return search(fun, starts)
+
+    monkeypatch.setattr(einflag.einstein, "_batched_roots", counted)
+    return calls
+
+
 def test_check_suite_reuses_the_numeric_search(monkeypatch):
     solve("A:3:[2,1,1]:-")
-    calls = []
-    root = scipy.optimize.root
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return root(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "root", counted)
+    calls = count_searches(monkeypatch)
     reports = []
     curvature = einflag.einstein.curvature
 
@@ -233,6 +292,14 @@ def test_certificate_failure_raises(cold_search, monkeypatch):
     monkeypatch.setattr(einflag.einstein, "DEFECT_TOL", 0.0)
     with pytest.raises(InvariantViolation):
         numeric_solutions("B:3:[3]:-")
+
+
+def test_search_counter_sees_a_cold_search(cold_search, monkeypatch):
+    # positive control of the counter above: a cold search runs one batched
+    # search per grid level (the diagonal flag has no mixed stage)
+    calls = count_searches(monkeypatch)
+    numeric_solutions("B:3:[3]:-")
+    assert calls == [21, 41]
 
 
 def test_one_certificate_per_root(cold_search, monkeypatch):
@@ -374,12 +441,30 @@ def test_memoised_solutions_are_immutable():
         first.solutions[0].metric.coeffs[0] = 9.0
     with pytest.raises(ValueError):
         first.solutions[0].metric.matrix[0, 0] = 9.0
+    rep = first.solutions[0].report
+    ricci_coeffs = rep.coefficients.copy()
+    for arr in (
+        rep.coefficients,
+        rep.ricci,
+        rep.ricci_tangent,
+        rep.trace_vector,
+        rep.frame.vectors,
+    ):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 9.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.solutions[0].rule_id = "edited"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.solutions[0].report.einstein_constant = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.solutions[0].metric.coeffs = np.zeros(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.solutions[0].report.frame.vectors = np.eye(2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.groups[0].tag = "edited"
     again = solve("B:3:[3]:-")
     assert again.count == count == 2
     assert again.solutions[0].coeffs[0] != 9.0
+    assert np.array_equal(again.solutions[0].report.coefficients, ricci_coeffs)
     assert again.solutions[0].rule_id != "edited"
     assert isinstance(again.solutions, tuple) and isinstance(again.groups, tuple)
