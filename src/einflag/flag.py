@@ -624,18 +624,22 @@ def _verify_decomposition(dec):
                     f"{dec.submodules[b].name} of {spec} are not orthogonal"
                 )
 
-    # ad(k_Theta)-invariance of every summand
+    # ad(k_Theta)-invariance of every summand.  The summands fill the tangent
+    # space and split_reductive has checked [k_Theta, m] in m, so ad(e_p)
+    # leaves a summand exactly when its rows of R = B ad(e_p) B_w^T reach
+    # another summand's columns.
+    B = np.vstack([s.orthonormal for s in dec.submodules])
+    Bw = np.vstack(weighted)
+    owner = np.repeat(np.arange(len(dec.submodules)), [s.dim for s in dec.submodules])
+    elsewhere = owner[:, None] != owner[None, :]
+    I, J, K, V = model.structure_index
     for p in dec.isotropy_indices:
-        ep = np.zeros(model.n)
-        ep[p] = 1.0
-        ad_p = model.ad(ep)
-        for s, bw in zip(dec.submodules, weighted):
-            B = s.orthonormal
-            W = B @ ad_p
-            resid = W - (W @ bw.T) @ B
-            worst = np.sqrt(np.max(np.sum(resid * g * resid, axis=1)))
-            if worst > 1e-9:
-                raise InvariantViolation(f"submodule {s.name} of {spec} is not ad-invariant")
+        at = I == p
+        R = (B[:, J[at]] * V[at]) @ Bw[:, K[at]].T
+        leak = np.sqrt(np.sum(np.where(elsewhere, R * R, 0.0), axis=1))
+        if np.max(leak) > 1e-9:
+            s = dec.submodules[owner[np.argmax(leak > 1e-9)]]
+            raise InvariantViolation(f"submodule {s.name} of {spec} is not ad-invariant")
 
 
 def enumerate_small_flags(family, rank):

@@ -9,7 +9,20 @@ sign components of the stabilizer (products of reflections with pairwise
 matching determinants), which is what makes the summand catalogue of
 :mod:`einflag.flag` have a clean commutant: its dimension must come out as
 the number of summands plus the number of declared equivalent pairs, and
-this is verified explicitly for every constructed space.
+this is proved for every constructed space.
+
+The proof is one block-wise certificate for every tangent dimension.  Three
+probes stand in for the generators: two random combinations X, Y of the
+isotropy reps and one of the sign actions (these commute, so one generic
+combination has their joint commutant), drawn from a fixed seed.  The
+symmetric solutions of ``T G = G T`` on each summand count
+``dim Sym End(m_i)``, and the solutions of ``T G_i = G_j T`` for each pair
+``i < j`` count ``dim Hom(m_i, m_j)``; both are solved only on the matched
+eigenspaces of ``X^2``.  The probes are a subset of the generators, so their
+commutant contains the true one, and the operator basis is checked to commute
+with every generator, so it lies in the true one.  Equal counts therefore
+prove the dimension.  An unlucky draw can only overcount, which raises
+:class:`~einflag.errors.InvariantViolation`; it never lets a wrong space pass.
 
 The operator basis is canonical: orthogonal projectors onto the summands in
 catalogue order, followed by one symmetric intertwiner per equivalent pair,
@@ -42,10 +55,6 @@ __all__ = [
     "component_sign_actions",
 ]
 
-_FULL_KERNEL_LIMIT = 36
-_SMALL_SOLVE_LIMIT = 1024
-
-
 def _position_sign_sets(spec):
     """Candidate sign patterns, as sets of flipped 1-based ambient positions.
 
@@ -70,15 +79,17 @@ def _position_sign_sets(spec):
     return cands
 
 
-def _basis_signs(model, flipped):
-    out = np.ones(model.n)
-    for k, e in enumerate(model.basis):
-        s = 1
-        for pos, c in enumerate(e.root, start=1):
-            if c % 2 and pos in flipped:
-                s = -s
-        out[k] = s
-    return out
+def _basis_signs(model, candidates):
+    """+-1 vectors over the algebra basis, one row per flipped position set.
+
+    A basis vector changes sign when its root has an odd total coefficient
+    on the flipped positions.
+    """
+    roots = np.array([e.root for e in model.basis], dtype=np.int64)
+    flips = np.zeros((len(candidates), roots.shape[1]), dtype=np.int64)
+    for r, flipped in enumerate(candidates):
+        flips[r, [pos - 1 for pos in flipped]] = 1
+    return 1.0 - 2.0 * ((flips @ (roots % 2).T) % 2)
 
 
 def component_sign_actions(dec):
@@ -90,8 +101,7 @@ def component_sign_actions(dec):
     model = spec.algebra
     g = float(spec.inner_scale) * model.gram
     kept = []
-    for flipped in _position_sign_sets(spec):
-        s = _basis_signs(model, flipped)
+    for s in _basis_signs(model, _position_sign_sets(spec)):
         ok = True
         for sub in dec.submodules:
             B = sub.orthonormal
@@ -183,28 +193,52 @@ class MetricSpace:
         return self._killing
 
 
-def _block(mat, slices, i, j):
-    return mat[slices[i], slices[j]]
+def _probes(reps, signs, d):
+    """Two random combinations of the isotropy reps and one of the signs."""
+    rng = np.random.default_rng(0)
+    X, Y, Z = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
+    for R, x, y in zip(reps, rng.standard_normal(len(reps)), rng.standard_normal(len(reps))):
+        X += x * R
+        Y += y * R
+    for S, z in zip(signs, rng.standard_normal(len(signs))):
+        Z += z * S
+    return X, Y, Z
 
 
-def _intertwiner(gens_i, gens_j, di, dj):
-    """One-dimensional kernel of T M_i = M_j T, normalized with T^T T = I."""
-    cols = []
-    for k in range(dj * di):
-        E = np.zeros((dj, di))
-        E.flat[k] = 1.0
-        rows = [E @ Mi - Mj @ E for Mi, Mj in zip(gens_i, gens_j)]
-        cols.append(np.concatenate([r.ravel() for r in rows]))
-    L = np.array(cols).T
-    _, sv, vt = np.linalg.svd(L)
-    tol = max(L.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
-    null_dim = int(np.sum(sv < max(tol, 1e-10)))
-    if null_dim != 1:
-        return null_dim, None
-    B0 = vt[-1].reshape(dj, di)
+def _block_hom(block_i, block_j, tol):
+    """Orthonormal basis of the maps T: m_i -> m_j with T G_i = G_j T per probe.
+
+    A block is ``(lam, U, gens)``: the eigen-decomposition of X^2 on the
+    summand and the probes in that eigenbasis.  T sends each eigenspace of
+    X_i^2 to the one of X_j^2 with the same eigenvalue, so the unknowns are
+    the entries of ``U_j^T T U_i`` at eigenvalues matched within ``tol``.  The
+    Gram matrix of the constraints is summed one probe at a time.
+    """
+    lam_i, U_i, gens_i = block_i
+    lam_j, U_j, gens_j = block_j
+    a, b = np.nonzero(np.abs(lam_j[:, None] - lam_i[None, :]) <= tol)
+    gram = np.zeros((a.size, a.size))
+    norm = 0.0
+    for Gi, Gj in zip(gens_i, gens_j):
+        gb, ga = Gi[np.ix_(b, b)], Gj[np.ix_(a, a)]
+        gram += (a[:, None] == a) * (Gi @ Gi.T)[np.ix_(b, b)]
+        gram += (b[:, None] == b) * (Gj.T @ Gj)[np.ix_(a, a)]
+        gram -= ga * gb + ga.T * gb.T
+        norm += np.sum(Gi * Gi) + np.sum(Gj * Gj)
+    w, v = np.linalg.eigh(gram)
+    maps = []
+    for vec in v[:, w <= 1e-9 * norm].T:
+        T = np.zeros((lam_j.size, lam_i.size))
+        T[a, b] = vec
+        maps.append(U_j @ T @ U_i.T)
+    return maps
+
+
+def _normalized_intertwiner(B0):
+    """Scale B0 to B0^T B0 = I with a positive leading entry."""
     G = B0.T @ B0
-    c = np.trace(G) / di
-    if np.max(np.abs(G - c * np.eye(di))) > 1e-8 * c:
+    c = np.trace(G) / len(G)
+    if np.max(np.abs(G - c * np.eye(len(G)))) > 1e-8 * c:
         raise InvariantViolation("intertwiner is not a multiple of an isometry")
     B0 = B0 / np.sqrt(c)
     for val in B0.flatten(order="F"):
@@ -212,79 +246,7 @@ def _intertwiner(gens_i, gens_j, di, dj):
             if val < 0:
                 B0 = -B0
             break
-    return 1, B0
-
-
-def _sym_commutant_dim(gens, d):
-    pairs = [(p, q) for p in range(d) for q in range(p, d)]
-    cols = []
-    for p, q in pairs:
-        A = np.zeros((d, d))
-        A[p, q] = 1.0
-        A[q, p] = 1.0
-        cols.append(np.concatenate([(G @ A - A @ G).ravel() for G in gens]))
-    M = np.array(cols).T
-    sv = np.linalg.svd(M, compute_uv=False)
-    tol = max(M.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
-    return int(np.sum(sv < max(tol, 1e-8)))
-
-
-def _casimir(space):
-    spec = space.spec
-    g = float(spec.inner_scale) * spec.algebra.gram
-    d = space.tangent_dim
-    C = np.zeros((d, d))
-    for p, R in zip(space.dec.isotropy_indices, space.reps):
-        C -= (R @ R) / g[p]
-    return C
-
-
-def _certify_inequivalent(space):
-    """For large spaces, prove that no undeclared pair of summands is
-    equivalent (distinct Casimir spectra, sign-action obstruction, or a
-    direct intertwiner solve)."""
-    dec = space.dec
-    slices = space.slices
-    declared = {frozenset(p) for p in dec.equiv_classes}
-    C = _casimir(space)
-    sigs = [np.sort(np.linalg.eigvalsh(_block(C, slices, i, i))) for i in range(space.n_sub)]
-
-    for i in range(space.n_sub):
-        for j in range(i + 1, space.n_sub):
-            if frozenset((i, j)) in declared:
-                continue
-            di = slices[i].stop - slices[i].start
-            dj = slices[j].stop - slices[j].start
-            if di != dj:
-                continue
-            if np.max(np.abs(sigs[i] - sigs[j])) > 1e-6:
-                continue
-            blocks_i = [_block(S, slices, i, i) for S in space.signs]
-            blocks_j = [_block(S, slices, j, j) for S in space.signs]
-            if all(_is_diag(b) for b in blocks_i + blocks_j):
-                mask = np.ones((dj, di), dtype=bool)
-                for bi, bj in zip(blocks_i, blocks_j):
-                    mask &= np.abs(np.subtract.outer(np.diag(bj), np.diag(bi))) < 1e-9
-                if not mask.any():
-                    continue
-            if di * dj <= _SMALL_SOLVE_LIMIT:
-                gens_i = [_block(R, slices, i, i) for R in space.reps] + blocks_i
-                gens_j = [_block(R, slices, j, j) for R in space.reps] + blocks_j
-                null_dim, _ = _intertwiner(gens_i, gens_j, di, dj)
-                if null_dim == 0:
-                    continue
-                raise InvariantViolation(
-                    f"summands {dec.submodules[i].name} and {dec.submodules[j].name} "
-                    f"of {space.spec} are equivalent but not declared so"
-                )
-            raise InvariantViolation(
-                f"cannot certify inequivalence of {dec.submodules[i].name} and "
-                f"{dec.submodules[j].name} for {space.spec}"
-            )
-
-
-def _is_diag(mat):
-    return np.max(np.abs(mat - np.diag(np.diag(mat)))) < 1e-10
+    return B0
 
 
 def _coefficient_names(spec, n_sub, n_pairs):
@@ -325,12 +287,13 @@ def metric_space(spec):
     Bm, slices = tangent_basis(dec)
     Bw = Bm * g
     d = Bm.shape[0]
+    subs = dec.submodules
 
+    I, J, K, V = model.structure_index
     reps = []
     for p in dec.isotropy_indices:
-        ep = np.zeros(model.n)
-        ep[p] = 1.0
-        R = Bw @ (Bm @ model.ad(ep)).T
+        at = I == p
+        R = (Bw[:, K[at]] * V[at]) @ Bm[:, J[at]].T
         if np.max(np.abs(R + R.T)) > 1e-10:
             raise InvariantViolation(f"isotropy action on {spec} is not skew")
         reps.append(R)
@@ -342,30 +305,41 @@ def metric_space(spec):
             raise InvariantViolation(f"sign action on {spec} is not an involution")
         signs.append(S)
 
+    # Schur's lemma block by block: Sym End(m_i) on each summand and
+    # Hom(m_i, m_j) for each pair i < j, against the probes.
+    probes = _probes(reps, signs, d)
+    blocks = []
+    for sl in slices:
+        X = probes[0][sl, sl]
+        lam, U = np.linalg.eigh(X @ X)
+        blocks.append((lam, U, [U.T @ G[sl, sl] @ U for G in probes]))
+    tol = 1e-8 * max(np.max(np.abs(lam)) for lam, _, _ in blocks)
+    homs = {}
+    found = 0
+    for i in range(len(slices)):
+        for j in range(i, len(slices)):
+            maps = _block_hom(blocks[i], blocks[j], tol)
+            if i < j:
+                homs[i, j] = maps
+                found += len(maps)
+            elif maps:
+                sym = np.array([(T + T.T).ravel() for T in maps])
+                found += int(np.sum(np.linalg.svd(sym, compute_uv=False) > 1e-6))
+
     pairs = []
     for cls in dec.equiv_classes:
         if len(cls) != 2:
             raise UnimplementedCase(
                 f"metric space of {spec} has a {len(cls)}-member equivalence class"
             )
-        i, j = cls
-        di = slices[i].stop - slices[i].start
-        dj = slices[j].stop - slices[j].start
-        if di != dj:
-            raise InvariantViolation("equivalent summands with different dimensions")
-        gens_i = [_block(R, slices, i, i) for R in reps] + [
-            _block(S, slices, i, i) for S in signs
-        ]
-        gens_j = [_block(R, slices, j, j) for R in reps] + [
-            _block(S, slices, j, j) for S in signs
-        ]
-        null_dim, B0 = _intertwiner(gens_i, gens_j, di, dj)
-        if null_dim != 1:
+        i, j = sorted(cls)
+        maps = homs[i, j]
+        if len(maps) != 1:
             raise InvariantViolation(
-                f"declared pair {dec.submodules[i].name}~{dec.submodules[j].name} of "
-                f"{spec} has intertwiner multiplicity {null_dim}"
+                f"declared pair {subs[i].name}~{subs[j].name} of "
+                f"{spec} has intertwiner multiplicity {len(maps)}"
             )
-        pairs.append((i, j, B0))
+        pairs.append((i, j, _normalized_intertwiner(maps[0])))
 
     operators = []
     for s in slices:
@@ -381,19 +355,25 @@ def metric_space(spec):
     names = _coefficient_names(spec, len(slices), len(pairs))
     space = MetricSpace(dec, Bm, slices, reps, signs, operators, names, pairs)
 
+    # The operators commute with every generator, so they span part of the
+    # true commutant, which the probe commutant contains; equal counts prove
+    # that they span all of it.
     for A in operators:
         for G in reps + signs:
             if np.max(np.abs(G @ A - A @ G)) > 1e-10:
                 raise InvariantViolation(f"operator basis of {spec} fails to commute")
-    if d <= _FULL_KERNEL_LIMIT:
-        found = _sym_commutant_dim(reps + signs, d)
-        if found != len(operators):
+    declared = {(i, j) for i, j, _ in pairs}
+    for (i, j), maps in homs.items():
+        if maps and (i, j) not in declared:
             raise InvariantViolation(
-                f"{spec}: expected a {len(operators)}-dimensional metric space, "
-                f"commutant has dimension {found}"
+                f"summands {subs[i].name} and {subs[j].name} "
+                f"of {spec} are equivalent but not declared so"
             )
-    else:
-        _certify_inequivalent(space)
+    if found != len(operators):
+        raise InvariantViolation(
+            f"{spec}: expected a {len(operators)}-dimensional metric space, "
+            f"commutant has dimension {found}"
+        )
     return space
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,7 +7,10 @@ from fractions import Fraction
 from einflag.algebra import build_algebra
 from einflag.errors import BadFlag, BadPartition, InvariantViolation, UnimplementedCase
 from einflag.flag import (
+    Submodule,
     _check_reductive,
+    _orthonormalize,
+    _verify_decomposition,
     decompose_isotropy,
     enumerate_small_flags,
     make_flag,
@@ -239,6 +244,22 @@ class TestDecompose:
             for s in dec.submodules:
                 G = (s.orthonormal * g) @ s.orthonormal.T
                 assert np.allclose(G, np.eye(s.dim), atol=1e-12)
+
+    def test_verify_rejects_non_invariant_summands(self):
+        # coordinate halves of the two so(4) summands of A:3:[2,2]:- are
+        # orthogonal and fill m, but ad(w(2,1)) moves w(3,1) to w(3,2)
+        spec = flag("A:3:[2,2]:-")
+        dec = decompose_isotropy(spec)
+        model = spec.algebra
+        subs = []
+        for name, labels in (("P", ["w(3,1)", "w(4,1)"]), ("Q", ["w(3,2)", "w(4,2)"])):
+            span = np.zeros((2, model.n))
+            for r, label in enumerate(labels):
+                span[r, model.label_index[label]] = 1.0
+            subs.append(Submodule(name, span, _orthonormalize(spec, span)))
+        wrong = dataclasses.replace(dec, submodules=subs)
+        with pytest.raises(InvariantViolation, match="submodule P of .* is not ad-invariant"):
+            _verify_decomposition(wrong)
 
     def test_summary_string(self):
         dec = decompose_isotropy(flag("D:5:[4,1]:-"))

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from einflag.errors import NotPositiveDefinite, UnimplementedCase
-from einflag.flag import decompose_isotropy, enumerate_small_flags, parse_flag_spec
+from einflag import invariant
+from einflag.cli import _table_rows
+from einflag.errors import InvariantViolation, NotPositiveDefinite, UnimplementedCase
+from einflag.flag import Submodule, decompose_isotropy, enumerate_small_flags, parse_flag_spec
 from einflag.invariant import (
     component_sign_actions,
     make_metric,
@@ -35,6 +39,28 @@ DIMS = [
     ("D:4:[3,1]:+", 2, ["mu_1", "mu_2"]),
     ("D:5:[2,3]:+", 3, ["x0", "x1", "x2"]),
 ]
+
+
+# every `table1 --max-l 6` flag by family and rank, plus A:25:[20,3,3]:-
+# (d = 129), the one rank-25 flag built
+BUILD_SETS = [
+    ("A", 3), ("A", 4), ("A", 5),
+    ("B", 3), ("B", 4), ("B", 5), ("B", 6),
+    ("C", 3), ("C", 4), ("C", 5),
+    ("D", 4), ("D", 5), ("D", 6),
+    ("A", 2), ("A", 6), ("C", 6), ("A", 25),
+]
+
+
+def _merge_first_two(dec):
+    first, second, *rest = dec.submodules
+    merged = Submodule(
+        first.name + second.name,
+        np.vstack([first.span, second.span]),
+        np.vstack([first.orthonormal, second.orthonormal]),
+    )
+    assert not dec.equiv_classes
+    return dataclasses.replace(dec, submodules=[merged, *rest])
 
 
 class TestMetricSpace:
@@ -84,19 +110,24 @@ class TestMetricSpace:
         with pytest.raises(UnimplementedCase):
             space("C:5:[1,1,3]:-")
 
-    @pytest.mark.parametrize(
-        "family,rank",
-        [
-            ("A", 3), ("A", 4), ("A", 5),
-            ("B", 3), ("B", 4), ("B", 5), ("B", 6),
-            ("C", 3), ("C", 4), ("C", 5),
-            ("D", 4), ("D", 5), ("D", 6),
-        ],
-    )
+    @pytest.mark.parametrize("family,rank", BUILD_SETS)
     def test_all_enumerated_flags_build(self, family, rank):
-        for spec in enumerate_small_flags(family, rank):
+        if rank == 25:
+            specs = [parse_flag_spec("A:25:[20,3,3]:-")]
+        else:
+            specs = enumerate_small_flags(family, rank)
+        for spec in specs:
             sp = metric_space(spec)
             assert sp.dim == sp.n_sub + len(sp.pairs)
+            # the probes are drawn from a fixed seed, so a cold rebuild
+            # repeats the operators bit for bit
+            cold = metric_space.__wrapped__(spec)
+            assert len(cold.operators) == sp.dim
+            for a, b in zip(sp.operators, cold.operators):
+                assert np.array_equal(a, b)
+
+    def test_build_sets_cover_table1(self):
+        assert {(s.family, s.rank) for s in _table_rows(6)} <= set(BUILD_SETS)
 
     def test_structure_antisymmetry(self):
         # B:4:[2,2]:+ has tangent basis vectors that are not coordinate
@@ -113,6 +144,39 @@ class TestMetricSpace:
         assert np.max(np.linalg.eigvalsh(K)) < 0
 
 
+class TestCertificateFailures:
+    """Each wrong decomposition is rejected by the block certificate.
+
+    The mutated decomposition goes straight to the unmemoised builder, so the
+    shared memo never sees it.
+    """
+
+    @pytest.mark.parametrize(
+        "text,mutate,message",
+        [
+            (
+                "A:3:[2,1,1]:-",
+                lambda dec: dataclasses.replace(dec, equiv_classes=[]),
+                "equivalent but not declared so",
+            ),
+            (
+                "B:4:[4]:-",
+                lambda dec: dataclasses.replace(dec, equiv_classes=[(1, 2)]),
+                "intertwiner multiplicity 0",
+            ),
+            ("B:5:[5]:-", _merge_first_two, "commutant has dimension 2"),
+            ("A:25:[20,3,3]:-", _merge_first_two, "commutant has dimension 3"),
+        ],
+        ids=["undeclared-pair", "false-pair", "merged-B5", "merged-A25"],
+    )
+    def test_wrong_decomposition_raises(self, monkeypatch, text, mutate, message):
+        spec = parse_flag_spec(text)
+        wrong = mutate(decompose_isotropy(spec))
+        monkeypatch.setattr(invariant, "decompose_isotropy", lambda _: wrong)
+        with pytest.raises(InvariantViolation, match=message):
+            metric_space.__wrapped__(spec)
+
+
 class TestSignActions:
     def test_triality_blocks_filter_singles(self):
         # single reflections swap the two 3-dimensional summands
@@ -120,6 +184,20 @@ class TestSignActions:
         assert len(component_sign_actions(dec)) == 6
         dec = decompose_isotropy(parse_flag_spec("D:4:[4]:-"))
         assert len(component_sign_actions(dec)) == 6
+
+    @pytest.mark.parametrize(
+        "text", ["A:5:[2,2,2]:-", "B:4:[4]:-", "C:5:[2,3]:+", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
+    )
+    def test_basis_signs_match_root_parity_loop(self, text):
+        spec = parse_flag_spec(text)
+        model = spec.algebra
+        cands = invariant._position_sign_sets(spec)
+        for flipped, row in zip(cands, invariant._basis_signs(model, cands)):
+            ref = [
+                (-1) ** sum(c % 2 for pos, c in enumerate(e.root, start=1) if pos in flipped)
+                for e in model.basis
+            ]
+            assert np.array_equal(row, ref)
 
     def test_basis_aligned_spans_keep_all(self):
         dec = decompose_isotropy(parse_flag_spec("D:4:[3,1]:-"))
