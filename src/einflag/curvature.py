@@ -20,8 +20,10 @@ straight to the coefficients of the Ricci form over the metric-space
 operators, without a frame.  It is the coefficient-space form of the
 ``[ijk]`` block-sum formula (M. Wang, W. Ziller, Invent. Math. 84, 1986;
 J.-S. Park, Y. Sakane, Tokyo J. Math. 20, 1997), extended to the mixing
-coefficients of equivalent summand pairs; the numeric search
-evaluates its Einstein equations only through it, and the check suite
+coefficients of equivalent summand pairs.  It also gives the scalar
+curvature, ``tr(A^-1 Ric)``, from the same coefficients.  The numeric
+search evaluates its Einstein equations only through it, the variational
+check of the suite takes its scalar curvature from it, and the check suite
 compares it against the frame route.
 """
 
@@ -304,7 +306,7 @@ class ReducedRicci:
                 for u, v, M in blocks
             ]
         )
-        norms = L @ sizes
+        self._norms = norms = L @ sizes
         triple = np.einsum("pa,rb,wc,abd,dce->prwe", L, L, L, prod, prod)
         m1 = np.einsum("ra,qb,pc,abc->qpr", L, L, L, G) / norms
         m2 = np.einsum("qa,sb,prwe,abe->qspwr", L, L, triple, G) / norms
@@ -342,6 +344,17 @@ class ReducedRicci:
         )
         quad = (hc @ self._m2).reshape(hc.shape + self._m1.shape[1:])
         return np.einsum("...k,...kr->...r", hc, self._m1 + quad) + self._kappa_term
+
+    def scalar(self, coeffs):
+        """Scalar curvature; equal to ``curvature(metric).scalar``.
+
+        The scalar is ``tr(A^-1 Ric) = sum_{q,r} h_q rho_r tr(O_q O_r)``, and
+        the operators are symmetric and mutually Frobenius orthogonal, so only
+        ``q = r`` survives, with ``tr(O_r O_r) = |O_r|^2``.  ``coeffs`` has
+        shape ``(..., n)``; the result has shape ``(...)``.
+        """
+        c = np.asarray(coeffs, dtype=float)
+        return np.sum(self._inverse(c) * self(c) * self._norms, axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -2,10 +2,15 @@
 
 Every check re-derives a structural property from raw data instead of
 trusting cached fields: orthogonality goes back to ambient matrices, the
-Ricci tensor is recomputed in rotated frames, Einstein candidates are
-re-certified from their curvature reports, and the variational
-characterization is probed with central finite differences on the
-volume-normalized scalar curvature.
+Ricci tensor is recomputed in rotated frames, and Einstein candidates are
+re-certified from their curvature reports.  The variational
+characterization is probed with central finite differences of the
+volume-normalized scalar curvature, taken from the reduced engine
+(:meth:`~einflag.curvature.ReducedRicci.scalar`): all ``2 * dim`` probes
+of a point go through one engine call, after the positive-definiteness
+test of :func:`~einflag.invariant.make_metric` is applied to their
+coefficients.  That check therefore builds no frame; the frame route is
+covered by the curvature checks and the solution certificates.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from .einstein import (
 )
 from .errors import NoCatalogEntry, NotPositiveDefinite, UnimplementedCase
 from .flag import parse_flag_spec
-from .invariant import Frame, make_metric, metric_space, orthonormal_frame
+from .invariant import (
+    Frame,
+    commutation_residual,
+    make_metric,
+    metric_space,
+    orthonormal_frame,
+)
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -332,10 +343,7 @@ def _check_commutant_dimension(ctx):
         space.dim == want,
         f"metric family has dim {space.dim}, expected {want}",
     )
-    worst = 0.0
-    for A in space.operators:
-        for Gm in list(space.reps) + list(space.signs):
-            worst = max(worst, float(np.max(np.abs(Gm @ A - A @ Gm))))
+    worst = commutation_residual(space)
     _require(worst < 1e-10, f"an operator fails to commute: {worst:.2e}")
     return (
         f"{space.dim} = {space.n_sub} summands + {len(space.pairs)} pairs, "
@@ -582,22 +590,46 @@ def _check_count_bounds(ctx):
     return f"count {count}; no published bound for this shape"
 
 
+def _metric_eigenvalues(space, c):
+    """Eigenvalues of the metric operator, one per summand, from coefficients.
+
+    An unpaired summand carries ``x_i``; the two summands of a pair carry the
+    eigenvalues of ``[[x_i, b], [b, x_j]]``, since ``B0^T B0 = I``.  ``c`` has
+    shape ``(..., n)`` and the result ``(..., n_sub)``; each eigenvalue has
+    its summand's dimension as multiplicity.
+    """
+    s = space.n_sub
+    lam = np.array(c[..., :s], dtype=float)
+    for k, (i, j, _) in enumerate(space.pairs):
+        xi, xj, b = c[..., i], c[..., j], c[..., s + k]
+        mid, half_gap = (xi + xj) / 2.0, np.hypot(xi - xj, 2.0 * b) / 2.0
+        lam[..., i], lam[..., j] = mid - half_gap, mid + half_gap
+    return lam
+
+
 def _check_variational_critical(ctx):
     space = ctx.space
+    scalar = reduced_ricci(ctx.spec).scalar
+    dims = np.array([sl.stop - sl.start for sl in space.slices])
     h = 1e-6
-
-    def vol_scalar(c):
-        A = space.metric_matrix(c)
-        det = float(np.linalg.det(A))
-        return curvature(make_metric(space, c / det ** (1.0 / A.shape[0]))).scalar
+    steps = h * np.vstack([np.eye(space.dim), -np.eye(space.dim)])
 
     def grad_inf(c):
-        g = np.zeros(space.dim)
-        for k in range(space.dim):
-            cp, cm = c.copy(), c.copy()
-            cp[k] += h
-            cm[k] -= h
-            g[k] = (vol_scalar(cp) - vol_scalar(cm)) / (2.0 * h)
+        # the 2*dim central-difference probes of c, evaluated in one call
+        probes = c + steps
+        lam = _metric_eigenvalues(space, probes)
+        lo = lam.min(axis=-1)
+        bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=-1)))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise NotPositiveDefinite(
+                f"metric coefficients {probes[k].tolist()} are not positive definite",
+                min_eigenvalue=float(lo[k]),
+            )
+        # volume-normalized scalar: S at c / det(A)^(1/d)
+        scale = np.exp(np.log(lam) @ dims / space.tangent_dim)
+        vol_scalar = scalar(probes / scale[:, None])
+        g = (vol_scalar[: space.dim] - vol_scalar[space.dim :]) / (2.0 * h)
         return float(np.max(np.abs(g)))
 
     at_sol = 0.0

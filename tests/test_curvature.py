@@ -387,3 +387,25 @@ def test_engine_stack_matches_rows(text):
     assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
     deeper = engine(stack.reshape(2, 3, -1)).reshape(stack.shape)
     assert np.max(np.abs(deeper - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A:3:[2,1,1]:-", "D:5:[4,1]:-", "B:4:[4]:-", "C:5:[2,3]:+", "A:25:[20,3,3]:-"],
+)
+def test_engine_scalar_matches_frame_route(text):
+    # tr(A^-1 Ric) from the coefficients alone, against the frame trace,
+    # with and without pair mixing
+    sp = metric_space(parse_flag_spec(text))
+    engine = reduced_ricci(sp.spec)
+    rng = np.random.default_rng(11)
+    metrics = [random_metric(sp, rng) for _ in range(6)]
+    for m in metrics[:3]:
+        want = curvature(m).scalar
+        assert abs(engine.scalar(m.coeffs) - want) <= 1e-12 * abs(want)
+    # a (2, 3, n) stack gives a (2, 3) array, row by row
+    stack = np.array([m.coeffs for m in metrics])
+    rows = np.array([engine.scalar(c) for c in stack])
+    batched = engine.scalar(stack.reshape(2, 3, -1))
+    assert batched.shape == (2, 3)
+    assert np.max(np.abs(batched.ravel() - rows)) <= 1e-14 * np.max(np.abs(rows))

@@ -176,6 +176,34 @@ class TestCertificateFailures:
         with pytest.raises(InvariantViolation, match=message):
             metric_space.__wrapped__(spec)
 
+    @pytest.mark.parametrize("text", ["A:3:[2,1,1]:-", "D:5:[4,1]:-", "B:4:[4]:-"])
+    def test_commutation_residual_matches_dense_products(self, text):
+        sp = space(text)
+        dense = max(
+            float(np.max(np.abs(G @ A - A @ G)))
+            for A in sp.operators
+            for G in sp.reps + sp.signs
+        )
+        masked = invariant.commutation_residual(sp)
+        assert masked <= 1e-10
+        assert abs(masked - dense) <= 1e-14
+
+    @pytest.mark.parametrize("text", ["A:3:[2,1,1]:-", "D:5:[4,1]:-"])
+    def test_commutation_residual_sees_broken_generators(self, text):
+        # one generator leaking between two summands, one that acts on the
+        # second summand of a pair differently from the first
+        sp = space(text)
+        i, j, _ = sp.pairs[0]
+        G = sp.reps[0]
+        leak = G.copy()
+        leak[sp.slices[i].start, sp.slices[j].start] += 1e-6
+        twist = G.copy()
+        size = sp.slices[j].stop - sp.slices[j].start
+        twist[sp.slices[j], sp.slices[j]] += 1e-6 * np.eye(size)
+        for bad in (leak, twist):
+            broken = dataclasses.replace(sp, reps=[bad], signs=[])
+            assert invariant.commutation_residual(broken) > 1e-7
+
 
 class TestSignActions:
     def test_triality_blocks_filter_singles(self):
