@@ -15,6 +15,15 @@ quotient, but it is cheap, so it is computed rather than assumed.  Every
 report goes through this route: it certifies each solution once, through
 the defect gate, and it is the reference of the check suite.
 
+The route has two implementations.  In the canonical eigenframe (the
+default) the tangent structure tensor t is almost empty and the frame has
+at most two nonzeros per column, so T is expanded from the nonzeros of t
+alone and each quadratic sum is a product within groups of entries that
+share two indices; no d^3 array is formed.  An explicit ``frame`` runs the
+dense :func:`frame_structure` contraction instead, for any orthonormal
+frame; it is the reference the ``ricci-frame-independence`` check compares
+the sparse route against.
+
 The reduced route, :class:`ReducedRicci`, maps the metric coefficients
 straight to the coefficients of the Ricci form over the metric-space
 operators, without a frame.  It is the coefficient-space form of the
@@ -32,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .invariant import metric_space, orthonormal_frame
+from .invariant import _coo_transform, _row_entries, metric_space, orthonormal_frame
 
 __all__ = [
     "CurvatureReport",
@@ -124,10 +133,69 @@ def _form_coefficients(space, form):
     The projector and intertwiner operators are mutually Frobenius
     orthogonal, so the expansion is a plain inner-product projection.
     """
-    coeffs = []
-    for op in space.operators:
-        coeffs.append(np.tensordot(form, op) / np.tensordot(op, op))
-    return np.array(coeffs)
+    rows, norms = space.operator_rows
+    return rows @ np.ravel(form) / norms
+
+
+def _pair_sum(group, index, value, d):
+    """``S[index[x], index[y]] += value[x] value[y]`` over x, y of one group.
+
+    The entries are sorted by ``group``; every entry is paired with each
+    entry of its group, itself included, and the products are scattered
+    into a d x d array.
+    """
+    if group.size == 0:
+        return np.zeros((d, d))
+    order = np.argsort(group, kind="stable")
+    group, index, value = group[order], index[order], value[order]
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    sizes = np.diff(np.r_[starts, group.size])
+    n = np.repeat(sizes, sizes)
+    left = np.repeat(np.arange(group.size), n)
+    right = np.repeat(np.repeat(starts, sizes), n) + (
+        np.arange(left.size) - np.repeat(np.cumsum(n) - n, n)
+    )
+    return np.bincount(
+        index[left] * d + index[right],
+        weights=value[left] * value[right],
+        minlength=d * d,
+    ).reshape(d, d)
+
+
+def _sparse_terms(space, V, W):
+    """The frame sums of the Ricci formula over the nonzeros of T.
+
+    T is expanded from the nonzeros of t through those of ``V``, ``V`` and
+    ``W = V^-1``; the canonical frame has at most two nonzeros per column.
+    Returns the two quadratic sums, the symmetrized trace-vector term, Z and
+    ``sum T^2``, as :func:`_dense_terms` does.
+    """
+    d = space.tangent_dim
+    rows = _row_entries(V)
+    a, b, c, T = _coo_transform(space.structure_coo, (rows, rows, _row_entries(W.T)), d)
+    diag = b == c
+    Z = np.bincount(a[diag], weights=T[diag], minlength=d)
+    ztt = np.bincount(b * d + c, weights=Z[a] * T, minlength=d * d).reshape(d, d)
+    return (
+        _pair_sum(b * d + c, a, T, d),
+        _pair_sum(a * d + b, c, T, d),
+        ztt + ztt.T,
+        Z,
+        float(T @ T),
+    )
+
+
+def _dense_terms(frame):
+    """The frame sums of the Ricci formula from the dense ``frame_structure``."""
+    T = frame_structure(frame)
+    Z = np.einsum("cii->c", T)
+    return (
+        np.einsum("aic,bic->ab", T, T, optimize=True),
+        np.einsum("ija,ijb->ab", T, T, optimize=True),
+        np.einsum("c,cab->ab", Z, T) + np.einsum("c,cba->ab", Z, T),
+        Z,
+        float(np.einsum("abc,abc->", T, T)),
+    )
 
 
 def curvature(metric, frame=None):
@@ -138,40 +206,39 @@ def curvature(metric, frame=None):
     metric : InvariantMetric
     frame : Frame, optional
         A metric-orthonormal frame to evaluate in.  Defaults to the
-        canonical eigenframe; any other metric-orthonormal frame must give
-        the same tangent-coordinate Ricci form, which the verification
-        suite exploits.
+        canonical eigenframe, which is evaluated over the nonzeros of the
+        structure tensor.  An explicit frame goes through the dense
+        :func:`frame_structure` contraction instead; any metric-orthonormal
+        frame must give the same tangent-coordinate Ricci form, which the
+        verification suite exploits.
 
     Returns
     -------
     CurvatureReport
     """
     space = metric.space
+    d = space.tangent_dim
     if frame is None:
         frame = orthonormal_frame(metric)
-    T = frame_structure(frame)
-    V = frame.vectors
-    d = space.tangent_dim
+        V = frame.vectors
+        # V^T A V = I, so this is V^-1 with the zeros of V^T kept exact
+        Vinv = V.T @ metric.matrix
+        quad_out, quad_in, zterm, Z, square = _sparse_terms(space, V, Vinv)
+    else:
+        V = frame.vectors
+        Vinv = np.linalg.inv(V)
+        quad_out, quad_in, zterm, Z, square = _dense_terms(frame)
 
     K = V.T @ space.killing @ V
-    Z = np.einsum("cii->c", T)
-    ric = (
-        -0.5 * np.einsum("aic,bic->ab", T, T, optimize=True)
-        + 0.25 * np.einsum("ija,ijb->ab", T, T, optimize=True)
-        - 0.5 * K
-        - 0.5 * (np.einsum("c,cab->ab", Z, T) + np.einsum("c,cba->ab", Z, T))
-    )
+    ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K - 0.5 * zterm
 
     scalar = float(np.trace(ric))
-    scalar_direct = float(
-        -0.25 * np.einsum("abc,abc->", T, T) - 0.5 * np.trace(K) - Z @ Z
-    )
+    scalar_direct = float(-0.25 * square - 0.5 * np.trace(K) - Z @ Z)
     c = scalar / d
     defect = float(np.linalg.norm(ric - c * np.eye(d)))
     _, logdet = np.linalg.slogdet(metric.matrix)
     normalized = c * float(np.exp(logdet / d))
 
-    Vinv = np.linalg.inv(V)
     ric_tan = Vinv.T @ ric @ Vinv
     coeffs = _form_coefficients(space, ric_tan)
 
@@ -203,18 +270,16 @@ def u_map(metric, x, y):
     the metric is the normal one (the structure constants are then fully
     antisymmetric).
     """
-    space = metric.space
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    frame = orthonormal_frame(metric)
-    V = frame.vectors
-    t = space.structure
-    A = metric.matrix
-    # bx[a, c] = coordinates of the tangent part of [F_a, x]
-    bx = np.einsum("ia,j,ijc->ac", V, x, t, optimize=True)
-    by = np.einsum("ia,j,ijc->ac", V, y, t, optimize=True)
-    alpha = 0.5 * (bx @ (A @ y) + by @ (A @ x))
-    return V @ alpha
+    V = orthonormal_frame(metric).vectors
+    I, J, K, t = metric.space.structure_coo
+    Ax, Ay = metric.matrix @ x, metric.matrix @ y
+    # g([e_i, x]_m, y) + g([e_i, y]_m, x) over the tangent basis, then F_a = V e
+    basis_terms = np.bincount(
+        I, weights=t * (x[J] * Ay[K] + y[J] * Ax[K]), minlength=len(x)
+    )
+    return V @ (0.5 * (V.T @ basis_terms))
 
 
 def group_ricci(report, tol=1e-8):

@@ -27,9 +27,10 @@ prove the dimension.  An unlucky draw can only overcount, which raises
 The operator basis is canonical: orthogonal projectors onto the summands in
 catalogue order, followed by one symmetric intertwiner per equivalent pair,
 normalized so its off-diagonal block ``B0`` satisfies ``B0^T B0 = I`` with a
-positive leading entry.  Coefficients for the projectors are the diagonal
-scales; the intertwiner coefficients are the mixing parameters (named ``b``
-for the four-parameter families).
+positive leading entry, and stored as the exact signed permutation it rounds
+to when there is one (every pair catalogued so far).  Coefficients for the
+projectors are the diagonal scales; the intertwiner coefficients are the
+mixing parameters (named ``b`` for the four-parameter families).
 """
 
 from dataclasses import dataclass, field
@@ -117,6 +118,50 @@ def component_sign_actions(dec):
     return kept
 
 
+def _row_entries(M):
+    """Column indices and values of the nonzeros in each row of M.
+
+    Returns ``(cols, vals)``, both ``(rows, k)`` for the largest row count
+    k; the slots a shorter row leaves over hold column 0 and value 0.
+    """
+    mask = M != 0
+    counts = mask.sum(axis=1)
+    cols = np.zeros((M.shape[0], int(counts.max(initial=0))), dtype=np.int64)
+    vals = np.zeros(cols.shape)
+    r, c = np.nonzero(mask)
+    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols[r, slot] = c
+    vals[r, slot] = M[r, c]
+    return cols, vals
+
+
+def _coo_transform(coo, maps, d):
+    """``S[a,b,c] = sum t[i,j,k] P[i,a] Q[j,b] R[k,c]`` over the nonzeros of t.
+
+    ``coo = (I, J, K, V)`` lists the nonzeros of t and ``maps`` holds the
+    :func:`_row_entries` of P, Q and R, whose columns run over ``range(d)``.
+    Each nonzero of t is expanded through the row nonzeros of the three maps
+    and the products are summed per key.  Returns the entries of S as
+    ``(a, b, c, value)`` sorted by ``(a, b, c)``; products that are exactly
+    zero are dropped, entries that cancel to zero are kept.
+    """
+    I, J, K, V = coo
+    (ca, va), (cb, vb), (cc, vc) = maps
+    key = (
+        (ca[I][:, :, None, None] * d + cb[J][:, None, :, None]) * d
+        + cc[K][:, None, None, :]
+    )
+    val = (
+        V[:, None, None, None]
+        * va[I][:, :, None, None]
+        * vb[J][:, None, :, None]
+        * vc[K][:, None, None, :]
+    )
+    keep = val != 0
+    keys, inv = np.unique(key[keep], return_inverse=True)
+    return keys // (d * d), keys // d % d, keys % d, np.bincount(inv, weights=val[keep])
+
+
 def tangent_basis(dec):
     """Stacked orthonormal summand bases and their row slices."""
     rows = np.vstack([s.orthonormal for s in dec.submodules])
@@ -141,6 +186,8 @@ class MetricSpace:
     names: list
     pairs: list
     _structure: np.ndarray = field(default=None, repr=False)
+    _structure_coo: tuple = field(default=None, repr=False)
+    _operator_rows: tuple = field(default=None, repr=False)
     _killing: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -160,30 +207,63 @@ class MetricSpace:
         return len(self.dec.submodules)
 
     def metric_matrix(self, coeffs):
-        A = np.zeros((self.tangent_dim, self.tangent_dim))
-        for c, op in zip(coeffs, self.operators):
-            A += c * op
-        return A
+        # the operators have disjoint supports, so each entry is one product
+        d = self.tangent_dim
+        return (np.asarray(coeffs, dtype=float) @ self.operator_rows[0]).reshape(d, d)
 
     @property
     def structure(self):
         """Bracket coefficients over the tangent basis, t[a,b,c] = g0([a,b],c)."""
         if self._structure is None:
+            d = self.tangent_dim
+            I, J, K, V = self.structure_coo
+            t = np.zeros((d, d, d))
+            t[I, J, K] = V
+            self._structure = t
+        return self._structure
+
+    @property
+    def structure_coo(self):
+        """The nonzeros of :attr:`structure` as ``(I, J, K, V)``, ``t[I, J, K] = V``.
+
+        One gather from the algebra's ``structure_index``: each bracket
+        coefficient is pushed through the nonzeros of the tangent basis.  The
+        entries at ``(a, b, c)`` and ``(b, a, c)`` are rounded separately, so
+        each antisymmetric pair is replaced by half their difference, which
+        makes t exactly antisymmetric.
+        """
+        if self._structure_coo is None:
             model = self.spec.algebra
             d = self.tangent_dim
             g = float(self.spec.inner_scale) * model.gram
-            Bw = self.basis * g
-            t = np.empty((d, d, d))
-            for a, x in enumerate(self.basis):
-                t[a] = (self.basis @ model.ad(x)) @ Bw.T
-            # t[a, b] and t[b, a] are rounded separately; averaging them makes
-            # t exactly antisymmetric.  Row by row, so no second d^3 array.
-            for a in range(d):
-                half = (t[a, a:] - t[a:, a]) / 2
-                t[a, a:] = half
-                t[a:, a] = -half
-            self._structure = t
-        return self._structure
+            rows = _row_entries(self.basis.T)
+            a, b, c, v = _coo_transform(
+                model.structure_index, (rows, rows, _row_entries((self.basis * g).T)), d
+            )
+            off = a != b
+            lo, hi = np.minimum(a, b)[off], np.maximum(a, b)[off]
+            # sorted by (a, b, c), so for a < b the sum is t[a,b,c] - t[b,a,c]
+            keys, inv = np.unique((lo * d + hi) * d + c[off], return_inverse=True)
+            half = np.bincount(inv, weights=np.where(a < b, v, -v)[off]) / 2
+            keep = half != 0
+            keys, half = keys[keep], half[keep]
+            lo, hi, c = keys // (d * d), keys // d % d, keys % d
+            self._structure_coo = (
+                np.concatenate([lo, hi]),
+                np.concatenate([hi, lo]),
+                np.concatenate([c, c]),
+                np.concatenate([half, -half]),
+            )
+        return self._structure_coo
+
+    @property
+    def operator_rows(self):
+        """The operators flattened to the rows of an ``(n, d*d)`` array, and
+        their squared Frobenius norms."""
+        if self._operator_rows is None:
+            rows = np.array([op.ravel() for op in self.operators])
+            self._operator_rows = (rows, np.sum(rows * rows, axis=1))
+        return self._operator_rows
 
     @property
     def killing(self):
@@ -259,7 +339,12 @@ def _block_hom(block_i, block_j, tol):
 
 
 def _normalized_intertwiner(B0):
-    """Scale B0 to B0^T B0 = I with a positive leading entry."""
+    """Scale B0 to B0^T B0 = I with a positive leading entry.
+
+    When the result rounds to a signed permutation within 1e-12, that exact
+    permutation is returned: the solved map carries rounding noise in place
+    of its zeros, and exact zeros keep the canonical frame sparse.
+    """
     G = B0.T @ B0
     c = np.trace(G) / len(G)
     if np.max(np.abs(G - c * np.eye(len(G)))) > 1e-8 * c:
@@ -270,6 +355,13 @@ def _normalized_intertwiner(B0):
             if val < 0:
                 B0 = -B0
             break
+    R = np.round(B0)
+    if (
+        np.all(np.sum(np.abs(R), axis=0) == 1)
+        and np.all(np.sum(np.abs(R), axis=1) == 1)
+        and np.max(np.abs(B0 - R)) <= 1e-12
+    ):
+        return R
     return B0
 
 
@@ -508,11 +600,8 @@ def orthonormal_frame(metric):
         eig[si] = xi1
         eig[sj] = xi2
 
-    for c in range(d):
-        col = V[:, c]
-        lead = col[np.argmax(np.abs(col) > 1e-12)]
-        if lead < 0:
-            V[:, c] = -col
+    lead = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(d)]
+    V[:, lead < 0] *= -1.0
 
     groups = [group_of[idx] for idx in range(n_sub)]
     if np.max(np.abs(V.T @ metric.matrix @ V - np.eye(d))) > 1e-9:

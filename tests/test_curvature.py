@@ -6,6 +6,7 @@ from einflag.curvature import (
     frame_structure,
     group_ricci,
     reduced_ricci,
+    u_map,
 )
 from einflag.flag import parse_flag_spec
 from einflag.invariant import make_metric, metric_space, orthonormal_frame
@@ -355,6 +356,33 @@ class TestRicciProperties:
             err = np.max(np.abs(engine(m.coeffs) - want)) / np.max(np.abs(want))
             assert err <= 1e-12
 
+    @pytest.mark.parametrize("text", PROPERTY_FLAGS + ["A:25:[20,3,3]:-"])
+    def test_sparse_route_matches_dense_route(self, text):
+        # the canonical frame runs over the nonzeros of t; an explicit frame
+        # runs the dense contraction; both must give the same report
+        sp = metric_space(parse_flag_spec(text))
+        rng = np.random.default_rng(abs(hash(text)) % 2**27)
+        normal = make_metric(sp, [1.0] * sp.n_sub + [0.0] * (sp.dim - sp.n_sub))
+        for m in (normal, random_metric(sp, rng), random_metric(sp, rng)):
+            sparse = curvature(m)
+            dense = curvature(m, frame=orthonormal_frame(m))
+            scale = max(1.0, float(np.max(np.abs(dense.ricci))))
+            for name in (
+                "ricci",
+                "ricci_tangent",
+                "coefficients",
+                "scalar",
+                "scalar_direct",
+                "einstein_constant",
+                "einstein_defect",
+                "normalized_constant",
+                "trace_vector",
+            ):
+                got = np.asarray(getattr(sparse, name))
+                want = np.asarray(getattr(dense, name))
+                bound = 1e-12 * max(scale, float(np.max(np.abs(want), initial=0.0)))
+                assert np.max(np.abs(got - want), initial=0.0) <= bound, name
+
     @pytest.mark.parametrize("text", PROPERTY_FLAGS)
     def test_frame_structure_antisymmetry(self, text):
         sp = metric_space(parse_flag_spec(text))
@@ -409,3 +437,19 @@ def test_engine_scalar_matches_frame_route(text):
     batched = engine.scalar(stack.reshape(2, 3, -1))
     assert batched.shape == (2, 3)
     assert np.max(np.abs(batched.ravel() - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "B:4:[2,2]:+", "A:3:[2,1,1]:-"])
+def test_u_map_matches_dense_contraction(text):
+    # U(x, y) read off the nonzeros of t, against the dense d^3 contraction
+    sp = metric_space(parse_flag_spec(text))
+    rng = np.random.default_rng(5)
+    m = random_metric(sp, rng)
+    V = orthonormal_frame(m).vectors
+    A = m.matrix
+    for _ in range(3):
+        x, y = rng.standard_normal((2, sp.tangent_dim))
+        bx = np.einsum("ia,j,ijc->ac", V, x, sp.structure)
+        by = np.einsum("ia,j,ijc->ac", V, y, sp.structure)
+        want = V @ (0.5 * (bx @ (A @ y) + by @ (A @ x)))
+        assert np.max(np.abs(u_map(m, x, y) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))

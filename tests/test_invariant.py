@@ -92,14 +92,14 @@ class TestMetricSpace:
         sp = space("D:4:[3,1]:-")
         (i, j, B0) = sp.pairs[0]
         assert (i, j) == (1, 2)
-        assert np.allclose(np.abs(B0), np.eye(3), atol=1e-10)
+        assert np.array_equal(np.abs(B0), np.eye(3))
 
     def test_full_flag_nine_parameters(self):
         sp = space("A:3:[1,1,1,1]:-")
         assert sp.dim == 9
         assert [(i, j) for i, j, _ in sp.pairs] == [(0, 5), (1, 4), (2, 3)]
         for _, _, B0 in sp.pairs:
-            assert np.allclose(np.abs(B0), [[1.0]])
+            assert np.array_equal(np.abs(B0), [[1.0]])
 
     def test_central_pair_constructs(self):
         # two one-dimensional trivial summands may mix freely
@@ -136,6 +136,30 @@ class TestMetricSpace:
         for text in ("B:5:[1,4]:+", "B:4:[2,2]:+"):
             t = space(text).structure
             assert np.array_equal(t, -np.transpose(t, (1, 0, 2)))
+
+    @pytest.mark.parametrize(
+        "text", ["B:4:[2,2]:+", "C:5:[1,4]:+", "D:5:[4,1]:-", "A:3:[1,1,1,1]:-"]
+    )
+    def test_structure_gather_matches_ad_products(self, text):
+        # the gather from structure_index against the dense per-row product
+        # g0([x_a, x_b], x_c) = (B ad(x_a) (B g0)^T)[b, c]
+        sp = space(text)
+        model = sp.spec.algebra
+        Bw = sp.basis * (float(sp.spec.inner_scale) * model.gram)
+        ref = np.array([(sp.basis @ model.ad(x)) @ Bw.T for x in sp.basis])
+        assert np.max(np.abs(sp.structure - ref)) <= 1e-15
+        I, J, K, V = sp.structure_coo
+        assert len(I) == np.count_nonzero(sp.structure)
+        assert np.array_equal(sp.structure[I, J, K], V)
+
+    def test_pair_intertwiners_are_signed_permutations(self):
+        # every B0 is stored exactly, so the canonical frame keeps its zeros
+        pairs = [B0 for spec in _table_rows(6) for _, _, B0 in space(str(spec)).pairs]
+        assert pairs
+        for B0 in pairs:
+            assert set(np.unique(B0)) <= {-1.0, 0.0, 1.0}
+            assert np.array_equal(np.abs(B0).sum(axis=0), np.ones(len(B0)))
+            assert np.array_equal(np.abs(B0).sum(axis=1), np.ones(len(B0)))
 
     def test_killing_symmetric_negative(self):
         sp = space("B:5:[5]:-")

@@ -1,5 +1,7 @@
-"""The variational check of the suite, probed through the reduced engine."""
+"""The variational check, probed through the reduced engine, and the
+block-wise isotropy checks of the suite."""
 
+import dataclasses
 import types
 
 import numpy as np
@@ -57,3 +59,47 @@ def test_coefficient_spectrum_matches_metric_matrix(text):
     for c, row in zip(stack.reshape(-1, sp.dim), lam.reshape(-1, sp.n_sub)):
         want = np.linalg.eigvalsh(sp.metric_matrix(c))
         assert np.allclose(np.sort(np.repeat(row, dims)), want, rtol=0, atol=1e-12)
+
+
+def _broken_context(monkeypatch, text, perturb):
+    # the first isotropy generator of the space replaced by perturb(G)
+    sp = metric_space(parse_flag_spec(text))
+    broken = dataclasses.replace(sp, reps=[perturb(sp.reps[0])] + sp.reps[1:])
+    monkeypatch.setattr(verify._Context, "space", property(lambda self: broken))
+    return verify._Context(sp.spec), broken
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "A:25:[20,3,3]:-"])
+def test_isotropy_checks_pass_block_by_block(text):
+    ctx = verify._Context(parse_flag_spec(text))
+    assert "invariant under isotropy" in verify._check_metric_invariance(ctx)
+    assert "Ric(Ad(k)X" in verify._check_ricci_equivariance(ctx)
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "B:4:[4]:-"])
+def test_isotropy_checks_see_a_generator_leaving_a_summand(monkeypatch, text):
+    def leak(G):
+        G = G.copy()
+        G[0, -1] += 0.3
+        G[-1, 0] -= 0.3
+        return G
+
+    ctx, broken = _broken_context(monkeypatch, text, leak)
+    assert broken.slices[-1].start > 0  # entry (0, -1) leaves the first summand
+    with pytest.raises(verify._Failure, match="not isotropy-invariant"):
+        verify._check_metric_invariance(ctx)
+    with pytest.raises(verify._Failure, match="not isotropy-equivariant"):
+        verify._check_ricci_equivariance(ctx)
+
+
+def test_metric_invariance_sees_a_non_skew_block(monkeypatch):
+    # a symmetric part inside the first summand block breaks G^T A + A G = 0
+    # while the generator still preserves every summand
+    def stretch(G):
+        G = G.copy()
+        G[0, 0] += 0.3
+        return G
+
+    ctx, _ = _broken_context(monkeypatch, "D:5:[4,1]:-", stretch)
+    with pytest.raises(verify._Failure, match="not isotropy-invariant"):
+        verify._check_metric_invariance(ctx)
