@@ -7,13 +7,17 @@ the Ricci tensor of a homogeneous space of a compact Lie group is
     Ric[a,b] = -1/2 sum_{i,c} T[a,i,c] T[b,i,c]
                + 1/4 sum_{i,j} T[i,j,a] T[i,j,b]
                - 1/2 B(F_a, F_b)
-               - 1/2 sum_c Z_c (T[c,a,b] + T[c,b,a])
 
-where B is the Killing form of the transitive group and Z_c = sum_i T[c,i,i]
-is the trace vector of the metric.  Z vanishes identically on a reductive
-quotient, but it is cheap, so it is computed rather than assumed.  Every
-report goes through this route: it certifies each solution once, through
-the defect gate, and it is the reference of the check suite.
+where B is the Killing form of the transitive group.  The general formula
+has one more term, ``-1/2 sum_c Z_c (T[c,a,b] + T[c,b,a])``, with the trace
+vector ``Z_c = sum_i T[c,i,i]`` (A. Besse, Einstein Manifolds, 1987,
+Cor. 7.38).  In every frame Z is the frame image of the trace
+``z_k = sum_i t[k,i,i]`` of the tangent structure tensor, a property of the
+flag alone; it vanishes on these compact quotients, and
+:attr:`~einflag.invariant.MetricSpace.structure_coo` checks ``z = 0`` once
+per flag, where t is built, so no report carries the term.  Every report
+goes through this route: it certifies each solution once, through the
+defect gate, and it is the reference of the check suite.
 
 The route has two implementations.  In the canonical eigenframe (the
 default) the tangent structure tensor t is almost empty and the frame has
@@ -41,7 +45,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .invariant import _coo_transform, _row_entries, metric_space, orthonormal_frame
+from .invariant import (
+    _coo_transform,
+    _row_entries,
+    metric_eigenvalues,
+    metric_space,
+    orthonormal_frame,
+)
 
 __all__ = [
     "CurvatureReport",
@@ -96,16 +106,15 @@ class CurvatureReport:
         Scalar curvature, the frame trace of ``ricci``.
     scalar_direct : float
         Scalar curvature recomputed from the independent sum formula
-        ``-1/4 sum T^2 - 1/2 tr B - |Z|^2``; agreement with ``scalar`` is
-        a consistency check, not a definition.
+        ``-1/4 sum T^2 - 1/2 tr B``; agreement with ``scalar`` is a
+        consistency check, not a definition.
     einstein_constant : float
         Best-fit constant ``scalar / dim``.
     einstein_defect : float
         Frobenius distance of ``ricci`` from ``einstein_constant * I``.
     normalized_constant : float
-        Scale-invariant constant ``einstein_constant * det(A)^(1/dim)``.
-    trace_vector : ndarray
-        The frame components of Z.
+        Scale-invariant constant ``einstein_constant * det(A)^(1/dim)``,
+        with ``det(A)`` taken from the coefficient spectrum.
     """
 
     metric: object
@@ -118,7 +127,6 @@ class CurvatureReport:
     einstein_constant: float
     einstein_defect: float
     normalized_constant: float
-    trace_vector: np.ndarray = field(repr=False)
 
     def __str__(self):
         return (
@@ -167,33 +175,21 @@ def _sparse_terms(space, V, W):
 
     T is expanded from the nonzeros of t through those of ``V``, ``V`` and
     ``W = V^-1``; the canonical frame has at most two nonzeros per column.
-    Returns the two quadratic sums, the symmetrized trace-vector term, Z and
-    ``sum T^2``, as :func:`_dense_terms` does.
+    Returns the two quadratic sums and ``sum T^2``, as :func:`_dense_terms`
+    does.
     """
     d = space.tangent_dim
     rows = _row_entries(V)
     a, b, c, T = _coo_transform(space.structure_coo, (rows, rows, _row_entries(W.T)), d)
-    diag = b == c
-    Z = np.bincount(a[diag], weights=T[diag], minlength=d)
-    ztt = np.bincount(b * d + c, weights=Z[a] * T, minlength=d * d).reshape(d, d)
-    return (
-        _pair_sum(b * d + c, a, T, d),
-        _pair_sum(a * d + b, c, T, d),
-        ztt + ztt.T,
-        Z,
-        float(T @ T),
-    )
+    return _pair_sum(b * d + c, a, T, d), _pair_sum(a * d + b, c, T, d), float(T @ T)
 
 
 def _dense_terms(frame):
     """The frame sums of the Ricci formula from the dense ``frame_structure``."""
     T = frame_structure(frame)
-    Z = np.einsum("cii->c", T)
     return (
         np.einsum("aic,bic->ab", T, T, optimize=True),
         np.einsum("ija,ijb->ab", T, T, optimize=True),
-        np.einsum("c,cab->ab", Z, T) + np.einsum("c,cba->ab", Z, T),
-        Z,
         float(np.einsum("abc,abc->", T, T)),
     )
 
@@ -223,20 +219,22 @@ def curvature(metric, frame=None):
         V = frame.vectors
         # V^T A V = I, so this is V^-1 with the zeros of V^T kept exact
         Vinv = V.T @ metric.matrix
-        quad_out, quad_in, zterm, Z, square = _sparse_terms(space, V, Vinv)
+        quad_out, quad_in, square = _sparse_terms(space, V, Vinv)
     else:
         V = frame.vectors
         Vinv = np.linalg.inv(V)
-        quad_out, quad_in, zterm, Z, square = _dense_terms(frame)
+        quad_out, quad_in, square = _dense_terms(frame)
 
     K = V.T @ space.killing @ V
-    ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K - 0.5 * zterm
+    ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
 
     scalar = float(np.trace(ric))
-    scalar_direct = float(-0.25 * square - 0.5 * np.trace(K) - Z @ Z)
+    scalar_direct = float(-0.25 * square - 0.5 * np.trace(K))
     c = scalar / d
     defect = float(np.linalg.norm(ric - c * np.eye(d)))
-    _, logdet = np.linalg.slogdet(metric.matrix)
+    # log det(A) is the sum of the summand eigenvalues' logs, with multiplicity
+    dims = [s.stop - s.start for s in space.slices]
+    logdet = float(np.log(metric_eigenvalues(space, metric.coeffs)) @ dims)
     normalized = c * float(np.exp(logdet / d))
 
     ric_tan = Vinv.T @ ric @ Vinv
@@ -253,7 +251,6 @@ def curvature(metric, frame=None):
         einstein_constant=c,
         einstein_defect=defect,
         normalized_constant=normalized,
-        trace_vector=Z,
     )
 
 

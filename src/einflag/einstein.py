@@ -185,7 +185,6 @@ def _solution(space, coeffs, provenance, rule_id):
         report.coefficients,
         report.ricci,
         report.ricci_tangent,
-        report.trace_vector,
         report.frame.vectors,
         report.frame.eigenvalues,
     ):

@@ -267,10 +267,6 @@ def _span_from_terms(model, term_lists):
     return rows
 
 
-def _labels(prefix, pairs):
-    return [[(f"{prefix}({i},{j})", 1.0)] for (i, j) in pairs]
-
-
 def _w(i, j):
     return f"w({i},{j})" if i > j else f"w({j},{i})"
 

@@ -52,6 +52,8 @@ __all__ = [
     "Frame",
     "metric_space",
     "make_metric",
+    "metric_eigenvalues",
+    "positive_spectrum",
     "orthonormal_frame",
     "component_sign_actions",
     "commutation_residual",
@@ -230,7 +232,9 @@ class MetricSpace:
         coefficient is pushed through the nonzeros of the tangent basis.  The
         entries at ``(a, b, c)`` and ``(b, a, c)`` are rounded separately, so
         each antisymmetric pair is replaced by half their difference, which
-        makes t exactly antisymmetric.
+        makes t exactly antisymmetric.  The trace ``z_k = sum_i t[k,i,i]``,
+        whose frame image is the trace vector of every metric, must vanish;
+        the Ricci formula of :mod:`einflag.curvature` leaves that term out.
         """
         if self._structure_coo is None:
             model = self.spec.algebra
@@ -248,12 +252,11 @@ class MetricSpace:
             keep = half != 0
             keys, half = keys[keep], half[keep]
             lo, hi, c = keys // (d * d), keys // d % d, keys % d
-            self._structure_coo = (
-                np.concatenate([lo, hi]),
-                np.concatenate([hi, lo]),
-                np.concatenate([c, c]),
-                np.concatenate([half, -half]),
-            )
+            I, J, K, V = np.r_[lo, hi], np.r_[hi, lo], np.r_[c, c], np.r_[half, -half]
+            z = np.bincount(I[J == K], weights=V[J == K], minlength=d)
+            if np.max(np.abs(z), initial=0.0) > 1e-12:
+                raise InvariantViolation(f"structure tensor of {self.spec} has a nonzero trace")
+            self._structure_coo = (I, J, K, V)
         return self._structure_coo
 
     @property
@@ -506,18 +509,62 @@ class InvariantMetric:
         return f"metric({body})"
 
 
+def metric_eigenvalues(space, coeffs):
+    """Eigenvalues of the metric operator from its coefficients, one per summand.
+
+    An unpaired summand carries ``x_i``.  The two summands of a pair carry
+    the eigenvalues of ``[[x_i, b], [b, x_j]]``, since ``B0^T B0 = I``: the
+    smaller ``xi1`` on summand i and the larger ``xi2`` on summand j, with
+    ``xi1 = (x_i x_j - b^2) / xi2`` in product form, as the columns of
+    :func:`orthonormal_frame`.  A pair with ``|b| < 1e-14`` is unmixed and
+    keeps ``x_i`` and ``x_j``.  ``coeffs`` has shape ``(..., n)`` and the
+    result ``(..., n_sub)``; each eigenvalue has its summand's dimension as
+    multiplicity.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    s = space.n_sub
+    lam = np.array(c[..., :s])
+    for k, (i, j, _) in enumerate(space.pairs):
+        xi, xj, b = c[..., i], c[..., j], c[..., s + k]
+        xi2 = (xi + xj + np.hypot(2.0 * b, xi - xj)) / 2.0
+        # the product form keeps a small xi1 accurate; it needs xi2 > 0,
+        # and when xi2 <= 0 the difference form has nothing to cancel
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi1 = np.where(xi2 > 0, (xi * xj - b * b) / xi2, xi + xj - xi2)
+        mixed = np.abs(b) >= 1e-14
+        lam[..., i] = np.where(mixed, xi1, xi)
+        lam[..., j] = np.where(mixed, xi2, xj)
+    return lam
+
+
+def positive_spectrum(space, coeffs):
+    """:func:`metric_eigenvalues`, after the positive-definiteness rule.
+
+    A coefficient vector is a metric when its smallest eigenvalue exceeds
+    ``1e-12 * max(1, |largest|)``.  ``coeffs`` has shape ``(..., n)``; the
+    first row that fails raises :class:`NotPositiveDefinite`.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    lam = metric_eigenvalues(space, c)
+    lo = lam.min(axis=-1)
+    bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=-1)))
+    if np.any(bad):
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NotPositiveDefinite(
+            f"metric coefficients {c[k].tolist()} are not positive definite",
+            min_eigenvalue=float(lo[k]),
+        )
+    return lam
+
+
 def make_metric(space, coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.dim,):
         raise ValueError(f"expected {space.dim} coefficients, got {coeffs.shape}")
-    A = space.metric_matrix(coeffs)
-    evs = np.linalg.eigvalsh(A)
-    if evs[0] <= 1e-12 * max(1.0, abs(evs[-1])):
-        raise NotPositiveDefinite(
-            f"metric coefficients {coeffs.tolist()} are not positive definite",
-            min_eigenvalue=float(evs[0]),
-        )
-    return InvariantMetric(space, coeffs, A)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"metric coefficients {coeffs.tolist()} are not finite")
+    positive_spectrum(space, coeffs)
+    return InvariantMetric(space, coeffs, space.metric_matrix(coeffs))
 
 
 @dataclass(frozen=True)
@@ -545,40 +592,23 @@ def orthonormal_frame(metric):
     d = space.tangent_dim
     slices = space.slices
     n_sub = space.n_sub
-    V = np.zeros((d, d))
-    eig = np.zeros(d)
-    group_of = {}
-
-    in_pair = {}
-    for k, (i, j, _) in enumerate(space.pairs):
-        in_pair[i] = k
-        in_pair[j] = k
+    lam = metric_eigenvalues(space, coeffs)
+    eig = np.repeat(lam, [s.stop - s.start for s in slices])
+    # each column starts as its basis vector scaled to unit g-length; the
+    # columns of a mixed pair are replaced below
+    V = np.diag(1.0 / np.sqrt(eig))
 
     partners = []
-    for idx in range(n_sub):
-        s = slices[idx]
-        cols = list(range(s.start, s.stop))
-        group_of[idx] = cols
-        if idx not in in_pair:
-            x = coeffs[idx]
-            V[s, s] = np.eye(len(cols)) / np.sqrt(x)
-            eig[cols] = x
-
     for k, (i, j, B0) in enumerate(space.pairs):
         si, sj = slices[i], slices[j]
         xi, xj, b = coeffs[i], coeffs[j], coeffs[n_sub + k]
         di = si.stop - si.start
         partners += [(si.start + r, sj.start + r) for r in range(di)]
         if abs(b) < 1e-14:
-            V[si, si] = np.eye(di) / np.sqrt(xi)
-            V[sj, sj] = np.eye(di) / np.sqrt(xj)
-            eig[si] = xi
-            eig[sj] = xj
             continue
+        xi1, xi2 = lam[i], lam[j]
         delta = xi - xj
         gap = np.hypot(2.0 * b, delta)
-        xi2 = (xi + xj + gap) / 2.0
-        xi1 = (xi * xj - b * b) / xi2  # product form; the difference cancels
         # eigenvector components chosen to avoid differencing near-equal
         # quantities: (alpha, beta) is (xi_k - xj, b) or (b, xi_k - xi),
         # whichever difference is the numerically large one
@@ -588,22 +618,17 @@ def orthonormal_frame(metric):
         else:
             a1, b1 = (delta - gap) / 2.0, b  # xi1 - xj
             a2, b2 = b, (gap - delta) / 2.0  # xi2 - xi
-        for r in range(di):
-            u = np.zeros(d)
-            u[si.start + r] = 1.0
-            v = np.zeros(d)
-            v[sj] = B0[:, r]
-            c1 = xi1 * (a1 * a1 + b1 * b1)
-            V[:, si.start + r] = (a1 * u + b1 * v) / np.sqrt(c1)
-            c2 = xi2 * (a2 * a2 + b2 * b2)
-            V[:, sj.start + r] = (a2 * u + b2 * v) / np.sqrt(c2)
-        eig[si] = xi1
-        eig[sj] = xi2
+        # with u the r-th basis vector of summand i, column r of summand i
+        # is a1 u + b1 B0 u and of summand j a2 u + b2 B0 u, at unit g-length
+        n1 = np.sqrt(xi1 * (a1 * a1 + b1 * b1))
+        n2 = np.sqrt(xi2 * (a2 * a2 + b2 * b2))
+        V[si, si], V[sj, si] = np.eye(di) * (a1 / n1), B0 * (b1 / n1)
+        V[si, sj], V[sj, sj] = np.eye(di) * (a2 / n2), B0 * (b2 / n2)
 
     lead = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(d)]
     V[:, lead < 0] *= -1.0
 
-    groups = [group_of[idx] for idx in range(n_sub)]
+    groups = [list(range(s.start, s.stop)) for s in slices]
     if np.max(np.abs(V.T @ metric.matrix @ V - np.eye(d))) > 1e-9:
         raise InvariantViolation("frame is not orthonormal for the metric")
     return Frame(metric, V, eig, groups, partners)

@@ -8,12 +8,13 @@ characterization is probed with central finite differences of the
 volume-normalized scalar curvature, taken from the reduced engine
 (:meth:`~einflag.curvature.ReducedRicci.scalar`): all ``2 * dim`` probes
 of a point go through one engine call, after the positive-definiteness
-test of :func:`~einflag.invariant.make_metric` is applied to their
-coefficients.  That check therefore builds no frame; the frame route is
-covered by the curvature checks and the solution certificates.  The
-isotropy generators preserve every summand, so the invariance and
-equivariance checks bound their off-block entries once and then act on a
-form one summand block at a time, all generators of a block at once.
+rule of :func:`~einflag.invariant.positive_spectrum` is applied to their
+coefficients, whose spectrum also gives the volume.  That check therefore
+builds no frame; the frame route is covered by the curvature checks and
+the solution certificates.  The isotropy generators preserve every
+summand, so the invariance and equivariance checks bound their off-block
+entries once and then act on a form one summand block at a time, all
+generators of a block at once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .einstein import (
     DEFECT_TOL,
     closed_form_solutions,
     numeric_solutions,
+    published_row,
     solve,
 )
 from .errors import NoCatalogEntry, NotPositiveDefinite, UnimplementedCase
@@ -38,6 +40,7 @@ from .invariant import (
     make_metric,
     metric_space,
     orthonormal_frame,
+    positive_spectrum,
 )
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
@@ -459,6 +462,12 @@ def _check_ricci_equivariance(ctx):
 
 def _check_scalar_trace(ctx):
     space = ctx.space
+    # the Ricci formula leaves out the trace vector, the frame image of
+    # z_k = sum_i t[k,i,i]; that is only right while z = 0
+    I, J, K, t = space.structure_coo
+    z = np.bincount(I[J == K], weights=t[J == K], minlength=space.tangent_dim)
+    ztr = _max_abs(z)
+    _require(ztr < 1e-12, f"structure tensor has a nonzero trace: {ztr:.2e}")
     met = make_metric(space, ctx.sample_coeffs())
     rep = curvature(met)
     sym = float(np.max(np.abs(rep.ricci - rep.ricci.T)))
@@ -468,7 +477,7 @@ def _check_scalar_trace(ctx):
     _require(err < 1e-10, f"scalar != trace of Ricci: {err:.2e}")
     err2 = abs(rep.scalar - rep.scalar_direct) / (1.0 + abs(rep.scalar))
     _require(err2 < 1e-10, f"scalar route disagreement: {err2:.2e}")
-    return f"scalar = tr Ric = direct formula to {max(err, err2):.1e}"
+    return f"scalar = tr Ric = direct formula to {max(err, err2):.1e}; trace of t is {ztr:.1e}"
 
 
 def _check_reduced_route(ctx):
@@ -609,44 +618,21 @@ def _check_mixing_relations(ctx):
 
 def _check_count_bounds(ctx):
     spec = ctx.spec
-    fam, l, p = spec.family, spec.rank, tuple(spec.partition)
     count = len(ctx.solutions)
-    if fam == "B" and spec.includes_last_root and p[0] >= 2:
-        d = p[0]
-        bound = 3 if d == 2 else 4
-        _require(count <= bound, f"count {count} exceeds the bound {bound}")
-        if d != 2 and count >= 1:
-            q = l * l * (l - 2) ** 2 - 2 * (d - 1) ** 2 * (d - 2) * (2 * l - d)
-            _require(
-                q > 0,
-                f"solutions exist but the existence inequality fails (q = {q})",
-            )
-            return f"count {count} <= {bound}; existence inequality holds (q = {q} > 0)"
-        return f"count {count} <= {bound}"
-    if fam == "C" and spec.includes_last_root and p[0] >= 2:
-        _require(count <= 2, f"count {count} exceeds the bound 2")
-        return f"count {count} <= 2"
-    if fam == "A" and len(p) == 3 and l != 3:
-        _require(count <= 4, f"count {count} exceeds the bound 4")
-        return f"count {count} <= 4"
-    return f"count {count}; no published bound for this shape"
-
-
-def _metric_eigenvalues(space, c):
-    """Eigenvalues of the metric operator, one per summand, from coefficients.
-
-    An unpaired summand carries ``x_i``; the two summands of a pair carry the
-    eigenvalues of ``[[x_i, b], [b, x_j]]``, since ``B0^T B0 = I``.  ``c`` has
-    shape ``(..., n)`` and the result ``(..., n_sub)``; each eigenvalue has
-    its summand's dimension as multiplicity.
-    """
-    s = space.n_sub
-    lam = np.array(c[..., :s], dtype=float)
-    for k, (i, j, _) in enumerate(space.pairs):
-        xi, xj, b = c[..., i], c[..., j], c[..., s + k]
-        mid, half_gap = (xi + xj) / 2.0, np.hypot(xi - xj, 2.0 * b) / 2.0
-        lam[..., i], lam[..., j] = mid - half_gap, mid + half_gap
-    return lam
+    row = published_row(spec)
+    bound = None if row is None else row.bound
+    if bound is None:
+        return f"count {count}; no published bound for this shape"
+    _require(count <= bound, f"count {count} exceeds the bound {bound}")
+    l, d = spec.rank, spec.partition[0]
+    if spec.family == "B" and d != 2 and count >= 1:
+        q = l * l * (l - 2) ** 2 - 2 * (d - 1) ** 2 * (d - 2) * (2 * l - d)
+        _require(
+            q > 0,
+            f"solutions exist but the existence inequality fails (q = {q})",
+        )
+        return f"count {count} <= {bound}; existence inequality holds (q = {q} > 0)"
+    return f"count {count} <= {bound}"
 
 
 def _check_variational_critical(ctx):
@@ -659,15 +645,7 @@ def _check_variational_critical(ctx):
     def grad_inf(c):
         # the 2*dim central-difference probes of c, evaluated in one call
         probes = c + steps
-        lam = _metric_eigenvalues(space, probes)
-        lo = lam.min(axis=-1)
-        bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=-1)))
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise NotPositiveDefinite(
-                f"metric coefficients {probes[k].tolist()} are not positive definite",
-                min_eigenvalue=float(lo[k]),
-            )
+        lam = positive_spectrum(space, probes)
         # volume-normalized scalar: S at c / det(A)^(1/d)
         scale = np.exp(np.log(lam) @ dims / space.tangent_dim)
         vol_scalar = scalar(probes / scale[:, None])

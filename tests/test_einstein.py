@@ -447,8 +447,8 @@ def test_memoised_solutions_are_immutable():
         rep.coefficients,
         rep.ricci,
         rep.ricci_tangent,
-        rep.trace_vector,
         rep.frame.vectors,
+        rep.frame.eigenvalues,
     ):
         with pytest.raises(ValueError):
             arr.flat[0] = 9.0

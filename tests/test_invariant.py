@@ -228,6 +228,22 @@ class TestCertificateFailures:
             broken = dataclasses.replace(sp, reps=[bad], signs=[])
             assert invariant.commutation_residual(broken) > 1e-7
 
+    def test_structure_trace_raises(self, monkeypatch):
+        # the Ricci formula leaves out the trace vector, so a tangent
+        # structure tensor with t[k,i,i] != 0 must not get past its build
+        sp = space("B:3:[3]:-")
+        d = sp.tangent_dim
+        transform = invariant._coo_transform
+
+        def traced(coo, maps, dim):
+            a, b, c, v = transform(coo, maps, dim)
+            return np.r_[a, d - 1], np.r_[b, 0], np.r_[c, 0], np.r_[v, 0.25]
+
+        monkeypatch.setattr(invariant, "_coo_transform", traced)
+        fresh = dataclasses.replace(sp, _structure=None, _structure_coo=None)
+        with pytest.raises(InvariantViolation, match="nonzero trace"):
+            fresh.structure_coo
+
 
 class TestSignActions:
     def test_triality_blocks_filter_singles(self):
@@ -271,6 +287,92 @@ class TestMakeMetric:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             make_metric(space("B:5:[5]:-"), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        sp = space("A:3:[2,1,1]:-")
+        for slot in range(sp.dim):
+            c = np.array([1.0, 1.0, 2.0, 0.5])
+            c[slot] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                make_metric(sp, c)
+
+
+def _spectrum_flags():
+    return [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
+
+
+class TestMetricEigenvalues:
+    """The one coefficient spectrum against the dense spectrum of A."""
+
+    @staticmethod
+    def _assert_spectrum(sp, stack):
+        dims = [s.stop - s.start for s in sp.slices]
+        lam = invariant.metric_eigenvalues(sp, stack)
+        assert lam.shape == stack.shape[:-1] + (sp.n_sub,)
+        for c, row in zip(stack.reshape(-1, sp.dim), lam.reshape(-1, sp.n_sub)):
+            want = np.linalg.eigvalsh(sp.metric_matrix(c))
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.allclose(np.sort(np.repeat(row, dims)), want, rtol=0, atol=1e-12 * scale)
+            # the frame's column convention: xi1 <= xi2 on a mixed pair,
+            # x_i and x_j as given on an unmixed one
+            for k, (i, j, _) in enumerate(sp.pairs):
+                if abs(c[sp.n_sub + k]) < 1e-14:
+                    assert (row[i], row[j]) == (c[i], c[j])
+                else:
+                    assert row[i] <= row[j]
+        return lam
+
+    @pytest.mark.parametrize("text", _spectrum_flags())
+    def test_matches_metric_matrix(self, text):
+        # indefinite coefficients included: the positive-definiteness rule
+        # reads these eigenvalues
+        sp = space(text)
+        rng = np.random.default_rng(3)
+        self._assert_spectrum(sp, rng.uniform(-1.0, 2.0, (2, 4, sp.dim)))
+
+    def test_mixing_edges(self):
+        # mixing near +-sqrt(x_i x_j), where xi1 is small and the product
+        # form matters, and below the 1e-14 cut, where the pair is unmixed
+        spaces = [space(t) for t in _spectrum_flags() if space(t).pairs]
+        assert spaces
+        for sp in spaces:
+            self._check_mixing_edges(sp)
+
+    def _check_mixing_edges(self, sp):
+        rng = np.random.default_rng(5)
+        rows = []
+        for f in (1 - 1e-9, -(1 - 1e-9), 1e-15, -1e-15, 0.0):
+            c = np.r_[rng.uniform(0.5, 2.0, sp.n_sub), np.zeros(sp.dim - sp.n_sub)]
+            for k, (i, j, _) in enumerate(sp.pairs):
+                c[sp.n_sub + k] = f * np.sqrt(c[i] * c[j])
+            rows.append(c)
+        lam = self._assert_spectrum(sp, np.array(rows))
+        tiny = lam[:2].min(axis=-1)
+        assert np.all(tiny > 0) and np.all(tiny < 1e-8)
+        c = rows[0]
+        for k, (i, j, _) in enumerate(sp.pairs):
+            b = c[sp.n_sub + k]
+            assert np.isclose(lam[0, i], (c[i] * c[j] - b * b) / lam[0, j], rtol=1e-14)
+
+    def test_positive_spectrum_names_the_first_bad_row(self):
+        sp = space("A:3:[2,1,1]:-")
+        stack = np.array([[1.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 2.0], [-1.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(NotPositiveDefinite, match=r"\[1\.0, 1\.0, 1\.0, 2\.0\]") as err:
+            invariant.positive_spectrum(sp, stack)
+        assert err.value.min_eigenvalue < 0
+        lam = invariant.positive_spectrum(sp, stack[:1])
+        assert lam.shape == (1, sp.n_sub) and np.all(lam > 0)
+
+    def test_zero_top_pair_eigenvalue(self):
+        # [[-1, 1/2], [1/2, -1/4]] has eigenvalues -5/4 and exactly 0, where
+        # the product form of xi1 would divide zero by zero
+        sp = space("A:3:[2,1,1]:-")
+        c = [1.0, -1.0, -0.25, 0.5]
+        assert np.array_equal(invariant.metric_eigenvalues(sp, c), [1.0, -1.25, 0.0])
+        with pytest.raises(NotPositiveDefinite) as err:
+            make_metric(sp, c)
+        assert err.value.min_eigenvalue == -1.25
 
 
 class TestFrame:

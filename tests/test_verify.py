@@ -1,5 +1,6 @@
-"""The variational check, probed through the reduced engine, and the
-block-wise isotropy checks of the suite."""
+"""The variational check, probed through the reduced engine, the count
+bounds read from the published table, and the block-wise isotropy checks of
+the suite."""
 
 import dataclasses
 import types
@@ -46,19 +47,29 @@ def test_variational_check_rejects_a_non_critical_point(monkeypatch):
         verify._check_variational_critical(verify._Context(spec))
 
 
-@pytest.mark.parametrize("text", ["A:3:[2,1,1]:-", "D:5:[4,1]:-", "B:4:[4]:-"])
-def test_coefficient_spectrum_matches_metric_matrix(text):
-    # the positive-definiteness test of the check reads these eigenvalues,
-    # so they must be the spectrum of A, indefinite coefficients included
-    sp = metric_space(parse_flag_spec(text))
-    dims = [s.stop - s.start for s in sp.slices]
-    rng = np.random.default_rng(3)
-    stack = rng.uniform(-1.0, 2.0, (2, 4, sp.dim))
-    lam = verify._metric_eigenvalues(sp, stack)
-    assert lam.shape == (2, 4, sp.n_sub)
-    for c, row in zip(stack.reshape(-1, sp.dim), lam.reshape(-1, sp.n_sub)):
-        want = np.linalg.eigvalsh(sp.metric_matrix(c))
-        assert np.allclose(np.sort(np.repeat(row, dims)), want, rtol=0, atol=1e-12)
+@pytest.mark.parametrize(
+    "text,count,detail",
+    [
+        ("A:5:[2,2,2]:-", 4, "count 4 <= 4"),
+        ("B:4:[2,2]:+", 3, "count 3 <= 3"),
+        ("B:5:[3,2]:+", 1, "count 1 <= 4; existence inequality holds (q = 169 > 0)"),
+        ("C:5:[2,3]:+", 0, "count 0 <= 2"),
+        ("D:5:[4,1]:-", 9, "count 9; no published bound for this shape"),
+    ],
+)
+def test_count_bounds_read_the_published_table(monkeypatch, text, count, detail):
+    # the bound is Table 1's, from published_row; no solve runs here
+    fake = [types.SimpleNamespace()] * count
+    monkeypatch.setattr(verify._Context, "solutions", property(lambda self: fake))
+    ctx = verify._Context(parse_flag_spec(text))
+    assert verify._check_count_bounds(ctx) == detail
+
+
+def test_count_bounds_reject_too_many_solutions(monkeypatch):
+    fake = [types.SimpleNamespace()] * 5
+    monkeypatch.setattr(verify._Context, "solutions", property(lambda self: fake))
+    with pytest.raises(verify._Failure, match="exceeds the bound 4"):
+        verify._check_count_bounds(verify._Context(parse_flag_spec("A:5:[2,2,2]:-")))
 
 
 def _broken_context(monkeypatch, text, perturb):
