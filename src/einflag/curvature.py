@@ -9,15 +9,12 @@ the Ricci tensor of a homogeneous space of a compact Lie group is
                - 1/2 B(F_a, F_b)
 
 where B is the Killing form of the transitive group.  The general formula
-has one more term, ``-1/2 sum_c Z_c (T[c,a,b] + T[c,b,a])``, with the trace
-vector ``Z_c = sum_i T[c,i,i]`` (A. Besse, Einstein Manifolds, 1987,
-Cor. 7.38).  In every frame Z is the frame image of the trace
-``z_k = sum_i t[k,i,i]`` of the tangent structure tensor, a property of the
-flag alone; it vanishes on these compact quotients, and
-:attr:`~einflag.invariant.MetricSpace.structure_coo` checks ``z = 0`` once
-per flag, where t is built, so no report carries the term.  Every report
-goes through this route: it certifies each solution once, through the
-defect gate, and it is the reference of the check suite.
+(A. Besse, Einstein Manifolds, 1987, Cor. 7.38) has one more term,
+``-1/2 sum_c Z_c (T[c,a,b] + T[c,b,a])``.  Its trace vector Z is the frame
+image of the trace ``z_k = sum_i t[k,i,i]`` of the tangent structure tensor,
+which ``MetricSpace.structure_coo`` checks to vanish, once per flag.  Every
+report goes through this route: it certifies each solution once, through
+the defect gate, and it is the reference of the check suite.
 
 The route has two implementations.  In the canonical eigenframe (the
 default) the tangent structure tensor t is almost empty and the frame has
@@ -45,13 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .invariant import (
-    _coo_transform,
-    _row_entries,
-    metric_eigenvalues,
-    metric_space,
-    orthonormal_frame,
-)
+from .invariant import _coo_transform, _row_entries, metric_space, orthonormal_frame, volume_root
 
 __all__ = [
     "CurvatureReport",
@@ -232,10 +223,7 @@ def curvature(metric, frame=None):
     scalar_direct = float(-0.25 * square - 0.5 * np.trace(K))
     c = scalar / d
     defect = float(np.linalg.norm(ric - c * np.eye(d)))
-    # log det(A) is the sum of the summand eigenvalues' logs, with multiplicity
-    dims = [s.stop - s.start for s in space.slices]
-    logdet = float(np.log(metric_eigenvalues(space, metric.coeffs)) @ dims)
-    normalized = c * float(np.exp(logdet / d))
+    normalized = c * float(volume_root(space, metric.spectrum))
 
     ric_tan = Vinv.T @ ric @ Vinv
     coeffs = _form_coefficients(space, ric_tan)

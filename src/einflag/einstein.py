@@ -182,6 +182,7 @@ def _solution(space, coeffs, provenance, rule_id):
     for arr in (
         metric.coeffs,
         metric.matrix,
+        metric.spectrum,
         report.coefficients,
         report.ricci,
         report.ricci_tangent,

@@ -54,6 +54,7 @@ __all__ = [
     "make_metric",
     "metric_eigenvalues",
     "positive_spectrum",
+    "volume_root",
     "orthonormal_frame",
     "component_sign_actions",
     "commutation_residual",
@@ -189,6 +190,7 @@ class MetricSpace:
     pairs: list
     _structure: np.ndarray = field(default=None, repr=False)
     _structure_coo: tuple = field(default=None, repr=False)
+    _structure_trace: float = field(default=None, repr=False)
     _operator_rows: tuple = field(default=None, repr=False)
     _killing: np.ndarray = field(default=None, repr=False)
 
@@ -254,10 +256,17 @@ class MetricSpace:
             lo, hi, c = keys // (d * d), keys // d % d, keys % d
             I, J, K, V = np.r_[lo, hi], np.r_[hi, lo], np.r_[c, c], np.r_[half, -half]
             z = np.bincount(I[J == K], weights=V[J == K], minlength=d)
-            if np.max(np.abs(z), initial=0.0) > 1e-12:
+            self._structure_trace = float(np.max(np.abs(z), initial=0.0))
+            if self._structure_trace > 1e-12:
                 raise InvariantViolation(f"structure tensor of {self.spec} has a nonzero trace")
             self._structure_coo = (I, J, K, V)
         return self._structure_coo
+
+    @property
+    def structure_trace(self):
+        """``max_k |z_k|`` of the trace of t, which :attr:`structure_coo` bounds."""
+        self.structure_coo
+        return self._structure_trace
 
     @property
     def operator_rows(self):
@@ -496,9 +505,12 @@ def metric_space(spec):
 
 @dataclass(frozen=True)
 class InvariantMetric:
+    """Coefficients, matrix ``A`` and :func:`metric_eigenvalues` ``spectrum`` of a metric."""
+
     space: MetricSpace
     coeffs: np.ndarray
     matrix: np.ndarray = field(repr=False)
+    spectrum: np.ndarray = field(repr=False)
 
     @property
     def names(self):
@@ -512,28 +524,28 @@ class InvariantMetric:
 def metric_eigenvalues(space, coeffs):
     """Eigenvalues of the metric operator from its coefficients, one per summand.
 
-    An unpaired summand carries ``x_i``.  The two summands of a pair carry
-    the eigenvalues of ``[[x_i, b], [b, x_j]]``, since ``B0^T B0 = I``: the
-    smaller ``xi1`` on summand i and the larger ``xi2`` on summand j, with
-    ``xi1 = (x_i x_j - b^2) / xi2`` in product form, as the columns of
-    :func:`orthonormal_frame`.  A pair with ``|b| < 1e-14`` is unmixed and
-    keeps ``x_i`` and ``x_j``.  ``coeffs`` has shape ``(..., n)`` and the
-    result ``(..., n_sub)``; each eigenvalue has its summand's dimension as
-    multiplicity.
+    An unpaired summand carries ``x_i``.  A pair carries the eigenvalues of
+    ``[[x_i, b], [b, x_j]]`` (``B0^T B0 = I``), the smaller ``xi1`` on
+    summand i, as in :func:`orthonormal_frame`: the one of larger magnitude
+    from the trace, the other from ``xi1 xi2 = x_i x_j - b^2``, so neither
+    cancels.  An unmixed pair, ``|b| < 1e-14``, keeps ``x_i`` and ``x_j``.
+    Shape ``(..., n)`` in, ``(..., n_sub)`` out, with summand multiplicities.
     """
     c = np.asarray(coeffs, dtype=float)
     s = space.n_sub
     lam = np.array(c[..., :s])
-    for k, (i, j, _) in enumerate(space.pairs):
-        xi, xj, b = c[..., i], c[..., j], c[..., s + k]
-        xi2 = (xi + xj + np.hypot(2.0 * b, xi - xj)) / 2.0
-        # the product form keeps a small xi1 accurate; it needs xi2 > 0,
-        # and when xi2 <= 0 the difference form has nothing to cancel
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi1 = np.where(xi2 > 0, (xi * xj - b * b) / xi2, xi + xj - xi2)
-        mixed = np.abs(b) >= 1e-14
-        lam[..., i] = np.where(mixed, xi1, xi)
-        lam[..., j] = np.where(mixed, xi2, xj)
+    if not space.pairs:
+        return lam
+    i, j = np.array([p[:2] for p in space.pairs]).T
+    xi, xj, b = c[..., i], c[..., j], c[..., s:]
+    tr, gap = xi + xj, np.hypot(2.0 * b, xi - xj)
+    up = tr >= 0
+    big = (tr + np.where(up, gap, -gap)) / 2.0
+    # big is 0 only for x_i = x_j = b = 0, an unmixed pair
+    small = np.divide(xi * xj - b * b, big, out=np.zeros_like(big), where=big != 0)
+    mixed = np.abs(b) >= 1e-14
+    lam[..., i] = np.where(mixed, np.where(up, small, big), xi)
+    lam[..., j] = np.where(mixed, np.where(up, big, small), xj)
     return lam
 
 
@@ -563,8 +575,14 @@ def make_metric(space, coeffs):
         raise ValueError(f"expected {space.dim} coefficients, got {coeffs.shape}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"metric coefficients {coeffs.tolist()} are not finite")
-    positive_spectrum(space, coeffs)
-    return InvariantMetric(space, coeffs, space.metric_matrix(coeffs))
+    lam = positive_spectrum(space, coeffs)
+    return InvariantMetric(space, coeffs, space.metric_matrix(coeffs), lam)
+
+
+def volume_root(space, lam):
+    """``det(A)^(1/d)`` from a ``(..., n_sub)`` :func:`metric_eigenvalues` stack."""
+    dims = [s.stop - s.start for s in space.slices]
+    return np.exp(np.log(lam) @ dims / space.tangent_dim)
 
 
 @dataclass(frozen=True)
@@ -592,7 +610,7 @@ def orthonormal_frame(metric):
     d = space.tangent_dim
     slices = space.slices
     n_sub = space.n_sub
-    lam = metric_eigenvalues(space, coeffs)
+    lam = metric.spectrum
     eig = np.repeat(lam, [s.stop - s.start for s in slices])
     # each column starts as its basis vector scaled to unit g-length; the
     # columns of a mixed pair are replaced below

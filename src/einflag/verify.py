@@ -41,6 +41,7 @@ from .invariant import (
     metric_space,
     orthonormal_frame,
     positive_spectrum,
+    volume_root,
 )
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
@@ -463,11 +464,8 @@ def _check_ricci_equivariance(ctx):
 def _check_scalar_trace(ctx):
     space = ctx.space
     # the Ricci formula leaves out the trace vector, the frame image of
-    # z_k = sum_i t[k,i,i]; that is only right while z = 0
-    I, J, K, t = space.structure_coo
-    z = np.bincount(I[J == K], weights=t[J == K], minlength=space.tangent_dim)
-    ztr = _max_abs(z)
-    _require(ztr < 1e-12, f"structure tensor has a nonzero trace: {ztr:.2e}")
+    # z_k = sum_i t[k,i,i]; structure_coo raises unless z vanishes
+    ztr = space.structure_trace
     met = make_metric(space, ctx.sample_coeffs())
     rep = curvature(met)
     sym = float(np.max(np.abs(rep.ricci - rep.ricci.T)))
@@ -477,7 +475,7 @@ def _check_scalar_trace(ctx):
     _require(err < 1e-10, f"scalar != trace of Ricci: {err:.2e}")
     err2 = abs(rep.scalar - rep.scalar_direct) / (1.0 + abs(rep.scalar))
     _require(err2 < 1e-10, f"scalar route disagreement: {err2:.2e}")
-    return f"scalar = tr Ric = direct formula to {max(err, err2):.1e}; trace of t is {ztr:.1e}"
+    return f"scalar = tr Ric = direct formula to {max(err, err2):.1e}; trace of t {ztr:.1e}"
 
 
 def _check_reduced_route(ctx):
@@ -627,10 +625,7 @@ def _check_count_bounds(ctx):
     l, d = spec.rank, spec.partition[0]
     if spec.family == "B" and d != 2 and count >= 1:
         q = l * l * (l - 2) ** 2 - 2 * (d - 1) ** 2 * (d - 2) * (2 * l - d)
-        _require(
-            q > 0,
-            f"solutions exist but the existence inequality fails (q = {q})",
-        )
+        _require(q > 0, f"solutions exist but the existence inequality fails (q = {q})")
         return f"count {count} <= {bound}; existence inequality holds (q = {q} > 0)"
     return f"count {count} <= {bound}"
 
@@ -638,7 +633,6 @@ def _check_count_bounds(ctx):
 def _check_variational_critical(ctx):
     space = ctx.space
     scalar = reduced_ricci(ctx.spec).scalar
-    dims = np.array([sl.stop - sl.start for sl in space.slices])
     h = 1e-6
     steps = h * np.vstack([np.eye(space.dim), -np.eye(space.dim)])
 
@@ -647,7 +641,7 @@ def _check_variational_critical(ctx):
         probes = c + steps
         lam = positive_spectrum(space, probes)
         # volume-normalized scalar: S at c / det(A)^(1/d)
-        scale = np.exp(np.log(lam) @ dims / space.tangent_dim)
+        scale = volume_root(space, lam)
         vol_scalar = scalar(probes / scale[:, None])
         g = (vol_scalar[: space.dim] - vol_scalar[space.dim :]) / (2.0 * h)
         return float(np.max(np.abs(g)))

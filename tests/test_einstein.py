@@ -441,6 +441,8 @@ def test_memoised_solutions_are_immutable():
         first.solutions[0].metric.coeffs[0] = 9.0
     with pytest.raises(ValueError):
         first.solutions[0].metric.matrix[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        first.solutions[0].metric.spectrum[0] = 9.0
     rep = first.solutions[0].report
     ricci_coeffs = rep.coefficients.copy()
     for arr in (

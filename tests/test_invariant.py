@@ -243,6 +243,8 @@ class TestCertificateFailures:
         fresh = dataclasses.replace(sp, _structure=None, _structure_coo=None)
         with pytest.raises(InvariantViolation, match="nonzero trace"):
             fresh.structure_coo
+        # antisymmetrizing halves the injected entry
+        assert fresh._structure_trace == 0.125
 
 
 class TestSignActions:
@@ -283,6 +285,7 @@ class TestMakeMetric:
         sp = space("A:3:[2,1,1]:-")
         m = make_metric(sp, [1.0, 1.0, 2.0, 0.5])
         assert np.all(np.linalg.eigvalsh(m.matrix) > 0)
+        assert np.array_equal(m.spectrum, invariant.metric_eigenvalues(sp, m.coeffs))
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
@@ -312,8 +315,7 @@ class TestMetricEigenvalues:
         assert lam.shape == stack.shape[:-1] + (sp.n_sub,)
         for c, row in zip(stack.reshape(-1, sp.dim), lam.reshape(-1, sp.n_sub)):
             want = np.linalg.eigvalsh(sp.metric_matrix(c))
-            scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.allclose(np.sort(np.repeat(row, dims)), want, rtol=0, atol=1e-12 * scale)
+            assert np.allclose(np.sort(np.repeat(row, dims)), want, rtol=0, atol=1e-12)
             # the frame's column convention: xi1 <= xi2 on a mixed pair,
             # x_i and x_j as given on an unmixed one
             for k, (i, j, _) in enumerate(sp.pairs):
@@ -365,14 +367,21 @@ class TestMetricEigenvalues:
         assert lam.shape == (1, sp.n_sub) and np.all(lam > 0)
 
     def test_zero_top_pair_eigenvalue(self):
-        # [[-1, 1/2], [1/2, -1/4]] has eigenvalues -5/4 and exactly 0, where
-        # the product form of xi1 would divide zero by zero
+        # [[-1, 1/2], [1/2, -1/4]] has eigenvalues -5/4 and exactly 0; the
+        # trace is negative, so -5/4 comes from it and 0 from the product
         sp = space("A:3:[2,1,1]:-")
         c = [1.0, -1.0, -0.25, 0.5]
         assert np.array_equal(invariant.metric_eigenvalues(sp, c), [1.0, -1.25, 0.0])
         with pytest.raises(NotPositiveDefinite) as err:
             make_metric(sp, c)
         assert err.value.min_eigenvalue == -1.25
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_pair(self):
+        # x_i = x_j = b = 0 leaves the product form 0/0; the pair is
+        # unmixed and keeps its zeros, without a floating-point warning
+        sp = space("A:3:[2,1,1]:-")
+        assert np.array_equal(invariant.metric_eigenvalues(sp, [1.0, 0.0, 0.0, 0.0]), [1, 0, 0])
 
 
 class TestFrame:
