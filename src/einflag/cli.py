@@ -184,7 +184,8 @@ def _table_rows(max_l):
 
 
 def _cmd_table1(args, parser):
-    del parser
+    if args.max_l < 1:
+        parser.error(f"table1 requires --max-l >= 1, got {args.max_l}")
     specs = _table_rows(args.max_l)
     header = (
         "flag",

@@ -308,6 +308,13 @@ class ReducedRicci:
     multiplication because ``B0^T B0 = I``; so G is contracted once per
     triple of elementary blocks, from the matching sub-blocks of t, and
     never on a d x d operator.
+
+    Over the products ``hc_k = h_q c_p`` (k = (q, p)) this reads
+    ``rho = hc M1 + sum_{l <= k} hc_l hc_k W[l,k] + kappa``.  The quadratic
+    term is stored once, at build time, as the weights ``W`` of its
+    nonzero products only -- a few of the n^2 (n^2 + 1) / 2 pairs, since the
+    block sums vanish on most index combinations -- so an evaluation is
+    two gathers, a product and two small matrix products per row.
     """
 
     def __init__(self, space):
@@ -360,9 +367,16 @@ class ReducedRicci:
         triple = np.einsum("pa,rb,wc,abd,dce->prwe", L, L, L, prod, prod)
         m1 = np.einsum("ra,qb,pc,abc->qpr", L, L, L, G) / norms
         m2 = np.einsum("qa,sb,prwe,abe->qspwr", L, L, triple, G) / norms
-        # both sums run over the products h_q c_p, flattened to one index
+        # both sums run over the products h_q c_p, flattened to one index;
+        # the quadratic sum is symmetric in its two products, so it is kept
+        # once per unordered pair of them, and only where it is nonzero
         self._m1 = -0.5 * m1.reshape(n * n, n)
-        self._m2 = 0.25 * m2.transpose(1, 3, 0, 2, 4).reshape(n * n, n * n * n)
+        quad = 0.25 * m2.transpose(0, 2, 1, 3, 4).reshape(n * n, n * n, n)
+        left, right = np.triu_indices(n * n)
+        weight = quad[left, right] + (left != right)[:, None] * quad[right, left]
+        nonzero = np.any(weight != 0.0, axis=1)
+        self._left, self._right = left[nonzero], right[nonzero]
+        self._quad = weight[nonzero]
         self._kappa_term = -0.5 * (L @ kel) / norms
 
     def _inverse(self, coeffs):
@@ -389,11 +403,15 @@ class ReducedRicci:
         ``(..., n)``; the result has the same shape.
         """
         c = np.asarray(coeffs, dtype=float)
-        hc = (self._inverse(c)[..., :, None] * c[..., None, :]).reshape(
-            c.shape[:-1] + self._m1.shape[:1]
+        # one row per metric: two-dimensional gathers and products are the
+        # fast ones
+        flat = c.reshape(-1, self.dim)
+        hc = (self._inverse(flat)[:, :, None] * flat[:, None, :]).reshape(
+            len(flat), self.dim**2
         )
-        quad = (hc @ self._m2).reshape(hc.shape + self._m1.shape[1:])
-        return np.einsum("...k,...kr->...r", hc, self._m1 + quad) + self._kappa_term
+        quad = np.take(hc, self._left, axis=1) * np.take(hc, self._right, axis=1)
+        rho = hc @ self._m1 + quad @ self._quad + self._kappa_term
+        return rho.reshape(c.shape)
 
     def scalar(self, coeffs):
         """Scalar curvature; equal to ``curvature(metric).scalar``.

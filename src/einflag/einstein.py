@@ -4,10 +4,11 @@ Einstein metrics come in homothety rays, so everything here works in the
 gauge where the last diagonal coefficient equals one.  Exact solutions are
 catalogued per family branch in :func:`closed_form_solutions`; the numeric
 route in :func:`numeric_solutions` runs a batched damped Newton search over
-all starts of a logarithmic coefficient grid at once, re-verifies the root
-set on a denser grid, and -- for the families whose Einstein system
-eliminates to a single polynomial -- cross-checks the root count against
-companion-matrix roots.
+the starts of a logarithmic coefficient grid and of a denser verification
+grid at once, splits the converged rows back into one root set per grid,
+requires the two sets to agree, and -- for the families whose Einstein
+system eliminates to a single polynomial -- cross-checks the root count
+against companion-matrix roots.
 A disagreement between the routes raises :class:`ConvergenceGap` instead of
 silently trusting either side.
 
@@ -57,14 +58,16 @@ MATCH_RTOL = 1e-6
 CONSTANT_RTOL = 1e-8
 
 _LOG_LO, _LOG_HI = math.log(1e-2), math.log(1e2)
-# Every start of one grid level goes through one batched damped Newton
-# search over all starts of the level (:func:`_batched_roots`).  Diagonal
-# axes get the full grid; once an off-diagonal coefficient enters, the
-# start set is a coarser diagonal grid crossed with mixing fractions
-# (the fraction parametrization keeps every start positive definite).  The
-# base level starts only at positive fractions and recovers the negative
-# side through verified sign mirrors; the verification level searches both
-# signs outright so a missing mirror would surface as a grid disagreement.
+# The starts of both grid levels go through one batched damped Newton
+# search (:func:`_level_roots`), one for the diagonal stage and one for the
+# mixed stage; the converged rows are split back by level, and the two root
+# sets are compared as if searched apart.  Diagonal axes get the full grid;
+# once an off-diagonal coefficient enters, the start set is a coarser
+# diagonal grid crossed with mixing fractions (the fraction parametrization
+# keeps every start positive definite).  The base level starts only at
+# positive fractions and recovers the negative side through verified sign
+# mirrors; the verification level searches both signs outright so a missing
+# mirror would surface as a grid disagreement.
 _BASE = {"diag_axis": 21, "mixed_axis": 7, "fracs": (0.25, 0.55, 0.85)}
 _FINE = {
     "diag_axis": 41,
@@ -357,8 +360,10 @@ def _batched_roots(fun, starts):
     start converges when its proposed step falls below ``_STEP_TOL``
     relative to u; it stalls when its damping passes ``_DAMP_MAX`` or its
     Jacobian is not finite.  Converged and stalled starts leave the active
-    set.  Returns the converged rows in start order; starts that do not
-    converge within ``_MAX_ITER`` iterations are dropped.
+    set.  Every start keeps its own damping and its steps are taken or
+    refused row by row, so no start's path depends on the others.  Returns
+    the last iterate of every start, in start order, and the mask of the
+    starts that converged within ``_MAX_ITER`` iterations.
     """
     u = np.array(starts, dtype=float)
     with np.errstate(all="ignore"):
@@ -397,7 +402,19 @@ def _batched_roots(fun, starts):
             )
             converged[active[small]] = True
             active = active[~small & (damp[active] <= _DAMP_MAX)]
-    return u[converged]
+    return u, converged
+
+
+def _level_roots(fun, grids):
+    """Converged rows of every grid level, from one :func:`_batched_roots` pass.
+
+    The starts of all levels are searched together and their converged rows
+    split back by level, in start order; since no start's path depends on
+    the others, each level gets the rows a search of its own would give.
+    """
+    u, converged = _batched_roots(fun, np.concatenate(grids))
+    level = np.repeat(np.arange(len(grids)), [len(g) for g in grids])
+    return [u[converged & (level == k)] for k in range(len(grids))]
 
 
 def _append_unique(found, rows, rtol=MATCH_RTOL):
@@ -424,11 +441,15 @@ def _canonical_sort(vectors):
     return sorted(vectors, key=lambda v: tuple(np.round(v, 9)))
 
 
-def _diag_roots(space, engine, level):
-    """Diagonal Einstein candidates (last coefficient gauged to one)."""
+def _diag_roots(space, engine, levels):
+    """Diagonal Einstein candidates (last coefficient gauged to one).
+
+    All grid levels run in one batched search; returns one candidate list
+    per level.
+    """
     s = space.n_sub
     if s == 1:
-        return [np.array([1.0])]
+        return [[np.array([1.0])] for _ in levels]
 
     # gauge coefficient one, mixing coefficients zero
     tail = np.eye(space.dim - s + 1)[0]
@@ -441,23 +462,33 @@ def _diag_roots(space, engine, level):
         outside = np.max(np.abs(u), axis=-1, keepdims=True) > _LOG_HI + 3.0
         return np.where(outside, np.inf, F)
 
-    pts = np.linspace(_LOG_LO, _LOG_HI, level["diag_axis"])
-    u = _batched_roots(fun, list(itertools.product(pts, repeat=s - 1)))
-    keep = (np.max(np.abs(fun(u)), axis=1) <= 1e-10) & (
-        np.max(np.abs(u), axis=1) <= _LOG_HI + 2.0
-    )
-    found = []
-    # the gauged last coefficient is exp(0) = 1
-    _append_unique(found, np.exp(np.pad(u[keep], ((0, 0), (0, 1)))))
-    return _canonical_sort(found)
+    grids = [
+        list(
+            itertools.product(
+                np.linspace(_LOG_LO, _LOG_HI, level["diag_axis"]), repeat=s - 1
+            )
+        )
+        for level in levels
+    ]
+    out = []
+    for u in _level_roots(fun, grids):
+        keep = (np.max(np.abs(fun(u)), axis=1) <= 1e-10) & (
+            np.max(np.abs(u), axis=1) <= _LOG_HI + 2.0
+        )
+        found = []
+        # the gauged last coefficient is exp(0) = 1
+        _append_unique(found, np.exp(np.pad(u[keep], ((0, 0), (0, 1)))))
+        out.append(_canonical_sort(found))
+    return out
 
 
-def _mixed_roots(space, engine, level):
+def _mixed_roots(space, engine, levels):
     """Einstein candidates of a space with equivalent-pair coefficients.
 
     Positive definiteness is built into the parametrization: the mixing
     coefficients are fractions of the geometric mean of their diagonal
-    partners.
+    partners.  All grid levels run in one batched search (after the one of
+    the diagonal stage); returns one candidate list per level.
     """
     s, p = space.n_sub, len(space.pairs)
     pi = [i for i, _, _ in space.pairs]
@@ -476,33 +507,37 @@ def _mixed_roots(space, engine, level):
         )
         return np.where(outside, np.inf, _einstein_residual(engine, assemble(u)))
 
-    found = [
-        np.concatenate([d, np.zeros(p)]) for d in _diag_roots(space, engine, level)
-    ]
     span = 1.5 * math.log(10.0)
-    pts = np.linspace(-span, span, level["mixed_axis"])
-    starts = [
-        diag_start + frac_start
-        for diag_start in itertools.product(pts, repeat=s - 1)
-        for frac_start in itertools.product(level["fracs"], repeat=p)
+    grids = [
+        [
+            diag_start + frac_start
+            for diag_start in itertools.product(
+                np.linspace(-span, span, level["mixed_axis"]), repeat=s - 1
+            )
+            for frac_start in itertools.product(level["fracs"], repeat=p)
+        ]
+        for level in levels
     ]
-    u = _batched_roots(fun, starts)
-    keep = (
-        (np.max(np.abs(fun(u)), axis=1) <= 1e-10)
-        & (np.max(np.abs(u[:, : s - 1]), axis=1) <= _LOG_HI + 2.0)
-        & (np.max(np.abs(u[:, s - 1 :]), axis=1) < 0.999)
-    )
-    _append_unique(found, assemble(u[keep]))
-    # mirror the mixing signs: swapping an equivalent pair is an isometry
-    # fixing the diagonal part, so the mirrored coefficients solve too; they
-    # are admitted by the same residual test as every grid root
-    for vec in list(found):
-        if np.max(np.abs(vec[s:])) > 1e-8:
-            mirrored = vec.copy()
-            mirrored[s:] = -mirrored[s:]
-            if np.max(np.abs(_einstein_residual(engine, mirrored))) <= 1e-10:
-                _append_unique(found, mirrored)
-    return _canonical_sort(found)
+    out = []
+    for diag, u in zip(_diag_roots(space, engine, levels), _level_roots(fun, grids)):
+        found = [np.concatenate([d, np.zeros(p)]) for d in diag]
+        keep = (
+            (np.max(np.abs(fun(u)), axis=1) <= 1e-10)
+            & (np.max(np.abs(u[:, : s - 1]), axis=1) <= _LOG_HI + 2.0)
+            & (np.max(np.abs(u[:, s - 1 :]), axis=1) < 0.999)
+        )
+        _append_unique(found, assemble(u[keep]))
+        # mirror the mixing signs: swapping an equivalent pair is an isometry
+        # fixing the diagonal part, so the mirrored coefficients solve too;
+        # they are admitted by the same residual test as every grid root
+        for vec in list(found):
+            if np.max(np.abs(vec[s:])) > 1e-8:
+                mirrored = vec.copy()
+                mirrored[s:] = -mirrored[s:]
+                if np.max(np.abs(_einstein_residual(engine, mirrored))) <= 1e-10:
+                    _append_unique(found, mirrored)
+        out.append(_canonical_sort(found))
+    return out
 
 
 def _same_root_set(a, b, rtol=MATCH_RTOL):
@@ -714,8 +749,7 @@ def _numeric_cached(spec):
         )
     engine = reduced_ricci(spec)
     search = _mixed_roots if space.pairs else _diag_roots
-    roots = search(space, engine, _BASE)
-    verify = search(space, engine, _FINE)
+    roots, verify = search(space, engine, (_BASE, _FINE))
     if not _same_root_set(roots, verify):
         raise ConvergenceGap(
             f"{spec}: grid densities disagree "

@@ -156,6 +156,19 @@ def test_check_reports_every_invariant(capsys):
 # table1
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_table1_rejects_rank_bound_below_one(capsys, bound):
+    # an empty table is not a result: a bound below one is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--max-l", bound])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"einflag: error: table1 requires --max-l >= 1, got {bound}"
+    )
+
+
 def test_table1_small_cutoff(capsys):
     code, out, _ = run(capsys, "table1", "--max-l", "2")
     assert code == 0

@@ -8,6 +8,7 @@ from einflag.curvature import (
     reduced_ricci,
     u_map,
 )
+from einflag.cli import _table_rows
 from einflag.flag import parse_flag_spec
 from einflag.invariant import make_metric, metric_space, orthonormal_frame
 
@@ -308,6 +309,9 @@ PROPERTY_FLAGS = [
     "D:5:[2,3]:+",
 ]
 
+# every `table1 --max-l 6` flag, plus the large three-summand flag
+ENGINE_FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
+
 
 class TestRicciProperties:
     @pytest.mark.parametrize("text", PROPERTY_FLAGS)
@@ -347,9 +351,10 @@ class TestRicciProperties:
             assert np.isclose(scaled.normalized_constant, rep.normalized_constant)
             assert np.allclose(scaled.ricci, rep.ricci / t)
 
-    @pytest.mark.parametrize("text", PROPERTY_FLAGS)
+    @pytest.mark.parametrize("text", ENGINE_FLAGS)
     def test_fast_path_matches_frame_path(self, text):
-        # the reduced engine against the frame route, mixing included
+        # the reduced engine, stored over its nonzero products, against the
+        # frame route, mixing included
         sp = metric_space(parse_flag_spec(text))
         engine = reduced_ricci(sp.spec)
         rng = np.random.default_rng(abs(hash(text)) % 2**29)
@@ -406,16 +411,21 @@ class TestRicciProperties:
     "text", ["A:3:[2,1,1]:-", "D:4:[3,1]:-", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
 )
 def test_engine_stack_matches_rows(text):
-    # a (B, n) stack is evaluated row by row, with no leading-axis mixing
+    # a (B, n) stack as large as the Jacobian probes of a search over both
+    # grid levels is evaluated row by row, with no leading-axis mixing
     sp = metric_space(parse_flag_spec(text))
     engine = reduced_ricci(sp.spec)
     rng = np.random.default_rng(7)
-    stack = np.array([random_metric(sp, rng).coeffs for _ in range(6)])
+    x = rng.uniform(0.5, 2.0, (5000, sp.n_sub))
+    mixing = [
+        rng.uniform(-0.5, 0.5, 5000) * np.sqrt(x[:, i] * x[:, j]) for i, j, _ in sp.pairs
+    ]
+    stack = np.column_stack([x, *mixing])
     rows = np.array([engine(c) for c in stack])
     batched = engine(stack)
     assert batched.shape == stack.shape
     assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
-    deeper = engine(stack.reshape(2, 3, -1)).reshape(stack.shape)
+    deeper = engine(stack.reshape(50, 100, -1)).reshape(stack.shape)
     assert np.max(np.abs(deeper - rows)) <= 1e-14 * np.max(np.abs(rows))
 
 

@@ -11,6 +11,7 @@ from einflag.einstein import (
     CONSTANT_RTOL,
     DEFECT_TOL,
     TableExpectation,
+    _batched_roots,
     _difference_jacobian,
     _einstein_residual,
     closed_form_solutions,
@@ -295,11 +296,36 @@ def test_certificate_failure_raises(cold_search, monkeypatch):
 
 
 def test_search_counter_sees_a_cold_search(cold_search, monkeypatch):
-    # positive control of the counter above: a cold search runs one batched
-    # search per grid level (the diagonal flag has no mixed stage)
+    # positive control of the counter above: a cold search runs the starts
+    # of both grid levels, 21 and 41, in one batched search (the diagonal
+    # flag has no mixed stage)
     calls = count_searches(monkeypatch)
     numeric_solutions("B:3:[3]:-")
-    assert calls == [21, 41]
+    assert calls == [62]
+
+
+@pytest.mark.parametrize("text, passes", [("B:4:[4]:-", 1), ("D:5:[4,1]:-", 2)])
+def test_fused_levels_match_separate_searches(cold_search, monkeypatch, text, passes):
+    # each level's rows of a fused pass are those of a search of its own;
+    # the mixed flag runs a diagonal and a mixed pass
+    seen = []
+    fused = einflag.einstein._level_roots
+
+    def recorded(fun, grids):
+        rows = fused(fun, grids)
+        seen.append((fun, grids, rows))
+        return rows
+
+    monkeypatch.setattr(einflag.einstein, "_level_roots", recorded)
+    numeric_solutions(text)
+    assert len(seen) == passes
+    for fun, grids, rows in seen:
+        assert len(grids) == len(rows) == 2
+        for grid, got in zip(grids, rows):
+            u, converged = _batched_roots(fun, grid)
+            want = u[converged]
+            assert len(want) and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_one_certificate_per_root(cold_search, monkeypatch):
