@@ -4,10 +4,11 @@ The package builds the compact symmetry algebra of a flag manifold from
 exact integer matrices, decomposes the isotropy representation, spans the
 full family of invariant metrics (including intertwined coefficients of
 equivalent summands), evaluates Ricci and scalar curvature, and locates
-every invariant Einstein metric by an exact branch catalog cross-checked
-against an independent numeric search.  Solutions with equal normalized
-Einstein constants are screened for genuine isometry by explicit
-pullback witnesses.
+every invariant Einstein metric: the diagonal ones by an exact count in
+integer arithmetic, cross-checked by a numeric search that also finds
+the non-diagonal ones, and both against an exact branch catalog.
+Solutions with equal normalized Einstein constants are screened for
+genuine isometry by explicit pullback witnesses.
 """
 
 from .algebra import build_algebra
@@ -16,6 +17,7 @@ from .einstein import (
     EinsteinSolution,
     EquivalenceGroup,
     SolutionSet,
+    StageCertificate,
     TableExpectation,
     TableRow,
     closed_form_solutions,
@@ -69,6 +71,7 @@ __all__ = [
     "EinsteinSolution",
     "EquivalenceGroup",
     "SolutionSet",
+    "StageCertificate",
     "TableExpectation",
     "TableRow",
     "closed_form_solutions",

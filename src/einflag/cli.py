@@ -105,7 +105,7 @@ def _solve_report(argv_echo, spec, sol_set, elapsed):
             group_of[i] = gi
     dec = space.dec
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool": "einflag",
         "version": __version__,
         "command": argv_echo,
@@ -129,6 +129,15 @@ def _solve_report(argv_echo, spec, sol_set, elapsed):
                 "relation": g.tag,
             }
             for g in sol_set.groups
+        ],
+        "completeness": [
+            {
+                "stage": c.stage,
+                "status": c.status,
+                "shear": c.shear,
+                "multiplicities": list(c.multiplicities),
+            }
+            for c in sol_set.completeness
         ],
         "timing_seconds": round(elapsed, 3),
     }

@@ -2,15 +2,18 @@
 
 Einstein metrics come in homothety rays, so everything here works in the
 gauge where the last diagonal coefficient equals one.  Exact solutions are
-catalogued per family branch in :func:`closed_form_solutions`; the numeric
-route in :func:`numeric_solutions` runs a batched damped Newton search over
-the starts of a logarithmic coefficient grid and of a denser verification
-grid at once, splits the converged rows back into one root set per grid,
-requires the two sets to agree, and -- for the families whose Einstein
-system eliminates to a single polynomial -- cross-checks the root count
-against companion-matrix roots.
-A disagreement between the routes raises :class:`ConvergenceGap` instead of
-silently trusting either side.
+catalogued per family branch in :func:`closed_form_solutions`.  The
+numeric route in :func:`numeric_solutions` has two stages.  The diagonal
+stage counts the diagonal Einstein metrics exactly, by resultants and
+Sturm sequences (:mod:`einflag.algebraic`), and cross-checks that root set
+against a batched damped Newton search from a logarithmic coefficient
+grid.  On a flag with equivalent summands, the mixed stage runs the same
+search from the starts of a coarse and a denser verification grid at once,
+splits the converged rows back into one root set per grid, and requires
+the two sets to agree; so does a diagonal stage whose system has no exact
+count.  Each stage's :class:`StageCertificate` records which of the two
+applied.  A disagreement between the routes raises :class:`ConvergenceGap`
+instead of silently trusting either side.
 
 The screening step groups solutions by the scale-invariant Einstein
 constant and tries to realize coincidences by explicit isometries: ambient
@@ -27,13 +30,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
+from .algebraic import diagonal_count
 from .curvature import _form_coefficients, curvature, reduced_ricci
 from .errors import (
     ConvergenceGap,
     InvariantViolation,
     NoCatalogEntry,
+    NoExactCount,
     TooManyParameters,
 )
 from .flag import manifold_name, parse_flag_spec
@@ -43,6 +47,7 @@ __all__ = [
     "EinsteinSolution",
     "EquivalenceGroup",
     "SolutionSet",
+    "StageCertificate",
     "TableExpectation",
     "TableRow",
     "closed_form_solutions",
@@ -58,16 +63,17 @@ MATCH_RTOL = 1e-6
 CONSTANT_RTOL = 1e-8
 
 _LOG_LO, _LOG_HI = math.log(1e-2), math.log(1e2)
-# The starts of both grid levels go through one batched damped Newton
-# search (:func:`_level_roots`), one for the diagonal stage and one for the
-# mixed stage; the converged rows are split back by level, and the two root
-# sets are compared as if searched apart.  Diagonal axes get the full grid;
-# once an off-diagonal coefficient enters, the start set is a coarser
-# diagonal grid crossed with mixing fractions (the fraction parametrization
-# keeps every start positive definite).  The base level starts only at
-# positive fractions and recovers the negative side through verified sign
-# mirrors; the verification level searches both signs outright so a missing
-# mirror would surface as a grid disagreement.
+# The diagonal stage cross-checks its exact count against the base level
+# alone.  The mixed stage, and a diagonal stage with no exact count, run
+# the starts of both levels through one batched damped Newton search
+# (:func:`_level_roots`); the converged rows are split back by level, and
+# the two root sets are compared as if searched apart.  Diagonal axes get
+# the full grid; once an off-diagonal coefficient enters, the start set is
+# a coarser diagonal grid crossed with mixing fractions (the fraction
+# parametrization keeps every start positive definite).  The base level
+# starts only at positive fractions and recovers the negative side through
+# verified sign mirrors; the verification level searches both signs
+# outright so a missing mirror would surface as a grid disagreement.
 _BASE = {"diag_axis": 21, "mixed_axis": 7, "fracs": (0.25, 0.55, 0.85)}
 _FINE = {
     "diag_axis": 41,
@@ -83,6 +89,8 @@ _DAMP_MIN = 1e-14
 _DAMP_MAX = 1e10
 _DIFF_STEP = 1.49e-8
 _STEP_TOL = 1e-10
+# largest relative correction the Newton polish of an exact root may make
+_POLISH_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,12 +147,35 @@ class EquivalenceGroup:
 
 
 @dataclass(frozen=True)
+class StageCertificate:
+    """How completely one stage of the numeric route was searched.
+
+    ``stage`` is ``"diagonal"`` or ``"mixed"``.  ``status`` is
+    ``"certified"`` when an exact count proved the stage's solution set,
+    or ``"grid-only: <reason>"`` when two grid densities had to agree
+    instead.  A certified diagonal stage of three summands records the
+    ``shear`` k of ``u = x + k y`` it was counted through, and every
+    certified stage the multiplicity of each of its roots, in root order.
+    """
+
+    stage: str
+    status: str
+    shear: int | None = None
+    multiplicities: tuple = ()
+
+
+@dataclass(frozen=True)
 class SolutionSet:
-    """Deduplicated Einstein metrics of one flag plus their screening."""
+    """Deduplicated Einstein metrics of one flag plus their screening.
+
+    ``completeness`` holds one :class:`StageCertificate` per stage of the
+    numeric route, and is empty when only the closed-form catalog ran.
+    """
 
     spec: object
     solutions: tuple
     groups: tuple = ()
+    completeness: tuple = ()
 
     @property
     def count(self):
@@ -437,31 +468,16 @@ def _append_unique(found, rows, rtol=MATCH_RTOL):
         rows = unmatched(rows, rows[0])
 
 
+def _canonical_key(vector):
+    return tuple(np.round(vector, 9))
+
+
 def _canonical_sort(vectors):
-    return sorted(vectors, key=lambda v: tuple(np.round(v, 9)))
+    return sorted(vectors, key=_canonical_key)
 
 
-def _diag_roots(space, engine, levels):
-    """Diagonal Einstein candidates (last coefficient gauged to one).
-
-    All grid levels run in one batched search; returns one candidate list
-    per level.
-    """
-    s = space.n_sub
-    if s == 1:
-        return [[np.array([1.0])] for _ in levels]
-
-    # gauge coefficient one, mixing coefficients zero
-    tail = np.eye(space.dim - s + 1)[0]
-
-    def fun(u):
-        c = np.concatenate(
-            [np.exp(u), np.broadcast_to(tail, u.shape[:-1] + tail.shape)], axis=-1
-        )
-        F = _einstein_residual(engine, c)[..., : s - 1]
-        outside = np.max(np.abs(u), axis=-1, keepdims=True) > _LOG_HI + 3.0
-        return np.where(outside, np.inf, F)
-
+def _diag_grid(fun, s, levels):
+    """Diagonal candidates of each grid level, from one batched search."""
     grids = [
         list(
             itertools.product(
@@ -482,13 +498,89 @@ def _diag_roots(space, engine, levels):
     return out
 
 
-def _mixed_roots(space, engine, levels):
+def _polish(fun, point):
+    """One Newton step on the log-coordinates of an exact-count root.
+
+    The step only corrects the rounding of a root bisected to float
+    precision: it is taken when it lowers the engine residual and moves no
+    coordinate by more than ``_POLISH_RTOL`` relative.  A larger correction
+    would mean the exact system and the engine disagree, which the grid
+    cross-check must see rather than the polish hide.
+    """
+    u = np.log(point)[None, :]
+    F = fun(u)
+    J = _difference_jacobian(fun, u, F)
+    try:
+        step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return point
+    trial = u + step
+    small = np.max(np.abs(step)) <= _POLISH_RTOL
+    if small and np.max(np.abs(fun(trial))) < np.max(np.abs(F)):
+        return np.exp(trial[0])
+    return point
+
+
+def _diag_roots(space, engine):
+    """Diagonal Einstein candidates (last coefficient gauged to one).
+
+    The exact count (:func:`~einflag.algebraic.diagonal_count`) gives the
+    roots; the base grid must find the same set.  Where no exact count
+    applies, both grid levels run and must agree instead.  Returns the
+    roots and the stage's :class:`StageCertificate`.
+    """
+    s = space.n_sub
+
+    def fun(u):
+        # gauge coefficient one, mixing coefficients zero; on a diagonal
+        # metric only the differences of the per-summand Ricci values remain
+        c = np.zeros(u.shape[:-1] + (space.dim,))
+        c[..., : s - 1] = np.exp(u)
+        c[..., s - 1] = 1.0
+        r = engine(c)[..., :s] / c[..., :s]
+        F = r[..., 1:] - r[..., :-1]
+        outside = np.max(np.abs(u), axis=-1, keepdims=True) > _LOG_HI + 3.0
+        return np.where(outside, np.inf, F)
+
+    try:
+        count = diagonal_count(engine)
+    except NoExactCount as exc:
+        roots, verify = _diag_grid(fun, s, (_BASE, _FINE))
+        if not _same_root_set(roots, verify):
+            raise ConvergenceGap(
+                f"{space.spec}: diagonal grid densities disagree "
+                f"({len(roots)} vs {len(verify)} solutions)"
+            ) from None
+        return roots, StageCertificate("diagonal", f"grid-only: {exc}")
+
+    found = []
+    for point, exact, mult in zip(count.points, count.exact, count.multiplicities):
+        point = np.array(point)
+        if not exact and mult == 1:
+            point = _polish(fun, point)
+        found.append((np.append(point, 1.0), mult))
+    found.sort(key=lambda item: _canonical_key(item[0]))
+    roots = [vec for vec, _ in found]
+    if s > 1:
+        (grid,) = _diag_grid(fun, s, (_BASE,))
+        if not _same_root_set(roots, grid):
+            raise ConvergenceGap(
+                f"{space.spec}: the exact count and the base grid disagree on "
+                f"the diagonal solutions ({len(roots)} vs {len(grid)})"
+            )
+    return roots, StageCertificate(
+        "diagonal", "certified", count.shear, tuple(m for _, m in found)
+    )
+
+
+def _mixed_roots(space, engine, diag, levels):
     """Einstein candidates of a space with equivalent-pair coefficients.
 
     Positive definiteness is built into the parametrization: the mixing
     coefficients are fractions of the geometric mean of their diagonal
-    partners.  All grid levels run in one batched search (after the one of
-    the diagonal stage); returns one candidate list per level.
+    partners.  All grid levels run in one batched search; each level's
+    candidates are the diagonal roots ``diag`` followed by its own mixed
+    roots, one candidate list per level.
     """
     s, p = space.n_sub, len(space.pairs)
     pi = [i for i, _, _ in space.pairs]
@@ -519,7 +611,7 @@ def _mixed_roots(space, engine, levels):
         for level in levels
     ]
     out = []
-    for diag, u in zip(_diag_roots(space, engine, levels), _level_roots(fun, grids)):
+    for u in _level_roots(fun, grids):
         found = [np.concatenate([d, np.zeros(p)]) for d in diag]
         keep = (
             (np.max(np.abs(fun(u)), axis=1) <= 1e-10)
@@ -552,195 +644,29 @@ def _same_root_set(a, b, rtol=MATCH_RTOL):
     return True
 
 
-# -- polynomial cross-checks ------------------------------------------------
-
-
-def _real_positive_roots(coeffs_ascending, tol=1e-8, imag_tol=1e-5):
-    # a double real root splits into a conjugate pair with imaginary part
-    # around sqrt(eps) under np.roots, so the imaginary filter must sit well
-    # above that; callers re-validate every candidate against the original
-    # equations and merge the split pair by proximity
-    c = np.array(coeffs_ascending, dtype=float)
-    if np.max(np.abs(c)) == 0:
-        return []
-    c = c / np.max(np.abs(c))
-    while len(c) > 1 and abs(c[-1]) < 1e-14:
-        c = c[:-1]
-    if len(c) <= 1:
-        return []
-    roots = np.roots(c[::-1])
-    out = []
-    for r in roots:
-        if abs(r.imag) < imag_tol * (1.0 + abs(r)) and r.real > tol:
-            out.append(float(r.real))
-    return out
-
-
-def _poly_points_three_block(l1, l2, l3, l):
-    """Solutions (x, y) of the three-summand system with last coefficient 1.
-
-    After clearing denominators the two Ricci differences become the plane
-    conics f1 and f2 below; eliminating y through the Sylvester resultant
-    (or direct substitution when f1 is linear in y) leaves one polynomial
-    whose companion-matrix roots enumerate every candidate.
-    """
-    L = 2.0 * (l - 1.0)
-
-    def f1(x, y):
-        return l3 * (x * x - y * y - 1) + L * y - l1 * (1 - x * x - y * y) - L * x * y
-
-    def f2(x, y):
-        return l2 * (y * y - x * x - 1) + L * x - l1 * (1 - x * x - y * y) - L * x * y
-
-    points = []
-
-    def consider(x, y):
-        if x <= 1e-9 or y <= 1e-9:
-            return
-        scale = (l1 + l2 + l3 + L) * (1 + x * x + y * y)
-        if abs(f1(x, y)) < 1e-7 * scale and abs(f2(x, y)) < 1e-7 * scale:
-            _append_unique(points, np.array([x, y]), rtol=1e-5)
-
-    if l1 == l3:
-        # f1 factors: x = 1 solves it identically, otherwise y is linear in x
-        for y in _real_positive_roots([L - 2.0 * l2, -L, l1 + l2]):
-            consider(1.0, y)
-        c = (l1 + l3) / L  # y = c (x + 1) on the second factor
-        num = [
-            (l1 + l2) * c * c - (l1 + l2),
-            2 * (l1 + l2) * c * c - L * c + L,
-            (l1 + l2) * c * c - L * c + (l1 - l2),
-        ]
-        for x in _real_positive_roots(num):
-            consider(x, c * (x + 1.0))
-        return points
-
-    # Sylvester resultant in y of f1 = A1 y^2 + B1 y + C1 and f2 likewise
-    A1 = [float(l1 - l3)]
-    B1 = [L, -L]
-    C1 = [float(-l1 - l3), 0.0, float(l1 + l3)]
-    A2 = [float(l1 + l2)]
-    B2 = [0.0, -L]
-    C2 = [float(-l1 - l2), L, float(l1 - l2)]
-
-    def det3(m):
-        a, b, c = m[0]
-        d, e, f = m[1]
-        g, h, i = m[2]
-        t1 = npoly.polymul(a, npoly.polysub(npoly.polymul(e, i), npoly.polymul(f, h)))
-        t2 = npoly.polymul(b, npoly.polysub(npoly.polymul(d, i), npoly.polymul(f, g)))
-        t3 = npoly.polymul(c, npoly.polysub(npoly.polymul(d, h), npoly.polymul(e, g)))
-        return npoly.polyadd(npoly.polysub(t1, t2), t3)
-
-    Z = [0.0]
-    rows = [
-        [A1, B1, C1, Z],
-        [Z, A1, B1, C1],
-        [A2, B2, C2, Z],
-        [Z, A2, B2, C2],
-    ]
-    det = [0.0]
-    for j in range(4):
-        minor = [
-            [rows[r][c] for c in range(4) if c != j] for r in range(1, 4)
-        ]
-        term = npoly.polymul(rows[0][j], det3(minor))
-        det = npoly.polyadd(det, term) if j % 2 == 0 else npoly.polysub(det, term)
-
-    for x in _real_positive_roots(det):
-        a1v = float(l1 - l3)
-        b1v = L - L * x
-        c1v = (l1 + l3) * (x * x - 1.0)
-        for y in _real_positive_roots([c1v, b1v, a1v]):
-            consider(x, y)
-    return points
-
-
-def _poly_points_b_plus(d, l):
-    """Solutions (gamma, rho) with mu = 1 for the two-block B-family flags.
-
-    The second Ricci difference is linear in gamma; substituting into the
-    first leaves a single polynomial in rho of degree at most six.
-    """
-    N = [0.0, -4.0 * (l - 2.0), 4.0 * (l - 1.0)]
-    D = [-(d - 1.0), 0.0, d - 1.0]
-    A = [l - d + 0.0, 0.0, float(l)]
-    B = [0.0, 0.0, -4.0 * (l - 1.0)]
-    C = [0.0, 0.0, 4.0 * (d - 2.0)]
-    num = npoly.polyadd(
-        npoly.polymul(A, npoly.polymul(N, N)),
-        npoly.polyadd(
-            npoly.polymul(B, npoly.polymul(N, D)),
-            npoly.polymul(C, npoly.polymul(D, D)),
-        ),
-    )
-    points = []
-    for rho in _real_positive_roots(num):
-        Dv = float(npoly.polyval(rho, D))
-        if abs(Dv) < 1e-10:
-            continue
-        gamma = float(npoly.polyval(rho, N)) / Dv
-        if gamma <= 1e-9:
-            continue
-        g1 = (
-            4 * (d - 2) * rho * rho
-            + (l - d) * gamma * gamma
-            + l * gamma * gamma * rho * rho
-            - 4 * (l - 1) * gamma * rho * rho
-        )
-        g2 = (
-            4 * (l - 2) * rho
-            - (d - 1) * gamma
-            - 4 * (l - 1) * rho * rho
-            + (d - 1) * gamma * rho * rho
-        )
-        scale = l * l * (1 + gamma * gamma) * (1 + rho * rho)
-        if abs(g1) < 1e-7 * scale and abs(g2) < 1e-7 * scale:
-            _append_unique(points, np.array([gamma, rho]), rtol=1e-5)
-    return points
-
-
-def _poly_crosscheck(spec, space, roots):
-    """Companion-matrix root count for the polynomially solvable families."""
-    fam, l, part = spec.family, spec.rank, spec.partition
-    points = None
-    if fam == "A" and len(part) == 3 and not space.pairs and space.n_sub == 3:
-        points = _poly_points_three_block(part[0], part[1], part[2], l)
-    elif fam == "B" and spec.includes_last_root and len(part) == 2 and part[0] >= 2:
-        points = _poly_points_b_plus(part[0], l)
-    if points is None:
-        return
-    numeric = [vec[:2] for vec in roots]
-    ok = len(points) == len(numeric) and all(
-        any(np.max(np.abs(p - q)) <= 1e-5 * (1 + np.max(np.abs(q))) for q in numeric)
-        for p in points
-    )
-    if not ok:
-        raise ConvergenceGap(
-            f"{spec}: polynomial cross-check found {len(points)} solutions, "
-            f"grid search found {len(numeric)}"
-        )
-
-
 def numeric_solutions(spec):
-    """Einstein metrics located by multi-start root finding.
+    """Einstein metrics located by exact counting and multi-start root finding.
 
-    The root set is computed on two grid densities through the reduced
-    Ricci engine and must agree; the polynomially solvable families are
-    additionally cross-checked against companion-matrix roots.  Each root
-    is then certified once by the frame-route curvature report.  Raises
-    :class:`TooManyParameters` for metric families with more than four
-    coefficients and :class:`ConvergenceGap` when the routes disagree.  The
-    search runs once per flag and process; each call returns a fresh list
-    of the memoised solutions.
+    The diagonal solutions come from the exact count of
+    :func:`~einflag.algebraic.diagonal_count`, each irrational root polished
+    by one Newton step through the reduced Ricci engine, and the base grid
+    of the batched search must find the same set.  A flag whose diagonal
+    system has no exact count, and the mixed stage of a flag with
+    equivalent pairs, are searched on two grid densities that must agree.
+    Each root is then certified once by the frame-route curvature report.
+    Raises :class:`TooManyParameters` for metric families with more than
+    four coefficients and :class:`ConvergenceGap` when the routes disagree.
+    The search runs once per flag and process; each call returns a fresh
+    list of the memoised solutions.
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
-    return list(_numeric_cached(spec))
+    return list(_numeric_cached(spec)[0])
 
 
 @lru_cache(maxsize=None)
 def _numeric_cached(spec):
+    """The certified roots of one flag and the certificate of each stage."""
     space = metric_space(spec)
     if space.dim > 4:
         raise TooManyParameters(
@@ -748,18 +674,21 @@ def _numeric_cached(spec):
             "the numeric search handles at most 4"
         )
     engine = reduced_ricci(spec)
-    search = _mixed_roots if space.pairs else _diag_roots
-    roots, verify = search(space, engine, (_BASE, _FINE))
-    if not _same_root_set(roots, verify):
-        raise ConvergenceGap(
-            f"{spec}: grid densities disagree "
-            f"({len(roots)} vs {len(verify)} solutions)"
-        )
-    _poly_crosscheck(spec, space, roots)
-    return tuple(
+    roots, diagonal = _diag_roots(space, engine)
+    stages = (diagonal,)
+    if space.pairs:
+        roots, verify = _mixed_roots(space, engine, roots, (_BASE, _FINE))
+        if not _same_root_set(roots, verify):
+            raise ConvergenceGap(
+                f"{spec}: mixed grid densities disagree "
+                f"({len(roots)} vs {len(verify)} solutions)"
+            )
+        stages += (StageCertificate("mixed", "grid-only: no exact count of mixed metrics"),)
+    solutions = tuple(
         _solution(space, vec, "numeric", f"numeric-{k + 1}")
         for k, vec in enumerate(roots)
     )
+    return solutions, stages
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +940,10 @@ def _solve_cached(spec, mode):
         except NoCatalogEntry:
             closed = []
         sols = _merge(closed, numeric_solutions(spec))
-    return SolutionSet(spec, tuple(sols), tuple(equivalence_screen(spec, sols)))
+    completeness = () if mode == "closed-form" else _numeric_cached(spec)[1]
+    return SolutionSet(
+        spec, tuple(sols), tuple(equivalence_screen(spec, sols)), completeness
+    )
 
 
 @dataclass(frozen=True)

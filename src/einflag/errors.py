@@ -42,7 +42,16 @@ class TooManyParameters(EinflagError):
 
 
 class ConvergenceGap(EinflagError):
-    """Multi-start grids at different resolutions disagree on the solution set."""
+    """Solver routes disagree on the solution set.
+
+    Raised when the exact diagonal count and the base grid find different
+    diagonal solutions, or when two grid densities disagree where no exact
+    count applies (the mixed stage, or a diagonal stage marked grid-only).
+    """
+
+
+class NoExactCount(EinflagError):
+    """The diagonal Einstein system cannot be rebuilt or counted exactly."""
 
 
 class NoCatalogEntry(EinflagError):

@@ -33,6 +33,7 @@ projectors are the diagonal scales; the intertwiner coefficients are the
 mixing parameters (named ``b`` for the four-parameter families).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -521,6 +522,32 @@ class InvariantMetric:
         return f"metric({body})"
 
 
+def _eigenvalue_list(space, c):
+    """:func:`metric_eigenvalues` of one finite coefficient vector, as floats.
+
+    The same operations as the stacked path, in the same order, on plain
+    floats; ``np.hypot`` is kept because ``math.hypot`` rounds differently.
+    """
+    s = space.n_sub
+    vals = c.tolist()
+    lam = vals[:s]
+    for k, (i, j, _) in enumerate(space.pairs):
+        xi, xj, b = vals[i], vals[j], vals[s + k]
+        if abs(b) < 1e-14:
+            continue
+        tr, gap = xi + xj, float(np.hypot(2.0 * b, xi - xj))
+        up = tr >= 0
+        big = (tr + (gap if up else -gap)) / 2.0
+        small = (xi * xj - b * b) / big if big != 0 else 0.0
+        lam[i], lam[j] = (small, big) if up else (big, small)
+    return lam
+
+
+def _single(c):
+    """Whether ``c`` is one finite coefficient vector, for the float path."""
+    return c.ndim == 1 and all(map(math.isfinite, c.tolist()))
+
+
 def metric_eigenvalues(space, coeffs):
     """Eigenvalues of the metric operator from its coefficients, one per summand.
 
@@ -530,8 +557,11 @@ def metric_eigenvalues(space, coeffs):
     from the trace, the other from ``xi1 xi2 = x_i x_j - b^2``, so neither
     cancels.  An unmixed pair, ``|b| < 1e-14``, keeps ``x_i`` and ``x_j``.
     Shape ``(..., n)`` in, ``(..., n_sub)`` out, with summand multiplicities.
+    One finite vector takes a plain-float path with the same result.
     """
     c = np.asarray(coeffs, dtype=float)
+    if _single(c):
+        return np.array(_eigenvalue_list(space, c))
     s = space.n_sub
     lam = np.array(c[..., :s])
     if not space.pairs:
@@ -554,9 +584,19 @@ def positive_spectrum(space, coeffs):
 
     A coefficient vector is a metric when its smallest eigenvalue exceeds
     ``1e-12 * max(1, |largest|)``.  ``coeffs`` has shape ``(..., n)``; the
-    first row that fails raises :class:`NotPositiveDefinite`.
+    first row that fails raises :class:`NotPositiveDefinite`.  One finite
+    vector takes a plain-float path with the same result.
     """
     c = np.asarray(coeffs, dtype=float)
+    if _single(c):
+        lam = _eigenvalue_list(space, c)
+        lo = min(lam)
+        if lo <= 1e-12 * max(1.0, abs(max(lam))):
+            raise NotPositiveDefinite(
+                f"metric coefficients {c.tolist()} are not positive definite",
+                min_eigenvalue=lo,
+            )
+        return np.array(lam)
     lam = metric_eigenvalues(space, c)
     lo = lam.min(axis=-1)
     bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=-1)))

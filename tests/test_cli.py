@@ -39,7 +39,7 @@ def test_solve_json_report(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "A:3:[2,1,1]:-", "--json", str(target))
     assert code == 0
     doc = json.loads(target.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["tool"] == "einflag"
     assert doc["version"] == __version__
     assert doc["flag"] == "A:3:[2,1,1]:-"
@@ -51,6 +51,16 @@ def test_solve_json_report(tmp_path, capsys):
         assert sol["defect"] < 1e-9
     relations = {g["relation"] for g in doc["equivalence_groups"]}
     assert relations == {"ProvenDistinct", "WitnessedEquivalent"}
+    # the diagonal stage is counted exactly, the mixed stage by two grids
+    assert doc["completeness"] == [
+        {"stage": "diagonal", "status": "certified", "shear": 2, "multiplicities": [1]},
+        {
+            "stage": "mixed",
+            "status": "grid-only: no exact count of mixed metrics",
+            "shear": None,
+            "multiplicities": [],
+        },
+    ]
     assert isinstance(doc["timing_seconds"], float)
 
 

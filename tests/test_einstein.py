@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -275,18 +274,6 @@ def test_check_suite_reuses_the_numeric_search(monkeypatch):
     assert calls == []
 
 
-@pytest.fixture
-def cold_search(monkeypatch):
-    """Empty numeric-search and solve memos for one test.
-
-    The test gets fresh memos; the shared ones, and what later tests find
-    in them, come back untouched when it ends.
-    """
-    for name in ("_numeric_cached", "_solve_cached"):
-        memo = getattr(einflag.einstein, name)
-        monkeypatch.setattr(einflag.einstein, name, lru_cache(maxsize=None)(memo.__wrapped__))
-
-
 def test_certificate_failure_raises(cold_search, monkeypatch):
     # the frame-route certificate is the only gate a root meets after the
     # search: with a zero tolerance it must raise, not drop the roots
@@ -296,18 +283,19 @@ def test_certificate_failure_raises(cold_search, monkeypatch):
 
 
 def test_search_counter_sees_a_cold_search(cold_search, monkeypatch):
-    # positive control of the counter above: a cold search runs the starts
-    # of both grid levels, 21 and 41, in one batched search (the diagonal
-    # flag has no mixed stage)
+    # positive control of the counter above: a cold search of a diagonal
+    # flag runs the 21 starts of the base grid alone, the cross-check of
+    # its exact count (the flag has no mixed stage)
     calls = count_searches(monkeypatch)
     numeric_solutions("B:3:[3]:-")
-    assert calls == [62]
+    assert calls == [21]
 
 
 @pytest.mark.parametrize("text, passes", [("B:4:[4]:-", 1), ("D:5:[4,1]:-", 2)])
 def test_fused_levels_match_separate_searches(cold_search, monkeypatch, text, passes):
-    # each level's rows of a fused pass are those of a search of its own;
-    # the mixed flag runs a diagonal and a mixed pass
+    # the diagonal pass searches the base grid alone; the mixed flag's
+    # second pass fuses both levels, and each level's rows of a pass are
+    # those of a search of its own
     seen = []
     fused = einflag.einstein._level_roots
 
@@ -318,9 +306,9 @@ def test_fused_levels_match_separate_searches(cold_search, monkeypatch, text, pa
 
     monkeypatch.setattr(einflag.einstein, "_level_roots", recorded)
     numeric_solutions(text)
-    assert len(seen) == passes
+    assert [len(grids) for _, grids, _ in seen] == [1, 2][:passes]
     for fun, grids, rows in seen:
-        assert len(grids) == len(rows) == 2
+        assert len(rows) == len(grids)
         for grid, got in zip(grids, rows):
             u, converged = _batched_roots(fun, grid)
             want = u[converged]

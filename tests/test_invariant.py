@@ -333,6 +333,36 @@ class TestMetricEigenvalues:
         rng = np.random.default_rng(3)
         self._assert_spectrum(sp, rng.uniform(-1.0, 2.0, (2, 4, sp.dim)))
 
+    @pytest.mark.parametrize("text", _spectrum_flags())
+    def test_single_vector_path_matches_the_stack(self, text):
+        # one finite vector takes the plain-float path: it must give the
+        # stacked path's bits, and the same positive-definiteness verdict.
+        # Only a pair does arithmetic beyond a copy, and a rounding
+        # difference there (math.hypot for np.hypot) shows on about one
+        # row in a thousand, so pair flags get many rows
+        sp = space(text)
+        rng = np.random.default_rng(3)
+        rows = list(rng.uniform(-1.0, 2.0, (2048 if sp.pairs else 16, sp.dim)))
+        for f in (1 - 1e-9, -(1 - 1e-9), 0.5, 1e-15, -1e-15, 0.0):
+            c = np.r_[rng.uniform(0.5, 2.0, sp.n_sub), np.zeros(sp.dim - sp.n_sub)]
+            for k, (i, j, _) in enumerate(sp.pairs):
+                c[sp.n_sub + k] = f * np.sqrt(c[i] * c[j])
+            rows.append(c)
+        stack = np.array(rows)
+        lam = invariant.metric_eigenvalues(sp, stack)
+        # the stacked rule: a row is rejected with its smallest eigenvalue
+        lo = lam.min(axis=1)
+        bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=1)))
+        assert bad.any() and not bad.all()
+        for c, want, reject, least in zip(stack, lam, bad, lo):
+            assert np.array_equal(invariant.metric_eigenvalues(sp, c), want)
+            if reject:
+                with pytest.raises(NotPositiveDefinite) as err:
+                    invariant.positive_spectrum(sp, c)
+                assert err.value.min_eigenvalue == least
+            else:
+                assert np.array_equal(invariant.positive_spectrum(sp, c), want)
+
     def test_mixing_edges(self):
         # mixing near +-sqrt(x_i x_j), where xi1 is small and the product
         # form matters, and below the 1e-14 cut, where the pair is unmixed
