@@ -1,13 +1,13 @@
 """Exact count of the diagonal invariant Einstein metrics of a flag.
 
-On a diagonal metric ``x_1, ..., x_s`` the reduced Ricci engine
-(:class:`~einflag.curvature.ReducedRicci`) is a Laurent polynomial in the
-x with the engine's entries as coefficients, and those entries are
-rationals of small denominator.  :func:`diagonal_system` rebuilds them as
-fractions, gauges ``x_s = 1`` and clears denominators: the Einstein
-equations ``r_{i+1} = r_i`` of the per-summand Ricci values become integer
-polynomials -- one univariate polynomial on a two-summand flag, two plane
-curves ``f1, f2`` in ``(x, y)`` on a three-summand flag.
+On a diagonal metric ``x_1, ..., x_s`` the reduced Ricci engine is a
+Laurent polynomial in the x
+(:meth:`~einflag.curvature.ReducedRicci.diagonal_terms`), and its
+coefficients are rationals of small denominator.  :func:`diagonal_system`
+rebuilds them as fractions, gauges ``x_s = 1`` and clears denominators:
+the Einstein equations ``r_{i+1} = r_i`` of the per-summand Ricci values
+become integer polynomials -- one univariate polynomial on a two-summand
+flag, two plane curves ``f1, f2`` in ``(x, y)`` on a three-summand flag.
 
 :func:`diagonal_count` counts their positive solutions exactly.  A
 three-summand system is sheared to ``u = x + k y`` so that both equations
@@ -362,32 +362,17 @@ def diagonal_system(engine):
     :class:`NoExactCount` when an entry of the engine is no small-denominator
     rational, or when an equation vanishes identically.
     """
-    s, n = engine.n_sub, engine.dim
-    m1 = _fit(engine._m1.tolist(), "M1")
-    quad = _fit(engine._quad.tolist(), "the quadratic term")
-    (kappa,) = _fit([engine._kappa_term.tolist()], "the Killing term")
-
-    def monomial(k):
-        # hc_k = h_q c_p = x_p / x_q on a diagonal metric (h_q = 0 on the
-        # mixing slots); None where it vanishes there
-        q, p = divmod(int(k), n)
-        if q >= s or p >= s:
-            return None
-        e = [0] * s
-        e[p] += 1
-        e[q] -= 1
-        return e
-
-    terms = [(monomial(k), row) for k, row in enumerate(m1)]
-    for l, k, row in zip(engine._left.tolist(), engine._right.tolist(), quad):
-        el, ek = monomial(l), monomial(k)
-        if el is not None and ek is not None:
-            terms.append(([u + v for u, v in zip(el, ek)], row))
+    s = engine.n_sub
+    linear, quadratic, killing = engine.diagonal_terms()
+    terms = []
+    for group, what in ((linear, "M1"), (quadratic, "the quadratic term")):
+        terms += zip([e for e, _ in group], _fit([row for _, row in group], what))
+    (kappa,) = _fit([killing], "the Killing term")
     ricci = [{(0,) * s: kappa[r]} for r in range(s)]
     for e, row in terms:
         for r in range(s):
-            if e is not None and row[r]:
-                ricci[r][tuple(e)] = ricci[r].get(tuple(e), 0) + row[r]
+            if row[r]:
+                ricci[r][e] = ricci[r].get(e, 0) + row[r]
 
     def per_summand(r):
         # r_r = rho_r / x_r

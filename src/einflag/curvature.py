@@ -413,6 +413,39 @@ class ReducedRicci:
         rho = hc @ self._m1 + quad @ self._quad + self._kappa_term
         return rho.reshape(c.shape)
 
+    def diagonal_terms(self):
+        """The Ricci coefficients on a diagonal metric, as Laurent terms.
+
+        With the mixing coefficients 0 and ``x_1, ..., x_s`` on the summands,
+        a product ``h_q c_p`` is ``x_p / x_q`` for two summands and 0 when
+        either index is a mixing slot, so ``rho = sum_e row_e x^e + killing``
+        over the surviving terms.  Returns ``(linear, quadratic, killing)``:
+        the terms of the linear and of the quadratic sum as ``(e, row)``
+        pairs, ``e`` a tuple of s integer exponents and ``row`` the n floats
+        of the term in each Ricci coefficient, not merged across equal
+        exponents; and the Killing row.  Plain lists of floats, for exact
+        arithmetic downstream (:mod:`einflag.algebraic`).
+        """
+        s, n = self.n_sub, self.dim
+
+        def exponent(k):
+            q, p = divmod(k, n)
+            if q >= s or p >= s:
+                return None
+            return tuple((i == p) - (i == q) for i in range(s))
+
+        linear = [
+            (e, row)
+            for k, row in enumerate(self._m1.tolist())
+            if (e := exponent(k)) is not None
+        ]
+        quadratic = []
+        for l, k, row in zip(self._left.tolist(), self._right.tolist(), self._quad.tolist()):
+            el, ek = exponent(l), exponent(k)
+            if el is not None and ek is not None:
+                quadratic.append((tuple(u + v for u, v in zip(el, ek)), row))
+        return linear, quadratic, self._kappa_term.tolist()
+
     def scalar(self, coeffs):
         """Scalar curvature; equal to ``curvature(metric).scalar``.
 

@@ -33,7 +33,6 @@ projectors are the diagonal scales; the intertwiner coefficients are the
 mixing parameters (named ``b`` for the four-parameter families).
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -543,11 +542,6 @@ def _eigenvalue_list(space, c):
     return lam
 
 
-def _single(c):
-    """Whether ``c`` is one finite coefficient vector, for the float path."""
-    return c.ndim == 1 and all(map(math.isfinite, c.tolist()))
-
-
 def metric_eigenvalues(space, coeffs):
     """Eigenvalues of the metric operator from its coefficients, one per summand.
 
@@ -557,11 +551,8 @@ def metric_eigenvalues(space, coeffs):
     from the trace, the other from ``xi1 xi2 = x_i x_j - b^2``, so neither
     cancels.  An unmixed pair, ``|b| < 1e-14``, keeps ``x_i`` and ``x_j``.
     Shape ``(..., n)`` in, ``(..., n_sub)`` out, with summand multiplicities.
-    One finite vector takes a plain-float path with the same result.
     """
     c = np.asarray(coeffs, dtype=float)
-    if _single(c):
-        return np.array(_eigenvalue_list(space, c))
     s = space.n_sub
     lam = np.array(c[..., :s])
     if not space.pairs:
@@ -579,33 +570,45 @@ def metric_eigenvalues(space, coeffs):
     return lam
 
 
-def positive_spectrum(space, coeffs):
-    """:func:`metric_eigenvalues`, after the positive-definiteness rule.
+def _indefinite(lo, hi):
+    """The positive-definiteness rule: where it fails, from extreme eigenvalues.
 
-    A coefficient vector is a metric when its smallest eigenvalue exceeds
-    ``1e-12 * max(1, |largest|)``.  ``coeffs`` has shape ``(..., n)``; the
-    first row that fails raises :class:`NotPositiveDefinite`.  One finite
-    vector takes a plain-float path with the same result.
+    A coefficient vector is a metric when its smallest eigenvalue ``lo``
+    exceeds ``1e-12 * max(1, |hi|)``, ``hi`` its largest.  Floats give a
+    bool, arrays a mask; the bound is taken as ``max(1e-12, 1e-12 * |hi|)``,
+    the same number since rounding is monotone, so both compare alike.
+    """
+    return (lo <= 1e-12) | (lo <= 1e-12 * abs(hi))
+
+
+def _not_definite(c, lo):
+    return NotPositiveDefinite(
+        f"metric coefficients {c.tolist()} are not positive definite",
+        min_eigenvalue=float(lo),
+    )
+
+
+def positive_spectrum(space, coeffs):
+    """:func:`metric_eigenvalues`, after the :func:`_indefinite` rule.
+
+    ``coeffs`` has shape ``(..., n)``; the first row that fails raises
+    :class:`NotPositiveDefinite`.  One vector, as :func:`make_metric` passes
+    after rejecting non-finite coefficients, goes through plain floats, bit
+    for bit the stacked result.
     """
     c = np.asarray(coeffs, dtype=float)
-    if _single(c):
+    if c.ndim == 1:
         lam = _eigenvalue_list(space, c)
         lo = min(lam)
-        if lo <= 1e-12 * max(1.0, abs(max(lam))):
-            raise NotPositiveDefinite(
-                f"metric coefficients {c.tolist()} are not positive definite",
-                min_eigenvalue=lo,
-            )
+        if _indefinite(lo, max(lam)):
+            raise _not_definite(c, lo)
         return np.array(lam)
     lam = metric_eigenvalues(space, c)
     lo = lam.min(axis=-1)
-    bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=-1)))
+    bad = _indefinite(lo, lam.max(axis=-1))
     if np.any(bad):
         k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NotPositiveDefinite(
-            f"metric coefficients {c[k].tolist()} are not positive definite",
-            min_eigenvalue=float(lo[k]),
-        )
+        raise _not_definite(c[k], lo[k])
     return lam
 
 

@@ -55,9 +55,9 @@ def test_double_root_flags_read_the_normal_metric_exactly(text):
 def test_rounding_noise_in_the_killing_term_fits_as_zero(text):
     # kappa carries an entry of about 3e-16 that is exactly zero; it is
     # judged against the largest entry of its array
-    kappa = engine(text)._kappa_term
-    assert 0 < np.min(np.abs(kappa)) < 1e-15
-    (fitted,) = algebraic._fit([kappa.tolist()], "kappa")
+    *_, kappa = engine(text).diagonal_terms()
+    assert 0 < min(map(abs, kappa)) < 1e-15
+    (fitted,) = algebraic._fit([kappa], "kappa")
     assert 0 in fitted and all(isinstance(v, Fraction) for v in fitted)
 
 

@@ -465,3 +465,21 @@ def test_u_map_matches_dense_contraction(text):
         by = np.einsum("ia,j,ijc->ac", V, y, sp.structure)
         want = V @ (0.5 * (bx @ (A @ y) + by @ (A @ x)))
         assert np.max(np.abs(u_map(m, x, y) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "text", ["B:3:[3]:-", "A:3:[2,1,1]:-", "D:5:[4,1]:-", "A:5:[1,2,3]:-", "A:25:[20,3,3]:-"]
+)
+def test_diagonal_terms_evaluate_to_the_engine(text):
+    # the Laurent terms summed at a diagonal metric give the engine's Ricci
+    # coefficients, mixing slots included
+    sp = metric_space(parse_flag_spec(text))
+    engine = reduced_ricci(sp.spec)
+    linear, quadratic, killing = engine.diagonal_terms()
+    assert all(len(e) == sp.n_sub and len(row) == sp.dim for e, row in linear + quadratic)
+    x = np.random.default_rng(13).uniform(0.5, 2.0, sp.n_sub)
+    rho = np.array(killing)
+    for e, row in linear + quadratic:
+        rho = rho + np.prod(x ** np.array(e)) * np.array(row)
+    want = engine(np.r_[x, np.zeros(sp.dim - sp.n_sub)])
+    assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))

@@ -335,11 +335,12 @@ class TestMetricEigenvalues:
 
     @pytest.mark.parametrize("text", _spectrum_flags())
     def test_single_vector_path_matches_the_stack(self, text):
-        # one finite vector takes the plain-float path: it must give the
-        # stacked path's bits, and the same positive-definiteness verdict.
-        # Only a pair does arithmetic beyond a copy, and a rounding
-        # difference there (math.hypot for np.hypot) shows on about one
-        # row in a thousand, so pair flags get many rows
+        # positive_spectrum takes one vector through plain floats: every
+        # row, indefinite ones too, must give the stacked path's bits, and
+        # the same positive-definiteness verdict.  Only a pair does
+        # arithmetic beyond a copy, and a rounding difference there
+        # (math.hypot for np.hypot) shows on about one row in a thousand,
+        # so pair flags get many rows
         sp = space(text)
         rng = np.random.default_rng(3)
         rows = list(rng.uniform(-1.0, 2.0, (2048 if sp.pairs else 16, sp.dim)))
@@ -355,7 +356,7 @@ class TestMetricEigenvalues:
         bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=1)))
         assert bad.any() and not bad.all()
         for c, want, reject, least in zip(stack, lam, bad, lo):
-            assert np.array_equal(invariant.metric_eigenvalues(sp, c), want)
+            assert invariant._eigenvalue_list(sp, c) == want.tolist()
             if reject:
                 with pytest.raises(NotPositiveDefinite) as err:
                     invariant.positive_spectrum(sp, c)
