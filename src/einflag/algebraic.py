@@ -63,15 +63,16 @@ class DiagonalCount:
     """Every positive solution of the gauged diagonal Einstein system.
 
     ``points`` holds one tuple ``(x_1, ..., x_{s-1})`` of floats per
-    solution (the gauged ``x_s = 1`` left out), ``exact`` whether each
-    point is rational, its floats then the rounded exact values,
-    ``multiplicities`` the multiplicity of each one as a root of the
+    solution (the gauged ``x_s = 1`` left out), each rounded from a
+    rational: the solution itself where it is rational, else its value at
+    the end of an isolating interval narrower than ``2^-_ROOT_BITS``
+    relative; the numeric route takes these floats as its diagonal roots.
+    ``multiplicities`` holds the multiplicity of each one as a root of the
     eliminated polynomial (of ``R`` on a three-summand flag), and ``shear``
     the k of ``u = x + k y`` (None on a two-summand flag).
     """
 
     points: tuple
-    exact: tuple
     multiplicities: tuple
     shear: int | None
 
@@ -474,21 +475,17 @@ def _fiber(F1, F2, u, k):
     """Solutions over the rational u where the subresultant degenerates.
 
     The common roots y of the two equations specialized at u, with
-    ``x = u - k y`` positive, as ``((x, y), exact)`` pairs.
+    ``x = u - k y`` positive, as ``(x, y)`` pairs.
     """
     G = _gcd([_value(c, u) for c in F1], [_value(c, u) for c in F2])
     G = _primitive(_quo(G, _gcd(G, _deriv(G))))
     top = u / k
-    return [
-        ((u - k * y.b, y.b), y.exact is not None)
-        for y in _positive_roots(G, top)
-        if y.exact != top
-    ]
+    return [(u - k * y.b, y.b) for y in _positive_roots(G, top) if y.exact != top]
 
 
 def _count_plane(f1, f2, k):
     """Positive solutions of ``f1 = f2 = 0`` through the shear k, as
-    ``((x, y), exact, multiplicity)`` triples."""
+    ``((x, y), multiplicity)`` pairs."""
     F1, F2 = _shear(f1, k), _shear(f2, k)
     # a constant leading coefficient in y keeps every common root finite
     # and lets the (sub)resultants specialize at every u
@@ -517,11 +514,11 @@ def _count_plane(f1, f2, k):
                     root.exact = Fraction(-g11[0], g11[1])
                 if root.exact is None:
                     raise _NotGeneric
-                found += [(xy, exact, m) for xy, exact in _fiber(F1, F2, root.exact, k)]
+                found += [(xy, m) for xy in _fiber(F1, F2, root.exact, k)]
             elif -root.sign_of(s10) * sign11 > 0 and root.sign_of(xs11) * sign11 > 0:
                 u = root.b
                 y = -_value(s10, u) / _value(s11, u)
-                found.append(((u - k * y, y), root.exact is not None, m))
+                found.append(((u - k * y, y), m))
     return found
 
 
@@ -533,18 +530,14 @@ def diagonal_count(engine):
     """
     s = engine.n_sub
     if s == 1:
-        return DiagonalCount(((),), (True,), (1,), None)
+        return DiagonalCount(((),), (1,), None)
     if s > 3:
         raise NoExactCount(f"{s} summands; the exact count covers two and three")
     system = diagonal_system(engine)
     shear = None
     if s == 2:
         (p,) = system
-        found = [
-            ((root.b,), root.exact is not None, m)
-            for factor, m in _yun(p)
-            for root in _positive_roots(factor)
-        ]
+        found = [((root.b,), m) for factor, m in _yun(p) for root in _positive_roots(factor)]
     else:
         for shear in _SHEARS:
             try:
@@ -556,8 +549,7 @@ def diagonal_count(engine):
             raise NoExactCount(f"no shear u = x + k y with k in {_SHEARS} is generic")
     found.sort(key=lambda item: item[0])
     return DiagonalCount(
-        points=tuple(tuple(map(float, point)) for point, _, _ in found),
-        exact=tuple(exact for _, exact, _ in found),
-        multiplicities=tuple(m for _, _, m in found),
+        points=tuple(tuple(map(float, point)) for point, _ in found),
+        multiplicities=tuple(m for _, m in found),
         shear=shear,
     )

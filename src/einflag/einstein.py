@@ -3,17 +3,18 @@
 Einstein metrics come in homothety rays, so everything here works in the
 gauge where the last diagonal coefficient equals one.  Exact solutions are
 catalogued per family branch in :func:`closed_form_solutions`.  The
-numeric route in :func:`numeric_solutions` has two stages.  The diagonal
-stage counts the diagonal Einstein metrics exactly, by resultants and
-Sturm sequences (:mod:`einflag.algebraic`), and cross-checks that root set
-against a batched damped Newton search from a logarithmic coefficient
-grid.  On a flag with equivalent summands, the mixed stage runs the same
-search from the starts of a coarse and a denser verification grid at once,
-splits the converged rows back into one root set per grid, and requires
-the two sets to agree; so does a diagonal stage whose system has no exact
-count.  Each stage's :class:`StageCertificate` records which of the two
-applied.  A disagreement between the routes raises :class:`ConvergenceGap`
-instead of silently trusting either side.
+numeric route in :func:`numeric_solutions` has two stages, and one search
+serves both: a batched damped Newton search from a logarithmic coefficient
+grid, plus one mixing fraction per equivalent pair on the mixed stage.
+The diagonal stage counts the diagonal Einstein metrics exactly, by
+resultants and Sturm sequences (:mod:`einflag.algebraic`), takes the
+count's roots as they are, and requires the search from the coarse grid
+to find the same set.  On a flag with equivalent summands, the mixed stage
+searches from the starts of a coarse and a denser grid at once and
+requires the two root sets to agree; so does a diagonal stage whose
+system has no exact count.  Each stage's :class:`StageCertificate` records
+which of the two applied.  A disagreement between the routes raises
+:class:`ConvergenceGap` instead of silently trusting either side.
 
 The screening step groups solutions by the scale-invariant Einstein
 constant and tries to realize coincidences by explicit isometries: ambient
@@ -63,22 +64,27 @@ MATCH_RTOL = 1e-6
 CONSTANT_RTOL = 1e-8
 
 _LOG_LO, _LOG_HI = math.log(1e-2), math.log(1e2)
-# The diagonal stage cross-checks its exact count against the base level
-# alone.  The mixed stage, and a diagonal stage with no exact count, run
-# the starts of both levels through one batched damped Newton search
+_SPAN = 1.5 * math.log(10.0)
+# Grid levels of each stage, coarse then dense: ``axis`` starts per log axis
+# over ``[lo, hi]``, crossed with the mixing fractions ``fracs`` of each
+# pair (the fraction parametrization keeps every start positive definite).
+# A certified diagonal stage cross-checks its exact count against the base
+# level alone.  The mixed stage, and a diagonal stage with no exact count,
+# run the starts of both levels through one batched damped Newton search
 # (:func:`_level_roots`); the converged rows are split back by level, and
-# the two root sets are compared as if searched apart.  Diagonal axes get
-# the full grid; once an off-diagonal coefficient enters, the start set is
-# a coarser diagonal grid crossed with mixing fractions (the fraction
-# parametrization keeps every start positive definite).  The base level
-# starts only at positive fractions and recovers the negative side through
-# verified sign mirrors; the verification level searches both signs
+# the two root sets are compared as if searched apart.  The mixed base
+# level starts only at positive fractions and recovers the negative side
+# through verified sign mirrors; the dense level searches both signs
 # outright so a missing mirror would surface as a grid disagreement.
-_BASE = {"diag_axis": 21, "mixed_axis": 7, "fracs": (0.25, 0.55, 0.85)}
-_FINE = {
-    "diag_axis": 41,
-    "mixed_axis": 9,
-    "fracs": (0.2, 0.5, 0.8, -0.2, -0.5, -0.8),
+_LEVELS = {
+    "diagonal": (
+        {"lo": _LOG_LO, "hi": _LOG_HI, "axis": 21, "fracs": ()},
+        {"lo": _LOG_LO, "hi": _LOG_HI, "axis": 41, "fracs": ()},
+    ),
+    "mixed": (
+        {"lo": -_SPAN, "hi": _SPAN, "axis": 7, "fracs": (0.25, 0.55, 0.85)},
+        {"lo": -_SPAN, "hi": _SPAN, "axis": 9, "fracs": (0.2, 0.5, 0.8, -0.2, -0.5, -0.8)},
+    ),
 }
 # Controls of the batched search: iteration cap; initial, least and
 # stalling damping (relative to the largest diagonal entry of J^T J);
@@ -89,8 +95,6 @@ _DAMP_MIN = 1e-14
 _DAMP_MAX = 1e10
 _DIFF_STEP = 1.49e-8
 _STEP_TOL = 1e-10
-# largest relative correction the Newton polish of an exact root may make
-_POLISH_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,14 @@ class SolutionSet:
         return len(self.solutions)
 
     def relation(self, i, j):
-        """Screening verdict for one pair of solutions."""
+        """Screening verdict for one pair of solutions.
+
+        Raises :class:`IndexError` unless both indices lie in
+        ``range(count)``.
+        """
+        for k in (i, j):
+            if k not in range(self.count):
+                raise IndexError(f"solution index {k} out of range({self.count})")
         if i == j:
             return "WitnessedEquivalent"
         gi = next(g for g in self.groups if i in g.indices)
@@ -363,10 +374,10 @@ def _einstein_residual(engine, coeffs):
     s = engine.n_sub
     rho = engine(coeffs)
     r = rho[..., :s] / coeffs[..., :s]
-    return np.concatenate(
-        [np.diff(r, axis=-1), rho[..., s:] - r[..., s - 1 :] * coeffs[..., s:]],
-        axis=-1,
-    )
+    F = r[..., 1:] - r[..., :-1]
+    if coeffs.shape[-1] == s:
+        return F
+    return np.concatenate([F, rho[..., s:] - r[..., s - 1 :] * coeffs[..., s:]], axis=-1)
 
 
 def _difference_jacobian(fun, u, F):
@@ -448,24 +459,28 @@ def _level_roots(fun, grids):
     return [u[converged & (level == k)] for k in range(len(grids))]
 
 
-def _append_unique(found, rows, rtol=MATCH_RTOL):
+def _matches(rows, other):
+    """Whether each of ``rows`` (one vector or a stack) matches ``other``.
+
+    The one match rule of the module: every coordinate within
+    ``MATCH_RTOL`` of ``other``, relative to one plus its largest entry.
+    """
+    return np.max(np.abs(rows - other), axis=-1) <= MATCH_RTOL * (
+        1.0 + np.max(np.abs(other))
+    )
+
+
+def _append_unique(found, rows):
     """Append the rows (one vector or a stack) that match no earlier entry.
 
     Rows are taken in order, so of several matching rows the first is kept.
     """
     rows = np.atleast_2d(rows)
-
-    def unmatched(rows, other):
-        close = np.max(np.abs(rows - other), axis=1) <= rtol * (
-            1.0 + np.max(np.abs(other))
-        )
-        return rows[~close]
-
     for other in found:
-        rows = unmatched(rows, other)
+        rows = rows[~_matches(rows, other)]
     while len(rows):
         found.append(rows[0])
-        rows = unmatched(rows, rows[0])
+        rows = rows[~_matches(rows, rows[0])]
 
 
 def _canonical_key(vector):
@@ -476,182 +491,128 @@ def _canonical_sort(vectors):
     return sorted(vectors, key=_canonical_key)
 
 
-def _diag_grid(fun, s, levels):
-    """Diagonal candidates of each grid level, from one batched search."""
+def _same_root_set(a, b):
+    return len(a) == len(b) and all(any(_matches(vec, other) for other in b) for vec in a)
+
+
+def _require_same(spec, what, roots, other):
+    """Raise :class:`ConvergenceGap` unless two routes found one root set."""
+    if not _same_root_set(roots, other):
+        raise ConvergenceGap(
+            f"{spec}: {what} disagree ({len(roots)} vs {len(other)} solutions)"
+        ) from None
+
+
+def _stage_roots(space, engine, stage, levels, known=()):
+    """Einstein candidates of one stage, one root list per grid level.
+
+    The search runs over the logs of the first s - 1 diagonal coefficients
+    (the last is gauged to one) and, on the ``"mixed"`` stage, one mixing
+    fraction per pair: the mixing coefficient is that fraction of the
+    geometric mean of its diagonal partners, which builds positive
+    definiteness into the parametrization.  The ``"diagonal"`` stage
+    leaves every mixing coefficient at zero and solves only the equal
+    per-summand Ricci values.  All levels run in one batched search; each
+    level's list holds the ``known`` roots followed by its own, in
+    canonical order, as full coefficient vectors.
+    """
+    s = space.n_sub
+    p = len(space.pairs) if stage == "mixed" else 0
+    pi = [i for i, _, _ in space.pairs]
+    pj = [j for _, j, _ in space.pairs]
+
+    def assemble(u):
+        c = np.zeros(u.shape[:-1] + (space.dim,))
+        c[..., : s - 1] = np.exp(u[..., : s - 1])
+        c[..., s - 1] = 1.0
+        if p:
+            c[..., s:] = u[..., s - 1 :] * np.sqrt(c[..., pi] * c[..., pj])
+        return c
+
+    def fun(u):
+        # the first s - 1 rows of the residual are the differences of the
+        # per-summand Ricci values; a mixed stage adds one row per pair
+        outside = np.max(np.abs(u[..., : s - 1]), axis=-1, keepdims=True) > _LOG_HI + 3.0
+        if p:
+            outside |= np.max(np.abs(u[..., s - 1 :]), axis=-1, keepdims=True) > 0.999
+        F = _einstein_residual(engine, assemble(u))[..., : s - 1 + p]
+        return np.where(outside, np.inf, F)
+
     grids = [
-        list(
-            itertools.product(
-                np.linspace(_LOG_LO, _LOG_HI, level["diag_axis"]), repeat=s - 1
+        [
+            start + fracs
+            for start in itertools.product(
+                np.linspace(level["lo"], level["hi"], level["axis"]), repeat=s - 1
             )
-        )
+            for fracs in itertools.product(level["fracs"], repeat=p)
+        ]
         for level in levels
     ]
     out = []
     for u in _level_roots(fun, grids):
         keep = (np.max(np.abs(fun(u)), axis=1) <= 1e-10) & (
-            np.max(np.abs(u), axis=1) <= _LOG_HI + 2.0
+            np.max(np.abs(u[:, : s - 1]), axis=1) <= _LOG_HI + 2.0
         )
-        found = []
-        # the gauged last coefficient is exp(0) = 1
-        _append_unique(found, np.exp(np.pad(u[keep], ((0, 0), (0, 1)))))
+        if p:
+            keep &= np.max(np.abs(u[:, s - 1 :]), axis=1) < 0.999
+        found = list(known)
+        _append_unique(found, assemble(u[keep]))
+        if p:
+            # mirror the mixing signs: swapping an equivalent pair is an
+            # isometry fixing the diagonal part, so the mirrored coefficients
+            # solve too; they are admitted by the same residual test as
+            # every grid root
+            for vec in list(found):
+                if np.max(np.abs(vec[s:])) > 1e-8:
+                    mirrored = vec.copy()
+                    mirrored[s:] = -mirrored[s:]
+                    if np.max(np.abs(_einstein_residual(engine, mirrored))) <= 1e-10:
+                        _append_unique(found, mirrored)
         out.append(_canonical_sort(found))
     return out
-
-
-def _polish(fun, point):
-    """One Newton step on the log-coordinates of an exact-count root.
-
-    The step only corrects the rounding of a root bisected to float
-    precision: it is taken when it lowers the engine residual and moves no
-    coordinate by more than ``_POLISH_RTOL`` relative.  A larger correction
-    would mean the exact system and the engine disagree, which the grid
-    cross-check must see rather than the polish hide.
-    """
-    u = np.log(point)[None, :]
-    F = fun(u)
-    J = _difference_jacobian(fun, u, F)
-    try:
-        step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        return point
-    trial = u + step
-    small = np.max(np.abs(step)) <= _POLISH_RTOL
-    if small and np.max(np.abs(fun(trial))) < np.max(np.abs(F)):
-        return np.exp(trial[0])
-    return point
 
 
 def _diag_roots(space, engine):
     """Diagonal Einstein candidates (last coefficient gauged to one).
 
     The exact count (:func:`~einflag.algebraic.diagonal_count`) gives the
-    roots; the base grid must find the same set.  Where no exact count
-    applies, both grid levels run and must agree instead.  Returns the
-    roots and the stage's :class:`StageCertificate`.
+    roots as they are; the base grid must find the same set.  Where no
+    exact count applies, both grid levels run and must agree instead.
+    Returns the roots, as full coefficient vectors with zero mixing
+    coefficients, and the stage's :class:`StageCertificate`.
     """
-    s = space.n_sub
-
-    def fun(u):
-        # gauge coefficient one, mixing coefficients zero; on a diagonal
-        # metric only the differences of the per-summand Ricci values remain
-        c = np.zeros(u.shape[:-1] + (space.dim,))
-        c[..., : s - 1] = np.exp(u)
-        c[..., s - 1] = 1.0
-        r = engine(c)[..., :s] / c[..., :s]
-        F = r[..., 1:] - r[..., :-1]
-        outside = np.max(np.abs(u), axis=-1, keepdims=True) > _LOG_HI + 3.0
-        return np.where(outside, np.inf, F)
-
+    s, levels = space.n_sub, _LEVELS["diagonal"]
     try:
         count = diagonal_count(engine)
     except NoExactCount as exc:
-        roots, verify = _diag_grid(fun, s, (_BASE, _FINE))
-        if not _same_root_set(roots, verify):
-            raise ConvergenceGap(
-                f"{space.spec}: diagonal grid densities disagree "
-                f"({len(roots)} vs {len(verify)} solutions)"
-            ) from None
+        roots, verify = _stage_roots(space, engine, "diagonal", levels)
+        _require_same(space.spec, "diagonal grid densities", roots, verify)
         return roots, StageCertificate("diagonal", f"grid-only: {exc}")
 
-    found = []
-    for point, exact, mult in zip(count.points, count.exact, count.multiplicities):
-        point = np.array(point)
-        if not exact and mult == 1:
-            point = _polish(fun, point)
-        found.append((np.append(point, 1.0), mult))
-    found.sort(key=lambda item: _canonical_key(item[0]))
+    pad = (1.0,) + (0.0,) * (space.dim - s)
+    found = sorted(
+        ((np.array(point + pad), m) for point, m in zip(count.points, count.multiplicities)),
+        key=lambda item: _canonical_key(item[0]),
+    )
     roots = [vec for vec, _ in found]
     if s > 1:
-        (grid,) = _diag_grid(fun, s, (_BASE,))
-        if not _same_root_set(roots, grid):
-            raise ConvergenceGap(
-                f"{space.spec}: the exact count and the base grid disagree on "
-                f"the diagonal solutions ({len(roots)} vs {len(grid)})"
-            )
+        (grid,) = _stage_roots(space, engine, "diagonal", levels[:1])
+        _require_same(
+            space.spec, "the exact count and the base grid of the diagonal stage",
+            roots, grid,
+        )
     return roots, StageCertificate(
         "diagonal", "certified", count.shear, tuple(m for _, m in found)
     )
 
 
-def _mixed_roots(space, engine, diag, levels):
-    """Einstein candidates of a space with equivalent-pair coefficients.
-
-    Positive definiteness is built into the parametrization: the mixing
-    coefficients are fractions of the geometric mean of their diagonal
-    partners.  All grid levels run in one batched search; each level's
-    candidates are the diagonal roots ``diag`` followed by its own mixed
-    roots, one candidate list per level.
-    """
-    s, p = space.n_sub, len(space.pairs)
-    pi = [i for i, _, _ in space.pairs]
-    pj = [j for _, j, _ in space.pairs]
-
-    def assemble(u):
-        x = np.concatenate(
-            [np.exp(u[..., : s - 1]), np.ones(u.shape[:-1] + (1,))], axis=-1
-        )
-        b = u[..., s - 1 :] * np.sqrt(x[..., pi] * x[..., pj])
-        return np.concatenate([x, b], axis=-1)
-
-    def fun(u):
-        outside = (np.max(np.abs(u[..., s - 1 :]), axis=-1, keepdims=True) > 0.999) | (
-            np.max(np.abs(u[..., : s - 1]), axis=-1, keepdims=True) > _LOG_HI + 3.0
-        )
-        return np.where(outside, np.inf, _einstein_residual(engine, assemble(u)))
-
-    span = 1.5 * math.log(10.0)
-    grids = [
-        [
-            diag_start + frac_start
-            for diag_start in itertools.product(
-                np.linspace(-span, span, level["mixed_axis"]), repeat=s - 1
-            )
-            for frac_start in itertools.product(level["fracs"], repeat=p)
-        ]
-        for level in levels
-    ]
-    out = []
-    for u in _level_roots(fun, grids):
-        found = [np.concatenate([d, np.zeros(p)]) for d in diag]
-        keep = (
-            (np.max(np.abs(fun(u)), axis=1) <= 1e-10)
-            & (np.max(np.abs(u[:, : s - 1]), axis=1) <= _LOG_HI + 2.0)
-            & (np.max(np.abs(u[:, s - 1 :]), axis=1) < 0.999)
-        )
-        _append_unique(found, assemble(u[keep]))
-        # mirror the mixing signs: swapping an equivalent pair is an isometry
-        # fixing the diagonal part, so the mirrored coefficients solve too;
-        # they are admitted by the same residual test as every grid root
-        for vec in list(found):
-            if np.max(np.abs(vec[s:])) > 1e-8:
-                mirrored = vec.copy()
-                mirrored[s:] = -mirrored[s:]
-                if np.max(np.abs(_einstein_residual(engine, mirrored))) <= 1e-10:
-                    _append_unique(found, mirrored)
-        out.append(_canonical_sort(found))
-    return out
-
-
-def _same_root_set(a, b, rtol=MATCH_RTOL):
-    if len(a) != len(b):
-        return False
-    for vec in a:
-        if not any(
-            np.max(np.abs(vec - other)) <= rtol * (1.0 + np.max(np.abs(other)))
-            for other in b
-        ):
-            return False
-    return True
-
-
 def numeric_solutions(spec):
     """Einstein metrics located by exact counting and multi-start root finding.
 
-    The diagonal solutions come from the exact count of
-    :func:`~einflag.algebraic.diagonal_count`, each irrational root polished
-    by one Newton step through the reduced Ricci engine, and the base grid
-    of the batched search must find the same set.  A flag whose diagonal
-    system has no exact count, and the mixed stage of a flag with
+    The diagonal solutions are the roots of the exact count of
+    :func:`~einflag.algebraic.diagonal_count`, as they are, and the base
+    grid of the batched search must find the same set.  A flag whose
+    diagonal system has no exact count, and the mixed stage of a flag with
     equivalent pairs, are searched on two grid densities that must agree.
     Each root is then certified once by the frame-route curvature report.
     Raises :class:`TooManyParameters` for metric families with more than
@@ -677,12 +638,8 @@ def _numeric_cached(spec):
     roots, diagonal = _diag_roots(space, engine)
     stages = (diagonal,)
     if space.pairs:
-        roots, verify = _mixed_roots(space, engine, roots, (_BASE, _FINE))
-        if not _same_root_set(roots, verify):
-            raise ConvergenceGap(
-                f"{spec}: mixed grid densities disagree "
-                f"({len(roots)} vs {len(verify)} solutions)"
-            )
+        roots, verify = _stage_roots(space, engine, "mixed", _LEVELS["mixed"], roots)
+        _require_same(spec, "mixed grid densities", roots, verify)
         stages += (StageCertificate("mixed", "grid-only: no exact count of mixed metrics"),)
     solutions = tuple(
         _solution(space, vec, "numeric", f"numeric-{k + 1}")
@@ -857,9 +814,7 @@ def equivalence_screen(spec, solutions):
                     for j in cls:
                         if j == i:
                             continue
-                        if np.max(np.abs(pulled - gauged[j])) <= MATCH_RTOL * (
-                            1.0 + np.max(np.abs(gauged[j]))
-                        ):
+                        if _matches(pulled, gauged[j]):
                             union(i, j)
 
     groups = []
@@ -895,14 +850,8 @@ def equivalence_screen(spec, solutions):
 def _merge(closed, numeric):
     merged = list(closed)
     for sol in numeric:
-        vec = sol.coeffs
-        if any(
-            np.max(np.abs(vec - other.coeffs))
-            <= MATCH_RTOL * (1.0 + np.max(np.abs(other.coeffs)))
-            for other in merged
-        ):
-            continue
-        merged.append(sol)
+        if not any(_matches(sol.coeffs, other.coeffs) for other in merged):
+            merged.append(sol)
     return merged
 
 

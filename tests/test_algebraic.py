@@ -17,6 +17,7 @@ from einflag.curvature import reduced_ricci
 from einflag.einstein import numeric_solutions, solve
 from einflag.errors import ConvergenceGap, NoExactCount
 from einflag.flag import parse_flag_spec
+from einflag.invariant import metric_space
 
 # every `table1 --max-l 6` flag, plus the large three-summand flag
 FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
@@ -39,7 +40,7 @@ def test_every_diagonal_stage_is_counted(text):
         assert all(max(i + j for i, j in f) <= 4 for f in system)
     count = algebraic.diagonal_count(eng)
     assert count.shear in (None, 2)
-    assert len(count.points) == len(count.exact) == len(count.multiplicities)
+    assert len(count.points) == len(count.multiplicities)
 
 
 @pytest.mark.parametrize("text", ["A:5:[2,2,2]:-", "D:4:[3,1]:-", "D:4:[1,3]:-", "D:4:[1,2,1]:+"])
@@ -48,7 +49,7 @@ def test_double_root_flags_read_the_normal_metric_exactly(text):
     # first subresultant vanishes; it is substituted as a rational
     count = algebraic.diagonal_count(engine(text))
     assert count.points == ((1.0, 1.0),)
-    assert count.exact == (True,) and count.multiplicities == (4,)
+    assert count.multiplicities == (4,)
 
 
 @pytest.mark.parametrize("text", ["C:5:[5]:-", "C:6:[6]:-"])
@@ -59,6 +60,18 @@ def test_rounding_noise_in_the_killing_term_fits_as_zero(text):
     assert 0 < min(map(abs, kappa)) < 1e-15
     (fitted,) = algebraic._fit([kappa], "kappa")
     assert 0 in fitted and all(isinstance(v, Fraction) for v in fitted)
+
+
+@pytest.mark.parametrize("text", FLAGS)
+def test_exact_roots_reach_the_answer_unpolished(text):
+    # the diagonal solutions are the exact count's floats, bit for bit,
+    # with the gauged coefficient and zero mixing coefficients appended
+    eng = engine(text)
+    s, dim = eng.n_sub, metric_space(parse_flag_spec(text)).dim
+    pad = (1.0,) + (0.0,) * (dim - s)
+    want = sorted(point + pad for point in algebraic.diagonal_count(eng).points)
+    got = [tuple(map(float, sol.coeffs)) for sol in numeric_solutions(text)]
+    assert sorted(vec for vec in got if not any(vec[s:])) == want
 
 
 def test_certificates_in_the_solution_set():
@@ -91,9 +104,9 @@ def test_unfit_entry_raises_no_exact_count(value, reason):
         algebraic.diagonal_count(with_entry(engine("B:4:[4]:-"), value))
 
 
-def test_unfit_entry_marks_the_stage_grid_only(cold_search, monkeypatch):
-    # the exact count sees the injected entry; the grids see the true
-    # engine, run both levels, and find the usual two metrics
+def grid_only_solve(text, monkeypatch):
+    """Solve with π injected into the exact count's engine, recording how
+    many grid levels each batched search runs."""
     count = einflag.einstein.diagonal_count
     monkeypatch.setattr(
         einflag.einstein, "diagonal_count", lambda eng: count(with_entry(eng, math.pi))
@@ -106,11 +119,27 @@ def test_unfit_entry_marks_the_stage_grid_only(cold_search, monkeypatch):
         return fused(fun, grids)
 
     monkeypatch.setattr(einflag.einstein, "_level_roots", recorded)
-    result = solve("B:4:[4]:-", mode="numeric")
+    return solve(text, mode="numeric"), levels
+
+
+def test_unfit_entry_marks_the_stage_grid_only(cold_search, monkeypatch):
+    # the exact count sees the injected entry; the grids see the true
+    # engine, run both levels, and find the usual two metrics
+    result, levels = grid_only_solve("B:4:[4]:-", monkeypatch)
     assert result.count == 2 and levels == [2]
     (diag,) = result.completeness
     assert diag.status.startswith("grid-only: M1 entry 3.14159")
     assert diag.shear is None and diag.multiplicities == ()
+
+
+def test_unfit_entry_on_a_pair_flag(cold_search, monkeypatch):
+    # the grid-only diagonal stage runs both of its levels, the mixed stage
+    # both of its own, and the six metrics of the flag are all found
+    result, levels = grid_only_solve("D:5:[4,1]:-", monkeypatch)
+    assert result.count == 6 and levels == [2, 2]
+    diag, mixed = result.completeness
+    assert diag.status.startswith("grid-only: M1 entry 3.14159")
+    assert mixed.status.startswith("grid-only: ")
 
 
 # ---------------------------------------------------------------------------

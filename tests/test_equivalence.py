@@ -67,3 +67,11 @@ def test_relation_is_reflexive():
     st = solve("B:3:[3]:-")
     assert st.relation(0, 0) == "WitnessedEquivalent"
     assert st.relation(1, 1) == "WitnessedEquivalent"
+
+
+@pytest.mark.parametrize("i, j", [(5, 5), (0, 5), (5, 0), (-1, 0), (2, 2)])
+def test_relation_rejects_an_index_out_of_range(i, j):
+    st = solve("B:3:[3]:-")
+    assert st.count == 2
+    with pytest.raises(IndexError, match="out of range"):
+        st.relation(i, j)
