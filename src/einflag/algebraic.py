@@ -537,7 +537,9 @@ def diagonal_count(engine):
     shear = None
     if s == 2:
         (p,) = system
-        found = [((root.b,), m) for factor, m in _yun(p) for root in _positive_roots(factor)]
+        found = [
+            ((root.b,), m) for factor, m in _yun(p) for root in _positive_roots(factor)
+        ]
     else:
         for shear in _SHEARS:
             try:

@@ -83,7 +83,12 @@ _LEVELS = {
     ),
     "mixed": (
         {"lo": -_SPAN, "hi": _SPAN, "axis": 7, "fracs": (0.25, 0.55, 0.85)},
-        {"lo": -_SPAN, "hi": _SPAN, "axis": 9, "fracs": (0.2, 0.5, 0.8, -0.2, -0.5, -0.8)},
+        {
+            "lo": -_SPAN,
+            "hi": _SPAN,
+            "axis": 9,
+            "fracs": (0.2, 0.5, 0.8, -0.2, -0.5, -0.8),
+        },
     ),
 }
 # Controls of the batched search: iteration cap; initial, least and
@@ -374,10 +379,10 @@ def _einstein_residual(engine, coeffs):
     s = engine.n_sub
     rho = engine(coeffs)
     r = rho[..., :s] / coeffs[..., :s]
-    F = r[..., 1:] - r[..., :-1]
-    if coeffs.shape[-1] == s:
-        return F
-    return np.concatenate([F, rho[..., s:] - r[..., s - 1 :] * coeffs[..., s:]], axis=-1)
+    return np.concatenate(
+        [r[..., 1:] - r[..., :-1], rho[..., s:] - r[..., s - 1 :] * coeffs[..., s:]],
+        axis=-1,
+    )
 
 
 def _difference_jacobian(fun, u, F):
@@ -487,37 +492,32 @@ def _canonical_key(vector):
     return tuple(np.round(vector, 9))
 
 
-def _canonical_sort(vectors):
-    return sorted(vectors, key=_canonical_key)
-
-
-def _same_root_set(a, b):
-    return len(a) == len(b) and all(any(_matches(vec, other) for other in b) for vec in a)
-
-
 def _require_same(spec, what, roots, other):
     """Raise :class:`ConvergenceGap` unless two routes found one root set."""
-    if not _same_root_set(roots, other):
+    if len(roots) != len(other) or not all(
+        any(_matches(vec, b) for b in other) for vec in roots
+    ):
         raise ConvergenceGap(
             f"{spec}: {what} disagree ({len(roots)} vs {len(other)} solutions)"
         ) from None
 
 
-def _stage_roots(space, engine, stage, levels, known=()):
+def _stage_roots(space, engine, levels, known=()):
     """Einstein candidates of one stage, one root list per grid level.
 
+    ``levels`` are those of one stage in ``_LEVELS``, or a prefix of them.
     The search runs over the logs of the first s - 1 diagonal coefficients
-    (the last is gauged to one) and, on the ``"mixed"`` stage, one mixing
-    fraction per pair: the mixing coefficient is that fraction of the
-    geometric mean of its diagonal partners, which builds positive
-    definiteness into the parametrization.  The ``"diagonal"`` stage
-    leaves every mixing coefficient at zero and solves only the equal
-    per-summand Ricci values.  All levels run in one batched search; each
-    level's list holds the ``known`` roots followed by its own, in
-    canonical order, as full coefficient vectors.
+    (the last is gauged to one) and, where the levels carry mixing
+    fractions (the mixed stage), one fraction per pair: the mixing
+    coefficient is that fraction of the geometric mean of its diagonal
+    partners, which builds positive definiteness into the parametrization.
+    Without fractions (the diagonal stage) every mixing coefficient stays
+    at zero and only the per-summand Ricci values are equated.  All levels
+    run in one batched search; each level's list holds the ``known`` roots
+    followed by its own, in canonical order, as full coefficient vectors.
     """
     s = space.n_sub
-    p = len(space.pairs) if stage == "mixed" else 0
+    p = len(space.pairs) if levels[0]["fracs"] else 0
     pi = [i for i, _, _ in space.pairs]
     pj = [j for _, j, _ in space.pairs]
 
@@ -532,7 +532,9 @@ def _stage_roots(space, engine, stage, levels, known=()):
     def fun(u):
         # the first s - 1 rows of the residual are the differences of the
         # per-summand Ricci values; a mixed stage adds one row per pair
-        outside = np.max(np.abs(u[..., : s - 1]), axis=-1, keepdims=True) > _LOG_HI + 3.0
+        outside = (
+            np.max(np.abs(u[..., : s - 1]), axis=-1, keepdims=True) > _LOG_HI + 3.0
+        )
         if p:
             outside |= np.max(np.abs(u[..., s - 1 :]), axis=-1, keepdims=True) > 0.999
         F = _einstein_residual(engine, assemble(u))[..., : s - 1 + p]
@@ -550,25 +552,24 @@ def _stage_roots(space, engine, stage, levels, known=()):
     ]
     out = []
     for u in _level_roots(fun, grids):
-        keep = (np.max(np.abs(fun(u)), axis=1) <= 1e-10) & (
-            np.max(np.abs(u[:, : s - 1]), axis=1) <= _LOG_HI + 2.0
+        keep = (
+            (np.max(np.abs(fun(u)), axis=1) <= 1e-10)
+            & (np.max(np.abs(u[:, : s - 1]), axis=1) <= _LOG_HI + 2.0)
+            & np.all(np.abs(u[:, s - 1 :]) < 0.999, axis=1)
         )
-        if p:
-            keep &= np.max(np.abs(u[:, s - 1 :]), axis=1) < 0.999
         found = list(known)
         _append_unique(found, assemble(u[keep]))
-        if p:
-            # mirror the mixing signs: swapping an equivalent pair is an
-            # isometry fixing the diagonal part, so the mirrored coefficients
-            # solve too; they are admitted by the same residual test as
-            # every grid root
-            for vec in list(found):
-                if np.max(np.abs(vec[s:])) > 1e-8:
-                    mirrored = vec.copy()
-                    mirrored[s:] = -mirrored[s:]
-                    if np.max(np.abs(_einstein_residual(engine, mirrored))) <= 1e-10:
-                        _append_unique(found, mirrored)
-        out.append(_canonical_sort(found))
+        # mirror the mixing signs: swapping an equivalent pair is an
+        # isometry fixing the diagonal part, so the mirrored coefficients
+        # solve too; they are admitted by the same residual test as every
+        # grid root
+        for vec in list(found):
+            if np.any(np.abs(vec[s:]) > 1e-8):
+                mirrored = vec.copy()
+                mirrored[s:] = -mirrored[s:]
+                if np.max(np.abs(_einstein_residual(engine, mirrored))) <= 1e-10:
+                    _append_unique(found, mirrored)
+        out.append(sorted(found, key=_canonical_key))
     return out
 
 
@@ -585,18 +586,21 @@ def _diag_roots(space, engine):
     try:
         count = diagonal_count(engine)
     except NoExactCount as exc:
-        roots, verify = _stage_roots(space, engine, "diagonal", levels)
+        roots, verify = _stage_roots(space, engine, levels)
         _require_same(space.spec, "diagonal grid densities", roots, verify)
         return roots, StageCertificate("diagonal", f"grid-only: {exc}")
 
     pad = (1.0,) + (0.0,) * (space.dim - s)
     found = sorted(
-        ((np.array(point + pad), m) for point, m in zip(count.points, count.multiplicities)),
+        (
+            (np.array(point + pad), m)
+            for point, m in zip(count.points, count.multiplicities)
+        ),
         key=lambda item: _canonical_key(item[0]),
     )
     roots = [vec for vec, _ in found]
     if s > 1:
-        (grid,) = _stage_roots(space, engine, "diagonal", levels[:1])
+        (grid,) = _stage_roots(space, engine, levels[:1])
         _require_same(
             space.spec, "the exact count and the base grid of the diagonal stage",
             roots, grid,
@@ -638,7 +642,7 @@ def _numeric_cached(spec):
     roots, diagonal = _diag_roots(space, engine)
     stages = (diagonal,)
     if space.pairs:
-        roots, verify = _stage_roots(space, engine, "mixed", _LEVELS["mixed"], roots)
+        roots, verify = _stage_roots(space, engine, _LEVELS["mixed"], roots)
         _require_same(spec, "mixed grid densities", roots, verify)
         stages += (StageCertificate("mixed", "grid-only: no exact count of mixed metrics"),)
     solutions = tuple(
