@@ -36,11 +36,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ClosureViolation, UnsupportedRank
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+# larger ranks are refused before any allocation: A:25 (dimension 325) is the
+# largest algebra the tests and the benchmark build, and `einflag list` at
+# rank 25 already needs gigabytes
+_MAX_RANK = 25
 
 
 def _root_label(root):
@@ -360,12 +363,22 @@ class AlgebraModel:
         return arrays
 
     def _build_killing(self):
-        # K[a, b] = tr(ad_a ad_b) = sum_{j,k} C[a,j,k] C[b,k,j]
+        # K[a, b] = tr(ad_a ad_b) = sum_{j,k} C[a,j,k] C[b,k,j]: each entry e
+        # with key j*n + k pairs with every entry f whose transposed key
+        # K[f]*n + J[f] equals it, found by a sort and two searchsorted calls
         I, J, K, V = self.structure_index
         n = self.n
-        S = scipy.sparse.csr_matrix((V, (I, J * n + K)), shape=(n, n * n))
-        T = scipy.sparse.csr_matrix((V, (I, K * n + J)), shape=(n, n * n))
-        Kill = (S @ T.T).toarray()
+        key, tkey = J * n + K, K * n + J
+        order = np.argsort(tkey, kind="stable")
+        tkey = tkey[order]
+        lo = np.searchsorted(tkey, key, "left")
+        counts = np.searchsorted(tkey, key, "right") - lo
+        e = np.repeat(np.arange(len(key)), counts)
+        start = np.cumsum(counts) - counts
+        f = order[np.arange(len(e)) - np.repeat(start - lo, counts)]
+        Kill = np.bincount(
+            I[e] * n + I[f], weights=V[e] * V[f], minlength=n * n
+        ).reshape(n, n)
         return (Kill + Kill.T) / 2.0
 
     # -- coordinate operations ----------------------------------------------
@@ -396,7 +409,7 @@ def build_algebra(family, rank):
     ----------
     family : {"A", "B", "C", "D"}
     rank : int
-        At least 1 (A), 2 (B, C) or 3 (D).
+        At least 1 (A), 2 (B, C) or 3 (D), and at most 25.
     """
     if family not in _MIN_RANK:
         raise ValueError(f"unknown family {family!r}")
@@ -404,5 +417,7 @@ def build_algebra(family, rank):
         raise UnsupportedRank(
             f"family {family} requires rank >= {_MIN_RANK[family]}, got {rank}"
         )
+    if rank > _MAX_RANK:
+        raise UnsupportedRank(f"rank {rank} exceeds the supported maximum {_MAX_RANK}")
     return AlgebraModel(family, rank)
 

@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 when a verified invariant fails (a failed
 check, a solver-route disagreement, a bracket or isotropy generator that
 breaks the construction, or a table row that contradicts the published
-count), 2 for unsupported or malformed inputs and for an output file that
-cannot be written.
+count), 2 for unsupported or malformed inputs (a rank above 25 among
+them), for an output file that cannot be written, and when memory runs out.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 import time
 
 from . import __version__
+from .algebra import _MAX_RANK
 from .einstein import published_row, solve, table1_row
 from .errors import (
     BadFlag,
@@ -195,6 +196,8 @@ def _table_rows(max_l):
 def _cmd_table1(args, parser):
     if args.max_l < 1:
         parser.error(f"table1 requires --max-l >= 1, got {args.max_l}")
+    if args.max_l > _MAX_RANK:
+        parser.error(f"table1 requires --max-l <= {_MAX_RANK}, got {args.max_l}")
     specs = _table_rows(args.max_l)
     header = (
         "flag",
@@ -314,6 +317,9 @@ def main(argv=None):
         # disagreement or a construction step whose verification failed
         print(f"einflag: invariant failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"einflag: out of memory: {exc}", file=sys.stderr)
+        return 2
     parser.error(f"unknown command {args.command!r}")
 
 

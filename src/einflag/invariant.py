@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (
     GeneratorMismatch,
@@ -311,7 +312,7 @@ def commutation_residual(space):
 
 def _probes(reps, signs, d):
     """Two random combinations of the isotropy reps and one of the signs."""
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     X, Y, Z = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
     for R, x, y in zip(reps, rng.standard_normal(len(reps)), rng.standard_normal(len(reps))):
         X += x * R

@@ -58,7 +58,9 @@ def test_root_labels():
     assert c.basis[c.label_index["u(2,2)"]].root_label == "2l2"
 
 
-@pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 2)])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("A", 26), ("D", 26)]
+)
 def test_unsupported_rank(family, rank):
     with pytest.raises(UnsupportedRank):
         build_algebra(family, rank)
@@ -232,3 +234,20 @@ def test_expand_matrix_rejects_outside_span():
     M[1, 0] = 1.0
     _, residual = model.expand_matrix(M)
     assert residual > 0.5
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("A", 6), ("B", 4), ("C", 6), ("D", 6), ("A", 25)]
+)
+def test_killing_matrix_equals_the_sparse_product(family, rank):
+    # the sort-merge reproduces the CSR product of the structure matrices
+    # C[a, (j, k)] and C[b, (k, j)] bit for bit
+    sparse = pytest.importorskip("scipy.sparse")
+    model = build_algebra(family, rank)
+    I, J, K, V = model.structure_index
+    n = model.n
+    S = sparse.csr_matrix((V, (I, J * n + K)), shape=(n, n * n))
+    T = sparse.csr_matrix((V, (I, K * n + J)), shape=(n, n * n))
+    ref = (S @ T.T).toarray()
+    ref = (ref + ref.T) / 2.0
+    assert model.killing_matrix.tobytes() == ref.tobytes()

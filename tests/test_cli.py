@@ -131,6 +131,39 @@ def test_construction_failure_is_invariant_error(monkeypatch, capsys, error):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "A", "10000000000"],
+        ["solve", "A:1000000:[999998,1,1]:-"],
+        ["check", "A:1000000:[999998,1,1]:-"],
+    ],
+)
+def test_oversized_rank_is_usage_error(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("the model was constructed")
+
+    monkeypatch.setattr("einflag.algebra.AlgebraModel", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "exceeds the supported maximum 25" in err
+    assert "Traceback" not in err
+
+
+def test_memory_error_is_one_line(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("einflag.cli.solve", exhausted)
+    code, out, err = run(capsys, "solve", "B:3:[3]:-")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "einflag: out of memory: Unable to allocate 7.28 TiB for an array"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # list
 
@@ -164,6 +197,19 @@ def test_check_reports_every_invariant(capsys):
 
 # ---------------------------------------------------------------------------
 # table1
+
+
+@pytest.mark.parametrize("bound", ["26", "10000000000"])
+def test_table1_rejects_rank_bound_above_the_maximum(monkeypatch, capsys, bound):
+    monkeypatch.setattr("einflag.cli.table1_row", None)  # no row is computed
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--max-l", bound])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"einflag: error: table1 requires --max-l <= 25, got {bound}"
+    )
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])

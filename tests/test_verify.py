@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from einflag import verify
+from einflag.algebra import build_algebra
 from einflag.flag import parse_flag_spec
 from einflag.invariant import metric_space
 
@@ -114,3 +115,42 @@ def test_metric_invariance_sees_a_non_skew_block(monkeypatch):
     ctx, _ = _broken_context(monkeypatch, "D:5:[4,1]:-", stretch)
     with pytest.raises(verify._Failure, match="not isotropy-invariant"):
         verify._check_metric_invariance(ctx)
+
+
+# ---------------------------------------------------------------------------
+# the two numpy replacements against scipy as the reference
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("A", 6), ("B", 4), ("C", 6), ("D", 6), ("A", 25)]
+)
+def test_killing_trace_ratios_match_the_generalized_eigh(family, rank):
+    linalg = pytest.importorskip("scipy.linalg")
+    m = build_algebra(family, rank)
+    mats = np.stack([e.matrix.astype(float).reshape(-1) for e in m.basis])
+    ref = linalg.eigh(-m.killing_matrix, mats @ mats.T, eigvals_only=True)
+    got = verify._killing_trace_ratios(m)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("text", ["B:3:[3]:-", "D:5:[4,1]:-", "A:25:[20,3,3]:-"])
+def test_rotation_matches_expm_on_the_rep_blocks(text):
+    linalg = pytest.importorskip("scipy.linalg")
+    space = metric_space(parse_flag_spec(text))
+    blocks = [G for G in verify._diagonal_blocks(space, space.reps) if len(G)]
+    assert blocks
+    for G in blocks:
+        err = verify._max_abs(verify._rotation(G, 0.7) - linalg.expm(0.7 * G))
+        assert err <= 1e-14
+
+
+def test_rotation_matches_expm_at_a_zero_angle():
+    # an odd-sized skew matrix has a zero eigenvalue, where the sinc term
+    # reads t; the zero matrix has nothing else
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(7)
+    for size in (1, 3, 5):
+        A = rng.standard_normal((2, size, size))
+        G = np.concatenate([A - np.swapaxes(A, 1, 2), np.zeros((1, size, size))])
+        err = verify._max_abs(verify._rotation(G, 0.7) - linalg.expm(0.7 * G))
+        assert err <= 1e-14
