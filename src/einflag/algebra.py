@@ -11,13 +11,17 @@ realized by explicit integer ambient matrices:
   (roots ``2 l_k``, ``l_i - l_j``, ``l_i + l_j``).
 * ``D_l``: k = so(l) + so(l) inside gl(2l), basis ``w(i,j)``, ``u(i,j)``.
 
-At build time the bracket of every basis pair ``i < j`` is expanded exactly
-(integer arithmetic) into the table ``_struct``, mapping ``(i, j)`` to the
-``(k, c)`` with ``[e_i, e_j] = sum c e_k``; every expansion is rebuilt and
-compared with the matrix commutator, and a failure to close raises
-:class:`~einflag.errors.ClosureViolation`.
+At build time the nonzeros of all basis matrices form one list of entries,
+and every ambient position records the one basis element that owns it.  The
+commutators of all basis pairs ``i < j`` come from one join of that list with
+itself (an entry in column c meets every entry in row c), summed exactly per
+pair and position.  Each position is expanded through its owner, giving the
+``(k, c)`` with ``[e_i, e_j] = sum c e_k``; an entry outside the span, an
+element whose positions disagree on c, or an expansion that does not rebuild
+the commutator raises :class:`~einflag.errors.ClosureViolation` naming the
+pair.
 
-Everything downstream reads one flat form of that table,
+Everything downstream reads the result as flat arrays,
 ``structure_index = (I, J, K, V)`` with ``C[I, J, K] = V``, listing both
 orders ``(i, j)`` and ``(j, i)``.  Brackets and the dense ``ad(x)`` are
 scatter-sums over these arrays, never a loop over vector entries.  The
@@ -194,23 +198,19 @@ def _build_basis(family, l):
     return N, basis
 
 
-def _dict_of(M):
-    rows, cols = np.nonzero(M)
-    return {(int(r), int(c)): int(M[r, c]) for r, c in zip(rows, cols)}
+def _matches(keys, targets):
+    """Every index pair ``(e, f)`` with ``keys[e] == targets[f]``.
 
-
-def _dict_commutator(a, b):
-    """Commutator of two sparse integer matrices given as position dicts."""
-    out = {}
-    for (r1, c1), v1 in a.items():
-        for (r2, c2), v2 in b.items():
-            if c1 == r2:
-                key = (r1, c2)
-                out[key] = out.get(key, 0) + v1 * v2
-            if c2 == r1:
-                key = (r2, c1)
-                out[key] = out.get(key, 0) - v1 * v2
-    return {k: v for k, v in out.items() if v != 0}
+    One stable sort of ``targets`` and two ``searchsorted`` calls; the pairs
+    come ordered by e, then by f.
+    """
+    order = np.argsort(targets, kind="stable")
+    ordered = targets[order]
+    lo = np.searchsorted(ordered, keys, "left")
+    counts = np.searchsorted(ordered, keys, "right") - lo
+    e = np.repeat(np.arange(len(keys)), counts)
+    start = np.cumsum(counts) - counts
+    return e, order[np.arange(len(e)) - np.repeat(start - lo, counts)]
 
 
 class AlgebraModel:
@@ -225,18 +225,21 @@ class AlgebraModel:
         self.ambient_dim, self.basis = _build_basis(family, rank)
         self.n = len(self.basis)
         self.label_index = {e.label: i for i, e in enumerate(self.basis)}
-        self._mat_dicts = [_dict_of(e.matrix) for e in self.basis]
+        mats = np.array([e.matrix for e in self.basis])
+        elem, row, col = np.nonzero(mats)
+        self._entries = (elem, row, col, mats[elem, row, col])
         # Each ambient position belongs to at most one basis element, which
-        # makes exact expansion a positionwise lookup.
-        self._owner = {}
-        for k, d in enumerate(self._mat_dicts):
-            for pos, val in d.items():
-                self._owner[pos] = (k, val)
+        # makes exact expansion a positionwise lookup: _owner[r * N + c] is
+        # that element (-1 for none) and _owner_value its entry there.
+        N = self.ambient_dim
+        self._owner = np.full(N * N, -1)
+        self._owner[row * N + col] = elem
+        self._owner_value = np.zeros(N * N, dtype=np.int64)
+        self._owner_value[row * N + col] = self._entries[3]
         self.gram = np.array(
             [self.ambient_inner_matrices(e.matrix, e.matrix) for e in self.basis]
         )
-        self._struct = self._build_structure()
-        self.structure_index = self._index_form()
+        self.structure_index = self._build_structure()
         self.killing_matrix = self._build_killing()
 
     # -- ambient pairing ---------------------------------------------------
@@ -271,111 +274,104 @@ class AlgebraModel:
     # -- structure table ---------------------------------------------------
 
     def expand_matrix(self, M, tol=1e-9):
-        """Expand an ambient matrix in the basis.
+        """Expand an ambient matrix, or a stack of them, in the basis.
 
-        Returns ``(coords, residual)`` where ``residual`` is the magnitude of
-        the part of ``M`` that does not lie in the basis span (including any
-        positionwise inconsistency).
+        Returns ``(coords, residual)``: ``coords`` has shape ``M.shape[:-2] +
+        (n,)`` and ``residual`` is the largest magnitude, over the stack, of
+        a part that does not lie in the basis span (including any positionwise
+        inconsistency).
         """
-        coords = np.zeros(self.n)
-        claimed = np.zeros(self.n, dtype=bool)
-        residual = 0.0
-        rows, cols = np.nonzero(np.abs(np.asarray(M, dtype=float)) > tol)
-        for r, c in zip(rows, cols):
-            pos = (int(r), int(c))
-            own = self._owner.get(pos)
-            val = float(M[pos])
-            if own is None:
-                residual = max(residual, abs(val))
-                continue
-            k, base_val = own
-            coeff = val / base_val
-            if claimed[k]:
-                residual = max(residual, abs(coeff - coords[k]))
-            else:
-                coords[k] = coeff
-                claimed[k] = True
-        return coords, residual
+        M = np.asarray(M, dtype=float)
+        N = self.ambient_dim
+        flat = M.reshape(-1, N * N)
+        mat, pos = np.nonzero(np.abs(flat) > tol)
+        vals = flat[mat, pos]
+        k = self._owner[pos]
+        owned = k >= 0
+        residual = float(np.max(np.abs(vals[~owned]), initial=0.0))
+        coeff = vals[owned] / self._owner_value[pos[owned]]
+        # the first entry of each element, in row-major order, sets its
+        # coordinate; every later one must agree with it
+        key = mat[owned] * self.n + k[owned]
+        keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        coords = np.zeros((flat.shape[0], self.n))
+        coords.flat[keys] = coeff[first]
+        residual = max(residual, float(np.max(np.abs(coeff - coeff[first][inv]), initial=0.0)))
+        return coords.reshape(M.shape[:-2] + (self.n,)), residual
+
+    def _pair_label(self, pair):
+        i, j = divmod(int(pair), self.n)
+        return f"[{self.basis[i].label}, {self.basis[j].label}]"
 
     def _build_structure(self):
-        struct = {}
-        for i in range(self.n):
-            di = self._mat_dicts[i]
-            for j in range(i + 1, self.n):
-                P = _dict_commutator(di, self._mat_dicts[j])
-                if not P:
-                    continue
-                entries = {}
-                for pos, val in P.items():
-                    own = self._owner.get(pos)
-                    if own is None:
-                        raise ClosureViolation(
-                            f"[{self.basis[i].label}, {self.basis[j].label}] has "
-                            f"an entry at {pos} outside the basis span"
-                        )
-                    k, base_val = own
-                    coeff = val / base_val
-                    if k in entries:
-                        if entries[k] != coeff:
-                            raise ClosureViolation(
-                                f"inconsistent expansion of "
-                                f"[{self.basis[i].label}, {self.basis[j].label}]"
-                            )
-                    else:
-                        entries[k] = coeff
-                # Cross-check: reconstruct and compare exactly.
-                recon = {}
-                for k, coeff in entries.items():
-                    for pos, val in self._mat_dicts[k].items():
-                        recon[pos] = recon.get(pos, 0) + coeff * val
-                if {p: v for p, v in recon.items() if v != 0} != P:
-                    raise ClosureViolation(
-                        f"expansion of [{self.basis[i].label}, "
-                        f"{self.basis[j].label}] does not reconstruct"
-                    )
-                struct[(i, j)] = tuple(sorted(entries.items()))
-        return struct
+        """``structure_index`` from the basis entries, with every bracket checked.
 
-    def _index_form(self):
-        """Flatten ``_struct`` into arrays ``I, J, K, V`` with C[I,J,K] = V.
-
-        Both orders ``(i, j)`` and ``(j, i)`` are listed, so every nonzero
-        entry of the antisymmetric tensor C appears exactly once.
+        Each basis product ``e_a e_b`` pairs an entry of a in column c with
+        every entry of b in row c; for ``i < j`` the products of ``(i, j)`` and
+        ``(j, i)`` sum to the commutator ``[e_i, e_j]``, one exact integer per
+        ambient position.  A position must be owned by a basis element, the
+        positions of one element must give one coefficient, and the expansion
+        rebuilt from all the entries of its elements must be the commutator.
+        A failure raises :class:`ClosureViolation` naming the first such pair.
         """
-        table = np.array(
-            [
-                (i, j, k, c)
-                for (i, j), entries in self._struct.items()
-                for k, c in entries
-            ],
-            dtype=float,
-        ).reshape(-1, 4)
-        i, j, k = table[:, :3].astype(np.intp).T
-        c = table[:, 3]
-        arrays = (
-            np.concatenate([i, j]),
-            np.concatenate([j, i]),
-            np.concatenate([k, k]),
-            np.concatenate([c, -c]),
-        )
-        for a in arrays:
-            a.setflags(write=False)
+        n, N = self.n, self.ambient_dim
+        elem, row, col, val = self._entries
+        x, y = _matches(col, row)
+        a, b = elem[x], elem[y]
+        x, y, a, b = (arr[a != b] for arr in (x, y, a, b))  # e_i e_i cancels
+        key = (np.minimum(a, b) * n + np.maximum(a, b)) * (N * N) + row[x] * N + col[y]
+        keys, inv = np.unique(key, return_inverse=True)
+        bracket = np.bincount(inv, weights=np.where(a < b, val[x], -val[x]) * val[y])
+        nonzero = bracket != 0
+        keys, bracket = keys[nonzero], bracket[nonzero]
+        pair, pos = keys // (N * N), keys % (N * N)
+
+        k = self._owner[pos]
+        outside = np.flatnonzero(k < 0)
+        if outside.size:
+            e = outside[0]
+            raise ClosureViolation(
+                f"{self._pair_label(pair[e])} has an entry at "
+                f"{divmod(int(pos[e]), N)} outside the basis span"
+            )
+        coeff = bracket / self._owner_value[pos]
+        groups, first, inv = np.unique(pair * n + k, return_index=True, return_inverse=True)
+        c = coeff[first]
+        bad = np.flatnonzero(coeff != c[inv])
+        if bad.size:
+            raise ClosureViolation(f"inconsistent expansion of {self._pair_label(pair[bad[0]])}")
+
+        # rebuild each expansion (pair, k) from every entry of element k: its
+        # entries are the `count` rows of the element-major list from
+        # searchsorted(elem, k)
+        gpair, gk = groups // n, groups % n
+        count = np.bincount(elem, minlength=n)[gk]
+        g = np.repeat(np.arange(groups.size), count)
+        offset = np.searchsorted(elem, gk) - (np.cumsum(count) - count)
+        src = np.arange(g.size) + np.repeat(offset, count)
+        rkey = gpair[g] * (N * N) + row[src] * N + col[src]
+        at = np.minimum(np.searchsorted(keys, rkey), max(keys.size - 1, 0))
+        bad = np.flatnonzero((keys[at] != rkey) | (bracket[at] != c[g] * val[src]))
+        if bad.size:
+            raise ClosureViolation(
+                f"expansion of {self._pair_label(gpair[g[bad[0]]])} does not reconstruct"
+            )
+
+        # both orders (i, j) and (j, i), so every nonzero entry of the
+        # antisymmetric tensor C appears exactly once
+        i, j = (gpair // n).astype(np.intp), (gpair % n).astype(np.intp)
+        arrays = (np.r_[i, j], np.r_[j, i], np.r_[gk, gk].astype(np.intp), np.r_[c, -c])
+        for arr in arrays:
+            arr.setflags(write=False)
         return arrays
 
     def _build_killing(self):
         # K[a, b] = tr(ad_a ad_b) = sum_{j,k} C[a,j,k] C[b,k,j]: each entry e
         # with key j*n + k pairs with every entry f whose transposed key
-        # K[f]*n + J[f] equals it, found by a sort and two searchsorted calls
+        # K[f]*n + J[f] equals it
         I, J, K, V = self.structure_index
         n = self.n
-        key, tkey = J * n + K, K * n + J
-        order = np.argsort(tkey, kind="stable")
-        tkey = tkey[order]
-        lo = np.searchsorted(tkey, key, "left")
-        counts = np.searchsorted(tkey, key, "right") - lo
-        e = np.repeat(np.arange(len(key)), counts)
-        start = np.cumsum(counts) - counts
-        f = order[np.arange(len(e)) - np.repeat(start - lo, counts)]
+        e, f = _matches(J * n + K, K * n + J)
         Kill = np.bincount(
             I[e] * n + I[f], weights=V[e] * V[f], minlength=n * n
         ).reshape(n, n)
@@ -399,6 +395,50 @@ class AlgebraModel:
 
     def __repr__(self):
         return f"AlgebraModel({self.family}{self.rank}, dim={self.n})"
+
+
+def _row_entries(M):
+    """Column indices and values of the nonzeros in each row of M.
+
+    Returns ``(cols, vals)``, both ``(rows, k)`` for the largest row count
+    k; the slots a shorter row leaves over hold column 0 and value 0.
+    """
+    mask = M != 0
+    counts = mask.sum(axis=1)
+    cols = np.zeros((M.shape[0], int(counts.max(initial=0))), dtype=np.int64)
+    vals = np.zeros(cols.shape)
+    r, c = np.nonzero(mask)
+    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols[r, slot] = c
+    vals[r, slot] = M[r, c]
+    return cols, vals
+
+
+def _coo_transform(coo, maps, d):
+    """``S[a,b,c] = sum t[i,j,k] P[i,a] Q[j,b] R[k,c]`` over the nonzeros of t.
+
+    ``coo = (I, J, K, V)`` lists the nonzeros of t and ``maps`` holds the
+    :func:`_row_entries` of P, Q and R, whose columns run over ``range(d)``.
+    Each nonzero of t is expanded through the row nonzeros of the three maps
+    and the products are summed per key.  Returns the entries of S as
+    ``(a, b, c, value)`` sorted by ``(a, b, c)``; products that are exactly
+    zero are dropped, entries that cancel to zero are kept.
+    """
+    I, J, K, V = coo
+    (ca, va), (cb, vb), (cc, vc) = maps
+    key = (
+        (ca[I][:, :, None, None] * d + cb[J][:, None, :, None]) * d
+        + cc[K][:, None, None, :]
+    )
+    val = (
+        V[:, None, None, None]
+        * va[I][:, :, None, None]
+        * vb[J][:, None, :, None]
+        * vc[K][:, None, None, :]
+    )
+    keep = val != 0
+    keys, inv = np.unique(key[keep], return_inverse=True)
+    return keys // (d * d), keys // d % d, keys % d, np.bincount(inv, weights=val[keep])
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .invariant import _coo_transform, _row_entries, metric_space, orthonormal_frame, volume_root
+from .algebra import _coo_transform, _row_entries
+from .invariant import metric_space, orthonormal_frame, volume_root
 
 __all__ = [
     "CurvatureReport",

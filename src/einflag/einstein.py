@@ -674,13 +674,9 @@ def _induced_tangent_map(space, O):
     Bw = space.basis * g
     mats = np.array([e.matrix for e in model.basis], dtype=float)
     d = space.tangent_dim
-    images = np.zeros((d, model.n))
-    for k in range(d):
-        Mk = np.einsum("c,cij->ij", space.basis[k], mats)
-        coords, residual = model.expand_matrix(O @ Mk @ O.T)
-        if residual > 1e-9:
-            return None
-        images[k] = coords
+    images, residual = model.expand_matrix(O @ np.einsum("kc,cij->kij", space.basis, mats) @ O.T)
+    if residual > 1e-9:
+        return None
     W = Bw @ images.T
     if np.max(np.abs(W.T @ W - np.eye(d))) > 1e-9:
         return None

@@ -24,17 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraModel, build_algebra
+from .algebra import AlgebraModel, _coo_transform, _row_entries, build_algebra
 from .errors import BadFlag, BadPartition, InvariantViolation, UnimplementedCase
 
 __all__ = [
     "FlagSpec",
     "Submodule",
     "Decomposition",
+    "GeneratorTable",
     "make_flag",
     "parse_flag_spec",
     "theta",
@@ -173,20 +175,13 @@ def split_reductive(spec):
     """
     model = spec.algebra
     th = theta(spec)
-    simple = _simple_roots(spec.family, spec.rank)
-    iso, tan = [], []
+    in_span = np.zeros(model.n, dtype=bool)
     if th:
-        A = simple[[i - 1 for i in th]].T  # columns span Theta
-    else:
-        A = None
-    for i, e in enumerate(model.basis):
-        v = np.array(e.root, dtype=float)
-        if A is None:
-            in_span = False
-        else:
-            sol, *_ = np.linalg.lstsq(A, v, rcond=None)
-            in_span = np.linalg.norm(A @ sol - v) < 1e-9
-        (iso if in_span else tan).append(i)
+        A = _simple_roots(spec.family, spec.rank)[[i - 1 for i in th]].T  # spans Theta
+        roots = np.array([e.root for e in model.basis], dtype=float).T
+        sol, *_ = np.linalg.lstsq(A, roots, rcond=None)
+        in_span = np.linalg.norm(A @ sol - roots, axis=0) < 1e-9
+    iso, tan = np.flatnonzero(in_span).tolist(), np.flatnonzero(~in_span).tolist()
     _check_reductive(model, iso, tan)
     return tuple(iso), tuple(tan)
 
@@ -232,6 +227,32 @@ class Submodule:
         return self.span.shape[0]
 
 
+class GeneratorTable(NamedTuple):
+    """``count`` d x d generators over the tangent basis, stored sparsely.
+
+    Generator ``g`` has ``G_g[row, col] = value`` at the listed entries and
+    zeros elsewhere.  The entries are sorted by ``(gen, row, col)``, one per
+    position.
+    """
+
+    count: int
+    gen: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+
+def tangent_basis(dec):
+    """Stacked orthonormal summand bases and their row slices."""
+    rows = np.vstack([s.orthonormal for s in dec.submodules])
+    slices = []
+    start = 0
+    for s in dec.submodules:
+        slices.append(slice(start, start + s.dim))
+        start += s.dim
+    return rows, slices
+
+
 @dataclass
 class Decomposition:
     """Tangent-space decomposition of a flag."""
@@ -249,6 +270,29 @@ class Decomposition:
     @property
     def equiv_pairs(self):
         return [c for c in self.equiv_classes if len(c) == 2]
+
+    @cached_property
+    def isotropy_action(self):
+        """The isotropy generators ``ad(e_p)``, p in ``isotropy_indices``, as a
+        :class:`GeneratorTable` over the stacked summand bases.
+
+        With B the :func:`tangent_basis` rows and ``B_w`` their background
+        weights, generator g is ``R[a, b] = sum C[p, j, k] B_w[a, k] B[b, j]``,
+        the background product of ``[e_p, b]`` with ``a``.  One gather from
+        the algebra's ``structure_index`` through the nonzeros of both bases.
+        """
+        model = self.spec.algebra
+        B, _ = tangent_basis(self)
+        Bw = B * (float(self.spec.inner_scale) * model.gram)
+        I, J, K, V = model.structure_index
+        count = len(self.isotropy_indices)
+        gen = np.full(model.n, -1)
+        gen[list(self.isotropy_indices)] = np.arange(count)
+        at = gen[I] >= 0
+        one = (np.arange(count)[:, None], np.ones((count, 1)))
+        maps = (one, _row_entries(Bw.T), _row_entries(B.T))
+        g, a, b, v = _coo_transform((gen[I[at]], K[at], J[at], V[at]), maps, B.shape[0])
+        return GeneratorTable(count, g, a, b, v)
 
     def summary(self):
         eq = {i: f"~{chr(97 + k)}" for k, cls in enumerate(self.equiv_pairs) for i in cls}
@@ -622,20 +666,23 @@ def _verify_decomposition(dec):
 
     # ad(k_Theta)-invariance of every summand.  The summands fill the tangent
     # space and split_reductive has checked [k_Theta, m] in m, so ad(e_p)
-    # leaves a summand exactly when its rows of R = B ad(e_p) B_w^T reach
-    # another summand's columns.
-    B = np.vstack([s.orthonormal for s in dec.submodules])
-    Bw = np.vstack(weighted)
+    # leaves a summand exactly when the column of a summand vector in the
+    # isotropy action reaches another summand's rows.
+    act = dec.isotropy_action
+    d = total
     owner = np.repeat(np.arange(len(dec.submodules)), [s.dim for s in dec.submodules])
-    elsewhere = owner[:, None] != owner[None, :]
-    I, J, K, V = model.structure_index
-    for p in dec.isotropy_indices:
-        at = I == p
-        R = (B[:, J[at]] * V[at]) @ Bw[:, K[at]].T
-        leak = np.sqrt(np.sum(np.where(elsewhere, R * R, 0.0), axis=1))
-        if np.max(leak) > 1e-9:
-            s = dec.submodules[owner[np.argmax(leak > 1e-9)]]
-            raise InvariantViolation(f"submodule {s.name} of {spec} is not ad-invariant")
+    elsewhere = owner[act.row] != owner[act.col]
+    leak = np.sqrt(
+        np.bincount(
+            act.gen * d + act.col,
+            weights=np.where(elsewhere, act.value * act.value, 0.0),
+            minlength=act.count * d,
+        )
+    )
+    bad = np.flatnonzero(leak > 1e-9)
+    if bad.size:
+        s = dec.submodules[owner[bad[0] % d]]
+        raise InvariantViolation(f"submodule {s.name} of {spec} is not ad-invariant")
 
 
 def enumerate_small_flags(family, rank):

@@ -45,7 +45,8 @@ from .errors import (
     NotPositiveDefinite,
     UnimplementedCase,
 )
-from .flag import decompose_isotropy
+from .algebra import _coo_transform, _matches, _row_entries
+from .flag import GeneratorTable, decompose_isotropy, tangent_basis
 
 __all__ = [
     "MetricSpace",
@@ -59,6 +60,7 @@ __all__ = [
     "orthonormal_frame",
     "component_sign_actions",
     "commutation_residual",
+    "summand_block",
 ]
 
 def _position_sign_sets(spec):
@@ -122,70 +124,20 @@ def component_sign_actions(dec):
     return kept
 
 
-def _row_entries(M):
-    """Column indices and values of the nonzeros in each row of M.
-
-    Returns ``(cols, vals)``, both ``(rows, k)`` for the largest row count
-    k; the slots a shorter row leaves over hold column 0 and value 0.
-    """
-    mask = M != 0
-    counts = mask.sum(axis=1)
-    cols = np.zeros((M.shape[0], int(counts.max(initial=0))), dtype=np.int64)
-    vals = np.zeros(cols.shape)
-    r, c = np.nonzero(mask)
-    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols[r, slot] = c
-    vals[r, slot] = M[r, c]
-    return cols, vals
-
-
-def _coo_transform(coo, maps, d):
-    """``S[a,b,c] = sum t[i,j,k] P[i,a] Q[j,b] R[k,c]`` over the nonzeros of t.
-
-    ``coo = (I, J, K, V)`` lists the nonzeros of t and ``maps`` holds the
-    :func:`_row_entries` of P, Q and R, whose columns run over ``range(d)``.
-    Each nonzero of t is expanded through the row nonzeros of the three maps
-    and the products are summed per key.  Returns the entries of S as
-    ``(a, b, c, value)`` sorted by ``(a, b, c)``; products that are exactly
-    zero are dropped, entries that cancel to zero are kept.
-    """
-    I, J, K, V = coo
-    (ca, va), (cb, vb), (cc, vc) = maps
-    key = (
-        (ca[I][:, :, None, None] * d + cb[J][:, None, :, None]) * d
-        + cc[K][:, None, None, :]
-    )
-    val = (
-        V[:, None, None, None]
-        * va[I][:, :, None, None]
-        * vb[J][:, None, :, None]
-        * vc[K][:, None, None, :]
-    )
-    keep = val != 0
-    keys, inv = np.unique(key[keep], return_inverse=True)
-    return keys // (d * d), keys // d % d, keys % d, np.bincount(inv, weights=val[keep])
-
-
-def tangent_basis(dec):
-    """Stacked orthonormal summand bases and their row slices."""
-    rows = np.vstack([s.orthonormal for s in dec.submodules])
-    slices = []
-    start = 0
-    for s in dec.submodules:
-        slices.append(slice(start, start + s.dim))
-        start += s.dim
-    return rows, slices
-
-
 @dataclass
 class MetricSpace:
-    """Parametrized family of invariant metrics on one flag."""
+    """Parametrized family of invariant metrics on one flag.
+
+    ``reps`` and ``signs`` are :class:`~einflag.flag.GeneratorTable` s over the
+    tangent basis: the isotropy action ``ad(e_p)`` of every isotropy basis
+    vector, and the kept sign actions of :func:`component_sign_actions`.
+    """
 
     dec: object
     basis: np.ndarray
     slices: list
-    reps: list = field(repr=False)
-    signs: list = field(repr=False)
+    reps: GeneratorTable = field(repr=False)
+    signs: GeneratorTable = field(repr=False)
     operators: list = field(repr=False)
     names: list
     pairs: list
@@ -287,6 +239,54 @@ class MetricSpace:
         return self._killing
 
 
+def _sign_table(flips, B, Bw):
+    """The sign actions ``S = B_w diag(s) B^T``, one per row s of ``flips``, as a table.
+
+    One gather of the diagonal entries ``(g, k, k, s_g[k])`` through the
+    nonzeros of both bases, as the isotropy action is gathered.
+    """
+    count, n = flips.shape
+    g, k = np.divmod(np.arange(count * n), n)
+    one = (np.arange(count)[:, None], np.ones((count, 1)))
+    maps = (one, _row_entries(Bw.T), _row_entries(B.T))
+    return GeneratorTable(count, *_coo_transform((g, k, k, flips.ravel()), maps, B.shape[0]))
+
+
+def _skew_residual(table, d):
+    """``max |G + G^T|`` over the generators of a table, from its entries.
+
+    Each entry meets the one at its mirrored position, found by a binary
+    search of the sorted keys; an entry without a mirror stands alone.
+    """
+    key = (table.gen * d + table.row) * d + table.col
+    mirror = (table.gen * d + table.col) * d + table.row
+    at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
+    skew = table.value + np.where(key[at] == mirror, table.value[at], 0.0)
+    return float(np.max(np.abs(skew), initial=0.0))
+
+
+def _involution_residual(table, d):
+    """``max |S S - I|`` over the generators of a table, from its entries."""
+    e, f = _matches(table.gen * d + table.col, table.gen * d + table.row)
+    diag = np.arange(table.count * d)  # (g, a) as g * d + a
+    key = np.r_[(table.gen[e] * d + table.row[e]) * d + table.col[f], diag * d + diag % d]
+    _, inv = np.unique(key, return_inverse=True)
+    weights = np.r_[table.value[e] * table.value[f], -np.ones(diag.size)]
+    return float(np.max(np.abs(np.bincount(inv, weights=weights)), initial=0.0))
+
+
+def summand_block(space, table, u):
+    """Every generator's diagonal block on summand u, as a ``(count, d_u, d_u)`` stack."""
+    s = space.slices[u]
+    inside = (table.row >= s.start) & (table.row < s.stop)
+    inside &= (table.col >= s.start) & (table.col < s.stop)
+    block = np.zeros((table.count, s.stop - s.start, s.stop - s.start))
+    block[table.gen[inside], table.row[inside] - s.start, table.col[inside] - s.start] = (
+        table.value[inside]
+    )
+    return block
+
+
 def commutation_residual(space):
     """Largest entry of ``G O - O G`` over the operator basis and the generators.
 
@@ -300,26 +300,27 @@ def commutation_residual(space):
     """
     sl = space.slices
     owner = np.repeat(np.arange(space.n_sub), [s.stop - s.start for s in sl])
-    off_block = owner[:, None] != owner[None, :]
     worst = 0.0
-    for G in space.reps + space.signs:
-        worst = max(worst, float(np.max(np.abs(G[off_block]), initial=0.0)))
+    for table in (space.reps, space.signs):
+        off_block = owner[table.row] != owner[table.col]
+        worst = max(worst, float(np.max(np.abs(table.value[off_block]), initial=0.0)))
         for i, j, B0 in space.pairs:
-            resid = G[sl[j], sl[j]] @ B0 - B0 @ G[sl[i], sl[i]]
-            worst = max(worst, float(np.max(np.abs(resid))))
+            resid = summand_block(space, table, j) @ B0 - B0 @ summand_block(space, table, i)
+            worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
     return worst
 
 
 def _probes(reps, signs, d):
     """Two random combinations of the isotropy reps and one of the signs."""
     rng = default_rng(0)
-    X, Y, Z = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
-    for R, x, y in zip(reps, rng.standard_normal(len(reps)), rng.standard_normal(len(reps))):
-        X += x * R
-        Y += y * R
-    for S, z in zip(signs, rng.standard_normal(len(signs))):
-        Z += z * S
-    return X, Y, Z
+    x, y = rng.standard_normal(reps.count), rng.standard_normal(reps.count)
+    z = rng.standard_normal(signs.count)
+
+    def combine(table, w):
+        key = table.row * d + table.col
+        return np.bincount(key, weights=w[table.gen] * table.value, minlength=d * d).reshape(d, d)
+
+    return combine(reps, x), combine(reps, y), combine(signs, z)
 
 
 def _block_hom(block_i, block_j, tol):
@@ -409,7 +410,13 @@ def _coefficient_names(spec, n_sub, n_pairs):
 
 @lru_cache(maxsize=None)
 def metric_space(spec):
-    """Build and verify the invariant-metric family for a flag."""
+    """Build and verify the invariant-metric family for a flag.
+
+    The generators are kept as :class:`~einflag.flag.GeneratorTable` s:
+    ``reps`` is the decomposition's ``isotropy_action``, checked skew entry
+    by entry against its mirror, and ``signs`` holds the sign actions,
+    gathered the same way and checked to be involutions from their entries.
+    """
     dec = decompose_isotropy(spec)
     model = spec.algebra
     g = float(spec.inner_scale) * model.gram
@@ -418,21 +425,13 @@ def metric_space(spec):
     d = Bm.shape[0]
     subs = dec.submodules
 
-    I, J, K, V = model.structure_index
-    reps = []
-    for p in dec.isotropy_indices:
-        at = I == p
-        R = (Bw[:, K[at]] * V[at]) @ Bm[:, J[at]].T
-        if np.max(np.abs(R + R.T)) > 1e-10:
-            raise InvariantViolation(f"isotropy action on {spec} is not skew")
-        reps.append(R)
+    reps = dec.isotropy_action
+    if _skew_residual(reps, d) > 1e-10:
+        raise InvariantViolation(f"isotropy action on {spec} is not skew")
 
-    signs = []
-    for s in component_sign_actions(dec):
-        S = Bw @ (Bm * s).T
-        if np.max(np.abs(S @ S - np.eye(d))) > 1e-10:
-            raise InvariantViolation(f"sign action on {spec} is not an involution")
-        signs.append(S)
+    signs = _sign_table(np.array(component_sign_actions(dec)), Bm, Bw)
+    if _involution_residual(signs, d) > 1e-10:
+        raise InvariantViolation(f"sign action on {spec} is not an involution")
 
     # Schur's lemma block by block: Sym End(m_i) on each summand and
     # Hom(m_i, m_j) for each pair i < j, against the probes.

@@ -41,6 +41,7 @@ from .invariant import (
     metric_space,
     orthonormal_frame,
     positive_spectrum,
+    summand_block,
     volume_root,
 )
 
@@ -365,18 +366,14 @@ def _check_commutant_dimension(ctx):
     )
 
 
-def _diagonal_blocks(space, gens):
-    """The generators' diagonal blocks, one ``(len(gens), d_u, d_u)`` stack per summand.
+def _diagonal_blocks(space, table):
+    """A generator table's diagonal blocks, one ``(count, d_u, d_u)`` stack per summand.
 
     The generators preserve every summand -- :func:`commutation_residual`
     bounds their entries off the block diagonal, and the isotropy checks add
     it to their residual -- so a form is acted on one block at a time.
     """
-    dims = [s.stop - s.start for s in space.slices]
-    return [
-        np.array([G[s, s] for G in gens]).reshape(len(gens), n, n)
-        for s, n in zip(space.slices, dims)
-    ]
+    return [summand_block(space, table, u) for u in range(space.n_sub)]
 
 
 def _nonzero_blocks(space, M):

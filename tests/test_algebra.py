@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from einflag.algebra import build_algebra
-from einflag.errors import UnsupportedRank
+from einflag import algebra
+from einflag.algebra import AlgebraModel, BasisElement, build_algebra
+from einflag.errors import ClosureViolation, UnsupportedRank
 
 
 FAMILIES = [("A", 3), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5)]
@@ -234,6 +235,94 @@ def test_expand_matrix_rejects_outside_span():
     M[1, 0] = 1.0
     _, residual = model.expand_matrix(M)
     assert residual > 0.5
+
+
+def test_expand_matrix_of_a_stack_expands_each_matrix():
+    model = build_algebra("C", 3)
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((4, model.n))
+    stack = np.array([ambient(model, x) for x in xs])
+    stack[2, 0, 0] = 0.5  # off the span in one matrix only
+    coords, residual = model.expand_matrix(stack)
+    assert coords.shape == (4, model.n)
+    assert residual == 0.5
+    for M, row in zip(stack, coords):
+        assert np.array_equal(model.expand_matrix(M)[0], row)
+    assert np.allclose(coords, xs, atol=1e-12)
+
+
+def test_expand_matrix_reports_an_unowned_entry():
+    # no basis matrix has a diagonal entry
+    model = build_algebra("A", 3)
+    M = ambient(model, unit(model, "w(3,1)"))
+    M[2, 2] = 0.7
+    coords, residual = model.expand_matrix(M)
+    assert residual == 0.7
+    assert np.array_equal(coords, unit(model, "w(3,1)"))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+def test_structure_index_equals_the_dense_commutators(family, rank):
+    # the reference expands e_i e_j - e_j e_i of the integer matrices
+    model = build_algebra(family, rank)
+    n = model.n
+    ref = np.zeros((n, n, n))
+    for i, ei in enumerate(model.basis):
+        for j, ej in enumerate(model.basis):
+            coords, residual = model.expand_matrix(ei.matrix @ ej.matrix - ej.matrix @ ei.matrix)
+            assert residual == 0.0
+            ref[i, j] = coords
+    I, J, K, V = model.structure_index
+    C = np.zeros((n, n, n))
+    C[I, J, K] = V
+    assert np.array_equal(C, ref)
+    # each nonzero listed once: (i, j) with i < j sorted by (i, j, k), then
+    # the same entries as (j, i) with the opposite sign
+    assert I.size == np.count_nonzero(ref)
+    half = I.size // 2
+    assert np.all(I[:half] < J[:half])
+    assert np.all(np.diff((I[:half] * n + J[:half]) * n + K[:half]) > 0)
+    assert np.array_equal(I[half:], J[:half]) and np.array_equal(V[half:], -V[:half])
+
+
+def _drop_w31(N, basis):
+    return N, [e for e in basis if e.label != "w(3,1)"]
+
+
+def _symmetric_w31(N, basis):
+    return N, [
+        BasisElement(e.label, np.abs(e.matrix), e.root) if e.label == "w(3,1)" else e
+        for e in basis
+    ]
+
+
+def _w31_with_an_extra_corner(N, basis):
+    # one more ambient dimension, touched only by w(3,1): E_NN commutes with
+    # every other basis matrix, so each bracket keeps its entries, but the
+    # bracket that yields w(3,1) misses the corner
+    out = []
+    for e in basis:
+        M = np.zeros((N + 1, N + 1), dtype=np.int64)
+        M[:N, :N] = e.matrix
+        M[N, N] = int(e.label == "w(3,1)")
+        out.append(BasisElement(e.label, M, e.root))
+    return N + 1, out
+
+
+@pytest.mark.parametrize(
+    "rank,corrupt,message",
+    [
+        (2, _drop_w31, r"\[w\(2,1\), w\(3,2\)\] has an entry at \(0, 2\) outside the basis span"),
+        (3, _symmetric_w31, r"inconsistent expansion of \[w\(2,1\), w\(3,1\)\]"),
+        (3, _w31_with_an_extra_corner, r"expansion of \[w\(2,1\), w\(3,2\)\] does not reconstruct"),
+    ],
+    ids=["outside-span", "inconsistent", "no-reconstruction"],
+)
+def test_corrupted_basis_raises_closure_violation(monkeypatch, rank, corrupt, message):
+    build = algebra._build_basis
+    monkeypatch.setattr(algebra, "_build_basis", lambda f, l: corrupt(*build(f, l)))
+    with pytest.raises(ClosureViolation, match=message):
+        AlgebraModel("A", rank)
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import NO_GENERATORS, dense_generators, edit_first_generator
 
 from einflag import invariant
 from einflag.cli import _table_rows
 from einflag.errors import InvariantViolation, NotPositiveDefinite, UnimplementedCase
-from einflag.flag import Submodule, decompose_isotropy, enumerate_small_flags, parse_flag_spec
+from einflag.flag import (
+    Submodule,
+    decompose_isotropy,
+    enumerate_small_flags,
+    parse_flag_spec,
+    tangent_basis,
+)
 from einflag.invariant import (
     component_sign_actions,
     make_metric,
@@ -203,10 +210,12 @@ class TestCertificateFailures:
     @pytest.mark.parametrize("text", ["A:3:[2,1,1]:-", "D:5:[4,1]:-", "B:4:[4]:-"])
     def test_commutation_residual_matches_dense_products(self, text):
         sp = space(text)
+        d = sp.tangent_dim
         dense = max(
             float(np.max(np.abs(G @ A - A @ G)))
             for A in sp.operators
-            for G in sp.reps + sp.signs
+            for table in (sp.reps, sp.signs)
+            for G in dense_generators(table, d)
         )
         masked = invariant.commutation_residual(sp)
         assert masked <= 1e-10
@@ -217,16 +226,33 @@ class TestCertificateFailures:
         # one generator leaking between two summands, one that acts on the
         # second summand of a pair differently from the first
         sp = space(text)
+        d = sp.tangent_dim
         i, j, _ = sp.pairs[0]
-        G = sp.reps[0]
-        leak = G.copy()
-        leak[sp.slices[i].start, sp.slices[j].start] += 1e-6
-        twist = G.copy()
-        size = sp.slices[j].stop - sp.slices[j].start
-        twist[sp.slices[j], sp.slices[j]] += 1e-6 * np.eye(size)
+        si, sj = sp.slices[i], sp.slices[j]
+        leak = edit_first_generator(sp.reps, d, [si.start], [sj.start], [1e-6])
+        diag = np.arange(sj.start, sj.stop)
+        twist = edit_first_generator(sp.reps, d, diag, diag, np.full(diag.size, 1e-6))
         for bad in (leak, twist):
-            broken = dataclasses.replace(sp, reps=[bad], signs=[])
+            broken = dataclasses.replace(sp, reps=bad, signs=NO_GENERATORS)
             assert invariant.commutation_residual(broken) > 1e-7
+
+    def test_skew_check_sees_a_symmetric_entry(self, monkeypatch):
+        spec = parse_flag_spec("D:5:[4,1]:-")
+        wrong = dataclasses.replace(decompose_isotropy(spec))
+        d = wrong.tangent_dim
+        wrong.isotropy_action = edit_first_generator(wrong.isotropy_action, d, [0], [0], [1e-6])
+        monkeypatch.setattr(invariant, "decompose_isotropy", lambda _: wrong)
+        with pytest.raises(InvariantViolation, match="is not skew"):
+            metric_space.__wrapped__(spec)
+
+    def test_involution_check_sees_a_scaled_sign(self, monkeypatch):
+        # s = 2 everywhere gives S = 2 I on the tangent space, S S - I = 3 I
+        spec = parse_flag_spec("D:5:[4,1]:-")
+        monkeypatch.setattr(
+            invariant, "component_sign_actions", lambda dec: [np.full(spec.algebra.n, 2.0)]
+        )
+        with pytest.raises(InvariantViolation, match="is not an involution"):
+            metric_space.__wrapped__(spec)
 
     def test_structure_trace_raises(self, monkeypatch):
         # the Ricci formula leaves out the trace vector, so a tangent
@@ -245,6 +271,42 @@ class TestCertificateFailures:
             fresh.structure_coo
         # antisymmetrizing halves the injected entry
         assert fresh._structure_trace == 0.125
+
+
+class TestGeneratorTables:
+    @pytest.mark.parametrize(
+        "text", ["A:3:[2,1,1]:-", "D:5:[4,1]:-", "B:4:[4]:-", "A:25:[20,3,3]:-"]
+    )
+    def test_isotropy_action_equals_the_dense_generators(self, text):
+        # the reference is the dense product the tables replaced; BLAS may
+        # fuse a multiply-add where the table rounds twice, which moves an
+        # entry by at most an ulp
+        spec = parse_flag_spec(text)
+        dec = decompose_isotropy(spec)
+        Bm, _ = tangent_basis(dec)
+        Bw = Bm * (float(spec.inner_scale) * spec.algebra.gram)
+        I, J, K, V = spec.algebra.structure_index
+        ref = []
+        for p in dec.isotropy_indices:
+            at = I == p
+            ref.append((Bw[:, K[at]] * V[at]) @ Bm[:, J[at]].T)
+        sp = metric_space(spec)
+        assert sp.reps is dec.isotropy_action
+        got = dense_generators(sp.reps, Bm.shape[0])
+        assert got.shape == (len(ref),) + Bm.shape[:1] * 2
+        assert np.max(np.abs(got - np.array(ref))) <= 1e-15
+
+    @pytest.mark.parametrize("text", ["A:3:[2,1,1]:-", "B:4:[4]:-", "A:25:[20,3,3]:-"])
+    def test_sign_table_equals_the_dense_actions(self, text):
+        # the same rounding allowance as the isotropy action
+        spec = parse_flag_spec(text)
+        dec = decompose_isotropy(spec)
+        Bm, _ = tangent_basis(dec)
+        Bw = Bm * (float(spec.inner_scale) * spec.algebra.gram)
+        ref = np.array([Bw @ (Bm * s).T for s in component_sign_actions(dec)])
+        got = dense_generators(metric_space(spec).signs, Bm.shape[0])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15
 
 
 class TestSignActions:

@@ -7,6 +7,7 @@ import types
 
 import numpy as np
 import pytest
+from conftest import edit_first_generator
 
 from einflag import verify
 from einflag.algebra import build_algebra
@@ -73,10 +74,11 @@ def test_count_bounds_reject_too_many_solutions(monkeypatch):
         verify._check_count_bounds(verify._Context(parse_flag_spec("A:5:[2,2,2]:-")))
 
 
-def _broken_context(monkeypatch, text, perturb):
-    # the first isotropy generator of the space replaced by perturb(G)
+def _broken_context(monkeypatch, text, rows, cols, deltas):
+    # deltas added to the space's first isotropy generator at (rows, cols)
     sp = metric_space(parse_flag_spec(text))
-    broken = dataclasses.replace(sp, reps=[perturb(sp.reps[0])] + sp.reps[1:])
+    bad = edit_first_generator(sp.reps, sp.tangent_dim, rows, cols, deltas)
+    broken = dataclasses.replace(sp, reps=bad)
     monkeypatch.setattr(verify._Context, "space", property(lambda self: broken))
     return verify._Context(sp.spec), broken
 
@@ -90,13 +92,8 @@ def test_isotropy_checks_pass_block_by_block(text):
 
 @pytest.mark.parametrize("text", ["D:5:[4,1]:-", "B:4:[4]:-"])
 def test_isotropy_checks_see_a_generator_leaving_a_summand(monkeypatch, text):
-    def leak(G):
-        G = G.copy()
-        G[0, -1] += 0.3
-        G[-1, 0] -= 0.3
-        return G
-
-    ctx, broken = _broken_context(monkeypatch, text, leak)
+    # a skew pair of entries at (0, d - 1) and (d - 1, 0)
+    ctx, broken = _broken_context(monkeypatch, text, [0, -1], [-1, 0], [0.3, -0.3])
     assert broken.slices[-1].start > 0  # entry (0, -1) leaves the first summand
     with pytest.raises(verify._Failure, match="not isotropy-invariant"):
         verify._check_metric_invariance(ctx)
@@ -107,12 +104,7 @@ def test_isotropy_checks_see_a_generator_leaving_a_summand(monkeypatch, text):
 def test_metric_invariance_sees_a_non_skew_block(monkeypatch):
     # a symmetric part inside the first summand block breaks G^T A + A G = 0
     # while the generator still preserves every summand
-    def stretch(G):
-        G = G.copy()
-        G[0, 0] += 0.3
-        return G
-
-    ctx, _ = _broken_context(monkeypatch, "D:5:[4,1]:-", stretch)
+    ctx, _ = _broken_context(monkeypatch, "D:5:[4,1]:-", [0], [0], [0.3])
     with pytest.raises(verify._Failure, match="not isotropy-invariant"):
         verify._check_metric_invariance(ctx)
 
