@@ -100,6 +100,29 @@ def _basis_signs(model, candidates):
     return 1.0 - 2.0 * ((flips @ (roots % 2).T) % 2)
 
 
+def _preserved(B, g, signs):
+    """Which rows s of ``signs`` map the span of the rows of B into itself.
+
+    B holds a g-orthonormal basis of the span, so ``M_s = B diag(g s) B^T``
+    holds the coordinates of the projection of each ``b_a * s`` onto it.
+    ``b_a * s`` has unit g-length, so it lies in the span exactly when its
+    row of ``M_s`` has unit norm.  The pairs of nonzeros of B in one column
+    give every ``M_s`` at once: one array pass over all candidates.
+    """
+    a, n = np.nonzero(B)
+    v = B[a, n]
+    e, f = _matches(n, n)
+    key = a[e] * B.shape[0] + a[f]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    terms = (v[e] * v[f] * g[n[e]])[order, None] * signs.T[n[e][order]]
+    M = np.add.reduceat(terms, first, axis=0)  # one row per nonzero (a, b)
+    row = key[first] // B.shape[0]
+    norms = np.add.reduceat(M * M, np.flatnonzero(np.r_[True, row[1:] != row[:-1]]), axis=0)
+    return np.all(np.abs(norms - 1.0) <= 1e-10, axis=0)
+
+
 def component_sign_actions(dec):
     """Sign symmetries of the stabilizer that preserve every summand.
 
@@ -108,20 +131,13 @@ def component_sign_actions(dec):
     spec = dec.spec
     model = spec.algebra
     g = float(spec.inner_scale) * model.gram
-    kept = []
-    for s in _basis_signs(model, _position_sign_sets(spec)):
-        ok = True
-        for sub in dec.submodules:
-            B = sub.orthonormal
-            img = B * s
-            if np.max(np.abs(img - (img @ (B * g).T) @ B)) > 1e-10:
-                ok = False
-                break
-        if ok:
-            kept.append(s)
-    if not kept:
+    signs = _basis_signs(model, _position_sign_sets(spec))
+    kept = np.ones(len(signs), dtype=bool)
+    for sub in dec.submodules:
+        kept &= _preserved(sub.orthonormal, g, signs)
+    if not kept.any():
         raise GeneratorMismatch(f"no sign symmetry preserves the summands of {spec}")
-    return kept
+    return list(signs[kept])
 
 
 @dataclass

@@ -11,10 +11,10 @@ of a point go through one engine call, after the positive-definiteness
 rule of :func:`~einflag.invariant.positive_spectrum` is applied to their
 coefficients, whose spectrum also gives the volume.  That check therefore
 builds no frame; the frame route is covered by the curvature checks and
-the solution certificates.  The isotropy generators preserve every
-summand, so the invariance and equivariance checks bound their off-block
-entries once and then act on a form one summand block at a time, all
-generators of a block at once.
+the solution certificates.  The invariance and equivariance checks act on
+a form through each generator's support, the tangent indices its entries
+touch: the residual vanishes off the rows and columns of the support, so
+only those are computed, for all generators of one support size at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .einstein import (
     published_row,
     solve,
 )
-from .errors import NoCatalogEntry, NotPositiveDefinite, UnimplementedCase
+from .errors import NoCatalogEntry, NotPositiveDefinite, TooManyParameters, UnimplementedCase
 from .flag import parse_flag_spec
 from .invariant import (
     Frame,
@@ -41,7 +41,6 @@ from .invariant import (
     metric_space,
     orthonormal_frame,
     positive_spectrum,
-    summand_block,
     volume_root,
 )
 
@@ -366,45 +365,101 @@ def _check_commutant_dimension(ctx):
     )
 
 
-def _diagonal_blocks(space, table):
-    """A generator table's diagonal blocks, one ``(count, d_u, d_u)`` stack per summand.
+def _support_groups(table, d, identity=False):
+    """A generator table's generators grouped by the size k of their support.
 
-    The generators preserve every summand -- :func:`commutation_residual`
-    bounds their entries off the block diagonal, and the isotropy checks add
-    it to their residual -- so a form is acted on one block at a time.
+    The support S of a generator G is the set of tangent indices touched by
+    the nonzero entries of G, or with ``identity`` of ``G - I``; G vanishes,
+    or equals I, outside ``S x S``.  Returns one ``(cells, blocks)`` per
+    size: ``blocks`` is the ``(n, k, k)`` stack of the ``G[S, S]``, and
+    ``cells`` the ``(n, k, d)`` flat positions ``a * d + b`` of the rows S
+    of a d x d form, each row with its columns S first (ascending, as in
+    the blocks), then the others.  Generators with an empty support are left
+    out.
     """
-    return [summand_block(space, table, u) for u in range(space.n_sub)]
+    count, gen, row, col, value = table
+    diag = row == col
+    touch = value != diag if identity else value != 0
+    occ = np.zeros((count, d), dtype=bool)
+    occ[gen[touch], row[touch]] = True
+    occ[gen[touch], col[touch]] = True
+    if identity:  # a diagonal entry of G that is not stored is 0, not 1
+        stored = np.zeros((count, d), dtype=bool)
+        stored[gen[diag], row[diag]] = True
+        occ |= ~stored
+    size = occ.sum(axis=1)
+    pos = np.cumsum(occ, axis=1) - 1  # the place of each index in its support
+    inside = occ[gen, row] & occ[gen, col]
+    order = np.argsort(~occ, axis=1, kind="stable")
+    groups = []
+    for k in np.flatnonzero(np.bincount(size)[1:]) + 1:
+        members = np.flatnonzero(size == k)
+        local = np.zeros(count, dtype=np.int64)
+        local[members] = np.arange(members.size)
+        at = inside & (size[gen] == k)
+        g = gen[at]
+        blocks = np.zeros((members.size, k, k))
+        blocks[local[g], pos[g, row[at]], pos[g, col[at]]] = value[at]
+        o = order[members]
+        groups.append((o[:, :k, None] * d + o[:, None, :], blocks))
+    return groups
 
 
-def _nonzero_blocks(space, M):
-    """The summand block pairs ``(u, v)`` on which M has a nonzero entry."""
-    sl = space.slices
-    return [
-        (u, v)
-        for u in range(len(sl))
-        for v in range(len(sl))
-        if np.any(M[sl[u], sl[v]])
-    ]
+def _support_residuals(P, cells, blocks, group):
+    """The rows S of a form's residual under each generator of a group.
+
+    ``P`` is a d x d form and ``(cells, blocks)`` one group of
+    :func:`_support_groups`.  Without ``group`` the blocks are generators G
+    and the residual is ``G^T P + P G``; with it they are the blocks
+    ``T[S, S]`` of group elements T equal to I outside ``S x S``, and the
+    residual is ``T^T P T - P``.  Either vanishes outside the rows and
+    columns in S, and its columns S are the transposed rows S of the
+    residual of ``P^T``.  Returns ``(n, k, d)``, the columns ordered as in
+    ``cells``.
+    """
+    k = blocks.shape[1]
+    X = np.take(P, cells)  # the rows S of P, columns S first
+    rows = np.swapaxes(blocks, 1, 2) @ X
+    if group:
+        rows[..., :k] = rows[..., :k] @ blocks
+        rows -= X
+    else:
+        rows[..., :k] += X[..., :k] @ blocks
+    return rows
 
 
-def _max_abs(X):
-    return float(np.max(np.abs(X), initial=0.0))
+def _action_residual(P, groups, group=False):
+    """Largest entry of the residual of each form of a stack, as in
+    :func:`_support_residuals`, over every generator of the groups.
+
+    ``P`` is an ``(m, d, d)`` stack, taken one form at a time so that each
+    pass stays in cache; returns the m maxima.  A symmetric form's columns S
+    are its rows S transposed, so only its rows are computed.
+    """
+    worst = np.zeros(len(P))
+    for f, form in enumerate(P):
+        sides = (form,) if np.array_equal(form, form.T) else (form, form.T)
+        for cells, blocks in groups:
+            for side in sides:
+                rows = _support_residuals(side, cells, blocks, group)
+                worst[f] = max(worst[f], rows.max(), -rows.min())
+    return worst
+
+
+def _isotropy_groups(space):
+    """Support groups of the isotropy reps, and of the sign actions S on the
+    supports of ``S - I``."""
+    d = space.tangent_dim
+    return _support_groups(space.reps, d), _support_groups(space.signs, d, identity=True)
 
 
 def _check_metric_invariance(ctx):
     space = ctx.space
-    sl = space.slices
-    reps = _diagonal_blocks(space, space.reps)
-    signs = _diagonal_blocks(space, space.signs)
-    worst = commutation_residual(space)
-    for _ in range(3):
-        A = space.metric_matrix(ctx.sample_coeffs())
-        scale = float(np.max(np.abs(A)))
-        for u, v in _nonzero_blocks(space, A):
-            Auv = A[sl[u], sl[v]]
-            inf = np.swapaxes(reps[u], 1, 2) @ Auv + Auv @ reps[v]
-            flip = np.swapaxes(signs[u], 1, 2) @ Auv @ signs[v] - Auv
-            worst = max(worst, max(_max_abs(inf), _max_abs(flip)) / scale)
+    reps, signs = _isotropy_groups(space)
+    A = np.stack([space.metric_matrix(ctx.sample_coeffs()) for _ in range(3)])
+    resid = np.maximum(_action_residual(A, reps), _action_residual(A, signs, group=True))
+    resid /= np.max(np.abs(A), axis=(1, 2))
+    worst = max(commutation_residual(space), float(np.max(resid)))
     _require(worst < 1e-10, f"sampled metric not isotropy-invariant: {worst:.2e}")
     return f"sampled metrics invariant under isotropy, residual {worst:.1e}"
 
@@ -461,20 +516,17 @@ def _rotation(G, t):
 def _check_ricci_equivariance(ctx):
     space = ctx.space
     met = make_metric(space, ctx.sample_coeffs())
-    P = curvature(met).ricci_tangent
+    P = curvature(met).ricci_tangent[None]
     scale = float(np.max(np.abs(P))) + 1.0
-    sl = space.slices
-    reps = _diagonal_blocks(space, space.reps)
-    signs = _diagonal_blocks(space, space.signs)
-    # the finite rotations exp(0.7 G), one summand block at a time
-    rots = [_rotation(G, 0.7) if len(G) else G for G in reps]
-    worst = commutation_residual(space)
-    for u, v in _nonzero_blocks(space, P):
-        Puv = P[sl[u], sl[v]]
-        flip = np.swapaxes(signs[u], 1, 2) @ Puv @ signs[v] - Puv
-        inf = np.swapaxes(reps[u], 1, 2) @ Puv + Puv @ reps[v]
-        rot = np.swapaxes(rots[u], 1, 2) @ Puv @ rots[v] - Puv
-        worst = max(worst, max(map(_max_abs, (flip, inf, rot))) / scale)
+    reps, signs = _isotropy_groups(space)
+    # the finite rotation exp(0.7 G) is exp(0.7 G[S, S]) on S x S and I elsewhere
+    rots = [(cells, _rotation(G, 0.7)) for cells, G in reps]
+    resid = max(
+        _action_residual(P, reps)[0],
+        _action_residual(P, signs, group=True)[0],
+        _action_residual(P, rots, group=True)[0],
+    )
+    worst = max(commutation_residual(space), resid / scale)
     _require(worst < 1e-10, f"Ricci not isotropy-equivariant: {worst:.2e}")
     return f"Ric(Ad(k)X, Ad(k)Y) = Ric(X, Y) to {worst:.1e}"
 
@@ -738,8 +790,8 @@ def run_checks(spec):
     list of CheckResult
         One entry per check, in a fixed order.  A check failure is
         recorded, not raised; :class:`UnimplementedCase` from the flag
-        construction itself propagates so callers can distinguish
-        "unsupported" from "broken".
+        construction and :class:`TooManyParameters` from the solver
+        propagate so callers can distinguish "unsupported" from "broken".
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
@@ -751,7 +803,7 @@ def run_checks(spec):
             results.append(CheckResult(name, True, fn(ctx) or ""))
         except _Failure as exc:
             results.append(CheckResult(name, False, str(exc)))
-        except UnimplementedCase:
+        except (UnimplementedCase, TooManyParameters):
             raise
         except Exception as exc:  # noqa: BLE001 - checks must not abort the suite
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))

@@ -195,6 +195,16 @@ def test_check_reports_every_invariant(capsys):
     assert f"{len(CHECK_NAMES)}/{len(CHECK_NAMES)} checks passed" in out
 
 
+def test_check_of_too_many_parameters_is_unsupported(capsys):
+    # as solve on the same flag: exit 2 and one stderr line, not FAIL lines
+    code, out, err = run(capsys, "check", "A:3:[1,1,1,1]:-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("einflag: unsupported case: A:3:[1,1,1,1]:- has a 9-parameter")
+    assert err.count("\n") == 1
+    assert run(capsys, "solve", "A:3:[1,1,1,1]:-")[2] == err
+
+
 # ---------------------------------------------------------------------------
 # table1
 

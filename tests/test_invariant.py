@@ -335,6 +335,37 @@ class TestSignActions:
         dec = decompose_isotropy(parse_flag_spec("D:4:[3,1]:-"))
         assert len(component_sign_actions(dec)) == 10  # 4 singles + 6 pairs
 
+    @pytest.mark.parametrize(
+        "text", [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-", "C:25:[12,13]:+"]
+    )
+    def test_kept_signs_equal_the_projection_residual_decision(self, text):
+        # the reference decides one candidate and one summand at a time, by
+        # the largest entry of s * b - proj(s * b) over the summand's rows b;
+        # 12 candidates on these flags are rejected, by a residual near 1
+        dec = decompose_isotropy(parse_flag_spec(text))
+        model = dec.spec.algebra
+        g = float(dec.spec.inner_scale) * model.gram
+        ref = []
+        for s in invariant._basis_signs(model, invariant._position_sign_sets(dec.spec)):
+            imgs = [sub.orthonormal * s for sub in dec.submodules]
+            resid = [
+                np.max(np.abs(img - (img @ (sub.orthonormal * g).T) @ sub.orthonormal))
+                for img, sub in zip(imgs, dec.submodules)
+            ]
+            if max(resid) <= 1e-10:
+                ref.append(s)
+        got = component_sign_actions(dec)
+        assert len(got) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_a_sign_that_mixes_a_summand_is_dropped(self):
+        # the span of (1, 1) in two coordinates is kept by flipping both
+        # and by flipping neither, and mixed with (1, -1) by flipping one
+        B = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
+        signs = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+        kept = invariant._preserved(B, np.ones(3), signs)
+        assert kept.tolist() == [True, True, False, True]
+
 
 class TestMakeMetric:
     def test_rejects_indefinite(self):

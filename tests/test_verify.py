@@ -1,17 +1,18 @@
 """The variational check, probed through the reduced engine, the count
-bounds read from the published table, and the block-wise isotropy checks of
-the suite."""
+bounds read from the published table, and the isotropy checks of the suite,
+computed on each generator's support."""
 
 import dataclasses
 import types
 
 import numpy as np
 import pytest
-from conftest import edit_first_generator
+from conftest import dense_generators, edit_first_generator
 
-from einflag import verify
+from einflag import invariant, verify
 from einflag.algebra import build_algebra
-from einflag.flag import parse_flag_spec
+from einflag.cli import _table_rows
+from einflag.flag import GeneratorTable, parse_flag_spec
 from einflag.invariant import metric_space
 
 
@@ -125,15 +126,177 @@ def test_killing_trace_ratios_match_the_generalized_eigh(family, rank):
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _support_members(groups, d, base=0.0):
+    """Every element of the support groups as a dense d x d matrix, in group
+    order: its block on the support, ``base`` on the diagonal elsewhere."""
+    out = []
+    for cells, blocks in groups:
+        for c, M in zip(cells, blocks):
+            S = c[:, 0] // d
+            G = base * np.eye(d)
+            G[np.ix_(S, S)] = M
+            out.append(G)
+    return np.array(out).reshape(-1, d, d)
+
+
+def _by_support(stack, identity):
+    """The generators whose part off ``identity`` is nonzero, ordered by
+    the size of its support, then by index."""
+    dev = stack - identity
+    touched = np.any(dev != 0, axis=1) | np.any(dev != 0, axis=2)
+    size = touched.sum(axis=1)
+    order = np.lexsort((np.arange(len(stack)), size))
+    return stack[order[size[order] > 0]]
+
+
 @pytest.mark.parametrize("text", ["B:3:[3]:-", "D:5:[4,1]:-", "A:25:[20,3,3]:-"])
 def test_rotation_matches_expm_on_the_rep_blocks(text):
+    # exp(0.7 G) = I + (exp(0.7 G_SS) - I) on the support S of G, against
+    # expm of the full d x d generator
     linalg = pytest.importorskip("scipy.linalg")
     space = metric_space(parse_flag_spec(text))
-    blocks = [G for G in verify._diagonal_blocks(space, space.reps) if len(G)]
-    assert blocks
-    for G in blocks:
-        err = verify._max_abs(verify._rotation(G, 0.7) - linalg.expm(0.7 * G))
-        assert err <= 1e-14
+    d = space.tangent_dim
+    reps, _ = verify._isotropy_groups(space)
+    assert reps
+    rots = [(cells, verify._rotation(G, 0.7)) for cells, G in reps]
+    for G, R in zip(_support_members(reps, d), _support_members(rots, d, base=1.0)):
+        assert np.max(np.abs(R - linalg.expm(0.7 * G))) <= 1e-14
+
+
+FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
+
+
+def _assert_dense_residuals(P, groups, group, dense, reference):
+    # the kernel's rows S and transposed columns S, put back into d x d,
+    # against the dense residual of each generator; and the largest entry
+    # the check takes from each generator alone
+    d = P.shape[0]
+    at = 0
+    for cells, blocks in groups:
+        row_half = verify._support_residuals(P, cells, blocks, group)
+        col_half = verify._support_residuals(P.T, cells, blocks, group)
+        k = blocks.shape[1]
+        for i, (c, rows, cols) in enumerate(zip(cells, row_half, col_half)):
+            S, order = c[:, 0] // d, c[0] % d
+            assert np.max(np.abs(rows[:, :k] - cols[:, :k].T)) <= 1e-13
+            got = np.zeros((d, d))
+            got[np.ix_(S, order)] = rows
+            got[np.ix_(order, S)] = cols.T
+            ref = reference(dense[at])
+            assert np.max(np.abs(got - ref)) <= 1e-13
+            alone = [(cells[i : i + 1], blocks[i : i + 1])]
+            worst = verify._action_residual(P[None], alone, group)[0]
+            assert abs(worst - np.max(np.abs(ref))) <= 1e-13
+            at += 1
+    assert at == len(dense)
+
+
+@pytest.mark.parametrize("text", FLAGS)
+def test_support_kernel_equals_the_dense_products(text):
+    space = metric_space(parse_flag_spec(text))
+    d = space.tangent_dim
+    eye = np.eye(d)
+    reps, signs = verify._isotropy_groups(space)
+    rots = [(cells, verify._rotation(G, 0.7)) for cells, G in reps]
+    # the groups hold every generator G, and every sign action S with
+    # S - I != 0, ordered by support size
+    G = _by_support(dense_generators(space.reps, d), 0.0)
+    S = _by_support(dense_generators(space.signs, d), eye)
+    assert np.array_equal(_support_members(reps, d), G)
+    assert np.array_equal(_support_members(signs, d, base=1.0), S)
+    R = verify._rotation(G, 0.7) if len(G) else G
+    Q = np.random.default_rng(3).standard_normal((d, d))
+    for P in (Q + Q.T, Q):
+        _assert_dense_residuals(P, reps, False, G, lambda M: M.T @ P + P @ M)
+        _assert_dense_residuals(P, signs, True, S, lambda M: M.T @ P @ M - P)
+        _assert_dense_residuals(P, rots, True, R, lambda M: M.T @ P @ M - P)
+
+
+def test_support_groups_read_rows_and_columns():
+    # generator 0 touches 1 and 3 through one entry; generator 1 touches 0
+    # and 4, and its entry at (2, 2) cancelled to zero, which touches
+    # nothing; generator 2 vanishes
+    table = GeneratorTable(
+        3, np.array([0, 1, 1]), np.array([1, 0, 2]), np.array([3, 4, 2]), np.array([2.0, 5.0, 0.0])
+    )
+    (cells, blocks), = verify._support_groups(table, 5)
+    assert (cells[:, :, 0] // 5).tolist() == [[1, 3], [0, 4]]
+    assert (cells[:, 0] % 5).tolist() == [[1, 3, 0, 2, 4], [0, 4, 1, 2, 3]]
+    assert blocks.tolist() == [[[0.0, 2.0], [0.0, 0.0]], [[0.0, 5.0], [0.0, 0.0]]]
+
+
+def test_identity_support_groups_read_the_deviation():
+    # T = diag(0, -1, 1), its zero not stored: T - I is nonzero at 0 and 1
+    table = GeneratorTable(1, np.array([0, 0]), np.array([1, 2]), np.array([1, 2]), np.array([-1.0, 1.0]))
+    (cells, blocks), = verify._support_groups(table, 3, identity=True)
+    assert (cells[:, :, 0] // 3).tolist() == [[0, 1]]
+    assert blocks.tolist() == [[[0.0, 0.0], [0.0, -1.0]]]
+
+
+def test_ricci_equivariance_sees_a_wrong_rotation(monkeypatch):
+    # exp(0.7 G) is implied by G, so only a wrong rotation shows here
+    rotation = verify._rotation
+    monkeypatch.setattr(verify, "_rotation", lambda G, t: 1.01 * rotation(G, t))
+    with pytest.raises(verify._Failure, match="not isotropy-equivariant"):
+        verify._check_ricci_equivariance(verify._Context(parse_flag_spec("D:5:[4,1]:-")))
+
+
+def _kernel_alone(monkeypatch):
+    # the operator commutation bound would see these edits too
+    monkeypatch.setattr(verify, "commutation_residual", lambda space: 0.0)
+
+
+def test_support_kernel_sees_a_twisted_rep_entry(monkeypatch):
+    # a skew twist inside the second summand of the pair keeps every
+    # summand but breaks G_jj B0 = B0 G_ii, which only the mixed blocks of
+    # a metric or a Ricci form see
+    _kernel_alone(monkeypatch)
+    sp = metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    a = sp.slices[sp.pairs[0][1]].start
+    ctx, _ = _broken_context(monkeypatch, "D:5:[4,1]:-", [a, a + 1], [a + 1, a], [0.3, -0.3])
+    with pytest.raises(verify._Failure, match="not isotropy-invariant"):
+        verify._check_metric_invariance(ctx)
+    with pytest.raises(verify._Failure, match="not isotropy-equivariant"):
+        verify._check_ricci_equivariance(ctx)
+
+
+def test_support_kernel_sees_a_flipped_sign(monkeypatch):
+    # one diagonal entry of a sign action flipped on the first summand of
+    # the pair changes the sign of that row of the mixed block alone
+    _kernel_alone(monkeypatch)
+    sp = metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    d = sp.tangent_dim
+    a = sp.slices[sp.pairs[0][0]].start
+    s = dense_generators(sp.signs, d)[0, a, a]
+    assert abs(s) == 1.0
+    bad = edit_first_generator(sp.signs, d, [a], [a], [-2.0 * s])
+    broken = dataclasses.replace(sp, signs=bad)
+    monkeypatch.setattr(verify._Context, "space", property(lambda self: broken))
+    ctx = verify._Context(sp.spec)
+    with pytest.raises(verify._Failure, match="not isotropy-invariant"):
+        verify._check_metric_invariance(ctx)
+    with pytest.raises(verify._Failure, match="not isotropy-equivariant"):
+        verify._check_ricci_equivariance(ctx)
+
+
+def test_metric_invariance_sees_a_perturbed_off_block_entry(monkeypatch):
+    # (0, d - 1) joins two summands that are not a pair, so every invariant
+    # metric is zero there
+    _kernel_alone(monkeypatch)
+    sp = metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    assert sp.slices[0].stop <= sp.slices[-1].start
+    assert all({i, j} != {0, sp.n_sub - 1} for i, j, _ in sp.pairs)
+    real = invariant.MetricSpace.metric_matrix
+
+    def perturbed(self, coeffs):
+        A = real(self, coeffs)
+        A[0, -1] += 0.3
+        A[-1, 0] += 0.3
+        return A
+
+    monkeypatch.setattr(invariant.MetricSpace, "metric_matrix", perturbed)
+    with pytest.raises(verify._Failure, match="not isotropy-invariant"):
+        verify._check_metric_invariance(verify._Context(sp.spec))
 
 
 def test_rotation_matches_expm_at_a_zero_angle():
@@ -144,5 +307,5 @@ def test_rotation_matches_expm_at_a_zero_angle():
     for size in (1, 3, 5):
         A = rng.standard_normal((2, size, size))
         G = np.concatenate([A - np.swapaxes(A, 1, 2), np.zeros((1, size, size))])
-        err = verify._max_abs(verify._rotation(G, 0.7) - linalg.expm(0.7 * G))
+        err = np.max(np.abs(verify._rotation(G, 0.7) - linalg.expm(0.7 * G)))
         assert err <= 1e-14
