@@ -4,9 +4,9 @@ The package builds the compact symmetry algebra of a flag manifold from
 exact integer matrices, decomposes the isotropy representation, spans the
 full family of invariant metrics (including intertwined coefficients of
 equivalent summands), evaluates Ricci and scalar curvature, and locates
-every invariant Einstein metric: the diagonal ones by an exact count in
-integer arithmetic, cross-checked by a numeric search that also finds
-the non-diagonal ones, and both against an exact branch catalog.
+every invariant Einstein metric by exact counts in integer arithmetic,
+the diagonal ones and, on a pair of equivalent summands, the ones with a
+nonzero mixing coefficient, checked against an exact branch catalog.
 Solutions with equal normalized Einstein constants are screened for
 genuine isometry by explicit pullback witnesses.
 """
@@ -30,7 +30,6 @@ from .einstein import (
 from .errors import (
     BadFlag,
     BadPartition,
-    ConvergenceGap,
     EinflagError,
     InvariantViolation,
     NoCatalogEntry,
@@ -83,7 +82,6 @@ __all__ = [
     "EinflagError",
     "BadFlag",
     "BadPartition",
-    "ConvergenceGap",
     "InvariantViolation",
     "NoCatalogEntry",
     "NotPositiveDefinite",

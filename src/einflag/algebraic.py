@@ -1,21 +1,25 @@
-"""Exact count of the diagonal invariant Einstein metrics of a flag.
+"""Exact counts of the invariant Einstein metrics of a flag.
 
-On a diagonal metric ``x_1, ..., x_s`` the reduced Ricci engine is a
-Laurent polynomial in the x
-(:meth:`~einflag.curvature.ReducedRicci.diagonal_terms`), and its
-coefficients are rationals of small denominator.  :func:`diagonal_system`
-rebuilds them as fractions, gauges ``x_s = 1`` and clears denominators:
-the Einstein equations ``r_{i+1} = r_i`` of the per-summand Ricci values
-become integer polynomials -- one univariate polynomial on a two-summand
-flag, two plane curves ``f1, f2`` in ``(x, y)`` on a three-summand flag.
+The reduced Ricci engine is a Laurent polynomial in the metric
+coefficients and the pair determinants ``x_i x_j - b^2``
+(:meth:`~einflag.curvature.ReducedRicci.terms`), and its coefficients are
+rationals of small denominator.  :func:`diagonal_system` rebuilds them as
+fractions on a diagonal metric ``x_1, ..., x_s``, gauges ``x_s = 1`` and
+clears denominators: the Einstein equations ``r_{i+1} = r_i`` of the
+per-summand Ricci values become integer polynomials -- one univariate
+polynomial on a two-summand flag, two plane curves ``f1, f2`` in
+``(x, y)`` on a three-summand flag.  On a flag with an equivalent pair,
+:func:`mixed_system` rebuilds the equations of a metric with a mixing
+coefficient b in ``(x_1, x_2, B = b^2)``, and :func:`mixed_count`
+eliminates B, which leaves two plane curves again.
 
-:func:`diagonal_count` counts their positive solutions exactly.  A
-three-summand system is sheared to ``u = x + k y`` so that both equations
-keep a constant leading coefficient in y; the Sylvester resultant
-``R(u)`` then vanishes exactly at the u of the common solutions, and the
-first subresultant ``s11(u) y + s10(u)`` gives the one solution over a
-root where ``s11`` does not vanish (D. Cox, J. Little, D. O'Shea, *Ideals,
-Varieties, and Algorithms*, ch. 3).  ``R`` is split into square-free parts
+:func:`diagonal_count` and :func:`mixed_count` count their positive
+solutions exactly.  A plane system is sheared to ``u = x + k y`` so that
+both equations keep a constant leading coefficient in y; the Sylvester
+resultant ``R(u)`` then vanishes exactly at the u of the common
+solutions, and the first subresultant ``s11(u) y + s10(u)`` gives the one
+solution over a root where ``s11`` does not vanish (D. Cox, J. Little,
+D. O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3).  ``R`` is split into square-free parts
 (D. Y. Y. Yun, SYMSAC 1976), whose positive roots are isolated by Sturm
 sequences and bisected in exact arithmetic; the signs of y and x at a
 root are decided by Sturm counts as well (S. Basu, R. Pollack, M.-F. Roy,
@@ -30,7 +34,8 @@ reason; nothing is ever rounded to make it fit.
 
 Univariate polynomials are coefficient lists in ascending order, with no
 trailing zero (``[]`` is the zero polynomial); plane polynomials are dicts
-``{(i, j): c}`` for ``c x^i y^j``.
+``{(i, j): c}`` for ``c x^i y^j``, and other multivariate ones dicts over
+their exponent tuples.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, NoExactCount
 
-__all__ = ["DiagonalCount", "diagonal_count", "diagonal_system"]
+__all__ = ["ExactCount", "diagonal_count", "diagonal_system", "mixed_count", "mixed_system"]
 
 # an engine entry is zero below, and must match its rational to, this
 # fraction of the largest entry of its array
@@ -59,17 +64,19 @@ _RATIONAL_DENOMINATOR = 2**20
 
 
 @dataclass(frozen=True)
-class DiagonalCount:
-    """Every positive solution of the gauged diagonal Einstein system.
+class ExactCount:
+    """Every solution of one gauged Einstein system, counted exactly.
 
     ``points`` holds one tuple ``(x_1, ..., x_{s-1})`` of floats per
-    solution (the gauged ``x_s = 1`` left out), each rounded from a
-    rational: the solution itself where it is rational, else its value at
-    the end of an isolating interval narrower than ``2^-_ROOT_BITS``
-    relative; the numeric route takes these floats as its diagonal roots.
-    ``multiplicities`` holds the multiplicity of each one as a root of the
-    eliminated polynomial (of ``R`` on a three-summand flag), and ``shear``
-    the k of ``u = x + k y`` (None on a two-summand flag).
+    solution (the gauged ``x_s = 1`` left out), followed by its mixing
+    coefficient on the mixed stage.  Each diagonal coordinate is rounded
+    from a rational: the solution itself where it is rational, else its
+    value at the end of an isolating interval narrower than
+    ``2^-_ROOT_BITS`` relative; a mixing coefficient is the square root of
+    the rational ``b^2`` there.  The numeric route takes these floats as
+    its roots.  ``multiplicities`` holds the multiplicity of each one as a
+    root of the eliminated polynomial (of ``R`` on a plane system), and
+    ``shear`` the k of ``u = x + k y`` (None on a two-summand flag).
     """
 
     points: tuple
@@ -328,7 +335,7 @@ def _positive_roots(p, hi=None):
 
 
 # ---------------------------------------------------------------------------
-# the diagonal system
+# the Einstein systems
 
 
 def _fit(rows, what):
@@ -352,57 +359,169 @@ def _fit(rows, what):
     return [[rational(v) for v in row] for row in rows]
 
 
+def _ricci_terms(engine):
+    """The Ricci coefficients of an engine as exact Laurent polynomials.
+
+    One dict ``{e: c}`` per coefficient, over the exponents of
+    :meth:`~einflag.curvature.ReducedRicci.terms`: the n metric
+    coefficients, then one pair determinant ``x_i x_j - b^2`` per pair.
+    """
+    linear, quadratic, killing = engine.terms()
+    terms = []
+    for group, what in ((linear, "M1"), (quadratic, "the quadratic term")):
+        terms += zip([e for e, _ in group], _fit([row for _, row in group], what))
+    (kappa,) = _fit([killing], "the Killing term")
+    width = engine.dim + len(engine.pairs)
+    ricci = [{(0,) * width: kappa[r]} for r in range(engine.dim)]
+    for e, row in terms:
+        for r, c in enumerate(row):
+            if c:
+                ricci[r][e] = ricci[r].get(e, 0) + c
+    return ricci
+
+
+def _combine(terms):
+    """The polynomial ``{e: c}`` of ``(e, c)`` terms, equal exponents merged
+    and zero coefficients dropped."""
+    out = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _pmul(f, g):
+    """Product of two multivariate polynomials ``{e: c}``."""
+    return _combine(
+        (tuple(u + v for u, v in zip(e, e2)), c * c2)
+        for e, c in f.items()
+        for e2, c2 in g.items()
+    )
+
+
+def _ppow(f, k):
+    out = {(0,) * len(next(iter(f))): 1}
+    for _ in range(k):
+        out = _pmul(out, f)
+    return out
+
+
+def _einstein_equations(engine, ricci):
+    """The equations ``r_{i+1} = r_i`` of the per-summand Ricci values
+    ``r_i = rho_i / x_i``, then ``rho_b / b = r_s`` for each mixing slot
+    that ``ricci`` holds."""
+    s = engine.n_sub
+
+    def over(r):
+        # rho_r divided by the coefficient in its own slot
+        return {e[:r] + (e[r] - 1,) + e[r + 1:]: c for e, c in ricci[r].items()}
+
+    def minus(f, g):
+        return _combine([*f.items(), *((e, -c) for e, c in g.items())])
+
+    ratios = [over(r) for r in range(s)]
+    return [minus(ratios[r + 1], ratios[r]) for r in range(s - 1)] + [
+        minus(over(slot), ratios[-1]) for slot in range(s, len(ricci))
+    ]
+
+
+def _gauge(eq, slot):
+    """``eq`` at ``x = 1`` in ``slot``, over the other exponents."""
+    gauged = _combine((e[:slot] + e[slot + 1:], c) for e, c in eq.items())
+    if not gauged:
+        raise NoExactCount("an Einstein equation vanishes identically")
+    return gauged
+
+
+def _content_free(poly):
+    """``poly`` with its monomial content divided out (or the monomial
+    denominator cleared) and coprime integer coefficients.
+
+    The result is a positive rational multiple of ``poly`` times a
+    monomial, so it keeps every solution with all coordinates positive.
+    """
+    low = [min(e[i] for e in poly) for i in range(len(next(iter(poly))))]
+    keys = [tuple(v - m for v, m in zip(e, low)) for e in poly]
+    return dict(zip(keys, _primitive(list(poly.values()))))
+
+
 def diagonal_system(engine):
     """The gauged diagonal Einstein equations of an engine, in integers.
 
     Returns one primitive integer polynomial per equation ``r_{i+1} = r_i``
     (``i < s - 1``), over the exponents of ``x_1, ..., x_{s-1}`` with
     ``x_s = 1``: a coefficient list in x when ``s = 2``, a dict
-    ``{(i, j): c}`` otherwise.  Each equation was multiplied by a positive
-    rational and a monomial, which keeps its positive solutions.  Raises
-    :class:`NoExactCount` when an entry of the engine is no small-denominator
-    rational, or when an equation vanishes identically.
+    ``{(i, j): c}`` otherwise.  The mixing coefficients are zero, so each
+    pair determinant is ``x_i x_j``.  Each equation was multiplied by a
+    positive rational and a monomial, which keeps its positive solutions.
+    Raises :class:`NoExactCount` when an entry of the engine is no
+    small-denominator rational, or when an equation vanishes identically.
     """
-    s = engine.n_sub
-    linear, quadratic, killing = engine.diagonal_terms()
-    terms = []
-    for group, what in ((linear, "M1"), (quadratic, "the quadratic term")):
-        terms += zip([e for e, _ in group], _fit([row for _, row in group], what))
-    (kappa,) = _fit([killing], "the Killing term")
-    ricci = [{(0,) * s: kappa[r]} for r in range(s)]
-    for e, row in terms:
-        for r in range(s):
-            if row[r]:
-                ricci[r][e] = ricci[r].get(e, 0) + row[r]
+    s, n = engine.n_sub, engine.dim
 
-    def per_summand(r):
-        # r_r = rho_r / x_r
-        return {
-            tuple(v - (i == r) for i, v in enumerate(e)): c for e, c in ricci[r].items()
-        }
+    def diagonal(poly):
+        # b = 0: only the terms free of b remain, with det_k = x_i x_j
+        out = []
+        for e, c in poly.items():
+            if any(e[s:n]):
+                continue
+            x = list(e[:s])
+            for k, (i, j) in enumerate(engine.pairs):
+                x[i] += e[n + k]
+                x[j] += e[n + k]
+            out.append((tuple(x), c))
+        return _combine(out)
 
+    ricci = [diagonal(poly) for poly in _ricci_terms(engine)[:s]]
     equations = []
-    for r in range(s - 1):
-        eq = per_summand(r + 1)
-        for e, c in per_summand(r).items():
-            eq[e] = eq.get(e, 0) - c
-        # gauge x_s = 1, then clear the monomial denominator
-        gauged = {}
-        for e, c in eq.items():
-            gauged[e[:-1]] = gauged.get(e[:-1], 0) + c
-        gauged = {e: c for e, c in gauged.items() if c}
-        if not gauged:
-            raise NoExactCount("an Einstein equation vanishes identically")
-        low = [min(e[i] for e in gauged) for i in range(s - 1)]
-        keys = [tuple(v - m for v, m in zip(e, low)) for e in gauged]
-        coeffs = _primitive(list(gauged.values()))
-        if s > 2:
-            equations.append(dict(zip(keys, coeffs)))
-        else:
-            poly = [0] * (max(keys)[0] + 1)
-            for (i,), c in zip(keys, coeffs):
+    for eq in _einstein_equations(engine, ricci):
+        eq = _content_free(_gauge(eq, s - 1))
+        if s == 2:
+            poly = [0] * (max(eq)[0] + 1)
+            for (i,), c in eq.items():
                 poly[i] = c
-            equations.append(poly)
+            eq = poly
+        equations.append(eq)
+    return equations
+
+
+def mixed_system(engine):
+    """The gauged Einstein equations of a metric with one mixing coefficient.
+
+    On a flag of three summands with one equivalent pair ``(i, j)`` the
+    metric is ``(x_1, x_2, x_3, b)``.  With ``x_3 = 1`` and ``B = b^2``,
+    returns the two equations ``r_2 = r_1``, ``r_3 = r_2`` and the mixing
+    equation ``rho_b / b = r_3`` as primitive integer polynomials
+    ``{(i, j, k): c}`` for ``c x_1^i x_2^j B^k``: the powers of the pair
+    determinant ``x_i x_j - b^2`` are cleared, the monomial content is
+    divided out, and every equation must be even in b.  Each equation was
+    multiplied by a positive rational, a power of the determinant and a
+    monomial, which keeps its solutions with positive coordinates and a
+    positive determinant.  Raises :class:`NoExactCount` on any other shape,
+    and as :func:`diagonal_system` does.
+    """
+    s, n = engine.n_sub, engine.dim
+    if s != 3 or len(engine.pairs) != 1:
+        raise NoExactCount(
+            f"{s} summands and {len(engine.pairs)} pairs; the exact mixed count "
+            "covers three summands with one pair"
+        )
+    ((i, j),) = engine.pairs
+    det = {
+        tuple((v == i) + (v == j) for v in range(n)): 1,
+        tuple(2 * (v == s) for v in range(n)): -1,
+    }
+    equations = []
+    for eq in _einstein_equations(engine, _ricci_terms(engine)):
+        low = min(e[n] for e in eq)
+        expanded = _combine(
+            term
+            for e, c in eq.items()
+            for term in _pmul({e[:n]: c}, _ppow(det, e[n] - low)).items()
+        )
+        gauged = _gauge(expanded, s - 1)
+        if any(e[-1] % 2 for e in gauged):
+            raise NoExactCount("an Einstein equation is not even in the mixing coefficient")
+        equations.append(_content_free({e[:-1] + (e[-1] // 2,): c for e, c in gauged.items()}))
     return equations
 
 
@@ -471,21 +590,59 @@ def _subresultant(P, Q, j):
     return [_det([row[:lead] + [row[width - 1 - i]] for row in rows]) for i in range(j + 1)]
 
 
-def _fiber(F1, F2, u, k):
+class _PlaneRoot:
+    """One positive common root ``(x, y)`` of two plane curves.
+
+    ``t`` is a refined :class:`_Root` of a univariate polynomial, and the
+    root is ``x = xt(t) / den(t)``, ``y = yt(t) / den(t)`` with ``den``
+    nonzero at t.  ``point`` holds (x, y) as rationals at the end of t's
+    interval when the root was found (the root itself where t is exact),
+    and ``multiplicity`` the multiplicity of the root of the resultant it
+    lies over.
+    """
+
+    def __init__(self, t, xt, yt, den, multiplicity):
+        self.t, self.xt, self.yt, self.den = t, xt, yt, den
+        b = t.b
+        d = _value(den, b)
+        self.point = (_value(xt, b) / d, _value(yt, b) / d)
+        self.multiplicity = multiplicity
+
+    def sign_of(self, f):
+        """Sign of the plane polynomial ``f`` at the root, exactly."""
+        if not f:
+            return 0
+        deg = max(i + j for i, j in f)
+        # den^deg f(xt / den, yt / den), a polynomial in t
+        num = []
+        for (i, j), c in f.items():
+            term = [c]
+            for factor, times in ((self.xt, i), (self.yt, j), (self.den, deg - i - j)):
+                for _ in range(times):
+                    term = _mul(term, factor)
+            num = _add(num, term)
+        return self.t.sign_of(num) * self.t.sign_of(self.den) ** deg
+
+
+def _fiber(F1, F2, u, k, m):
     """Solutions over the rational u where the subresultant degenerates.
 
     The common roots y of the two equations specialized at u, with
-    ``x = u - k y`` positive, as ``(x, y)`` pairs.
+    ``x = u - k y`` positive, as :class:`_PlaneRoot` of multiplicity m.
     """
     G = _gcd([_value(c, u) for c in F1], [_value(c, u) for c in F2])
     G = _primitive(_quo(G, _gcd(G, _deriv(G))))
     top = u / k
-    return [(u - k * y.b, y.b) for y in _positive_roots(G, top) if y.exact != top]
+    return [
+        _PlaneRoot(y, [u, -k], [0, 1], [1], m)
+        for y in _positive_roots(G, top)
+        if y.exact != top
+    ]
 
 
 def _count_plane(f1, f2, k):
     """Positive solutions of ``f1 = f2 = 0`` through the shear k, as
-    ``((x, y), multiplicity)`` pairs."""
+    :class:`_PlaneRoot`."""
     F1, F2 = _shear(f1, k), _shear(f2, k)
     # a constant leading coefficient in y keeps every common root finite
     # and lets the (sub)resultants specialize at every u
@@ -514,23 +671,32 @@ def _count_plane(f1, f2, k):
                     root.exact = Fraction(-g11[0], g11[1])
                 if root.exact is None:
                     raise _NotGeneric
-                found += [(xy, m) for xy in _fiber(F1, F2, root.exact, k)]
+                found += _fiber(F1, F2, root.exact, k, m)
             elif -root.sign_of(s10) * sign11 > 0 and root.sign_of(xs11) * sign11 > 0:
-                u = root.b
-                y = -_value(s10, u) / _value(s11, u)
-                found.append(((u - k * y, y), m))
+                found.append(_PlaneRoot(root, xs11, _neg(s10), s11, m))
     return found
+
+
+def _count_system(f1, f2):
+    """The positive solutions of two plane curves, through the first shear
+    of ``_SHEARS`` that puts them in a countable position, and that shear."""
+    for shear in _SHEARS:
+        try:
+            return _count_plane(f1, f2, shear), shear
+        except _NotGeneric:
+            continue
+    raise NoExactCount(f"no shear u = x + k y with k in {_SHEARS} is generic")
 
 
 def diagonal_count(engine):
     """Count the diagonal Einstein metrics of an engine's flag exactly.
 
-    Returns a :class:`DiagonalCount`; raises :class:`NoExactCount` with the
+    Returns an :class:`ExactCount`; raises :class:`NoExactCount` with the
     reason when the system cannot be rebuilt or counted exactly.
     """
     s = engine.n_sub
     if s == 1:
-        return DiagonalCount(((),), (1,), None)
+        return ExactCount(((),), (1,), None)
     if s > 3:
         raise NoExactCount(f"{s} summands; the exact count covers two and three")
     system = diagonal_system(engine)
@@ -541,17 +707,78 @@ def diagonal_count(engine):
             ((root.b,), m) for factor, m in _yun(p) for root in _positive_roots(factor)
         ]
     else:
-        for shear in _SHEARS:
-            try:
-                found = _count_plane(*system, shear)
-                break
-            except _NotGeneric:
-                continue
-        else:
-            raise NoExactCount(f"no shear u = x + k y with k in {_SHEARS} is generic")
+        roots, shear = _count_system(*system)
+        found = [(root.point, root.multiplicity) for root in roots]
+    return _exact_count(found, shear)
+
+
+def _exact_count(found, shear):
     found.sort(key=lambda item: item[0])
-    return DiagonalCount(
+    return ExactCount(
         points=tuple(tuple(map(float, point)) for point, _ in found),
         multiplicities=tuple(m for _, m in found),
         shear=shear,
     )
+
+
+def _plane_value(f, x, y):
+    return sum(c * x**i * y**j for (i, j), c in f.items())
+
+
+def _square_root(q):
+    """The positive square root of the positive rational q: exact where q
+    is the square of a rational, else the float root."""
+    top, bottom = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if top * top == q.numerator and bottom * bottom == q.denominator:
+        return Fraction(top, bottom)
+    return math.sqrt(q)
+
+
+def mixed_count(engine):
+    """Count the Einstein metrics with a nonzero mixing coefficient exactly.
+
+    The mixing equation of :func:`mixed_system` must be linear in
+    ``B = b^2``, ``p1(x) B + p0(x) = 0``.  Substituting ``B = -p0 / p1``
+    into the other two equations, with the powers of ``p1`` cleared and the
+    monomial content divided out, leaves two plane curves, whose positive
+    solutions are counted as on the diagonal.  At each solution ``p1`` must
+    be nonzero, decided exactly; a solution is kept when ``0 < B`` and the
+    pair determinant ``x_i x_j - B`` is positive, also decided exactly, and
+    it gives the two metrics ``b = +-sqrt(B)``.  Returns an
+    :class:`ExactCount` whose points are ``(x_1, x_2, b)``; raises
+    :class:`NoExactCount` with the reason when any step does not apply.
+    """
+    f1, f2, mix = mixed_system(engine)
+    if max(k for _, _, k in mix) != 1:
+        raise NoExactCount("the mixing equation is not linear in b^2")
+    p1 = {e[:2]: c for e, c in mix.items() if e[2] == 1}
+    p0 = {e[:2]: c for e, c in mix.items() if e[2] == 0}
+    minus_p0 = {e: -c for e, c in p0.items()}
+
+    def eliminate(f):
+        # f(x, y, -p0 / p1) p1^d for the degree d of f in B
+        d = max(k for _, _, k in f)
+        out = _combine(
+            term
+            for (i, j, k), c in f.items()
+            for term in _pmul({(i, j): c}, _pmul(_ppow(minus_p0, k), _ppow(p1, d - k))).items()
+        )
+        if not out:
+            raise NoExactCount("an Einstein equation vanishes on the mixing equation")
+        return _content_free(out)
+
+    roots, shear = _count_system(eliminate(f1), eliminate(f2))
+    # (x_i x_j - B) p1 = x_i x_j p1 + p0 over the plane, x_3 = 1
+    ((i, j),) = engine.pairs
+    pair = {tuple((v == i) + (v == j) for v in range(engine.n_sub - 1)): 1}
+    det = _combine([*_pmul(pair, p1).items(), *p0.items()])
+    found = []
+    for root in roots:
+        sign1 = root.sign_of(p1)
+        if sign1 == 0:
+            raise NoExactCount("the b^2 coefficient of the mixing equation vanishes at a root")
+        if root.sign_of(p0) * sign1 < 0 and root.sign_of(det) * sign1 > 0:
+            x, y = root.point
+            b = _square_root(-_plane_value(p0, x, y) / _plane_value(p1, x, y))
+            found += [((x, y, b), root.multiplicity), ((x, y, -b), root.multiplicity)]
+    return _exact_count(found, shear)

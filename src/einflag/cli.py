@@ -1,10 +1,12 @@
 """Command-line surface: enumerate flags, solve, tabulate, verify.
 
 Exit codes: 0 on success, 1 when a verified invariant fails (a failed
-check, a solver-route disagreement, a bracket or isotropy generator that
-breaks the construction, or a table row that contradicts the published
-count), 2 for unsupported or malformed inputs (a rank above 25 among
-them), for an output file that cannot be written, and when memory runs out.
+check, a root of an exact count that fails its curvature certificate, a
+bracket or isotropy generator that breaks the construction, or a table row
+that contradicts the published count), 2 for unsupported or malformed
+inputs (a rank above 25 among them, a metric family of more than four
+parameters, and an Einstein system that the exact count does not cover),
+for an output file that cannot be written, and when memory runs out.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     BadPartition,
     EinflagError,
     NoCatalogEntry,
+    NoExactCount,
     TooManyParameters,
     UnimplementedCase,
     UnsupportedRank,
@@ -34,7 +37,7 @@ from .verify import run_checks
 __all__ = ["main"]
 
 _USAGE_ERRORS = (BadFlag, BadPartition, UnsupportedRank)
-_UNSUPPORTED_ERRORS = (UnimplementedCase, TooManyParameters, NoCatalogEntry)
+_UNSUPPORTED_ERRORS = (UnimplementedCase, TooManyParameters, NoCatalogEntry, NoExactCount)
 
 
 def _round(v):
@@ -282,7 +285,7 @@ def _build_parser():
     p_solve = sub.add_parser("solve", help="find all invariant Einstein metrics of one flag")
     p_solve.add_argument("flag", help="flag spec, e.g. A:3:[2,1,1]:-")
     route = p_solve.add_mutually_exclusive_group()
-    route.add_argument("--numeric", action="store_true", help="numeric search only")
+    route.add_argument("--numeric", action="store_true", help="exact counts only")
     route.add_argument("--closed-form", action="store_true", help="exact catalog only")
     p_solve.add_argument("--json", metavar="FILE", help="write a JSON report to FILE")
 
@@ -313,8 +316,8 @@ def main(argv=None):
         print(f"einflag: unsupported case: {exc}", file=sys.stderr)
         return 2
     except EinflagError as exc:
-        # every other package error is a failed invariant: a solver-route
-        # disagreement or a construction step whose verification failed
+        # every other package error is a failed invariant: a root that fails
+        # its certificate or a construction step whose verification failed
         print(f"einflag: invariant failure: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -31,12 +31,14 @@ operators, without a frame.  It is the coefficient-space form of the
 ``[ijk]`` block-sum formula (M. Wang, W. Ziller, Invent. Math. 84, 1986;
 J.-S. Park, Y. Sakane, Tokyo J. Math. 20, 1997), extended to the mixing
 coefficients of equivalent summand pairs.  It also gives the scalar
-curvature, ``tr(A^-1 Ric)``, from the same coefficients.  The numeric
-search evaluates its Einstein equations only through it, the variational
-check of the suite takes its scalar curvature from it, and the check suite
-compares it against the frame route.
+curvature, ``tr(A^-1 Ric)``, from the same coefficients.  The exact
+counts rebuild their Einstein equations from its terms
+(:meth:`ReducedRicci.terms`), the variational check of the suite takes its
+scalar curvature from it, and the check suite compares it against the
+frame route.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -321,8 +323,10 @@ class ReducedRicci:
     def __init__(self, space):
         self.n_sub = s = space.n_sub
         self.dim = n = space.dim
-        self._pi = np.array([i for i, _, _ in space.pairs], dtype=int)
-        self._pj = np.array([j for _, j, _ in space.pairs], dtype=int)
+        # the summands (i, j) of each equivalent pair, in pair order
+        self.pairs = tuple((i, j) for i, j, _ in space.pairs)
+        self._pi = np.array([i for i, _ in self.pairs], dtype=int)
+        self._pj = np.array([j for _, j in self.pairs], dtype=int)
 
         # elementary blocks (row summand, column summand, matrix or None
         # for the identity); L[r, a] = 1 when block a is part of O_r
@@ -414,37 +418,57 @@ class ReducedRicci:
         rho = hc @ self._m1 + quad @ self._quad + self._kappa_term
         return rho.reshape(c.shape)
 
-    def diagonal_terms(self):
-        """The Ricci coefficients on a diagonal metric, as Laurent terms.
+    def terms(self):
+        """The Ricci coefficients as Laurent terms in the metric coefficients.
 
-        With the mixing coefficients 0 and ``x_1, ..., x_s`` on the summands,
-        a product ``h_q c_p`` is ``x_p / x_q`` for two summands and 0 when
-        either index is a mixing slot, so ``rho = sum_e row_e x^e + killing``
-        over the surviving terms.  Returns ``(linear, quadratic, killing)``:
-        the terms of the linear and of the quadratic sum as ``(e, row)``
-        pairs, ``e`` a tuple of s integer exponents and ``row`` the n floats
-        of the term in each Ricci coefficient, not merged across equal
-        exponents; and the Killing row.  Plain lists of floats, for exact
-        arithmetic downstream (:mod:`einflag.algebraic`).
+        Write ``det_k = x_i x_j - b_k^2`` for the k-th pair ``(i, j)``.  A
+        product ``h_q c_p`` is a signed monomial in the coefficients
+        ``x_1, ..., x_s, b_1, ..., b_p`` times a power of one determinant:
+        ``c_p / x_q`` for an unpaired summand q, ``x_j c_p / det_k`` and
+        ``x_i c_p / det_k`` for the summands i and j of a pair, and
+        ``-b_k c_p / det_k`` for its mixing slot.  So
+        ``rho = sum_e row_e x^e + killing`` over the terms, on every metric.
+        Returns ``(linear, quadratic, killing)``: the terms of the linear and
+        of the quadratic sum as ``(e, row)`` pairs, ``e`` a tuple of n + p
+        integer exponents (one per coefficient, then one per determinant)
+        and ``row`` the n floats of the term in each Ricci coefficient, the
+        sign of the monomial included, not merged across equal exponents;
+        and the Killing row.  Plain lists of floats, for exact arithmetic
+        downstream (:mod:`einflag.algebraic`).
         """
         s, n = self.n_sub, self.dim
-
-        def exponent(k):
-            q, p = divmod(k, n)
-            if q >= s or p >= s:
-                return None
-            return tuple((i == p) - (i == q) for i in range(s))
+        width = n + len(self.pairs)
+        # summand -> (its pair, its partner)
+        paired = {}
+        for k, (i, j) in enumerate(self.pairs):
+            paired[i], paired[j] = (k, j), (k, i)
+        # h_q as (sign, exponents)
+        inverse = []
+        for q in range(n):
+            e, sign = [0] * width, 1.0
+            if q >= s:
+                e[q], e[n + q - s], sign = 1, -1, -1.0
+            elif q in paired:
+                k, partner = paired[q]
+                e[partner], e[n + k] = 1, -1
+            else:
+                e[q] = -1
+            inverse.append((sign, e))
+        products = []
+        for q, p in itertools.product(range(n), repeat=2):
+            sign, e = inverse[q]
+            products.append((sign, tuple(v + (i == p) for i, v in enumerate(e))))
 
         linear = [
-            (e, row)
-            for k, row in enumerate(self._m1.tolist())
-            if (e := exponent(k)) is not None
+            (e, [sign * v for v in row])
+            for (sign, e), row in zip(products, self._m1.tolist())
         ]
         quadratic = []
         for l, k, row in zip(self._left.tolist(), self._right.tolist(), self._quad.tolist()):
-            el, ek = exponent(l), exponent(k)
-            if el is not None and ek is not None:
-                quadratic.append((tuple(u + v for u, v in zip(el, ek)), row))
+            (sl, el), (sk, ek) = products[l], products[k]
+            quadratic.append(
+                (tuple(u + v for u, v in zip(el, ek)), [sl * sk * v for v in row])
+            )
         return linear, quadratic, self._kappa_term.tolist()
 
     def scalar(self, coeffs):

@@ -41,17 +41,13 @@ class TooManyParameters(EinflagError):
     """Metric space dimension exceeds what the numeric solver handles."""
 
 
-class ConvergenceGap(EinflagError):
-    """Solver routes disagree on the solution set.
-
-    Raised when the exact diagonal count and the base grid find different
-    diagonal solutions, or when two grid densities disagree where no exact
-    count applies (the mixed stage, or a diagonal stage marked grid-only).
-    """
-
-
 class NoExactCount(EinflagError):
-    """The diagonal Einstein system cannot be rebuilt or counted exactly."""
+    """An Einstein system cannot be rebuilt or counted exactly.
+
+    Raised by the exact counts of :mod:`einflag.algebraic`, with the reason,
+    for the diagonal or the mixed stage of a flag.  No search stands in for
+    the count, so the solve fails as an unsupported case.
+    """
 
 
 class NoCatalogEntry(EinflagError):

@@ -27,12 +27,13 @@ from numpy.random import default_rng
 from .curvature import curvature, reduced_ricci, u_map
 from .einstein import (
     DEFECT_TOL,
+    _require_countable,
     closed_form_solutions,
     numeric_solutions,
     published_row,
     solve,
 )
-from .errors import NoCatalogEntry, NotPositiveDefinite, TooManyParameters, UnimplementedCase
+from .errors import NoCatalogEntry, NoExactCount, NotPositiveDefinite, UnimplementedCase
 from .flag import parse_flag_spec
 from .invariant import (
     Frame,
@@ -134,15 +135,24 @@ def _check_ambient_ad_invariance(ctx):
 
 
 def _killing_trace_ratios(m):
-    """Ascending generalized eigenvalues of (-Killing form, trace form)."""
+    """Ascending generalized eigenvalues of (-Killing form, trace form).
+
+    The basis is orthogonal for the trace form, so its Gram is a diagonal
+    g, and ``K x = r G x`` is ``g^-1/2 K g^-1/2 y = r y``.  A Gram entry off
+    the diagonal fails the check.
+    """
     # Flattened dot products give tr(M_e M_f^T) = -tr(M_e M_f) for the
-    # skew basis matrices, i.e. exactly the positive trace-form gram.
+    # skew basis matrices, i.e. exactly the positive trace-form gram; the
+    # entries are integers, so the products are exact.
     mats = np.stack([e.matrix.astype(float).reshape(-1) for e in m.basis])
     G = mats @ mats.T
+    g = np.diag(G).copy()
+    np.fill_diagonal(G, 0.0)
+    off = float(np.max(np.abs(G)))
+    _require(off == 0.0, f"trace Gram of the basis has an off-diagonal entry {off:.3g}")
+    scale = 1.0 / np.sqrt(g)
     K = -np.asarray(m.killing_matrix, dtype=float)
-    # K x = r G x is L^-1 K L^-T y = r y for the Cholesky factor G = L L^T
-    Li = np.linalg.inv(np.linalg.cholesky(G))
-    return np.linalg.eigvalsh(Li @ K @ Li.T)
+    return np.linalg.eigvalsh(scale[:, None] * K * scale)
 
 
 def _check_killing_trace_ratio(ctx):
@@ -640,7 +650,7 @@ def _check_catalog_agreement(ctx):
     numeric = ctx.numeric
     _require(
         len(closed) == len(numeric),
-        f"catalog finds {len(closed)} solutions, numeric search {len(numeric)}",
+        f"catalog finds {len(closed)} solutions, the exact counts {len(numeric)}",
     )
     used = set()
     for s in closed:
@@ -790,20 +800,23 @@ def run_checks(spec):
     list of CheckResult
         One entry per check, in a fixed order.  A check failure is
         recorded, not raised; :class:`UnimplementedCase` from the flag
-        construction and :class:`TooManyParameters` from the solver
-        propagate so callers can distinguish "unsupported" from "broken".
+        construction, :class:`TooManyParameters` (raised before the first
+        check) and :class:`NoExactCount` from the solver propagate so
+        callers can distinguish "unsupported" from "broken".
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
     ctx = _Context(spec)
-    ctx.space  # construct eagerly: UnimplementedCase should propagate
+    # construct eagerly: UnimplementedCase should propagate, and a family
+    # the solver refuses should be refused before any check runs
+    _require_countable(ctx.space)
     results = []
     for name, fn in _CHECKS:
         try:
             results.append(CheckResult(name, True, fn(ctx) or ""))
         except _Failure as exc:
             results.append(CheckResult(name, False, str(exc)))
-        except (UnimplementedCase, TooManyParameters):
+        except (UnimplementedCase, NoExactCount):
             raise
         except Exception as exc:  # noqa: BLE001 - checks must not abort the suite
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))

@@ -1,4 +1,4 @@
-"""Shared fixtures, and helpers that build and edit generator tables."""
+"""Shared fixtures and flag lists, and helpers that build and edit generator tables."""
 
 from functools import lru_cache
 
@@ -6,12 +6,22 @@ import numpy as np
 import pytest
 
 import einflag.einstein
+from einflag.cli import _table_rows
 from einflag.flag import GeneratorTable
+
+# every `table1 --max-l 6` flag, plus the large three-summand flag
+FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
+# every flag with an equivalent pair up to rank 10
+PAIR_FLAGS = ["A:3:[2,1,1]:-", "A:3:[1,2,1]:-", "A:3:[1,1,2]:-"] + [
+    text
+    for l in range(4, 11)
+    for text in (f"D:{l}:[{l - 1},1]:-", f"D:{l}:[1,{l - 1}]:-", f"D:{l}:[1,{l - 2},1]:+")
+]
 
 
 @pytest.fixture
 def cold_search(monkeypatch):
-    """Empty numeric-search and solve memos for one test.
+    """Empty numeric-route and solve memos for one test.
 
     The test gets fresh memos; the shared ones, and what later tests find
     in them, come back untouched when it ends.

@@ -1,4 +1,4 @@
-"""The exact diagonal count on every flag, its certificate and its gates."""
+"""The exact counts on every flag, their certificates and their gates."""
 
 import copy
 import math
@@ -12,15 +12,15 @@ import pytest
 
 import einflag.algebraic as algebraic
 import einflag.einstein
-from einflag.cli import _table_rows, main
+import grid_oracle
+from conftest import FLAGS, PAIR_FLAGS
+from einflag.cli import main
 from einflag.curvature import reduced_ricci
-from einflag.einstein import numeric_solutions, solve
-from einflag.errors import ConvergenceGap, NoExactCount
+from einflag.einstein import _stage, numeric_solutions, solve
+from einflag.errors import InvariantViolation, NoExactCount
 from einflag.flag import parse_flag_spec
 from einflag.invariant import metric_space
 
-# every `table1 --max-l 6` flag, plus the large three-summand flag
-FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
 
 
 def engine(text):
@@ -56,7 +56,7 @@ def test_double_root_flags_read_the_normal_metric_exactly(text):
 def test_rounding_noise_in_the_killing_term_fits_as_zero(text):
     # kappa carries an entry of about 3e-16 that is exactly zero; it is
     # judged against the largest entry of its array
-    *_, kappa = engine(text).diagonal_terms()
+    *_, kappa = engine(text).terms()
     assert 0 < min(map(abs, kappa)) < 1e-15
     (fitted,) = algebraic._fit([kappa], "kappa")
     assert 0 in fitted and all(isinstance(v, Fraction) for v in fitted)
@@ -74,17 +74,54 @@ def test_exact_roots_reach_the_answer_unpolished(text):
     assert sorted(vec for vec in got if not any(vec[s:])) == want
 
 
+def test_pair_flags_are_those_of_the_table():
+    assert [t for t in FLAGS if metric_space(parse_flag_spec(t)).pairs] == [
+        t for t in PAIR_FLAGS if int(t.split(":")[1]) <= 6
+    ]
+
+
+@pytest.mark.parametrize("text", PAIR_FLAGS)
+def test_every_mixed_stage_is_counted(text):
+    # x_3 = 1, B = b^2: the mixing equation is
+    # B (2 x1 - x2 + 1) + x1^2 - 2 x1 x2 + x2^2 - x2, up to its sign, and the
+    # mixed metrics are (2/3, 1/3, 1, +-1/3) and (2, 3, 1, +-1) on every flag
+    f1, f2, mix = algebraic.mixed_system(engine(text))
+    want = {(0, 0, 1): 1, (1, 0, 1): 2, (0, 1, 1): -1, (2, 0, 0): 1,
+            (1, 1, 0): -2, (0, 2, 0): 1, (0, 1, 0): -1}
+    assert mix in (want, {e: -c for e, c in want.items()})
+    count = algebraic.mixed_count(engine(text))
+    third = 1 / 3
+    assert count.points == (
+        (2 * third, third, -third), (2 * third, third, third),
+        (2.0, 3.0, -1.0), (2.0, 3.0, 1.0))
+    assert count.multiplicities == (1, 1, 1, 1) and count.shear == 2
+
+
+def test_monomial_content_removes_the_curve_at_x1_zero():
+    # on A:3 every point with x1 = 0 and B = x2 solves the rebuilt system;
+    # the eliminated curves share the factor x1 there, and dividing out
+    # their monomial content leaves a countable system
+    f1, f2, mix = algebraic.mixed_system(engine("A:3:[2,1,1]:-"))
+    for x2 in (Fraction(2), Fraction(5, 2)):
+        B = x2
+        for f in (f1, f2, mix):
+            assert sum(c * 0**i * x2**j * B**k for (i, j, k), c in f.items()) == 0
+    assert len(algebraic.mixed_count(engine("A:3:[2,1,1]:-")).points) == 4
+
+
 def test_certificates_in_the_solution_set():
     (diag,) = solve("B:4:[4]:-").completeness
     assert (diag.stage, diag.status, diag.shear, diag.multiplicities) == (
         "diagonal", "certified", 2, (1, 1))
     diag, mixed = solve("D:5:[4,1]:-").completeness
-    assert diag.status == "certified" and mixed.status.startswith("grid-only: ")
+    assert (mixed.stage, mixed.status, mixed.shear, mixed.multiplicities) == (
+        "mixed", "certified", 2, (1, 1, 1, 1))
+    assert diag.status == "certified"
     assert solve("B:3:[3]:-", mode="closed-form").completeness == ()
 
 
 # ---------------------------------------------------------------------------
-# fallback: an engine entry that is no small rational
+# an engine entry that is no small rational
 
 
 def with_entry(eng, value):
@@ -95,82 +132,113 @@ def with_entry(eng, value):
     return bad
 
 
+@pytest.mark.parametrize("count", [algebraic.diagonal_count, algebraic.mixed_count])
 @pytest.mark.parametrize("value, reason", [
     (math.pi, "M1 entry 3.14159"),
     (math.nan, "M1 has an entry that is not finite"),
 ])
-def test_unfit_entry_raises_no_exact_count(value, reason):
+def test_unfit_entry_raises_no_exact_count(count, value, reason):
     with pytest.raises(NoExactCount, match=reason):
-        algebraic.diagonal_count(with_entry(engine("B:4:[4]:-"), value))
+        count(with_entry(engine("D:5:[4,1]:-"), value))
 
 
-def grid_only_solve(text, monkeypatch):
-    """Solve with π injected into the exact count's engine, recording how
-    many grid levels each batched search runs."""
-    count = einflag.einstein.diagonal_count
+@pytest.mark.parametrize("text, stage", [("B:4:[4]:-", "diagonal"), ("D:5:[4,1]:-", "mixed")])
+def test_unfit_entry_fails_the_solve(cold_search, monkeypatch, text, stage):
+    # no grid stands in for a stage the exact count does not cover
+    count = getattr(einflag.einstein, f"{stage}_count")
     monkeypatch.setattr(
-        einflag.einstein, "diagonal_count", lambda eng: count(with_entry(eng, math.pi))
+        einflag.einstein, f"{stage}_count", lambda eng: count(with_entry(eng, math.pi))
     )
-    levels = []
-    fused = einflag.einstein._level_roots
-
-    def recorded(fun, grids):
-        levels.append(len(grids))
-        return fused(fun, grids)
-
-    monkeypatch.setattr(einflag.einstein, "_level_roots", recorded)
-    return solve(text, mode="numeric"), levels
+    with pytest.raises(NoExactCount, match="M1 entry 3.14159"):
+        solve(text)
 
 
-def test_unfit_entry_marks_the_stage_grid_only(cold_search, monkeypatch):
-    # the exact count sees the injected entry; the grids see the true
-    # engine, run both levels, and find the usual two metrics
-    result, levels = grid_only_solve("B:4:[4]:-", monkeypatch)
-    assert result.count == 2 and levels == [2]
-    (diag,) = result.completeness
-    assert diag.status.startswith("grid-only: M1 entry 3.14159")
-    assert diag.shear is None and diag.multiplicities == ()
-
-
-def test_unfit_entry_on_a_pair_flag(cold_search, monkeypatch):
-    # the grid-only diagonal stage runs both of its levels, the mixed stage
-    # both of its own, and the six metrics of the flag are all found
-    result, levels = grid_only_solve("D:5:[4,1]:-", monkeypatch)
-    assert result.count == 6 and levels == [2, 2]
-    diag, mixed = result.completeness
-    assert diag.status.startswith("grid-only: M1 entry 3.14159")
-    assert mixed.status.startswith("grid-only: ")
+def test_mixed_count_covers_one_pair_of_three_summands():
+    with pytest.raises(NoExactCount, match="2 summands and 0 pairs"):
+        algebraic.mixed_count(engine("B:3:[3]:-"))
 
 
 # ---------------------------------------------------------------------------
 # mutation: one integer coefficient of the exact system alone, raised by one
 
 
-@pytest.fixture(params=[("B:3:[3]:-", 0), ("A:4:[1,2,2]:-", (1, 0))])
-def mutated(request, cold_search, monkeypatch):
-    """Add one to one integer coefficient of the flag's exact system."""
-    text, key = request.param
-    build = algebraic.diagonal_system
+def exact_and_grid(text, stage):
+    """The roots of one stage's exact count, and both of its grid levels."""
+    spec = parse_flag_spec(text)
+    space, eng = metric_space(spec), engine(text)
+    diagonal, _ = _stage(space, "diagonal", algebraic.diagonal_count(eng))
+    if stage == "diagonal":
+        exact = diagonal
+    else:
+        mixed, _ = _stage(space, "mixed", algebraic.mixed_count(eng))
+        exact = diagonal + mixed
+    return exact, grid_oracle.grid_levels(space, eng, diagonal)[stage]
+
+
+def agrees(text, exact, levels):
+    try:
+        for level in levels:
+            grid_oracle._require_same(text, "the exact count and the grid", level, exact)
+    except grid_oracle.ConvergenceGap:
+        return False
+    return True
+
+
+def mutate(monkeypatch, name, equation, key):
+    build = getattr(algebraic, name)
 
     def perturbed(eng):
         system = build(eng)
-        system[0][key] += 1
+        system[equation][key] += 1
         return system
 
-    monkeypatch.setattr(algebraic, "diagonal_system", perturbed)
-    return text
+    monkeypatch.setattr(algebraic, name, perturbed)
+
+
+MUTATIONS = [
+    ("B:3:[3]:-", "diagonal_system", 0, 0),
+    ("A:4:[1,2,2]:-", "diagonal_system", 0, (1, 0)),
+    ("D:5:[4,1]:-", "mixed_system", 0, (1, 2, 0)),
+    ("A:3:[2,1,1]:-", "mixed_system", 1, (0, 1, 0)),
+]
+
+
+@pytest.fixture(params=MUTATIONS, ids=[f"{t}-{n}" for t, n, _, _ in MUTATIONS])
+def mutated(request, cold_search, monkeypatch):
+    """Add one to one integer coefficient of the flag's exact system."""
+    text, name, equation, key = request.param
+    stage = name.removesuffix("_system")
+    exact, levels = exact_and_grid(text, stage)
+    assert agrees(text, exact, levels)
+    mutate(monkeypatch, name, equation, key)
+    return text, stage
 
 
 def test_mutated_system_disagrees_with_the_grid(mutated):
-    with pytest.raises(ConvergenceGap, match="exact count"):
-        numeric_solutions(mutated)
+    text, stage = mutated
+    assert not agrees(text, *exact_and_grid(text, stage))
+
+
+def test_mutated_system_fails_the_certificate(mutated):
+    # the roots of the mutated system are no Einstein metrics: the
+    # frame-route certificate of the answer refuses them
+    with pytest.raises(InvariantViolation, match="Einstein defect"):
+        numeric_solutions(mutated[0])
 
 
 def test_mutated_system_fails_the_cli_cleanly(mutated, capsys):
-    assert main(["solve", mutated]) == 1
+    assert main(["solve", mutated[0]]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("einflag: invariant failure: ") and "exact count" in err
+    assert err.startswith("einflag: invariant failure: ") and "Einstein defect" in err
     assert "Traceback" not in err
+
+
+def test_vanishing_b2_coefficient_at_a_root_raises(monkeypatch):
+    # raising the x2 coefficient of the mixing equation puts a root of the
+    # eliminated curves on the line where the B coefficient vanishes
+    mutate(monkeypatch, "mixed_system", 2, (0, 1, 0))
+    with pytest.raises(NoExactCount, match="coefficient of the mixing equation vanishes"):
+        algebraic.mixed_count(engine("D:5:[4,1]:-"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+import einflag.einstein
 from einflag import __version__
 from einflag.cli import main
-from einflag.errors import ClosureViolation, GeneratorMismatch
+from einflag.errors import ClosureViolation, GeneratorMismatch, NoExactCount
 from einflag.verify import CHECK_NAMES
 
 
@@ -51,15 +52,10 @@ def test_solve_json_report(tmp_path, capsys):
         assert sol["defect"] < 1e-9
     relations = {g["relation"] for g in doc["equivalence_groups"]}
     assert relations == {"ProvenDistinct", "WitnessedEquivalent"}
-    # the diagonal stage is counted exactly, the mixed stage by two grids
+    # both stages are counted exactly
     assert doc["completeness"] == [
         {"stage": "diagonal", "status": "certified", "shear": 2, "multiplicities": [1]},
-        {
-            "stage": "mixed",
-            "status": "grid-only: no exact count of mixed metrics",
-            "shear": None,
-            "multiplicities": [],
-        },
+        {"stage": "mixed", "status": "certified", "shear": 2, "multiplicities": [1, 1, 1, 1]},
     ]
     assert isinstance(doc["timing_seconds"], float)
 
@@ -115,6 +111,18 @@ def test_too_many_parameters_unsupported(capsys):
     code, _, err = run(capsys, "solve", "A:4:[1,1,1,2]:-")
     assert code == 2
     assert "unsupported case" in err
+
+
+def test_no_exact_count_unsupported(cold_search, monkeypatch, capsys):
+    # a stage the exact count does not cover has no fallback: exit 2 with
+    # one line on stderr and nothing on stdout
+    def uncounted(engine):
+        raise NoExactCount("the mixing equation is not linear in b^2")
+
+    monkeypatch.setattr(einflag.einstein, "mixed_count", uncounted)
+    code, out, err = run(capsys, "solve", "D:5:[4,1]:-")
+    assert code == 2 and out == ""
+    assert err == "einflag: unsupported case: the mixing equation is not linear in b^2\n"
 
 
 @pytest.mark.parametrize("error", [ClosureViolation, GeneratorMismatch])

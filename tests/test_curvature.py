@@ -470,16 +470,21 @@ def test_u_map_matches_dense_contraction(text):
 @pytest.mark.parametrize(
     "text", ["B:3:[3]:-", "A:3:[2,1,1]:-", "D:5:[4,1]:-", "A:5:[1,2,3]:-", "A:25:[20,3,3]:-"]
 )
-def test_diagonal_terms_evaluate_to_the_engine(text):
-    # the Laurent terms summed at a diagonal metric give the engine's Ricci
-    # coefficients, mixing slots included
+def test_terms_evaluate_to_the_engine(text):
+    # the Laurent terms summed at a metric give the engine's Ricci
+    # coefficients, mixing slots included; on a pair flag the metric has a
+    # nonzero mixing coefficient and the last exponent is that of x_i x_j - b^2
     sp = metric_space(parse_flag_spec(text))
     engine = reduced_ricci(sp.spec)
-    linear, quadratic, killing = engine.diagonal_terms()
-    assert all(len(e) == sp.n_sub and len(row) == sp.dim for e, row in linear + quadratic)
-    x = np.random.default_rng(13).uniform(0.5, 2.0, sp.n_sub)
+    linear, quadratic, killing = engine.terms()
+    width = sp.dim + len(sp.pairs)
+    assert all(len(e) == width and len(row) == sp.dim for e, row in linear + quadratic)
+    assert engine.pairs == tuple((i, j) for i, j, _ in sp.pairs)
+    c = random_metric(sp, np.random.default_rng(13)).coeffs
+    assert not sp.pairs or c[sp.n_sub] != 0
+    at = np.r_[c, [c[i] * c[j] - c[sp.n_sub + k] ** 2 for k, (i, j) in enumerate(engine.pairs)]]
     rho = np.array(killing)
     for e, row in linear + quadratic:
-        rho = rho + np.prod(x ** np.array(e)) * np.array(row)
-    want = engine(np.r_[x, np.zeros(sp.dim - sp.n_sub)])
+        rho = rho + np.prod(at ** np.array(e, dtype=float)) * np.array(row)
+    want = engine(c)
     assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))

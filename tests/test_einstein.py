@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 import einflag.einstein
-from einflag.curvature import reduced_ricci
 from einflag.einstein import (
     CONSTANT_RTOL,
     DEFECT_TOL,
     TableExpectation,
-    _batched_roots,
-    _difference_jacobian,
-    _einstein_residual,
     closed_form_solutions,
     numeric_solutions,
     published_row,
@@ -21,7 +17,6 @@ from einflag.einstein import (
 )
 from einflag.errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from einflag.flag import parse_flag_spec
-from einflag.invariant import metric_space
 from einflag.verify import run_checks
 
 
@@ -190,69 +185,23 @@ def test_numeric_solutions_are_certified():
         assert sol.coeffs[n_sub - 1] == pytest.approx(1.0, abs=1e-9)
 
 
-def random_stack(space, rng, rows):
-    """Positive definite coefficient rows of a metric space."""
-    s = space.n_sub
-    stack = np.exp(rng.uniform(-1.0, 1.0, (rows, space.dim)))
-    for k, (i, j, _) in enumerate(space.pairs):
-        stack[:, s + k] = rng.uniform(-0.8, 0.8, rows) * np.sqrt(
-            stack[:, i] * stack[:, j]
-        )
-    return stack
-
-
-@pytest.mark.parametrize("text", ["B:4:[4]:-", "A:3:[2,1,1]:-", "D:5:[4,1]:-"])
-def test_batched_residual_matches_rows(text):
-    spec = parse_flag_spec(text)
-    engine = reduced_ricci(spec)
-    stack = random_stack(metric_space(spec), np.random.default_rng(3), 8)
-    rows = np.array([_einstein_residual(engine, c) for c in stack])
-    batched = _einstein_residual(engine, stack)
-    assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
-
-
-@pytest.mark.parametrize("text", ["A:8:[3,3,3]:-", "D:5:[4,1]:-"])
-def test_difference_jacobian_matches_central_differences(text):
-    spec = parse_flag_spec(text)
-    space = metric_space(spec)
-    engine = reduced_ricci(spec)
-    s = space.n_sub
-
-    def fun(u):
-        # log diagonal coordinates, last one gauged; mixing kept as given
-        logs = np.concatenate([u[..., : s - 1], np.zeros_like(u[..., :1])], axis=-1)
-        coeffs = np.concatenate([np.exp(logs), u[..., s - 1 :]], axis=-1)
-        return _einstein_residual(engine, coeffs)
-
-    stack = random_stack(space, np.random.default_rng(5), 6)
-    stack /= stack[:, s - 1 : s]
-    u = np.concatenate([np.log(stack[:, : s - 1]), stack[:, s:]], axis=1)
-    J = _difference_jacobian(fun, u, fun(u))
-    h = 1e-5
-    for b, row in enumerate(u):
-        for j in range(len(row)):
-            e = np.zeros(len(row))
-            e[j] = h
-            central = (fun(row + e) - fun(row - e)) / (2 * h)
-            assert np.max(np.abs(J[b, :, j] - central)) <= 1e-6 * np.max(np.abs(J[b]))
-
-
-def count_searches(monkeypatch):
-    """Record every batched root search the einstein module runs."""
+def count_exact_counts(monkeypatch):
+    """Record every exact count the einstein module runs, by stage."""
     calls = []
-    search = einflag.einstein._batched_roots
+    for stage in ("diagonal", "mixed"):
+        count = getattr(einflag.einstein, f"{stage}_count")
 
-    def counted(fun, starts):
-        calls.append(len(starts))
-        return search(fun, starts)
+        def counted(engine, count=count, stage=stage):
+            calls.append(stage)
+            return count(engine)
 
-    monkeypatch.setattr(einflag.einstein, "_batched_roots", counted)
+        monkeypatch.setattr(einflag.einstein, f"{stage}_count", counted)
     return calls
 
 
-def test_check_suite_reuses_the_numeric_search(monkeypatch):
+def test_check_suite_reuses_the_numeric_route(monkeypatch):
     solve("A:3:[2,1,1]:-")
-    calls = count_searches(monkeypatch)
+    calls = count_exact_counts(monkeypatch)
     reports = []
     curvature = einflag.einstein.curvature
 
@@ -260,7 +209,7 @@ def test_check_suite_reuses_the_numeric_search(monkeypatch):
         reports.append(metric)
         return curvature(metric)
 
-    # the catalog is memoised like the numeric search: after solve, the
+    # the catalog is memoised like the numeric route: after solve, the
     # check suite certifies nothing again through the einstein module
     monkeypatch.setattr(einflag.einstein, "curvature", counted_curvature)
     results = run_checks("A:3:[2,1,1]:-")
@@ -276,44 +225,22 @@ def test_check_suite_reuses_the_numeric_search(monkeypatch):
 
 def test_certificate_failure_raises(cold_search, monkeypatch):
     # the frame-route certificate is the only gate a root meets after the
-    # search: with a zero tolerance it must raise, not drop the roots
+    # exact count: with a zero tolerance it must raise, not drop the roots
     monkeypatch.setattr(einflag.einstein, "DEFECT_TOL", 0.0)
     with pytest.raises(InvariantViolation):
         numeric_solutions("B:3:[3]:-")
 
 
-def test_search_counter_sees_a_cold_search(cold_search, monkeypatch):
-    # positive control of the counter above: a cold search of a diagonal
-    # flag runs the 21 starts of the base grid alone, the cross-check of
-    # its exact count (the flag has no mixed stage)
-    calls = count_searches(monkeypatch)
-    numeric_solutions("B:3:[3]:-")
-    assert calls == [21]
-
-
-@pytest.mark.parametrize("text, passes", [("B:4:[4]:-", 1), ("D:5:[4,1]:-", 2)])
-def test_fused_levels_match_separate_searches(cold_search, monkeypatch, text, passes):
-    # the diagonal pass searches the base grid alone; the mixed flag's
-    # second pass fuses both levels, and each level's rows of a pass are
-    # those of a search of its own
-    seen = []
-    fused = einflag.einstein._level_roots
-
-    def recorded(fun, grids):
-        rows = fused(fun, grids)
-        seen.append((fun, grids, rows))
-        return rows
-
-    monkeypatch.setattr(einflag.einstein, "_level_roots", recorded)
+@pytest.mark.parametrize("text, stages", [
+    ("B:3:[3]:-", ["diagonal"]),
+    ("D:5:[4,1]:-", ["diagonal", "mixed"]),
+])
+def test_counter_sees_a_cold_solve(cold_search, monkeypatch, text, stages):
+    # positive control of the counter above: a cold solve counts each
+    # stage once, and runs no grid search
+    calls = count_exact_counts(monkeypatch)
     numeric_solutions(text)
-    assert [len(grids) for _, grids, _ in seen] == [1, 2][:passes]
-    for fun, grids, rows in seen:
-        assert len(rows) == len(grids)
-        for grid, got in zip(grids, rows):
-            u, converged = _batched_roots(fun, grid)
-            want = u[converged]
-            assert len(want) and got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert calls == stages
 
 
 def test_one_certificate_per_root(cold_search, monkeypatch):

@@ -1,7 +1,7 @@
 """Every solution of every `table1 --max-l 6` flag against a golden file.
 
-The file holds, per flag, one line with the certificate of each search
-stage and one line per solution of ``solve(flag)``: rule id, provenance,
+The file holds, per flag, one line with the certificate of each stage of
+the numeric route and one line per solution of ``solve(flag)``: rule id, provenance,
 coefficients and normalized Einstein constant to 9 significant digits,
 and the screening tag of its group.  Regenerate it with
 

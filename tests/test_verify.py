@@ -1,6 +1,7 @@
 """The variational check, probed through the reduced engine, the count
-bounds read from the published table, and the isotropy checks of the suite,
-computed on each generator's support."""
+bounds read from the published table, the isotropy checks of the suite,
+computed on each generator's support, the Killing/trace ratios, and the
+refusals that come before any check."""
 
 import dataclasses
 import types
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 from conftest import dense_generators, edit_first_generator
 
-from einflag import invariant, verify
+from einflag import einstein, invariant, verify
 from einflag.algebra import build_algebra
 from einflag.cli import _table_rows
+from einflag.errors import NoExactCount, TooManyParameters
 from einflag.flag import GeneratorTable, parse_flag_spec
 from einflag.invariant import metric_space
 
@@ -309,3 +311,48 @@ def test_rotation_matches_expm_at_a_zero_angle():
         G = np.concatenate([A - np.swapaxes(A, 1, 2), np.zeros((1, size, size))])
         err = np.max(np.abs(verify._rotation(G, 0.7) - linalg.expm(0.7 * G)))
         assert err <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# refusals before any check, and the trace Gram of killing-trace-ratio
+
+
+def test_too_many_parameters_is_refused_before_any_check(monkeypatch):
+    # a 9-parameter family: run_checks raises before the first check, and
+    # no reduced engine is built for it
+    built = []
+    for module in (verify, einstein):
+        monkeypatch.setattr(module, "reduced_ricci", lambda spec: built.append(spec))
+    ran = []
+    stand_ins = [(name, lambda ctx, name=name: ran.append(name)) for name in verify.CHECK_NAMES]
+    monkeypatch.setattr(verify, "_CHECKS", stand_ins)
+    with pytest.raises(TooManyParameters, match="9-parameter"):
+        verify.run_checks("A:3:[1,1,1,1]:-")
+    assert built == [] and ran == []
+    # positive control: the stand-in checks run on a 2-parameter family
+    verify.run_checks("B:3:[3]:-")
+    assert ran == verify.CHECK_NAMES
+
+
+def test_no_exact_count_propagates_from_the_checks(cold_search, monkeypatch):
+    def uncounted(engine):
+        raise NoExactCount("the mixing equation is not linear in b^2")
+
+    monkeypatch.setattr(einstein, "mixed_count", uncounted)
+    with pytest.raises(NoExactCount, match="not linear"):
+        verify.run_checks("D:5:[4,1]:-")
+
+
+def test_killing_trace_ratio_fails_on_a_non_orthogonal_basis():
+    # negative control: one basis row moved onto the span of two, so the
+    # trace Gram has an off-diagonal entry; the check fails, it does not
+    # fall back to a general Gram
+    ctx = verify._Context(parse_flag_spec("B:3:[3]:-"))
+    assert "constant ratio" in verify._check_killing_trace_ratio(ctx)
+    basis = list(ctx.model.basis)
+    basis[0] = dataclasses.replace(basis[0], matrix=basis[0].matrix + basis[1].matrix)
+    ctx.model = types.SimpleNamespace(
+        basis=basis, killing_matrix=ctx.model.killing_matrix, family=ctx.model.family
+    )
+    with pytest.raises(verify._Failure, match="off-diagonal entry"):
+        verify._check_killing_trace_ratio(ctx)
