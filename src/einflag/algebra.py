@@ -213,6 +213,13 @@ def _matches(keys, targets):
     return e, order[np.arange(len(e)) - np.repeat(start - lo, counts)]
 
 
+def _trace_pairs(X, Y):
+    """``tr(X Y)`` of every matrix of the stack X with every matrix of Y."""
+    return np.inner(
+        X.reshape(X.shape[:-2] + (-1,)), Y.swapaxes(-1, -2).reshape(Y.shape[:-2] + (-1,))
+    )
+
+
 class AlgebraModel:
     """A compact symmetry algebra with cached exact structure data.
 
@@ -245,31 +252,29 @@ class AlgebraModel:
     # -- ambient pairing ---------------------------------------------------
 
     def ambient_inner_matrices(self, X, Y):
-        """Family inner product of two ambient matrices."""
+        """Family inner product of ambient matrices.
+
+        ``X`` and ``Y`` are matrices or stacks of them, shaped ``(..., N, N)``;
+        as with ``np.inner``, every matrix of X is paired with every matrix
+        of Y, giving shape ``X.shape[:-2] + Y.shape[:-2]`` (a float for two
+        matrices).
+        """
+        X, Y = np.asarray(X), np.asarray(Y)
         l = self.rank
         if self.family == "A":
-            scale = max(l - 1, 1)
-            return -scale * float(np.einsum("ij,ji->", X, Y))
-        if self.family == "B":
-            a = X[0, 1 : l + 1]
-            c = Y[0, 1 : l + 1]
-            A1, A2 = X[1 : l + 1, 1 : l + 1], Y[1 : l + 1, 1 : l + 1]
-            B1, B2 = X[1 : l + 1, l + 1 :], Y[1 : l + 1, l + 1 :]
-            return float(
-                a @ c
-                - (np.einsum("ij,ji->", A1, A2) + np.einsum("ij,ji->", B1, B2)) / 2.0
-            )
-        if self.family == "C":
-            A1, A2 = X[:l, :l], Y[:l, :l]
-            B1, B2 = X[l:, :l], Y[l:, :l]
-            return float(
-                (np.einsum("ij,ji->", B1, B2) - np.einsum("ij,ji->", A1, A2)) / 2.0
-            )
-        A1, A2 = X[:l, :l], Y[:l, :l]
-        B1, B2 = X[l:, :l], Y[l:, :l]
-        return float(
-            -(np.einsum("ij,ji->", A1, A2) + np.einsum("ij,ji->", B1, B2)) / 2.0
-        )
+            out = -max(l - 1, 1) * _trace_pairs(X, Y)
+        elif self.family == "B":
+            top = slice(1, l + 1)
+            a, c = X[..., 0, top], Y[..., 0, top]
+            A1, A2 = X[..., top, top], Y[..., top, top]
+            B1, B2 = X[..., top, l + 1 :], Y[..., top, l + 1 :]
+            out = np.inner(a, c) - (_trace_pairs(A1, A2) + _trace_pairs(B1, B2)) / 2.0
+        else:
+            A1, A2 = X[..., :l, :l], Y[..., :l, :l]
+            B1, B2 = X[..., l:, :l], Y[..., l:, :l]
+            sign = 1.0 if self.family == "C" else -1.0
+            out = (sign * _trace_pairs(B1, B2) - _trace_pairs(A1, A2)) / 2.0
+        return float(out) if out.ndim == 0 else out
 
     # -- structure table ---------------------------------------------------
 
@@ -398,20 +403,16 @@ class AlgebraModel:
 
 
 def _row_entries(M):
-    """Column indices and values of the nonzeros in each row of M.
+    """The nonzeros of M row by row, in CSR form ``(start, cols, vals)``.
 
-    Returns ``(cols, vals)``, both ``(rows, k)`` for the largest row count
-    k; the slots a shorter row leaves over hold column 0 and value 0.
+    Row r holds ``cols[start[r]:start[r + 1]]`` and the matching ``vals``,
+    columns ascending.
     """
-    mask = M != 0
-    counts = mask.sum(axis=1)
-    cols = np.zeros((M.shape[0], int(counts.max(initial=0))), dtype=np.int64)
-    vals = np.zeros(cols.shape)
-    r, c = np.nonzero(mask)
-    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols[r, slot] = c
-    vals[r, slot] = M[r, c]
-    return cols, vals
+    entries = np.ravel(M)
+    flat = np.flatnonzero(entries)
+    width = M.shape[1]
+    start = np.searchsorted(flat, np.arange(M.shape[0] + 1) * width)
+    return start, flat % width, entries[flat]
 
 
 def _coo_transform(coo, maps, d):
@@ -419,23 +420,25 @@ def _coo_transform(coo, maps, d):
 
     ``coo = (I, J, K, V)`` lists the nonzeros of t and ``maps`` holds the
     :func:`_row_entries` of P, Q and R, whose columns run over ``range(d)``.
-    Each nonzero of t is expanded through the row nonzeros of the three maps
-    and the products are summed per key.  Returns the entries of S as
-    ``(a, b, c, value)`` sorted by ``(a, b, c)``; products that are exactly
-    zero are dropped, entries that cancel to zero are kept.
+    Each nonzero of t is expanded into one product per triple of entries in
+    its rows of the three maps, their true counts multiplied, never a row
+    padded to the longest; the products are summed per key.  Returns the
+    entries of S as ``(a, b, c, value)`` sorted by ``(a, b, c)``; products
+    that are exactly zero are dropped, entries that cancel to zero are kept.
     """
-    I, J, K, V = coo
-    (ca, va), (cb, vb), (cc, vc) = maps
-    key = (
-        (ca[I][:, :, None, None] * d + cb[J][:, None, :, None]) * d
-        + cc[K][:, None, None, :]
-    )
-    val = (
-        V[:, None, None, None]
-        * va[I][:, :, None, None]
-        * vb[J][:, None, :, None]
-        * vc[K][:, None, None, :]
-    )
+    *index, V = coo
+    count = [np.diff(start)[i] for (start, _, _), i in zip(maps, index)]
+    n = count[0] * count[1] * count[2]
+    # product x belongs to entry src[x]; its number among that entry's
+    # products, in mixed radix, picks the row entry of each map
+    src = np.arange(n.size).repeat(n)
+    local = np.arange(src.size) - (n.cumsum() - n).repeat(n)
+    rest, r = np.divmod(local, count[2][src])
+    p, q = np.divmod(rest, count[1][src])
+    key, val = np.zeros(src.size, dtype=np.int64), np.asarray(V, dtype=float)[src]
+    for (start, cols, vals), i, slot in zip(maps, index, (p, q, r)):
+        pos = start[i[src]] + slot
+        key, val = key * d + cols[pos], val * vals[pos]
     keep = val != 0
     keys, inv = np.unique(key[keep], return_inverse=True)
     return keys // (d * d), keys // d % d, keys % d, np.bincount(inv, weights=val[keep])

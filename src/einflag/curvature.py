@@ -16,21 +16,24 @@ which ``MetricSpace.structure_coo`` checks to vanish, once per flag.  Every
 report goes through this route: it certifies each solution once, through
 the defect gate, and it is the reference of the check suite.
 
-The route has two implementations.  In the canonical eigenframe (the
-default) the tangent structure tensor t is almost empty and the frame has
-at most two nonzeros per column, so T is expanded from the nonzeros of t
-alone and each quadratic sum is a product within groups of entries that
-share two indices; no d^3 array is formed.  An explicit ``frame`` runs the
-dense :func:`frame_structure` contraction instead, for any orthonormal
-frame; it is the reference the ``ricci-frame-independence`` check compares
-the sparse route against.
+The route has two implementations, and neither forms a d^3 array.  In the
+canonical eigenframe (the default) the tangent structure tensor t is almost
+empty and the frame has at most two nonzeros per column, so T is expanded
+from the nonzeros of t alone and each quadratic sum is a product within
+groups of entries that share two indices.  An explicit ``frame`` may be any
+orthonormal frame, so its T is dense: :func:`frame_structure` builds it one
+slab of ``_SLAB`` middle indices at a time, from the nonzeros of t, and each
+slab adds its part of both quadratic sums before the next is built.  That
+route is the reference the ``ricci-frame-independence`` check compares the
+sparse route against.
 
 The reduced route, :class:`ReducedRicci`, maps the metric coefficients
 straight to the coefficients of the Ricci form over the metric-space
 operators, without a frame.  It is the coefficient-space form of the
 ``[ijk]`` block-sum formula (M. Wang, W. Ziller, Invent. Math. 84, 1986;
 J.-S. Park, Y. Sakane, Tokyo J. Math. 20, 1997), extended to the mixing
-coefficients of equivalent summand pairs.  It also gives the scalar
+coefficients of equivalent summand pairs; its block sums are contracted
+from the nonzeros of t as well.  It also gives the scalar
 curvature, ``tr(A^-1 Ric)``, from the same coefficients.  The exact
 counts rebuild their Einstein equations from its terms
 (:meth:`ReducedRicci.terms`), the variational check of the suite takes its
@@ -57,29 +60,49 @@ __all__ = [
     "u_map",
 ]
 
+# middle frame indices per slab of the dense frame_structure route: at
+# d = 129 a slab's arrays hold d^2 * 16 floats, 2.1 MB each
+_SLAB = 16
 
-def frame_structure(frame):
+
+def frame_structure(frame, cols=slice(None)):
     """Structure constants of the bracket over a metric-orthonormal frame.
 
     Parameters
     ----------
     frame : Frame
+    cols : slice or index array, optional
+        The frame indices b of the middle slot to return; all by default.
 
     Returns
     -------
     ndarray
-        ``T[a, b, c] = g([F_a, F_b]_m, F_c)``, antisymmetric in the first
-        two slots.  The last slot is lowered with the metric itself, so T
-        is fully antisymmetric exactly when the metric is naturally
-        reductive.
+        ``T[:, cols, :]`` of ``T[a, b, c] = g([F_a, F_b]_m, F_c)``, which is
+        antisymmetric in the first two slots.  The last slot is lowered with
+        the metric itself, so T is fully antisymmetric exactly when the
+        metric is naturally reductive.
+
+    The middle slot is contracted first, over the nonzeros of t alone:
+    ``X[i, b, k] = sum_j t[i,j,k] V[j,b]`` is one scatter into a
+    ``(d, s, d)`` array for the s columns.  The first slot is then one
+    matrix product with ``V^T`` and the last one with ``W^T = V^-T``, so the
+    largest array has ``d^2 s`` entries.
     """
     space = frame.metric.space
+    d = space.tangent_dim
     V = frame.vectors
-    t = space.structure
+    Vb = V[:, cols]
+    s = Vb.shape[1]
+    I, J, K, t = space.structure_coo
+    X = np.bincount(
+        ((I[:, None] * s + np.arange(s)) * d + K[:, None]).ravel(),
+        weights=(t[:, None] * Vb[J]).ravel(),
+        minlength=d * s * d,
+    )
+    Y = V.T @ X.reshape(d, s * d)
     # g-components of a tangent vector are read off against A V = V^{-T}
     W = np.linalg.inv(V)
-    mid = np.einsum("ia,jb,ijk->abk", V, V, t, optimize=True)
-    return np.einsum("abk,ck->abc", mid, W, optimize=True)
+    return (Y.reshape(d * s, d) @ W.T).reshape(d, s, d)
 
 
 @dataclass(frozen=True)
@@ -150,13 +173,14 @@ def _pair_sum(group, index, value, d):
         return np.zeros((d, d))
     order = np.argsort(group, kind="stable")
     group, index, value = group[order], index[order], value[order]
-    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    sizes = np.diff(np.r_[starts, group.size])
-    n = np.repeat(sizes, sizes)
-    left = np.repeat(np.arange(group.size), n)
-    right = np.repeat(np.repeat(starts, sizes), n) + (
-        np.arange(left.size) - np.repeat(np.cumsum(n) - n, n)
-    )
+    edge = np.ones(group.size + 1, dtype=bool)
+    edge[1:-1] = group[1:] != group[:-1]
+    bounds = np.flatnonzero(edge)
+    sizes = bounds[1:] - bounds[:-1]
+    # entry x pairs with the n[x] entries of its group, which start at s[x]
+    n, s = sizes.repeat(sizes), bounds[:-1].repeat(sizes)
+    left = np.arange(group.size).repeat(n)
+    right = np.arange(left.size) - (n.cumsum() - n - s).repeat(n)
     return np.bincount(
         index[left] * d + index[right],
         weights=value[left] * value[right],
@@ -179,13 +203,21 @@ def _sparse_terms(space, V, W):
 
 
 def _dense_terms(frame):
-    """The frame sums of the Ricci formula from the dense ``frame_structure``."""
-    T = frame_structure(frame)
-    return (
-        np.einsum("aic,bic->ab", T, T, optimize=True),
-        np.einsum("ija,ijb->ab", T, T, optimize=True),
-        float(np.einsum("abc,abc->", T, T)),
-    )
+    """The frame sums of the Ricci formula from :func:`frame_structure`.
+
+    T is taken ``_SLAB`` middle indices b at a time.  Each slab adds its
+    part of both quadratic sums, ``sum_{i in slab, c} T[a,i,c] T[a',i,c]``
+    and ``sum_{i, j in slab} T[i,j,a] T[i,j,a']``, and of ``sum T^2``.
+    """
+    d = frame.vectors.shape[0]
+    quad_out, quad_in, square = np.zeros((d, d)), np.zeros((d, d)), 0.0
+    for start in range(0, d, _SLAB):
+        T = frame_structure(frame, slice(start, start + _SLAB))
+        Tf, Tg = T.reshape(d, -1), T.reshape(-1, d)
+        quad_out += Tf @ Tf.T
+        quad_in += Tg.T @ Tg
+        square += float(np.vdot(Tf, Tf))
+    return quad_out, quad_in, square
 
 
 def curvature(metric, frame=None):
@@ -288,6 +320,39 @@ def group_ricci(report, tol=1e-8):
     return np.array(out)
 
 
+def _block_sums(space, blocks):
+    """``G[a,b,c] = sum t[i,j,k] E_a[i,I] E_b[j,J] E_c[k,K] t[I,J,K]`` over the nonzeros of t.
+
+    ``blocks`` lists the elementary blocks ``E = (u, v, M)`` of
+    :class:`ReducedRicci`: ``M`` (the identity for None) from summand u to
+    summand v.  One map pushes every tangent index i of summand u to the
+    indices ``a * d + I`` for each block a that starts at u, so that the
+    pushed copy of t keeps the block of every slot in its key.  Each pushed
+    entry at ``((a, I), (b, J), (c, K))`` then meets the entry of t at
+    ``(I, J, K)``, found by a binary search of the sorted keys of t.
+    """
+    d, m, sl = space.tangent_dim, len(blocks), space.slices
+    push = np.zeros((d, m * d))
+    for a, (u, v, M) in enumerate(blocks):
+        push[sl[u], a * d + sl[v].start : a * d + sl[v].stop] = (
+            np.eye(sl[u].stop - sl[u].start) if M is None else M
+        )
+    rows = _row_entries(push)
+    coo = space.structure_coo
+    A, B, C, pushed = _coo_transform(coo, (rows, rows, rows), m * d)
+    I, J, K, t = coo
+    tkey = (I * d + J) * d + K
+    order = np.argsort(tkey)
+    tkey, t = tkey[order], t[order]
+    key = ((A % d) * d + B % d) * d + C % d
+    at = np.minimum(np.searchsorted(tkey, key), tkey.size - 1)
+    hit = tkey[at] == key
+    block = ((A // d) * m + B // d) * m + C // d
+    return np.bincount(
+        block[hit], weights=pushed[hit] * t[at[hit]], minlength=m**3
+    ).reshape(m, m, m)
+
+
 class ReducedRicci:
     """Ricci coefficients of an invariant metric straight from its coefficients.
 
@@ -346,19 +411,8 @@ class ReducedRicci:
                 if va == ub:
                     prod[a, b, where[ua, vb]] = 1.0
 
-        t = space.structure
+        G = _block_sums(space, blocks)
         sl = space.slices
-        G = np.zeros((m, m, m))
-        for a, b, c in np.ndindex(m, m, m):
-            trio = (blocks[a], blocks[b], blocks[c])
-            left = t[sl[trio[0][0]], sl[trio[1][0]], sl[trio[2][0]]]
-            for axis, (_, _, M) in enumerate(trio):
-                if M is not None:
-                    left = np.tensordot(left, M, axes=(axis, 0))
-                    left = np.moveaxis(left, -1, axis)
-            right = t[sl[trio[0][1]], sl[trio[1][1]], sl[trio[2][1]]]
-            G[a, b, c] = np.einsum("ijk,ijk->", left, right)
-
         sizes = np.array([sl[u].stop - sl[u].start for u, _, _ in blocks])
         killing = space.killing
         kel = np.array(

@@ -289,7 +289,7 @@ class Decomposition:
         gen = np.full(model.n, -1)
         gen[list(self.isotropy_indices)] = np.arange(count)
         at = gen[I] >= 0
-        one = (np.arange(count)[:, None], np.ones((count, 1)))
+        one = (np.arange(count + 1), np.arange(count), np.ones(count))
         maps = (one, _row_entries(Bw.T), _row_entries(B.T))
         g, a, b, v = _coo_transform((gen[I[at]], K[at], J[at], V[at]), maps, B.shape[0])
         return GeneratorTable(count, g, a, b, v)

@@ -263,7 +263,7 @@ def _sign_table(flips, B, Bw):
     """
     count, n = flips.shape
     g, k = np.divmod(np.arange(count * n), n)
-    one = (np.arange(count)[:, None], np.ones((count, 1)))
+    one = (np.arange(count + 1), np.arange(count), np.ones(count))
     maps = (one, _row_entries(Bw.T), _row_entries(B.T))
     return GeneratorTable(count, *_coo_transform((g, k, k, flips.ravel()), maps, B.shape[0]))
 

@@ -1,5 +1,6 @@
 """Shared fixtures and flag lists, and helpers that build and edit generator tables."""
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,25 @@ def cold_search(monkeypatch):
     for name in ("_numeric_cached", "_solve_cached"):
         memo = getattr(einflag.einstein, name)
         monkeypatch.setattr(einflag.einstein, name, lru_cache(maxsize=None)(memo.__wrapped__))
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty copies of every memo of the package for one test.
+
+    Each ``lru_cache`` function bound in an ``einflag`` module is replaced,
+    under every module name it is bound to, by one fresh memo of the same
+    function, so the test builds every flag, space and engine again; the
+    shared memos come back untouched when it ends.
+    """
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("einflag")]
+    fresh = {}
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if hasattr(value, "cache_clear") and hasattr(value, "__wrapped__"):
+                if id(value) not in fresh:
+                    fresh[id(value)] = lru_cache(maxsize=None)(value.__wrapped__)
+                monkeypatch.setattr(module, name, fresh[id(value)])
 
 
 def dense_generators(table, d):

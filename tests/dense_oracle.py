@@ -1,0 +1,98 @@
+"""Dense and padded forms of the sparse contractions, kept as test oracles.
+
+Each function here is the form the package computed before it moved to the
+nonzeros of the structure tensor: the full d^3 einsum of the frame structure
+constants, the block sums of the reduced engine from dense slices of
+``MetricSpace.structure``, and the transform of a coordinate list with
+every map row padded to the longest one.  The tests compare the package
+against them.
+"""
+
+import numpy as np
+
+
+def frame_structure(frame):
+    """``T[a, b, c] = g([F_a, F_b]_m, F_c)`` by two dense einsums over t."""
+    V = frame.vectors
+    W = np.linalg.inv(V)
+    mid = np.einsum("ia,jb,ijk->abk", V, V, frame.metric.space.structure, optimize=True)
+    return np.einsum("abk,ck->abc", mid, W, optimize=True)
+
+
+def dense_terms(frame):
+    """The two quadratic sums of the Ricci formula and ``sum T^2`` from the full T."""
+    T = frame_structure(frame)
+    return (
+        np.einsum("aic,bic->ab", T, T, optimize=True),
+        np.einsum("ija,ijb->ab", T, T, optimize=True),
+        float(np.einsum("abc,abc->", T, T)),
+    )
+
+
+def block_sums(space, blocks):
+    """``G[a, b, c]`` of :class:`~einflag.curvature.ReducedRicci` from dense slices of t."""
+    t = space.structure
+    sl = space.slices
+    m = len(blocks)
+    G = np.zeros((m, m, m))
+    for a, b, c in np.ndindex(m, m, m):
+        trio = (blocks[a], blocks[b], blocks[c])
+        left = t[sl[trio[0][0]], sl[trio[1][0]], sl[trio[2][0]]]
+        for axis, (_, _, M) in enumerate(trio):
+            if M is not None:
+                left = np.tensordot(left, M, axes=(axis, 0))
+                left = np.moveaxis(left, -1, axis)
+        right = t[sl[trio[0][1]], sl[trio[1][1]], sl[trio[2][1]]]
+        G[a, b, c] = np.einsum("ijk,ijk->", left, right)
+    return G
+
+
+def padded_rows(entries):
+    """CSR row entries ``(start, cols, vals)`` padded to ``(rows, k)`` arrays.
+
+    k is the largest row count; the slots a shorter row leaves over hold
+    column 0 and value 0.
+    """
+    start, cols, vals = entries
+    counts = np.diff(start)
+    k = int(counts.max(initial=0))
+    slot = np.arange(cols.size) - np.repeat(start[:-1], counts)
+    row = np.repeat(np.arange(counts.size), counts)
+    pc, pv = np.zeros((counts.size, k), dtype=np.int64), np.zeros((counts.size, k))
+    pc[row, slot], pv[row, slot] = cols, vals
+    return pc, pv
+
+
+def padded_transform(coo, maps, d, budget=1 << 22):
+    """The padded ``_coo_transform``: every entry times the longest rows of P, Q, R.
+
+    ``maps`` are CSR row entries, as the package passes them.  The entries
+    are expanded in chunks of at most ``budget`` products each, and the
+    chunk sums are summed per key, so that a large padding stays in bounded
+    memory.
+    """
+    I, J, K, V = coo
+    (ca, va), (cb, vb), (cc, vc) = (padded_rows(m) for m in maps)
+    width = max(1, ca.shape[1] * cb.shape[1] * cc.shape[1])
+    step = max(1, budget // width)
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for lo in range(0, len(V), step):
+        at = slice(lo, lo + step)
+        i, j, k = I[at], J[at], K[at]
+        key = (
+            (ca[i][:, :, None, None] * d + cb[j][:, None, :, None]) * d
+            + cc[k][:, None, None, :]
+        )
+        val = (
+            V[at][:, None, None, None]
+            * va[i][:, :, None, None]
+            * vb[j][:, None, :, None]
+            * vc[k][:, None, None, :]
+        )
+        keep = val != 0
+        chunk, inv = np.unique(key[keep], return_inverse=True)
+        keys.append(chunk)
+        vals.append(np.bincount(inv, weights=val[keep], minlength=chunk.size))
+    keys, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    value = np.bincount(inv, weights=np.concatenate(vals), minlength=keys.size)
+    return keys // (d * d), keys // d % d, keys % d, value

@@ -1,3 +1,7 @@
+import importlib
+import tracemalloc
+
+import dense_oracle
 import numpy as np
 import pytest
 
@@ -10,7 +14,11 @@ from einflag.curvature import (
 )
 from einflag.cli import _table_rows
 from einflag.flag import parse_flag_spec
-from einflag.invariant import make_metric, metric_space, orthonormal_frame
+from einflag.invariant import Frame, make_metric, metric_space, orthonormal_frame
+
+# the module itself: the package exports its function ``curvature`` under
+# the same name
+curvature_module = importlib.import_module("einflag.curvature")
 
 
 def report(text, coeffs):
@@ -488,3 +496,72 @@ def test_terms_evaluate_to_the_engine(text):
         rho = rho + np.prod(at ** np.array(e, dtype=float)) * np.array(row)
     want = engine(c)
     assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def rotated_frame(m, rng):
+    """The canonical frame of a metric turned by a random orthogonal Q."""
+    fr = orthonormal_frame(m)
+    Q, _ = np.linalg.qr(rng.standard_normal((len(fr.vectors),) * 2))
+    return Frame(m, fr.vectors @ Q, fr.eigenvalues, fr.groups, fr.partners)
+
+
+@pytest.mark.parametrize("text", ENGINE_FLAGS)
+def test_slab_route_matches_the_full_contraction(monkeypatch, text):
+    # frame_structure contracts one slab of middle indices at a time from the
+    # nonzeros of t; the reference is the full d^3 einsum over dense t, in a
+    # rotated frame where T has no zeros to lean on; the slab widths include
+    # one that divides d and one that does not
+    sp = metric_space(parse_flag_spec(text))
+    d = sp.tangent_dim
+    rng = np.random.default_rng(abs(hash(text)) % 2**26)
+    frame = rotated_frame(random_metric(sp, rng), rng)
+    T = dense_oracle.frame_structure(frame)
+    scale = max(1.0, float(np.max(np.abs(T))))
+    assert np.max(np.abs(frame_structure(frame) - T)) <= 1e-13 * scale
+    part = frame_structure(frame, slice(1, d, 2))
+    assert np.max(np.abs(part - T[:, 1::2]), initial=0.0) <= 1e-13 * scale
+
+    want = dense_oracle.dense_terms(frame)
+    divides = next((w for w in range(2, d) if d % w == 0), d)
+    other = next(w for w in range(2, d + 2) if d % w)
+    for width in sorted({divides, other, curvature_module._SLAB}):
+        monkeypatch.setattr(curvature_module, "_SLAB", width)
+        got = curvature_module._dense_terms(frame)
+        for g, w in zip(got, want):
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(w))))
+            assert np.max(np.abs(np.asarray(g) - w)) <= bound, width
+
+
+def test_rotated_frame_report_holds_no_d3_array():
+    # one d^3 float64 array at d = 129 is 16.4 MB; the slab route keeps its
+    # largest arrays at d^2 * _SLAB entries
+    sp = metric_space(parse_flag_spec("A:25:[20,3,3]:-"))
+    d = sp.tangent_dim
+    rng = np.random.default_rng(3)
+    m = random_metric(sp, rng)
+    frame = rotated_frame(m, rng)
+    want = curvature(m)  # builds the lazy tables of the space
+    tracemalloc.start()
+    try:
+        got = curvature(m, frame=frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d**3
+    assert np.max(np.abs(got.ricci_tangent - want.ricci_tangent)) < 1e-10
+
+
+@pytest.mark.parametrize("text", ENGINE_FLAGS)
+def test_block_sums_match_the_dense_slices(monkeypatch, text):
+    # the engine's block sums come from the nonzeros of t; the reference
+    # contracts dense slices of t, and every stored array must agree
+    sp = metric_space(parse_flag_spec(text))
+    engine = curvature_module.ReducedRicci(sp)
+    monkeypatch.setattr(curvature_module, "_block_sums", dense_oracle.block_sums)
+    oracle = curvature_module.ReducedRicci(sp)
+    assert np.array_equal(engine._left, oracle._left)
+    assert np.array_equal(engine._right, oracle._right)
+    for name in ("_m1", "_quad", "_kappa_term", "_norms"):
+        got, want = getattr(engine, name), getattr(oracle, name)
+        bound = 1e-14 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert np.max(np.abs(got - want), initial=0.0) <= bound, name

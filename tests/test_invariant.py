@@ -1,10 +1,12 @@
 import dataclasses
+import importlib
 
+import dense_oracle
 import numpy as np
 import pytest
-from conftest import NO_GENERATORS, dense_generators, edit_first_generator
+from conftest import FLAGS, NO_GENERATORS, dense_generators, edit_first_generator
 
-from einflag import invariant
+from einflag import algebra, flag, invariant
 from einflag.cli import _table_rows
 from einflag.errors import InvariantViolation, NotPositiveDefinite, UnimplementedCase
 from einflag.flag import (
@@ -20,6 +22,9 @@ from einflag.invariant import (
     metric_space,
     orthonormal_frame,
 )
+
+
+curvature_module = importlib.import_module("einflag.curvature")
 
 
 def space(text):
@@ -558,3 +563,32 @@ class TestFrame:
         assert np.allclose(f.vectors, expect)
         assert np.allclose(f.eigenvalues, [1, 1, 1, 2, 2, 2, 3, 3, 3])
         assert len(f.partners) == 3
+
+
+@pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
+def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
+    # every caller of _coo_transform, recorded on a cold build: the isotropy
+    # table, the sign table, structure_coo and the canonical-frame report;
+    # the reference pads every map row to the longest one
+    calls = []
+
+    def recorded(coo, maps, d):
+        out = algebra._coo_transform(coo, maps, d)
+        calls.append((coo, maps, d, out))
+        return out
+
+    for module in (flag, invariant, curvature_module):
+        monkeypatch.setattr(module, "_coo_transform", recorded)
+    spec = parse_flag_spec(text)
+    monkeypatch.setattr(invariant, "decompose_isotropy", flag.decompose_isotropy.__wrapped__)
+    sp = invariant.metric_space.__wrapped__(spec)
+    sp.structure_coo
+    coeffs = np.r_[np.linspace(0.7, 1.6, sp.n_sub), np.full(sp.dim - sp.n_sub, 0.1)]
+    curvature_module.curvature(make_metric(sp, coeffs))
+    assert len(calls) == 4
+    for coo, maps, d, got in calls:
+        want = dense_oracle.padded_transform(coo, maps, d)
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w)
+        bound = 1e-15 * max(1.0, float(np.max(np.abs(want[3]), initial=0.0)))
+        assert np.max(np.abs(got[3] - want[3]), initial=0.0) <= bound

@@ -3,6 +3,7 @@ bounds read from the published table, the isotropy checks of the suite,
 computed on each generator's support, the Killing/trace ratios, and the
 refusals that come before any check."""
 
+import copy
 import dataclasses
 import types
 
@@ -356,3 +357,89 @@ def test_killing_trace_ratio_fails_on_a_non_orthogonal_basis():
     )
     with pytest.raises(verify._Failure, match="off-diagonal entry"):
         verify._check_killing_trace_ratio(ctx)
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "A:25:[20,3,3]:-"])
+def test_solve_and_checks_never_read_the_dense_structure(cold_caches, monkeypatch, text):
+    # every memo is cold, so the space, the reduced engine, the exact counts
+    # and the checks are all built under the refusing property
+    def refuse(self):
+        raise AssertionError("the dense structure tensor was read")
+
+    monkeypatch.setattr(invariant.MetricSpace, "structure", property(refuse))
+    assert einstein.solve(text).solutions
+    results = verify.run_checks(text)
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 22
+
+
+def _pairwise_oracle(model):
+    """The old one-pair-at-a-time pairing of every basis pair."""
+    mats = [e.matrix for e in model.basis]
+    return np.array([[model.ambient_inner_matrices(x, y) for y in mats] for x in mats])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("C", 5), ("D", 5)])
+def test_orthogonal_basis_pairs_every_basis_pair(family, rank):
+    # the stacked pairing against the one-pair form, on every pair
+    model = build_algebra(family, rank)
+    mats = np.array([e.matrix for e in model.basis])
+    G = model.ambient_inner_matrices(mats, mats)
+    assert G.shape == (model.n, model.n)
+    assert np.array_equal(G, _pairwise_oracle(model))
+    assert model.ambient_inner_matrices(mats[0], mats[1:]).shape == (model.n - 1,)
+    assert isinstance(model.ambient_inner_matrices(mats[0], mats[0]), float)
+
+
+def test_orthogonal_basis_sees_one_pair_out_of_52650(monkeypatch):
+    # A:25 has 325 basis elements: the old check sampled 500 of their 52650
+    # pairs, the stacked one sees a single pair that is not orthogonal
+    ctx = verify._Context(parse_flag_spec("A:25:[20,3,3]:-"))
+    assert "52650 pairs" in verify._check_orthogonal_basis(ctx)
+    model = copy.copy(ctx.model)
+    model.basis = list(model.basis)
+    model.basis[300] = dataclasses.replace(
+        model.basis[300], matrix=model.basis[300].matrix + 1e-6 * model.basis[17].matrix
+    )
+    ctx.model = model
+    with pytest.raises(verify._Failure, match="off-diagonal ambient pairing"):
+        verify._check_orthogonal_basis(ctx)
+
+
+def _mixed_decomposition(dec, theta=0.3):
+    """``dec`` with the first row of summand 0 turned towards summand 1."""
+    subs = list(dec.submodules)
+    r0, r1 = subs[0].orthonormal, subs[1].orthonormal
+    rows = r0.copy()
+    rows[0] = np.cos(theta) * r0[0] + np.sin(theta) * r1[0]
+    subs[0] = dataclasses.replace(subs[0], orthonormal=rows)
+    return dataclasses.replace(dec, submodules=subs)
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "B:4:[4]:-", "A:25:[20,3,3]:-"])
+def test_isotropy_stability_equals_the_dense_ad_products(monkeypatch, text):
+    # the leak from one scatter of the structure entries, against the dense
+    # ad(z) products on the same ten draws, on a decomposition whose first
+    # summand is turned into the second, so that the leak is far from zero
+    spec = parse_flag_spec(text)
+    ctx = verify._Context(spec)
+    assert "stays in W_i" in verify._check_isotropy_stability(ctx)
+    dec = _mixed_decomposition(ctx.dec)
+    monkeypatch.setattr(verify._Context, "dec", property(lambda self: dec))
+    model = spec.algebra
+    w = float(spec.inner_scale) * model.gram
+    iso = list(dec.isotropy_indices)
+    rng = np.random.default_rng(verify._SEED)
+    worst = 0.0
+    for _ in range(10):
+        z = np.zeros(model.n)
+        z[iso] = rng.standard_normal(len(iso))
+        z /= np.linalg.norm(z)
+        ad_z = model.ad(z)
+        for sub in dec.submodules:
+            B = sub.orthonormal @ ad_z
+            resid = B - ((sub.orthonormal * w) @ B.T).T @ sub.orthonormal
+            worst = max(worst, float(np.sqrt(np.sum((resid * w) * resid))))
+    assert worst > 1e-3
+    with pytest.raises(verify._Failure, match=f"leaks out of a summand: {worst:.2e}"):
+        verify._check_isotropy_stability(verify._Context(spec))
