@@ -6,7 +6,7 @@ full family of invariant metrics (including intertwined coefficients of
 equivalent summands), evaluates Ricci and scalar curvature, and locates
 every invariant Einstein metric by exact counts in integer arithmetic,
 the diagonal ones and, on a pair of equivalent summands, the ones with a
-nonzero mixing coefficient, checked against an exact branch catalog.
+nonzero mixing coefficient, named by an exact branch catalog where one matches.
 Solutions with equal normalized Einstein constants are screened for
 genuine isometry by explicit pullback witnesses.
 """

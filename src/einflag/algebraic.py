@@ -46,7 +46,8 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, NoExactCount
 
-__all__ = ["ExactCount", "diagonal_count", "diagonal_system", "mixed_count", "mixed_system"]
+__all__ = ["ExactCount", "diagonal_count", "diagonal_system", "mixed_count", "mixed_system",
+           "normal_is_einstein"]
 
 # an engine entry is zero below, and must match its rational to, this
 # fraction of the largest entry of its array
@@ -73,8 +74,8 @@ class ExactCount:
     from a rational: the solution itself where it is rational, else its
     value at the end of an isolating interval narrower than
     ``2^-_ROOT_BITS`` relative; a mixing coefficient is the square root of
-    the rational ``b^2`` there.  The numeric route takes these floats as
-    its roots.  ``multiplicities`` holds the multiplicity of each one as a
+    the rational ``b^2`` there.  ``solve`` takes these floats as its
+    roots.  ``multiplicities`` holds the multiplicity of each one as a
     root of the eliminated polynomial (of ``R`` on a plane system), and
     ``shear`` the k of ``u = x + k y`` (None on a two-summand flag).
     """
@@ -378,6 +379,21 @@ def _ricci_terms(engine):
             if c:
                 ricci[r][e] = ricci[r].get(e, 0) + c
     return ricci
+
+
+def normal_is_einstein(engine):
+    """Whether the normal metric ``x = 1, b = 0`` is Einstein, decided exactly.
+
+    There each pair determinant is one, so each Ricci coefficient is the sum
+    of its terms free of b: the diagonal ones must agree and the mixing ones
+    vanish.
+    """
+    s, n = engine.n_sub, engine.dim
+    values = [
+        sum(c for e, c in poly.items() if not any(e[s:n]))
+        for poly in _ricci_terms(engine)
+    ]
+    return len(set(values[:s])) == 1 and not any(values[s:])
 
 
 def _combine(terms):

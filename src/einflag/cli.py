@@ -24,7 +24,6 @@ from .errors import (
     BadFlag,
     BadPartition,
     EinflagError,
-    NoCatalogEntry,
     NoExactCount,
     TooManyParameters,
     UnimplementedCase,
@@ -37,7 +36,7 @@ from .verify import run_checks
 __all__ = ["main"]
 
 _USAGE_ERRORS = (BadFlag, BadPartition, UnsupportedRank)
-_UNSUPPORTED_ERRORS = (UnimplementedCase, TooManyParameters, NoCatalogEntry, NoExactCount)
+_UNSUPPORTED_ERRORS = (UnimplementedCase, TooManyParameters, NoExactCount)
 
 
 def _round(v):
@@ -149,13 +148,8 @@ def _solve_report(argv_echo, spec, sol_set, elapsed):
 
 def _cmd_solve(args, parser, argv_echo):
     spec = _parse_spec_or_exit(parser, args.flag)
-    mode = "both"
-    if args.numeric:
-        mode = "numeric"
-    elif args.closed_form:
-        mode = "closed-form"
     t0 = time.perf_counter()
-    sol_set = solve(spec, mode=mode)
+    sol_set = solve(spec)
     elapsed = time.perf_counter() - t0
     report = _solve_report(argv_echo, spec, sol_set, elapsed)
     if args.json:
@@ -167,7 +161,7 @@ def _cmd_solve(args, parser, argv_echo):
             return _cannot_write(args.json, exc)
     space = metric_space(spec)
     print(f"{spec} = {manifold_name(spec)}")
-    print(f"coefficients: {', '.join(space.names)}  (mode: {mode})")
+    print(f"coefficients: {', '.join(space.names)}")
     if not sol_set.solutions:
         print("no invariant Einstein metric")
     for i, s in enumerate(sol_set.solutions):
@@ -284,9 +278,6 @@ def _build_parser():
 
     p_solve = sub.add_parser("solve", help="find all invariant Einstein metrics of one flag")
     p_solve.add_argument("flag", help="flag spec, e.g. A:3:[2,1,1]:-")
-    route = p_solve.add_mutually_exclusive_group()
-    route.add_argument("--numeric", action="store_true", help="exact counts only")
-    route.add_argument("--closed-form", action="store_true", help="exact catalog only")
     p_solve.add_argument("--json", metavar="FILE", help="write a JSON report to FILE")
 
     p_table = sub.add_parser("table1", help="summarize every 2/3-summand flag up to a rank")

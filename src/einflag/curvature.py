@@ -86,7 +86,8 @@ def frame_structure(frame, cols=slice(None)):
     ``X[i, b, k] = sum_j t[i,j,k] V[j,b]`` is one scatter into a
     ``(d, s, d)`` array for the s columns.  The first slot is then one
     matrix product with ``V^T`` and the last one with ``W^T = V^-T``, so the
-    largest array has ``d^2 s`` entries.
+    largest array has ``d^2 s`` entries.  ``V^-1`` is the frame's
+    :attr:`~einflag.invariant.Frame.inverse`, inverted once per frame.
     """
     space = frame.metric.space
     d = space.tangent_dim
@@ -101,8 +102,7 @@ def frame_structure(frame, cols=slice(None)):
     )
     Y = V.T @ X.reshape(d, s * d)
     # g-components of a tangent vector are read off against A V = V^{-T}
-    W = np.linalg.inv(V)
-    return (Y.reshape(d * s, d) @ W.T).reshape(d, s, d)
+    return (Y.reshape(d * s, d) @ frame.inverse.T).reshape(d, s, d)
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def curvature(metric, frame=None):
         quad_out, quad_in, square = _sparse_terms(space, V, Vinv)
     else:
         V = frame.vectors
-        Vinv = np.linalg.inv(V)
+        Vinv = frame.inverse
         quad_out, quad_in, square = _dense_terms(frame)
 
     K = V.T @ space.killing @ V

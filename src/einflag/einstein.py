@@ -1,16 +1,16 @@
-"""Invariant Einstein metrics: exact branches, exact counts, screening.
+"""Invariant Einstein metrics: exact counts, a catalog of exact branches, screening.
 
 Einstein metrics come in homothety rays, so everything here works in the
-gauge where the last diagonal coefficient equals one.  Exact solutions are
-catalogued per family branch in :func:`closed_form_solutions`.  The
-numeric route in :func:`numeric_solutions` has two stages, each counted
+gauge where the last diagonal coefficient equals one.  :func:`solve` has
+one route.  Its solutions are the roots of two stages, each counted
 exactly by resultants and Sturm sequences (:mod:`einflag.algebraic`): the
 diagonal Einstein metrics, and on a flag with an equivalent pair the ones
-with a nonzero mixing coefficient.  The roots of the counts are taken as
-they are, and each is certified once by the frame-route curvature report.
-Each stage's :class:`StageCertificate` records its count.  A system the
-exact count does not cover raises :class:`NoExactCount`; no search stands
-in for it.
+with a nonzero mixing coefficient.  The roots are taken as they are, and
+each stage's :class:`StageCertificate` records its count.  A root that an
+exact branch of the catalog (:func:`closed_form_solutions`) matches is
+reported under the branch's name; each reported solution is certified
+once by the frame-route curvature report.  A system the exact count does
+not cover raises :class:`NoExactCount`; no search stands in for it.
 
 The screening step groups solutions by the scale-invariant Einstein
 constant and tries to realize coincidences by explicit isometries: ambient
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebraic import diagonal_count, mixed_count
+from .algebraic import diagonal_count, mixed_count, normal_is_einstein
 from .curvature import _form_coefficients, curvature, reduced_ricci
 from .errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from .flag import manifold_name, parse_flag_spec
@@ -109,7 +109,7 @@ class EquivalenceGroup:
 
 @dataclass(frozen=True)
 class StageCertificate:
-    """How one stage of the numeric route was proved complete.
+    """How one stage of the exact counts was proved complete.
 
     ``stage`` is ``"diagonal"`` or ``"mixed"``.  ``status`` is
     ``"certified"``: an exact count proved the stage's solution set.  A
@@ -130,7 +130,7 @@ class SolutionSet:
     """Deduplicated Einstein metrics of one flag plus their screening.
 
     ``completeness`` holds one :class:`StageCertificate` per stage of the
-    numeric route, and is empty when only the closed-form catalog ran.
+    exact counts.
     """
 
     spec: object
@@ -317,7 +317,7 @@ def _closed_cached(spec):
 
 
 # ---------------------------------------------------------------------------
-# numeric route: the roots of the exact counts
+# the roots of the exact counts
 
 
 def _matches(rows, other):
@@ -338,9 +338,9 @@ def _canonical_key(vector):
 def _stage(space, stage, count):
     """The roots of one stage's exact count and the stage's certificate.
 
-    The roots are full coefficient vectors in canonical order: the count's
-    free coordinates with the gauged coefficient one inserted, and zero
-    mixing coefficients where the count has none.
+    The roots are read-only full coefficient vectors in canonical order:
+    the count's free coordinates with the gauged coefficient one inserted,
+    and zero mixing coefficients where the count has none.
     """
     s = space.n_sub
     found = []
@@ -348,6 +348,7 @@ def _stage(space, stage, count):
         full = point[: s - 1] + (1.0,) + point[s - 1 :]
         vec = np.zeros(space.dim)
         vec[: len(full)] = full
+        vec.setflags(write=False)
         found.append((vec, m))
     found.sort(key=lambda item: _canonical_key(item[0]))
     return [vec for vec, _ in found], StageCertificate(
@@ -365,27 +366,25 @@ def _require_countable(space):
         )
 
 
+# solve certifies only the roots it reports, so nothing in the package
+# calls this; the benchmark tracer (bench/tracing.py) wraps it by this name
 def numeric_solutions(spec):
-    """Einstein metrics of one flag, from the exact counts of its stages.
+    """The roots of the exact counts (:func:`_exact_roots`), each certified
+    by the frame-route curvature report on every call, as ``numeric-k``.
 
-    The diagonal solutions are the roots of
-    :func:`~einflag.algebraic.diagonal_count` and, on a flag with an
-    equivalent pair, the solutions with a nonzero mixing coefficient those
-    of :func:`~einflag.algebraic.mixed_count`, taken as they are.  Each root
-    is then certified once by the frame-route curvature report.  Raises
-    :class:`TooManyParameters` for metric families with more than four
-    coefficients and :class:`NoExactCount` when a stage cannot be counted
-    exactly.  The roots are found once per flag and process; each call
-    returns a fresh list of the memoised solutions.
+    Raises :class:`TooManyParameters` for metric families with more than
+    four coefficients and :class:`NoExactCount` when a stage cannot be
+    counted exactly.
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
-    return list(_numeric_cached(spec)[0])
+    space, roots = metric_space(spec), _exact_roots(spec)[0]
+    return [_solution(space, v, "numeric", f"numeric-{k + 1}") for k, v in enumerate(roots)]
 
 
 @lru_cache(maxsize=None)
-def _numeric_cached(spec):
-    """The certified roots of one flag and the certificate of each stage."""
+def _exact_roots(spec):
+    """The roots of one flag's exact counts and the certificate of each stage."""
     space = metric_space(spec)
     _require_countable(space)
     engine = reduced_ricci(spec)
@@ -393,11 +392,7 @@ def _numeric_cached(spec):
     if space.pairs:
         stages.append(_stage(space, "mixed", mixed_count(engine)))
     roots = sorted((vec for found, _ in stages for vec in found), key=_canonical_key)
-    solutions = tuple(
-        _solution(space, vec, "numeric", f"numeric-{k + 1}")
-        for k, vec in enumerate(roots)
-    )
-    return solutions, tuple(cert for _, cert in stages)
+    return tuple(roots), tuple(cert for _, cert in stages)
 
 
 # ---------------------------------------------------------------------------
@@ -595,49 +590,33 @@ def equivalence_screen(spec, solutions):
 # combined entry point
 
 
-def _merge(closed, numeric):
-    merged = list(closed)
-    for sol in numeric:
-        if not any(_matches(sol.coeffs, other.coeffs) for other in merged):
-            merged.append(sol)
-    return merged
-
-
-def solve(spec, mode="both"):
+def solve(spec):
     """Locate the invariant Einstein metrics of one flag.
 
-    Results are memoised per (flag, mode) in an immutable
+    The solutions are the roots of the exact counts (:func:`_exact_roots`).
+    A root that a closed-form catalog entry matches is reported as that
+    entry, in catalog order; every other root follows in root order as
+    ``numeric-k``, k its place among all roots.  Each reported solution is
+    certified once.  Results are memoised per flag in an immutable
     :class:`SolutionSet`: its solutions and groups are tuples, and the
     coefficient arrays are read-only.
-
-    Parameters
-    ----------
-    spec : FlagSpec or str
-    mode : {"both", "numeric", "closed-form"}
-        "both" unions the catalog with the numeric roots (numeric-only when
-        the flag has no catalog entry); the single-route modes propagate
-        :class:`NoCatalogEntry` untouched.
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
-    if mode not in ("both", "numeric", "closed-form"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return _solve_cached(spec, mode)
+    return _solve_cached(spec)
 
 
 @lru_cache(maxsize=None)
-def _solve_cached(spec, mode):
-    if mode == "closed-form":
+def _solve_cached(spec):
+    try:
         sols = closed_form_solutions(spec)
-    elif mode == "numeric":
-        sols = numeric_solutions(spec)
-    else:
-        try:
-            closed = closed_form_solutions(spec)
-        except NoCatalogEntry:
-            closed = []
-        sols = _merge(closed, numeric_solutions(spec))
-    completeness = () if mode == "closed-form" else _numeric_cached(spec)[1]
+    except NoCatalogEntry:
+        sols = []
+    roots, completeness = _exact_roots(spec)
+    space = metric_space(spec)
+    for k, vec in enumerate(roots):
+        if not any(_matches(vec, other.coeffs) for other in sols):
+            sols.append(_solution(space, vec, "numeric", f"numeric-{k + 1}"))
     return SolutionSet(
         spec, tuple(sols), tuple(equivalence_screen(spec, sols)), completeness
     )
@@ -729,15 +708,12 @@ def table1_row(spec):
         spec = parse_flag_spec(spec)
     space = metric_space(spec)
     sols = solve(spec)
-    normal = np.zeros(space.dim)
-    normal[: space.n_sub] = 1.0
-    defect = curvature(make_metric(space, normal)).einstein_defect
     return TableRow(
         spec=spec,
         name=manifold_name(spec),
         summands=space.n_sub,
         has_equivalent=bool(space.pairs),
         count=len(sols.solutions),
-        normal_is_einstein=bool(defect < DEFECT_TOL),
+        normal_is_einstein=normal_is_einstein(reduced_ricci(spec)),
         solutions=sols,
     )

@@ -601,19 +601,37 @@ def _decompose_d(spec, blocks):
 
 
 def _orthonormalize(spec, rows):
-    """Gram-Schmidt for the background metric."""
+    """Gram-Schmidt for the background metric.
+
+    Rows linked by shared coordinates form a component, whose output vectors
+    lie in its coordinates.  Projections across components are exact zeros,
+    so each row visits only the earlier vectors of its own component.
+    """
     model = spec.algebra
     scale = float(spec.inner_scale)
-    out = []
-    for v in rows:
+    label = list(range(len(rows)))
+
+    def root(i):
+        while label[i] != i:
+            i = label[i]
+        return i
+
+    first, done = {}, {}
+    for i, c in np.argwhere(rows).tolist():
+        a, b = root(i), root(first.setdefault(c, i))
+        label[max(a, b)] = min(a, b)
+    out = np.zeros(np.shape(rows))
+    for r, v in enumerate(rows):
+        earlier = done.setdefault(root(r), [])
         w = v.copy()
-        for o in out:
+        for o in earlier:
             w -= scale * model.ambient_inner_coords(w, o) * o
         nrm = np.sqrt(scale * model.ambient_inner_coords(w, w))
         if nrm < 1e-12:
             raise InvariantViolation("declared submodule span is degenerate")
-        out.append(w / nrm)
-    return np.array(out)
+        out[r] = w / nrm
+        earlier.append(out[r])
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,7 @@ mixing parameters (named ``b`` for the four-parameter families).
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.random import default_rng
@@ -660,6 +660,12 @@ class Frame:
     eigenvalues: np.ndarray
     groups: list
     partners: list
+
+    @cached_property
+    def inverse(self):
+        """``vectors^-1``, computed once per frame: the explicit-frame route
+        of :func:`~einflag.curvature.curvature` reads it in every slab."""
+        return np.linalg.inv(self.vectors)
 
 
 def orthonormal_frame(metric):

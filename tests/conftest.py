@@ -22,12 +22,12 @@ PAIR_FLAGS = ["A:3:[2,1,1]:-", "A:3:[1,2,1]:-", "A:3:[1,1,2]:-"] + [
 
 @pytest.fixture
 def cold_search(monkeypatch):
-    """Empty numeric-route and solve memos for one test.
+    """Empty exact-root and solve memos for one test.
 
     The test gets fresh memos; the shared ones, and what later tests find
     in them, come back untouched when it ends.
     """
-    for name in ("_numeric_cached", "_solve_cached"):
+    for name in ("_exact_roots", "_solve_cached"):
         memo = getattr(einflag.einstein, name)
         monkeypatch.setattr(einflag.einstein, name, lru_cache(maxsize=None)(memo.__wrapped__))
 

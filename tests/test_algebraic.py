@@ -117,7 +117,6 @@ def test_certificates_in_the_solution_set():
     assert (mixed.stage, mixed.status, mixed.shear, mixed.multiplicities) == (
         "mixed", "certified", 2, (1, 1, 1, 1))
     assert diag.status == "certified"
-    assert solve("B:3:[3]:-", mode="closed-form").completeness == ()
 
 
 # ---------------------------------------------------------------------------

@@ -76,17 +76,20 @@ def test_solve_json_deterministic(tmp_path, capsys):
     assert first.endswith("\n")
 
 
-def test_solve_single_route_modes(capsys):
-    code, out, _ = run(capsys, "solve", "B:3:[3]:-", "--numeric")
-    assert code == 0 and "numeric" in out
-    code, out, _ = run(capsys, "solve", "B:3:[3]:-", "--closed-form")
-    assert code == 0 and "closed-form" in out
+def test_solve_route_options_are_unknown(capsys):
+    # solve has one route: the former route options are usage errors
+    for option in ("--numeric", "--closed-form"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "B:3:[3]:-", option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_solve_closed_form_without_catalog(capsys):
-    code, _, err = run(capsys, "solve", "B:5:[2,3]:+", "--closed-form")
-    assert code == 2
-    assert "unsupported case" in err
+def test_solve_without_catalog_reports_the_roots(capsys):
+    code, out, err = run(capsys, "solve", "B:5:[2,3]:+")
+    assert code == 0 and err == ""
+    assert "numeric-1 (numeric)" in out
+    assert "mode" not in out
 
 
 # ---------------------------------------------------------------------------

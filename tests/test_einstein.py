@@ -1,10 +1,13 @@
 import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import einflag.einstein
+from einflag.cli import _table_rows
+from einflag.curvature import curvature
 from einflag.einstein import (
     CONSTANT_RTOL,
     DEFECT_TOL,
@@ -17,6 +20,7 @@ from einflag.einstein import (
 )
 from einflag.errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from einflag.flag import parse_flag_spec
+from einflag.invariant import make_metric, metric_space
 from einflag.verify import run_checks
 
 
@@ -258,27 +262,43 @@ def test_one_certificate_per_root(cold_search, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# merged solve
+# solve
 
 
-def test_solve_modes_agree():
+def test_solve_labels_the_roots_by_the_catalog():
+    # every catalog entry names the root it matches, in catalog order; the
+    # solve and the roots agree coefficient by coefficient
     spec = parse_flag_spec("B:3:[3]:-")
-    both = solve(spec, mode="both")
-    closed = solve(spec, mode="closed-form")
-    numeric = solve(spec, mode="numeric")
-    assert len(both.solutions) == len(closed.solutions) == len(numeric.solutions) == 2
-    # merged set prefers the closed-form provenance where routes agree
+    both = solve(spec)
+    assert [s.rule_id for s in both.solutions] == ["mu-half", "mu-upper"]
     assert {s.provenance for s in both.solutions} == {"closed-form"}
     match_sets(
         [s.coeffs for s in both.solutions],
-        [s.coeffs for s in numeric.solutions],
+        [s.coeffs for s in numeric_solutions(spec)],
         rtol=1e-7,
     )
 
 
-def test_solve_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        solve("B:3:[3]:-", mode="fast")
+def test_one_certificate_per_reported_solution(cold_search, monkeypatch):
+    # a root that repeats a catalog entry is not certified a second time:
+    # a cold solve makes one frame-route report per solution it returns
+    reports = []
+    curvature = einflag.einstein.curvature
+
+    def counted(metric):
+        reports.append(metric)
+        return curvature(metric)
+
+    monkeypatch.setattr(einflag.einstein, "curvature", counted)
+    monkeypatch.setattr(
+        einflag.einstein,
+        "_closed_cached",
+        lru_cache(maxsize=None)(einflag.einstein._closed_cached.__wrapped__),
+    )
+    for text, count in (("D:5:[4,1]:-", 6), ("B:5:[2,3]:+", 1), ("A:3:[2,1,1]:-", 5)):
+        reports.clear()
+        assert solve(text).count == count
+        assert len(reports) == count, text
 
 
 def test_solve_gauge_and_distinctness():
@@ -371,6 +391,20 @@ def test_table1_row_fields():
     assert row.has_equivalent is True
     assert row.count == 5
     assert row.normal_is_einstein is False
+
+
+def test_normal_verdict_matches_the_curvature_defect():
+    # oracle of the exact verdict: the Einstein defect of the normal
+    # metric's frame-route report, on every `table1 --max-l 6` flag
+    verdicts = set()
+    for spec in _table_rows(6):
+        space = metric_space(spec)
+        normal = np.zeros(space.dim)
+        normal[: space.n_sub] = 1.0
+        defect = curvature(make_metric(space, normal)).einstein_defect
+        assert table1_row(spec).normal_is_einstein == (defect < DEFECT_TOL), spec
+        verdicts.add(defect < DEFECT_TOL)
+    assert verdicts == {True, False}
 
 
 def test_memoised_solutions_are_immutable():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from conftest import FLAGS
+
 from einflag.algebra import build_algebra
 from einflag.errors import BadFlag, BadPartition, InvariantViolation, UnimplementedCase
 from einflag.flag import (
@@ -23,6 +25,31 @@ from einflag.flag import (
 
 def flag(text):
     return parse_flag_spec(text)
+
+
+# seven rank-25 flags of every family, with summands up to d = 390
+RANK25 = [
+    "A:25:[20,3,3]:-",
+    "B:25:[25]:-",
+    "B:25:[12,13]:+",
+    "C:25:[25]:-",
+    "C:25:[12,13]:+",
+    "D:25:[1,23,1]:+",
+    "D:25:[12,13]:+",
+]
+
+
+def gram_schmidt_loop(spec, rows):
+    """Oracle of ``_orthonormalize``: every earlier vector projected out in turn."""
+    model = spec.algebra
+    scale = float(spec.inner_scale)
+    out = []
+    for v in rows:
+        w = v.copy()
+        for o in out:
+            w -= scale * model.ambient_inner_coords(w, o) * o
+        out.append(w / np.sqrt(scale * model.ambient_inner_coords(w, w)))
+    return np.array(out)
 
 
 class TestSpec:
@@ -179,6 +206,16 @@ class TestDecompose:
         assert [s.dim for s in dec.submodules] == dims
         assert dec.equiv_classes == equiv
         assert dec.tangent_dim == len(dec.tangent_indices)
+
+    @pytest.mark.parametrize("text", FLAGS + RANK25)
+    def test_orthonormalize_matches_the_plain_loop(self, text):
+        # the visits that _orthonormalize skips are exact zeros, so its
+        # result is the plain loop's to the bit
+        spec = flag(text)
+        for s in decompose_isotropy(spec).submodules:
+            got = _orthonormalize(spec, s.span)
+            assert np.array_equal(got, gram_schmidt_loop(spec, s.span)), s.name
+            assert np.array_equal(got, s.orthonormal), s.name
 
     def test_span_order_one_two_block(self):
         # the summand bases behind the four-coefficient metric family
