@@ -415,33 +415,63 @@ def _row_entries(M):
     return start, flat % width, entries[flat]
 
 
+def _coo_pattern(index, maps, d):
+    """The index half of :func:`_coo_transform`, which depends on no value.
+
+    ``index`` holds one index array of the entries of t per map, and ``maps``
+    the ``(start, cols)`` of each map's :func:`_row_entries`.  Each entry is
+    expanded into one product per combination of entries in its rows of the
+    maps, their true counts multiplied, never a row padded to the longest.
+    Returns ``(src, pos, inv, keys)``: product x takes entry ``src[x]`` of t
+    and row entry ``pos[m][x]`` of map m, and it is summed into ``keys[inv[x]]``;
+    ``keys`` are the output indices flattened over ``range(d)``, sorted.
+    """
+    count = [np.diff(start)[i] for (start, _), i in zip(maps, index)]
+    n = np.prod(count, axis=0)
+    src = np.arange(n.size).repeat(n)
+    # the product's number among its entry's products, in mixed radix with
+    # the last map fastest, picks the row entry of each map
+    local = np.arange(src.size) - (n.cumsum() - n).repeat(n)
+    slots = []
+    for c in count[:0:-1]:
+        local, r = np.divmod(local, c[src])
+        slots.append(r)
+    slots.append(local)
+    pos, key = [], np.zeros(src.size, dtype=np.int64)
+    for (start, cols), i, slot in zip(maps, index, slots[::-1]):
+        pos.append(start[i[src]] + slot)
+        key = key * d + cols[pos[-1]]
+    keys, inv = np.unique(key, return_inverse=True)
+    return src, tuple(pos), inv, keys
+
+
+def _coo_values(pattern, values, maps):
+    """The value half of :func:`_coo_transform`: the entries over ``pattern``'s keys.
+
+    ``values`` are the entries of t and ``maps`` the row entry values of each
+    map.  Each product is taken in the order ``((t P) Q) R``, as a dense
+    product of t with the maps one after the other would round it.
+    """
+    src, pos, inv, keys = pattern
+    val = np.asarray(values, dtype=float)[src]
+    for vals, p in zip(maps, pos):
+        val = val * vals[p]
+    return np.bincount(inv, weights=val, minlength=keys.size)
+
+
 def _coo_transform(coo, maps, d):
     """``S[a,b,c] = sum t[i,j,k] P[i,a] Q[j,b] R[k,c]`` over the nonzeros of t.
 
     ``coo = (I, J, K, V)`` lists the nonzeros of t and ``maps`` holds the
     :func:`_row_entries` of P, Q and R, whose columns run over ``range(d)``.
-    Each nonzero of t is expanded into one product per triple of entries in
-    its rows of the three maps, their true counts multiplied, never a row
-    padded to the longest; the products are summed per key.  Returns the
-    entries of S as ``(a, b, c, value)`` sorted by ``(a, b, c)``; products
-    that are exactly zero are dropped, entries that cancel to zero are kept.
+    :func:`_coo_pattern` lays out the products, which :func:`_coo_values`
+    sums per key.  Returns the entries of S as ``(a, b, c, value)`` sorted by
+    ``(a, b, c)``; an entry whose products cancel to zero is kept.
     """
     *index, V = coo
-    count = [np.diff(start)[i] for (start, _, _), i in zip(maps, index)]
-    n = count[0] * count[1] * count[2]
-    # product x belongs to entry src[x]; its number among that entry's
-    # products, in mixed radix, picks the row entry of each map
-    src = np.arange(n.size).repeat(n)
-    local = np.arange(src.size) - (n.cumsum() - n).repeat(n)
-    rest, r = np.divmod(local, count[2][src])
-    p, q = np.divmod(rest, count[1][src])
-    key, val = np.zeros(src.size, dtype=np.int64), np.asarray(V, dtype=float)[src]
-    for (start, cols, vals), i, slot in zip(maps, index, (p, q, r)):
-        pos = start[i[src]] + slot
-        key, val = key * d + cols[pos], val * vals[pos]
-    keep = val != 0
-    keys, inv = np.unique(key[keep], return_inverse=True)
-    return keys // (d * d), keys // d % d, keys % d, np.bincount(inv, weights=val[keep])
+    pattern = _coo_pattern(index, [m[:2] for m in maps], d)
+    keys = pattern[3]
+    return keys // (d * d), keys // d % d, keys % d, _coo_values(pattern, V, [m[2] for m in maps])
 
 
 @lru_cache(maxsize=None)

@@ -20,12 +20,21 @@ The route has two implementations, and neither forms a d^3 array.  In the
 canonical eigenframe (the default) the tangent structure tensor t is almost
 empty and the frame has at most two nonzeros per column, so T is expanded
 from the nonzeros of t alone and each quadratic sum is a product within
-groups of entries that share two indices.  An explicit ``frame`` may be any
-orthonormal frame, so its T is dense: :func:`frame_structure` builds it one
-slab of ``_SLAB`` middle indices at a time, from the nonzeros of t, and each
-slab adds its part of both quadratic sums before the next is built.  That
-route is the reference the ``ricci-frame-independence`` check compares the
-sparse route against.
+groups of entries that share two indices.  Where those nonzeros lie depends
+only on the flag and on whether each pair's mixing coefficient is zero,
+below 1e-14 or beyond, so all the index work -- the expansion of T, the
+pairs of both sums, and the frame products ``V^T A``, ``V^T A V``,
+``V^T K V`` and ``W^T ric W`` over their nonzeros -- is a
+:class:`~einflag.invariant.FramePlan`, built at the first report of each
+such state and kept on the metric space.  A report is then a fixed run of
+gathers, elementwise products and ``bincount`` s, with no d x d matrix
+product.  Each single-term entry rounds as the dense product would; an
+entry of two terms, on a mixed pair, is summed without BLAS's fused
+multiply-add.  An explicit ``frame`` may be any orthonormal frame, so its T
+is dense: :func:`frame_structure` builds it one slab of ``_SLAB`` middle
+indices at a time, from the nonzeros of t, and each slab adds its part of
+both quadratic sums before the next is built.  That route is the reference
+the ``ricci-frame-independence`` check compares the sparse route against.
 
 The reduced route, :class:`ReducedRicci`, maps the metric coefficients
 straight to the coefficients of the Ricci form over the metric-space
@@ -47,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _coo_transform, _row_entries
+from .algebra import _coo_transform, _coo_values, _row_entries
 from .invariant import metric_space, orthonormal_frame, volume_root
 
 __all__ = [
@@ -162,44 +171,37 @@ def _form_coefficients(space, form):
     return rows @ np.ravel(form) / norms
 
 
-def _pair_sum(group, index, value, d):
-    """``S[index[x], index[y]] += value[x] value[y]`` over x, y of one group.
+def _scatter(keys, values, d):
+    """A d x d array with ``values`` at the flat ``keys`` and zeros elsewhere."""
+    out = np.zeros(d * d)
+    out[keys] = values
+    return out.reshape(d, d)
 
-    The entries are sorted by ``group``; every entry is paired with each
-    entry of its group, itself included, and the products are scattered
-    into a d x d array.
+
+def _planned_ricci(frame):
+    """The frame Ricci tensor over its structural entries, from the canonical frame's plan.
+
+    T is expanded from the nonzeros of t through those of V, V and ``W^T``
+    (:attr:`~einflag.invariant.FramePlan.structure`), each quadratic sum is
+    one product of T's entries per planned pair and one ``bincount``, and
+    ``V^T K V`` is gathered from the nonzeros of the Killing form K.
+    Returns the entries of ric at the plan's ``ricci`` positions, ``sum T^2``
+    and ``tr(V^T K V)``, which the dense route reads off its d x d arrays.
     """
-    if group.size == 0:
-        return np.zeros((d, d))
-    order = np.argsort(group, kind="stable")
-    group, index, value = group[order], index[order], value[order]
-    edge = np.ones(group.size + 1, dtype=bool)
-    edge[1:-1] = group[1:] != group[:-1]
-    bounds = np.flatnonzero(edge)
-    sizes = bounds[1:] - bounds[:-1]
-    # entry x pairs with the n[x] entries of its group, which start at s[x]
-    n, s = sizes.repeat(sizes), bounds[:-1].repeat(sizes)
-    left = np.arange(group.size).repeat(n)
-    right = np.arange(left.size) - (n.cumsum() - n - s).repeat(n)
-    return np.bincount(
-        index[left] * d + index[right],
-        weights=value[left] * value[right],
-        minlength=d * d,
-    ).reshape(d, d)
-
-
-def _sparse_terms(space, V, W):
-    """The frame sums of the Ricci formula over the nonzeros of T.
-
-    T is expanded from the nonzeros of t through those of ``V``, ``V`` and
-    ``W = V^-1``; the canonical frame has at most two nonzeros per column.
-    Returns the two quadratic sums and ``sum T^2``, as :func:`_dense_terms`
-    does.
-    """
-    d = space.tangent_dim
-    rows = _row_entries(V)
-    a, b, c, T = _coo_transform(space.structure_coo, (rows, rows, _row_entries(W.T)), d)
-    return _pair_sum(b * d + c, a, T, d), _pair_sum(a * d + b, c, T, d), float(T @ T)
+    plan, v, w = frame.sparse
+    n = plan.ricci[0].size
+    T = _coo_values(
+        plan.structure, frame.metric.space.structure_coo[3], (v, v, w[plan.transpose[0]])
+    )
+    quad_out, quad_in = (
+        np.bincount(at, weights=T[left] * T[right], minlength=n)
+        for left, right, at in (plan.quad_out, plan.quad_in)
+    )
+    pattern, killing, at = plan.killing
+    K = np.zeros(n)
+    K[at] = _coo_values(pattern, killing, (v, v))
+    ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
+    return ric, float(T @ T), np.sum(K[plan.ricci[1]])
 
 
 def _dense_terms(frame):
@@ -229,10 +231,13 @@ def curvature(metric, frame=None):
     frame : Frame, optional
         A metric-orthonormal frame to evaluate in.  Defaults to the
         canonical eigenframe, which is evaluated over the nonzeros of the
-        structure tensor.  An explicit frame goes through the dense
-        :func:`frame_structure` contraction instead; any metric-orthonormal
-        frame must give the same tangent-coordinate Ricci form, which the
-        verification suite exploits.
+        structure tensor by the frame's
+        :class:`~einflag.invariant.FramePlan`: ``ricci`` and
+        ``ricci_tangent`` are scattered from their structural entries, and
+        ``einstein_defect`` is the norm of the dense ``ricci - c I``.  An
+        explicit frame goes through the dense :func:`frame_structure`
+        contraction instead; any metric-orthonormal frame must give the same
+        tangent-coordinate Ricci form, which the verification suite exploits.
 
     Returns
     -------
@@ -242,25 +247,24 @@ def curvature(metric, frame=None):
     d = space.tangent_dim
     if frame is None:
         frame = orthonormal_frame(metric)
-        V = frame.vectors
-        # V^T A V = I, so this is V^-1 with the zeros of V^T kept exact
-        Vinv = V.T @ metric.matrix
-        quad_out, quad_in, square = _sparse_terms(space, V, Vinv)
+        plan, _, w = frame.sparse
+        entries, square, killing_trace = _planned_ricci(frame)
+        ric = _scatter(plan.ricci[0], entries, d)
+        # W = V^-1 from the frame's plan, over the structural entries of ric
+        ric_tan = _scatter(plan.tangent[3], _coo_values(plan.tangent, entries, (w, w)), d)
     else:
-        V = frame.vectors
-        Vinv = frame.inverse
         quad_out, quad_in, square = _dense_terms(frame)
-
-    K = V.T @ space.killing @ V
-    ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
+        K = frame.vectors.T @ space.killing @ frame.vectors
+        ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
+        killing_trace = np.trace(K)
+        ric_tan = frame.inverse.T @ ric @ frame.inverse
 
     scalar = float(np.trace(ric))
-    scalar_direct = float(-0.25 * square - 0.5 * np.trace(K))
+    scalar_direct = float(-0.25 * square - 0.5 * killing_trace)
     c = scalar / d
     defect = float(np.linalg.norm(ric - c * np.eye(d)))
     normalized = c * float(volume_root(space, metric.spectrum))
 
-    ric_tan = Vinv.T @ ric @ Vinv
     coeffs = _form_coefficients(space, ric_tan)
 
     return CurvatureReport(

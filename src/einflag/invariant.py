@@ -45,7 +45,7 @@ from .errors import (
     NotPositiveDefinite,
     UnimplementedCase,
 )
-from .algebra import _coo_transform, _matches, _row_entries
+from .algebra import _coo_pattern, _coo_transform, _coo_values, _matches, _row_entries
 from .flag import GeneratorTable, decompose_isotropy, tangent_basis
 
 __all__ = [
@@ -162,6 +162,7 @@ class MetricSpace:
     _structure_trace: float = field(default=None, repr=False)
     _operator_rows: tuple = field(default=None, repr=False)
     _killing: np.ndarray = field(default=None, repr=False)
+    _frame_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def spec(self):
@@ -253,6 +254,169 @@ class MetricSpace:
             model = self.spec.algebra
             self._killing = self.basis @ model.killing_matrix @ self.basis.T
         return self._killing
+
+    def frame_plan(self, coeffs):
+        """The :class:`FramePlan` of the canonical frame at these coefficients.
+
+        The frame's sparsity depends only on the state of each pair's mixing
+        coefficient b: 0 at b = 0, 1 for ``0 < |b| < 1e-14`` (the frame is
+        still diagonal on the pair, but A and so ``V^T A`` carry the ``B0``
+        blocks) and 2 beyond (the frame has the 2x2 blocks of I and ``B0``).
+        One plan per state is built, at its first use, and kept.
+        """
+        state = tuple(
+            0 if b == 0 else 1 if abs(b) < 1e-14 else 2 for b in coeffs[self.n_sub :].tolist()
+        )
+        plan = self._frame_plans.get(state)
+        if plan is None:
+            plan = self._frame_plans[state] = _frame_plan(self, state)
+        return plan
+
+
+def _key_rows(keys, d):
+    """The ``(start, cols)`` of :func:`~einflag.algebra._row_entries` for the
+    sorted flat keys of a d x d pattern."""
+    return np.searchsorted(keys, np.arange(d + 1) * d), keys % d
+
+
+@dataclass(frozen=True)
+class FramePlan:
+    """The index work of a canonical-frame report, for one sparsity state.
+
+    With V the frame, A the metric, ``W = V^T A = V^-1`` and t the tangent
+    structure tensor, each field is one :func:`~einflag.algebra._coo_pattern`
+    or a gather list, so a report is a fixed sequence of gathers,
+    elementwise products and ``bincount`` s.  Every array is read-only.
+
+    Attributes
+    ----------
+    frame : tuple
+        The flat positions of the nonzeros of V, and V's rows.
+    metric : ndarray
+        The flat positions of the nonzeros of A.
+    inverse : tuple
+        ``W = V^T A`` from the entries of A, keys in W's row order.
+    gram : tuple
+        ``W V`` from the entries of W, and the identity over its keys: their
+        distance is the frame check.
+    transpose : tuple
+        W's entries in the row order of ``W^T``, and those rows.
+    structure : tuple
+        ``T[a,b,c] = sum t[i,j,k] V[i,a] V[j,b] W[c,k]`` from the entries of t.
+    ricci : tuple
+        The flat positions of the frame Ricci tensor's structural entries,
+        those of the two quadratic sums, of ``V^T K V`` and the diagonal,
+        and which of them lie on the diagonal.  The sums below are kept
+        over these entries alone.
+    quad_out, quad_in : tuple
+        ``(left, right, at)`` of the two quadratic sums of the Ricci formula:
+        each entry of T with each entry sharing its ``(b, c)``, resp. its
+        ``(a, b)``, in the stable order of that shared pair, summed into
+        Ricci entry ``at``.
+    killing : tuple
+        ``V^T K V`` from the nonzeros of the Killing form K, their values,
+        and the Ricci entry of each of its keys.
+    tangent : tuple
+        ``W^T ric W`` from the Ricci entries.
+    ones : ndarray
+        The entries of the identity map.
+    """
+
+    frame: tuple
+    metric: np.ndarray
+    inverse: tuple
+    gram: tuple
+    transpose: tuple
+    structure: tuple
+    ricci: tuple
+    quad_out: tuple
+    quad_in: tuple
+    killing: tuple
+    tangent: tuple
+    ones: np.ndarray
+
+
+def _quad_plan(group, index, d):
+    """``(left, right, key)``: each entry paired with each of its group, itself included,
+    and the flat d x d position ``(index[left], index[right])`` of each pair.
+
+    The entries are taken in a stable sort by ``group``, and each one's
+    partners in the same order.
+    """
+    order = np.argsort(group, kind="stable")
+    left, right = _matches(group[order], group[order])
+    left, right = order[left], order[right]
+    return left, right, index[left] * d + index[right]
+
+
+def _frame_plan(space, state):
+    """Build the :class:`FramePlan` of one :meth:`MetricSpace.frame_plan` state."""
+    d = space.tangent_dim
+    sl = space.slices
+    vmask, amask = np.eye(d, dtype=bool), np.eye(d, dtype=bool)
+    for (i, j, B0), mixed in zip(space.pairs, state):
+        si, sj, B = sl[i], sl[j], B0 != 0
+        if mixed:
+            amask[sj, si], amask[si, sj] = B, B.T
+        if mixed == 2:
+            vmask[sj, si], vmask[sj, sj] = B, B
+            vmask[si, sj] = np.eye(si.stop - si.start, dtype=bool)
+    v_at, a_at = np.flatnonzero(vmask), np.flatnonzero(amask)
+    v_rows = _key_rows(v_at, d)
+    ident = (np.arange(d + 1), np.arange(d))
+    inverse = _coo_pattern(np.divmod(a_at, d), (v_rows, ident), d)
+    w_keys = inverse[3]
+    w_rows = _key_rows(w_keys, d)
+    gram = _coo_pattern(np.divmod(w_keys, d), (ident, v_rows), d)
+    # V's columns are never empty and A's diagonal is full, so W V has every
+    # diagonal entry of the identity it is checked against
+    row, col = np.divmod(gram[3], d)
+    identity = (row == col).astype(float)
+    w_t = w_keys % d * d + w_keys // d
+    to_t = np.argsort(w_t)
+    t_rows = _key_rows(w_t[to_t], d)
+    I, J, K, _ = space.structure_coo
+    structure = _coo_pattern((I, J, K), (v_rows, v_rows, t_rows), d)
+    a, b, c = structure[3] // (d * d), structure[3] // d % d, structure[3] % d
+    quad_out = _quad_plan(b * d + c, a, d)
+    quad_in = _quad_plan(a * d + b, c, d)
+    k_at = np.flatnonzero(space.killing)
+    killing = _coo_pattern(np.divmod(k_at, d), (v_rows, v_rows), d)
+    # the whole diagonal is kept, so that a trace sums the same d entries as
+    # the dense np.trace does
+    ricci = np.zeros(d * d, dtype=bool)
+    ricci[np.r_[quad_out[2], quad_in[2], killing[3], np.arange(d) * (d + 1)]] = True
+    ricci = np.flatnonzero(ricci)
+    row, col = np.divmod(ricci, d)
+    quad_out, quad_in = (
+        (left, right, np.searchsorted(ricci, key)) for left, right, key in (quad_out, quad_in)
+    )
+    tangent = _coo_pattern((row, col), (w_rows, w_rows), d)
+    plan = FramePlan(
+        frame=(v_at, v_rows),
+        metric=a_at,
+        inverse=inverse,
+        gram=(gram, identity),
+        transpose=(to_t, t_rows),
+        structure=structure,
+        ricci=(ricci, np.flatnonzero(row == col)),
+        quad_out=quad_out,
+        quad_in=quad_in,
+        killing=(killing, space.killing.ravel()[k_at], np.searchsorted(ricci, killing[3])),
+        tangent=tangent,
+        ones=np.ones(d),
+    )
+    _freeze(tuple(vars(plan).values()))
+    return plan
+
+
+def _freeze(tree):
+    """Make every array of nested tuples read-only."""
+    if isinstance(tree, np.ndarray):
+        tree.setflags(write=False)
+    else:
+        for item in tree:
+            _freeze(item)
 
 
 def _sign_table(flips, B, Bw):
@@ -652,7 +816,9 @@ class Frame:
     ``eigenvalues`` holds the metric-operator eigenvalue of each column;
     ``groups`` lists column indices sharing one eigenvalue block, in summand
     order; ``partners`` matches the coupled column pairs of each intertwined
-    block.
+    block.  ``sparse`` is, for the canonical frame, ``(plan, v, w)``: its
+    :class:`FramePlan` and the entries of V and of ``W = V^-1`` over the
+    plan; None for a frame built otherwise.
     """
 
     metric: InvariantMetric
@@ -660,6 +826,7 @@ class Frame:
     eigenvalues: np.ndarray
     groups: list
     partners: list
+    sparse: tuple = field(default=None, repr=False)
 
     @cached_property
     def inverse(self):
@@ -681,7 +848,7 @@ def orthonormal_frame(metric):
     # columns of a mixed pair are replaced below
     V = np.diag(1.0 / np.sqrt(eig))
 
-    partners = []
+    partners, mixed = [], []
     for k, (i, j, B0) in enumerate(space.pairs):
         si, sj = slices[i], slices[j]
         xi, xj, b = coeffs[i], coeffs[j], coeffs[n_sub + k]
@@ -689,6 +856,7 @@ def orthonormal_frame(metric):
         partners += [(si.start + r, sj.start + r) for r in range(di)]
         if abs(b) < 1e-14:
             continue
+        mixed += [*range(si.start, si.stop), *range(sj.start, sj.stop)]
         xi1, xi2 = lam[i], lam[j]
         delta = xi - xj
         gap = np.hypot(2.0 * b, delta)
@@ -708,10 +876,20 @@ def orthonormal_frame(metric):
         V[si, si], V[sj, si] = np.eye(di) * (a1 / n1), B0 * (b1 / n1)
         V[si, sj], V[sj, sj] = np.eye(di) * (a2 / n2), B0 * (b2 / n2)
 
-    lead = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(d)]
-    V[:, lead < 0] *= -1.0
+    # a column's leading entry above 1e-12 is made positive; the columns
+    # left diagonal already are
+    mixed = np.array(mixed, dtype=int)
+    block = V[:, mixed]
+    lead = block[np.argmax(np.abs(block) > 1e-12, axis=0), np.arange(mixed.size)]
+    V[:, mixed[lead < 0]] *= -1.0
 
     groups = [list(range(s.start, s.stop)) for s in slices]
-    if np.max(np.abs(V.T @ metric.matrix @ V - np.eye(d))) > 1e-9:
+    # W = V^T A and V^T A V over the plan; the dense products are exact zeros
+    # off its keys
+    plan = space.frame_plan(coeffs)
+    v = V.ravel()[plan.frame[0]]
+    w = _coo_values(plan.inverse, metric.matrix.ravel()[plan.metric], (v, plan.ones))
+    gram, identity = plan.gram
+    if np.max(np.abs(_coo_values(gram, w, (plan.ones, v)) - identity)) > 1e-9:
         raise InvariantViolation("frame is not orthonormal for the metric")
-    return Frame(metric, V, eig, groups, partners)
+    return Frame(metric, V, eig, groups, partners, (plan, v, w))

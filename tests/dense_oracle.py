@@ -1,14 +1,19 @@
 """Dense and padded forms of the sparse contractions, kept as test oracles.
 
 Each function here is the form the package computed before it moved to the
-nonzeros of the structure tensor: the full d^3 einsum of the frame structure
-constants, the block sums of the reduced engine from dense slices of
-``MetricSpace.structure``, and the transform of a coordinate list with
-every map row padded to the longest one.  The tests compare the package
-against them.
+nonzeros of the structure tensor or to a planned report: the full d^3 einsum
+of the frame structure constants, the block sums of the reduced engine from
+dense slices of ``MetricSpace.structure``, the transform of a coordinate
+list with every map row padded to the longest one, and the canonical-frame
+report with its index work redone per call and its frame products dense.
+The tests compare the package against them.
 """
 
 import numpy as np
+
+from einflag.algebra import _coo_transform, _row_entries
+from einflag.curvature import _form_coefficients
+from einflag.invariant import orthonormal_frame, volume_root
 
 
 def frame_structure(frame):
@@ -96,3 +101,69 @@ def padded_transform(coo, maps, d, budget=1 << 22):
     keys, inv = np.unique(np.concatenate(keys), return_inverse=True)
     value = np.bincount(inv, weights=np.concatenate(vals), minlength=keys.size)
     return keys // (d * d), keys // d % d, keys % d, value
+
+
+def pair_sum(group, index, value, d):
+    """``S[index[x], index[y]] += value[x] value[y]`` over x, y of one group.
+
+    The entries are sorted by ``group``; every entry is paired with each
+    entry of its group, itself included, and the products are scattered
+    into a d x d array.
+    """
+    if group.size == 0:
+        return np.zeros((d, d))
+    order = np.argsort(group, kind="stable")
+    group, index, value = group[order], index[order], value[order]
+    edge = np.ones(group.size + 1, dtype=bool)
+    edge[1:-1] = group[1:] != group[:-1]
+    bounds = np.flatnonzero(edge)
+    sizes = bounds[1:] - bounds[:-1]
+    # entry x pairs with the n[x] entries of its group, which start at s[x]
+    n, s = sizes.repeat(sizes), bounds[:-1].repeat(sizes)
+    left = np.arange(group.size).repeat(n)
+    right = np.arange(left.size) - (n.cumsum() - n - s).repeat(n)
+    return np.bincount(
+        index[left] * d + index[right],
+        weights=value[left] * value[right],
+        minlength=d * d,
+    ).reshape(d, d)
+
+
+def sparse_terms(space, V, W):
+    """The two quadratic sums of the Ricci formula and ``sum T^2``, T from the nonzeros of t.
+
+    T is expanded from the nonzeros of t through those of ``V``, ``V`` and
+    ``W = V^-1``.
+    """
+    d = space.tangent_dim
+    rows = _row_entries(V)
+    a, b, c, T = _coo_transform(space.structure_coo, (rows, rows, _row_entries(W.T)), d)
+    return pair_sum(b * d + c, a, T, d), pair_sum(a * d + b, c, T, d), float(T @ T)
+
+
+def canonical_report(metric):
+    """The fields of ``curvature(metric)`` by :func:`sparse_terms` and dense frame products.
+
+    ``V^T A``, ``V^T K V`` and ``W^T ric W`` are d x d matrix products.
+    """
+    space = metric.space
+    d = space.tangent_dim
+    V = orthonormal_frame(metric).vectors
+    # V^T A V = I, so this is V^-1 with the zeros of V^T kept exact
+    W = V.T @ metric.matrix
+    quad_out, quad_in, square = sparse_terms(space, V, W)
+    K = V.T @ space.killing @ V
+    ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
+    scalar = float(np.trace(ric))
+    c = scalar / d
+    ric_tan = W.T @ ric @ W
+    return {
+        "ricci": ric,
+        "ricci_tangent": ric_tan,
+        "coefficients": _form_coefficients(space, ric_tan),
+        "scalar": scalar,
+        "scalar_direct": float(-0.25 * square - 0.5 * np.trace(K)),
+        "einstein_constant": c,
+        "einstein_defect": float(np.linalg.norm(ric - c * np.eye(d))),
+        "normalized_constant": c * float(volume_root(space, metric.spectrum)),
+    }

@@ -19,6 +19,7 @@ from einflag.invariant import Frame, make_metric, metric_space, orthonormal_fram
 # the module itself: the package exports its function ``curvature`` under
 # the same name
 curvature_module = importlib.import_module("einflag.curvature")
+invariant_module = importlib.import_module("einflag.invariant")
 
 
 def report(text, coeffs):
@@ -565,3 +566,110 @@ def test_block_sums_match_the_dense_slices(monkeypatch, text):
         got, want = getattr(engine, name), getattr(oracle, name)
         bound = 1e-14 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
         assert np.max(np.abs(got - want), initial=0.0) <= bound, name
+
+
+REPORT_FIELDS = (
+    "ricci",
+    "ricci_tangent",
+    "coefficients",
+    "scalar",
+    "scalar_direct",
+    "einstein_constant",
+    "einstein_defect",
+    "normalized_constant",
+)
+
+
+def planned_cases(sp, rng):
+    """Coefficients of one flag: two metrics without a pair, else b = 0,
+    b = 1e-15 and two mixed b, each b relative to ``sqrt(x_i x_j)``."""
+    x = rng.uniform(0.5, 2.0, sp.n_sub)
+    if not sp.pairs:
+        return [(None, x), (None, rng.uniform(0.5, 2.0, sp.n_sub))]
+    scale = np.array([np.sqrt(x[i] * x[j]) for i, j, _ in sp.pairs])
+    fracs = [0.0, 1e-15] + list(rng.uniform(-0.5, 0.5, 2))
+    return [(f, np.r_[x, f * scale]) for f in fracs]
+
+
+@pytest.mark.parametrize("text", ENGINE_FLAGS + ["C:25:[12,13]:+"])
+def test_planned_report_equals_the_dense_composition(text):
+    # the canonical report runs the plan of its flag and sparsity state; the
+    # oracle redoes the index work per call and takes the frame products as
+    # dense matrix products.  Where every entry is a single product -- no
+    # pair, or b = 0 -- both round alike and agree bit for bit.  At
+    # b = 1e-15 the frame is still diagonal but A carries the B0 blocks:
+    # the tangent fields differ from BLAS's fused multiply-add only on
+    # their O(b) two-term entries, far below the 1e-14 a plan without those
+    # blocks misses by, and every other field agrees bit for bit.  Mixed b
+    # agrees to 1e-14.
+    sp = metric_space(parse_flag_spec(text))
+    rng = np.random.default_rng(list(text.encode()))
+    for frac, coeffs in planned_cases(sp, rng):
+        m = make_metric(sp, coeffs)
+        got, want = curvature(m), dense_oracle.canonical_report(m)
+        for name in REPORT_FIELDS:
+            g, w = np.asarray(getattr(got, name)), np.asarray(want[name])
+            tangent = name in ("ricci_tangent", "coefficients")
+            if frac in (None, 0.0) or (frac == 1e-15 and not tangent):
+                assert np.array_equal(g, w), (frac, name)
+            else:
+                bound = (1e-27 if frac == 1e-15 else 1e-14) * float(np.max(np.abs(w)))
+                assert np.max(np.abs(g - w)) <= bound, (frac, name)
+
+
+def plan_arrays(tree):
+    """Every array of a frame plan, its nested tuples walked."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    items = tree if isinstance(tree, tuple) else vars(tree).values()
+    return [a for item in items for a in plan_arrays(item)]
+
+
+def test_frame_plan_is_read_only():
+    # the plan is kept on the metric space and shared by every later report
+    sp = metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    plan = orthonormal_frame(make_metric(sp, [1.0, 1.2, 0.8, 0.3])).sparse[0]
+    arrays = plan_arrays(plan)
+    assert len(arrays) > 20
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_one_plan_per_flag_and_sparsity_state(cold_caches, monkeypatch):
+    # the plan depends on the flag and on each pair's b being 0, below
+    # 1e-14 or beyond; every other report reuses it
+    builds = []
+    build = invariant_module._frame_plan
+
+    def counted(space, state):
+        builds.append((str(space.spec), state))
+        return build(space, state)
+
+    monkeypatch.setattr(invariant_module, "_frame_plan", counted)
+    sp = invariant_module.metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    rng = np.random.default_rng(17)
+    (i, j, _), = sp.pairs
+    fracs = np.r_[0.0, 1e-15, rng.uniform(-0.5, 0.5, 998)]
+    for frac in rng.permutation(fracs):
+        x = rng.uniform(0.5, 2.0, 3)
+        curvature_module.curvature(make_metric(sp, np.r_[x, frac * np.sqrt(x[i] * x[j])]))
+    assert sorted(state for _, state in builds) == [(0,), (1,), (2,)]
+    large = invariant_module.metric_space(parse_flag_spec("A:25:[20,3,3]:-"))
+    for _ in range(200):
+        curvature_module.curvature(make_metric(large, rng.uniform(0.5, 2.0, 3)))
+    assert builds[3:] == [("A:25:[20,3,3]:-", ())]
+
+
+def test_cold_caches_build_a_fresh_plan(request):
+    spec = parse_flag_spec("B:4:[4]:-")
+    shared = metric_space(spec)
+    coeffs = [1.0, 1.5, 0.5]
+    curvature(make_metric(shared, coeffs))
+    kept = shared.frame_plan(np.array(coeffs))
+    request.getfixturevalue("cold_caches")
+    fresh = invariant_module.metric_space(spec)
+    assert fresh is not shared and not fresh._frame_plans
+    report = curvature_module.curvature(make_metric(fresh, coeffs))
+    assert report.frame.sparse[0] is not kept
+    assert np.array_equal(report.ricci, curvature(make_metric(shared, coeffs)).ricci)

@@ -567,25 +567,45 @@ class TestFrame:
 
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
 def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
-    # every caller of _coo_transform, recorded on a cold build: the isotropy
-    # table, the sign table, structure_coo and the canonical-frame report;
-    # the reference pads every map row to the longest one
-    calls = []
+    # every ragged transform of t, recorded on a cold build: the isotropy
+    # table, the sign table and structure_coo through _coo_transform, and
+    # the canonical-frame report's T through the pattern step of its plan
+    # and the value step of the report; the reference pads every map row
+    # to the longest one
+    calls, patterns, values = [], [], []
 
     def recorded(coo, maps, d):
         out = algebra._coo_transform(coo, maps, d)
         calls.append((coo, maps, d, out))
         return out
 
-    for module in (flag, invariant, curvature_module):
+    def pattern_step(index, maps, d):
+        out = algebra._coo_pattern(index, maps, d)
+        patterns.append((index, maps, d, out))
+        return out
+
+    def value_step(pattern, vals, maps):
+        out = algebra._coo_values(pattern, vals, maps)
+        values.append((pattern, vals, maps, out))
+        return out
+
+    for module in (flag, invariant):
         monkeypatch.setattr(module, "_coo_transform", recorded)
+    monkeypatch.setattr(invariant, "_coo_pattern", pattern_step)
+    monkeypatch.setattr(curvature_module, "_coo_values", value_step)
     spec = parse_flag_spec(text)
     monkeypatch.setattr(invariant, "decompose_isotropy", flag.decompose_isotropy.__wrapped__)
     sp = invariant.metric_space.__wrapped__(spec)
     sp.structure_coo
     coeffs = np.r_[np.linspace(0.7, 1.6, sp.n_sub), np.full(sp.dim - sp.n_sub, 0.1)]
     curvature_module.curvature(make_metric(sp, coeffs))
-    assert len(calls) == 4
+    assert len(calls) == 3
+    (index, rows, d, pattern), = [p for p in patterns if len(p[1]) == 3]
+    (vals, maps, got), = [v[1:] for v in values if v[0] is pattern]
+    keys = pattern[3]
+    coo = (*index, vals)
+    maps = tuple((*r, m) for r, m in zip(rows, maps))
+    calls.append((coo, maps, d, (keys // (d * d), keys // d % d, keys % d, got)))
     for coo, maps, d, got in calls:
         want = dense_oracle.padded_transform(coo, maps, d)
         for g, w in zip(got[:3], want[:3]):
