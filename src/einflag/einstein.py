@@ -16,7 +16,9 @@ The screening step groups solutions by the scale-invariant Einstein
 constant and tries to realize coincidences by explicit isometries: ambient
 conjugations that normalize the isotropy algebra pull one metric back to
 another, which proves equivalence; distinct constants prove distinctness;
-anything else stays undecided.
+anything else stays undecided.  A witness acts on the metric coefficients
+as a linear map, built and checked once per flag in one batched pass over
+the candidates (:func:`_witness_maps`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebraic import diagonal_count, mixed_count, normal_is_einstein
-from .curvature import _form_coefficients, curvature, reduced_ricci
+from .curvature import curvature, reduced_ricci
 from .errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from .flag import manifold_name, parse_flag_spec
 from .invariant import make_metric, metric_space
@@ -400,32 +402,11 @@ def _exact_roots(spec):
 
 
 def _gauge(space, coeffs):
-    coeffs = np.asarray(coeffs, dtype=float).copy()
+    """Coefficient vectors, or a stack of them, scaled to a unit last
+    diagonal coefficient."""
+    coeffs = np.asarray(coeffs, dtype=float)
     s = space.n_sub
-    return coeffs / coeffs[s - 1]
-
-
-def _induced_tangent_map(space, O):
-    """Tangent action of an ambient conjugation, or None if it breaks it.
-
-    The candidate must map every tangent-basis matrix back into the span of
-    the algebra basis and preserve the tangent subspace; the returned map is
-    then orthogonal for the background metric.
-    """
-    model = space.spec.algebra
-    g = float(space.spec.inner_scale) * model.gram
-    Bw = space.basis * g
-    mats = np.array([e.matrix for e in model.basis], dtype=float)
-    d = space.tangent_dim
-    images, residual = model.expand_matrix(O @ np.einsum("kc,cij->kij", space.basis, mats) @ O.T)
-    if residual > 1e-9:
-        return None
-    W = Bw @ images.T
-    if np.max(np.abs(W.T @ W - np.eye(d))) > 1e-9:
-        return None
-    if np.max(np.abs(images - W.T @ space.basis)) > 1e-9:
-        return None
-    return W
+    return coeffs / coeffs[..., s - 1 : s]
 
 
 def _block_ranges(part):
@@ -437,83 +418,143 @@ def _block_ranges(part):
 
 
 def _ambient_candidates(spec):
-    """Orthogonal ambient matrices that may normalize the isotropy group."""
+    """Orthogonal ambient matrices that may normalize the isotropy group.
+
+    They are signed permutations, returned as one ``(m, N, N)`` stack.  On
+    the A family: each swap of two equal blocks (and the identity) times a
+    sign flip of the first entry of one block (or none).  On the D family:
+    ``M = 0.5 [[P + Q, P - Q], [P - Q, P + Q]]`` and ``diag(I, -I) M`` for
+    every two sign flips P, Q of the first and last entries.  Other families
+    have none.
+    """
     fam, l, part = spec.family, spec.rank, spec.partition
-    model = spec.algebra
-    N = model.ambient_dim
-    cands = []
+    N = spec.algebra.ambient_dim
+    perms, signs = [], []
 
     if fam == "A":
         blocks = _block_ranges(part)
-        perms = [np.eye(N)]
+        swaps = [np.arange(N)]
         for i, j in itertools.combinations(range(len(blocks)), 2):
             if part[i] != part[j]:
                 continue
-            P = np.eye(N)
-            for a, b in zip(blocks[i], blocks[j]):
-                P[[a, b]] = P[[b, a]]
-            perms.append(P)
-        flips = [np.eye(N)]
+            p, a, b = np.arange(N), list(blocks[i]), list(blocks[j])
+            p[a], p[b] = b, a
+            swaps.append(p)
+        flips = [np.ones(N)]
         for blk in blocks:
-            F = np.eye(N)
-            F[blk[0], blk[0]] = -1.0
-            flips.append(F)
-        for P in perms:
-            for F in flips:
-                cands.append(P @ F)
+            f = np.ones(N)
+            f[blk[0]] = -1.0
+            flips.append(f)
+        # row i of P F is F's sign at column perm[i]
+        for p in swaps:
+            for f in flips:
+                perms.append(p)
+                signs.append(f[p])
 
     elif fam == "D":
-        eye = np.eye(l)
-        sigma = np.block([[eye, np.zeros((l, l))], [np.zeros((l, l)), -eye]])
-        flips = [eye]
-        for pos in (0, l - 1):
-            F = eye.copy()
-            F[pos, pos] = -1.0
-            flips.append(F)
-        F = eye.copy()
-        F[0, 0] = -1.0
-        F[l - 1, l - 1] = -1.0
-        flips.append(F)
-        for P in flips:
-            for Q in flips:
-                M = 0.5 * np.block([[P + Q, P - Q], [P - Q, P + Q]])
-                cands.append(M)
-                cands.append(sigma @ M)
+        flips = np.ones((4, l))
+        flips[[1, 3], 0] = -1.0
+        flips[[2, 3], l - 1] = -1.0
+        # every (P, Q): row i of M is p_i at column i where p_i = q_i and at
+        # column l + i where they differ, and row l + i mirrors it
+        p, q = np.broadcast_arrays(flips[:, None], flips[None])
+        i = np.arange(l)
+        same = p == q
+        row = np.concatenate([np.where(same, i, l + i), np.where(same, l + i, i)], axis=-1)
+        perms = np.repeat(row.reshape(-1, N), 2, axis=0)
+        signs = np.stack([np.concatenate([p, p], -1), np.concatenate([p, -p], -1)], axis=2)
 
-    return cands
+    # O[k, i, perm[k, i]] = sign[k, i], zero elsewhere
+    perm = np.array(perms, dtype=int).reshape(-1, N)
+    O = np.zeros(perm.shape + (N,))
+    O[np.arange(len(perm))[:, None], np.arange(N), perm] = np.reshape(signs, perm.shape)
+    return O
+
+
+def _witness_tangent_maps(space, candidates):
+    """The tangent actions of the ambient candidates, deduplicated, as a
+    ``(w, d, d)`` stack.
+
+    One pass over the ``(m, N, N)`` stack of signed permutations: the
+    tangent-basis matrices are built once, and their conjugates by every
+    candidate are expanded in the algebra basis in one call.  A candidate
+    is kept when, to 1e-9, every image lies in the span of the algebra
+    basis, its map W is orthogonal for the background metric, and W maps
+    the tangent subspace to itself.  Of the maps whose entries agree to 8
+    decimals the first is kept, and the identity is skipped.
+    """
+    model = space.spec.algebra
+    d, N, m = space.tangent_dim, model.ambient_dim, len(candidates)
+    # (O X O^T)[i, j] sums O[i, a] X[a, b] O[j, b]; a signed permutation has
+    # one entry t_r per column r, in row q_r, so each nonzero X[r, c] lands
+    # at (q_r, q_c) times t_r t_c.  The conjugates are mostly zeros, so only
+    # these entries are formed.
+    X = model.ambient_matrices(space.basis)
+    k, r, c = np.nonzero(np.abs(X) > 1e-9)
+    q = np.argmax(candidates != 0, axis=1)
+    t = candidates.sum(axis=1)
+    images, residual = model.expand_entries(
+        m * d,
+        (np.arange(m)[:, None] * d + k).ravel(),
+        (q[:, r] * N + q[:, c]).ravel(),
+        (X[k, r, c] * t[:, r] * t[:, c]).ravel(),
+    )
+    images, residual = images.reshape(m, d, model.n), residual.reshape(m, d)
+    Bw = space.basis * (float(space.spec.inner_scale) * model.gram)
+    W = Bw @ np.swapaxes(images, 1, 2)
+    Wt, eye = np.swapaxes(W, 1, 2), np.eye(d)
+    kept = (
+        (np.max(residual, axis=1) <= 1e-9)
+        & (np.max(np.abs(Wt @ W - eye), axis=(1, 2)) <= 1e-9)
+        & (np.max(np.abs(images - Wt @ space.basis), axis=(1, 2)) <= 1e-9)
+        & (np.max(np.abs(W - eye), axis=(1, 2)) >= 1e-10)
+    )
+    W = W[kept]
+    # the first map of each rounded key; adding 0.0 turns -0.0 into 0.0,
+    # as a tuple of the entries would compare it
+    first = {}
+    for at, key in enumerate(np.round(W, 8) + 0.0):
+        first.setdefault(key.tobytes(), at)
+    return W[list(first.values())]
 
 
 @lru_cache(maxsize=None)
 def _witness_maps(spec):
-    """Deduplicated tangent isometry actions available for pullbacks."""
+    """The coefficient maps of the witnesses, a read-only ``(w, dim, dim)`` stack.
+
+    A witness W pulls the metric with coefficients c back to ``W^T A(c) W``,
+    whose coefficients are ``L_W c``: column k of ``L_W`` expands ``W^T P_k
+    W`` for the k-th operator ``P_k``.  A witness is kept only if each
+    ``W^T P_k W`` lies in the span of the operators, to 1e-8 relative to
+    one plus its largest entry; the check runs once per flag, and every
+    pull-back is then exact up to rounding.
+    """
     space = metric_space(spec)
-    maps = []
-    seen = set()
-    for O in _ambient_candidates(spec):
-        W = _induced_tangent_map(space, O)
-        if W is None:
-            continue
-        key = tuple(np.round(W, 8).ravel())
-        if key in seen or np.max(np.abs(W - np.eye(space.tangent_dim))) < 1e-10:
-            continue
-        seen.add(key)
-        maps.append(W)
-    return tuple(maps)
-
-
-def _pulled_coefficients(space, W, coeffs):
-    A = space.metric_matrix(coeffs)
-    Ap = W.T @ A @ W
-    pulled = _form_coefficients(space, Ap)
-    if np.max(np.abs(space.metric_matrix(pulled) - Ap)) > 1e-8 * (
-        1 + np.max(np.abs(Ap))
-    ):
-        return None
-    return _gauge(space, pulled)
+    W = _witness_tangent_maps(space, _ambient_candidates(spec))
+    rows, norms = space.operator_rows
+    n, d = space.dim, space.tangent_dim
+    maps = np.zeros((len(W), n, n))
+    kept = np.ones(len(W), dtype=bool)
+    # one operator at a time keeps the (w, d, d) products small
+    for k, op in enumerate(rows.reshape(n, d, d)):
+        pulled = (np.swapaxes(W, 1, 2) @ op @ W).reshape(len(W), d * d)
+        maps[:, :, k] = pulled @ rows.T / norms
+        gap = np.max(np.abs(maps[:, :, k] @ rows - pulled), axis=1)
+        kept &= gap <= 1e-8 * (1 + np.max(np.abs(pulled), axis=1))
+    maps = maps[kept]
+    maps.setflags(write=False)
+    return maps
 
 
 def equivalence_screen(spec, solutions):
-    """Group solutions by the normalized Einstein constant and tag them."""
+    """Group solutions by the normalized Einstein constant and tag them.
+
+    Within a class of equal constants, a witness joins solution i to j when
+    its pull-back of i, gauged, matches j.  A witness acts on the
+    coefficients as a linear map checked once per flag
+    (:func:`_witness_maps`), so each class is pulled back through every
+    witness in one product.
+    """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
     n = len(solutions)
@@ -544,21 +585,18 @@ def equivalence_screen(spec, solutions):
 
     if any(len(cls) > 1 for cls in classes):
         space = metric_space(spec)
-        witnesses = _witness_maps(spec)
+        maps = _witness_maps(spec)
         for cls in classes:
             if len(cls) == 1:
                 continue
-            gauged = {i: _gauge(space, solutions[i].coeffs) for i in cls}
-            for i in cls:
-                for W in witnesses:
-                    pulled = _pulled_coefficients(space, W, solutions[i].coeffs)
-                    if pulled is None:
-                        continue
-                    for j in cls:
-                        if j == i:
-                            continue
-                        if _matches(pulled, gauged[j]):
-                            union(i, j)
+            coeffs = np.array([solutions[i].coeffs for i in cls])
+            # pulled[w, a]: member a pulled back by witness w, gauged
+            pulled = _gauge(space, coeffs @ np.swapaxes(maps, 1, 2))
+            for j in cls:
+                hits = np.any(_matches(pulled, _gauge(space, solutions[j].coeffs)), axis=0)
+                for i, hit in zip(cls, hits):
+                    if hit and i != j:
+                        union(i, j)
 
     groups = []
     for cls in classes:

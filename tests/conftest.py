@@ -1,4 +1,5 @@
-"""Shared fixtures and flag lists, and helpers that build and edit generator tables."""
+"""Shared fixtures and flag lists, helpers that build and edit generator
+tables, and the dense form of the algebra expansion."""
 
 import sys
 from functools import lru_cache
@@ -49,6 +50,24 @@ def cold_caches(monkeypatch):
                 if id(value) not in fresh:
                     fresh[id(value)] = lru_cache(maxsize=None)(value.__wrapped__)
                 monkeypatch.setattr(module, name, fresh[id(value)])
+
+
+def expand_matrix(model, M, tol=1e-9):
+    """Expand an ambient matrix, or a stack of them, in the algebra basis.
+
+    The dense form of :meth:`~einflag.algebra.AlgebraModel.expand_entries`,
+    which reads the entries of magnitude above ``tol``.  Returns ``(coords,
+    residual)`` shaped ``M.shape[:-2] + (n,)`` and ``M.shape[:-2]`` (a float
+    for one matrix).
+    """
+    M = np.asarray(M, dtype=float)
+    flat = M.reshape(-1, model.ambient_dim**2)
+    mat, pos = np.nonzero(np.abs(flat) > tol)
+    coords, residual = model.expand_entries(len(flat), mat, pos, flat[mat, pos])
+    residual = residual.reshape(M.shape[:-2])
+    if residual.ndim == 0:
+        residual = float(residual)
+    return coords.reshape(M.shape[:-2] + (model.n,)), residual
 
 
 def dense_generators(table, d):

@@ -1,0 +1,188 @@
+"""The per-candidate equivalence screen, kept as a test oracle.
+
+``equivalence_screen`` pulls solutions back through per-flag coefficient
+maps built in one batched pass over the candidates
+(:func:`einflag.einstein._witness_maps`).  This module is the route it
+replaced: each candidate built as a dense matrix from ``np.block``, its
+tangent action found one candidate at a time
+(:func:`_induced_tangent_map`), and each pull-back made by forming both
+metric matrices and projecting (:func:`_pulled_coefficients`).
+:func:`oracle_screen` groups solutions through it, with the union-find and
+tags of ``equivalence_screen``.
+"""
+
+import itertools
+
+import numpy as np
+
+from conftest import expand_matrix
+from einflag.curvature import _form_coefficients
+from einflag.einstein import (
+    CONSTANT_RTOL,
+    _block_ranges,
+    _gauge,
+    _matches,
+)
+from einflag.invariant import metric_space
+
+
+def ambient_candidates(spec):
+    """Orthogonal ambient matrices that may normalize the isotropy group."""
+    fam, l, part = spec.family, spec.rank, spec.partition
+    model = spec.algebra
+    N = model.ambient_dim
+    cands = []
+
+    if fam == "A":
+        blocks = _block_ranges(part)
+        perms = [np.eye(N)]
+        for i, j in itertools.combinations(range(len(blocks)), 2):
+            if part[i] != part[j]:
+                continue
+            P = np.eye(N)
+            for a, b in zip(blocks[i], blocks[j]):
+                P[[a, b]] = P[[b, a]]
+            perms.append(P)
+        flips = [np.eye(N)]
+        for blk in blocks:
+            F = np.eye(N)
+            F[blk[0], blk[0]] = -1.0
+            flips.append(F)
+        for P in perms:
+            for F in flips:
+                cands.append(P @ F)
+
+    elif fam == "D":
+        eye = np.eye(l)
+        sigma = np.block([[eye, np.zeros((l, l))], [np.zeros((l, l)), -eye]])
+        flips = [eye]
+        for pos in (0, l - 1):
+            F = eye.copy()
+            F[pos, pos] = -1.0
+            flips.append(F)
+        F = eye.copy()
+        F[0, 0] = -1.0
+        F[l - 1, l - 1] = -1.0
+        flips.append(F)
+        for P in flips:
+            for Q in flips:
+                M = 0.5 * np.block([[P + Q, P - Q], [P - Q, P + Q]])
+                cands.append(M)
+                cands.append(sigma @ M)
+
+    return cands
+
+
+def _induced_tangent_map(space, O):
+    """Tangent action of an ambient conjugation, or None if it breaks it.
+
+    The candidate must map every tangent-basis matrix back into the span of
+    the algebra basis and preserve the tangent subspace; the returned map is
+    then orthogonal for the background metric.
+    """
+    model = space.spec.algebra
+    g = float(space.spec.inner_scale) * model.gram
+    Bw = space.basis * g
+    mats = np.array([e.matrix for e in model.basis], dtype=float)
+    d = space.tangent_dim
+    images, residual = expand_matrix(model, O @ np.einsum("kc,cij->kij", space.basis, mats) @ O.T)
+    # expand_matrix gives one residual per image
+    if np.max(residual) > 1e-9:
+        return None
+    W = Bw @ images.T
+    if np.max(np.abs(W.T @ W - np.eye(d))) > 1e-9:
+        return None
+    if np.max(np.abs(images - W.T @ space.basis)) > 1e-9:
+        return None
+    return W
+
+
+def witness_maps(spec, candidates):
+    """Deduplicated tangent isometry actions available for pullbacks."""
+    space = metric_space(spec)
+    maps = []
+    seen = set()
+    for O in candidates:
+        W = _induced_tangent_map(space, O)
+        if W is None:
+            continue
+        key = tuple(np.round(W, 8).ravel())
+        if key in seen or np.max(np.abs(W - np.eye(space.tangent_dim))) < 1e-10:
+            continue
+        seen.add(key)
+        maps.append(W)
+    return tuple(maps)
+
+
+def _pulled_coefficients(space, W, coeffs):
+    A = space.metric_matrix(coeffs)
+    Ap = W.T @ A @ W
+    pulled = _form_coefficients(space, Ap)
+    if np.max(np.abs(space.metric_matrix(pulled) - Ap)) > 1e-8 * (
+        1 + np.max(np.abs(Ap))
+    ):
+        return None
+    return _gauge(space, pulled)
+
+
+def oracle_screen(spec, solutions, candidates):
+    """``(indices, tag)`` of each group of the solutions, screened through
+    the tangent maps of ``candidates``, one pull-back at a time."""
+    n = len(solutions)
+    if n == 0:
+        return []
+    values = np.array([s.normalized_constant for s in solutions])
+    order = np.argsort(values, kind="stable")
+    classes = [[int(order[0])]]
+    for idx in order[1:]:
+        prev = values[classes[-1][-1]]
+        if abs(values[idx] - prev) <= CONSTANT_RTOL * max(1.0, abs(prev)):
+            classes[-1].append(int(idx))
+        else:
+            classes.append([int(idx)])
+
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    if any(len(cls) > 1 for cls in classes):
+        space = metric_space(spec)
+        witnesses = witness_maps(spec, candidates)
+        for cls in classes:
+            if len(cls) == 1:
+                continue
+            gauged = {i: _gauge(space, solutions[i].coeffs) for i in cls}
+            for i in cls:
+                for W in witnesses:
+                    pulled = _pulled_coefficients(space, W, solutions[i].coeffs)
+                    if pulled is None:
+                        continue
+                    for j in cls:
+                        if j == i:
+                            continue
+                        if _matches(pulled, gauged[j]):
+                            union(i, j)
+
+    groups = []
+    for cls in classes:
+        comps = {}
+        for i in cls:
+            comps.setdefault(find(i), []).append(i)
+        for comp in comps.values():
+            if len(cls) == 1:
+                tag = "ProvenDistinct"
+            elif len(comp) > 1:
+                tag = "WitnessedEquivalent"
+            else:
+                tag = "Undecided"
+            groups.append((tuple(sorted(comp)), tag))
+    return sorted(groups)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import expand_matrix
 from einflag import algebra
 from einflag.algebra import AlgebraModel, BasisElement, build_algebra
 from einflag.errors import ClosureViolation, UnsupportedRank
@@ -223,7 +224,7 @@ def test_expand_matrix_roundtrip():
     model = build_algebra("B", 3)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(model.n)
-    coords, residual = model.expand_matrix(ambient(model, x))
+    coords, residual = expand_matrix(model, ambient(model, x))
     assert residual < 1e-12
     assert np.allclose(coords, x, atol=1e-12)
 
@@ -233,7 +234,7 @@ def test_expand_matrix_rejects_outside_span():
     M = np.zeros((8, 8))
     M[0, 1] = 1.0  # not skew, not in any basis support pattern consistently
     M[1, 0] = 1.0
-    _, residual = model.expand_matrix(M)
+    _, residual = expand_matrix(model, M)
     assert residual > 0.5
 
 
@@ -243,12 +244,39 @@ def test_expand_matrix_of_a_stack_expands_each_matrix():
     xs = rng.standard_normal((4, model.n))
     stack = np.array([ambient(model, x) for x in xs])
     stack[2, 0, 0] = 0.5  # off the span in one matrix only
-    coords, residual = model.expand_matrix(stack)
+    coords, residual = expand_matrix(model, stack)
     assert coords.shape == (4, model.n)
-    assert residual == 0.5
-    for M, row in zip(stack, coords):
-        assert np.array_equal(model.expand_matrix(M)[0], row)
+    # one residual per matrix
+    assert np.array_equal(residual, [0.0, 0.0, 0.5, 0.0])
+    for M, row, res in zip(stack, coords, residual):
+        assert np.array_equal(expand_matrix(model, M)[0], row)
+        assert expand_matrix(model, M)[1] == res
     assert np.allclose(coords, xs, atol=1e-12)
+    # a stack of stacks keeps its leading shape in both results
+    coords, residual = expand_matrix(model, stack.reshape(2, 2, *stack.shape[1:]))
+    assert coords.shape == (2, 2, model.n)
+    assert np.array_equal(residual, [[0.0, 0.0], [0.5, 0.0]])
+
+
+def test_expand_matrix_residual_of_an_inconsistent_element_stays_in_its_matrix():
+    # w(2,1) = E_21 - E_12, read as E_21 + E_12 in the second matrix only
+    model = build_algebra("A", 3)
+    good = ambient(model, unit(model, "w(2,1)"))
+    bad = np.abs(good)
+    _, residual = expand_matrix(model, np.array([good, bad, good]))
+    assert np.array_equal(residual, [0.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+def test_ambient_matrices_invert_expand_matrix(family, rank):
+    model = build_algebra(family, rank)
+    xs = np.random.default_rng(2).standard_normal((2, 3, model.n))
+    mats = model.ambient_matrices(xs)
+    assert mats.shape == (2, 3, model.ambient_dim, model.ambient_dim)
+    assert np.array_equal(mats[1, 2], ambient(model, xs[1, 2]))
+    coords, residual = expand_matrix(model, mats)
+    assert np.array_equal(coords, xs)
+    assert not np.any(residual)
 
 
 def test_expand_matrix_reports_an_unowned_entry():
@@ -256,7 +284,7 @@ def test_expand_matrix_reports_an_unowned_entry():
     model = build_algebra("A", 3)
     M = ambient(model, unit(model, "w(3,1)"))
     M[2, 2] = 0.7
-    coords, residual = model.expand_matrix(M)
+    coords, residual = expand_matrix(model, M)
     assert residual == 0.7
     assert np.array_equal(coords, unit(model, "w(3,1)"))
 
@@ -269,7 +297,7 @@ def test_structure_index_equals_the_dense_commutators(family, rank):
     ref = np.zeros((n, n, n))
     for i, ei in enumerate(model.basis):
         for j, ej in enumerate(model.basis):
-            coords, residual = model.expand_matrix(ei.matrix @ ej.matrix - ej.matrix @ ei.matrix)
+            coords, residual = expand_matrix(model, ei.matrix @ ej.matrix - ej.matrix @ ei.matrix)
             assert residual == 0.0
             ref[i, j] = coords
     I, J, K, V = model.structure_index
