@@ -1,11 +1,12 @@
 """Exact counts of the invariant Einstein metrics of a flag.
 
-The reduced Ricci engine is a Laurent polynomial in the metric
-coefficients and the pair determinants ``x_i x_j - b^2``
-(:meth:`~einflag.curvature.ReducedRicci.terms`), and its coefficients are
-rationals of small denominator.  :func:`diagonal_system` rebuilds them as
-fractions on a diagonal metric ``x_1, ..., x_s``, gauges ``x_s = 1`` and
-clears denominators: the Einstein equations ``r_{i+1} = r_i`` of the
+Each Ricci coefficient of the reduced Ricci engine is a Laurent polynomial
+in the metric coefficients and the pair determinants ``x_i x_j - b^2``
+(:meth:`~einflag.curvature.ReducedRicci.terms`), with rational
+coefficients built from the integer block sums of the structure constants;
+no float reaches this module.  :func:`diagonal_system` takes them on a
+diagonal metric ``x_1, ..., x_s``, gauges ``x_s = 1`` and clears
+denominators: the Einstein equations ``r_{i+1} = r_i`` of the
 per-summand Ricci values become integer polynomials -- one univariate
 polynomial on a two-summand flag, two plane curves ``f1, f2`` in
 ``(x, y)`` on a three-summand flag.  On a flag with an equivalent pair,
@@ -28,9 +29,10 @@ vanishes at a root, that root must be rational: it is substituted exactly
 and the common roots of ``gcd(f1, f2)`` in y over it are counted.
 
 Every step is exact integer or rational arithmetic from the standard
-library.  A system that cannot be rebuilt exactly, or that no listed shear
-puts in a countable position, raises :class:`NoExactCount` with the
-reason; nothing is ever rounded to make it fit.
+library.  A system that no listed shear puts in a countable position, or
+that has any other shape the counts do not cover, raises
+:class:`NoExactCount` with the reason; nothing is ever rounded to make it
+fit.
 
 Univariate polynomials are coefficient lists in ascending order, with no
 trailing zero (``[]`` is the zero polynomial); plane polynomials are dicts
@@ -49,10 +51,6 @@ from .errors import InvariantViolation, NoExactCount
 __all__ = ["ExactCount", "diagonal_count", "diagonal_system", "mixed_count", "mixed_system",
            "normal_is_einstein"]
 
-# an engine entry is zero below, and must match its rational to, this
-# fraction of the largest entry of its array
-_FIT_RTOL = 1e-12
-_MAX_DENOMINATOR = 1000
 # shears u = x + k y, tried in order until one puts the system in a
 # countable position
 _SHEARS = (2, 3, 5, 7, 11)
@@ -339,48 +337,6 @@ def _positive_roots(p, hi=None):
 # the Einstein systems
 
 
-def _fit(rows, what):
-    """The entries of one engine array, given as rows of floats, as rationals."""
-    flat = [v for row in rows for v in row]
-    if not all(math.isfinite(v) for v in flat):
-        raise NoExactCount(f"{what} has an entry that is not finite")
-    tol = _FIT_RTOL * max((abs(v) for v in flat), default=0.0)
-
-    def rational(v):
-        if abs(v) <= tol:
-            return Fraction(0)
-        q = Fraction(v).limit_denominator(_MAX_DENOMINATOR)
-        if abs(float(q) - v) > tol:
-            raise NoExactCount(
-                f"{what} entry {v!r} is no rational of denominator at most "
-                f"{_MAX_DENOMINATOR}"
-            )
-        return q
-
-    return [[rational(v) for v in row] for row in rows]
-
-
-def _ricci_terms(engine):
-    """The Ricci coefficients of an engine as exact Laurent polynomials.
-
-    One dict ``{e: c}`` per coefficient, over the exponents of
-    :meth:`~einflag.curvature.ReducedRicci.terms`: the n metric
-    coefficients, then one pair determinant ``x_i x_j - b^2`` per pair.
-    """
-    linear, quadratic, killing = engine.terms()
-    terms = []
-    for group, what in ((linear, "M1"), (quadratic, "the quadratic term")):
-        terms += zip([e for e, _ in group], _fit([row for _, row in group], what))
-    (kappa,) = _fit([killing], "the Killing term")
-    width = engine.dim + len(engine.pairs)
-    ricci = [{(0,) * width: kappa[r]} for r in range(engine.dim)]
-    for e, row in terms:
-        for r, c in enumerate(row):
-            if c:
-                ricci[r][e] = ricci[r].get(e, 0) + c
-    return ricci
-
-
 def normal_is_einstein(engine):
     """Whether the normal metric ``x = 1, b = 0`` is Einstein, decided exactly.
 
@@ -391,7 +347,7 @@ def normal_is_einstein(engine):
     s, n = engine.n_sub, engine.dim
     values = [
         sum(c for e, c in poly.items() if not any(e[s:n]))
-        for poly in _ricci_terms(engine)
+        for poly in engine.terms()
     ]
     return len(set(values[:s])) == 1 and not any(values[s:])
 
@@ -450,14 +406,16 @@ def _gauge(eq, slot):
 
 def _content_free(poly):
     """``poly`` with its monomial content divided out (or the monomial
-    denominator cleared) and coprime integer coefficients.
+    denominator cleared) and coprime integer coefficients, the one on the
+    largest exponent positive, whatever the order of the terms.
 
-    The result is a positive rational multiple of ``poly`` times a
-    monomial, so it keeps every solution with all coordinates positive.
+    The result is a rational multiple of ``poly`` times a monomial, so it
+    keeps every solution with all coordinates positive.
     """
     low = [min(e[i] for e in poly) for i in range(len(next(iter(poly))))]
-    keys = [tuple(v - m for v, m in zip(e, low)) for e in poly]
-    return dict(zip(keys, _primitive(list(poly.values()))))
+    terms = sorted(poly.items())
+    keys = [tuple(v - m for v, m in zip(e, low)) for e, _ in terms]
+    return dict(zip(keys, _primitive([c for _, c in terms])))
 
 
 def diagonal_system(engine):
@@ -468,9 +426,8 @@ def diagonal_system(engine):
     ``x_s = 1``: a coefficient list in x when ``s = 2``, a dict
     ``{(i, j): c}`` otherwise.  The mixing coefficients are zero, so each
     pair determinant is ``x_i x_j``.  Each equation was multiplied by a
-    positive rational and a monomial, which keeps its positive solutions.
-    Raises :class:`NoExactCount` when an entry of the engine is no
-    small-denominator rational, or when an equation vanishes identically.
+    nonzero rational and a monomial, which keeps its positive solutions.
+    Raises :class:`NoExactCount` when an equation vanishes identically.
     """
     s, n = engine.n_sub, engine.dim
 
@@ -487,7 +444,7 @@ def diagonal_system(engine):
             out.append((tuple(x), c))
         return _combine(out)
 
-    ricci = [diagonal(poly) for poly in _ricci_terms(engine)[:s]]
+    ricci = [diagonal(poly) for poly in engine.terms()[:s]]
     equations = []
     for eq in _einstein_equations(engine, ricci):
         eq = _content_free(_gauge(eq, s - 1))
@@ -510,7 +467,7 @@ def mixed_system(engine):
     ``{(i, j, k): c}`` for ``c x_1^i x_2^j B^k``: the powers of the pair
     determinant ``x_i x_j - b^2`` are cleared, the monomial content is
     divided out, and every equation must be even in b.  Each equation was
-    multiplied by a positive rational, a power of the determinant and a
+    multiplied by a nonzero rational, a power of the determinant and a
     monomial, which keeps its solutions with positive coordinates and a
     positive determinant.  Raises :class:`NoExactCount` on any other shape,
     and as :func:`diagonal_system` does.
@@ -527,7 +484,7 @@ def mixed_system(engine):
         tuple(2 * (v == s) for v in range(n)): -1,
     }
     equations = []
-    for eq in _einstein_equations(engine, _ricci_terms(engine)):
+    for eq in _einstein_equations(engine, engine.terms()):
         low = min(e[n] for e in eq)
         expanded = _combine(
             term

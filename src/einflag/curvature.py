@@ -38,25 +38,27 @@ the ``ricci-frame-independence`` check compares the sparse route against.
 
 The reduced route, :class:`ReducedRicci`, maps the metric coefficients
 straight to the coefficients of the Ricci form over the metric-space
-operators, without a frame.  It is the coefficient-space form of the
-``[ijk]`` block-sum formula (M. Wang, W. Ziller, Invent. Math. 84, 1986;
-J.-S. Park, Y. Sakane, Tokyo J. Math. 20, 1997), extended to the mixing
-coefficients of equivalent summand pairs; its block sums are contracted
-from the nonzeros of t as well.  It also gives the scalar
-curvature, ``tr(A^-1 Ric)``, from the same coefficients.  The exact
-counts rebuild their Einstein equations from its terms
-(:meth:`ReducedRicci.terms`), the variational check of the suite takes its
-scalar curvature from it, and the check suite compares it against the
-frame route.
+operators, without a frame.  It is the ``[ijk]`` block-sum formula
+(M. Wang, W. Ziller, Invent. Math. 84, 1986; J.-S. Park, Y. Sakane, Tokyo
+J. Math. 20, 1997), extended to the mixing coefficients of equivalent
+summand pairs.  Its block sums, contracted from the nonzeros of t as well,
+and the block traces of the Killing form are integers, and the engine
+reads nothing else.  Its float evaluation gives the Ricci coefficients and
+the scalar curvature ``tr(A^-1 Ric)``, which the check suite compares
+against the frame route; the exact counts build their Einstein equations
+from its exact Laurent terms (:meth:`ReducedRicci.terms`).
 """
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .algebra import _coo_transform, _coo_values, _row_entries
+from .errors import NoExactCount
 from .invariant import metric_space, orthonormal_frame, volume_root
 
 __all__ = [
@@ -72,6 +74,8 @@ __all__ = [
 # middle frame indices per slab of the dense frame_structure route: at
 # d = 129 a slab's arrays hold d^2 * 16 floats, 2.1 MB each
 _SLAB = 16
+# a block sum or Killing trace is an integer to this share of its array's largest
+_INTEGER_RTOL = 1e-12
 
 
 def frame_structure(frame, cols=slice(None)):
@@ -357,36 +361,42 @@ def _block_sums(space, blocks):
     ).reshape(m, m, m)
 
 
+def _integers(values, what):
+    """The array as exact integers; an entry that is not finite, or is off one by
+    over ``_INTEGER_RTOL`` of the largest, raises :class:`NoExactCount` naming it."""
+    values = np.asarray(values, dtype=float)
+    rounded, finite = np.rint(values), np.isfinite(values)
+    scale = np.max(np.abs(values[finite]), initial=0.0)
+    bad = ~finite | (np.abs(values - rounded) > _INTEGER_RTOL * scale)
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), values.shape)
+        index = ", ".join(str(i) for i in at)
+        raise NoExactCount(f"{what}[{index}] = {float(values[at])!r} is no integer")
+    return rounded.astype(np.int64)
+
+
 class ReducedRicci:
     """Ricci coefficients of an invariant metric straight from its coefficients.
 
-    For A = sum_p c_p O_p over the operators O of the metric space, the
-    inverse A^-1 = sum_q h_q O_q lies in the same span (1/x on an unpaired
-    summand, a closed-form 2x2 inverse on a pair), and the coefficients of
-    the Ricci form are
+    The metric-space operators are sums of elementary blocks ``E = (u, v,
+    M)``, ``M`` from summand u to summand v: the identity on a summand, and
+    ``B0``, ``B0^T`` between the summands of a pair.  Write ``A = sum_a
+    alpha_a E_a`` and ``A^-1 = sum_a eta_a E_a`` (1/x on an unpaired
+    summand, a 2x2 inverse on a pair), alpha_a and eta_a the coefficients of
+    the operator of block a.  With the block sums ``G[a,b,c] = sum t[i,j,k]
+    E_a[i,I] E_b[j,J] E_c[k,K] t[I,J,K]`` and the block Killing traces
+    ``k_a = <killing, E_a>``, the Ricci coefficient on the operator O_r is
 
-        rho_r = -1/2 sum h_q c_p M1[q,p,r]
-                + 1/4 sum h_q h_s c_p c_w M2[q,s,p,w,r] - 1/2 kappa_r
+        rho_r = 1/|O_r|^2 sum_{e in O_r} ( -1/2 sum_{b,c} G[e,b,c] eta_b alpha_c
+                  + 1/4 sum_{c,f} alpha_c alpha_f H[E_c E_e E_f] - 1/2 k_e ),
+        H[g]  = sum_{a,b} G[a,b,g] eta_a eta_b;
 
-    with, for G(A, B, C) = sum t[i,j,k] A[i,I] B[j,J] C[k,K] t[I,J,K],
-
-        M1[q,p,r]     = G(O_r, O_q, O_p) / |O_r|^2
-        M2[q,s,p,w,r] = G(O_q, O_s, O_p O_r O_w) / |O_r|^2
-        kappa_r       = <killing, O_r> / |O_r|^2.
-
-    On projectors G is the block triple sum ``[ijk]``.  The operators are
-    sums of elementary blocks -- the identity on a summand, or ``B0`` and
-    ``B0^T`` between the two summands of a pair -- which are closed under
-    multiplication because ``B0^T B0 = I``; so G is contracted once per
-    triple of elementary blocks, from the matching sub-blocks of t, and
-    never on a d x d operator.
-
-    Over the products ``hc_k = h_q c_p`` (k = (q, p)) this reads
-    ``rho = hc M1 + sum_{l <= k} hc_l hc_k W[l,k] + kappa``.  The quadratic
-    term is stored once, at build time, as the weights ``W`` of its
-    nonzero products only -- a few of the n^2 (n^2 + 1) / 2 pairs, since the
-    block sums vanish on most index combinations -- so an evaluation is
-    two gathers, a product and two small matrix products per row.
+    a product of blocks is a block where each meets the next in a summand
+    (``B0^T B0 = I``) and vanishes otherwise.  Every G and k is checked,
+    once, to be an integer and kept as one (:func:`_integers`), and both
+    outputs read these integers alone: an evaluation is three small matrix
+    products per row (over ``eta (x) alpha``, ``eta (x) eta`` and the block
+    products), and :meth:`terms` expands the same sums exactly.
     """
 
     def __init__(self, space):
@@ -394,59 +404,40 @@ class ReducedRicci:
         self.dim = n = space.dim
         # the summands (i, j) of each equivalent pair, in pair order
         self.pairs = tuple((i, j) for i, j, _ in space.pairs)
-        self._pi = np.array([i for i, _ in self.pairs], dtype=int)
-        self._pj = np.array([j for _, j in self.pairs], dtype=int)
-
-        # elementary blocks (row summand, column summand, matrix or None
-        # for the identity); L[r, a] = 1 when block a is part of O_r
+        self._pi, self._pj = np.array(self.pairs, dtype=int).reshape(-1, 2).T
+        # elementary blocks (row summand, column summand, matrix or None for
+        # the identity), the operator of each, and where a row's lie
         blocks = [(i, i, None) for i in range(s)]
-        L = np.zeros((n, s + 2 * len(space.pairs)))
-        L[np.arange(s), np.arange(s)] = 1.0
-        for k, (i, j, B0) in enumerate(space.pairs):
-            L[s + k, len(blocks)] = L[s + k, len(blocks) + 1] = 1.0
+        for i, j, B0 in space.pairs:
             blocks += [(j, i, B0), (i, j, B0.T)]
-        m = len(blocks)
-        where = {(u, v): a for a, (u, v, _) in enumerate(blocks)}
-        # E_a E_b = E_c for blocks meeting in a summand; pair blocks multiply
-        # to the identity since B0 is square with B0^T B0 = I
-        prod = np.zeros((m, m, m))
-        for a, (ua, va, _) in enumerate(blocks):
-            for b, (ub, vb, _) in enumerate(blocks):
-                if va == ub:
-                    prod[a, b, where[ua, vb]] = 1.0
-
-        G = _block_sums(space, blocks)
-        sl = space.slices
-        sizes = np.array([sl[u].stop - sl[u].start for u, _, _ in blocks])
-        killing = space.killing
-        kel = np.array(
-            [
-                np.trace(killing[sl[u], sl[v]]) if M is None
-                else np.sum(killing[sl[u], sl[v]] * M)
-                for u, v, M in blocks
-            ]
+        self._op = op = np.r_[np.arange(s), np.repeat(np.arange(s, n), 2)]
+        self._gather = op if self.pairs else slice(None)
+        m, sl, K = len(blocks), space.slices, space.killing
+        self._G = G = _integers(_block_sums(space, blocks), "block sum G")
+        self._k = _integers(
+            [np.trace(K[sl[u], sl[v]]) if M is None else np.sum(K[sl[u], sl[v]] * M)
+             for u, v, M in blocks],
+            "block Killing trace k",
         )
-        self._norms = norms = L @ sizes
-        triple = np.einsum("pa,rb,wc,abd,dce->prwe", L, L, L, prod, prod)
-        m1 = np.einsum("ra,qb,pc,abc->qpr", L, L, L, G) / norms
-        m2 = np.einsum("qa,sb,prwe,abe->qspwr", L, L, triple, G) / norms
-        # both sums run over the products h_q c_p, flattened to one index;
-        # the quadratic sum is symmetric in its two products, so it is kept
-        # once per unordered pair of them, and only where it is nonzero
-        self._m1 = -0.5 * m1.reshape(n * n, n)
-        quad = 0.25 * m2.transpose(0, 2, 1, 3, 4).reshape(n * n, n * n, n)
-        left, right = np.triu_indices(n * n)
-        weight = quad[left, right] + (left != right)[:, None] * quad[right, left]
-        nonzero = np.any(weight != 0.0, axis=1)
-        self._left, self._right = left[nonzero], right[nonzero]
-        self._quad = weight[nonzero]
-        self._kappa_term = -0.5 * (L @ kel) / norms
+        self._norms = np.bincount(op, weights=[sl[u].stop - sl[u].start for u, _, _ in blocks])
+        where = {(u, v): a for a, (u, v, _) in enumerate(blocks)}
+        # the rows (c, f, g, e) of E_c E_e E_f = E_g
+        self._chain = np.array(
+            [(c, f, where[uc, vf], e)
+             for e, (ue, ve, _) in enumerate(blocks)
+             for c, (uc, vc, _) in enumerate(blocks) if vc == ue
+             for f, (uf, vf, _) in enumerate(blocks) if uf == ve]
+        ).T
+        # lift[a, r] = 1 / |O_r|^2 when block a is part of O_r
+        lift = (op[:, None] == np.arange(n)) / self._norms
+        self._linear = -0.5 * G.reshape(m, m * m).T @ lift
+        self._pair = G.reshape(m * m, m).astype(float)
+        self._lift = 0.25 * lift[self._chain[3]]
+        self._kappa = -0.5 * (self._k @ lift)
+        self._terms = None
 
     def _inverse(self, coeffs):
-        """Coefficients of the inverse operator A^-1 over the same basis.
-
-        ``coeffs`` has shape ``(..., n)``; every row is inverted separately.
-        """
+        """Coefficients of A^-1 over the same basis, row by row of a ``(..., n)`` stack."""
         s = self.n_sub
         if s == self.dim:
             return 1.0 / coeffs
@@ -454,9 +445,7 @@ class ReducedRicci:
         h[..., :s] = 1.0 / coeffs[..., :s]
         xi, xj, b = coeffs[..., self._pi], coeffs[..., self._pj], coeffs[..., s:]
         det = xi * xj - b * b
-        h[..., self._pi] = xj / det
-        h[..., self._pj] = xi / det
-        h[..., s:] = -b / det
+        h[..., self._pi], h[..., self._pj], h[..., s:] = xj / det, xi / det, -b / det
         return h
 
     def __call__(self, coeffs):
@@ -466,76 +455,61 @@ class ReducedRicci:
         ``(..., n)``; the result has the same shape.
         """
         c = np.asarray(coeffs, dtype=float)
-        # one row per metric: two-dimensional gathers and products are the
-        # fast ones
-        flat = c.reshape(-1, self.dim)
-        hc = (self._inverse(flat)[:, :, None] * flat[:, None, :]).reshape(
-            len(flat), self.dim**2
+        flat = c.reshape(-1, self.dim)  # one row per metric
+        alpha, eta = flat[:, self._gather], self._inverse(flat)[:, self._gather]
+        shape = (len(flat), len(self._pair))
+        H = (eta[:, :, None] * eta[:, None, :]).reshape(shape) @ self._pair
+        left, right, product, _ = self._chain
+        rho = (
+            (eta[:, :, None] * alpha[:, None, :]).reshape(shape) @ self._linear
+            + (alpha[:, left] * alpha[:, right] * H[:, product]) @ self._lift
+            + self._kappa
         )
-        quad = np.take(hc, self._left, axis=1) * np.take(hc, self._right, axis=1)
-        rho = hc @ self._m1 + quad @ self._quad + self._kappa_term
         return rho.reshape(c.shape)
 
     def terms(self):
-        """The Ricci coefficients as Laurent terms in the metric coefficients.
+        """The Ricci coefficients as exact Laurent polynomials.
 
-        Write ``det_k = x_i x_j - b_k^2`` for the k-th pair ``(i, j)``.  A
-        product ``h_q c_p`` is a signed monomial in the coefficients
-        ``x_1, ..., x_s, b_1, ..., b_p`` times a power of one determinant:
-        ``c_p / x_q`` for an unpaired summand q, ``x_j c_p / det_k`` and
-        ``x_i c_p / det_k`` for the summands i and j of a pair, and
-        ``-b_k c_p / det_k`` for its mixing slot.  So
-        ``rho = sum_e row_e x^e + killing`` over the terms, on every metric.
-        Returns ``(linear, quadratic, killing)``: the terms of the linear and
-        of the quadratic sum as ``(e, row)`` pairs, ``e`` a tuple of n + p
-        integer exponents (one per coefficient, then one per determinant)
-        and ``row`` the n floats of the term in each Ricci coefficient, the
-        sign of the monomial included, not merged across equal exponents;
-        and the Killing row.  Plain lists of floats, for exact arithmetic
-        downstream (:mod:`einflag.algebraic`).
+        With ``det_k = x_i x_j - b_k^2`` for the k-th pair ``(i, j)``, eta is
+        a signed monomial: ``1 / x_q`` on an unpaired summand q, ``x_j /
+        det_k`` and ``x_i / det_k`` on the summands i and j of a pair, and
+        ``-b_k / det_k`` on its mixing slot.  Returns one read-only ``{e:
+        c}`` per coefficient, built once from G and k alone: ``e`` holds n +
+        p integer exponents (the coefficients, then the determinants) and
+        ``c`` is a nonzero ``Fraction``.
         """
-        s, n = self.n_sub, self.dim
-        width = n + len(self.pairs)
-        # summand -> (its pair, its partner)
-        paired = {}
-        for k, (i, j) in enumerate(self.pairs):
-            paired[i], paired[j] = (k, j), (k, i)
-        # h_q as (sign, exponents)
-        inverse = []
-        for q in range(n):
-            e, sign = [0] * width, 1.0
-            if q >= s:
-                e[q], e[n + q - s], sign = 1, -1, -1.0
-            elif q in paired:
-                k, partner = paired[q]
-                e[partner], e[n + k] = 1, -1
-            else:
-                e[q] = -1
-            inverse.append((sign, e))
-        products = []
-        for q, p in itertools.product(range(n), repeat=2):
-            sign, e = inverse[q]
-            products.append((sign, tuple(v + (i == p) for i, v in enumerate(e))))
-
-        linear = [
-            (e, [sign * v for v in row])
-            for (sign, e), row in zip(products, self._m1.tolist())
-        ]
-        quadratic = []
-        for l, k, row in zip(self._left.tolist(), self._right.tolist(), self._quad.tolist()):
-            (sl, el), (sk, ek) = products[l], products[k]
-            quadratic.append(
-                (tuple(u + v for u, v in zip(el, ek)), [sl * sk * v for v in row])
+        if self._terms is None:
+            n, p, op = self.dim, len(self.pairs), self._op.tolist()
+            eye = np.eye(n + p, dtype=int)
+            inverse = [(1, -eye[q]) for q in range(self.n_sub)]
+            inverse += [(-1, eye[n - p + k] - eye[n + k]) for k in range(p)]
+            for k, (i, j) in enumerate(self.pairs):
+                inverse[i], inverse[j] = (1, eye[j] - eye[n + k]), (1, eye[i] - eye[n + k])
+            sign, eta = zip(*(inverse[q] for q in op))
+            alpha = eye[op]
+            # the numerators of rho_r over 4 |O_r|^2, Killing term first, and H[g]
+            top = [defaultdict(int, {(0,) * (n + p): -2 * int(v)})
+                   for v in np.bincount(op, weights=self._k)]
+            H = [defaultdict(int) for _ in op]
+            for (a, b, c), v in zip(np.argwhere(self._G).tolist(), self._G[self._G != 0].tolist()):
+                top[op[a]][tuple(eta[b] + alpha[c])] -= 2 * sign[b] * v
+                H[c][tuple(eta[a] + eta[b])] += sign[a] * sign[b] * v
+            for c, f, g, e in self._chain.T.tolist():
+                for key, v in H[g].items():
+                    top[op[e]][tuple(np.add(key, alpha[c] + alpha[f]))] += v
+            self._terms = tuple(
+                MappingProxyType(
+                    {tuple(map(int, e)): Fraction(v, 4 * int(N)) for e, v in poly.items() if v}
+                )
+                for poly, N in zip(top, self._norms)
             )
-        return linear, quadratic, self._kappa_term.tolist()
+        return self._terms
 
     def scalar(self, coeffs):
         """Scalar curvature; equal to ``curvature(metric).scalar``.
 
-        The scalar is ``tr(A^-1 Ric) = sum_{q,r} h_q rho_r tr(O_q O_r)``, and
-        the operators are symmetric and mutually Frobenius orthogonal, so only
-        ``q = r`` survives, with ``tr(O_r O_r) = |O_r|^2``.  ``coeffs`` has
-        shape ``(..., n)``; the result has shape ``(...)``.
+        The operators are symmetric and mutually Frobenius orthogonal, so
+        ``tr(A^-1 Ric) = sum_r h_r rho_r |O_r|^2``.  ``(..., n)`` in, ``(...)`` out.
         """
         c = np.asarray(coeffs, dtype=float)
         return np.sum(self._inverse(c) * self(c) * self._norms, axis=-1)

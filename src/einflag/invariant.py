@@ -63,6 +63,10 @@ __all__ = [
     "summand_block",
 ]
 
+# a pair with |b| below this is unmixed: a diagonal frame, eigenvalues x_i, x_j
+_UNMIXED = 1e-14
+
+
 def _position_sign_sets(spec):
     """Candidate sign patterns, as sets of flipped 1-based ambient positions.
 
@@ -259,13 +263,13 @@ class MetricSpace:
         """The :class:`FramePlan` of the canonical frame at these coefficients.
 
         The frame's sparsity depends only on the state of each pair's mixing
-        coefficient b: 0 at b = 0, 1 for ``0 < |b| < 1e-14`` (the frame is
+        coefficient b: 0 at b = 0, 1 for ``0 < |b| < _UNMIXED`` (the frame is
         still diagonal on the pair, but A and so ``V^T A`` carry the ``B0``
         blocks) and 2 beyond (the frame has the 2x2 blocks of I and ``B0``).
         One plan per state is built, at its first use, and kept.
         """
         state = tuple(
-            0 if b == 0 else 1 if abs(b) < 1e-14 else 2 for b in coeffs[self.n_sub :].tolist()
+            0 if b == 0 else 1 if abs(b) < _UNMIXED else 2 for b in coeffs[self.n_sub :].tolist()
         )
         plan = self._frame_plans.get(state)
         if plan is None:
@@ -712,7 +716,7 @@ def _eigenvalue_list(space, c):
     lam = vals[:s]
     for k, (i, j, _) in enumerate(space.pairs):
         xi, xj, b = vals[i], vals[j], vals[s + k]
-        if abs(b) < 1e-14:
+        if abs(b) < _UNMIXED:
             continue
         tr, gap = xi + xj, float(np.hypot(2.0 * b, xi - xj))
         up = tr >= 0
@@ -729,7 +733,7 @@ def metric_eigenvalues(space, coeffs):
     ``[[x_i, b], [b, x_j]]`` (``B0^T B0 = I``), the smaller ``xi1`` on
     summand i, as in :func:`orthonormal_frame`: the one of larger magnitude
     from the trace, the other from ``xi1 xi2 = x_i x_j - b^2``, so neither
-    cancels.  An unmixed pair, ``|b| < 1e-14``, keeps ``x_i`` and ``x_j``.
+    cancels.  An unmixed pair, ``|b| < _UNMIXED``, keeps ``x_i`` and ``x_j``.
     Shape ``(..., n)`` in, ``(..., n_sub)`` out, with summand multiplicities.
     """
     c = np.asarray(coeffs, dtype=float)
@@ -744,7 +748,7 @@ def metric_eigenvalues(space, coeffs):
     big = (tr + np.where(up, gap, -gap)) / 2.0
     # big is 0 only for x_i = x_j = b = 0, an unmixed pair
     small = np.divide(xi * xj - b * b, big, out=np.zeros_like(big), where=big != 0)
-    mixed = np.abs(b) >= 1e-14
+    mixed = np.abs(b) >= _UNMIXED
     lam[..., i] = np.where(mixed, np.where(up, small, big), xi)
     lam[..., j] = np.where(mixed, np.where(up, big, small), xj)
     return lam
@@ -854,7 +858,7 @@ def orthonormal_frame(metric):
         xi, xj, b = coeffs[i], coeffs[j], coeffs[n_sub + k]
         di = si.stop - si.start
         partners += [(si.start + r, sj.start + r) for r in range(di)]
-        if abs(b) < 1e-14:
+        if abs(b) < _UNMIXED:
             continue
         mixed += [*range(si.start, si.stop), *range(sj.start, sj.stop)]
         xi1, xi2 = lam[i], lam[j]

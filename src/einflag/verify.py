@@ -20,6 +20,7 @@ only those are computed, for all generators of one support size at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -90,6 +91,11 @@ class _Context:
     @property
     def dec(self):
         return self.space.dec
+
+    @cached_property
+    def isotropy_groups(self):
+        """:func:`_isotropy_groups` of the space, shared by the checks."""
+        return _isotropy_groups(self.space)
 
     @property
     def solutions(self):
@@ -372,12 +378,12 @@ def _support_groups(table, d, identity=False):
 
     The support S of a generator G is the set of tangent indices touched by
     the nonzero entries of G, or with ``identity`` of ``G - I``; G vanishes,
-    or equals I, outside ``S x S``.  Returns one ``(cells, blocks)`` per
+    or equals I, outside ``S x S``.  Returns one ``(order, blocks)`` per
     size: ``blocks`` is the ``(n, k, k)`` stack of the ``G[S, S]``, and
-    ``cells`` the ``(n, k, d)`` flat positions ``a * d + b`` of the rows S
-    of a d x d form, each row with its columns S first (ascending, as in
-    the blocks), then the others.  Generators with an empty support are left
-    out.
+    ``order`` the ``(n, d)`` tangent indices of each generator, S first
+    (ascending, as in the blocks), then the others: a form's rows S, columns
+    in that order, are ``P[order[:, :k, None], order[:, None, :]]``.
+    Generators with an empty support are left out.
     """
     count, gen, row, col, value = table
     diag = row == col
@@ -402,25 +408,24 @@ def _support_groups(table, d, identity=False):
         g = gen[at]
         blocks = np.zeros((members.size, k, k))
         blocks[local[g], pos[g, row[at]], pos[g, col[at]]] = value[at]
-        o = order[members]
-        groups.append((o[:, :k, None] * d + o[:, None, :], blocks))
+        groups.append((order[members], blocks))
     return groups
 
 
-def _support_residuals(P, cells, blocks, group):
+def _support_residuals(P, order, blocks, group):
     """The rows S of a form's residual under each generator of a group.
 
-    ``P`` is a d x d form and ``(cells, blocks)`` one group of
+    ``P`` is a d x d form and ``(order, blocks)`` one group of
     :func:`_support_groups`.  Without ``group`` the blocks are generators G
     and the residual is ``G^T P + P G``; with it they are the blocks
     ``T[S, S]`` of group elements T equal to I outside ``S x S``, and the
     residual is ``T^T P T - P``.  Either vanishes outside the rows and
     columns in S, and its columns S are the transposed rows S of the
     residual of ``P^T``.  Returns ``(n, k, d)``, the columns ordered as in
-    ``cells``.
+    ``order``.
     """
     k = blocks.shape[1]
-    X = np.take(P, cells)  # the rows S of P, columns S first
+    X = P[order[:, :k, None], order[:, None, :]]  # the rows S of P, columns S first
     rows = np.swapaxes(blocks, 1, 2) @ X
     if group:
         rows[..., :k] = rows[..., :k] @ blocks
@@ -441,9 +446,9 @@ def _action_residual(P, groups, group=False):
     worst = np.zeros(len(P))
     for f, form in enumerate(P):
         sides = (form,) if np.array_equal(form, form.T) else (form, form.T)
-        for cells, blocks in groups:
+        for order, blocks in groups:
             for side in sides:
-                rows = _support_residuals(side, cells, blocks, group)
+                rows = _support_residuals(side, order, blocks, group)
                 worst[f] = max(worst[f], rows.max(), -rows.min())
     return worst
 
@@ -457,7 +462,7 @@ def _isotropy_groups(space):
 
 def _check_metric_invariance(ctx):
     space = ctx.space
-    reps, signs = _isotropy_groups(space)
+    reps, signs = ctx.isotropy_groups
     A = np.stack([space.metric_matrix(ctx.sample_coeffs()) for _ in range(3)])
     resid = np.maximum(_action_residual(A, reps), _action_residual(A, signs, group=True))
     resid /= np.max(np.abs(A), axis=(1, 2))
@@ -520,9 +525,9 @@ def _check_ricci_equivariance(ctx):
     met = make_metric(space, ctx.sample_coeffs())
     P = curvature(met).ricci_tangent[None]
     scale = float(np.max(np.abs(P))) + 1.0
-    reps, signs = _isotropy_groups(space)
+    reps, signs = ctx.isotropy_groups
     # the finite rotation exp(0.7 G) is exp(0.7 G[S, S]) on S x S and I elsewhere
-    rots = [(cells, _rotation(G, 0.7)) for cells, G in reps]
+    rots = [(order, _rotation(G, 0.7)) for order, G in reps]
     resid = max(
         _action_residual(P, reps)[0],
         _action_residual(P, signs, group=True)[0],

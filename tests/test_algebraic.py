@@ -1,6 +1,8 @@
 """The exact counts on every flag, their certificates and their gates."""
 
 import copy
+import dataclasses
+import importlib
 import math
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from einflag.errors import InvariantViolation, NoExactCount
 from einflag.flag import parse_flag_spec
 from einflag.invariant import metric_space
 
+curvature_module = importlib.import_module("einflag.curvature")
 
 
 def engine(text):
@@ -54,12 +57,19 @@ def test_double_root_flags_read_the_normal_metric_exactly(text):
 
 @pytest.mark.parametrize("text", ["C:5:[5]:-", "C:6:[6]:-"])
 def test_rounding_noise_in_the_killing_term_fits_as_zero(text):
-    # kappa carries an entry of about 3e-16 that is exactly zero; it is
-    # judged against the largest entry of its array
-    *_, kappa = engine(text).terms()
-    assert 0 < min(map(abs, kappa)) < 1e-15
-    (fitted,) = algebraic._fit([kappa], "kappa")
-    assert 0 in fitted and all(isinstance(v, Fraction) for v in fitted)
+    # the Killing trace of the flat summand is about 3e-16 in floats and
+    # exactly zero; it is judged against the largest trace of the array, so
+    # that summand's Ricci coefficient has no term at all
+    space = metric_space(parse_flag_spec(text))
+    traces = [np.trace(space.killing[sl, sl]) for sl in space.slices]
+    assert 0 < abs(traces[0]) < 1e-15 and abs(traces[1]) > 1
+    eng = engine(text)
+    assert eng._k.tolist() == [0, round(traces[1])]
+    # no bracket of two tangent directions has a tangent part here, so
+    # rho_r = -k_r / (2 |O_r|^2)
+    assert not eng._G.any()
+    size = space.slices[1].stop - space.slices[1].start
+    assert eng.terms() == ({}, {(0, 0): Fraction(-round(traces[1]), 2 * size)})
 
 
 @pytest.mark.parametrize("text", FLAGS)
@@ -120,36 +130,107 @@ def test_certificates_in_the_solution_set():
 
 
 # ---------------------------------------------------------------------------
-# an engine entry that is no small rational
+# a block sum that is no integer, and a structure constant flipped
 
 
-def with_entry(eng, value):
-    """A copy of the engine whose first nonzero M1 entry is ``value``."""
-    bad = copy.copy(eng)
-    bad._m1 = eng._m1.copy()
-    bad._m1.flat[np.flatnonzero(eng._m1)[0]] = value
-    return bad
+def with_block_sum(monkeypatch, shift):
+    """Make every engine built from now on read its first nonzero block sum
+    ``v`` as ``shift(v)``.  Returns a list that gets the refusal message
+    naming that entry, one per build."""
+    sums = curvature_module._block_sums
+    messages = []
+
+    def patched(space, blocks):
+        G = sums(space, blocks)
+        at = np.unravel_index(np.flatnonzero(G)[0], G.shape)
+        G[at] = shift(G[at])
+        index = ", ".join(str(i) for i in at)
+        messages.append(f"block sum G[{index}] = {float(G[at])!r} is no integer")
+        return G
+
+    monkeypatch.setattr(curvature_module, "_block_sums", patched)
+    return messages
+
+
+SHIFTS = {"half": lambda v: v + 0.5, "nan": lambda v: math.nan}
 
 
 @pytest.mark.parametrize("count", [algebraic.diagonal_count, algebraic.mixed_count])
-@pytest.mark.parametrize("value, reason", [
-    (math.pi, "M1 entry 3.14159"),
-    (math.nan, "M1 has an entry that is not finite"),
-])
-def test_unfit_entry_raises_no_exact_count(count, value, reason):
-    with pytest.raises(NoExactCount, match=reason):
-        count(with_entry(engine("D:5:[4,1]:-"), value))
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_unfit_entry_raises_no_exact_count(monkeypatch, count, shift):
+    # the engine checks its integers once, when it is built, so no count
+    # ever reads an entry that is not one
+    messages = with_block_sum(monkeypatch, SHIFTS[shift])
+    space = metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    with pytest.raises(NoExactCount) as refused:
+        count(curvature_module.ReducedRicci(space))
+    assert str(refused.value) == messages[0]
+    assert ("nan" if shift == "nan" else ".5 is no integer") in messages[0]
 
 
 @pytest.mark.parametrize("text, stage", [("B:4:[4]:-", "diagonal"), ("D:5:[4,1]:-", "mixed")])
-def test_unfit_entry_fails_the_solve(cold_search, monkeypatch, text, stage):
-    # no grid stands in for a stage the exact count does not cover
-    count = getattr(einflag.einstein, f"{stage}_count")
-    monkeypatch.setattr(
-        einflag.einstein, f"{stage}_count", lambda eng: count(with_entry(eng, math.pi))
-    )
-    with pytest.raises(NoExactCount, match="M1 entry 3.14159"):
+def test_unfit_entry_fails_the_solve(cold_caches, monkeypatch, text, stage):
+    # no grid stands in for a stage the exact count does not cover, and the
+    # count of the stage never runs on the refused engine
+    messages = with_block_sum(monkeypatch, SHIFTS["half"])
+
+    def unreached(eng):
+        raise AssertionError(f"the {stage} count ran")
+
+    monkeypatch.setattr(einflag.einstein, f"{stage}_count", unreached)
+    with pytest.raises(NoExactCount) as refused:
         solve(text)
+    assert str(refused.value) == messages[0]
+
+
+def test_unfit_killing_trace_raises_no_exact_count():
+    # a Killing trace off an integer by 1e-9 of the largest is refused by name
+    space = metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    killing = space.killing.copy()
+    killing[0, 0] += 1e-9 * max(abs(np.trace(killing[sl, sl])) for sl in space.slices)
+    bad = dataclasses.replace(space, _killing=killing)
+    with pytest.raises(NoExactCount, match=r"block Killing trace k\[0\] = .* is no integer"):
+        curvature_module.ReducedRicci(bad)
+
+
+def flipped_space(text, which):
+    """The metric space of a flag over a copy of its algebra with one
+    structure constant negated.
+
+    The constant is ``C[I, J, K] = -C[J, I, K]`` of the ``which``-th bracket
+    of two tangent basis elements I < J with a tangent part K other than
+    both; its two stored entries are negated together, and the Killing
+    matrix is rebuilt.  The cached model is left as it is.
+    """
+    space = metric_space(parse_flag_spec(text))
+    model = copy.copy(space.spec.algebra)
+    I, J, K, V = model.structure_index
+    tangent = np.any(space.basis != 0, axis=0)
+    e = np.flatnonzero(tangent[I] & tangent[J] & tangent[K] & (I < J) & (K != I) & (K != J))[which]
+    pair = ((I == I[e]) & (J == J[e])) | ((I == J[e]) & (J == I[e]))
+    model.structure_index = (I, J, K, np.where(pair & (K == K[e]), -V, V))
+    model.killing_matrix = model._build_killing()
+    dec = dataclasses.replace(space.dec, spec=dataclasses.replace(space.spec, algebra=model))
+    fresh = dict(_structure=None, _structure_coo=None, _structure_trace=None, _killing=None)
+    return space, dataclasses.replace(space, dec=dec, **fresh)
+
+
+@pytest.mark.parametrize("text", ["B:3:[3]:-", "A:4:[1,2,2]:-", "C:5:[2,3]:+", "D:5:[4,1]:-"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_flipped_structure_constant_changes_the_diagonal_system(text, which):
+    # the exact route must not round one changed constant away: either the
+    # engine refuses it or the diagonal system changes
+    cached = metric_space(parse_flag_spec(text)).spec.algebra.structure_index[3]
+    values = cached.copy()
+    space, flipped = flipped_space(text, which)
+    assert not np.array_equal(flipped.spec.algebra.structure_index[3], values)
+    want = algebraic.diagonal_system(engine(text))
+    try:
+        got = algebraic.diagonal_system(curvature_module.ReducedRicci(flipped))
+    except NoExactCount:
+        got = None
+    assert got != want
+    assert np.array_equal(cached, values)
 
 
 def test_mixed_count_covers_one_pair_of_three_summands():
@@ -158,7 +239,7 @@ def test_mixed_count_covers_one_pair_of_three_summands():
 
 
 # ---------------------------------------------------------------------------
-# mutation: one integer coefficient of the exact system alone, raised by one
+# mutation: one integer coefficient of the exact system alone, moved by one
 
 
 def exact_and_grid(text, stage):
@@ -183,12 +264,15 @@ def agrees(text, exact, levels):
     return True
 
 
-def mutate(monkeypatch, name, equation, key):
+def mutate(monkeypatch, name, equation, key, step):
+    """Move one coefficient of an exact system by ``step`` in magnitude,
+    which changes the equation alike whatever its overall sign."""
     build = getattr(algebraic, name)
 
     def perturbed(eng):
         system = build(eng)
-        system[equation][key] += 1
+        c = system[equation][key]
+        system[equation][key] = c + (step if c > 0 else -step)
         return system
 
     monkeypatch.setattr(algebraic, name, perturbed)
@@ -204,12 +288,13 @@ MUTATIONS = [
 
 @pytest.fixture(params=MUTATIONS, ids=[f"{t}-{n}" for t, n, _, _ in MUTATIONS])
 def mutated(request, cold_search, monkeypatch):
-    """Add one to one integer coefficient of the flag's exact system."""
+    """Move one integer coefficient of the flag's exact system one step
+    toward zero."""
     text, name, equation, key = request.param
     stage = name.removesuffix("_system")
     exact, levels = exact_and_grid(text, stage)
     assert agrees(text, exact, levels)
-    mutate(monkeypatch, name, equation, key)
+    mutate(monkeypatch, name, equation, key, -1)
     return text, stage
 
 
@@ -233,9 +318,9 @@ def test_mutated_system_fails_the_cli_cleanly(mutated, capsys):
 
 
 def test_vanishing_b2_coefficient_at_a_root_raises(monkeypatch):
-    # raising the x2 coefficient of the mixing equation puts a root of the
-    # eliminated curves on the line where the B coefficient vanishes
-    mutate(monkeypatch, "mixed_system", 2, (0, 1, 0))
+    # growing the x2 coefficient of the mixing equation by one puts a root of
+    # the eliminated curves on the line where the B coefficient vanishes
+    mutate(monkeypatch, "mixed_system", 2, (0, 1, 0), 1)
     with pytest.raises(NoExactCount, match="coefficient of the mixing equation vanishes"):
         algebraic.mixed_count(engine("D:5:[4,1]:-"))
 

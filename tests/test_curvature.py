@@ -1,10 +1,13 @@
 import importlib
 import tracemalloc
+from fractions import Fraction
 
 import dense_oracle
+import fit_oracle
 import numpy as np
 import pytest
 
+from conftest import FLAGS, PAIR_FLAGS
 from einflag.curvature import (
     curvature,
     frame_structure,
@@ -485,18 +488,55 @@ def test_terms_evaluate_to_the_engine(text):
     # nonzero mixing coefficient and the last exponent is that of x_i x_j - b^2
     sp = metric_space(parse_flag_spec(text))
     engine = reduced_ricci(sp.spec)
-    linear, quadratic, killing = engine.terms()
+    terms = engine.terms()
     width = sp.dim + len(sp.pairs)
-    assert all(len(e) == width and len(row) == sp.dim for e, row in linear + quadratic)
+    assert len(terms) == sp.dim
+    assert all(
+        len(e) == width and all(type(v) is int for v in e) and type(c) is Fraction and c
+        for poly in terms
+        for e, c in poly.items()
+    )
     assert engine.pairs == tuple((i, j) for i, j, _ in sp.pairs)
     c = random_metric(sp, np.random.default_rng(13)).coeffs
     assert not sp.pairs or c[sp.n_sub] != 0
     at = np.r_[c, [c[i] * c[j] - c[sp.n_sub + k] ** 2 for k, (i, j) in enumerate(engine.pairs)]]
-    rho = np.array(killing)
-    for e, row in linear + quadratic:
-        rho = rho + np.prod(at ** np.array(e, dtype=float)) * np.array(row)
+    rho = np.array([
+        sum(float(v) * np.prod(at ** np.array(e, dtype=float)) for e, v in poly.items())
+        for poly in terms
+    ])
     want = engine(c)
     assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_terms_are_built_once_and_read_only():
+    engine = reduced_ricci(parse_flag_spec("D:5:[4,1]:-"))
+    terms = engine.terms()
+    assert engine.terms() is terms and isinstance(terms, tuple)
+    with pytest.raises(TypeError):
+        terms[0][next(iter(terms[0]))] = Fraction(0)
+
+
+ORACLE_FLAGS = sorted(
+    set(FLAGS + PAIR_FLAGS + ["C:25:[12,13]:+", "B:18:[9,9]:+", "D:25:[24,1]:-"])
+)
+
+
+@pytest.mark.parametrize("text", ORACLE_FLAGS)
+def test_engine_equals_the_fitted_oracle(text):
+    # the exact terms from the integer block sums are the operator-level
+    # engine's float terms fitted to small rationals, as polynomials (the
+    # fit keeps a term that sums to zero; the exact terms leave it out), and
+    # both float engines agree on random mixed metrics
+    sp = metric_space(parse_flag_spec(text))
+    engine, oracle = reduced_ricci(sp.spec), fit_oracle.ReducedRicci(sp)
+    fitted = [{e: c for e, c in poly.items() if c} for poly in fit_oracle._ricci_terms(oracle)]
+    assert [dict(poly) for poly in engine.terms()] == fitted
+    rng = np.random.default_rng(abs(hash(text)) % 2**25)
+    for _ in range(3):
+        c = random_metric(sp, rng).coeffs
+        want = oracle(c)
+        assert np.max(np.abs(engine(c) - want)) <= 1e-13 * np.max(np.abs(want))
+        assert abs(engine.scalar(c) - oracle.scalar(c)) <= 1e-13 * abs(oracle.scalar(c))
 
 
 def rotated_frame(m, rng):
@@ -553,19 +593,21 @@ def test_rotated_frame_report_holds_no_d3_array():
 
 
 @pytest.mark.parametrize("text", ENGINE_FLAGS)
-def test_block_sums_match_the_dense_slices(monkeypatch, text):
+def test_block_sums_match_the_dense_slices(text):
     # the engine's block sums come from the nonzeros of t; the reference
-    # contracts dense slices of t, and every stored array must agree
+    # contracts dense slices of t.  Both are integers to well within the
+    # engine's tolerance, and the engine keeps those integers
     sp = metric_space(parse_flag_spec(text))
-    engine = curvature_module.ReducedRicci(sp)
-    monkeypatch.setattr(curvature_module, "_block_sums", dense_oracle.block_sums)
-    oracle = curvature_module.ReducedRicci(sp)
-    assert np.array_equal(engine._left, oracle._left)
-    assert np.array_equal(engine._right, oracle._right)
-    for name in ("_m1", "_quad", "_kappa_term", "_norms"):
-        got, want = getattr(engine, name), getattr(oracle, name)
-        bound = 1e-14 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
-        assert np.max(np.abs(got - want), initial=0.0) <= bound, name
+    blocks = [(i, i, None) for i in range(sp.n_sub)]
+    for i, j, B0 in sp.pairs:
+        blocks += [(j, i, B0), (i, j, B0.T)]
+    got = curvature_module._block_sums(sp, blocks)
+    want = dense_oracle.block_sums(sp, blocks)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    assert np.max(np.abs(got - np.rint(got))) <= 1e-14 * scale
+    engine = reduced_ricci(sp.spec)
+    assert engine._G.dtype == np.int64 and np.array_equal(engine._G, np.rint(want))
 
 
 REPORT_FIELDS = (

@@ -133,9 +133,9 @@ def _support_members(groups, d, base=0.0):
     """Every element of the support groups as a dense d x d matrix, in group
     order: its block on the support, ``base`` on the diagonal elsewhere."""
     out = []
-    for cells, blocks in groups:
-        for c, M in zip(cells, blocks):
-            S = c[:, 0] // d
+    for order, blocks in groups:
+        for row, M in zip(order, blocks):
+            S = row[: blocks.shape[1]]
             G = base * np.eye(d)
             G[np.ix_(S, S)] = M
             out.append(G)
@@ -161,7 +161,7 @@ def test_rotation_matches_expm_on_the_rep_blocks(text):
     d = space.tangent_dim
     reps, _ = verify._isotropy_groups(space)
     assert reps
-    rots = [(cells, verify._rotation(G, 0.7)) for cells, G in reps]
+    rots = [(order, verify._rotation(G, 0.7)) for order, G in reps]
     for G, R in zip(_support_members(reps, d), _support_members(rots, d, base=1.0)):
         assert np.max(np.abs(R - linalg.expm(0.7 * G))) <= 1e-14
 
@@ -175,19 +175,19 @@ def _assert_dense_residuals(P, groups, group, dense, reference):
     # the check takes from each generator alone
     d = P.shape[0]
     at = 0
-    for cells, blocks in groups:
-        row_half = verify._support_residuals(P, cells, blocks, group)
-        col_half = verify._support_residuals(P.T, cells, blocks, group)
+    for orders, blocks in groups:
+        row_half = verify._support_residuals(P, orders, blocks, group)
+        col_half = verify._support_residuals(P.T, orders, blocks, group)
         k = blocks.shape[1]
-        for i, (c, rows, cols) in enumerate(zip(cells, row_half, col_half)):
-            S, order = c[:, 0] // d, c[0] % d
+        for i, (order, rows, cols) in enumerate(zip(orders, row_half, col_half)):
+            S = order[:k]
             assert np.max(np.abs(rows[:, :k] - cols[:, :k].T)) <= 1e-13
             got = np.zeros((d, d))
             got[np.ix_(S, order)] = rows
             got[np.ix_(order, S)] = cols.T
             ref = reference(dense[at])
             assert np.max(np.abs(got - ref)) <= 1e-13
-            alone = [(cells[i : i + 1], blocks[i : i + 1])]
+            alone = [(orders[i : i + 1], blocks[i : i + 1])]
             worst = verify._action_residual(P[None], alone, group)[0]
             assert abs(worst - np.max(np.abs(ref))) <= 1e-13
             at += 1
@@ -200,7 +200,7 @@ def test_support_kernel_equals_the_dense_products(text):
     d = space.tangent_dim
     eye = np.eye(d)
     reps, signs = verify._isotropy_groups(space)
-    rots = [(cells, verify._rotation(G, 0.7)) for cells, G in reps]
+    rots = [(order, verify._rotation(G, 0.7)) for order, G in reps]
     # the groups hold every generator G, and every sign action S with
     # S - I != 0, ordered by support size
     G = _by_support(dense_generators(space.reps, d), 0.0)
@@ -222,18 +222,32 @@ def test_support_groups_read_rows_and_columns():
     table = GeneratorTable(
         3, np.array([0, 1, 1]), np.array([1, 0, 2]), np.array([3, 4, 2]), np.array([2.0, 5.0, 0.0])
     )
-    (cells, blocks), = verify._support_groups(table, 5)
-    assert (cells[:, :, 0] // 5).tolist() == [[1, 3], [0, 4]]
-    assert (cells[:, 0] % 5).tolist() == [[1, 3, 0, 2, 4], [0, 4, 1, 2, 3]]
+    (order, blocks), = verify._support_groups(table, 5)
+    assert order[:, :2].tolist() == [[1, 3], [0, 4]]
+    assert order.tolist() == [[1, 3, 0, 2, 4], [0, 4, 1, 2, 3]]
     assert blocks.tolist() == [[[0.0, 2.0], [0.0, 0.0]], [[0.0, 5.0], [0.0, 0.0]]]
 
 
 def test_identity_support_groups_read_the_deviation():
     # T = diag(0, -1, 1), its zero not stored: T - I is nonzero at 0 and 1
     table = GeneratorTable(1, np.array([0, 0]), np.array([1, 2]), np.array([1, 2]), np.array([-1.0, 1.0]))
-    (cells, blocks), = verify._support_groups(table, 3, identity=True)
-    assert (cells[:, :, 0] // 3).tolist() == [[0, 1]]
+    (order, blocks), = verify._support_groups(table, 3, identity=True)
+    assert order[:, :2].tolist() == [[0, 1]]
     assert blocks.tolist() == [[[0.0, 0.0], [0.0, -1.0]]]
+
+
+def test_isotropy_groups_are_built_once_per_run(monkeypatch):
+    # metric-invariance and ricci-equivariance share one set of groups
+    built, build = [], verify._isotropy_groups
+
+    def counted(space):
+        built.append(space)
+        return build(space)
+
+    monkeypatch.setattr(verify, "_isotropy_groups", counted)
+    results = verify.run_checks("D:5:[4,1]:-")
+    assert all(r.passed for r in results)
+    assert len(built) == 1
 
 
 def test_ricci_equivariance_sees_a_wrong_rotation(monkeypatch):
