@@ -400,12 +400,6 @@ class AlgebraModel:
         I, J, K, V = self.structure_index
         return np.bincount(K, weights=V * x[I] * y[J], minlength=self.n)
 
-    def ad(self, x):
-        """Dense matrix of ``ad(x)`` acting on row vectors: ``y @ ad(x) == [x, y]``."""
-        I, J, K, V = self.structure_index
-        n = self.n
-        return np.bincount(J * n + K, weights=V * x[I], minlength=n * n).reshape(n, n)
-
     def ambient_inner_coords(self, x, y):
         return float(np.dot(x * self.gram, y))
 

@@ -29,7 +29,7 @@ from .errors import (
     UnimplementedCase,
     UnsupportedRank,
 )
-from .flag import enumerate_small_flags, manifold_name, parse_flag_spec
+from .flag import decompose_isotropy, enumerate_small_flags, manifold_name, parse_flag_spec
 from .invariant import metric_space
 from .verify import run_checks
 
@@ -63,13 +63,15 @@ def _cmd_list(args, parser):
         parser.error(str(exc))
     rows = []
     for spec in specs:
-        space = metric_space(spec)
+        # the catalogued decomposition, checked by its construction; solve
+        # and check run the Schur certificate of the metric space
+        dec = decompose_isotropy(spec)
         rows.append(
             (
                 str(spec),
                 manifold_name(spec),
-                str(space.n_sub),
-                "yes" if space.pairs else "no",
+                str(len(dec.submodules)),
+                "yes" if dec.equiv_classes else "no",
             )
         )
     if not rows:

@@ -20,13 +20,12 @@ The route has two implementations, and neither forms a d^3 array.  In the
 canonical eigenframe (the default) the tangent structure tensor t is almost
 empty and the frame has at most two nonzeros per column, so T is expanded
 from the nonzeros of t alone and each quadratic sum is a product within
-groups of entries that share two indices.  Where those nonzeros lie depends
-only on the flag and on whether each pair's mixing coefficient is zero,
-below 1e-14 or beyond, so all the index work -- the expansion of T, the
+groups of entries that share two indices.  Where those nonzeros can lie
+depends only on the flag, so all the index work -- the expansion of T, the
 pairs of both sums, and the frame products ``V^T A``, ``V^T A V``,
-``V^T K V`` and ``W^T ric W`` over their nonzeros -- is a
-:class:`~einflag.invariant.FramePlan`, built at the first report of each
-such state and kept on the metric space.  A report is then a fixed run of
+``V^T K V`` and ``W^T ric W`` over their nonzeros -- is one
+:class:`~einflag.invariant.FramePlan`, built at the first report of the
+flag and kept on the metric space.  A report is then a fixed run of
 gathers, elementwise products and ``bincount`` s, with no d x d matrix
 product.  Each single-term entry rounds as the dense product would; an
 entry of two terms, on a mixed pair, is summed without BLAS's fused
@@ -205,6 +204,9 @@ def _planned_ricci(frame):
     K = np.zeros(n)
     K[at] = _coo_values(pattern, killing, (v, v))
     ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
+    # the plan's entries that are zero at this metric would change how BLAS
+    # blocks the dot product, and with it its rounding
+    T = T[T != 0]
     return ric, float(T @ T), np.sum(K[plan.ricci[1]])
 
 
@@ -320,8 +322,8 @@ def group_ricci(report, tol=1e-8):
     """
     diag = np.diag(report.ricci)
     out = []
-    for cols in report.frame.groups:
-        vals = diag[list(cols)]
+    for cols in report.metric.space.slices:
+        vals = diag[cols]
         if vals.max() - vals.min() > tol * max(1.0, np.abs(vals).max()):
             raise ValueError("Ricci diagonal is not constant on a summand")
         out.append(vals.mean())

@@ -191,7 +191,6 @@ def _solution(space, coeffs, provenance, rule_id):
         report.ricci,
         report.ricci_tangent,
         report.frame.vectors,
-        report.frame.eigenvalues,
     ):
         arr.setflags(write=False)
     return EinsteinSolution(metric, report, provenance, rule_id)
@@ -536,7 +535,7 @@ def _witness_maps(spec):
     maps = np.zeros((len(W), n, n))
     kept = np.ones(len(W), dtype=bool)
     # one operator at a time keeps the (w, d, d) products small
-    for k, op in enumerate(rows.reshape(n, d, d)):
+    for k, op in enumerate(space.operators):
         pulled = (np.swapaxes(W, 1, 2) @ op @ W).reshape(len(W), d * d)
         maps[:, :, k] = pulled @ rows.T / norms
         gap = np.max(np.abs(maps[:, :, k] @ rows - pulled), axis=1)

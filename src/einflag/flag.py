@@ -263,14 +263,6 @@ class Decomposition:
     isotropy_indices: tuple
     tangent_indices: tuple
 
-    @property
-    def tangent_dim(self):
-        return sum(s.dim for s in self.submodules)
-
-    @property
-    def equiv_pairs(self):
-        return [c for c in self.equiv_classes if len(c) == 2]
-
     @cached_property
     def isotropy_action(self):
         """The isotropy generators ``ad(e_p)``, p in ``isotropy_indices``, as a
@@ -293,14 +285,6 @@ class Decomposition:
         maps = (one, _row_entries(Bw.T), _row_entries(B.T))
         g, a, b, v = _coo_transform((gen[I[at]], K[at], J[at], V[at]), maps, B.shape[0])
         return GeneratorTable(count, g, a, b, v)
-
-    def summary(self):
-        eq = {i: f"~{chr(97 + k)}" for k, cls in enumerate(self.equiv_pairs) for i in cls}
-        parts = []
-        for i, s in enumerate(self.submodules):
-            tag = eq.get(i, "")
-            parts.append(f"{s.name}[{s.dim}]{tag}")
-        return " + ".join(parts)
 
 
 def _span_from_terms(model, term_lists):
@@ -325,6 +309,27 @@ def _pairs_between(block_hi, block_lo):
 
 def _pairs_within(block):
     return [(s, t) for idx, s in enumerate(block) for t in block[:idx]]
+
+
+def _within_summands(blocks):
+    """The summand ``U{i}`` of the pairs inside block i, for each listed block of
+    more than one index, numbered from 1."""
+    return [
+        (f"U{i}", [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)])
+        for i, blk in enumerate(blocks, 1)
+        if len(blk) > 1
+    ]
+
+
+def _add_equivalent_pairs(subs, equiv, blocks, m_hi):
+    """Append ``W{m}{n}`` and ``U{m}{n}`` for each ``1 <= n < m <= m_hi``, declared
+    equivalent: the w and u vectors of the pairs between blocks m and n."""
+    for m in range(2, m_hi + 1):
+        for n in range(1, m):
+            prs = _pairs_between(blocks[m - 1], blocks[n - 1])
+            equiv.append((len(subs), len(subs) + 1))
+            subs.append((f"W{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs]))
+            subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
 
 
 def _decompose_a(spec, blocks):
@@ -406,29 +411,13 @@ def _decompose_b(spec, blocks):
     if not plus:
         for i, blk in enumerate(blocks, 1):
             subs.append((f"V{i}", [[(f"v({k})", 1.0)] for k in blk]))
-        for m in range(2, r + 1):
-            for n in range(1, m):
-                prs = _pairs_between(blocks[m - 1], blocks[n - 1])
-                a = len(subs)
-                subs.append((f"W{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs]))
-                subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
-                equiv.append((a, a + 1))
-        for i, blk in enumerate(blocks, 1):
-            if len(blk) > 1:
-                subs.append((f"U{i}", [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)]))
+        _add_equivalent_pairs(subs, equiv, blocks, r)
+        subs += _within_summands(blocks)
         return subs, equiv
 
     # last root in Theta
-    for i, blk in enumerate(blocks[:-1], 1):
-        if len(blk) > 1:
-            subs.append((f"U{i}", [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)]))
-    for m in range(2, r):
-        for n in range(1, m):
-            prs = _pairs_between(blocks[m - 1], blocks[n - 1])
-            a = len(subs)
-            subs.append((f"W{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs]))
-            subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
-            equiv.append((a, a + 1))
+    subs += _within_summands(blocks[:-1])
+    _add_equivalent_pairs(subs, equiv, blocks, r - 1)
     last = blocks[-1]
     for i, blk in enumerate(blocks[:-1], 1):
         minus = [[(_w(s, t), 1.0), (_u(s, t), -1.0)] for t in blk for s in last]
@@ -473,14 +462,7 @@ def _decompose_c(spec, blocks):
         blk = blocks[i - 1]
         if len(blk) > 1:
             subs.append(u_block(i, blk))
-    m_hi = r if not plus else r - 1
-    for m in range(2, m_hi + 1):
-        for n in range(1, m):
-            prs = _pairs_between(blocks[m - 1], blocks[n - 1])
-            a = len(subs)
-            subs.append((f"W{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs]))
-            subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
-            equiv.append((a, a + 1))
+    _add_equivalent_pairs(subs, equiv, blocks, n_v)
     if plus:
         for n in range(1, r):
             prs = _pairs_between(blocks[r - 1], blocks[n - 1])
@@ -536,30 +518,14 @@ def _decompose_d(spec, blocks):
     subs = []
     equiv = []
     if not plus:
-        for i, blk in enumerate(blocks, 1):
-            if len(blk) > 1:
-                subs.append((f"U{i}", [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)]))
-        for m in range(2, r + 1):
-            for n in range(1, m):
-                prs = _pairs_between(blocks[m - 1], blocks[n - 1])
-                a = len(subs)
-                subs.append((f"W{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs]))
-                subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
-                equiv.append((a, a + 1))
+        subs += _within_summands(blocks)
+        _add_equivalent_pairs(subs, equiv, blocks, r)
         return subs, equiv
 
     if part[-1] >= 2:
         # both of the last two simple roots are in Theta
-        for i, blk in enumerate(blocks[:-1], 1):
-            if len(blk) > 1:
-                subs.append((f"U{i}", [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)]))
-        for m in range(2, r):
-            for n in range(1, m):
-                prs = _pairs_between(blocks[m - 1], blocks[n - 1])
-                a = len(subs)
-                subs.append((f"W{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs]))
-                subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
-                equiv.append((a, a + 1))
+        subs += _within_summands(blocks[:-1])
+        _add_equivalent_pairs(subs, equiv, blocks, r - 1)
         last = blocks[-1]
         for n in range(1, r):
             # the mixed block splits along the two so(l) ideals of the
@@ -573,20 +539,12 @@ def _decompose_d(spec, blocks):
         return subs, equiv
 
     # last root in Theta, next-to-last not: final block is the singleton {l}
-    for i, blk in enumerate(blocks[:-2], 1):
-        if len(blk) > 1:
-            subs.append((f"U{i}", [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)]))
+    subs += _within_summands(blocks[:-2])
     pen = blocks[-2]
     v_terms = [[(_u(s, t), 1.0)] for s, t in _pairs_within(pen)]
     v_terms += [[(_w(l, t), 1.0)] for t in pen]
     subs.append((f"V{r-1}", v_terms))
-    for m in range(2, r - 1):
-        for n in range(1, m):
-            prs = _pairs_between(blocks[m - 1], blocks[n - 1])
-            a = len(subs)
-            subs.append((f"W{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs]))
-            subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
-            equiv.append((a, a + 1))
+    _add_equivalent_pairs(subs, equiv, blocks, r - 2)
     for n in range(1, r - 1):
         blk = blocks[n - 1]
         m_terms = [[(_w(i, j), 1.0)] for j in blk for i in pen]

@@ -151,6 +151,8 @@ class MetricSpace:
     ``reps`` and ``signs`` are :class:`~einflag.flag.GeneratorTable` s over the
     tangent basis: the isotropy action ``ad(e_p)`` of every isotropy basis
     vector, and the kept sign actions of :func:`component_sign_actions`.
+    ``operators`` is the read-only ``(n, d, d)`` stack of the operator basis.
+    The derived per-flag data below is built at its first use and kept.
     """
 
     dec: object
@@ -158,15 +160,9 @@ class MetricSpace:
     slices: list
     reps: GeneratorTable = field(repr=False)
     signs: GeneratorTable = field(repr=False)
-    operators: list = field(repr=False)
+    operators: np.ndarray = field(repr=False)
     names: list
     pairs: list
-    _structure: np.ndarray = field(default=None, repr=False)
-    _structure_coo: tuple = field(default=None, repr=False)
-    _structure_trace: float = field(default=None, repr=False)
-    _operator_rows: tuple = field(default=None, repr=False)
-    _killing: np.ndarray = field(default=None, repr=False)
-    _frame_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def spec(self):
@@ -189,18 +185,16 @@ class MetricSpace:
         d = self.tangent_dim
         return (np.asarray(coeffs, dtype=float) @ self.operator_rows[0]).reshape(d, d)
 
-    @property
+    @cached_property
     def structure(self):
         """Bracket coefficients over the tangent basis, t[a,b,c] = g0([a,b],c)."""
-        if self._structure is None:
-            d = self.tangent_dim
-            I, J, K, V = self.structure_coo
-            t = np.zeros((d, d, d))
-            t[I, J, K] = V
-            self._structure = t
-        return self._structure
+        d = self.tangent_dim
+        I, J, K, V = self.structure_coo
+        t = np.zeros((d, d, d))
+        t[I, J, K] = V
+        return t
 
-    @property
+    @cached_property
     def structure_coo(self):
         """The nonzeros of :attr:`structure` as ``(I, J, K, V)``, ``t[I, J, K] = V``.
 
@@ -212,69 +206,57 @@ class MetricSpace:
         whose frame image is the trace vector of every metric, must vanish;
         the Ricci formula of :mod:`einflag.curvature` leaves that term out.
         """
-        if self._structure_coo is None:
-            model = self.spec.algebra
-            d = self.tangent_dim
-            g = float(self.spec.inner_scale) * model.gram
-            rows = _row_entries(self.basis.T)
-            a, b, c, v = _coo_transform(
-                model.structure_index, (rows, rows, _row_entries((self.basis * g).T)), d
+        model = self.spec.algebra
+        d = self.tangent_dim
+        g = float(self.spec.inner_scale) * model.gram
+        rows = _row_entries(self.basis.T)
+        a, b, c, v = _coo_transform(
+            model.structure_index, (rows, rows, _row_entries((self.basis * g).T)), d
+        )
+        off = a != b
+        lo, hi = np.minimum(a, b)[off], np.maximum(a, b)[off]
+        # sorted by (a, b, c), so for a < b the sum is t[a,b,c] - t[b,a,c]
+        keys, inv = np.unique((lo * d + hi) * d + c[off], return_inverse=True)
+        half = np.bincount(inv, weights=np.where(a < b, v, -v)[off]) / 2
+        keep = half != 0
+        keys, half = keys[keep], half[keep]
+        lo, hi, c = keys // (d * d), keys // d % d, keys % d
+        coo = (np.r_[lo, hi], np.r_[hi, lo], np.r_[c, c], np.r_[half, -half])
+        trace = _trace_size(coo, d)
+        if trace > 1e-12:
+            raise InvariantViolation(
+                f"structure tensor of {self.spec} has a nonzero trace, max |z_k| = {trace!r}"
             )
-            off = a != b
-            lo, hi = np.minimum(a, b)[off], np.maximum(a, b)[off]
-            # sorted by (a, b, c), so for a < b the sum is t[a,b,c] - t[b,a,c]
-            keys, inv = np.unique((lo * d + hi) * d + c[off], return_inverse=True)
-            half = np.bincount(inv, weights=np.where(a < b, v, -v)[off]) / 2
-            keep = half != 0
-            keys, half = keys[keep], half[keep]
-            lo, hi, c = keys // (d * d), keys // d % d, keys % d
-            I, J, K, V = np.r_[lo, hi], np.r_[hi, lo], np.r_[c, c], np.r_[half, -half]
-            z = np.bincount(I[J == K], weights=V[J == K], minlength=d)
-            self._structure_trace = float(np.max(np.abs(z), initial=0.0))
-            if self._structure_trace > 1e-12:
-                raise InvariantViolation(f"structure tensor of {self.spec} has a nonzero trace")
-            self._structure_coo = (I, J, K, V)
-        return self._structure_coo
+        return coo
 
-    @property
+    @cached_property
     def structure_trace(self):
         """``max_k |z_k|`` of the trace of t, which :attr:`structure_coo` bounds."""
-        self.structure_coo
-        return self._structure_trace
+        return _trace_size(self.structure_coo, self.tangent_dim)
 
-    @property
+    @cached_property
     def operator_rows(self):
         """The operators flattened to the rows of an ``(n, d*d)`` array, and
         their squared Frobenius norms."""
-        if self._operator_rows is None:
-            rows = np.array([op.ravel() for op in self.operators])
-            self._operator_rows = (rows, np.sum(rows * rows, axis=1))
-        return self._operator_rows
+        rows = self.operators.reshape(self.dim, -1)
+        return rows, np.sum(rows * rows, axis=1)
 
-    @property
+    @cached_property
     def killing(self):
         """Killing form over the tangent basis."""
-        if self._killing is None:
-            model = self.spec.algebra
-            self._killing = self.basis @ model.killing_matrix @ self.basis.T
-        return self._killing
+        return self.basis @ self.spec.algebra.killing_matrix @ self.basis.T
 
-    def frame_plan(self, coeffs):
-        """The :class:`FramePlan` of the canonical frame at these coefficients.
+    @cached_property
+    def frame_plan(self):
+        """The :class:`FramePlan` of the canonical frame, for every metric."""
+        return _frame_plan(self)
 
-        The frame's sparsity depends only on the state of each pair's mixing
-        coefficient b: 0 at b = 0, 1 for ``0 < |b| < _UNMIXED`` (the frame is
-        still diagonal on the pair, but A and so ``V^T A`` carry the ``B0``
-        blocks) and 2 beyond (the frame has the 2x2 blocks of I and ``B0``).
-        One plan per state is built, at its first use, and kept.
-        """
-        state = tuple(
-            0 if b == 0 else 1 if abs(b) < _UNMIXED else 2 for b in coeffs[self.n_sub :].tolist()
-        )
-        plan = self._frame_plans.get(state)
-        if plan is None:
-            plan = self._frame_plans[state] = _frame_plan(self, state)
-        return plan
+
+def _trace_size(coo, d):
+    """``max_k |z_k|`` of the trace ``z_k = sum_i t[k,i,i]`` of t's nonzeros."""
+    I, J, K, V = coo
+    z = np.bincount(I[J == K], weights=V[J == K], minlength=d)
+    return float(np.max(np.abs(z), initial=0.0))
 
 
 def _key_rows(keys, d):
@@ -285,12 +267,15 @@ def _key_rows(keys, d):
 
 @dataclass(frozen=True)
 class FramePlan:
-    """The index work of a canonical-frame report, for one sparsity state.
+    """The index work of a canonical-frame report, one per flag.
 
     With V the frame, A the metric, ``W = V^T A = V^-1`` and t the tangent
     structure tensor, each field is one :func:`~einflag.algebra._coo_pattern`
     or a gather list, so a report is a fixed sequence of gathers,
     elementwise products and ``bincount`` s.  Every array is read-only.
+    The positions are laid out as if every equivalent pair were mixed; an
+    entry of V or A that is zero at a metric adds only exact zeros to the
+    sums, so one plan serves every metric of the flag.
 
     Attributes
     ----------
@@ -353,18 +338,22 @@ def _quad_plan(group, index, d):
     return left, right, index[left] * d + index[right]
 
 
-def _frame_plan(space, state):
-    """Build the :class:`FramePlan` of one :meth:`MetricSpace.frame_plan` state."""
+def _frame_plan(space):
+    """Build the :class:`FramePlan` of :attr:`MetricSpace.frame_plan`.
+
+    On a pair (i, j) the frame has the blocks I and ``B0`` in the columns of
+    summand i and I, ``B0`` in those of j (:func:`orthonormal_frame`), and A
+    has ``B0`` and its transpose off the diagonal.
+    """
     d = space.tangent_dim
     sl = space.slices
     vmask, amask = np.eye(d, dtype=bool), np.eye(d, dtype=bool)
-    for (i, j, B0), mixed in zip(space.pairs, state):
+    for i, j, B0 in space.pairs:
         si, sj, B = sl[i], sl[j], B0 != 0
-        if mixed:
-            amask[sj, si], amask[si, sj] = B, B.T
-        if mixed == 2:
-            vmask[sj, si], vmask[sj, sj] = B, B
-            vmask[si, sj] = np.eye(si.stop - si.start, dtype=bool)
+        amask[sj, si], amask[si, sj] = B, B.T
+        vmask[sj, si] = B
+        vmask[sj, sj] |= B
+        vmask[si, sj] = np.eye(si.stop - si.start, dtype=bool)
     v_at, a_at = np.flatnonzero(vmask), np.flatnonzero(amask)
     v_rows = _key_rows(v_at, d)
     ident = (np.arange(d + 1), np.arange(d))
@@ -653,16 +642,13 @@ def metric_space(spec):
             )
         pairs.append((i, j, _normalized_intertwiner(maps[0])))
 
-    operators = []
-    for s in slices:
-        P = np.zeros((d, d))
-        P[s, s] = np.eye(s.stop - s.start)
-        operators.append(P)
-    for i, j, B0 in pairs:
-        S = np.zeros((d, d))
-        S[slices[j], slices[i]] = B0
-        S[slices[i], slices[j]] = B0.T
-        operators.append(S)
+    operators = np.zeros((len(slices) + len(pairs), d, d))
+    for k, s in enumerate(slices):
+        operators[k, s, s] = np.eye(s.stop - s.start)
+    for k, (i, j, B0) in enumerate(pairs, len(slices)):
+        operators[k, slices[j], slices[i]] = B0
+        operators[k, slices[i], slices[j]] = B0.T
+    operators.setflags(write=False)
 
     names = _coefficient_names(spec, len(slices), len(pairs))
     space = MetricSpace(dec, Bm, slices, reps, signs, operators, names, pairs)
@@ -816,20 +802,15 @@ def volume_root(space, lam):
 class Frame:
     """A metric-orthonormal frame adapted to the summand structure.
 
-    ``vectors`` has the frame as columns over the tangent basis;
-    ``eigenvalues`` holds the metric-operator eigenvalue of each column;
-    ``groups`` lists column indices sharing one eigenvalue block, in summand
-    order; ``partners`` matches the coupled column pairs of each intertwined
-    block.  ``sparse`` is, for the canonical frame, ``(plan, v, w)``: its
-    :class:`FramePlan` and the entries of V and of ``W = V^-1`` over the
-    plan; None for a frame built otherwise.
+    ``vectors`` has the frame as columns over the tangent basis; the columns
+    of summand i are those of ``space.slices[i]``.  ``sparse`` is, for the
+    canonical frame, ``(plan, v, w)``: the space's :class:`FramePlan` and the
+    entries of V and of ``W = V^-1`` over the plan; None for a frame built
+    otherwise.
     """
 
     metric: InvariantMetric
     vectors: np.ndarray
-    eigenvalues: np.ndarray
-    groups: list
-    partners: list
     sparse: tuple = field(default=None, repr=False)
 
     @cached_property
@@ -843,21 +824,18 @@ def orthonormal_frame(metric):
     """The canonical metric-orthonormal eigenframe of an invariant metric."""
     space = metric.space
     coeffs = metric.coeffs
-    d = space.tangent_dim
     slices = space.slices
     n_sub = space.n_sub
     lam = metric.spectrum
-    eig = np.repeat(lam, [s.stop - s.start for s in slices])
     # each column starts as its basis vector scaled to unit g-length; the
     # columns of a mixed pair are replaced below
-    V = np.diag(1.0 / np.sqrt(eig))
+    V = np.diag(1.0 / np.sqrt(np.repeat(lam, [s.stop - s.start for s in slices])))
 
-    partners, mixed = [], []
+    mixed = []
     for k, (i, j, B0) in enumerate(space.pairs):
         si, sj = slices[i], slices[j]
         xi, xj, b = coeffs[i], coeffs[j], coeffs[n_sub + k]
         di = si.stop - si.start
-        partners += [(si.start + r, sj.start + r) for r in range(di)]
         if abs(b) < _UNMIXED:
             continue
         mixed += [*range(si.start, si.stop), *range(sj.start, sj.stop)]
@@ -887,13 +865,12 @@ def orthonormal_frame(metric):
     lead = block[np.argmax(np.abs(block) > 1e-12, axis=0), np.arange(mixed.size)]
     V[:, mixed[lead < 0]] *= -1.0
 
-    groups = [list(range(s.start, s.stop)) for s in slices]
     # W = V^T A and V^T A V over the plan; the dense products are exact zeros
     # off its keys
-    plan = space.frame_plan(coeffs)
+    plan = space.frame_plan
     v = V.ravel()[plan.frame[0]]
     w = _coo_values(plan.inverse, metric.matrix.ravel()[plan.metric], (v, plan.ones))
     gram, identity = plan.gram
     if np.max(np.abs(_coo_values(gram, w, (plan.ones, v)) - identity)) > 1e-9:
         raise InvariantViolation("frame is not orthonormal for the metric")
-    return Frame(metric, V, eig, groups, partners, (plan, v, w))
+    return Frame(metric, V, (plan, v, w))

@@ -79,14 +79,10 @@ class _Context:
         self.spec = spec
         self.model = spec.algebra
         self.rng = default_rng(_SEED)
-        self._space = None
-        self._set = None
 
-    @property
+    @cached_property
     def space(self):
-        if self._space is None:
-            self._space = metric_space(self.spec)
-        return self._space
+        return metric_space(self.spec)
 
     @property
     def dec(self):
@@ -97,11 +93,9 @@ class _Context:
         """:func:`_isotropy_groups` of the space, shared by the checks."""
         return _isotropy_groups(self.space)
 
-    @property
+    @cached_property
     def solutions(self):
-        if self._set is None:
-            self._set = solve(self.spec)
-        return self._set.solutions
+        return solve(self.spec).solutions
 
     def sample_coeffs(self):
         """A random positive-definite coefficient vector."""
@@ -497,7 +491,7 @@ def _check_frame_independence(ctx):
     fr = orthonormal_frame(met)
     d = space.tangent_dim
     Q, _ = np.linalg.qr(ctx.rng.standard_normal((d, d)))
-    rotated = Frame(met, fr.vectors @ Q, fr.eigenvalues, fr.groups, fr.partners)
+    rotated = Frame(met, fr.vectors @ Q)
     other = curvature(met, frame=rotated)
     err = float(np.max(np.abs(other.ricci_tangent - base.ricci_tangent)))
     serr = abs(other.scalar - base.scalar) / (1.0 + abs(base.scalar))

@@ -1,5 +1,6 @@
 """Shared fixtures and flag lists, helpers that build and edit generator
-tables, and the dense form of the algebra expansion."""
+tables, the dense forms of the algebra expansion and of ``ad(x)``, and
+readouts of a decomposition."""
 
 import sys
 from functools import lru_cache
@@ -88,3 +89,23 @@ def edit_first_generator(table, d, rows, cols, deltas):
 
 
 NO_GENERATORS = GeneratorTable(0, *[np.zeros(0, dtype=np.int64)] * 3, np.zeros(0))
+
+
+def ad_matrix(model, x):
+    """Dense matrix of ``ad(x)`` acting on row vectors: ``y @ ad_matrix(model, x) == [x, y]``."""
+    I, J, K, V = model.structure_index
+    n = model.n
+    return np.bincount(J * n + K, weights=V * x[I], minlength=n * n).reshape(n, n)
+
+
+def tangent_dim(dec):
+    """The dimension of a decomposition's tangent space, summed over its summands."""
+    return sum(s.dim for s in dec.submodules)
+
+
+def summary(dec):
+    """``"U1[6] + W21[4]~a + U21[4]~a"``: each summand, its dimension and the tag
+    of its equivalent pair."""
+    pairs = [c for c in dec.equiv_classes if len(c) == 2]
+    eq = {i: f"~{chr(97 + k)}" for k, cls in enumerate(pairs) for i in cls}
+    return " + ".join(f"{s.name}[{s.dim}]{eq.get(i, '')}" for i, s in enumerate(dec.submodules))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import expand_matrix
+from conftest import ad_matrix, expand_matrix
 from einflag import algebra
 from einflag.algebra import AlgebraModel, BasisElement, build_algebra
 from einflag.errors import ClosureViolation, UnsupportedRank
@@ -116,7 +116,7 @@ def test_ad_matches_bracket(family, rank):
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = rng.standard_normal((2, model.n))
-        assert np.allclose(y @ model.ad(x), model.bracket_coords(x, y), rtol=0, atol=1e-12)
+        assert np.allclose(y @ ad_matrix(model, x), model.bracket_coords(x, y), rtol=0, atol=1e-12)
 
 
 def test_killing_value_a3():

@@ -188,7 +188,8 @@ def test_unfit_killing_trace_raises_no_exact_count():
     space = metric_space(parse_flag_spec("D:5:[4,1]:-"))
     killing = space.killing.copy()
     killing[0, 0] += 1e-9 * max(abs(np.trace(killing[sl, sl])) for sl in space.slices)
-    bad = dataclasses.replace(space, _killing=killing)
+    bad = dataclasses.replace(space)
+    bad.killing = killing
     with pytest.raises(NoExactCount, match=r"block Killing trace k\[0\] = .* is no integer"):
         curvature_module.ReducedRicci(bad)
 
@@ -211,8 +212,8 @@ def flipped_space(text, which):
     model.structure_index = (I, J, K, np.where(pair & (K == K[e]), -V, V))
     model.killing_matrix = model._build_killing()
     dec = dataclasses.replace(space.dec, spec=dataclasses.replace(space.spec, algebra=model))
-    fresh = dict(_structure=None, _structure_coo=None, _structure_trace=None, _killing=None)
-    return space, dataclasses.replace(space, dec=dec, **fresh)
+    # replace copies no cached property: the copy derives t and K anew
+    return space, dataclasses.replace(space, dec=dec)
 
 
 @pytest.mark.parametrize("text", ["B:3:[3]:-", "A:4:[1,2,2]:-", "C:5:[2,3]:+", "D:5:[4,1]:-"])

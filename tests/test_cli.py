@@ -1,11 +1,13 @@
 import csv
 import json
+from itertools import groupby
 
 import pytest
 
 import einflag.einstein
 from einflag import __version__
-from einflag.cli import main
+from einflag.cli import _table_rows, main
+from einflag.invariant import metric_space
 from einflag.errors import ClosureViolation, GeneratorMismatch, NoExactCount
 from einflag.verify import CHECK_NAMES
 
@@ -184,6 +186,21 @@ def test_list_enumerates_flags(capsys):
     assert code == 0
     assert "B:4:[4]:-" in out and "B:4:[1,3]:+" in out and "B:4:[2,2]:+" in out
     assert "(SO(4)xSO(5))/SO(4)" in out
+
+
+def test_list_columns_agree_with_the_metric_space(capsys):
+    # list prints the catalogued decomposition; the certified metric space
+    # of each flag must have as many summands, and a pair exactly when the
+    # decomposition declares one
+    for (family, rank), specs in groupby(_table_rows(10), lambda s: (s.family, s.rank)):
+        code, out, _ = run(capsys, "list", family, str(rank))
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:]]
+        specs = list(specs)
+        assert [r[0] for r in rows] == [str(s) for s in specs]
+        for row, spec in zip(rows, specs):
+            space = metric_space(spec)
+            assert row[-2:] == [str(space.n_sub), "yes" if space.pairs else "no"]
 
 
 def test_list_rejects_unknown_family(capsys):

@@ -243,6 +243,17 @@ class TestThreeSummands:
         assert np.isclose(rep.scalar, S)
 
 
+def partners(rep):
+    """The coupled frame columns of each pair (i, j): the r-th of summand i with
+    the r-th of summand j."""
+    sl = rep.metric.space.slices
+    return [
+        (sl[i].start + r, sl[j].start + r)
+        for i, j, _ in rep.metric.space.pairs
+        for r in range(sl[i].stop - sl[i].start)
+    ]
+
+
 class TestMixedMetrics:
     def test_one_two_block_cross_term(self):
         mu0, mu1, mu2, b = 1.1, 0.6, 1.7, 0.4
@@ -256,7 +267,7 @@ class TestMixedMetrics:
             * (2 * xi1 * xi2 - mu0**2)
             / (mu0 * (xi1 * xi2) ** 1.5 * (xi2 - xi1))
         )
-        vals = [rep.ricci[pq] for pq in rep.frame.partners]
+        vals = [rep.ricci[pq] for pq in partners(rep)]
         assert np.isclose(abs(vals[0]), abs(golden))
         assert np.allclose(vals, vals[0])
 
@@ -270,7 +281,7 @@ class TestMixedMetrics:
             (4 * xi2 - mu0) / (2 * xi2**2),
         ]
         assert np.allclose(group_ricci(rep), want)
-        assert abs(rep.ricci[rep.frame.partners[0]]) < 1e-12
+        assert abs(rep.ricci[partners(rep)[0]]) < 1e-12
 
     @pytest.mark.parametrize("l", [4, 5, 6])
     def test_two_block_minus_cross_term(self, l):
@@ -286,7 +297,7 @@ class TestMixedMetrics:
             * (g**2 - 2 * xi1 * xi2)
             / ((xi2 - xi1) * g * (xi1 * xi2) ** 1.5)
         )
-        vals = [rep.ricci[pq] for pq in rep.frame.partners]
+        vals = [rep.ricci[pq] for pq in partners(rep)]
         assert np.isclose(abs(vals[0]), abs(golden))
         assert np.allclose(vals, vals[0])
 
@@ -543,7 +554,7 @@ def rotated_frame(m, rng):
     """The canonical frame of a metric turned by a random orthogonal Q."""
     fr = orthonormal_frame(m)
     Q, _ = np.linalg.qr(rng.standard_normal((len(fr.vectors),) * 2))
-    return Frame(m, fr.vectors @ Q, fr.eigenvalues, fr.groups, fr.partners)
+    return Frame(m, fr.vectors @ Q)
 
 
 @pytest.mark.parametrize("text", ENGINE_FLAGS)
@@ -635,9 +646,9 @@ def planned_cases(sp, rng):
 
 @pytest.mark.parametrize("text", ENGINE_FLAGS + ["C:25:[12,13]:+"])
 def test_planned_report_equals_the_dense_composition(text):
-    # the canonical report runs the plan of its flag and sparsity state; the
-    # oracle redoes the index work per call and takes the frame products as
-    # dense matrix products.  Where every entry is a single product -- no
+    # the canonical report runs the plan of its flag; the oracle redoes the
+    # index work per call and takes the frame products as dense matrix
+    # products.  Where every entry is a single product -- no
     # pair, or b = 0 -- both round alike and agree bit for bit.  At
     # b = 1e-15 the frame is still diagonal but A carries the B0 blocks:
     # the tangent fields differ from BLAS's fused multiply-add only on
@@ -678,15 +689,15 @@ def test_frame_plan_is_read_only():
             a[...] = 0
 
 
-def test_one_plan_per_flag_and_sparsity_state(cold_caches, monkeypatch):
-    # the plan depends on the flag and on each pair's b being 0, below
-    # 1e-14 or beyond; every other report reuses it
+def test_one_plan_per_flag(cold_caches, monkeypatch):
+    # the plan is laid out as if every pair were mixed, so b = 0, b below
+    # 1e-14 and mixed b all reuse the one plan of the flag
     builds = []
     build = invariant_module._frame_plan
 
-    def counted(space, state):
-        builds.append((str(space.spec), state))
-        return build(space, state)
+    def counted(space):
+        builds.append(str(space.spec))
+        return build(space)
 
     monkeypatch.setattr(invariant_module, "_frame_plan", counted)
     sp = invariant_module.metric_space(parse_flag_spec("D:5:[4,1]:-"))
@@ -696,11 +707,11 @@ def test_one_plan_per_flag_and_sparsity_state(cold_caches, monkeypatch):
     for frac in rng.permutation(fracs):
         x = rng.uniform(0.5, 2.0, 3)
         curvature_module.curvature(make_metric(sp, np.r_[x, frac * np.sqrt(x[i] * x[j])]))
-    assert sorted(state for _, state in builds) == [(0,), (1,), (2,)]
+    assert builds == ["D:5:[4,1]:-"]
     large = invariant_module.metric_space(parse_flag_spec("A:25:[20,3,3]:-"))
     for _ in range(200):
         curvature_module.curvature(make_metric(large, rng.uniform(0.5, 2.0, 3)))
-    assert builds[3:] == [("A:25:[20,3,3]:-", ())]
+    assert builds == ["D:5:[4,1]:-", "A:25:[20,3,3]:-"]
 
 
 def test_cold_caches_build_a_fresh_plan(request):
@@ -708,10 +719,10 @@ def test_cold_caches_build_a_fresh_plan(request):
     shared = metric_space(spec)
     coeffs = [1.0, 1.5, 0.5]
     curvature(make_metric(shared, coeffs))
-    kept = shared.frame_plan(np.array(coeffs))
+    kept = shared.frame_plan
     request.getfixturevalue("cold_caches")
     fresh = invariant_module.metric_space(spec)
-    assert fresh is not shared and not fresh._frame_plans
+    assert fresh is not shared and "frame_plan" not in vars(fresh)
     report = curvature_module.curvature(make_metric(fresh, coeffs))
     assert report.frame.sparse[0] is not kept
     assert np.array_equal(report.ricci, curvature(make_metric(shared, coeffs)).ricci)

@@ -425,7 +425,6 @@ def test_memoised_solutions_are_immutable():
         rep.ricci,
         rep.ricci_tangent,
         rep.frame.vectors,
-        rep.frame.eigenvalues,
     ):
         with pytest.raises(ValueError):
             arr.flat[0] = 9.0

@@ -4,7 +4,14 @@ import importlib
 import dense_oracle
 import numpy as np
 import pytest
-from conftest import FLAGS, NO_GENERATORS, dense_generators, edit_first_generator
+from conftest import (
+    FLAGS,
+    NO_GENERATORS,
+    ad_matrix,
+    dense_generators,
+    edit_first_generator,
+    tangent_dim,
+)
 
 from einflag import algebra, flag, invariant
 from einflag.cli import _table_rows
@@ -158,7 +165,7 @@ class TestMetricSpace:
         sp = space(text)
         model = sp.spec.algebra
         Bw = sp.basis * (float(sp.spec.inner_scale) * model.gram)
-        ref = np.array([(sp.basis @ model.ad(x)) @ Bw.T for x in sp.basis])
+        ref = np.array([(sp.basis @ ad_matrix(model, x)) @ Bw.T for x in sp.basis])
         assert np.max(np.abs(sp.structure - ref)) <= 1e-15
         I, J, K, V = sp.structure_coo
         assert len(I) == np.count_nonzero(sp.structure)
@@ -244,7 +251,7 @@ class TestCertificateFailures:
     def test_skew_check_sees_a_symmetric_entry(self, monkeypatch):
         spec = parse_flag_spec("D:5:[4,1]:-")
         wrong = dataclasses.replace(decompose_isotropy(spec))
-        d = wrong.tangent_dim
+        d = tangent_dim(wrong)
         wrong.isotropy_action = edit_first_generator(wrong.isotropy_action, d, [0], [0], [1e-6])
         monkeypatch.setattr(invariant, "decompose_isotropy", lambda _: wrong)
         with pytest.raises(InvariantViolation, match="is not skew"):
@@ -271,11 +278,9 @@ class TestCertificateFailures:
             return np.r_[a, d - 1], np.r_[b, 0], np.r_[c, 0], np.r_[v, 0.25]
 
         monkeypatch.setattr(invariant, "_coo_transform", traced)
-        fresh = dataclasses.replace(sp, _structure=None, _structure_coo=None)
-        with pytest.raises(InvariantViolation, match="nonzero trace"):
-            fresh.structure_coo
         # antisymmetrizing halves the injected entry
-        assert fresh._structure_trace == 0.125
+        with pytest.raises(InvariantViolation, match=r"nonzero trace, max \|z_k\| = 0\.125$"):
+            dataclasses.replace(sp).structure_coo
 
 
 class TestGeneratorTables:
@@ -519,9 +524,8 @@ class TestFrame:
         m = make_metric(sp, [2.0, 8.0])
         f = orthonormal_frame(m)
         assert np.allclose(f.vectors, np.diag([2 ** -0.5] * 5 + [8 ** -0.5] * 10))
-        assert f.partners == []
-        assert f.groups == [list(range(5)), list(range(5, 15))]
-        assert np.allclose(f.eigenvalues, [2.0] * 5 + [8.0] * 10)
+        assert sp.slices == [slice(0, 5), slice(5, 15)]
+        assert np.allclose(m.spectrum, [2.0, 8.0])
 
     def test_paired_eigenvectors(self):
         sp = space("A:3:[2,1,1]:-")
@@ -531,12 +535,13 @@ class TestFrame:
         gap = np.hypot(2 * b, mu1 - mu2)
         x1 = (mu1 + mu2 - gap) / 2
         x2 = (mu1 + mu2 + gap) / 2
-        assert np.allclose(sorted(set(np.round(f.eigenvalues, 12))), [x1, mu0, x2])
-        # columns are eigenvectors of the metric operator
+        assert np.allclose(sorted(set(np.round(m.spectrum, 12))), [x1, mu0, x2])
+        # columns are eigenvectors of the metric operator, with the
+        # eigenvalue of their summand
+        eig = np.repeat(m.spectrum, [s.stop - s.start for s in sp.slices])
         for c in range(5):
             Av = m.matrix @ f.vectors[:, c]
-            assert np.allclose(Av, f.eigenvalues[c] * f.vectors[:, c], atol=1e-12)
-        assert f.partners == [(1, 3), (2, 4)]
+            assert np.allclose(Av, eig[c] * f.vectors[:, c], atol=1e-12)
         # mixing pattern: the first paired column couples w31 with w42 only
         col = f.vectors[:, 1]
         assert abs(col[0]) < 1e-14 and abs(col[2]) < 1e-14 and abs(col[4]) < 1e-14
@@ -561,8 +566,7 @@ class TestFrame:
         f = orthonormal_frame(m)
         expect = np.diag([1.0] * 3 + [2 ** -0.5] * 3 + [3 ** -0.5] * 3)
         assert np.allclose(f.vectors, expect)
-        assert np.allclose(f.eigenvalues, [1, 1, 1, 2, 2, 2, 3, 3, 3])
-        assert len(f.partners) == 3
+        assert np.allclose(m.spectrum, [1, 2, 3])
 
 
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
@@ -571,7 +575,10 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     # table, the sign table and structure_coo through _coo_transform, and
     # the canonical-frame report's T through the pattern step of its plan
     # and the value step of the report; the reference pads every map row
-    # to the longest one
+    # to the longest one and keeps only nonzero products, so its keys come
+    # from the true nonzeros of the maps.  The plan is laid out for every
+    # metric of the flag, so T may hold more keys than the reference: those
+    # entries must be exact zeros.
     calls, patterns, values = [], [], []
 
     def recorded(coo, maps, d):
@@ -600,15 +607,19 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     coeffs = np.r_[np.linspace(0.7, 1.6, sp.n_sub), np.full(sp.dim - sp.n_sub, 0.1)]
     curvature_module.curvature(make_metric(sp, coeffs))
     assert len(calls) == 3
-    (index, rows, d, pattern), = [p for p in patterns if len(p[1]) == 3]
-    (vals, maps, got), = [v[1:] for v in values if v[0] is pattern]
-    keys = pattern[3]
-    coo = (*index, vals)
-    maps = tuple((*r, m) for r, m in zip(rows, maps))
-    calls.append((coo, maps, d, (keys // (d * d), keys // d % d, keys % d, got)))
     for coo, maps, d, got in calls:
         want = dense_oracle.padded_transform(coo, maps, d)
         for g, w in zip(got[:3], want[:3]):
             assert np.array_equal(g, w)
         bound = 1e-15 * max(1.0, float(np.max(np.abs(want[3]), initial=0.0)))
         assert np.max(np.abs(got[3] - want[3]), initial=0.0) <= bound
+    (index, rows, d, pattern), = [p for p in patterns if len(p[1]) == 3]
+    (vals, maps, got), = [v[1:] for v in values if v[0] is pattern]
+    maps = tuple((*r, m) for r, m in zip(rows, maps))
+    a, b, c, want = dense_oracle.padded_transform((*index, vals), maps, d)
+    keys, key = pattern[3], (a * d + b) * d + c
+    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    assert np.array_equal(keys[at], key)
+    bound = 1e-15 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert np.max(np.abs(got[at] - want), initial=0.0) <= bound
+    assert not np.any(np.delete(got, at))

@@ -9,7 +9,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import dense_generators, edit_first_generator
+from conftest import ad_matrix, dense_generators, edit_first_generator
 
 from einflag import einstein, invariant, verify
 from einflag.algebra import build_algebra
@@ -449,7 +449,7 @@ def test_isotropy_stability_equals_the_dense_ad_products(monkeypatch, text):
         z = np.zeros(model.n)
         z[iso] = rng.standard_normal(len(iso))
         z /= np.linalg.norm(z)
-        ad_z = model.ad(z)
+        ad_z = ad_matrix(model, z)
         for sub in dec.submodules:
             B = sub.orthonormal @ ad_z
             resid = B - ((sub.orthonormal * w) @ B.T).T @ sub.orthonormal
