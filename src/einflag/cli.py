@@ -64,8 +64,9 @@ def _cmd_list(args, parser):
     rows = []
     for spec in specs:
         # the catalogued decomposition, checked by its construction; solve
-        # and check run the Schur certificate of the metric space
-        dec = decompose_isotropy(spec)
+        # and check run the Schur certificate of the metric space.  It is
+        # not memoised: a listing needs two numbers of each flag, not its spans
+        dec = decompose_isotropy.__wrapped__(spec)
         rows.append(
             (
                 str(spec),

@@ -31,9 +31,12 @@ product.  Each single-term entry rounds as the dense product would; an
 entry of two terms, on a mixed pair, is summed without BLAS's fused
 multiply-add.  An explicit ``frame`` may be any orthonormal frame, so its T
 is dense: :func:`frame_structure` builds it one slab of ``_SLAB`` middle
-indices at a time, from the nonzeros of t, and each slab adds its part of
-both quadratic sums before the next is built.  That route is the reference
-the ``ricci-frame-independence`` check compares the sparse route against.
+indices at a time, and each slab adds its part of both quadratic sums
+before the next is built.  A slab is contracted from the nonzeros of t per
+first index i, one small product each, and then takes one matrix product
+with ``V^T``; no product runs over the ``(i, k)`` pairs where t is zero.
+That route is the reference the ``ricci-frame-independence`` check
+compares the sparse route against.
 
 The reduced route, :class:`ReducedRicci`, maps the metric coefficients
 straight to the coefficients of the Ricci form over the metric-space
@@ -94,27 +97,31 @@ def frame_structure(frame, cols=slice(None)):
         the metric itself, so T is fully antisymmetric exactly when the
         metric is naturally reductive.
 
-    The middle slot is contracted first, over the nonzeros of t alone:
-    ``X[i, b, k] = sum_j t[i,j,k] V[j,b]`` is one scatter into a
-    ``(d, s, d)`` array for the s columns.  The first slot is then one
-    matrix product with ``V^T`` and the last one with ``W^T = V^-T``, so the
-    largest array has ``d^2 s`` entries.  ``V^-1`` is the frame's
+    The middle and last slots are contracted first, over the nonzeros of t
+    alone, per first index i: ``X[i, b, :] = sum_{j,k} t[i,j,k] V[j,b]
+    W[k,:]``, ``W = V^-T``, is the product of the s columns ``t V[j, cols]``
+    of i's nonzeros with their rows of W.  The indices i with equally many
+    nonzeros (:attr:`~einflag.invariant.MetricSpace.structure_rows`) take
+    these products as one stack, written in place into a ``(d', s, d)``
+    array over the d' indices i that have nonzeros.  The first slot is then
+    one matrix product with ``V^T`` over those i, so the largest array has
+    ``d^2 s`` entries, and no product runs over the ``(i, k)`` pairs where t
+    is zero.  ``V^-1`` is the frame's
     :attr:`~einflag.invariant.Frame.inverse`, inverted once per frame.
     """
     space = frame.metric.space
     d = space.tangent_dim
     V = frame.vectors
-    Vb = V[:, cols]
-    s = Vb.shape[1]
-    I, J, K, t = space.structure_coo
-    X = np.bincount(
-        ((I[:, None] * s + np.arange(s)) * d + K[:, None]).ravel(),
-        weights=(t[:, None] * Vb[J]).ravel(),
-        minlength=d * s * d,
-    )
-    Y = V.T @ X.reshape(d, s * d)
+    _, J, K, t = space.structure_coo
+    first, groups = space.structure_rows
     # g-components of a tangent vector are read off against A V = V^{-T}
-    return (Y.reshape(d * s, d) @ frame.inverse.T).reshape(d, s, d)
+    W = frame.inverse.T
+    left = t[:, None] * V[:, cols][J]
+    s = left.shape[1]
+    X = np.empty((first.size, s, d))
+    for lo, hi, at in groups:
+        np.matmul(np.swapaxes(left[at], 1, 2), W[K[at]], out=X[lo:hi])
+    return (V[first].T @ X.reshape(-1, s * d)).reshape(d, s, d)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ the solution certificates.  The invariance and equivariance checks act on
 a form through each generator's support, the tangent indices its entries
 touch: the residual vanishes off the rows and columns of the support, so
 only those are computed, for all generators of one support size at once.
+Off the support, a column of the residual is also zero wherever the
+form's rows on the support are, so when the form is sparse enough only
+the columns of the support and of those rows' nonzeros are computed; the
+pattern of nonzeros is read from each form as it is checked.
 """
 
 from __future__ import annotations
@@ -406,44 +410,74 @@ def _support_groups(table, d, identity=False):
     return groups
 
 
-def _support_residuals(P, order, blocks, group):
+def _row_pattern(P):
+    """The columns of the nonzeros of each row of a d x d form, as a ``(d, w)``
+    table, w the largest count in a row; a shorter row pads with column 0."""
+    r, c = np.nonzero(P)
+    count = np.bincount(r, minlength=len(P))
+    table = np.zeros((len(P), count.max(initial=0)), dtype=np.int64)
+    table[r, np.arange(r.size) - (np.cumsum(count) - count)[r]] = c
+    return table
+
+
+def _support_residuals(P, order, blocks, group, pattern):
     """The rows S of a form's residual under each generator of a group.
 
-    ``P`` is a d x d form and ``(order, blocks)`` one group of
-    :func:`_support_groups`.  Without ``group`` the blocks are generators G
-    and the residual is ``G^T P + P G``; with it they are the blocks
-    ``T[S, S]`` of group elements T equal to I outside ``S x S``, and the
-    residual is ``T^T P T - P``.  Either vanishes outside the rows and
-    columns in S, and its columns S are the transposed rows S of the
-    residual of ``P^T``.  Returns ``(n, k, d)``, the columns ordered as in
-    ``order``.
+    ``P`` is a d x d form, ``pattern`` its :func:`_row_pattern` and
+    ``(order, blocks)`` one group of :func:`_support_groups`.  Without
+    ``group`` the blocks are generators G and the residual is ``G^T P + P
+    G``; with it they are the blocks ``T[S, S]`` of group elements T equal
+    to I outside ``S x S``, and the residual is ``T^T P T - P``.  Either
+    vanishes outside the rows and columns in S, and its columns S are the
+    transposed rows S of the residual of ``P^T``.  In a column c outside S
+    it is ``G[S, S]^T P[S, c]`` (or that minus ``P[S, c]``), exactly zero
+    where ``P[S, c]`` is.  So when S and the pattern's columns of the rows
+    S, ``k (1 + w)`` of them, are fewer than d, only those columns are
+    computed, S first; a pattern column that lies in S is already among the
+    first k, and its place in the tail goes to the first column outside S.
+    Otherwise every column is, ordered as in ``order``.  Returns the
+    ``(n, k, m)`` rows and the ``(n, m)`` columns they hold.
     """
-    k = blocks.shape[1]
-    X = P[order[:, :k, None], order[:, None, :]]  # the rows S of P, columns S first
+    n, k = blocks.shape[:2]
+    d = len(P)
+    S = order[:, :k]
+    cols = order
+    if k * (1 + pattern.shape[1]) < d:
+        at = np.arange(n)[:, None] * d  # flat offsets, one row of d per generator
+        inside = np.zeros(n * d, dtype=bool)
+        inside[S + at] = True
+        tail = pattern[S].reshape(n, -1)
+        cols = np.concatenate([S, np.where(inside[tail + at], order[:, k : k + 1], tail)], axis=1)
+    # the rows S of P, columns S first, gathered through flat positions
+    X = np.ravel(P).take(S[:, :, None] * d + cols[:, None, :])
     rows = np.swapaxes(blocks, 1, 2) @ X
     if group:
         rows[..., :k] = rows[..., :k] @ blocks
         rows -= X
     else:
         rows[..., :k] += X[..., :k] @ blocks
-    return rows
+    return rows, cols
 
 
-def _action_residual(P, groups, group=False):
+def _action_residual(P, actions):
     """Largest entry of the residual of each form of a stack, as in
     :func:`_support_residuals`, over every generator of the groups.
 
-    ``P`` is an ``(m, d, d)`` stack, taken one form at a time so that each
-    pass stays in cache; returns the m maxima.  A symmetric form's columns S
-    are its rows S transposed, so only its rows are computed.
+    ``P`` is an ``(m, d, d)`` stack and ``actions`` a list of ``(groups,
+    group)``, the support groups and whether they hold group elements.  The
+    forms are taken one at a time so that each pass stays in cache, and the
+    pattern of each is read once; returns the m maxima.  A symmetric form's
+    columns S are its rows S transposed, so only its rows are computed.
     """
     worst = np.zeros(len(P))
     for f, form in enumerate(P):
-        sides = (form,) if np.array_equal(form, form.T) else (form, form.T)
-        for order, blocks in groups:
-            for side in sides:
-                rows = _support_residuals(side, order, blocks, group)
-                worst[f] = max(worst[f], rows.max(), -rows.min())
+        symmetric = np.array_equal(form, form.T)
+        for side in (form,) if symmetric else (form, np.ascontiguousarray(form.T)):
+            pattern = _row_pattern(side)
+            for groups, group in actions:
+                for order, blocks in groups:
+                    rows, _ = _support_residuals(side, order, blocks, group, pattern)
+                    worst[f] = max(worst[f], rows.max(), -rows.min())
     return worst
 
 
@@ -458,7 +492,7 @@ def _check_metric_invariance(ctx):
     space = ctx.space
     reps, signs = ctx.isotropy_groups
     A = np.stack([space.metric_matrix(ctx.sample_coeffs()) for _ in range(3)])
-    resid = np.maximum(_action_residual(A, reps), _action_residual(A, signs, group=True))
+    resid = _action_residual(A, [(reps, False), (signs, True)])
     resid /= np.max(np.abs(A), axis=(1, 2))
     worst = max(commutation_residual(space), float(np.max(resid)))
     _require(worst < 1e-10, f"sampled metric not isotropy-invariant: {worst:.2e}")
@@ -522,11 +556,7 @@ def _check_ricci_equivariance(ctx):
     reps, signs = ctx.isotropy_groups
     # the finite rotation exp(0.7 G) is exp(0.7 G[S, S]) on S x S and I elsewhere
     rots = [(order, _rotation(G, 0.7)) for order, G in reps]
-    resid = max(
-        _action_residual(P, reps)[0],
-        _action_residual(P, signs, group=True)[0],
-        _action_residual(P, rots, group=True)[0],
-    )
+    resid = _action_residual(P, [(reps, False), (signs, True), (rots, True)])[0]
     worst = max(commutation_residual(space), resid / scale)
     _require(worst < 1e-10, f"Ricci not isotropy-equivariant: {worst:.2e}")
     return f"Ric(Ad(k)X, Ad(k)Y) = Ric(X, Y) to {worst:.1e}"

@@ -4,6 +4,7 @@ from itertools import groupby
 
 import pytest
 
+import einflag.cli
 import einflag.einstein
 from einflag import __version__
 from einflag.cli import _table_rows, main
@@ -201,6 +202,16 @@ def test_list_columns_agree_with_the_metric_space(capsys):
         for row, spec in zip(rows, specs):
             space = metric_space(spec)
             assert row[-2:] == [str(space.n_sub), "yes" if space.pairs else "no"]
+
+
+def test_list_keeps_no_decomposition(cold_caches, capsys):
+    # a listing reads two numbers of each flag; keeping every decomposition
+    # held all their dense spans (339 MB after `list A 25`)
+    memo = einflag.cli.decompose_isotropy
+    before = memo.cache_info().currsize
+    code, out, _ = run(capsys, "list", "A", "6")
+    assert code == 0 and "A:6:[1,1,5]:-" in out
+    assert memo.cache_info().currsize == before
 
 
 def test_list_rejects_unknown_family(capsys):

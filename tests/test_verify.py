@@ -16,7 +16,8 @@ from einflag.algebra import build_algebra
 from einflag.cli import _table_rows
 from einflag.errors import NoExactCount, TooManyParameters
 from einflag.flag import GeneratorTable, parse_flag_spec
-from einflag.invariant import metric_space
+from einflag.curvature import curvature
+from einflag.invariant import make_metric, metric_space
 
 
 def test_variational_check_builds_no_frame(monkeypatch):
@@ -169,29 +170,45 @@ def test_rotation_matches_expm_on_the_rep_blocks(text):
 FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
 
 
+def _every_column(d):
+    """A row pattern as wide as d, which puts the kernel on every column."""
+    return np.tile(np.arange(d), (d, 1))
+
+
 def _assert_dense_residuals(P, groups, group, dense, reference):
     # the kernel's rows S and transposed columns S, put back into d x d,
-    # against the dense residual of each generator; and the largest entry
-    # the check takes from each generator alone
+    # against the dense residual of each generator; the largest entry of
+    # each generator's rows over the columns the kernel picks, bit for bit
+    # that over every column; and the largest entry the check takes from
+    # each generator alone.  Returns how many groups ran on fewer columns.
     d = P.shape[0]
-    at = 0
+    at = narrow = 0
     for orders, blocks in groups:
-        row_half = verify._support_residuals(P, orders, blocks, group)
-        col_half = verify._support_residuals(P.T, orders, blocks, group)
+        halves = [
+            (verify._support_residuals(side, orders, blocks, group, verify._row_pattern(side)),
+             verify._support_residuals(side, orders, blocks, group, _every_column(d))[0])
+            for side in (P, P.T)
+        ]
+        (row_half, row_cols), full_rows = halves[0]
+        (col_half, col_cols), full_cols = halves[1]
+        narrow += row_cols.shape[1] < d
         k = blocks.shape[1]
-        for i, (order, rows, cols) in enumerate(zip(orders, row_half, col_half)):
+        for i, order in enumerate(orders):
             S = order[:k]
-            assert np.max(np.abs(rows[:, :k] - cols[:, :k].T)) <= 1e-13
+            assert np.max(np.abs(row_half[i, :, :k] - col_half[i, :, :k].T)) <= 1e-13
             got = np.zeros((d, d))
-            got[np.ix_(S, order)] = rows
-            got[np.ix_(order, S)] = cols.T
+            got[np.ix_(S, row_cols[i])] = row_half[i]
+            got[np.ix_(col_cols[i], S)] = col_half[i].T
             ref = reference(dense[at])
             assert np.max(np.abs(got - ref)) <= 1e-13
+            assert np.max(np.abs(row_half[i])) == np.max(np.abs(full_rows[i]))
+            assert np.max(np.abs(col_half[i])) == np.max(np.abs(full_cols[i]))
             alone = [(orders[i : i + 1], blocks[i : i + 1])]
-            worst = verify._action_residual(P[None], alone, group)[0]
+            worst = verify._action_residual(P[None], [(alone, group)])[0]
             assert abs(worst - np.max(np.abs(ref))) <= 1e-13
             at += 1
     assert at == len(dense)
+    return narrow
 
 
 @pytest.mark.parametrize("text", FLAGS)
@@ -208,11 +225,19 @@ def test_support_kernel_equals_the_dense_products(text):
     assert np.array_equal(_support_members(reps, d), G)
     assert np.array_equal(_support_members(signs, d, base=1.0), S)
     R = verify._rotation(G, 0.7) if len(G) else G
+    # dense random forms, on every column, and the forms the checks sample,
+    # whose zeros let the kernel leave columns out
     Q = np.random.default_rng(3).standard_normal((d, d))
-    for P in (Q + Q.T, Q):
-        _assert_dense_residuals(P, reps, False, G, lambda M: M.T @ P + P @ M)
-        _assert_dense_residuals(P, signs, True, S, lambda M: M.T @ P @ M - P)
-        _assert_dense_residuals(P, rots, True, R, lambda M: M.T @ P @ M - P)
+    ctx = verify._Context(space.spec)
+    metrics = [space.metric_matrix(ctx.sample_coeffs()) for _ in range(3)]
+    ricci = curvature(make_metric(space, ctx.sample_coeffs())).ricci_tangent
+    narrow = 0
+    for P in (Q + Q.T, Q, *metrics, ricci):
+        narrow += _assert_dense_residuals(P, reps, False, G, lambda M: M.T @ P + P @ M)
+        narrow += _assert_dense_residuals(P, signs, True, S, lambda M: M.T @ P @ M - P)
+        narrow += _assert_dense_residuals(P, rots, True, R, lambda M: M.T @ P @ M - P)
+    if text == "A:25:[20,3,3]:-":
+        assert narrow > 0
 
 
 def test_support_groups_read_rows_and_columns():
@@ -314,6 +339,97 @@ def test_metric_invariance_sees_a_perturbed_off_block_entry(monkeypatch):
     monkeypatch.setattr(invariant.MetricSpace, "metric_matrix", perturbed)
     with pytest.raises(verify._Failure, match="not isotropy-invariant"):
         verify._check_metric_invariance(verify._Context(sp.spec))
+
+
+def _narrow_entry(space, form):
+    """``(r, c)`` with r in the support S of a generator that the kernel
+    takes on the columns of S and of the form's pattern of the rows S, and c
+    outside both; and a function that asserts that the kernel reads column
+    c of that generator's residual, nonzero, once ``form[r, c]`` is."""
+    d = space.tangent_dim
+    pattern = verify._row_pattern(form)
+    reps, _ = verify._isotropy_groups(space)
+    order, blocks = min(reps, key=lambda group: group[1].shape[1])
+    order, blocks = order[:1], blocks[:1]
+    k = blocks.shape[1]
+    # one more column in a row still leaves the kernel narrow
+    assert k * (2 + pattern.shape[1]) < d
+    S = order[0, :k]
+    # the last such c: the first column outside S stands in for S in the tail
+    c = next(c for c in order[0, k:][::-1] if c not in pattern[S])
+    r = next(r for r, row in zip(S, blocks[0]) if np.any(row))
+
+    def sees(P):
+        rows, cols = verify._support_residuals(P, order, blocks, False, verify._row_pattern(P))
+        assert cols.shape[1] < d
+        assert np.max(np.abs(rows[0][:, cols[0] == c]), initial=0.0) > 0
+
+    return r, c, sees
+
+
+def _residuals_on_every_column(check, spec):
+    """The failure message of a check, and the maxima it took from the
+    kernel, on the columns the kernel picks and then on every column."""
+    out = []
+    for every in (False, True):
+        taken, action = [], verify._action_residual
+
+        def recorded(P, actions):
+            taken.append(action(P, actions))
+            return taken[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            if every:
+                mp.setattr(verify, "_row_pattern", lambda P: _every_column(len(P)))
+            mp.setattr(verify, "_action_residual", recorded)
+            with pytest.raises(verify._Failure) as exc:
+                check(verify._Context(spec))
+        out.append((str(exc.value), taken))
+    return out
+
+
+def test_narrow_kernel_sees_an_entry_off_the_pattern(monkeypatch):
+    # at rank 25 the metric and the Ricci form are diagonal, so the kernel
+    # reads the columns S of each generator alone; an entry of 1e-6 at
+    # (r, c), r in S and c outside S and the pattern, joins the pattern read
+    # from the perturbed form, and both checks fail with the residuals that
+    # every column gives
+    _kernel_alone(monkeypatch)
+    spec = parse_flag_spec("A:25:[20,3,3]:-")
+    space = metric_space(spec)
+    ctx = verify._Context(spec)
+    r, c, sees = _narrow_entry(space, space.metric_matrix(ctx.sample_coeffs()))
+    real_metric = invariant.MetricSpace.metric_matrix
+
+    def metric_matrix(self, coeffs):
+        A = real_metric(self, coeffs)
+        A[r, c] += 1e-6
+        return A
+
+    monkeypatch.setattr(invariant.MetricSpace, "metric_matrix", metric_matrix)
+    sees(space.metric_matrix(ctx.sample_coeffs()))
+    narrow, every = _residuals_on_every_column(verify._check_metric_invariance, spec)
+    assert narrow[0].startswith("sampled metric not isotropy-invariant")
+    assert narrow[0] == every[0]
+    assert np.array_equal(narrow[1], every[1])
+    monkeypatch.setattr(invariant.MetricSpace, "metric_matrix", real_metric)
+
+    ricci = verify.curvature(make_metric(space, ctx.sample_coeffs())).ricci_tangent
+    r, c, sees = _narrow_entry(space, ricci)
+    real_curvature = verify.curvature
+
+    def curvature(metric, frame=None):
+        report = real_curvature(metric, frame)
+        P = report.ricci_tangent.copy()
+        P[r, c] += 1e-6
+        return dataclasses.replace(report, ricci_tangent=P)
+
+    monkeypatch.setattr(verify, "curvature", curvature)
+    sees(curvature(make_metric(space, ctx.sample_coeffs())).ricci_tangent)
+    narrow, every = _residuals_on_every_column(verify._check_ricci_equivariance, spec)
+    assert narrow[0].startswith("Ricci not isotropy-equivariant")
+    assert narrow[0] == every[0]
+    assert np.array_equal(narrow[1], every[1])
 
 
 def test_rotation_matches_expm_at_a_zero_angle():
