@@ -193,6 +193,18 @@ def _table_rows(max_l):
     return rows
 
 
+def _drop_flag_memos():
+    """Empty the memos that a table row fills, each read from its own module at
+    the call; the memo of ``build_algebra``, shared by a rank's flags, stays."""
+    from .curvature import reduced_ricci
+    from .einstein import _closed_cached, _exact_roots, _solve_cached, _witness_maps
+    from .flag import decompose_isotropy
+    from .invariant import metric_space
+    for memo in (decompose_isotropy, metric_space, reduced_ricci, _closed_cached,
+                 _exact_roots, _witness_maps, _solve_cached):
+        memo.cache_clear()
+
+
 def _cmd_table1(args, parser):
     if args.max_l < 1:
         parser.error(f"table1 requires --max-l >= 1, got {args.max_l}")
@@ -212,6 +224,7 @@ def _cmd_table1(args, parser):
     any_mismatch = False
     for spec in specs:
         row = table1_row(spec)
+        _drop_flag_memos()
         exp = published_row(spec)
         if exp is None:
             expected, match = "n/a", "n/a"

@@ -45,10 +45,10 @@ operators, without a frame.  It is the ``[ijk]`` block-sum formula
 J. Math. 20, 1997), extended to the mixing coefficients of equivalent
 summand pairs.  Its block sums, contracted from the nonzeros of t as well,
 and the block traces of the Killing form are integers, and the engine
-reads nothing else.  Its float evaluation gives the Ricci coefficients and
-the scalar curvature ``tr(A^-1 Ric)``, which the check suite compares
-against the frame route; the exact counts build their Einstein equations
-from its exact Laurent terms (:meth:`ReducedRicci.terms`).
+reads nothing else.  It expands them once into the exact Laurent terms
+(:meth:`ReducedRicci.terms`) that the counts solve, and its float Ricci
+coefficients and scalar curvature ``tr(A^-1 Ric)``, which the check suite
+compares against the frame route, are sums of those same terms.
 """
 
 from collections import defaultdict
@@ -402,10 +402,11 @@ class ReducedRicci:
 
     a product of blocks is a block where each meets the next in a summand
     (``B0^T B0 = I``) and vanishes otherwise.  Every G and k is checked,
-    once, to be an integer and kept as one (:func:`_integers`), and both
-    outputs read these integers alone: an evaluation is three small matrix
-    products per row (over ``eta (x) alpha``, ``eta (x) eta`` and the block
-    products), and :meth:`terms` expands the same sums exactly.
+    once, to be an integer and kept as one (:func:`_integers`).  The build
+    expands these sums exactly into the terms of :meth:`terms`, and the
+    scalar curvature ``tr(A^-1 Ric) = sum_r h_r rho_r |O_r|^2`` into one
+    more; both outputs sum those terms in floats, so the engine evaluates
+    the very polynomials that the exact counts solve.
     """
 
     def __init__(self, space):
@@ -415,66 +416,80 @@ class ReducedRicci:
         self.pairs = tuple((i, j) for i, j, _ in space.pairs)
         self._pi, self._pj = np.array(self.pairs, dtype=int).reshape(-1, 2).T
         # elementary blocks (row summand, column summand, matrix or None for
-        # the identity), the operator of each, and where a row's lie
+        # the identity) and the operator of each
         blocks = [(i, i, None) for i in range(s)]
         for i, j, B0 in space.pairs:
             blocks += [(j, i, B0), (i, j, B0.T)]
-        self._op = op = np.r_[np.arange(s), np.repeat(np.arange(s, n), 2)]
-        self._gather = op if self.pairs else slice(None)
-        m, sl, K = len(blocks), space.slices, space.killing
-        self._G = G = _integers(_block_sums(space, blocks), "block sum G")
+        op = np.r_[np.arange(s), np.repeat(np.arange(s, n), 2)].tolist()
+        sl, K = space.slices, space.killing
+        self._G = _integers(_block_sums(space, blocks), "block sum G")
         self._k = _integers(
             [np.trace(K[sl[u], sl[v]]) if M is None else np.sum(K[sl[u], sl[v]] * M)
              for u, v, M in blocks],
             "block Killing trace k",
         )
-        self._norms = np.bincount(op, weights=[sl[u].stop - sl[u].start for u, _, _ in blocks])
+        norms = np.bincount(op, weights=[sl[u].stop - sl[u].start for u, _, _ in blocks])
+        # h_q = sign[q] z^power[q], the coefficient of A^-1 on the operator q
+        # over z = (coefficients, pair determinants) (see terms)
+        p = len(self.pairs)
+        eye = np.eye(n + p, dtype=int)
+        sign, power = np.where(np.arange(n) < s, 1, -1), -eye[:n]
+        power[s:] = eye[s:n] - eye[n:]
+        for k, (i, j) in enumerate(self.pairs):
+            power[i], power[j] = eye[j] - eye[n + k], eye[i] - eye[n + k]
+        eta, alpha = power[op], eye[op]
+        # the numerators of rho_r over 4 |O_r|^2, Killing term first, and H[g]
+        top = [defaultdict(int, {(0,) * (n + p): -2 * int(v)})
+               for v in np.bincount(op, weights=self._k)]
+        H, signs = [defaultdict(int) for _ in op], sign[op].tolist()
+        for (a, b, c), v in zip(np.argwhere(self._G).tolist(), self._G[self._G != 0].tolist()):
+            top[op[a]][tuple(eta[b] + alpha[c])] -= 2 * signs[b] * v
+            H[c][tuple(eta[a] + eta[b])] += signs[a] * signs[b] * v
         where = {(u, v): a for a, (u, v, _) in enumerate(blocks)}
         # the rows (c, f, g, e) of E_c E_e E_f = E_g
-        self._chain = np.array(
-            [(c, f, where[uc, vf], e)
-             for e, (ue, ve, _) in enumerate(blocks)
-             for c, (uc, vc, _) in enumerate(blocks) if vc == ue
-             for f, (uf, vf, _) in enumerate(blocks) if uf == ve]
-        ).T
-        # lift[a, r] = 1 / |O_r|^2 when block a is part of O_r
-        lift = (op[:, None] == np.arange(n)) / self._norms
-        self._linear = -0.5 * G.reshape(m, m * m).T @ lift
-        self._pair = G.reshape(m * m, m).astype(float)
-        self._lift = 0.25 * lift[self._chain[3]]
-        self._kappa = -0.5 * (self._k @ lift)
-        self._terms = None
+        chain = [(c, f, where[uc, vf], e)
+                 for e, (ue, ve, _) in enumerate(blocks)
+                 for c, (uc, vc, _) in enumerate(blocks) if vc == ue
+                 for f, (uf, vf, _) in enumerate(blocks) if uf == ve]
+        for c, f, g, e in chain:
+            for key, v in H[g].items():
+                top[op[e]][tuple(np.add(key, alpha[c] + alpha[f]))] += v
+        self._terms = terms = tuple(
+            MappingProxyType(
+                {tuple(map(int, e)): Fraction(v, 4 * int(N)) for e, v in poly.items() if v}
+            )
+            for poly, N in zip(top, norms)
+        )
+        # each term of rho_r is one row of the Ricci table, weighted into rho_r,
+        # and one of the scalar table, times h_r |O_r|^2, since the operators are
+        # symmetric and mutually Frobenius orthogonal; per entry of z, a table
+        # holds the distinct exponents and the place of each row's among them
+        slot = np.repeat(np.arange(n), [len(poly) for poly in terms])
+        keys = np.array([e for poly in terms for e in poly], dtype=int).reshape(-1, n + p)
+        coef = np.array([float(c) for poly in terms for c in poly.values()])
+        tables = (
+            (keys, (slot[:, None] == np.arange(n)) * coef[:, None]),
+            (keys + power[slot], sign[slot] * norms[slot] * coef),
+        )
+        self._ricci, self._scalar = (
+            ([np.unique(e, return_inverse=True) for e in E.T], W) for E, W in tables
+        )
 
-    def _inverse(self, coeffs):
-        """Coefficients of A^-1 over the same basis, row by row of a ``(..., n)`` stack."""
-        s = self.n_sub
-        if s == self.dim:
-            return 1.0 / coeffs
-        h = np.empty_like(coeffs)
-        h[..., :s] = 1.0 / coeffs[..., :s]
-        xi, xj, b = coeffs[..., self._pi], coeffs[..., self._pj], coeffs[..., s:]
-        det = xi * xj - b * b
-        h[..., self._pi], h[..., self._pj], h[..., s:] = xj / det, xi / det, -b / det
-        return h
+    def _sum(self, coeffs, columns, weights):
+        """The terms of a table summed at a ``(..., n)`` stack: each distinct
+        power of an entry of z is taken once, and each term gathers its own."""
+        c = np.asarray(coeffs, dtype=float)
+        det = c[..., self._pi] * c[..., self._pj] - c[..., self.n_sub:] ** 2
+        z = np.concatenate([c, det], axis=-1)
+        monomials = 1.0
+        for v, (powers, place) in enumerate(columns):
+            monomials = monomials * (z[..., v, None] ** powers)[..., place]
+        return monomials @ weights
 
     def __call__(self, coeffs):
-        """Ricci-form coefficients; equal to ``curvature(metric).coefficients``.
-
-        ``coeffs`` may be one coefficient vector or a stack of them, shaped
-        ``(..., n)``; the result has the same shape.
-        """
-        c = np.asarray(coeffs, dtype=float)
-        flat = c.reshape(-1, self.dim)  # one row per metric
-        alpha, eta = flat[:, self._gather], self._inverse(flat)[:, self._gather]
-        shape = (len(flat), len(self._pair))
-        H = (eta[:, :, None] * eta[:, None, :]).reshape(shape) @ self._pair
-        left, right, product, _ = self._chain
-        rho = (
-            (eta[:, :, None] * alpha[:, None, :]).reshape(shape) @ self._linear
-            + (alpha[:, left] * alpha[:, right] * H[:, product]) @ self._lift
-            + self._kappa
-        )
-        return rho.reshape(c.shape)
+        """Ricci-form coefficients, equal to ``curvature(metric).coefficients``,
+        of one coefficient vector or a ``(..., n)`` stack, in the same shape."""
+        return self._sum(coeffs, *self._ricci)
 
     def terms(self):
         """The Ricci coefficients as exact Laurent polynomials.
@@ -487,41 +502,12 @@ class ReducedRicci:
         p integer exponents (the coefficients, then the determinants) and
         ``c`` is a nonzero ``Fraction``.
         """
-        if self._terms is None:
-            n, p, op = self.dim, len(self.pairs), self._op.tolist()
-            eye = np.eye(n + p, dtype=int)
-            inverse = [(1, -eye[q]) for q in range(self.n_sub)]
-            inverse += [(-1, eye[n - p + k] - eye[n + k]) for k in range(p)]
-            for k, (i, j) in enumerate(self.pairs):
-                inverse[i], inverse[j] = (1, eye[j] - eye[n + k]), (1, eye[i] - eye[n + k])
-            sign, eta = zip(*(inverse[q] for q in op))
-            alpha = eye[op]
-            # the numerators of rho_r over 4 |O_r|^2, Killing term first, and H[g]
-            top = [defaultdict(int, {(0,) * (n + p): -2 * int(v)})
-                   for v in np.bincount(op, weights=self._k)]
-            H = [defaultdict(int) for _ in op]
-            for (a, b, c), v in zip(np.argwhere(self._G).tolist(), self._G[self._G != 0].tolist()):
-                top[op[a]][tuple(eta[b] + alpha[c])] -= 2 * sign[b] * v
-                H[c][tuple(eta[a] + eta[b])] += sign[a] * sign[b] * v
-            for c, f, g, e in self._chain.T.tolist():
-                for key, v in H[g].items():
-                    top[op[e]][tuple(np.add(key, alpha[c] + alpha[f]))] += v
-            self._terms = tuple(
-                MappingProxyType(
-                    {tuple(map(int, e)): Fraction(v, 4 * int(N)) for e, v in poly.items() if v}
-                )
-                for poly, N in zip(top, self._norms)
-            )
         return self._terms
 
     def scalar(self, coeffs):
-        """Scalar curvature; equal to ``curvature(metric).scalar``.
-
-        The operators are symmetric and mutually Frobenius orthogonal, so
-        ``tr(A^-1 Ric) = sum_r h_r rho_r |O_r|^2``.  ``(..., n)`` in, ``(...)`` out.
-        """
-        c = np.asarray(coeffs, dtype=float)
-        return np.sum(self._inverse(c) * self(c) * self._norms, axis=-1)
+        """Scalar curvature ``tr(A^-1 Ric)``, equal to ``curvature(metric).scalar``;
+        ``(..., n)`` in, ``(...)`` out."""
+        return self._sum(coeffs, *self._scalar)
 
 
 @lru_cache(maxsize=None)

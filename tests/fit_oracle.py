@@ -1,13 +1,13 @@
 """The operator-level reduced Ricci engine and its rational fit, kept as a test oracle.
 
-``ReducedRicci`` now evaluates the Ricci coefficients from the integer block
-sums of the structure constants, and builds its exact Laurent terms from the
-same integers.  This module is the route it replaced: the block sums lifted
-to the operator tensors ``M1`` and ``M2`` (an n^5 einsum), the quadratic
-term packed over the upper triangle of the products ``h_q c_p``, and
-``terms()`` returning float rows that :func:`_ricci_terms` fits to
-rationals of denominator at most ``_MAX_DENOMINATOR`` (:func:`_fit`).  The
-tests compare the package's engine and exact terms against it.
+``ReducedRicci`` now builds its exact Laurent terms from the integer block
+sums of the structure constants, and its float evaluation sums those terms.
+This module is the route it replaced: the block sums lifted to the operator
+tensors ``M1`` and ``M2`` (an n^5 einsum), the quadratic term packed over
+the upper triangle of the products ``h_q c_p``, and ``terms()`` returning
+float rows that :func:`_ricci_terms` fits to rationals of denominator at
+most ``_MAX_DENOMINATOR`` (:func:`_fit`).  The tests compare the package's
+engine and exact terms against it.
 """
 
 import itertools

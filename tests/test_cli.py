@@ -1,9 +1,11 @@
 import csv
+import importlib
 import json
 from itertools import groupby
 
 import pytest
 
+import einflag.algebra
 import einflag.cli
 import einflag.einstein
 from einflag import __version__
@@ -281,6 +283,43 @@ def test_table1_small_cutoff(capsys):
     assert len(rows) == 1
     assert "MATCH" in rows[0]
     assert "# 1 rows" in out
+
+
+FLAG_MEMOS = [
+    ("flag", "decompose_isotropy"),
+    ("invariant", "metric_space"),
+    ("curvature", "reduced_ricci"),
+    ("einstein", "_closed_cached"),
+    ("einstein", "_exact_roots"),
+    ("einstein", "_witness_maps"),
+    ("einstein", "_solve_cached"),
+]
+
+
+def test_table1_keeps_no_flag_memo(cold_caches, monkeypatch, capsys):
+    # a survey drops each flag's memos once its row is done (`--max-l 16`
+    # held 1123 MB of them); the algebra of a rank stays memoised.  The
+    # memos are the fresh ones of cold_caches, looked up in their modules
+    memos = {
+        name: getattr(importlib.import_module(f"einflag.{module}"), name)
+        for module, name in FLAG_MEMOS
+    }
+    filled = dict.fromkeys(memos, 0)
+    table1_row = einflag.cli.table1_row
+
+    def recorded(spec):
+        row = table1_row(spec)
+        for name, memo in memos.items():
+            filled[name] = max(filled[name], memo.cache_info().currsize)
+        return row
+
+    monkeypatch.setattr(einflag.cli, "table1_row", recorded)
+    code, out, _ = run(capsys, "table1", "--max-l", "4")
+    assert code == 0 and "MISMATCH" not in out
+    assert all(filled.values()), filled
+    left = {name: memo.cache_info().currsize for name, memo in memos.items()}
+    assert not any(left.values()), left
+    assert einflag.algebra.build_algebra.cache_info().currsize > 0
 
 
 def test_table1_csv_columns(tmp_path, capsys):

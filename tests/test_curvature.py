@@ -1,4 +1,5 @@
 import importlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -434,8 +435,8 @@ class TestRicciProperties:
     "text", ["A:3:[2,1,1]:-", "D:4:[3,1]:-", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
 )
 def test_engine_stack_matches_rows(text):
-    # a (B, n) stack as large as the Jacobian probes of a search over both
-    # grid levels is evaluated row by row, with no leading-axis mixing
+    # a (B, n) stack and a 3-D stack are evaluated row by row, with no
+    # leading-axis mixing
     sp = metric_space(parse_flag_spec(text))
     engine = reduced_ricci(sp.spec)
     rng = np.random.default_rng(7)
@@ -494,13 +495,15 @@ def test_u_map_matches_dense_contraction(text):
     "text", ["B:3:[3]:-", "A:3:[2,1,1]:-", "D:5:[4,1]:-", "A:5:[1,2,3]:-", "A:25:[20,3,3]:-"]
 )
 def test_terms_evaluate_to_the_engine(text):
-    # the Laurent terms summed at a metric give the engine's Ricci
-    # coefficients, mixing slots included; on a pair flag the metric has a
-    # nonzero mixing coefficient and the last exponent is that of x_i x_j - b^2
+    # the engine's floats are its exact Laurent terms summed: at a rational
+    # metric, with a nonzero mixing coefficient on a pair flag, both outputs
+    # match the terms summed in Fractions, the scalar as sum_r h_r rho_r
+    # |O_r|^2 with h the exact coefficients of A^-1; the last exponents are
+    # those of the pair determinants x_i x_j - b^2
     sp = metric_space(parse_flag_spec(text))
     engine = reduced_ricci(sp.spec)
     terms = engine.terms()
-    width = sp.dim + len(sp.pairs)
+    s, width = sp.n_sub, sp.dim + len(sp.pairs)
     assert len(terms) == sp.dim
     assert all(
         len(e) == width and all(type(v) is int for v in e) and type(c) is Fraction and c
@@ -508,15 +511,24 @@ def test_terms_evaluate_to_the_engine(text):
         for e, c in poly.items()
     )
     assert engine.pairs == tuple((i, j) for i, j, _ in sp.pairs)
-    c = random_metric(sp, np.random.default_rng(13)).coeffs
-    assert not sp.pairs or c[sp.n_sub] != 0
-    at = np.r_[c, [c[i] * c[j] - c[sp.n_sub + k] ** 2 for k, (i, j) in enumerate(engine.pairs)]]
-    rho = np.array([
-        sum(float(v) * np.prod(at ** np.array(e, dtype=float)) for e, v in poly.items())
+    rng = np.random.default_rng(13)
+    c = [Fraction(int(v), 16) for v in rng.integers(8, 33, s)]
+    c += [Fraction(int(v), 16) for v in rng.choice([-4, -3, -1, 2, 3, 4], len(sp.pairs))]
+    det = [c[i] * c[j] - c[s + k] ** 2 for k, (i, j) in enumerate(engine.pairs)]
+    h = [1 / v for v in c[:s]] + [-b / D for b, D in zip(c[s:], det)]
+    for (i, j), D in zip(engine.pairs, det):
+        h[i], h[j] = c[j] / D, c[i] / D
+    at = c + det
+    rho = [
+        sum(v * math.prod(z**k for z, k in zip(at, e)) for e, v in poly.items())
         for poly in terms
-    ])
-    want = engine(c)
-    assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))
+    ]
+    norms = [int(round(N)) for N in sp.operator_rows[1]]
+    scalar = sum(q * r * N for q, r, N in zip(h, rho, norms))
+    coeffs = np.array(c, dtype=float)
+    want = np.array(rho, dtype=float)
+    assert np.max(np.abs(engine(coeffs) - want)) <= 1e-14 * np.max(np.abs(want))
+    assert abs(engine.scalar(coeffs) - float(scalar)) <= 1e-14 * abs(float(scalar))
 
 
 def test_terms_are_built_once_and_read_only():

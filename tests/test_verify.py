@@ -1,11 +1,14 @@
-"""The variational check, probed through the reduced engine, the count
-bounds read from the published table, the isotropy checks of the suite,
-computed on each generator's support, the Killing/trace ratios, and the
-refusals that come before any check."""
+"""The variational check, probed through the reduced engine, the reduced
+route against a corrupt exact term of the engine, the count bounds read
+from the published table, the isotropy checks of the suite, computed on
+each generator's support, the Killing/trace ratios, and the refusals that
+come before any check."""
 
 import copy
 import dataclasses
+import importlib
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +21,10 @@ from einflag.errors import NoExactCount, TooManyParameters
 from einflag.flag import GeneratorTable, parse_flag_spec
 from einflag.curvature import curvature
 from einflag.invariant import make_metric, metric_space
+
+# the module itself: the package exports its function ``curvature`` under
+# the same name
+curvature_module = importlib.import_module("einflag.curvature")
 
 
 def test_variational_check_builds_no_frame(monkeypatch):
@@ -52,6 +59,29 @@ def test_variational_check_rejects_a_non_critical_point(monkeypatch):
     monkeypatch.setattr(verify._Context, "solutions", property(lambda self: moved))
     with pytest.raises(verify._Failure, match="not critical"):
         verify._check_variational_critical(verify._Context(spec))
+
+
+def test_reduced_route_sees_a_corrupt_exact_term(cold_caches, monkeypatch):
+    # the engine's floats sum the exact terms it builds, so one coefficient
+    # of rho_0 off by 1/1000 where they are built fails the check against
+    # the frame route; the solve runs first, on the sound engine
+    spec = parse_flag_spec("D:5:[4,1]:-")
+    assert {r.name: r.passed for r in verify.run_checks(spec)}["reduced-route"]
+    built = []
+
+    def corrupted(poly):
+        if not built:
+            first = next(iter(poly))
+            poly = {**poly, first: poly[first] + Fraction(1, 1000)}
+        built.append(poly)
+        return types.MappingProxyType(poly)
+
+    monkeypatch.setattr(curvature_module, "MappingProxyType", corrupted)
+    verify.reduced_ricci.cache_clear()
+    results = {r.name: r for r in verify.run_checks(spec)}
+    assert not results["reduced-route"].passed
+    assert "reduced engine disagrees with the frame route" in results["reduced-route"].detail
+    assert verify.reduced_ricci(spec).terms()[0] == built[0]
 
 
 @pytest.mark.parametrize(
