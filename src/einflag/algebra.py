@@ -457,10 +457,19 @@ def _coo_values(pattern, values, maps):
     map.  Each product is taken in the order ``((t P) Q) R``, as a dense
     product of t with the maps one after the other would round it.
     """
-    src, pos, inv, keys = pattern
-    val = np.asarray(values, dtype=float)[src]
+    return _coo_sums(pattern, np.asarray(values, dtype=float)[pattern[0]], maps)
+
+
+def _coo_sums(pattern, val, maps):
+    """:func:`_coo_values` from ``val``, the entry of t of each product, gathered already.
+
+    A map given as None is the identity: its factor 1.0 is left out, which
+    changes no bit of a product.
+    """
+    _, pos, inv, keys = pattern
     for vals, p in zip(maps, pos):
-        val = val * vals[p]
+        if vals is not None:
+            val = val * vals[p]
     return np.bincount(inv, weights=val, minlength=keys.size)
 
 

@@ -21,16 +21,20 @@ canonical eigenframe (the default) the tangent structure tensor t is almost
 empty and the frame has at most two nonzeros per column, so T is expanded
 from the nonzeros of t alone and each quadratic sum is a product within
 groups of entries that share two indices.  Where those nonzeros can lie
-depends only on the flag, so all the index work -- the expansion of T, the
+depends only on the flag, so all the index work -- the frame's entries as
+a gather of per-summand and per-pair factors, the expansion of T, the
 pairs of both sums, and the frame products ``V^T A``, ``V^T A V``,
-``V^T K V`` and ``W^T ric W`` over their nonzeros -- is one
+``V^T K V`` and ``W^T ric W`` over their nonzeros, with the entries of t
+and of the Killing form gathered per product -- is one
 :class:`~einflag.invariant.FramePlan`, built at the first report of the
 flag and kept on the metric space.  A report is then a fixed run of
-gathers, elementwise products and ``bincount`` s, with no d x d matrix
-product.  Each single-term entry rounds as the dense product would; an
-entry of two terms, on a mixed pair, is summed without BLAS's fused
-multiply-add.  An explicit ``frame`` may be any orthonormal frame, so its T
-is dense: :func:`frame_structure` builds it one slab of ``_SLAB`` middle
+gathers, elementwise products and ``bincount`` s, and its only d x d
+arrays are its outputs ``ricci`` and ``ricci_tangent``: the frame stays
+its entries over the plan, and the defect is taken on ``ricci`` itself.
+Each single-term entry rounds as the dense product would; an entry of two
+terms, on a mixed pair, is summed without BLAS's fused multiply-add.  An
+explicit ``frame`` may be any orthonormal frame, so its T is dense:
+:func:`frame_structure` builds it one slab of ``_SLAB`` middle
 indices at a time, and each slab adds its part of both quadratic sums
 before the next is built.  A slab is contracted from the nonzeros of t per
 first index i, one small product each, and then takes one matrix product
@@ -51,6 +55,7 @@ coefficients and scalar curvature ``tr(A^-1 Ric)``, which the check suite
 compares against the frame route, are sums of those same terms.
 """
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +64,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import _coo_transform, _coo_values, _row_entries
+from .algebra import _coo_sums, _coo_transform, _coo_values, _row_entries
 from .errors import NoExactCount
 from .invariant import metric_space, orthonormal_frame, volume_root
 
@@ -200,21 +205,17 @@ def _planned_ricci(frame):
     """
     plan, v, w = frame.sparse
     n = plan.ricci[0].size
-    T = _coo_values(
-        plan.structure, frame.metric.space.structure_coo[3], (v, v, w[plan.transpose[0]])
-    )
-    quad_out, quad_in = (
-        np.bincount(at, weights=T[left] * T[right], minlength=n)
-        for left, right, at in (plan.quad_out, plan.quad_in)
-    )
-    pattern, killing, at = plan.killing
-    K = np.zeros(n)
-    K[at] = _coo_values(pattern, killing, (v, v))
-    ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
+    pattern, t = plan.structure
+    T = _coo_sums(pattern, t, (v, v, w[plan.transpose[0]]))
+    left, right, at = plan.quads
+    quads = np.bincount(at, weights=T[left] * T[right], minlength=2 * n)
+    pattern, killing = plan.killing
+    K = _coo_sums(pattern, killing, (v, v))
+    ric = -0.5 * quads[:n] + 0.25 * quads[n:] - 0.5 * K
     # the plan's entries that are zero at this metric would change how BLAS
     # blocks the dot product, and with it its rounding
     T = T[T != 0]
-    return ric, float(T @ T), np.sum(K[plan.ricci[1]])
+    return ric, float(T @ T), K[plan.ricci[1]].sum()
 
 
 def _dense_terms(frame):
@@ -247,10 +248,12 @@ def curvature(metric, frame=None):
         structure tensor by the frame's
         :class:`~einflag.invariant.FramePlan`: ``ricci`` and
         ``ricci_tangent`` are scattered from their structural entries, and
-        ``einstein_defect`` is the norm of the dense ``ricci - c I``.  An
-        explicit frame goes through the dense :func:`frame_structure`
-        contraction instead; any metric-orthonormal frame must give the same
-        tangent-coordinate Ricci form, which the verification suite exploits.
+        no other d x d array is made.  An explicit frame goes through the
+        dense :func:`frame_structure` contraction instead; any
+        metric-orthonormal frame must give the same tangent-coordinate Ricci
+        form, which the verification suite exploits.  Either way
+        ``einstein_defect`` is the Frobenius norm of ``ricci - c I``, taken
+        on ``ricci`` with c off its diagonal and then put back.
 
     Returns
     -------
@@ -272,10 +275,16 @@ def curvature(metric, frame=None):
         killing_trace = np.trace(K)
         ric_tan = frame.inverse.T @ ric @ frame.inverse
 
-    scalar = float(np.trace(ric))
+    diag = ric.diagonal().copy()
+    scalar = float(diag.sum())
     scalar_direct = float(-0.25 * square - 0.5 * killing_trace)
     c = scalar / d
-    defect = float(np.linalg.norm(ric - c * np.eye(d)))
+    # the norm of ric - c I, with c taken off ric's own diagonal and the
+    # diagonal put back after, so that no second d x d array is made
+    flat = ric.reshape(-1)
+    flat[:: d + 1] = diag - c
+    defect = math.sqrt(flat.dot(flat))  # as np.linalg.norm takes it
+    flat[:: d + 1] = diag
     normalized = c * float(volume_root(space, metric.spectrum))
 
     coeffs = _form_coefficients(space, ric_tan)

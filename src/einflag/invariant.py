@@ -33,6 +33,7 @@ projectors are the diagonal scales; the intertwiner coefficients are the
 mixing parameters (named ``b`` for the four-parameter families).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -45,7 +46,7 @@ from .errors import (
     NotPositiveDefinite,
     UnimplementedCase,
 )
-from .algebra import _coo_pattern, _coo_transform, _coo_values, _matches, _row_entries
+from .algebra import _coo_pattern, _coo_sums, _coo_transform, _matches, _row_entries
 from .flag import GeneratorTable, decompose_isotropy, tangent_basis
 
 __all__ = [
@@ -180,6 +181,13 @@ class MetricSpace:
     def n_sub(self):
         return len(self.dec.submodules)
 
+    @cached_property
+    def dims(self):
+        """The dimension of each summand, in summand order, read-only."""
+        dims = np.array([s.stop - s.start for s in self.slices])
+        dims.setflags(write=False)
+        return dims
+
     def metric_matrix(self, coeffs):
         # the operators have disjoint supports, so each entry is one product
         d = self.tangent_dim
@@ -301,9 +309,11 @@ class FramePlan:
     Attributes
     ----------
     frame : tuple
-        The flat positions of the nonzeros of V, and V's rows.
+        The flat positions of the nonzeros of V, V's rows, and the role of
+        each nonzero: its index into the factors of :func:`_frame_factors`,
+        whose gather over the roles is V's entries.
     metric : ndarray
-        The flat positions of the nonzeros of A.
+        The flat position in A of the entry of each product of ``inverse``.
     inverse : tuple
         ``W = V^T A`` from the entries of A, keys in W's row order.
     gram : tuple
@@ -312,24 +322,24 @@ class FramePlan:
     transpose : tuple
         W's entries in the row order of ``W^T``, and those rows.
     structure : tuple
-        ``T[a,b,c] = sum t[i,j,k] V[i,a] V[j,b] W[c,k]`` from the entries of t.
+        ``T[a,b,c] = sum t[i,j,k] V[i,a] V[j,b] W[c,k]`` from the entries of
+        t, and the entry of t of each of its products.
     ricci : tuple
         The flat positions of the frame Ricci tensor's structural entries,
         those of the two quadratic sums, of ``V^T K V`` and the diagonal,
         and which of them lie on the diagonal.  The sums below are kept
         over these entries alone.
-    quad_out, quad_in : tuple
-        ``(left, right, at)`` of the two quadratic sums of the Ricci formula:
-        each entry of T with each entry sharing its ``(b, c)``, resp. its
-        ``(a, b)``, in the stable order of that shared pair, summed into
-        Ricci entry ``at``.
+    quads : tuple
+        ``(left, right, at)`` of the two quadratic sums of the Ricci formula,
+        the outer one's pairs first: each entry of T with each entry sharing
+        its ``(b, c)``, resp. its ``(a, b)``, in the stable order of that
+        shared pair, summed into Ricci entry ``at`` of the outer sum, or
+        ``at - n`` of the inner one, n the number of Ricci entries.
     killing : tuple
-        ``V^T K V`` from the nonzeros of the Killing form K, their values,
-        and the Ricci entry of each of its keys.
+        ``V^T K V`` from the nonzeros of the Killing form K, summed straight
+        into the Ricci entries, and the entry of K of each of its products.
     tangent : tuple
         ``W^T ric W`` from the Ricci entries.
-    ones : ndarray
-        The entries of the identity map.
     """
 
     frame: tuple
@@ -339,11 +349,9 @@ class FramePlan:
     transpose: tuple
     structure: tuple
     ricci: tuple
-    quad_out: tuple
-    quad_in: tuple
+    quads: tuple
     killing: tuple
     tangent: tuple
-    ones: np.ndarray
 
 
 def _quad_plan(group, index, d):
@@ -402,26 +410,79 @@ def _frame_plan(space):
     ricci[np.r_[quad_out[2], quad_in[2], killing[3], np.arange(d) * (d + 1)]] = True
     ricci = np.flatnonzero(ricci)
     row, col = np.divmod(ricci, d)
-    quad_out, quad_in = (
-        (left, right, np.searchsorted(ricci, key)) for left, right, key in (quad_out, quad_in)
+    n = ricci.size
+    quads = (
+        np.r_[quad_out[0], quad_in[0]],
+        np.r_[quad_out[1], quad_in[1]],
+        np.r_[np.searchsorted(ricci, quad_out[2]), n + np.searchsorted(ricci, quad_in[2])],
     )
+    src, pos, inv, keys = killing
+    killing = (src, pos, np.searchsorted(ricci, keys)[inv], ricci)
     tangent = _coo_pattern((row, col), (w_rows, w_rows), d)
     plan = FramePlan(
-        frame=(v_at, v_rows),
-        metric=a_at,
+        frame=(v_at, v_rows, _frame_roles(space, v_at)),
+        metric=a_at[inverse[0]],
         inverse=inverse,
         gram=(gram, identity),
         transpose=(to_t, t_rows),
-        structure=structure,
+        structure=(structure, space.structure_coo[3][structure[0]]),
         ricci=(ricci, np.flatnonzero(row == col)),
-        quad_out=quad_out,
-        quad_in=quad_in,
-        killing=(killing, space.killing.ravel()[k_at], np.searchsorted(ricci, killing[3])),
+        quads=quads,
+        killing=(killing, space.killing.ravel()[k_at][killing[0]]),
         tangent=tangent,
-        ones=np.ones(d),
     )
     _freeze(tuple(vars(plan).values()))
     return plan
+
+
+# the roles of one pair in the frame factors: the kinds of its entries of V
+# -- in a column of summand i the eye and the B0 part, in a column of
+# summand j the eye part, the B0 part off and on the diagonal, and the
+# diagonal entries where B0 holds +0 or -0 -- times four classes of column,
+# 2 * (its eye entry sits in row 0) + (its B0 entry is -1)
+_PAIR_KINDS = 7
+
+
+def _frame_roles(space, v_at):
+    """The role of each nonzero of V, at the flat positions ``v_at``: its index
+    into :func:`_frame_factors`.
+
+    A column of an unpaired summand u holds its diagonal entry alone, role u.
+    Pair k's entries take the ``4 * _PAIR_KINDS`` roles after the summands'
+    and the earlier pairs', at ``4 * kind + class``.  Each column of a pair
+    holds one eye entry, in the rows of summand i, and ``B0``'s one entry of
+    that column, in the rows of summand j, so ``B0`` must be a signed
+    permutation, as every catalogued one is.
+    """
+    d, n_sub, sl = space.tangent_dim, space.n_sub, space.slices
+    row, col = np.divmod(v_at, d)
+    owner = np.repeat(np.arange(n_sub), space.dims)
+    role = owner[col]
+    for k, (i, j, B0) in enumerate(space.pairs):
+        nz = B0 != 0
+        if not (np.all(nz.sum(axis=0) == 1) and np.all(np.abs(B0[nz]) == 1)):
+            raise UnimplementedCase(
+                f"the canonical frame of {space.spec} needs a signed-permutation intertwiner"
+            )
+        si, sj = sl[i], sl[j]
+        negative = B0[np.argmax(nz, axis=0), np.arange(len(B0))] < 0
+        for side, u in enumerate((i, j)):
+            at = np.flatnonzero(owner[col] == u)
+            r = col[at] - sl[u].start
+            eye = owner[row[at]] == i
+            p = np.where(eye, r, row[at] - sj.start)  # B0's row of each entry
+            entry = B0[p, r]
+            if side == 0:
+                kind = np.where(eye, 0, 1)
+            else:
+                kind = np.select(
+                    [eye, entry != 0, np.signbit(entry)],
+                    [2, np.where(p == r, 4, 3), 6],
+                    5,
+                )
+            cls = 2 * ((si.start == 0) & (r == 0)) + negative[r]
+            role[at] = n_sub + 4 * _PAIR_KINDS * k + 4 * kind + cls
+    return role
 
 
 def _freeze(tree):
@@ -815,8 +876,7 @@ def make_metric(space, coeffs):
 
 def volume_root(space, lam):
     """``det(A)^(1/d)`` from a ``(..., n_sub)`` :func:`metric_eigenvalues` stack."""
-    dims = [s.stop - s.start for s in space.slices]
-    return np.exp(np.log(lam) @ dims / space.tangent_dim)
+    return np.exp(np.log(lam) @ space.dims / space.tangent_dim)
 
 
 @dataclass(frozen=True)
@@ -824,15 +884,28 @@ class Frame:
     """A metric-orthonormal frame adapted to the summand structure.
 
     ``vectors`` has the frame as columns over the tangent basis; the columns
-    of summand i are those of ``space.slices[i]``.  ``sparse`` is, for the
-    canonical frame, ``(plan, v, w)``: the space's :class:`FramePlan` and the
-    entries of V and of ``W = V^-1`` over the plan; None for a frame built
-    otherwise.
+    of summand i are those of ``space.slices[i]``.  A frame built from
+    explicit columns is given them as ``dense``.  The canonical frame of
+    :func:`orthonormal_frame` has ``sparse = (plan, v, w)`` instead: the
+    space's :class:`FramePlan` and the entries of V and of ``W = V^-1``
+    over the plan, which is all a report reads; its ``vectors`` are
+    scattered from v at their first read.
     """
 
     metric: InvariantMetric
-    vectors: np.ndarray
+    dense: np.ndarray = field(default=None, repr=False)
     sparse: tuple = field(default=None, repr=False)
+
+    @cached_property
+    def vectors(self):
+        """The frame's columns over the tangent basis, a d x d array."""
+        if self.sparse is None:
+            return self.dense
+        plan, v, _ = self.sparse
+        d = self.metric.space.tangent_dim
+        V = np.zeros(d * d)
+        V[plan.frame[0]] = v
+        return V.reshape(d, d)
 
     @cached_property
     def inverse(self):
@@ -841,28 +914,47 @@ class Frame:
         return np.linalg.inv(self.vectors)
 
 
-def orthonormal_frame(metric):
-    """The canonical metric-orthonormal eigenframe of an invariant metric."""
-    space = metric.space
-    coeffs = metric.coeffs
-    slices = space.slices
-    n_sub = space.n_sub
-    lam = metric.spectrum
-    # each column starts as its basis vector scaled to unit g-length; the
-    # columns of a mixed pair are replaced below
-    V = np.diag(1.0 / np.sqrt(np.repeat(lam, [s.stop - s.start for s in slices])))
+def _column_signs(e, f):
+    """The sign that a pair's column of each class is given, from its eye
+    factor e and ``B0`` factor f: that of its first entry above 1e-12 in row
+    order.
 
-    mixed = []
-    for k, (i, j, B0) in enumerate(space.pairs):
-        si, sj = slices[i], slices[j]
-        xi, xj, b = coeffs[i], coeffs[j], coeffs[n_sub + k]
-        di = si.stop - si.start
+    The eye entry ``e`` comes first, then the ``B0`` entry ``sigma * f``,
+    sigma the class's ``B0`` entry.  When neither is above 1e-12, the column
+    takes the sign of its row-0 entry, which is e in a column whose eye entry
+    sits in row 0, and zero, which flips nothing, in the others.
+    """
+    if abs(e) > 1e-12:
+        return (-1.0,) * 4 if e < 0 else (1.0,) * 4
+    if abs(f) > 1e-12:
+        return (-1.0, 1.0, -1.0, 1.0) if f < 0 else (1.0, -1.0, 1.0, -1.0)
+    return (1.0, 1.0, -1.0, -1.0) if e < 0 else (1.0,) * 4
+
+
+def _frame_factors(space, metric):
+    """The value of every role of :func:`_frame_roles` at one metric.
+
+    The first ``n_sub`` are ``1 / sqrt(lambda_u)``, the diagonal of V on each
+    summand.  On a mixed pair, column r of summand i is ``a1 u + b1 B0 u``
+    and of summand j ``a2 u + b2 B0 u`` (u the r-th basis vector of summand
+    i), scaled to unit g-length, and then given the sign of
+    :func:`_column_signs`; as a product by +-1 is exact, the sign is folded
+    into each factor.  An unmixed pair keeps V diagonal, with +0 elsewhere.
+    A pair's factors are taken in plain floats, which round as float64
+    arrays do; ``np.hypot`` is kept because ``math.hypot`` rounds differently.
+    """
+    inv = 1.0 / np.sqrt(metric.spectrum)
+    if not space.pairs:
+        return inv
+    s = space.n_sub
+    out, c, lam = inv.tolist(), metric.coeffs.tolist(), metric.spectrum.tolist()
+    for k, (i, j, _) in enumerate(space.pairs):
+        xi, xj, b = c[i], c[j], c[s + k]
         if abs(b) < _UNMIXED:
+            out += [out[i]] * 4 + [0.0] * 12 + [out[j]] * 12
             continue
-        mixed += [*range(si.start, si.stop), *range(sj.start, sj.stop)]
-        xi1, xi2 = lam[i], lam[j]
         delta = xi - xj
-        gap = np.hypot(2.0 * b, delta)
+        gap = float(np.hypot(2.0 * b, delta))
         # eigenvector components chosen to avoid differencing near-equal
         # quantities: (alpha, beta) is (xi_k - xj, b) or (b, xi_k - xi),
         # whichever difference is the numerically large one
@@ -872,26 +964,32 @@ def orthonormal_frame(metric):
         else:
             a1, b1 = (delta - gap) / 2.0, b  # xi1 - xj
             a2, b2 = b, (gap - delta) / 2.0  # xi2 - xi
-        # with u the r-th basis vector of summand i, column r of summand i
-        # is a1 u + b1 B0 u and of summand j a2 u + b2 B0 u, at unit g-length
-        n1 = np.sqrt(xi1 * (a1 * a1 + b1 * b1))
-        n2 = np.sqrt(xi2 * (a2 * a2 + b2 * b2))
-        V[si, si], V[sj, si] = np.eye(di) * (a1 / n1), B0 * (b1 / n1)
-        V[si, sj], V[sj, sj] = np.eye(di) * (a2 / n2), B0 * (b2 / n2)
+        n1 = math.sqrt(lam[i] * (a1 * a1 + b1 * b1))
+        n2 = math.sqrt(lam[j] * (a2 * a2 + b2 * b2))
+        e1, f1, e2, f2 = a1 / n1, b1 / n1, a2 / n2, b2 / n2
+        # each kind in the four classes: the eye factor, or the class's B0
+        # entry +-1 times the B0 factor, times the class's sign
+        p, q, r, t = _column_signs(e1, f1)
+        out += (e1 * p, e1 * q, e1 * r, e1 * t, f1 * p, -f1 * q, f1 * r, -f1 * t)
+        p, q, r, t = _column_signs(e2, f2)
+        g = (f2 * p, -f2 * q, f2 * r, -f2 * t)
+        z = 0.0 * f2  # B0's +0 on summand j's diagonal; -z is its -0
+        out += (e2 * p, e2 * q, e2 * r, e2 * t) + g + g
+        out += (z * p, z * q, z * r, z * t, -z * p, -z * q, -z * r, -z * t)
+    return np.array(out)
 
-    # a column's leading entry above 1e-12 is made positive; the columns
-    # left diagonal already are
-    mixed = np.array(mixed, dtype=int)
-    block = V[:, mixed]
-    lead = block[np.argmax(np.abs(block) > 1e-12, axis=0), np.arange(mixed.size)]
-    V[:, mixed[lead < 0]] *= -1.0
 
-    # W = V^T A and V^T A V over the plan; the dense products are exact zeros
-    # off its keys
-    plan = space.frame_plan
-    v = V.ravel()[plan.frame[0]]
-    w = _coo_values(plan.inverse, metric.matrix.ravel()[plan.metric], (v, plan.ones))
+def orthonormal_frame(metric):
+    """The canonical metric-orthonormal eigenframe of an invariant metric.
+
+    V's entries over the space's :class:`FramePlan` are one gather of
+    :func:`_frame_factors`; ``W = V^T A`` and the check ``W V = I`` are
+    summed over the plan as well, so no d x d array is formed.
+    """
+    plan = metric.space.frame_plan
+    v = _frame_factors(metric.space, metric)[plan.frame[2]]
+    w = _coo_sums(plan.inverse, metric.matrix.take(plan.metric), (v, None))
     gram, identity = plan.gram
-    if np.max(np.abs(_coo_values(gram, w, (plan.ones, v)) - identity)) > 1e-9:
+    if np.abs(_coo_sums(gram, w[gram[0]], (None, v)) - identity).max() > 1e-9:
         raise InvariantViolation("frame is not orthonormal for the metric")
-    return Frame(metric, V, (plan, v, w))
+    return Frame(metric, sparse=(plan, v, w))

@@ -56,6 +56,11 @@ from .invariant import (
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
 _SEED = 20240516
+# a group's residual rows are computed on their narrow column set only when
+# that leaves out more than this many of their entries: the narrow set costs
+# a fixed handful of array calls, which per-group timings on flags of
+# d = 9 to 390 put at about this many entries of the product
+_NARROW_MIN = 6000
 
 
 class _Failure(Exception):
@@ -432,17 +437,19 @@ def _support_residuals(P, order, blocks, group, pattern):
     transposed rows S of the residual of ``P^T``.  In a column c outside S
     it is ``G[S, S]^T P[S, c]`` (or that minus ``P[S, c]``), exactly zero
     where ``P[S, c]`` is.  So when S and the pattern's columns of the rows
-    S, ``k (1 + w)`` of them, are fewer than d, only those columns are
+    S, ``k (1 + w)`` of them, leave out more than ``_NARROW_MIN`` of the
+    ``n k d`` entries of the n generators' rows, only those columns are
     computed, S first; a pattern column that lies in S is already among the
     first k, and its place in the tail goes to the first column outside S.
-    Otherwise every column is, ordered as in ``order``.  Returns the
-    ``(n, k, m)`` rows and the ``(n, m)`` columns they hold.
+    Otherwise every column is, ordered as in ``order``.  Either way the
+    largest entry of each generator's rows is the same.  Returns the ``(n,
+    k, m)`` rows and the ``(n, m)`` columns they hold.
     """
     n, k = blocks.shape[:2]
     d = len(P)
     S = order[:, :k]
     cols = order
-    if k * (1 + pattern.shape[1]) < d:
+    if n * k * (d - k * (1 + pattern.shape[1])) > _NARROW_MIN:
         at = np.arange(n)[:, None] * d  # flat offsets, one row of d per generator
         inside = np.zeros(n * d, dtype=bool)
         inside[S + at] = True

@@ -11,9 +11,9 @@ The tests compare the package against them.
 
 import numpy as np
 
-from einflag.algebra import _coo_transform, _row_entries
+from einflag.algebra import _coo_transform, _coo_values, _row_entries
 from einflag.curvature import _form_coefficients
-from einflag.invariant import orthonormal_frame, volume_root
+from einflag.invariant import _UNMIXED, volume_root
 
 
 def frame_structure(frame):
@@ -148,7 +148,7 @@ def canonical_report(metric):
     """
     space = metric.space
     d = space.tangent_dim
-    V = orthonormal_frame(metric).vectors
+    V = orthonormal_frame(metric)[0]
     # V^T A V = I, so this is V^-1 with the zeros of V^T kept exact
     W = V.T @ metric.matrix
     quad_out, quad_in, square = sparse_terms(space, V, W)
@@ -167,3 +167,58 @@ def canonical_report(metric):
         "einstein_defect": float(np.linalg.norm(ric - c * np.eye(d))),
         "normalized_constant": c * float(volume_root(space, metric.spectrum)),
     }
+
+
+def orthonormal_frame(metric):
+    """The canonical frame as a dense d x d matrix V, column by column, and
+    ``(v, w)``: V's entries over the space's frame plan and ``W = V^T A``
+    summed over the plan from them."""
+    space = metric.space
+    coeffs = metric.coeffs
+    slices = space.slices
+    n_sub = space.n_sub
+    lam = metric.spectrum
+    # each column starts as its basis vector scaled to unit g-length; the
+    # columns of a mixed pair are replaced below
+    V = np.diag(1.0 / np.sqrt(np.repeat(lam, [s.stop - s.start for s in slices])))
+
+    mixed = []
+    for k, (i, j, B0) in enumerate(space.pairs):
+        si, sj = slices[i], slices[j]
+        xi, xj, b = coeffs[i], coeffs[j], coeffs[n_sub + k]
+        di = si.stop - si.start
+        if abs(b) < _UNMIXED:
+            continue
+        mixed += [*range(si.start, si.stop), *range(sj.start, sj.stop)]
+        xi1, xi2 = lam[i], lam[j]
+        delta = xi - xj
+        gap = np.hypot(2.0 * b, delta)
+        # eigenvector components chosen to avoid differencing near-equal
+        # quantities: (alpha, beta) is (xi_k - xj, b) or (b, xi_k - xi),
+        # whichever difference is the numerically large one
+        if delta >= 0:
+            a1, b1 = b, -(delta + gap) / 2.0  # xi1 - xi
+            a2, b2 = (delta + gap) / 2.0, b  # xi2 - xj
+        else:
+            a1, b1 = (delta - gap) / 2.0, b  # xi1 - xj
+            a2, b2 = b, (gap - delta) / 2.0  # xi2 - xi
+        # with u the r-th basis vector of summand i, column r of summand i
+        # is a1 u + b1 B0 u and of summand j a2 u + b2 B0 u, at unit g-length
+        n1 = np.sqrt(xi1 * (a1 * a1 + b1 * b1))
+        n2 = np.sqrt(xi2 * (a2 * a2 + b2 * b2))
+        V[si, si], V[sj, si] = np.eye(di) * (a1 / n1), B0 * (b1 / n1)
+        V[si, sj], V[sj, sj] = np.eye(di) * (a2 / n2), B0 * (b2 / n2)
+
+    # a column's leading entry above 1e-12 is made positive; the columns
+    # left diagonal already are
+    mixed = np.array(mixed, dtype=int)
+    block = V[:, mixed]
+    lead = block[np.argmax(np.abs(block) > 1e-12, axis=0), np.arange(mixed.size)]
+    V[:, mixed[lead < 0]] *= -1.0
+
+    # W = V^T A over the plan, from A's nonzeros, every operator's support
+    plan = space.frame_plan
+    v = V.ravel()[plan.frame[0]]
+    a_at = np.flatnonzero(np.any(space.operators != 0, axis=0))
+    w = _coo_values(plan.inverse, metric.matrix.ravel()[a_at], (v, np.ones(len(V))))
+    return V, v, w

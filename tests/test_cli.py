@@ -1,7 +1,10 @@
 import csv
 import importlib
 import json
+import subprocess
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +323,38 @@ def test_table1_keeps_no_flag_memo(cold_caches, monkeypatch, capsys):
     left = {name: memo.cache_info().currsize for name, memo in memos.items()}
     assert not any(left.values()), left
     assert einflag.algebra.build_algebra.cache_info().currsize > 0
+
+
+# a fresh interpreter runs `table1 --max-l 9`, 250 rows, and prints the
+# number of rows and its ru_maxrss (MB) after row 20 and after the last one
+SURVEY = """
+import contextlib, io, resource, sys
+sys.path.insert(0, {src!r})
+from einflag import cli
+peaks = []
+row = cli.table1_row
+def recorded(spec):
+    out = row(spec)
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    return out
+cli.table1_row = recorded
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["table1", "--max-l", "9"])
+print(code, len(peaks), peaks[19], peaks[-1])
+"""
+
+
+def test_survey_memory_stays_flat():
+    # with each flag's memos dropped after its row, the 230 rows after the
+    # first 20 grow the peak by about 6 MB (the algebras of ranks 7-9 stay
+    # memoised); with the memos kept they grow it by about 46 MB
+    src = str(Path(einflag.cli.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", SURVEY.format(src=src)], check=True, capture_output=True, text=True
+    ).stdout.split()
+    code, rows, early, last = int(out[0]), int(out[1]), float(out[2]), float(out[3])
+    assert code == 0 and rows >= 200
+    assert last - early < 20, (early, last)
 
 
 def test_table1_csv_columns(tmp_path, capsys):

@@ -615,6 +615,25 @@ def test_rotated_frame_report_holds_no_d3_array():
     assert np.max(np.abs(got.ricci_tangent - want.ricci_tangent)) < 1e-10
 
 
+def test_canonical_report_holds_two_dense_arrays():
+    # a canonical report's only d x d arrays are its outputs ricci and
+    # ricci_tangent: the frame is held as its entries over the plan, and the
+    # defect is taken on ricci itself.  A dense frame, or a dense ric - c I,
+    # each adds one d^2 array
+    sp = metric_space(parse_flag_spec("A:25:[20,3,3]:-"))
+    d = sp.tangent_dim
+    m = random_metric(sp, np.random.default_rng(5))
+    curvature(m)  # builds the plan of the space
+    tracemalloc.start()
+    try:
+        got = curvature(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * d**2
+    assert got.einstein_defect > 0
+
+
 @pytest.mark.parametrize("text", ENGINE_FLAGS)
 def test_block_sums_match_the_dense_slices(text):
     # the engine's block sums come from the nonzeros of t; the reference

@@ -569,12 +569,147 @@ class TestFrame:
         assert np.allclose(m.spectrum, [1, 2, 3])
 
 
+def frame_cases(sp, rng):
+    """Coefficients of one flag for the frame oracle.
+
+    Without a pair, two random metrics.  With pairs, each mixing fraction
+    of ``sqrt(x_i x_j)`` at x and at x with x_i and x_j swapped, so that
+    ``x_i - x_j`` takes both signs: b = 0, ``0 < |b| < 1e-14`` (unmixed),
+    ``|b| = 2e-14`` and mixed b of both signs.  Then ``b = +-1.5e-14`` at
+    ``x_j = 4 x_i`` and at ``x_i = 4 x_j``, where the eye factor of one
+    side is below 1e-12 and the B0 entry leads its columns' sign; x_i = x_j;
+    and both x scaled by 1e26 with b = 1e12, where no entry of a pair's
+    column is above 1e-12.
+    """
+    x = rng.uniform(0.5, 2.0, sp.n_sub)
+    if not sp.pairs:
+        return [x, rng.uniform(0.5, 2.0, sp.n_sub)]
+    i, j = np.array([p[:2] for p in sp.pairs]).T
+    swapped = x.copy()
+    swapped[i], swapped[j] = x[j], x[i]
+    scale = np.sqrt(x[i] * x[j])
+    fracs = [0.0, 5e-15, -5e-15, 2e-14, -2e-14, 0.4, -0.4, rng.uniform(-0.85, 0.85)]
+    cases = [np.r_[z, f * scale] for z in (x, swapped) for f in fracs]
+    for u, v in ((i, j), (j, i)):
+        far = x.copy()
+        far[v] = 4 * x[u]
+        cases += [np.r_[far, np.full(i.size, b)] for b in (1.5e-14, -1.5e-14)]
+    equal = x.copy()
+    equal[j] = x[i]
+    cases.append(np.r_[equal, 0.3 * x[i]])
+    return cases + [np.r_[1e26 * z, np.full(i.size, 1e12)] for z in (x, swapped)]
+
+
+@pytest.mark.parametrize("text", FLAGS)
+def test_frame_equals_the_dense_construction(text):
+    # V's entries are one gather of per-summand and per-pair factors with
+    # each column's sign folded in; the oracle builds V densely, fixes each
+    # column's sign by a scan of its entries, and gathers v from it.  v and
+    # W = V^T A agree bit for bit, signed zeros included, and the dense
+    # vectors scattered from v agree by value
+    sp = space(text)
+    rng = np.random.default_rng(list(text.encode()))
+    leads = set()
+    for coeffs in frame_cases(sp, rng):
+        m = make_metric(sp, coeffs)
+        frame = orthonormal_frame(m)
+        V, v, w = dense_oracle.orthonormal_frame(m)
+        _, got_v, got_w = frame.sparse
+        assert np.array_equal(got_v.view(np.int64), v.view(np.int64))
+        assert np.array_equal(got_w.view(np.int64), w.view(np.int64))
+        assert np.array_equal(frame.vectors, V)
+        # each side of each pair has mixed columns led by their B0 entry:
+        # the eye entry, on the diagonal for summand i and in the rows of
+        # summand i for summand j, is at most 1e-12, and the B0 entry above
+        for k, (a, b, _) in enumerate(sp.pairs):
+            si, sj = sp.slices[a], sp.slices[b]
+            for side, (eye, other) in enumerate(((V[si, si], V[sj, si]), (V[si, sj], V[sj, sj]))):
+                small = np.max(np.abs(np.diag(eye))) <= 1e-12 < np.min(np.max(np.abs(other), 0))
+                if abs(coeffs[sp.n_sub + k]) >= 1e-14 and small:
+                    leads.add((k, side))
+    assert len(leads) == 2 * len(sp.pairs)
+
+
+def pair_first(text):
+    """The metric space of a one-pair flag with the pair's summands moved to
+    the front, in the same basis order within each summand, and the zeros
+    of B0 stored as -0.0.
+
+    No catalogued pair starts at row 0, and no catalogued B0 holds -0.0 on
+    its diagonal where its entry of that column lies off it; this space has
+    both.  Its metrics are those of the flag, in a reordered basis.
+    """
+    sp = space(text)
+    (i, j, B0), = sp.pairs
+    order = [i, j] + [u for u in range(sp.n_sub) if u not in (i, j)]
+    rows = np.concatenate([np.arange(sp.slices[u].start, sp.slices[u].stop) for u in order])
+    stops = np.cumsum(sp.dims[order])
+    slices = [slice(int(b - a), int(b)) for a, b in zip(sp.dims[order], stops)]
+    B0 = np.where(B0 == 0, -0.0, B0)
+    d = sp.tangent_dim
+    ops = np.zeros((sp.dim, d, d))
+    for k, s in enumerate(slices):
+        ops[k, s, s] = np.eye(s.stop - s.start)
+    ops[-1, slices[1], slices[0]], ops[-1, slices[0], slices[1]] = B0, B0.T
+    names = [sp.names[u] for u in order] + sp.names[sp.n_sub:]
+    return dataclasses.replace(
+        sp, basis=sp.basis[rows], slices=slices, operators=ops, names=names, pairs=[(0, 1, B0)]
+    )
+
+
+@pytest.mark.parametrize("text", ["A:3:[1,2,1]:-", "D:4:[3,1]:-"])
+def test_frame_of_a_pair_at_row_zero_equals_the_dense_construction(text):
+    # the roles of the columns whose eye entry sits in row 0 (the dense scan
+    # reads that entry when no entry of the column is above 1e-12), and of
+    # -0.0 on B0's diagonal, which no catalogued flag has
+    sp = pair_first(text)
+    rng = np.random.default_rng(list(text.encode()))
+    for coeffs in frame_cases(sp, rng):
+        m = make_metric(sp, coeffs)
+        _, v, w = orthonormal_frame(m).sparse
+        V, want_v, want_w = dense_oracle.orthonormal_frame(m)
+        assert np.array_equal(v.view(np.int64), want_v.view(np.int64))
+        assert np.array_equal(w.view(np.int64), want_w.view(np.int64))
+    kind, cls = np.divmod(sp.frame_plan.frame[2][sp.frame_plan.frame[2] >= sp.n_sub] - sp.n_sub, 4)
+    assert np.any(cls >= 2)
+    assert np.any(kind == 6) == (text == "A:3:[1,2,1]:-")
+
+
+def test_frame_plan_refuses_an_intertwiner_that_is_no_signed_permutation():
+    # the frame's roles give each pair column one B0 entry of magnitude one
+    sp = space("D:4:[3,1]:-")
+    (i, j, B0), = sp.pairs
+    c, s = np.cos(0.3), np.sin(0.3)
+    turned = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ B0
+    bent = dataclasses.replace(sp, pairs=[(i, j, turned)])
+    with pytest.raises(UnimplementedCase, match="signed-permutation"):
+        invariant._frame_plan(bent)
+
+
+def test_column_signs_follow_the_dense_scan():
+    # a pair's column holds its eye entry e and, in a later row, its B0
+    # entry sigma * f; the dense scan gives it the sign of its first entry
+    # above 1e-12, or of its row-0 entry when there is none.  Both row-0
+    # classes are checked, though no catalogued pair has summand i at row 0
+    values = [0.0, 3e-13, -3e-13, 2e-12, -2e-12, 0.7, -0.7]
+    for e in values:
+        for f in values:
+            signs = invariant._column_signs(e, f)
+            for cls in range(4):
+                sigma, row = -1.0 if cls % 2 else 1.0, 0 if cls >= 2 else 3
+                column = np.zeros(8)
+                column[row], column[6] = e, sigma * f
+                lead = column[np.argmax(np.abs(column) > 1e-12)]
+                assert signs[cls] == (-1.0 if lead < 0 else 1.0), (e, f, cls)
+
+
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
 def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     # every ragged transform of t, recorded on a cold build: the isotropy
     # table, the sign table and structure_coo through _coo_transform, and
     # the canonical-frame report's T through the pattern step of its plan
-    # and the value step of the report; the reference pads every map row
+    # and the sum step of the report, which takes t's entry of each product
+    # from the plan, gathered at its build; the reference pads every map row
     # to the longest one and keeps only nonzero products, so its keys come
     # from the true nonzeros of the maps.  The plan is laid out for every
     # metric of the flag, so T may hold more keys than the reference: those
@@ -591,15 +726,15 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
         patterns.append((index, maps, d, out))
         return out
 
-    def value_step(pattern, vals, maps):
-        out = algebra._coo_values(pattern, vals, maps)
+    def sum_step(pattern, vals, maps):
+        out = algebra._coo_sums(pattern, vals, maps)
         values.append((pattern, vals, maps, out))
         return out
 
     for module in (flag, invariant):
         monkeypatch.setattr(module, "_coo_transform", recorded)
     monkeypatch.setattr(invariant, "_coo_pattern", pattern_step)
-    monkeypatch.setattr(curvature_module, "_coo_values", value_step)
+    monkeypatch.setattr(curvature_module, "_coo_sums", sum_step)
     spec = parse_flag_spec(text)
     monkeypatch.setattr(invariant, "decompose_isotropy", flag.decompose_isotropy.__wrapped__)
     sp = invariant.metric_space.__wrapped__(spec)
@@ -614,7 +749,9 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
         bound = 1e-15 * max(1.0, float(np.max(np.abs(want[3]), initial=0.0)))
         assert np.max(np.abs(got[3] - want[3]), initial=0.0) <= bound
     (index, rows, d, pattern), = [p for p in patterns if len(p[1]) == 3]
-    (vals, maps, got), = [v[1:] for v in values if v[0] is pattern]
+    (gathered, maps, got), = [v[1:] for v in values if v[0] is pattern]
+    vals = sp.structure_coo[3]
+    assert np.array_equal(gathered, vals[pattern[0]])
     maps = tuple((*r, m) for r, m in zip(rows, maps))
     a, b, c, want = dense_oracle.padded_transform((*index, vals), maps, d)
     keys, key = pattern[3], (a * d + b) * d + c

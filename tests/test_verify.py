@@ -241,6 +241,27 @@ def _assert_dense_residuals(P, groups, group, dense, reference):
     return narrow
 
 
+@pytest.mark.parametrize(
+    "text,narrow", [("C:5:[1,4]:+", 0), ("A:8:[3,3,3]:-", 0), ("A:25:[20,3,3]:-", 6)]
+)
+def test_narrow_columns_where_they_save_enough(text, narrow):
+    # the narrow column set costs a fixed handful of array calls: at d = 9
+    # and 27 no group of the sampled metric saves enough for it, at d = 129
+    # every group does: two support sizes each of rep, rotation and sign
+    space = metric_space(parse_flag_spec(text))
+    d = space.tangent_dim
+    P = space.metric_matrix(verify._Context(space.spec).sample_coeffs())
+    pattern = verify._row_pattern(P)
+    reps, signs = verify._isotropy_groups(space)
+    rots = [(order, verify._rotation(G, 0.7)) for order, G in reps]
+    widths = [
+        verify._support_residuals(P, order, blocks, group, pattern)[1].shape[1]
+        for groups, group in ((reps, False), (signs, True), (rots, True))
+        for order, blocks in groups
+    ]
+    assert sum(w < d for w in widths) == narrow == (len(widths) if narrow else 0)
+
+
 @pytest.mark.parametrize("text", FLAGS)
 def test_support_kernel_equals_the_dense_products(text):
     space = metric_space(parse_flag_spec(text))
@@ -372,18 +393,17 @@ def test_metric_invariance_sees_a_perturbed_off_block_entry(monkeypatch):
 
 
 def _narrow_entry(space, form):
-    """``(r, c)`` with r in the support S of a generator that the kernel
-    takes on the columns of S and of the form's pattern of the rows S, and c
-    outside both; and a function that asserts that the kernel reads column
-    c of that generator's residual, nonzero, once ``form[r, c]`` is."""
+    """``(r, c)`` with r in the support S of a generator of a group that the
+    kernel takes on the columns of S and of the form's pattern of the rows
+    S, and c outside both; and a function that asserts that the kernel reads
+    column c of that generator's residual, nonzero, once ``form[r, c]`` is."""
     d = space.tangent_dim
     pattern = verify._row_pattern(form)
     reps, _ = verify._isotropy_groups(space)
     order, blocks = min(reps, key=lambda group: group[1].shape[1])
-    order, blocks = order[:1], blocks[:1]
-    k = blocks.shape[1]
+    n, k = blocks.shape[:2]
     # one more column in a row still leaves the kernel narrow
-    assert k * (2 + pattern.shape[1]) < d
+    assert n * k * (d - k * (2 + pattern.shape[1])) > verify._NARROW_MIN
     S = order[0, :k]
     # the last such c: the first column outside S stands in for S in the tail
     c = next(c for c in order[0, k:][::-1] if c not in pattern[S])
