@@ -11,17 +11,19 @@ matching determinants), which is what makes the summand catalogue of
 the number of summands plus the number of declared equivalent pairs, and
 this is proved for every constructed space.
 
-The proof is one block-wise certificate for every tangent dimension.  Three
-probes stand in for the generators: two random combinations X, Y of the
-isotropy reps and one of the sign actions (these commute, so one generic
-combination has their joint commutant), drawn from a fixed seed.  The
-symmetric solutions of ``T G = G T`` on each summand count
-``dim Sym End(m_i)``, and the solutions of ``T G_i = G_j T`` for each pair
-``i < j`` count ``dim Hom(m_i, m_j)``; both are solved only on the matched
-eigenspaces of ``X^2``.  The probes are a subset of the generators, so their
-commutant contains the true one, and the operator basis is checked to commute
-with every generator, so it lies in the true one.  Equal counts therefore
-prove the dimension.  An unlucky draw can only overcount, which raises
+The proof is one block-wise certificate for every tangent dimension,
+:func:`einflag.schur._schur_certificate`.  Three probes stand in for the
+generators: two random combinations X, Y of the isotropy reps and one of the
+sign actions (these commute, so one generic combination has their joint
+commutant), drawn from a fixed seed.  The symmetric solutions of
+``T G = G T`` on each summand count ``dim Sym End(m_i)``, and the solutions
+of ``T G_i = G_j T`` for each pair ``i < j`` count ``dim Hom(m_i, m_j)``,
+both on the matched eigenspaces of the symmetric probe ``P = XY + YX + Z``;
+the margin of their null-space cuts is recorded on the space.  The probes
+are a subset of the generators, so their commutant contains the true one,
+and the operator basis is checked to commute with every generator, so it
+lies in the true one.  Equal counts therefore prove the dimension.  An
+unlucky draw can only overcount, which raises
 :class:`~einflag.errors.InvariantViolation`; it never lets a wrong space pass.
 
 The operator basis is canonical: orthogonal projectors onto the summands in
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import (
     GeneratorMismatch,
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .algebra import _coo_pattern, _coo_sums, _coo_transform, _matches, _row_entries
 from .flag import GeneratorTable, decompose_isotropy, tangent_basis
+from .schur import _probes, _schur_certificate
 
 __all__ = [
     "MetricSpace",
@@ -96,36 +98,73 @@ def _basis_signs(model, candidates):
     """+-1 vectors over the algebra basis, one row per flipped position set.
 
     A basis vector changes sign when its root has an odd total coefficient
-    on the flipped positions.
+    on the flipped positions: the parities of the flipped positions' rows of
+    the roots, summed per set.
     """
-    roots = np.array([e.root for e in model.basis], dtype=np.int64)
-    flips = np.zeros((len(candidates), roots.shape[1]), dtype=np.int64)
-    for r, flipped in enumerate(candidates):
-        flips[r, [pos - 1 for pos in flipped]] = 1
-    return 1.0 - 2.0 * ((flips @ (roots % 2).T) % 2)
+    parity = np.array([e.root for e in model.basis], dtype=np.int64).T % 2
+    sizes = np.array([len(flipped) for flipped in candidates])
+    rows = parity[[pos - 1 for flipped in candidates for pos in flipped]]
+    return 1.0 - 2.0 * (np.add.reduceat(rows, np.cumsum(sizes) - sizes) % 2)
 
 
-def _preserved(B, g, signs):
-    """Which rows s of ``signs`` map the span of the rows of B into itself.
+def _sign_entries(signs, B, Bw):
+    """Every ``S = B_w diag(s) B^T``, one per row s of ``signs``, on one
+    pattern shared by all of them: ``(keys, S)``, the sorted flat d x d
+    positions where some ``B_w[a, k] B[b, k]`` is nonzero, and the ``(count,
+    m)`` entries there.
 
-    B holds a g-orthonormal basis of the span, so ``M_s = B diag(g s) B^T``
-    holds the coordinates of the projection of each ``b_a * s`` onto it.
-    ``b_a * s`` has unit g-length, so it lies in the span exactly when its
-    row of ``M_s`` has unit norm.  The pairs of nonzeros of B in one column
-    give every ``M_s`` at once: one array pass over all candidates.
+    The products of the nonzeros of both bases in each column k are summed
+    over k ascending, as one gather of the diagonal entries ``(g, k, k,
+    s_g[k])`` through both bases sums them.
     """
-    a, n = np.nonzero(B)
-    v = B[a, n]
-    e, f = _matches(n, n)
-    key = a[e] * B.shape[0] + a[f]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    terms = (v[e] * v[f] * g[n[e]])[order, None] * signs.T[n[e][order]]
-    M = np.add.reduceat(terms, first, axis=0)  # one row per nonzero (a, b)
-    row = key[first] // B.shape[0]
-    norms = np.add.reduceat(M * M, np.flatnonzero(np.r_[True, row[1:] != row[:-1]]), axis=0)
-    return np.all(np.abs(norms - 1.0) <= 1e-10, axis=0)
+    d = B.shape[0]
+    # the nonzeros of each basis column by column, k ascending, and each
+    # pair of them in one column
+    kw, a = np.nonzero(Bw.T)
+    kb, b = np.nonzero(B.T)
+    e, f = _matches(kw, kb)
+    keys, inv = np.unique(a[e] * d + b[f], return_inverse=True)
+    count, m = len(signs), keys.size
+    S = np.bincount(
+        (np.arange(count)[:, None] * m + inv).ravel(),
+        weights=(signs[:, kw[e]] * Bw[a[e], kw[e]] * B[b[f], kb[f]]).ravel(),
+        minlength=count * m,
+    )
+    return keys, S.reshape(count, m)
+
+
+def _preserved(keys, S, owner):
+    """Which rows of ``S`` (:func:`_sign_entries`) map each span of the basis
+    rows into itself; ``owner`` names the span of each row.
+
+    The rows of a span are a g-orthonormal basis of it, so row a of S, in
+    the columns of its span, holds the coordinates of the projection of
+    ``b_a * s`` onto the span.  ``b_a * s`` has unit g-length, so it lies in
+    the span exactly when that part of the row has unit norm.
+    """
+    d, count = owner.size, len(S)
+    row, col = keys // d, keys % d
+    inside = owner[row] == owner[col]
+    norms = np.bincount(
+        (np.arange(count)[:, None] * d + row[inside]).ravel(),
+        weights=(S[:, inside] ** 2).ravel(),
+        minlength=count * d,
+    )
+    return np.all(np.abs(norms.reshape(count, d) - 1.0) <= 1e-10, axis=1)
+
+
+def _sign_actions(dec, B, Bw, slices):
+    """The sign symmetries of the stabilizer that preserve every summand, as
+    +-1 vectors over the algebra basis, with their :func:`_sign_entries`
+    ``(keys, S)`` over the tangent basis B, whose summands are ``slices``."""
+    spec = dec.spec
+    signs = _basis_signs(spec.algebra, _position_sign_sets(spec))
+    keys, S = _sign_entries(signs, B, Bw)
+    owner = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
+    kept = _preserved(keys, S, owner)
+    if not kept.any():
+        raise GeneratorMismatch(f"no sign symmetry preserves the summands of {spec}")
+    return signs[kept], keys, S[kept]
 
 
 def component_sign_actions(dec):
@@ -133,16 +172,9 @@ def component_sign_actions(dec):
 
     Returns the kept actions as +-1 vectors over the algebra basis.
     """
-    spec = dec.spec
-    model = spec.algebra
-    g = float(spec.inner_scale) * model.gram
-    signs = _basis_signs(model, _position_sign_sets(spec))
-    kept = np.ones(len(signs), dtype=bool)
-    for sub in dec.submodules:
-        kept &= _preserved(sub.orthonormal, g, signs)
-    if not kept.any():
-        raise GeneratorMismatch(f"no sign symmetry preserves the summands of {spec}")
-    return list(signs[kept])
+    B, slices = tangent_basis(dec)
+    Bw = B * (float(dec.spec.inner_scale) * dec.spec.algebra.gram)
+    return list(_sign_actions(dec, B, Bw, slices)[0])
 
 
 @dataclass
@@ -153,7 +185,12 @@ class MetricSpace:
     tangent basis: the isotropy action ``ad(e_p)`` of every isotropy basis
     vector, and the kept sign actions of :func:`component_sign_actions`.
     ``operators`` is the read-only ``(n, d, d)`` stack of the operator basis.
-    The derived per-flag data below is built at its first use and kept.
+    ``certificate_margin`` is the ``(zero, nonzero)`` margin of the Schur
+    certificate that proved its dimension: over every block, the largest
+    Gram eigenvalue counted as zero and the smallest counted as nonzero,
+    each relative to its block's norm, on either side of the cut at 1e-9.
+    The derived per-flag data below is built at its first use and kept,
+    except the dense :attr:`structure`.
     """
 
     dec: object
@@ -164,6 +201,7 @@ class MetricSpace:
     operators: np.ndarray = field(repr=False)
     names: list
     pairs: list
+    certificate_margin: tuple
 
     @property
     def spec(self):
@@ -193,9 +231,13 @@ class MetricSpace:
         d = self.tangent_dim
         return (np.asarray(coeffs, dtype=float) @ self.operator_rows[0]).reshape(d, d)
 
-    @cached_property
+    @property
     def structure(self):
-        """Bracket coefficients over the tangent basis, t[a,b,c] = g0([a,b],c)."""
+        """Bracket coefficients over the tangent basis, t[a,b,c] = g0([a,b],c).
+
+        A fresh d^3 array scattered from :attr:`structure_coo` at each read;
+        nothing in the package reads it, so it is never kept.
+        """
         d = self.tangent_dim
         I, J, K, V = self.structure_coo
         t = np.zeros((d, d, d))
@@ -494,17 +536,21 @@ def _freeze(tree):
             _freeze(item)
 
 
-def _sign_table(flips, B, Bw):
-    """The sign actions ``S = B_w diag(s) B^T``, one per row s of ``flips``, as a table.
-
-    One gather of the diagonal entries ``(g, k, k, s_g[k])`` through the
-    nonzeros of both bases, as the isotropy action is gathered.
-    """
-    count, n = flips.shape
-    g, k = np.divmod(np.arange(count * n), n)
-    one = (np.arange(count + 1), np.arange(count), np.ones(count))
-    maps = (one, _row_entries(Bw.T), _row_entries(B.T))
-    return GeneratorTable(count, *_coo_transform((g, k, k, flips.ravel()), maps, B.shape[0]))
+def _sign_table(keys, S, d):
+    """The sign actions of :func:`_sign_entries` as a table, and ``max |S S -
+    I|`` over them.  The pairs of entries whose products ``S S`` sums are
+    laid out once for all of them."""
+    count, m = S.shape
+    row, col = keys // d, keys % d
+    e, f = _matches(col, row)
+    square, at = np.unique(np.r_[row[e] * d + col[f], np.arange(d) * (d + 1)], return_inverse=True)
+    terms = np.c_[S[:, e] * S[:, f], -np.ones((count, d))]
+    gens = np.arange(count)[:, None]
+    resid = np.bincount((gens * square.size + at).ravel(), weights=terms.ravel())
+    table = GeneratorTable(
+        count, np.repeat(gens.ravel(), m), np.tile(row, count), np.tile(col, count), S.ravel()
+    )
+    return table, float(np.max(np.abs(resid), initial=0.0))
 
 
 def _skew_residual(table, d):
@@ -518,16 +564,6 @@ def _skew_residual(table, d):
     at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
     skew = table.value + np.where(key[at] == mirror, table.value[at], 0.0)
     return float(np.max(np.abs(skew), initial=0.0))
-
-
-def _involution_residual(table, d):
-    """``max |S S - I|`` over the generators of a table, from its entries."""
-    e, f = _matches(table.gen * d + table.col, table.gen * d + table.row)
-    diag = np.arange(table.count * d)  # (g, a) as g * d + a
-    key = np.r_[(table.gen[e] * d + table.row[e]) * d + table.col[f], diag * d + diag % d]
-    _, inv = np.unique(key, return_inverse=True)
-    weights = np.r_[table.value[e] * table.value[f], -np.ones(diag.size)]
-    return float(np.max(np.abs(np.bincount(inv, weights=weights)), initial=0.0))
 
 
 def summand_block(space, table, u):
@@ -565,54 +601,14 @@ def commutation_residual(space):
     return worst
 
 
-def _probes(reps, signs, d):
-    """Two random combinations of the isotropy reps and one of the signs."""
-    rng = default_rng(0)
-    x, y = rng.standard_normal(reps.count), rng.standard_normal(reps.count)
-    z = rng.standard_normal(signs.count)
-
-    def combine(table, w):
-        key = table.row * d + table.col
-        return np.bincount(key, weights=w[table.gen] * table.value, minlength=d * d).reshape(d, d)
-
-    return combine(reps, x), combine(reps, y), combine(signs, z)
-
-
-def _block_hom(block_i, block_j, tol):
-    """Orthonormal basis of the maps T: m_i -> m_j with T G_i = G_j T per probe.
-
-    A block is ``(lam, U, gens)``: the eigen-decomposition of X^2 on the
-    summand and the probes in that eigenbasis.  T sends each eigenspace of
-    X_i^2 to the one of X_j^2 with the same eigenvalue, so the unknowns are
-    the entries of ``U_j^T T U_i`` at eigenvalues matched within ``tol``.  The
-    Gram matrix of the constraints is summed one probe at a time.
-    """
-    lam_i, U_i, gens_i = block_i
-    lam_j, U_j, gens_j = block_j
-    a, b = np.nonzero(np.abs(lam_j[:, None] - lam_i[None, :]) <= tol)
-    gram = np.zeros((a.size, a.size))
-    norm = 0.0
-    for Gi, Gj in zip(gens_i, gens_j):
-        gb, ga = Gi[np.ix_(b, b)], Gj[np.ix_(a, a)]
-        gram += (a[:, None] == a) * (Gi @ Gi.T)[np.ix_(b, b)]
-        gram += (b[:, None] == b) * (Gj.T @ Gj)[np.ix_(a, a)]
-        gram -= ga * gb + ga.T * gb.T
-        norm += np.sum(Gi * Gi) + np.sum(Gj * Gj)
-    w, v = np.linalg.eigh(gram)
-    maps = []
-    for vec in v[:, w <= 1e-9 * norm].T:
-        T = np.zeros((lam_j.size, lam_i.size))
-        T[a, b] = vec
-        maps.append(U_j @ T @ U_i.T)
-    return maps
-
-
 def _normalized_intertwiner(B0):
     """Scale B0 to B0^T B0 = I with a positive leading entry.
 
     When the result rounds to a signed permutation within 1e-12, that exact
     permutation is returned: the solved map carries rounding noise in place
-    of its zeros, and exact zeros keep the canonical frame sparse.
+    of its zeros, and exact zeros keep the canonical frame sparse.  Its
+    zeros are all +0, so the stored map does not depend on the sign of the
+    noise, which differs between certificates.
     """
     G = B0.T @ B0
     c = np.trace(G) / len(G)
@@ -630,7 +626,7 @@ def _normalized_intertwiner(B0):
         and np.all(np.sum(np.abs(R), axis=1) == 1)
         and np.max(np.abs(B0 - R)) <= 1e-12
     ):
-        return R
+        return R + 0.0
     return B0
 
 
@@ -670,7 +666,8 @@ def metric_space(spec):
     The generators are kept as :class:`~einflag.flag.GeneratorTable` s:
     ``reps`` is the decomposition's ``isotropy_action``, checked skew entry
     by entry against its mirror, and ``signs`` holds the sign actions,
-    gathered the same way and checked to be involutions from their entries.
+    gathered on one pattern for all of them and checked to be involutions
+    from their entries.
     """
     dec = decompose_isotropy(spec)
     model = spec.algebra
@@ -684,30 +681,14 @@ def metric_space(spec):
     if _skew_residual(reps, d) > 1e-10:
         raise InvariantViolation(f"isotropy action on {spec} is not skew")
 
-    signs = _sign_table(np.array(component_sign_actions(dec)), Bm, Bw)
-    if _involution_residual(signs, d) > 1e-10:
+    _, keys, S = _sign_actions(dec, Bm, Bw, slices)
+    signs, involution = _sign_table(keys, S, d)
+    if involution > 1e-10:
         raise InvariantViolation(f"sign action on {spec} is not an involution")
 
     # Schur's lemma block by block: Sym End(m_i) on each summand and
     # Hom(m_i, m_j) for each pair i < j, against the probes.
-    probes = _probes(reps, signs, d)
-    blocks = []
-    for sl in slices:
-        X = probes[0][sl, sl]
-        lam, U = np.linalg.eigh(X @ X)
-        blocks.append((lam, U, [U.T @ G[sl, sl] @ U for G in probes]))
-    tol = 1e-8 * max(np.max(np.abs(lam)) for lam, _, _ in blocks)
-    homs = {}
-    found = 0
-    for i in range(len(slices)):
-        for j in range(i, len(slices)):
-            maps = _block_hom(blocks[i], blocks[j], tol)
-            if i < j:
-                homs[i, j] = maps
-                found += len(maps)
-            elif maps:
-                sym = np.array([(T + T.T).ravel() for T in maps])
-                found += int(np.sum(np.linalg.svd(sym, compute_uv=False) > 1e-6))
+    found, homs, margin = _schur_certificate(_probes(reps, signs, d), slices)
 
     pairs = []
     for cls in dec.equiv_classes:
@@ -716,7 +697,7 @@ def metric_space(spec):
                 f"metric space of {spec} has a {len(cls)}-member equivalence class"
             )
         i, j = sorted(cls)
-        maps = homs[i, j]
+        maps = homs.get((i, j), [])
         if len(maps) != 1:
             raise InvariantViolation(
                 f"declared pair {subs[i].name}~{subs[j].name} of "
@@ -733,7 +714,7 @@ def metric_space(spec):
     operators.setflags(write=False)
 
     names = _coefficient_names(spec, len(slices), len(pairs))
-    space = MetricSpace(dec, Bm, slices, reps, signs, operators, names, pairs)
+    space = MetricSpace(dec, Bm, slices, reps, signs, operators, names, pairs, margin)
 
     # The operators commute with every generator, so they span part of the
     # true commutant, which the probe commutant contains; equal counts prove

@@ -370,9 +370,11 @@ def _check_commutant_dimension(ctx):
     )
     worst = commutation_residual(space)
     _require(worst < 1e-10, f"an operator fails to commute: {worst:.2e}")
+    zero, nonzero = space.certificate_margin
     return (
         f"{space.dim} = {space.n_sub} summands + {len(space.pairs)} pairs, "
-        f"operator commutation residual {worst:.1e}"
+        f"operator commutation residual {worst:.1e}, Schur certificate margin: "
+        f"zero Gram eigenvalues <= {zero:.1e}, nonzero >= {nonzero:.1e} of the norm"
     )
 
 
@@ -428,28 +430,29 @@ def _row_pattern(P):
 def _support_residuals(P, order, blocks, group, pattern):
     """The rows S of a form's residual under each generator of a group.
 
-    ``P`` is a d x d form, ``pattern`` its :func:`_row_pattern` and
-    ``(order, blocks)`` one group of :func:`_support_groups`.  Without
-    ``group`` the blocks are generators G and the residual is ``G^T P + P
-    G``; with it they are the blocks ``T[S, S]`` of group elements T equal
-    to I outside ``S x S``, and the residual is ``T^T P T - P``.  Either
-    vanishes outside the rows and columns in S, and its columns S are the
-    transposed rows S of the residual of ``P^T``.  In a column c outside S
-    it is ``G[S, S]^T P[S, c]`` (or that minus ``P[S, c]``), exactly zero
-    where ``P[S, c]`` is.  So when S and the pattern's columns of the rows
-    S, ``k (1 + w)`` of them, leave out more than ``_NARROW_MIN`` of the
-    ``n k d`` entries of the n generators' rows, only those columns are
-    computed, S first; a pattern column that lies in S is already among the
-    first k, and its place in the tail goes to the first column outside S.
-    Otherwise every column is, ordered as in ``order``.  Either way the
-    largest entry of each generator's rows is the same.  Returns the ``(n,
-    k, m)`` rows and the ``(n, m)`` columns they hold.
+    ``P`` is a d x d form, ``pattern`` its :func:`_row_pattern`, or None
+    when the group cannot take the narrow columns, and ``(order, blocks)``
+    one group of :func:`_support_groups`.  Without ``group`` the blocks are
+    generators G and the residual is ``G^T P + P G``; with it they are the
+    blocks ``T[S, S]`` of group elements T equal to I outside ``S x S``, and
+    the residual is ``T^T P T - P``.  Either vanishes outside the rows and
+    columns in S, and its columns S are the transposed rows S of the
+    residual of ``P^T``.  In a column c outside S it is ``G[S, S]^T P[S, c]``
+    (or that minus ``P[S, c]``), exactly zero where ``P[S, c]`` is.  So when
+    S and the pattern's columns of the rows S, ``k (1 + w)`` of them, leave
+    out more than ``_NARROW_MIN`` of the ``n k d`` entries of the n
+    generators' rows, only those columns are computed, S first; a pattern
+    column that lies in S is already among the first k, and its place in the
+    tail goes to the first column outside S.  Otherwise every column is,
+    ordered as in ``order``.  Either way the largest entry of each
+    generator's rows is the same.  Returns the ``(n, k, m)`` rows and the
+    ``(n, m)`` columns they hold.
     """
     n, k = blocks.shape[:2]
     d = len(P)
     S = order[:, :k]
     cols = order
-    if n * k * (d - k * (1 + pattern.shape[1])) > _NARROW_MIN:
+    if pattern is not None and n * k * (d - k * (1 + pattern.shape[1])) > _NARROW_MIN:
         at = np.arange(n)[:, None] * d  # flat offsets, one row of d per generator
         inside = np.zeros(n * d, dtype=bool)
         inside[S + at] = True
@@ -473,14 +476,23 @@ def _action_residual(P, actions):
     ``P`` is an ``(m, d, d)`` stack and ``actions`` a list of ``(groups,
     group)``, the support groups and whether they hold group elements.  The
     forms are taken one at a time so that each pass stays in cache, and the
-    pattern of each is read once; returns the m maxima.  A symmetric form's
-    columns S are its rows S transposed, so only its rows are computed.
+    pattern of each is read once, and only when some group can take the
+    narrow columns: a pattern only shrinks the ``n k (d - k)`` entries that
+    a group leaves out with an empty one.  Returns the m maxima.  A
+    symmetric form's columns S are its rows S transposed, so only its rows
+    are computed.
     """
+    d = P.shape[-1]
+    narrow = any(
+        n * k * (d - k) > _NARROW_MIN
+        for groups, _ in actions
+        for n, k in (blocks.shape[:2] for _, blocks in groups)
+    )
     worst = np.zeros(len(P))
     for f, form in enumerate(P):
         symmetric = np.array_equal(form, form.T)
         for side in (form,) if symmetric else (form, np.ascontiguousarray(form.T)):
-            pattern = _row_pattern(side)
+            pattern = _row_pattern(side) if narrow else None
             for groups, group in actions:
                 for order, blocks in groups:
                     rows, _ = _support_residuals(side, order, blocks, group, pattern)

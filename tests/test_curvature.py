@@ -483,10 +483,11 @@ def test_u_map_matches_dense_contraction(text):
     m = random_metric(sp, rng)
     V = orthonormal_frame(m).vectors
     A = m.matrix
+    t = sp.structure
     for _ in range(3):
         x, y = rng.standard_normal((2, sp.tangent_dim))
-        bx = np.einsum("ia,j,ijc->ac", V, x, sp.structure)
-        by = np.einsum("ia,j,ijc->ac", V, y, sp.structure)
+        bx = np.einsum("ia,j,ijc->ac", V, x, t)
+        by = np.einsum("ia,j,ijc->ac", V, y, t)
         want = V @ (0.5 * (bx @ (A @ y) + by @ (A @ x)))
         assert np.max(np.abs(u_map(m, x, y) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 

@@ -166,10 +166,11 @@ class TestMetricSpace:
         model = sp.spec.algebra
         Bw = sp.basis * (float(sp.spec.inner_scale) * model.gram)
         ref = np.array([(sp.basis @ ad_matrix(model, x)) @ Bw.T for x in sp.basis])
-        assert np.max(np.abs(sp.structure - ref)) <= 1e-15
+        t = sp.structure
+        assert np.max(np.abs(t - ref)) <= 1e-15
         I, J, K, V = sp.structure_coo
-        assert len(I) == np.count_nonzero(sp.structure)
-        assert np.array_equal(sp.structure[I, J, K], V)
+        assert len(I) == np.count_nonzero(t)
+        assert np.array_equal(t[I, J, K], V)
 
     def test_pair_intertwiners_are_signed_permutations(self):
         # every B0 is stored exactly, so the canonical frame keeps its zeros
@@ -258,11 +259,15 @@ class TestCertificateFailures:
             metric_space.__wrapped__(spec)
 
     def test_involution_check_sees_a_scaled_sign(self, monkeypatch):
-        # s = 2 everywhere gives S = 2 I on the tangent space, S S - I = 3 I
+        # every kept action doubled, S = 2 S0 with S0 S0 = I, gives S S - I = 3 I
         spec = parse_flag_spec("D:5:[4,1]:-")
-        monkeypatch.setattr(
-            invariant, "component_sign_actions", lambda dec: [np.full(spec.algebra.n, 2.0)]
-        )
+        kept = invariant._sign_actions
+
+        def doubled(*args):
+            signs, keys, S = kept(*args)
+            return signs, keys, 2.0 * S
+
+        monkeypatch.setattr(invariant, "_sign_actions", doubled)
         with pytest.raises(InvariantViolation, match="is not an involution"):
             metric_space.__wrapped__(spec)
 
@@ -305,6 +310,34 @@ class TestGeneratorTables:
         got = dense_generators(sp.reps, Bm.shape[0])
         assert got.shape == (len(ref),) + Bm.shape[:1] * 2
         assert np.max(np.abs(got - np.array(ref))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "text", ["A:3:[2,1,1]:-", "B:4:[4]:-", "B:4:[2,2]:+", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
+    )
+    def test_sign_table_equals_the_gather_through_both_bases(self, text):
+        # the table is laid out once for all sign actions; the gather of the
+        # diagonal entries (g, k, k, s_g[k]) through both bases sums each
+        # entry in the same order, so they agree bit for bit, and S S - I
+        # is the same from the gathered entries
+        spec = parse_flag_spec(text)
+        dec = decompose_isotropy(spec)
+        Bm, _ = tangent_basis(dec)
+        Bw = Bm * (float(spec.inner_scale) * spec.algebra.gram)
+        d = Bm.shape[0]
+        flips = np.array(component_sign_actions(dec))
+        got, involution = invariant._sign_table(*invariant._sign_entries(flips, Bm, Bw), d)
+        count, n = flips.shape
+        g, k = np.divmod(np.arange(count * n), n)
+        one = (np.arange(count + 1), np.arange(count), np.ones(count))
+        maps = (one, algebra._row_entries(Bw.T), algebra._row_entries(Bm.T))
+        want = algebra._coo_transform((g, k, k, flips.ravel()), maps, d)
+        assert got.count == count
+        for a, b in zip(got[1:4], want[:3]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.value.view(np.int64), want[3].view(np.int64))
+        S = dense_generators(got, d)
+        square = np.max(np.abs(S @ S - np.eye(d)))
+        assert involution <= 1e-14 and abs(involution - square) <= 1e-14
 
     @pytest.mark.parametrize("text", ["A:3:[2,1,1]:-", "B:4:[4]:-", "A:25:[20,3,3]:-"])
     def test_sign_table_equals_the_dense_actions(self, text):
@@ -373,7 +406,8 @@ class TestSignActions:
         # and by flipping neither, and mixed with (1, -1) by flipping one
         B = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
         signs = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
-        kept = invariant._preserved(B, np.ones(3), signs)
+        keys, S = invariant._sign_entries(signs, B, B)
+        kept = invariant._preserved(keys, S, np.zeros(1, dtype=np.int64))
         assert kept.tolist() == [True, True, False, True]
 
 
@@ -706,7 +740,7 @@ def test_column_signs_follow_the_dense_scan():
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
 def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     # every ragged transform of t, recorded on a cold build: the isotropy
-    # table, the sign table and structure_coo through _coo_transform, and
+    # table and structure_coo through _coo_transform, and
     # the canonical-frame report's T through the pattern step of its plan
     # and the sum step of the report, which takes t's entry of each product
     # from the plan, gathered at its build; the reference pads every map row
@@ -741,7 +775,7 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     sp.structure_coo
     coeffs = np.r_[np.linspace(0.7, 1.6, sp.n_sub), np.full(sp.dim - sp.n_sub, 0.1)]
     curvature_module.curvature(make_metric(sp, coeffs))
-    assert len(calls) == 3
+    assert len(calls) == 2
     for coo, maps, d, got in calls:
         want = dense_oracle.padded_transform(coo, maps, d)
         for g, w in zip(got[:3], want[:3]):

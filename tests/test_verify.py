@@ -392,6 +392,29 @@ def test_metric_invariance_sees_a_perturbed_off_block_entry(monkeypatch):
         verify._check_metric_invariance(verify._Context(sp.spec))
 
 
+@pytest.mark.parametrize(
+    "text,reads", [("C:5:[1,4]:+", False), ("A:8:[3,3,3]:-", False), ("A:25:[20,3,3]:-", True)]
+)
+def test_row_pattern_is_read_only_where_a_group_can_narrow(monkeypatch, text, reads):
+    # at d = 9 and 27 no group leaves out more than _NARROW_MIN entries even
+    # beside an empty pattern, so no pattern is built; the maxima are bit for
+    # bit those of the kernel given the pattern
+    space = metric_space(parse_flag_spec(text))
+    P = space.metric_matrix(verify._Context(space.spec).sample_coeffs())
+    reps, signs = verify._isotropy_groups(space)
+    actions = [(reps, False), (signs, True)]
+    pattern, calls = verify._row_pattern, []
+    monkeypatch.setattr(verify, "_row_pattern", lambda side: calls.append(side) or pattern(side))
+    got = verify._action_residual(P[None], actions)[0]
+    assert bool(calls) == reads
+    want = max(
+        np.max(np.abs(verify._support_residuals(P, order, blocks, group, pattern(P))[0]))
+        for groups, group in actions
+        for order, blocks in groups
+    )
+    assert got == want
+
+
 def _narrow_entry(space, form):
     """``(r, c)`` with r in the support S of a generator of a group that the
     kernel takes on the columns of S and of the form's pattern of the rows
