@@ -232,6 +232,9 @@ class AlgebraModel:
         self.ambient_dim, self.basis = _build_basis(family, rank)
         self.n = len(self.basis)
         self.label_index = {e.label: i for i, e in enumerate(self.basis)}
+        # the root of each basis element, one read-only (n, root_dim) row each
+        self.roots = np.array([e.root for e in self.basis], dtype=np.int64)
+        self.roots.setflags(write=False)
         mats = np.array([e.matrix for e in self.basis])
         elem, row, col = np.nonzero(mats)
         self._entries = (elem, row, col, mats[elem, row, col])

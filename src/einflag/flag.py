@@ -178,7 +178,7 @@ def split_reductive(spec):
     in_span = np.zeros(model.n, dtype=bool)
     if th:
         A = _simple_roots(spec.family, spec.rank)[[i - 1 for i in th]].T  # spans Theta
-        roots = np.array([e.root for e in model.basis], dtype=float).T
+        roots = model.roots.T
         sol, *_ = np.linalg.lstsq(A, roots, rcond=None)
         in_span = np.linalg.norm(A @ sol - roots, axis=0) < 1e-9
     iso, tan = np.flatnonzero(in_span).tolist(), np.flatnonzero(~in_span).tolist()

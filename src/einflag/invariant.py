@@ -30,7 +30,8 @@ The operator basis is canonical: orthogonal projectors onto the summands in
 catalogue order, followed by one symmetric intertwiner per equivalent pair,
 normalized so its off-diagonal block ``B0`` satisfies ``B0^T B0 = I`` with a
 positive leading entry, and stored as the exact signed permutation it rounds
-to when there is one (every pair catalogued so far).  Coefficients for the
+to; every catalogued pair has one, and a map without one raises
+:class:`~einflag.errors.UnimplementedCase`.  Coefficients for the
 projectors are the diagonal scales; the intertwiner coefficients are the
 mixing parameters (named ``b`` for the four-parameter families).
 """
@@ -61,9 +62,7 @@ __all__ = [
     "positive_spectrum",
     "volume_root",
     "orthonormal_frame",
-    "component_sign_actions",
     "commutation_residual",
-    "summand_block",
 ]
 
 # a pair with |b| below this is unmixed: a diagonal frame, eigenvalues x_i, x_j
@@ -101,7 +100,7 @@ def _basis_signs(model, candidates):
     on the flipped positions: the parities of the flipped positions' rows of
     the roots, summed per set.
     """
-    parity = np.array([e.root for e in model.basis], dtype=np.int64).T % 2
+    parity = model.roots.T % 2
     sizes = np.array([len(flipped) for flipped in candidates])
     rows = parity[[pos - 1 for flipped in candidates for pos in flipped]]
     return 1.0 - 2.0 * (np.add.reduceat(rows, np.cumsum(sizes) - sizes) % 2)
@@ -167,23 +166,14 @@ def _sign_actions(dec, B, Bw, slices):
     return signs[kept], keys, S[kept]
 
 
-def component_sign_actions(dec):
-    """Sign symmetries of the stabilizer that preserve every summand.
-
-    Returns the kept actions as +-1 vectors over the algebra basis.
-    """
-    B, slices = tangent_basis(dec)
-    Bw = B * (float(dec.spec.inner_scale) * dec.spec.algebra.gram)
-    return list(_sign_actions(dec, B, Bw, slices)[0])
-
-
 @dataclass
 class MetricSpace:
     """Parametrized family of invariant metrics on one flag.
 
     ``reps`` and ``signs`` are :class:`~einflag.flag.GeneratorTable` s over the
     tangent basis: the isotropy action ``ad(e_p)`` of every isotropy basis
-    vector, and the kept sign actions of :func:`component_sign_actions`.
+    vector, and the sign actions of the stabilizer that preserve every
+    summand.
     ``operators`` is the read-only ``(n, d, d)`` stack of the operator basis.
     ``certificate_margin`` is the ``(zero, nonzero)`` margin of the Schur
     certificate that proved its dimension: over every block, the largest
@@ -353,7 +343,8 @@ class FramePlan:
     frame : tuple
         The flat positions of the nonzeros of V, V's rows, and the role of
         each nonzero: its index into the factors of :func:`_frame_factors`,
-        whose gather over the roles is V's entries.
+        one per summand and ``_PAIR_ROLES`` per pair, whose gather over the
+        roles is V's entries.
     metric : ndarray
         The flat position in A of the entry of each product of ``inverse``.
     inverse : tuple
@@ -477,12 +468,11 @@ def _frame_plan(space):
     return plan
 
 
-# the roles of one pair in the frame factors: the kinds of its entries of V
-# -- in a column of summand i the eye and the B0 part, in a column of
-# summand j the eye part, the B0 part off and on the diagonal, and the
-# diagonal entries where B0 holds +0 or -0 -- times four classes of column,
-# 2 * (its eye entry sits in row 0) + (its B0 entry is -1)
-_PAIR_KINDS = 7
+# the roles of one pair in the frame factors, the kinds of its entries of
+# V: in a column of summand i the eye entry and the B0 entry +1 or -1, in a
+# column of summand j the eye entry, the B0 entry +1 or -1 off and on the
+# diagonal, and the diagonal entry where B0 is zero
+_PAIR_ROLES = 9
 
 
 def _frame_roles(space, v_at):
@@ -490,40 +480,28 @@ def _frame_roles(space, v_at):
     into :func:`_frame_factors`.
 
     A column of an unpaired summand u holds its diagonal entry alone, role u.
-    Pair k's entries take the ``4 * _PAIR_KINDS`` roles after the summands'
-    and the earlier pairs', at ``4 * kind + class``.  Each column of a pair
-    holds one eye entry, in the rows of summand i, and ``B0``'s one entry of
-    that column, in the rows of summand j, so ``B0`` must be a signed
-    permutation, as every catalogued one is.
+    Pair k's entries take the ``_PAIR_ROLES`` roles after the summands' and
+    the earlier pairs'.  Each column of a pair holds one eye entry, in the
+    rows of summand i, and ``B0``'s one entry +-1 of that column, in the rows
+    of summand j, as ``B0`` is a signed permutation
+    (:func:`_normalized_intertwiner`).
     """
     d, n_sub, sl = space.tangent_dim, space.n_sub, space.slices
     row, col = np.divmod(v_at, d)
     owner = np.repeat(np.arange(n_sub), space.dims)
     role = owner[col]
     for k, (i, j, B0) in enumerate(space.pairs):
-        nz = B0 != 0
-        if not (np.all(nz.sum(axis=0) == 1) and np.all(np.abs(B0[nz]) == 1)):
-            raise UnimplementedCase(
-                f"the canonical frame of {space.spec} needs a signed-permutation intertwiner"
-            )
-        si, sj = sl[i], sl[j]
-        negative = B0[np.argmax(nz, axis=0), np.arange(len(B0))] < 0
         for side, u in enumerate((i, j)):
             at = np.flatnonzero(owner[col] == u)
             r = col[at] - sl[u].start
             eye = owner[row[at]] == i
-            p = np.where(eye, r, row[at] - sj.start)  # B0's row of each entry
+            p = np.where(eye, r, row[at] - sl[j].start)  # B0's row of each entry
             entry = B0[p, r]
             if side == 0:
-                kind = np.where(eye, 0, 1)
+                kind = np.where(eye, 0, 1 + (entry < 0))
             else:
-                kind = np.select(
-                    [eye, entry != 0, np.signbit(entry)],
-                    [2, np.where(p == r, 4, 3), 6],
-                    5,
-                )
-            cls = 2 * ((si.start == 0) & (r == 0)) + negative[r]
-            role[at] = n_sub + 4 * _PAIR_KINDS * k + 4 * kind + cls
+                kind = np.select([eye, entry == 0], [3, 8], 4 + (entry < 0) + 2 * (p == r))
+            role[at] = n_sub + _PAIR_ROLES * k + kind
     return role
 
 
@@ -566,7 +544,7 @@ def _skew_residual(table, d):
     return float(np.max(np.abs(skew), initial=0.0))
 
 
-def summand_block(space, table, u):
+def _summand_block(space, table, u):
     """Every generator's diagonal block on summand u, as a ``(count, d_u, d_u)`` stack."""
     s = space.slices[u]
     inside = (table.row >= s.start) & (table.row < s.stop)
@@ -596,19 +574,21 @@ def commutation_residual(space):
         off_block = owner[table.row] != owner[table.col]
         worst = max(worst, float(np.max(np.abs(table.value[off_block]), initial=0.0)))
         for i, j, B0 in space.pairs:
-            resid = summand_block(space, table, j) @ B0 - B0 @ summand_block(space, table, i)
+            resid = _summand_block(space, table, j) @ B0 - B0 @ _summand_block(space, table, i)
             worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
     return worst
 
 
-def _normalized_intertwiner(B0):
-    """Scale B0 to B0^T B0 = I with a positive leading entry.
+def _normalized_intertwiner(B0, spec):
+    """Scale B0 to B0^T B0 = I with a positive leading entry, and return the
+    exact signed permutation that it rounds to within 1e-12.
 
-    When the result rounds to a signed permutation within 1e-12, that exact
-    permutation is returned: the solved map carries rounding noise in place
-    of its zeros, and exact zeros keep the canonical frame sparse.  Its
-    zeros are all +0, so the stored map does not depend on the sign of the
-    noise, which differs between certificates.
+    The solved map carries rounding noise in place of its zeros; the exact
+    zeros, all +0, keep the canonical frame sparse and make the stored map
+    independent of the sign of the noise, which differs between
+    certificates.  A map that rounds to no signed permutation raises
+    :class:`UnimplementedCase`: the canonical frame gives each column of a
+    pair one ``B0`` entry +-1.
     """
     G = B0.T @ B0
     c = np.trace(G) / len(G)
@@ -621,13 +601,15 @@ def _normalized_intertwiner(B0):
                 B0 = -B0
             break
     R = np.round(B0)
-    if (
+    if not (
         np.all(np.sum(np.abs(R), axis=0) == 1)
         and np.all(np.sum(np.abs(R), axis=1) == 1)
         and np.max(np.abs(B0 - R)) <= 1e-12
     ):
-        return R + 0.0
-    return B0
+        raise UnimplementedCase(
+            f"the canonical frame of {spec} needs a signed-permutation intertwiner"
+        )
+    return R + 0.0
 
 
 def _coefficient_names(spec, n_sub, n_pairs):
@@ -703,7 +685,7 @@ def metric_space(spec):
                 f"declared pair {subs[i].name}~{subs[j].name} of "
                 f"{spec} has intertwiner multiplicity {len(maps)}"
             )
-        pairs.append((i, j, _normalized_intertwiner(maps[0])))
+        pairs.append((i, j, _normalized_intertwiner(maps[0], spec)))
 
     operators = np.zeros((len(slices) + len(pairs), d, d))
     for k, s in enumerate(slices):
@@ -738,7 +720,8 @@ def metric_space(spec):
 
 @dataclass(frozen=True)
 class InvariantMetric:
-    """Coefficients, matrix ``A`` and :func:`metric_eigenvalues` ``spectrum`` of a metric."""
+    """Coefficients, matrix ``A`` and ``spectrum`` of a metric: the array of
+    its :func:`metric_eigenvalues`, one per summand."""
 
     space: MetricSpace
     coeffs: np.ndarray
@@ -754,14 +737,19 @@ class InvariantMetric:
         return f"metric({body})"
 
 
-def _eigenvalue_list(space, c):
-    """:func:`metric_eigenvalues` of one finite coefficient vector, as floats.
+def metric_eigenvalues(space, coeffs):
+    """Eigenvalues of the metric operator from one coefficient vector, one
+    per summand, as a list of floats.
 
-    The same operations as the stacked path, in the same order, on plain
-    floats; ``np.hypot`` is kept because ``math.hypot`` rounds differently.
+    An unpaired summand carries ``x_i``.  A pair carries the eigenvalues of
+    ``[[x_i, b], [b, x_j]]`` (``B0^T B0 = I``), the smaller ``xi1`` on
+    summand i, as in :func:`orthonormal_frame`: the one of larger magnitude
+    from the trace, the other from ``xi1 xi2 = x_i x_j - b^2``, so neither
+    cancels.  An unmixed pair, ``|b| < _UNMIXED``, keeps ``x_i`` and ``x_j``.
+    ``np.hypot`` is kept because ``math.hypot`` rounds differently.
     """
     s = space.n_sub
-    vals = c.tolist()
+    vals = np.asarray(coeffs, dtype=float).tolist()
     lam = vals[:s]
     for k, (i, j, _) in enumerate(space.pairs):
         xi, xj, b = vals[i], vals[j], vals[s + k]
@@ -770,79 +758,29 @@ def _eigenvalue_list(space, c):
         tr, gap = xi + xj, float(np.hypot(2.0 * b, xi - xj))
         up = tr >= 0
         big = (tr + (gap if up else -gap)) / 2.0
+        # big is 0 only for x_i = x_j = b = 0, an unmixed pair
         small = (xi * xj - b * b) / big if big != 0 else 0.0
         lam[i], lam[j] = (small, big) if up else (big, small)
     return lam
 
 
-def metric_eigenvalues(space, coeffs):
-    """Eigenvalues of the metric operator from its coefficients, one per summand.
-
-    An unpaired summand carries ``x_i``.  A pair carries the eigenvalues of
-    ``[[x_i, b], [b, x_j]]`` (``B0^T B0 = I``), the smaller ``xi1`` on
-    summand i, as in :func:`orthonormal_frame`: the one of larger magnitude
-    from the trace, the other from ``xi1 xi2 = x_i x_j - b^2``, so neither
-    cancels.  An unmixed pair, ``|b| < _UNMIXED``, keeps ``x_i`` and ``x_j``.
-    Shape ``(..., n)`` in, ``(..., n_sub)`` out, with summand multiplicities.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    s = space.n_sub
-    lam = np.array(c[..., :s])
-    if not space.pairs:
-        return lam
-    i, j = np.array([p[:2] for p in space.pairs]).T
-    xi, xj, b = c[..., i], c[..., j], c[..., s:]
-    tr, gap = xi + xj, np.hypot(2.0 * b, xi - xj)
-    up = tr >= 0
-    big = (tr + np.where(up, gap, -gap)) / 2.0
-    # big is 0 only for x_i = x_j = b = 0, an unmixed pair
-    small = np.divide(xi * xj - b * b, big, out=np.zeros_like(big), where=big != 0)
-    mixed = np.abs(b) >= _UNMIXED
-    lam[..., i] = np.where(mixed, np.where(up, small, big), xi)
-    lam[..., j] = np.where(mixed, np.where(up, big, small), xj)
-    return lam
-
-
-def _indefinite(lo, hi):
-    """The positive-definiteness rule: where it fails, from extreme eigenvalues.
-
-    A coefficient vector is a metric when its smallest eigenvalue ``lo``
-    exceeds ``1e-12 * max(1, |hi|)``, ``hi`` its largest.  Floats give a
-    bool, arrays a mask; the bound is taken as ``max(1e-12, 1e-12 * |hi|)``,
-    the same number since rounding is monotone, so both compare alike.
-    """
-    return (lo <= 1e-12) | (lo <= 1e-12 * abs(hi))
-
-
-def _not_definite(c, lo):
-    return NotPositiveDefinite(
-        f"metric coefficients {c.tolist()} are not positive definite",
-        min_eigenvalue=float(lo),
-    )
-
-
 def positive_spectrum(space, coeffs):
-    """:func:`metric_eigenvalues`, after the :func:`_indefinite` rule.
+    """:func:`metric_eigenvalues` of one coefficient vector, as an array,
+    after the positive-definiteness rule.
 
-    ``coeffs`` has shape ``(..., n)``; the first row that fails raises
-    :class:`NotPositiveDefinite`.  One vector, as :func:`make_metric` passes
-    after rejecting non-finite coefficients, goes through plain floats, bit
-    for bit the stacked result.
+    The coefficients are a metric when the smallest eigenvalue ``lo``
+    exceeds ``1e-12 * max(1, |hi|)``, ``hi`` the largest; otherwise
+    :class:`NotPositiveDefinite` is raised with ``lo``.
     """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim == 1:
-        lam = _eigenvalue_list(space, c)
-        lo = min(lam)
-        if _indefinite(lo, max(lam)):
-            raise _not_definite(c, lo)
-        return np.array(lam)
-    lam = metric_eigenvalues(space, c)
-    lo = lam.min(axis=-1)
-    bad = _indefinite(lo, lam.max(axis=-1))
-    if np.any(bad):
-        k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise _not_definite(c[k], lo[k])
-    return lam
+    lam = metric_eigenvalues(space, coeffs)
+    lo = min(lam)
+    if lo <= 1e-12 or lo <= 1e-12 * abs(max(lam)):
+        raise NotPositiveDefinite(
+            f"metric coefficients {np.asarray(coeffs, dtype=float).tolist()} "
+            "are not positive definite",
+            min_eigenvalue=lo,
+        )
+    return np.array(lam)
 
 
 def make_metric(space, coeffs):
@@ -856,7 +794,8 @@ def make_metric(space, coeffs):
 
 
 def volume_root(space, lam):
-    """``det(A)^(1/d)`` from a ``(..., n_sub)`` :func:`metric_eigenvalues` stack."""
+    """``det(A)^(1/d)`` from a metric's ``spectrum``, or from a ``(count,
+    n_sub)`` stack of spectra, one root per row."""
     return np.exp(np.log(lam) @ space.dims / space.tangent_dim)
 
 
@@ -895,34 +834,16 @@ class Frame:
         return np.linalg.inv(self.vectors)
 
 
-def _column_signs(e, f):
-    """The sign that a pair's column of each class is given, from its eye
-    factor e and ``B0`` factor f: that of its first entry above 1e-12 in row
-    order.
-
-    The eye entry ``e`` comes first, then the ``B0`` entry ``sigma * f``,
-    sigma the class's ``B0`` entry.  When neither is above 1e-12, the column
-    takes the sign of its row-0 entry, which is e in a column whose eye entry
-    sits in row 0, and zero, which flips nothing, in the others.
-    """
-    if abs(e) > 1e-12:
-        return (-1.0,) * 4 if e < 0 else (1.0,) * 4
-    if abs(f) > 1e-12:
-        return (-1.0, 1.0, -1.0, 1.0) if f < 0 else (1.0, -1.0, 1.0, -1.0)
-    return (1.0, 1.0, -1.0, -1.0) if e < 0 else (1.0,) * 4
-
-
 def _frame_factors(space, metric):
     """The value of every role of :func:`_frame_roles` at one metric.
 
     The first ``n_sub`` are ``1 / sqrt(lambda_u)``, the diagonal of V on each
     summand.  On a mixed pair, column r of summand i is ``a1 u + b1 B0 u``
     and of summand j ``a2 u + b2 B0 u`` (u the r-th basis vector of summand
-    i), scaled to unit g-length, and then given the sign of
-    :func:`_column_signs`; as a product by +-1 is exact, the sign is folded
-    into each factor.  An unmixed pair keeps V diagonal, with +0 elsewhere.
-    A pair's factors are taken in plain floats, which round as float64
-    arrays do; ``np.hypot`` is kept because ``math.hypot`` rounds differently.
+    i), scaled to unit g-length; a ``B0`` entry -1 negates its factor, which
+    is exact.  An unmixed pair keeps V diagonal, with +0 elsewhere.  A pair's
+    factors are taken in plain floats, which round as float64 arrays do;
+    ``np.hypot`` is kept because ``math.hypot`` rounds differently.
     """
     inv = 1.0 / np.sqrt(metric.spectrum)
     if not space.pairs:
@@ -932,7 +853,7 @@ def _frame_factors(space, metric):
     for k, (i, j, _) in enumerate(space.pairs):
         xi, xj, b = c[i], c[j], c[s + k]
         if abs(b) < _UNMIXED:
-            out += [out[i]] * 4 + [0.0] * 12 + [out[j]] * 12
+            out += [out[i]] + [0.0] * 5 + [out[j]] * 3
             continue
         delta = xi - xj
         gap = float(np.hypot(2.0 * b, delta))
@@ -948,15 +869,8 @@ def _frame_factors(space, metric):
         n1 = math.sqrt(lam[i] * (a1 * a1 + b1 * b1))
         n2 = math.sqrt(lam[j] * (a2 * a2 + b2 * b2))
         e1, f1, e2, f2 = a1 / n1, b1 / n1, a2 / n2, b2 / n2
-        # each kind in the four classes: the eye factor, or the class's B0
-        # entry +-1 times the B0 factor, times the class's sign
-        p, q, r, t = _column_signs(e1, f1)
-        out += (e1 * p, e1 * q, e1 * r, e1 * t, f1 * p, -f1 * q, f1 * r, -f1 * t)
-        p, q, r, t = _column_signs(e2, f2)
-        g = (f2 * p, -f2 * q, f2 * r, -f2 * t)
-        z = 0.0 * f2  # B0's +0 on summand j's diagonal; -z is its -0
-        out += (e2 * p, e2 * q, e2 * r, e2 * t) + g + g
-        out += (z * p, z * q, z * r, z * t, -z * p, -z * q, -z * r, -z * t)
+        # B0's zero on summand j's diagonal times f2 keeps f2's sign
+        out += (e1, f1, -f1, e2, f2, -f2, f2, -f2, 0.0 * f2)
     return np.array(out)
 
 

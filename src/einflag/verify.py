@@ -8,8 +8,8 @@ characterization is probed with central finite differences of the
 volume-normalized scalar curvature, taken from the reduced engine
 (:meth:`~einflag.curvature.ReducedRicci.scalar`): all ``2 * dim`` probes
 of a point go through one engine call, after the positive-definiteness
-rule of :func:`~einflag.invariant.positive_spectrum` is applied to their
-coefficients, whose spectrum also gives the volume.  That check therefore
+rule of :func:`~einflag.invariant.positive_spectrum` is applied to each
+probe's coefficients, whose spectrum also gives the volume.  That check therefore
 builds no frame; the frame route is covered by the curvature checks and
 the solution certificates.  The invariance and equivariance checks act on
 a form through each generator's support, the tangent indices its entries
@@ -760,7 +760,7 @@ def _check_variational_critical(ctx):
     def grad_inf(c):
         # the 2*dim central-difference probes of c, evaluated in one call
         probes = c + steps
-        lam = positive_spectrum(space, probes)
+        lam = np.array([positive_spectrum(space, p) for p in probes])
         # volume-normalized scalar: S at c / det(A)^(1/d)
         scale = volume_root(space, lam)
         vol_scalar = scalar(probes / scale[:, None])

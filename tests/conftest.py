@@ -1,6 +1,6 @@
 """Shared fixtures and flag lists, helpers that build and edit generator
 tables, the dense forms of the algebra expansion and of ``ad(x)``, and
-readouts of a decomposition."""
+readouts of a decomposition and of its sign symmetries."""
 
 import sys
 from functools import lru_cache
@@ -10,7 +10,8 @@ import pytest
 
 import einflag.einstein
 from einflag.cli import _table_rows
-from einflag.flag import GeneratorTable
+from einflag.flag import GeneratorTable, tangent_basis
+from einflag.invariant import _sign_actions
 
 # every `table1 --max-l 6` flag, plus the large three-summand flag
 FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
@@ -86,6 +87,14 @@ def edit_first_generator(table, d, rows, cols, deltas):
     keys, inv = np.unique(key, return_inverse=True)
     value = np.bincount(inv, weights=np.r_[table.value, deltas])
     return GeneratorTable(table.count, keys // (d * d), keys // d % d, keys % d, value)
+
+
+def component_sign_actions(dec):
+    """The sign symmetries of the stabilizer that preserve every summand of a
+    decomposition, as a list of +-1 vectors over the algebra basis."""
+    B, slices = tangent_basis(dec)
+    Bw = B * (float(dec.spec.inner_scale) * dec.spec.algebra.gram)
+    return list(_sign_actions(dec, B, Bw, slices)[0])
 
 
 NO_GENERATORS = GeneratorTable(0, *[np.zeros(0, dtype=np.int64)] * 3, np.zeros(0))

@@ -182,14 +182,12 @@ def orthonormal_frame(metric):
     # columns of a mixed pair are replaced below
     V = np.diag(1.0 / np.sqrt(np.repeat(lam, [s.stop - s.start for s in slices])))
 
-    mixed = []
     for k, (i, j, B0) in enumerate(space.pairs):
         si, sj = slices[i], slices[j]
         xi, xj, b = coeffs[i], coeffs[j], coeffs[n_sub + k]
         di = si.stop - si.start
         if abs(b) < _UNMIXED:
             continue
-        mixed += [*range(si.start, si.stop), *range(sj.start, sj.stop)]
         xi1, xi2 = lam[i], lam[j]
         delta = xi - xj
         gap = np.hypot(2.0 * b, delta)
@@ -208,13 +206,6 @@ def orthonormal_frame(metric):
         n2 = np.sqrt(xi2 * (a2 * a2 + b2 * b2))
         V[si, si], V[sj, si] = np.eye(di) * (a1 / n1), B0 * (b1 / n1)
         V[si, sj], V[sj, sj] = np.eye(di) * (a2 / n2), B0 * (b2 / n2)
-
-    # a column's leading entry above 1e-12 is made positive; the columns
-    # left diagonal already are
-    mixed = np.array(mixed, dtype=int)
-    block = V[:, mixed]
-    lead = block[np.argmax(np.abs(block) > 1e-12, axis=0), np.arange(mixed.size)]
-    V[:, mixed[lead < 0]] *= -1.0
 
     # W = V^T A over the plan, from A's nonzeros, every operator's support
     plan = space.frame_plan

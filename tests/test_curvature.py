@@ -702,6 +702,32 @@ def test_planned_report_equals_the_dense_composition(text):
                 assert np.max(np.abs(g - w)) <= bound, (frac, name)
 
 
+@pytest.mark.parametrize("text", FLAGS)
+def test_column_signs_move_no_report_bit(text):
+    # the canonical frame fixes no column sign: a sign s_a on column a of V
+    # is s_a on row a of W = V^-1, every product of T[a,b,c] takes s_a s_b
+    # s_c exactly, so the Ricci entry (a, b) takes s_a s_b, and sum T^2,
+    # tr(V^T K V) and W^T ric W are unchanged bit for bit
+    sp = metric_space(parse_flag_spec(text))
+    d = sp.tangent_dim
+    rng = np.random.default_rng(list(text.encode()))
+    for _, coeffs in planned_cases(sp, rng):
+        m = make_metric(sp, coeffs)
+        plan, v, w = orthonormal_frame(m).sparse
+        s = rng.choice([-1.0, 1.0], d)
+        flipped = Frame(m, sparse=(plan, v * s[plan.frame[0] % d], w * s[plan.inverse[3] // d]))
+        ric, square, trace = curvature_module._planned_ricci(orthonormal_frame(m))
+        got, got_square, got_trace = curvature_module._planned_ricci(flipped)
+        row, col = np.divmod(plan.ricci[0], d)
+        assert np.array_equal(got, s[row] * s[col] * ric)
+        assert got_square == square and got_trace == trace
+        tangent = [
+            curvature_module._coo_values(plan.tangent, entries, (ws, ws))
+            for entries, ws in ((ric, w), (got, flipped.sparse[2]))
+        ]
+        assert np.array_equal(tangent[1].view(np.int64), tangent[0].view(np.int64))
+
+
 def plan_arrays(tree):
     """Every array of a frame plan, its nested tuples walked."""
     if isinstance(tree, np.ndarray):

@@ -8,6 +8,7 @@ from conftest import (
     FLAGS,
     NO_GENERATORS,
     ad_matrix,
+    component_sign_actions,
     dense_generators,
     edit_first_generator,
     tangent_dim,
@@ -24,7 +25,6 @@ from einflag.flag import (
     tangent_basis,
 )
 from einflag.invariant import (
-    component_sign_actions,
     make_metric,
     metric_space,
     orthonormal_frame,
@@ -446,11 +446,11 @@ class TestMetricEigenvalues:
     """The one coefficient spectrum against the dense spectrum of A."""
 
     @staticmethod
-    def _assert_spectrum(sp, stack):
+    def _assert_spectrum(sp, rows):
         dims = [s.stop - s.start for s in sp.slices]
-        lam = invariant.metric_eigenvalues(sp, stack)
-        assert lam.shape == stack.shape[:-1] + (sp.n_sub,)
-        for c, row in zip(stack.reshape(-1, sp.dim), lam.reshape(-1, sp.n_sub)):
+        lam = np.array([invariant.metric_eigenvalues(sp, c) for c in rows])
+        for c, row in zip(rows, lam):
+            assert len(row) == sp.n_sub
             want = np.linalg.eigvalsh(sp.metric_matrix(c))
             assert np.allclose(np.sort(np.repeat(row, dims)), want, rtol=0, atol=1e-12)
             # the frame's column convention: xi1 <= xi2 on a mixed pair,
@@ -468,16 +468,13 @@ class TestMetricEigenvalues:
         # reads these eigenvalues
         sp = space(text)
         rng = np.random.default_rng(3)
-        self._assert_spectrum(sp, rng.uniform(-1.0, 2.0, (2, 4, sp.dim)))
+        self._assert_spectrum(sp, rng.uniform(-1.0, 2.0, (8, sp.dim)))
 
     @pytest.mark.parametrize("text", _spectrum_flags())
     def test_single_vector_path_matches_the_stack(self, text):
-        # positive_spectrum takes one vector through plain floats: every
-        # row, indefinite ones too, must give the stacked path's bits, and
-        # the same positive-definiteness verdict.  Only a pair does
-        # arithmetic beyond a copy, and a rounding difference there
-        # (math.hypot for np.hypot) shows on about one row in a thousand,
-        # so pair flags get many rows
+        # positive_spectrum's verdict and min_eigenvalue on every row,
+        # indefinite ones too, against the rule taken over the stack of
+        # the rows' eigenvalues as arrays
         sp = space(text)
         rng = np.random.default_rng(3)
         rows = list(rng.uniform(-1.0, 2.0, (2048 if sp.pairs else 16, sp.dim)))
@@ -486,14 +483,12 @@ class TestMetricEigenvalues:
             for k, (i, j, _) in enumerate(sp.pairs):
                 c[sp.n_sub + k] = f * np.sqrt(c[i] * c[j])
             rows.append(c)
-        stack = np.array(rows)
-        lam = invariant.metric_eigenvalues(sp, stack)
+        lam = np.array([invariant.metric_eigenvalues(sp, c) for c in rows])
         # the stacked rule: a row is rejected with its smallest eigenvalue
         lo = lam.min(axis=1)
         bad = lo <= 1e-12 * np.maximum(1.0, np.abs(lam.max(axis=1)))
         assert bad.any() and not bad.all()
-        for c, want, reject, least in zip(stack, lam, bad, lo):
-            assert invariant._eigenvalue_list(sp, c) == want.tolist()
+        for c, want, reject, least in zip(rows, lam, bad, lo):
             if reject:
                 with pytest.raises(NotPositiveDefinite) as err:
                     invariant.positive_spectrum(sp, c)
@@ -517,7 +512,7 @@ class TestMetricEigenvalues:
             for k, (i, j, _) in enumerate(sp.pairs):
                 c[sp.n_sub + k] = f * np.sqrt(c[i] * c[j])
             rows.append(c)
-        lam = self._assert_spectrum(sp, np.array(rows))
+        lam = self._assert_spectrum(sp, rows)
         tiny = lam[:2].min(axis=-1)
         assert np.all(tiny > 0) and np.all(tiny < 1e-8)
         c = rows[0]
@@ -525,14 +520,13 @@ class TestMetricEigenvalues:
             b = c[sp.n_sub + k]
             assert np.isclose(lam[0, i], (c[i] * c[j] - b * b) / lam[0, j], rtol=1e-14)
 
-    def test_positive_spectrum_names_the_first_bad_row(self):
+    def test_positive_spectrum_names_the_bad_coefficients(self):
         sp = space("A:3:[2,1,1]:-")
-        stack = np.array([[1.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 2.0], [-1.0, 1.0, 1.0, 0.0]])
         with pytest.raises(NotPositiveDefinite, match=r"\[1\.0, 1\.0, 1\.0, 2\.0\]") as err:
-            invariant.positive_spectrum(sp, stack)
+            invariant.positive_spectrum(sp, np.array([1.0, 1.0, 1.0, 2.0]))
         assert err.value.min_eigenvalue < 0
-        lam = invariant.positive_spectrum(sp, stack[:1])
-        assert lam.shape == (1, sp.n_sub) and np.all(lam > 0)
+        lam = invariant.positive_spectrum(sp, np.array([1.0, 1.0, 2.0, 0.5]))
+        assert lam.shape == (sp.n_sub,) and np.all(lam > 0)
 
     def test_zero_top_pair_eigenvalue(self):
         # [[-1, 1/2], [1/2, -1/4]] has eigenvalues -5/4 and exactly 0; the
@@ -611,9 +605,9 @@ def frame_cases(sp, rng):
     ``x_i - x_j`` takes both signs: b = 0, ``0 < |b| < 1e-14`` (unmixed),
     ``|b| = 2e-14`` and mixed b of both signs.  Then ``b = +-1.5e-14`` at
     ``x_j = 4 x_i`` and at ``x_i = 4 x_j``, where the eye factor of one
-    side is below 1e-12 and the B0 entry leads its columns' sign; x_i = x_j;
-    and both x scaled by 1e26 with b = 1e12, where no entry of a pair's
-    column is above 1e-12.
+    side is below 1e-12 and its B0 factor is not; x_i = x_j; and both x
+    scaled by 1e26 with b = 1e12, where no entry of a pair's column is
+    above 1e-12.
     """
     x = rng.uniform(0.5, 2.0, sp.n_sub)
     if not sp.pairs:
@@ -636,10 +630,9 @@ def frame_cases(sp, rng):
 
 @pytest.mark.parametrize("text", FLAGS)
 def test_frame_equals_the_dense_construction(text):
-    # V's entries are one gather of per-summand and per-pair factors with
-    # each column's sign folded in; the oracle builds V densely, fixes each
-    # column's sign by a scan of its entries, and gathers v from it.  v and
-    # W = V^T A agree bit for bit, signed zeros included, and the dense
+    # V's entries are one gather of per-summand and per-pair factors; the
+    # oracle builds V densely, column by column, and gathers v from it.  v
+    # and W = V^T A agree bit for bit, signed zeros included, and the dense
     # vectors scattered from v agree by value
     sp = space(text)
     rng = np.random.default_rng(list(text.encode()))
@@ -652,9 +645,9 @@ def test_frame_equals_the_dense_construction(text):
         assert np.array_equal(got_v.view(np.int64), v.view(np.int64))
         assert np.array_equal(got_w.view(np.int64), w.view(np.int64))
         assert np.array_equal(frame.vectors, V)
-        # each side of each pair has mixed columns led by their B0 entry:
-        # the eye entry, on the diagonal for summand i and in the rows of
-        # summand i for summand j, is at most 1e-12, and the B0 entry above
+        # each side of each pair has mixed columns whose eye entry, on the
+        # diagonal for summand i and in the rows of summand i for summand
+        # j, is at most 1e-12, and whose B0 entry is above it
         for k, (a, b, _) in enumerate(sp.pairs):
             si, sj = sp.slices[a], sp.slices[b]
             for side, (eye, other) in enumerate(((V[si, si], V[sj, si]), (V[si, sj], V[sj, sj]))):
@@ -666,12 +659,10 @@ def test_frame_equals_the_dense_construction(text):
 
 def pair_first(text):
     """The metric space of a one-pair flag with the pair's summands moved to
-    the front, in the same basis order within each summand, and the zeros
-    of B0 stored as -0.0.
+    the front, in the same basis order within each summand.
 
-    No catalogued pair starts at row 0, and no catalogued B0 holds -0.0 on
-    its diagonal where its entry of that column lies off it; this space has
-    both.  Its metrics are those of the flag, in a reordered basis.
+    No catalogued pair starts at row 0; this one does.  Its metrics are
+    those of the flag, in a reordered basis.
     """
     sp = space(text)
     (i, j, B0), = sp.pairs
@@ -679,7 +670,6 @@ def pair_first(text):
     rows = np.concatenate([np.arange(sp.slices[u].start, sp.slices[u].stop) for u in order])
     stops = np.cumsum(sp.dims[order])
     slices = [slice(int(b - a), int(b)) for a, b in zip(sp.dims[order], stops)]
-    B0 = np.where(B0 == 0, -0.0, B0)
     d = sp.tangent_dim
     ops = np.zeros((sp.dim, d, d))
     for k, s in enumerate(slices):
@@ -693,9 +683,7 @@ def pair_first(text):
 
 @pytest.mark.parametrize("text", ["A:3:[1,2,1]:-", "D:4:[3,1]:-"])
 def test_frame_of_a_pair_at_row_zero_equals_the_dense_construction(text):
-    # the roles of the columns whose eye entry sits in row 0 (the dense scan
-    # reads that entry when no entry of the column is above 1e-12), and of
-    # -0.0 on B0's diagonal, which no catalogued flag has
+    # the frame's roles do not depend on where a pair's rows start
     sp = pair_first(text)
     rng = np.random.default_rng(list(text.encode()))
     for coeffs in frame_cases(sp, rng):
@@ -704,37 +692,19 @@ def test_frame_of_a_pair_at_row_zero_equals_the_dense_construction(text):
         V, want_v, want_w = dense_oracle.orthonormal_frame(m)
         assert np.array_equal(v.view(np.int64), want_v.view(np.int64))
         assert np.array_equal(w.view(np.int64), want_w.view(np.int64))
-    kind, cls = np.divmod(sp.frame_plan.frame[2][sp.frame_plan.frame[2] >= sp.n_sub] - sp.n_sub, 4)
-    assert np.any(cls >= 2)
-    assert np.any(kind == 6) == (text == "A:3:[1,2,1]:-")
 
 
 def test_frame_plan_refuses_an_intertwiner_that_is_no_signed_permutation():
-    # the frame's roles give each pair column one B0 entry of magnitude one
+    # the frame's roles give each pair column one B0 entry of magnitude one,
+    # so a solved map that rounds to no signed permutation is refused when
+    # it is normalized
     sp = space("D:4:[3,1]:-")
-    (i, j, B0), = sp.pairs
+    (_, _, B0), = sp.pairs
     c, s = np.cos(0.3), np.sin(0.3)
     turned = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ B0
-    bent = dataclasses.replace(sp, pairs=[(i, j, turned)])
     with pytest.raises(UnimplementedCase, match="signed-permutation"):
-        invariant._frame_plan(bent)
-
-
-def test_column_signs_follow_the_dense_scan():
-    # a pair's column holds its eye entry e and, in a later row, its B0
-    # entry sigma * f; the dense scan gives it the sign of its first entry
-    # above 1e-12, or of its row-0 entry when there is none.  Both row-0
-    # classes are checked, though no catalogued pair has summand i at row 0
-    values = [0.0, 3e-13, -3e-13, 2e-12, -2e-12, 0.7, -0.7]
-    for e in values:
-        for f in values:
-            signs = invariant._column_signs(e, f)
-            for cls in range(4):
-                sigma, row = -1.0 if cls % 2 else 1.0, 0 if cls >= 2 else 3
-                column = np.zeros(8)
-                column[row], column[6] = e, sigma * f
-                lead = column[np.argmax(np.abs(column) > 1e-12)]
-                assert signs[cls] == (-1.0 if lead < 0 else 1.0), (e, f, cls)
+        invariant._normalized_intertwiner(turned, sp.spec)
+    assert np.array_equal(invariant._normalized_intertwiner(B0, sp.spec), B0)
 
 
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
