@@ -23,11 +23,11 @@ pair.
 
 Everything downstream reads the result as flat arrays,
 ``structure_index = (I, J, K, V)`` with ``C[I, J, K] = V``, listing both
-orders ``(i, j)`` and ``(j, i)``.  Brackets and the dense ``ad(x)`` are
-scatter-sums over these arrays, never a loop over vector entries.  The
-Killing form is the trace of ``ad . ad`` from the same arrays, never a
-closed-form multiple of the trace form (k is not simple for the B and D
-families).
+orders ``(i, j)`` and ``(j, i)``.  A bracket is a scatter-sum over these
+arrays, never a loop over vector entries, and no ``ad(x)`` matrix is
+formed.  The Killing form is the trace of ``ad . ad`` from the same arrays,
+never a closed-form multiple of the trace form (k is not simple for the B
+and D families).
 
 The ambient inner product ``(.,.)`` is the family pairing under which each
 basis is orthogonal: minus the Killing form of so(l+1) for the A family, and

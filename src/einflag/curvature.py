@@ -33,14 +33,19 @@ arrays are its outputs ``ricci`` and ``ricci_tangent``: the frame stays
 its entries over the plan, and the defect is taken on ``ricci`` itself.
 Each single-term entry rounds as the dense product would; an entry of two
 terms, on a mixed pair, is summed without BLAS's fused multiply-add.  An
-explicit ``frame`` may be any orthonormal frame, so its T is dense:
-:func:`frame_structure` builds it one slab of ``_SLAB`` middle
-indices at a time, and each slab adds its part of both quadratic sums
-before the next is built.  A slab is contracted from the nonzeros of t per
-first index i, one small product each, and then takes one matrix product
-with ``V^T``; no product runs over the ``(i, k)`` pairs where t is zero.
-That route is the reference the ``ricci-frame-independence`` check
-compares the sparse route against.
+explicit ``frame`` may be any orthonormal frame, so its T is dense, and the
+route never forms it.  Both quadratic sums are the same sums re-associated
+through the frame's Gram matrices ``P = V V^T`` and ``R = W W^T``, ``W =
+V^-T``: ``sum_{b,c} T[a,b,c] T[a',b,c] = (V^T M V)[a,a']`` with ``M[i,i'] =
+sum t[i,j,k] t[i',j',k'] P[j,j'] R[k,k']``, ``sum_{a,b} T[a,b,c] T[a,b,c']
+= (W^T N W)[c,c']`` with ``N[k,k'] = sum t[i,j,k] t[i',j',k'] P[i,i']
+P[j,j']``, and ``sum T^2 = <M, P>``.  Column h of M is one product over
+the nonzeros of t whose first index is h, gathered back at the nonzeros of
+t and summed per first index; N is the same with the last index as the
+key.  That costs ``O(d^2 nnz + d^3)`` and a handful of d x d arrays, and the
+sums assume nothing of the frame but that it is invertible.  This route is the
+reference the ``ricci-frame-independence`` check compares the sparse route
+against.
 
 The reduced route, :class:`ReducedRicci`, maps the metric coefficients
 straight to the coefficients of the Ricci form over the metric-space
@@ -78,55 +83,68 @@ __all__ = [
     "u_map",
 ]
 
-# middle frame indices per slab of the dense frame_structure route: at
-# d = 129 a slab's arrays hold d^2 * 16 floats, 2.1 MB each
-_SLAB = 16
 # a block sum or Killing trace is an integer to this share of its array's largest
 _INTEGER_RTOL = 1e-12
 
 
-def frame_structure(frame, cols=slice(None)):
+def frame_structure(frame):
     """Structure constants of the bracket over a metric-orthonormal frame.
 
     Parameters
     ----------
     frame : Frame
-    cols : slice or index array, optional
-        The frame indices b of the middle slot to return; all by default.
 
     Returns
     -------
     ndarray
-        ``T[:, cols, :]`` of ``T[a, b, c] = g([F_a, F_b]_m, F_c)``, which is
+        ``T[a, b, c] = g([F_a, F_b]_m, F_c)``, a d^3 array, which is
         antisymmetric in the first two slots.  The last slot is lowered with
         the metric itself, so T is fully antisymmetric exactly when the
         metric is naturally reductive.
 
-    The middle and last slots are contracted first, over the nonzeros of t
-    alone, per first index i: ``X[i, b, :] = sum_{j,k} t[i,j,k] V[j,b]
-    W[k,:]``, ``W = V^-T``, is the product of the s columns ``t V[j, cols]``
-    of i's nonzeros with their rows of W.  The indices i with equally many
-    nonzeros (:attr:`~einflag.invariant.MetricSpace.structure_rows`) take
-    these products as one stack, written in place into a ``(d', s, d)``
-    array over the d' indices i that have nonzeros.  The first slot is then
-    one matrix product with ``V^T`` over those i, so the largest array has
-    ``d^2 s`` entries, and no product runs over the ``(i, k)`` pairs where t
-    is zero.  ``V^-1`` is the frame's
-    :attr:`~einflag.invariant.Frame.inverse`, inverted once per frame.
+    No report reads T: :func:`curvature` contracts its sums without it, and
+    the tests compare those sums with this T.  The middle and last slots are
+    contracted first, over the nonzeros of t alone, per first index i:
+    ``X[i] = sum_{j,k} t[i,j,k] V[j,:]^T W[k,:]``, ``W = V^-T``, is one
+    product of the columns ``t V[j, :]`` of i's nonzeros with their rows of
+    W.  The first slot is then one matrix product with ``V^T``.
     """
-    space = frame.metric.space
+    d = frame.metric.space.tangent_dim
+    V, W = frame.vectors, frame.inverse.T
+    I, J, K, t = frame.metric.space.structure_coo
+    X = np.zeros((d, d, d))
+    for h, at in _per_key(I, d):
+        X[h] = (V[J[at]].T * t[at]) @ W[K[at]]
+    return (V.T @ X.reshape(d, -1)).reshape(d, d, d)
+
+
+def _per_key(key, d):
+    """The nonzeros of t per value h of one of its index arrays, as ``(h, at)``
+    with ``at`` their positions in :attr:`~einflag.invariant.MetricSpace.structure_coo`;
+    the values that no nonzero takes are left out."""
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key, np.arange(d + 1), sorter=order).tolist()
+    return [(h, order[lo:hi]) for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
+
+
+def _gram_sum(space, slots, P, R):
+    """``M[x, h] = sum t[e] t[s] P[a_e, a_s] R[b_e, b_s]`` over the nonzeros e of t
+    with ``key_e = x`` and s with ``key_s = h``.
+
+    ``slots = (key, a, b)`` are three index arrays of ``structure_coo``.
+    Column h is ``Y = (P[:, a_s] t_s) @ R[b_s, :]`` over the nonzeros s of
+    key h, one ``(d, s) x (s, d)`` product, gathered at ``(a_e, b_e)`` for
+    every nonzero e and summed per ``key_e``; so the largest array is d x d.
+    """
     d = space.tangent_dim
-    V = frame.vectors
-    _, J, K, t = space.structure_coo
-    first, groups = space.structure_rows
-    # g-components of a tangent vector are read off against A V = V^{-T}
-    W = frame.inverse.T
-    left = t[:, None] * V[:, cols][J]
-    s = left.shape[1]
-    X = np.empty((first.size, s, d))
-    for lo, hi, at in groups:
-        np.matmul(np.swapaxes(left[at], 1, 2), W[K[at]], out=X[lo:hi])
-    return (V[first].T @ X.reshape(-1, s * d)).reshape(d, s, d)
+    key, a, b = slots
+    t = space.structure_coo[3]
+    flat = a * d + b
+    M = np.zeros((d, d))
+    for h, at in _per_key(key, d):
+        Y = (P[:, a[at]] * t[at]) @ R[b[at]]
+        M[:, h] = np.bincount(key, weights=t * Y.take(flat), minlength=d)
+    return M
 
 
 @dataclass(frozen=True)
@@ -219,21 +237,22 @@ def _planned_ricci(frame):
 
 
 def _dense_terms(frame):
-    """The frame sums of the Ricci formula from :func:`frame_structure`.
+    """The frame sums of the Ricci formula in an explicit frame, without T.
 
-    T is taken ``_SLAB`` middle indices b at a time.  Each slab adds its
-    part of both quadratic sums, ``sum_{i in slab, c} T[a,i,c] T[a',i,c]``
-    and ``sum_{i, j in slab} T[i,j,a] T[i,j,a']``, and of ``sum T^2``.
+    Returns ``sum_{b,c} T[a,b,c] T[a',b,c] = V^T M V``, ``sum_{a,b} T[a,b,c]
+    T[a,b,c'] = W^T N W`` and ``sum T^2 = <M, P>``, with M and N the
+    :func:`_gram_sum` of the frame's Gram matrices ``P = V V^T`` and ``R = W
+    W^T``, keyed on the first and on the last index of t.
     """
-    d = frame.vectors.shape[0]
-    quad_out, quad_in, square = np.zeros((d, d)), np.zeros((d, d)), 0.0
-    for start in range(0, d, _SLAB):
-        T = frame_structure(frame, slice(start, start + _SLAB))
-        Tf, Tg = T.reshape(d, -1), T.reshape(-1, d)
-        quad_out += Tf @ Tf.T
-        quad_in += Tg.T @ Tg
-        square += float(np.vdot(Tf, Tf))
-    return quad_out, quad_in, square
+    space = frame.metric.space
+    I, J, K, _ = space.structure_coo
+    V, W = frame.vectors, frame.inverse.T
+    P = V @ V.T
+    M = _gram_sum(space, (I, J, K), P, W @ W.T)
+    quad_out, square = V.T @ M @ V, float(np.vdot(M, P))
+    del M  # before N is built: one d x d array less at the peak
+    N = _gram_sum(space, (K, I, J), P, P)
+    return quad_out, W.T @ N @ W, square
 
 
 def curvature(metric, frame=None):
@@ -248,10 +267,12 @@ def curvature(metric, frame=None):
         structure tensor by the frame's
         :class:`~einflag.invariant.FramePlan`: ``ricci`` and
         ``ricci_tangent`` are scattered from their structural entries, and
-        no other d x d array is made.  An explicit frame goes through the
-        dense :func:`frame_structure` contraction instead; any
-        metric-orthonormal frame must give the same tangent-coordinate Ricci
-        form, which the verification suite exploits.  Either way
+        no other d x d array is made.  An explicit frame is dense; its sums
+        are contracted through its Gram matrices ``V V^T`` and ``W W^T``
+        (:func:`_dense_terms`), in ``O(d^2 nnz + d^3)`` with a few d x d
+        arrays and no T.  Any metric-orthonormal frame must give the same
+        tangent-coordinate Ricci form, which the verification suite
+        exploits.  Either way
         ``einstein_defect`` is the Frobenius norm of ``ricci - c I``, taken
         on ``ricci`` with c off its diagonal and then put back.
 

@@ -270,27 +270,6 @@ class MetricSpace:
         return coo
 
     @cached_property
-    def structure_rows(self):
-        """The nonzeros of t grouped by their first index i, as ``(first,
-        groups)``: ``first`` holds the indices i that have nonzeros, ordered
-        by their count, and ``groups`` one ``(lo, hi, at)`` per count c, with
-        ``first[lo:hi]`` the indices of c nonzeros and ``at`` the ``(hi - lo,
-        c)`` positions of these in :attr:`structure_coo`."""
-        I = self.structure_coo[0]
-        count = np.bincount(I, minlength=self.tangent_dim)
-        start = np.cumsum(count) - count
-        first = np.argsort(count, kind="stable")
-        first = first[count[first] > 0]
-        entries = np.argsort(I, kind="stable")
-        counts, lo = np.unique(count[first], return_index=True)
-        bounds = np.r_[lo, first.size]
-        groups = tuple(
-            (a, b, entries[start[first[a:b], None] + np.arange(c)])
-            for c, a, b in zip(counts.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
-        )
-        return first, groups
-
-    @cached_property
     def structure_trace(self):
         """``max_k |z_k|`` of the trace of t, which :attr:`structure_coo` bounds."""
         return _trace_size(self.structure_coo, self.tangent_dim)
@@ -830,7 +809,8 @@ class Frame:
     @cached_property
     def inverse(self):
         """``vectors^-1``, computed once per frame: the explicit-frame route
-        of :func:`~einflag.curvature.curvature` reads it in every slab."""
+        of :func:`~einflag.curvature.curvature` reads it for ``W = V^-T`` and
+        again for ``ricci_tangent``."""
         return np.linalg.inv(self.vectors)
 
 

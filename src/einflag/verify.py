@@ -122,37 +122,76 @@ class _Context:
 
 
 def _check_ambient_ad_invariance(ctx):
+    """``([e_i, e_j], e_k) + (e_j, [e_i, e_k]) = C_ijk g_k + C_ikj g_j = 0`` on
+    every structure constant, exactly: the constants and the Gram diagonal
+    g are small integers and halves, so each side rounds to nothing."""
     m = ctx.model
-    worst = 0.0
-    for _ in range(20):
-        x, y, z = (ctx.rng.standard_normal(m.n) for _ in range(3))
-        x, y, z = (v / np.linalg.norm(v) for v in (x, y, z))
-        a = m.ambient_inner_coords(m.bracket_coords(z, x), y)
-        b = m.ambient_inner_coords(x, m.bracket_coords(z, y))
-        worst = max(worst, abs(a + b))
-    _require(worst < 1e-10, f"ad-invariance residual {worst:.2e}")
-    return f"max |([z,x],y)+(x,[z,y])| = {worst:.1e} over 20 random triples"
+    I, J, K, C = m.structure_index
+    g = m.gram
+    n = m.n
+    key = (I * n + J) * n + K
+    order = np.argsort(key)
+    # C_ikj: the entry at the key with j and k swapped, 0 where C has none
+    swapped = (I * n + K) * n + J
+    at = order[np.minimum(np.searchsorted(key, swapped, sorter=order), key.size - 1)]
+    resid = C * g[K] + np.where(key[at] == swapped, C[at], 0.0) * g[J]
+    bad = np.flatnonzero(resid)
+    if bad.size:
+        e = bad[0]
+        raise _Failure(
+            f"([e_i,e_j],e_k)+(e_j,[e_i,e_k]) = {resid[e]:.3g} at (i,j,k) = "
+            f"({I[e]}, {J[e]}, {K[e]})"
+        )
+    return f"([e_i,e_j],e_k)+(e_j,[e_i,e_k]) = 0 exactly on all {C.size} structure constants"
 
 
 def _killing_trace_ratios(m):
     """Ascending generalized eigenvalues of (-Killing form, trace form).
 
-    The basis is orthogonal for the trace form, so its Gram is a diagonal
-    g, and ``K x = r G x`` is ``g^-1/2 K g^-1/2 y = r y``.  A Gram entry off
-    the diagonal fails the check.
+    The trace Gram ``G[e, f] = tr(M_e M_f^T) = -tr(M_e M_f)`` of the skew
+    basis matrices is the positive trace form; it is taken exactly, as
+    integers, from one join of the nonzeros of all basis matrices on their
+    ambient position, and a Gram entry off the diagonal fails the check.
+    With G a diagonal g, ``K x = r G x`` is ``g^-1/2 K g^-1/2 y = r y``, and
+    it splits over the connected blocks of K's off-diagonal pattern: one
+    stacked ``eigvalsh`` per block size, 1 x 1 blocks included.
     """
-    # Flattened dot products give tr(M_e M_f^T) = -tr(M_e M_f) for the
-    # skew basis matrices, i.e. exactly the positive trace-form gram; the
-    # entries are integers, so the products are exact.
-    mats = np.stack([e.matrix.astype(float).reshape(-1) for e in m.basis])
-    G = mats @ mats.T
+    mats = np.array([e.matrix for e in m.basis])
+    n = len(mats)
+    elem, row, col = np.nonzero(mats)
+    val = mats[elem, row, col].astype(np.int64)
+    pos = row * mats.shape[2] + col
+    x, y = _matches(pos, pos)
+    G = np.zeros(n * n, dtype=np.int64)
+    np.add.at(G, elem[x] * n + elem[y], val[x] * val[y])
+    G = G.reshape(n, n)
     g = np.diag(G).copy()
-    np.fill_diagonal(G, 0.0)
-    off = float(np.max(np.abs(G)))
-    _require(off == 0.0, f"trace Gram of the basis has an off-diagonal entry {off:.3g}")
+    np.fill_diagonal(G, 0)
+    off = int(np.max(np.abs(G)))
+    _require(off == 0, f"trace Gram of the basis has an off-diagonal entry {off}")
     scale = 1.0 / np.sqrt(g)
     K = -np.asarray(m.killing_matrix, dtype=float)
-    return np.linalg.eigvalsh(scale[:, None] * K * scale)
+    # each index takes the least label of its block, passed along K's
+    # off-diagonal nonzeros until no label moves
+    r, c = np.nonzero(K)
+    r, c = r[r != c], c[r != c]
+    label = np.arange(n)
+    while True:
+        moved = label.copy()
+        np.minimum.at(moved, r, label[c])
+        if np.array_equal(moved, label):
+            break
+        label = moved
+    order = np.argsort(label, kind="stable")
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    ratios = []
+    # not np.unique(size): without return_* it imports numpy.ma, 13 ms cold
+    for k in np.flatnonzero(np.bincount(size)):
+        block = order[start[size == k, None] + np.arange(k)]
+        s = scale[block]
+        B = K[block[:, :, None], block[:, None, :]] * s[:, :, None] * s[:, None, :]
+        ratios.append(np.linalg.eigvalsh(B).ravel())
+    return np.sort(np.concatenate(ratios))
 
 
 def _check_killing_trace_ratio(ctx):

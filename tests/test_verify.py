@@ -563,6 +563,38 @@ def test_killing_trace_ratio_fails_on_a_non_orthogonal_basis():
 
 
 @pytest.mark.parametrize("text", ["D:5:[4,1]:-", "A:25:[20,3,3]:-"])
+def test_frame_independence_fails_when_the_explicit_route_lowers_with_p(monkeypatch, text):
+    # negative control: the explicit route lowers the last slot of T with
+    # P = V V^T = A^-1 in place of R = W W^T = A, which is wrong at every
+    # metric but the normal one; the rotated-frame Ricci form then differs
+    ctx = verify._Context(parse_flag_spec(text))
+    assert "random rotated frame" in verify._check_frame_independence(ctx)
+    curvature_module = importlib.import_module("einflag.curvature")
+    real = curvature_module._gram_sum
+    monkeypatch.setattr(
+        curvature_module, "_gram_sum", lambda space, slots, P, R: real(space, slots, P, P)
+    )
+    with pytest.raises(verify._Failure, match="Ricci depends on the frame"):
+        verify._check_frame_independence(verify._Context(parse_flag_spec(text)))
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "A:25:[20,3,3]:-"])
+def test_ambient_ad_invariance_sees_one_perturbed_constant(text):
+    # negative control: every structure constant is checked, exactly, so a
+    # change of 2^-40 in one of them fails the check
+    ctx = verify._Context(parse_flag_spec(text))
+    assert "0 exactly on all" in verify._check_ambient_ad_invariance(ctx)
+    model = copy.copy(ctx.model)
+    I, J, K, C = model.structure_index
+    C = C.copy()
+    C[len(C) // 2] += 2.0**-40
+    model.structure_index = (I, J, K, C)
+    ctx.model = model
+    with pytest.raises(verify._Failure, match=r"\(\[e_i,e_j\],e_k\)"):
+        verify._check_ambient_ad_invariance(ctx)
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "A:25:[20,3,3]:-"])
 def test_solve_and_checks_never_read_the_dense_structure(cold_caches, monkeypatch, text):
     # every memo is cold, so the space, the reduced engine, the exact counts
     # and the checks are all built under the refusing property
