@@ -11,6 +11,13 @@ realized by explicit integer ambient matrices:
   (roots ``2 l_k``, ``l_i - l_j``, ``l_i + l_j``).
 * ``D_l``: k = so(l) + so(l) inside gl(2l), basis ``w(i,j)``, ``u(i,j)``.
 
+B, C and D act on two copies of R^l and share one rule: ``w(i,j)`` is the
+rotation ``E_ij - E_ji`` in both copies, and ``u(i,j)`` maps copy one to
+copy two by ``E_ij + s E_ji`` and back by minus its transpose, ``s = +1``
+for C (whose ``u(k,k)`` is the case i = j) and -1 for B and D.  B puts its
+extra coordinate first, and its ``v(k)`` pairs it with coordinate k of
+both copies.
+
 At build time the nonzeros of all basis matrices form one list of entries,
 and every ambient position records the one basis element that owns it.  The
 commutators of all basis pairs ``i < j`` come from one join of that list with
@@ -100,9 +107,9 @@ def _unit(root_dim, entries):
 
 def _build_basis(family, l):
     """Return (ambient_dim, list[BasisElement])."""
-    basis = []
     if family == "A":
         N = l + 1
+        basis = []
         for i in range(2, N + 1):
             for j in range(1, i):
                 M = np.zeros((N, N), dtype=np.int64)
@@ -113,89 +120,36 @@ def _build_basis(family, l):
                 )
         return N, basis
 
+    # two copies of R^l, coordinate i at p + i in the first and q + i in the
+    # second, after B's extra coordinate 0; C's u is symmetric across them
+    p = 0 if family == "B" else -1
+    q, N, s = p + l, 2 * l + p + 1, 1 if family == "C" else -1
+
+    def element(label, entries, root):
+        M = np.zeros((N, N), dtype=np.int64)
+        for r, c, v in entries:
+            M[r, c] = v
+        return BasisElement(label, M, _unit(l, root))
+
+    def w(i, j):
+        entries = [(p + i, p + j, 1), (p + j, p + i, -1), (q + i, q + j, 1), (q + j, q + i, -1)]
+        return element(f"w({i},{j})", entries, [(i, 1), (j, -1)])
+
+    def u(i, j):
+        # at i = j the entries coincide: C's u(k,k), of root 2 l_k
+        entries = [(q + i, p + j, 1), (q + j, p + i, s), (p + j, q + i, -1), (p + i, q + j, -s)]
+        return element(f"u({i},{j})", entries, [(i, 1), (j, 1)])
+
+    basis = []
     if family == "B":
-        N = 2 * l + 1
-        for k in range(1, l + 1):
-            M = np.zeros((N, N), dtype=np.int64)
-            M[k, 0] = 1
-            M[0, k] = -1
-            M[l + k, 0] = 1
-            M[0, l + k] = -1
-            basis.append(BasisElement(f"v({k})", M, _unit(l, [(k, 1)])))
-        for i in range(2, l + 1):
-            for j in range(1, i):
-                M = np.zeros((N, N), dtype=np.int64)
-                M[i, j] = 1
-                M[j, i] = -1
-                M[l + i, l + j] = 1
-                M[l + j, l + i] = -1
-                basis.append(
-                    BasisElement(f"w({i},{j})", M, _unit(l, [(i, 1), (j, -1)]))
-                )
-        for i in range(2, l + 1):
-            for j in range(1, i):
-                M = np.zeros((N, N), dtype=np.int64)
-                M[l + i, j] = 1
-                M[j, l + i] = -1
-                M[i, l + j] = 1
-                M[l + j, i] = -1
-                basis.append(
-                    BasisElement(f"u({i},{j})", M, _unit(l, [(i, 1), (j, 1)]))
-                )
-        return N, basis
-
-    if family == "C":
-        N = 2 * l
-        for k in range(1, l + 1):
-            M = np.zeros((N, N), dtype=np.int64)
-            M[l + k - 1, k - 1] = 1
-            M[k - 1, l + k - 1] = -1
-            basis.append(BasisElement(f"u({k},{k})", M, _unit(l, [(k, 2)])))
-        for i in range(2, l + 1):
-            for j in range(1, i):
-                M = np.zeros((N, N), dtype=np.int64)
-                M[i - 1, j - 1] = 1
-                M[j - 1, i - 1] = -1
-                M[l + i - 1, l + j - 1] = 1
-                M[l + j - 1, l + i - 1] = -1
-                basis.append(
-                    BasisElement(f"w({i},{j})", M, _unit(l, [(i, 1), (j, -1)]))
-                )
-        for i in range(2, l + 1):
-            for j in range(1, i):
-                M = np.zeros((N, N), dtype=np.int64)
-                M[l + i - 1, j - 1] = 1
-                M[l + j - 1, i - 1] = 1
-                M[i - 1, l + j - 1] = -1
-                M[j - 1, l + i - 1] = -1
-                basis.append(
-                    BasisElement(f"u({i},{j})", M, _unit(l, [(i, 1), (j, 1)]))
-                )
-        return N, basis
-
-    # family == "D"
-    N = 2 * l
-    for i in range(2, l + 1):
-        for j in range(1, i):
-            M = np.zeros((N, N), dtype=np.int64)
-            M[i - 1, j - 1] = 1
-            M[j - 1, i - 1] = -1
-            M[l + i - 1, l + j - 1] = 1
-            M[l + j - 1, l + i - 1] = -1
-            basis.append(
-                BasisElement(f"w({i},{j})", M, _unit(l, [(i, 1), (j, -1)]))
-            )
-    for i in range(2, l + 1):
-        for j in range(1, i):
-            M = np.zeros((N, N), dtype=np.int64)
-            M[l + i - 1, j - 1] = 1
-            M[l + j - 1, i - 1] = -1
-            M[i - 1, l + j - 1] = 1
-            M[j - 1, l + i - 1] = -1
-            basis.append(
-                BasisElement(f"u({i},{j})", M, _unit(l, [(i, 1), (j, 1)]))
-            )
-    return N, basis
+        basis = [
+            element(f"v({k})", [(p + k, 0, 1), (0, p + k, -1), (q + k, 0, 1), (0, q + k, -1)], [(k, 1)])
+            for k in range(1, l + 1)
+        ]
+    elif family == "C":
+        basis = [u(k, k) for k in range(1, l + 1)]
+    pairs = [(i, j) for i in range(2, l + 1) for j in range(1, i)]
+    return N, basis + [w(i, j) for i, j in pairs] + [u(i, j) for i, j in pairs]
 
 
 def _matches(keys, targets):

@@ -5,12 +5,15 @@ gauge where the last diagonal coefficient equals one.  :func:`solve` has
 one route.  Its solutions are the roots of two stages, each counted
 exactly by resultants and Sturm sequences (:mod:`einflag.algebraic`): the
 diagonal Einstein metrics, and on a flag with an equivalent pair the ones
-with a nonzero mixing coefficient.  The roots are taken as they are, and
-each stage's :class:`StageCertificate` records its count.  A root that an
-exact branch of the catalog (:func:`closed_form_solutions`) matches is
-reported under the branch's name; each reported solution is certified
-once by the frame-route curvature report.  A system the exact count does
-not cover raises :class:`NoExactCount`; no search stands in for it.
+with a nonzero mixing coefficient, and each stage's
+:class:`StageCertificate` records its count.  A root that an exact branch
+of the catalog (:func:`closed_form_solutions`) matches is replaced by the
+branch, reported under its name with its own closed-form coefficients,
+which may differ from the root in the last bit; each reported solution is
+certified once by the frame-route curvature report.  The catalog and the
+published Table 1 rows are keyed by :attr:`~einflag.flag.FlagSpec.shape`.
+A system the exact count does not cover raises :class:`NoExactCount`; no
+search stands in for it.
 
 The screening step groups solutions by the scale-invariant Einstein
 constant and tries to realize coincidences by explicit isometries: ambient
@@ -198,100 +201,78 @@ def _solution(space, coeffs, provenance, rule_id):
 
 def _catalog_entries(spec):
     """Exact gauge-normalized solutions, as (rule_id, coefficients) pairs."""
-    fam, l, part = spec.family, spec.rank, spec.partition
-    plus = spec.includes_last_root
+    shape, l, part = spec.shape, spec.rank, spec.partition
 
-    if fam == "A":
-        if l == 3 and len(part) == 2:
-            # [2,2] splits into two summands; [3,1] and [1,3] are isotropy
-            # irreducible, so every invariant metric is normal
-            return [("normal", (1.0, 1.0) if part == (2, 2) else (1.0,))]
-        if l == 3 and len(part) == 3:
-            # three summands with an equivalent pair: one diagonal solution
-            # plus four mixed ones related by swaps and mixing-sign flips
-            return [
-                ("E1", (4.0 / 3.0, 1.0, 1.0, 0.0)),
-                ("E2", (2.0 / 3.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)),
-                ("E3", (2.0, 3.0, 1.0, 1.0)),
-                ("E4", (2.0 / 3.0, 1.0 / 3.0, 1.0, -1.0 / 3.0)),
-                ("E5", (2.0, 3.0, 1.0, -1.0)),
-            ]
-        if len(part) == 3 and part[1] == part[2] and part[1] >= 3:
-            l1, m = part[0], part[1]
-            out = []
-            # branch with equal first two coefficients
-            a1 = 2 * m + l1 - 2
-            disc1 = l1 * l1 - 4 * (m - 1)
-            if disc1 >= 0:
-                roots = {(a1 + math.sqrt(disc1)) / (4 * (m - 1)),
-                         (a1 - math.sqrt(disc1)) / (4 * (m - 1))}
-                for tag, x in zip(("sym+", "sym-"), sorted(roots, reverse=True)):
-                    if x > 0:
-                        out.append((tag, (x, x, 1.0)))
-            # swapped-pair branch
-            a2 = m * (m + l1 - 1) * (2 * m + l1 - 2)
-            disc2 = (m + l1 - 1) * (
-                -l1 * l1 + l1 * (m - 2) ** 2 + m**3 - 4 * m * m + 8 * m - 4
-            )
-            if disc2 > 0:
-                den = 2 * m * m * (m + l1 - 1)
-                y1 = (a2 + m * math.sqrt(disc2)) / den
-                y2 = (a2 - m * math.sqrt(disc2)) / den
-                if y1 > 0 and y2 > 0:
-                    out.append(("pair+", (y1, y2, 1.0)))
-                    if abs(y1 - y2) > 1e-12 * max(y1, y2):
-                        out.append(("pair-", (y2, y1, 1.0)))
-            elif disc2 == 0:
-                y = a2 / (2 * m * m * (m + l1 - 1))
-                if y > 0:
-                    out.append(("pair+", (y, y, 1.0)))
-            return out
-        raise NoCatalogEntry(f"no closed-form catalog for {spec}")
-
-    if fam == "B":
-        if part == (l,) and not plus and l >= 3:
-            if l == 4:
-                return [("mu-half", (0.5, 1.0, 1.0)), ("normal", (1.0, 1.0, 1.0))]
-            return [
-                ("mu-half", (0.5, 1.0)),
-                ("mu-upper", (l / (2.0 * l - 4.0), 1.0)),
-            ]
-        if part == (1, l - 1) and plus and l >= 3:
-            return [("ratio", ((l - 2.0) / (l - 1.0), 1.0))]
-        raise NoCatalogEntry(f"no closed-form catalog for {spec}")
-
-    if fam == "C":
-        if part == (l,) and not plus and l >= 3:
-            # the center direction is Ricci flat at every invariant metric
-            return []
-        if part == (1, l - 1) and plus and l >= 3:
-            return [("mu0-double", (2.0, 1.0))]
-        raise NoCatalogEntry(f"no closed-form catalog for {spec}")
-
-    if fam == "D":
-        if part == (l,) and not plus:
-            # l = 4 splits into two summands; l >= 5 is isotropy irreducible.
-            return [("normal", (1.0, 1.0) if l == 4 else (1.0,))]
-        if plus and part == (l - 1, 1) and l == 4:
-            return [("normal", (1.0, 1.0))]
-        shapes = {(l - 1, 1), (1, l - 1)} if not plus else {(1, l - 2, 1)}
-        if part in shapes and l >= 4:
-            s = math.sqrt(l * l - 5.0 * l + 4.0) / (2.0 * (l - 1.0))
-            out = []
-            if s > 1e-12:
-                out.append(("F1", (1 / (1 + s), (1 - s) / (1 + s), 1.0, 0.0)))
-                out.append(("F2", (1 / (1 - s), (1 + s) / (1 - s), 1.0, 0.0)))
-            else:
-                out.append(("F1", (1.0, 1.0, 1.0, 0.0)))
-            out += [
-                ("F3", (2.0 / 3.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)),
-                ("F4", (2.0, 3.0, 1.0, 1.0)),
-                ("F5", (2.0 / 3.0, 1.0 / 3.0, 1.0, -1.0 / 3.0)),
-                ("F6", (2.0, 3.0, 1.0, -1.0)),
-            ]
-            return out
-        raise NoCatalogEntry(f"no closed-form catalog for {spec}")
-
+    if shape in ("A3-split", "A3-irreducible", "D-full", "D4-full"):
+        # [2,2] and the rank-4 D flags split into two summands, the others
+        # are isotropy irreducible; each has the normal metric only
+        return [("normal", (1.0, 1.0) if shape in ("A3-split", "D4-full") else (1.0,))]
+    if shape == "A3-pair":
+        # three summands with an equivalent pair: one diagonal solution
+        # plus four mixed ones related by swaps and mixing-sign flips
+        return [
+            ("E1", (4.0 / 3.0, 1.0, 1.0, 0.0)),
+            ("E2", (2.0 / 3.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)),
+            ("E3", (2.0, 3.0, 1.0, 1.0)),
+            ("E4", (2.0 / 3.0, 1.0 / 3.0, 1.0, -1.0 / 3.0)),
+            ("E5", (2.0, 3.0, 1.0, -1.0)),
+        ]
+    if shape == "A-three" and part[1] == part[2] and part[1] >= 3:
+        l1, m = part[0], part[1]
+        out = []
+        # branch with equal first two coefficients
+        a1 = 2 * m + l1 - 2
+        disc1 = l1 * l1 - 4 * (m - 1)
+        if disc1 >= 0:
+            roots = {(a1 + math.sqrt(disc1)) / (4 * (m - 1)),
+                     (a1 - math.sqrt(disc1)) / (4 * (m - 1))}
+            for tag, x in zip(("sym+", "sym-"), sorted(roots, reverse=True)):
+                if x > 0:
+                    out.append((tag, (x, x, 1.0)))
+        # swapped-pair branch
+        a2 = m * (m + l1 - 1) * (2 * m + l1 - 2)
+        disc2 = (m + l1 - 1) * (
+            -l1 * l1 + l1 * (m - 2) ** 2 + m**3 - 4 * m * m + 8 * m - 4
+        )
+        if disc2 > 0:
+            den = 2 * m * m * (m + l1 - 1)
+            y1 = (a2 + m * math.sqrt(disc2)) / den
+            y2 = (a2 - m * math.sqrt(disc2)) / den
+            if y1 > 0 and y2 > 0:
+                out.append(("pair+", (y1, y2, 1.0)))
+                if abs(y1 - y2) > 1e-12 * max(y1, y2):
+                    out.append(("pair-", (y2, y1, 1.0)))
+        elif disc2 == 0:
+            y = a2 / (2 * m * m * (m + l1 - 1))
+            if y > 0:
+                out.append(("pair+", (y, y, 1.0)))
+        return out
+    if shape == "B-full":
+        return [("mu-half", (0.5, 1.0)), ("mu-upper", (l / (2.0 * l - 4.0), 1.0))]
+    if shape == "B4-full":
+        return [("mu-half", (0.5, 1.0, 1.0)), ("normal", (1.0, 1.0, 1.0))]
+    if shape == "B-plus1":
+        return [("ratio", ((l - 2.0) / (l - 1.0), 1.0))]
+    if shape == "C-full":
+        # the center direction is Ricci flat at every invariant metric
+        return []
+    if shape == "C-plus1":
+        return [("mu0-double", (2.0, 1.0))]
+    if shape == "D-pair":
+        s = math.sqrt(l * l - 5.0 * l + 4.0) / (2.0 * (l - 1.0))
+        out = []
+        if s > 1e-12:
+            out.append(("F1", (1 / (1 + s), (1 - s) / (1 + s), 1.0, 0.0)))
+            out.append(("F2", (1 / (1 - s), (1 + s) / (1 - s), 1.0, 0.0)))
+        else:
+            out.append(("F1", (1.0, 1.0, 1.0, 0.0)))
+        out += [
+            ("F3", (2.0 / 3.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)),
+            ("F4", (2.0, 3.0, 1.0, 1.0)),
+            ("F5", (2.0 / 3.0, 1.0 / 3.0, 1.0, -1.0 / 3.0)),
+            ("F6", (2.0, 3.0, 1.0, -1.0)),
+        ]
+        return out
     raise NoCatalogEntry(f"no closed-form catalog for {spec}")
 
 
@@ -680,6 +661,20 @@ class TableExpectation:
         return None
 
 
+_TABLE1 = {
+    "A3-pair": TableExpectation("5", exact=5, normal=False),
+    "A3-split": TableExpectation("1", exact=1, normal=True),
+    "A-three": TableExpectation("<=4", bound=4),
+    "B-full": TableExpectation("2", exact=2, normal=False),
+    "B4-full": TableExpectation("2", exact=2, normal=True),
+    "B-plus1": TableExpectation("1", exact=1, normal=False),
+    "C-full": TableExpectation("0", exact=0, normal=False),
+    "C-plus1": TableExpectation("1", exact=1, normal=False),
+    "C-plus": TableExpectation("<=2", bound=2),
+    "D4-full": TableExpectation("1", exact=1, normal=True),
+}
+
+
 def published_row(spec):
     """The published count/normal expectation for a flag, or None.
 
@@ -689,41 +684,13 @@ def published_row(spec):
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
-    fam, l = spec.family, spec.rank
-    part = tuple(spec.partition)
-    plus = spec.includes_last_root
-    if fam == "A":
-        if l == 3 and part == (2, 2):
-            return TableExpectation("1", exact=1, normal=True)
-        if l == 3:
-            return TableExpectation("5", exact=5, normal=False)
-        if len(part) == 3:
-            return TableExpectation("<=4", bound=4)
-        return None
-    if fam == "B":
-        if not plus:
-            return TableExpectation("2", exact=2, normal=(l == 4))
-        d = part[0]
-        if d == 1:
-            return TableExpectation("1", exact=1, normal=False)
-        return TableExpectation("<=3", bound=3) if d == 2 else TableExpectation("<=4", bound=4)
-    if fam == "C":
-        if not plus:
-            return TableExpectation("0", exact=0, normal=False)
-        if part[0] == 1:
-            return TableExpectation("1", exact=1, normal=False)
-        return TableExpectation("<=2", bound=2)
-    if fam == "D":
-        if not plus and part == (l,):
-            return TableExpectation("1", exact=1, normal=True) if l == 4 else None
-        if plus and l == 4 and part == (3, 1):
-            return TableExpectation("1", exact=1, normal=True)
-        if (not plus and sorted(part) == [1, l - 1]) or (plus and len(part) == 3):
-            if l == 4:
-                return TableExpectation("5", exact=5, normal=True)
-            return TableExpectation("6", exact=6, normal=False)
-        return None
-    return None
+    if spec.shape == "B-plus":
+        return TableExpectation("<=3", bound=3) if spec.partition[0] == 2 else TableExpectation("<=4", bound=4)
+    if spec.shape == "D-pair":
+        if spec.rank == 4:
+            return TableExpectation("5", exact=5, normal=True)
+        return TableExpectation("6", exact=6, normal=False)
+    return _TABLE1.get(spec.shape)
 
 
 @dataclass

@@ -10,10 +10,15 @@ Theta consists of the simple roots interior to each partition block, plus the
 last simple root when the switch is on.  The tangent space ``m`` is spanned by
 the basis vectors whose restricted roots are *not* in the linear span of
 Theta, and it splits into explicitly catalogued irreducible summands with
-declared equivalences between them.  The catalogue follows the structure
-theory of the isotropy representation for each family, including the
-low-rank special cases (split summands for A_3, the two 3-dimensional
-summands of the rank-4 B and D flags, and so on).  Shapes outside the
+declared equivalences between them.
+
+The catalogue is a case analysis over flag shapes, stated once by
+:attr:`FlagSpec.shape`: the manifold name, the coefficient names, the
+closed-form branches, the Table 1 row and the summand dimensions are each
+looked up by its key.  The last two simple roots of D_l, ``l_{l-1} -+ l_l``,
+are the spin nodes of its diagram, and the symmetry that swaps them
+(``l_l -> -l_l``) maps Theta of ``D:l:[l-1,1]:+`` onto Theta of
+``D:l:[l]:-``; the two are one flag, with one key.  Shapes outside the
 catalogued ranges raise :class:`~einflag.errors.UnimplementedCase`.
 
 Every constructed decomposition is verified a posteriori: submodules must be
@@ -74,6 +79,41 @@ class FlagSpec:
     @property
     def rank(self):
         return self.algebra.rank
+
+    @property
+    def shape(self):
+        """The catalogue key of the flag, or None outside the catalogue.
+
+        A: ``A3-pair``, ``A3-split``, ``A3-irreducible``, ``A-three``; B:
+        ``B-full``, ``B4-full``, ``B-plus1``, ``B-plus``; C: ``C-full``,
+        ``C-plus1``, ``C-plus``; D: ``D-full``, ``D4-full``, ``D-pair``,
+        ``D-plus``.  The README tabulates each key's flags and Table 1 row.
+        """
+        fam, l, part, plus = self.family, self.rank, self.partition, self.includes_last_root
+        if fam == "A":
+            if l != 3:
+                return "A-three" if len(part) == 3 else None
+            if len(part) == 3:
+                return "A3-pair"
+            return {(2, 2): "A3-split", (3, 1): "A3-irreducible", (1, 3): "A3-irreducible"}.get(part)
+        if fam == "D":
+            if l < 4:
+                return None
+            if plus and part == (l - 1, 1):
+                # the spin-node swap turns [l-1,1]:+ into [l]:-
+                part, plus = (l,), False
+            if not plus and part == (l,):
+                return "D4-full" if l == 4 else "D-full"
+            if part in {(l - 1, 1), (1, l - 1)} and not plus or part == (1, l - 2, 1) and plus:
+                return "D-pair"
+            return "D-plus" if plus and len(part) == 2 and l >= 5 else None
+        if l < 3:
+            return None
+        if not plus and part == (l,):
+            return "B4-full" if fam == "B" and l == 4 else f"{fam}-full"
+        if plus and len(part) == 2:
+            return f"{fam}-plus1" if part[0] == 1 else f"{fam}-plus"
+        return None
 
     def __str__(self):
         parts = ",".join(str(p) for p in self.partition)
@@ -376,21 +416,9 @@ def _decompose_a(spec, blocks):
 
 
 def _decompose_b(spec, blocks):
-    l = spec.rank
     r = len(blocks)
-    part = spec.partition
     plus = spec.includes_last_root
-
-    if l == 2:
-        raise UnimplementedCase("rank-2 B flags carry extra invariant subspaces")
-    if l in (3, 4):
-        table_shape = (not plus and part == (l,)) or (plus and len(part) == 2)
-        if not table_shape:
-            raise UnimplementedCase(
-                f"B rank {l} flag {part}:{'+' if plus else '-'} is outside the catalogue"
-            )
-
-    if not plus and part == (4,) and l == 4:
+    if spec.shape == "B4-full":
         subs = [
             ("V1", [[(f"v({k})", 1.0)] for k in range(1, 5)]),
             ("T1", [
@@ -429,20 +457,8 @@ def _decompose_b(spec, blocks):
 
 
 def _decompose_c(spec, blocks):
-    l = spec.rank
     r = len(blocks)
-    part = spec.partition
     plus = spec.includes_last_root
-
-    if l == 2:
-        raise UnimplementedCase("rank-2 C flags carry extra invariant subspaces")
-    if l == 4:
-        table_shape = (not plus and part == (4,)) or (plus and len(part) == 2)
-        if not table_shape:
-            raise UnimplementedCase(
-                f"C rank 4 flag {part}:{'+' if plus else '-'} is outside the catalogue"
-            )
-
     subs = []
     equiv = []
     n_v = r if not plus else r - 1
@@ -477,43 +493,23 @@ def _decompose_d(spec, blocks):
     r = len(blocks)
     part = spec.partition
     plus = spec.includes_last_root
-
-    if l == 3:
-        raise UnimplementedCase("rank-3 D flags reduce to family A and are not catalogued")
-    if l == 4:
-        allowed = {((3, 1), False), ((1, 3), False), ((1, 2, 1), True), ((4,), False), ((3, 1), True)}
-        if (part, plus) not in allowed:
-            raise UnimplementedCase(
-                f"D rank 4 flag {part}:{'+' if plus else '-'} is outside the catalogue"
-            )
-        if part == (4,) and not plus:
-            subs = [
-                ("T1", [
-                    [("u(2,1)", 1.0), ("u(4,3)", 1.0)],
-                    [("u(3,1)", 1.0), ("u(4,2)", -1.0)],
-                    [("u(4,1)", 1.0), ("u(3,2)", 1.0)],
-                ]),
-                ("S1", [
-                    [("u(4,3)", 1.0), ("u(2,1)", -1.0)],
-                    [("u(3,1)", 1.0), ("u(4,2)", 1.0)],
-                    [("u(4,1)", 1.0), ("u(3,2)", -1.0)],
-                ]),
-            ]
-            return subs, []
-        if part == (3, 1) and plus:
-            subs = [
-                ("T1", [
-                    [("u(2,1)", 1.0), ("w(4,3)", 1.0)],
-                    [("u(3,1)", 1.0), ("w(4,2)", -1.0)],
-                    [("w(4,1)", 1.0), ("u(3,2)", 1.0)],
-                ]),
-                ("S1", [
-                    [("w(4,3)", 1.0), ("u(2,1)", -1.0)],
-                    [("u(3,1)", 1.0), ("w(4,2)", 1.0)],
-                    [("w(4,1)", 1.0), ("u(3,2)", -1.0)],
-                ]),
-            ]
-            return subs, []
+    if spec.shape == "D4-full":
+        # [3,1]:+ is [4]:- under the spin-node swap l_4 -> -l_4, which turns
+        # each u(4,j) into w(4,j)
+        x = "w" if plus else "u"
+        subs = [
+            ("T1", [
+                [("u(2,1)", 1.0), (f"{x}(4,3)", 1.0)],
+                [("u(3,1)", 1.0), (f"{x}(4,2)", -1.0)],
+                [(f"{x}(4,1)", 1.0), ("u(3,2)", 1.0)],
+            ]),
+            ("S1", [
+                [(f"{x}(4,3)", 1.0), ("u(2,1)", -1.0)],
+                [("u(3,1)", 1.0), (f"{x}(4,2)", 1.0)],
+                [(f"{x}(4,1)", 1.0), ("u(3,2)", -1.0)],
+            ]),
+        ]
+        return subs, []
 
     subs = []
     equiv = []
@@ -592,12 +588,29 @@ def _orthonormalize(spec, rows):
     return out
 
 
+# every flag of these ranks is refused, and at the gated ranks every flag
+# outside the catalogue
+_REFUSED = {
+    ("B", 2): "rank-2 B flags carry extra invariant subspaces",
+    ("C", 2): "rank-2 C flags carry extra invariant subspaces",
+    ("D", 3): "rank-3 D flags reduce to family A and are not catalogued",
+}
+_GATED_RANKS = {"B": (3, 4), "C": (4,), "D": (4,)}
+
+
 @lru_cache(maxsize=None)
 def decompose_isotropy(spec):
     """Decompose the tangent space into catalogued irreducible summands."""
     model = spec.algebra
     blocks = _blocks(spec)
     iso, tan = split_reductive(spec)
+    if (spec.family, spec.rank) in _REFUSED:
+        raise UnimplementedCase(_REFUSED[spec.family, spec.rank])
+    if spec.rank in _GATED_RANKS.get(spec.family, ()) and spec.shape is None:
+        sign = "+" if spec.includes_last_root else "-"
+        raise UnimplementedCase(
+            f"{spec.family} rank {spec.rank} flag {spec.partition}:{sign} is outside the catalogue"
+        )
     builder = {"A": _decompose_a, "B": _decompose_b, "C": _decompose_c, "D": _decompose_d}
     raw_subs, equiv = builder[spec.family](spec, blocks)
     if not raw_subs:
@@ -698,36 +711,25 @@ def enumerate_small_flags(family, rank):
     return specs
 
 
+_NAMES = {
+    "B-full": lambda l, d: f"(SO({l})xSO({l + 1}))/SO({l})",
+    "B-plus1": lambda l, d: f"(SO({l})xSO({l + 1}))/(SO({l - 1})xSO({l}))",
+    "B-plus": lambda l, d: f"(SO({l})xSO({l + 1}))/(SO({d})xSO({l - d})xSO({l - d + 1}))",
+    "C-full": lambda l, d: f"U({l})/O({l})",
+    "C-plus": lambda l, d: f"U({l})/(O({d})xU({l - d}))",
+    "D-full": lambda l, d: f"(SO({l})xSO({l}))/SO({l})",
+    "D-pair": lambda l, d: f"(SO({l})xSO({l}))/S(O({l - 1})xO(1))",
+    "D-plus": lambda l, d: f"(SO({l})xSO({l}))/(SO({d})xSO({l - d})xSO({l - d}))",
+}
+_NAMES.update({"B4-full": _NAMES["B-full"], "C-plus1": _NAMES["C-plus"], "D4-full": _NAMES["D-full"]})
+
+
 def manifold_name(spec):
     """Display name of the underlying homogeneous space."""
-    l = spec.rank
-    p = spec.partition
-    plus = spec.includes_last_root
+    l, p = spec.rank, spec.partition
     if spec.family == "A":
         inner = "x".join(f"O({k})" for k in p)
         return f"SO({l + 1})/S({inner})"
-    if spec.family == "B":
-        if not plus and p == (l,):
-            return f"(SO({l})xSO({l + 1}))/SO({l})"
-        if plus and len(p) == 2:
-            d = p[0]
-            if d == 1:
-                return f"(SO({l})xSO({l + 1}))/(SO({l - 1})xSO({l}))"
-            return f"(SO({l})xSO({l + 1}))/(SO({d})xSO({l - d})xSO({l - d + 1}))"
-    if spec.family == "C":
-        if not plus and p == (l,):
-            return f"U({l})/O({l})"
-        if plus and len(p) == 2:
-            d = p[0]
-            return f"U({l})/(O({d})xU({l - d}))"
-    if spec.family == "D":
-        if not plus and p in {(l - 1, 1), (1, l - 1)}:
-            return f"(SO({l})xSO({l}))/S(O({l - 1})xO(1))"
-        if plus and p == (1, l - 2, 1):
-            return f"(SO({l})xSO({l}))/S(O({l - 1})xO(1))"
-        if l == 4 and ((p == (4,) and not plus) or (p == (3, 1) and plus)):
-            return "(SO(4)xSO(4))/SO(4)"
-        if plus and len(p) == 2:
-            d = p[0]
-            return f"(SO({l})xSO({l}))/(SO({d})xSO({l - d})xSO({l - d}))"
-    return f"{spec.family}{l} flag {list(p)}{'+' if plus else '-'}"
+    if spec.shape in _NAMES:
+        return _NAMES[spec.shape](l, p[0])
+    return f"{spec.family}{l} flag {list(p)}{'+' if spec.includes_last_root else '-'}"

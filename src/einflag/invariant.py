@@ -591,32 +591,25 @@ def _normalized_intertwiner(B0, spec):
     return R + 0.0
 
 
+_COEFFICIENT_NAMES = {
+    "A3-pair": ["mu_0", "mu_1", "mu_2", "b"],
+    "A3-split": ["mu_1", "mu_2"],
+    "A-three": ["mu_21", "mu_31", "mu_32"],
+    "B-full": ["mu", "gamma"],
+    "B4-full": ["mu", "gamma_1", "gamma_2"],
+    "B-plus1": ["rho", "mu"],
+    "B-plus": ["gamma", "rho", "mu"],
+    "C-full": ["mu_0", "mu_1"],
+    "C-plus1": ["mu_0", "mu_21"],
+    "C-plus": ["mu_0", "mu_1", "mu_21"],
+    "D4-full": ["mu_1", "mu_2"],
+    "D-pair": ["gamma", "lambda_1", "lambda_2", "b"],
+}
+
+
 def _coefficient_names(spec, n_sub, n_pairs):
-    l, part, plus = spec.rank, spec.partition, spec.includes_last_root
-    if spec.family == "A":
-        if l == 3 and part in {(2, 1, 1), (1, 2, 1), (1, 1, 2)}:
-            return ["mu_0", "mu_1", "mu_2", "b"]
-        if l == 3 and part == (2, 2):
-            return ["mu_1", "mu_2"]
-        if len(part) == 3 and n_pairs == 0 and l != 3:
-            return ["mu_21", "mu_31", "mu_32"]
-    elif spec.family == "B":
-        if not plus and part == (l,):
-            return ["mu", "gamma_1", "gamma_2"] if l == 4 else ["mu", "gamma"]
-        if plus and len(part) == 2:
-            return ["rho", "mu"] if part[0] == 1 else ["gamma", "rho", "mu"]
-    elif spec.family == "C":
-        if not plus and part == (l,):
-            return ["mu_0", "mu_1"]
-        if plus and len(part) == 2:
-            return ["mu_0", "mu_21"] if part[0] == 1 else ["mu_0", "mu_1", "mu_21"]
-    elif spec.family == "D":
-        if (not plus and part in {(l - 1, 1), (1, l - 1)}) or (
-            plus and part == (1, l - 2, 1)
-        ):
-            return ["gamma", "lambda_1", "lambda_2", "b"]
-        if l == 4 and ((part == (4,) and not plus) or (part == (3, 1) and plus)):
-            return ["mu_1", "mu_2"]
+    if spec.shape in _COEFFICIENT_NAMES:
+        return list(_COEFFICIENT_NAMES[spec.shape])
     return [f"x{i}" for i in range(n_sub)] + [f"b{i}" for i in range(n_pairs)]
 
 

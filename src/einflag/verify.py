@@ -154,7 +154,11 @@ def _killing_trace_ratios(m):
     ambient position, and a Gram entry off the diagonal fails the check.
     With G a diagonal g, ``K x = r G x`` is ``g^-1/2 K g^-1/2 y = r y``, and
     it splits over the connected blocks of K's off-diagonal pattern: one
-    stacked ``eigvalsh`` per block size, 1 x 1 blocks included.
+    stacked ``eigvalsh`` per block size, 1 x 1 blocks included.  A zero
+    ratio (the centre of u(l) in the C family) is decided exactly: on a
+    block with an eigenvalue near 0, 4K is integral, its nullity comes from
+    :func:`_nullity`, and that many of its eigenvalues, the smallest in
+    magnitude, are set to 0.
     """
     mats = np.array([e.matrix for e in m.basis])
     n = len(mats)
@@ -190,8 +194,42 @@ def _killing_trace_ratios(m):
         block = order[start[size == k, None] + np.arange(k)]
         s = scale[block]
         B = K[block[:, :, None], block[:, None, :]] * s[:, :, None] * s[:, None, :]
-        ratios.append(np.linalg.eigvalsh(B).ravel())
+        ev = np.linalg.eigvalsh(B)
+        # eigvalsh is off by about k eps |B|, so only these blocks can be singular
+        near = np.flatnonzero(np.min(np.abs(ev), axis=1) <= 1e-8 * np.max(np.abs(ev), axis=1))
+        if near.size:
+            b = block[near]
+            K4 = 4.0 * K[b[:, :, None], b[:, None, :]]
+            _require(np.array_equal(K4, np.rint(K4)), "4 x the Killing form is not integral")
+            rows, cols = np.nonzero(np.arange(k) < _nullity(K4.astype(np.int64))[:, None])
+            ev[near[rows], np.argsort(np.abs(ev[near]), axis=1)[rows, cols]] = 0.0
+        ratios.append(ev.ravel())
     return np.sort(np.concatenate(ratios))
+
+
+def _nullity(M):
+    """Nullities of an ``(n, k, k)`` stack of integer matrices, by one
+    fraction-free (Bareiss) elimination of the stack in Python integers, so
+    that every division is exact; each matrix pivots on its first nonzero
+    at or below its rank."""
+    A = np.asarray(M).astype(object)
+    n, k = A.shape[:2]
+    rank = np.zeros(n, dtype=np.int64)
+    prev = np.ones(n, dtype=object)
+    row = np.arange(k)
+    for col in range(k):
+        cand = (A[:, :, col] != 0) & (row >= rank[:, None])
+        m = np.flatnonzero(cand.any(axis=1))
+        top, pivot = rank[m], np.argmax(cand[m], axis=1)
+        A[m, pivot], A[m, top] = A[m, top], A[m, pivot]
+        X, t = A[m], A[m, top]
+        p = t[:, col]
+        below = (row > top[:, None])[:, :, None]
+        step = (p[:, None, None] * X - X[:, :, col, None] * t[:, None, :]) // prev[m][:, None, None]
+        A[m] = np.where(below, step, X)
+        prev[m] = p
+        rank[m] += 1
+    return k - rank
 
 
 def _check_killing_trace_ratio(ctx):
@@ -305,51 +343,35 @@ def _check_isotropy_stability(ctx):
 
 
 def _expected_dims(spec):
-    fam, l, p = spec.family, spec.rank, tuple(spec.partition)
-    plus = spec.includes_last_root
-    if fam == "A":
-        if l == 3 and p == (2, 2):
-            return {"M1": 2, "M2": 2}
-        out = {}
-        for mi in range(2, len(p) + 1):
-            for ni in range(1, mi):
-                out[f"M{mi}{ni}"] = p[mi - 1] * p[ni - 1]
-        return out
-    if fam == "B":
-        if not plus:
-            if l == 4:
-                return {"V1": 4, "T1": 3, "T2": 3}
-            return {"V1": l, "U1": l * (l - 1) // 2}
-        d = p[0]
-        if d == 1:
-            return {"V1_1": l - 1, "V1_2": l}
-        return {"U1": d * (d - 1) // 2, "V1_1": d * (l - d), "V1_2": d * (l - d + 1)}
-    if fam == "C":
-        if not plus:
-            return {"V1": 1, "U1": l * (l + 1) // 2 - 1}
-        d = p[0]
-        out = {"V1": 1, "M21": 2 * d * (l - d)}
-        if d >= 2:
-            out["U1"] = d * (d + 1) // 2 - 1
-        return out
-    # D
-    if not plus and p == (l,):
-        return {"T1": 3, "S1": 3} if l == 4 else {"U1": l * (l - 1) // 2}
-    if plus and l == 4 and p == (3, 1):
-        return {"T1": 3, "S1": 3}
-    if not plus and p == (l - 1, 1):
-        return {"U1": (l - 1) * (l - 2) // 2, "W21": l - 1, "U21": l - 1}
-    if not plus and p == (1, l - 1):
-        return {"U2": (l - 1) * (l - 2) // 2, "W21": l - 1, "U21": l - 1}
-    if plus and len(p) == 3:
-        return {"V2": (l - 1) * (l - 2) // 2, "M1": l - 1, "N1": l - 1}
-    if plus and len(p) == 2:
-        d = p[0]
-        out = {"M21_1": d * (l - d), "M21_2": d * (l - d)}
-        if d >= 2:
-            out["U1"] = d * (d - 1) // 2
-        return out
-    return None
+    """The summand dimensions of the flag's shape, by summand name; a summand
+    that a formula gives dimension 0 is absent."""
+    l, p, shape = spec.rank, spec.partition, spec.shape
+    d = p[0]
+    if spec.family == "A" and shape != "A3-split":
+        return {f"M{m}{n}": p[m - 1] * p[n - 1] for m in range(2, len(p) + 1) for n in range(1, m)}
+    dims = {
+        "A3-split": {"M1": 2, "M2": 2},
+        "B-full": {"V1": l, "U1": l * (l - 1) // 2},
+        "B4-full": {"V1": 4, "T1": 3, "T2": 3},
+        "B-plus1": {"V1_1": l - 1, "V1_2": l},
+        "B-plus": {"U1": d * (d - 1) // 2, "V1_1": d * (l - d), "V1_2": d * (l - d + 1)},
+        "C-full": {"V1": 1, "U1": l * (l + 1) // 2 - 1},
+        "C-plus1": {"V1": 1, "M21": 2 * (l - 1)},
+        "C-plus": {"V1": 1, "M21": 2 * d * (l - d), "U1": d * (d + 1) // 2 - 1},
+        # [l]:- builds its one summand as U1, [l-1,1]:+ as V1
+        "D-full": {"U1" if len(p) == 1 else "V1": l * (l - 1) // 2},
+        "D4-full": {"T1": 3, "S1": 3},
+        "D-plus": {"M21_1": d * (l - d), "M21_2": d * (l - d), "U1": d * (d - 1) // 2},
+    }
+    if shape == "D-pair":
+        # [1,l-2,1]:+, or the pair W~U beside the U block of l - 1 indices
+        pen = (l - 1) * (l - 2) // 2
+        if len(p) == 3:
+            return {"V2": pen, "M1": l - 1, "N1": l - 1}
+        return {f"U{p.index(l - 1) + 1}": pen, "W21": l - 1, "U21": l - 1}
+    if shape not in dims:
+        return None
+    return {name: dim for name, dim in dims[shape].items() if dim}
 
 
 def _check_summand_dimensions(ctx):
@@ -783,7 +805,7 @@ def _check_count_bounds(ctx):
         return f"count {count}; no published bound for this shape"
     _require(count <= bound, f"count {count} exceeds the bound {bound}")
     l, d = spec.rank, spec.partition[0]
-    if spec.family == "B" and d != 2 and count >= 1:
+    if spec.shape == "B-plus" and d != 2 and count >= 1:
         q = l * l * (l - 2) ** 2 - 2 * (d - 1) ** 2 * (d - 2) * (2 * l - d)
         _require(q > 0, f"solutions exist but the existence inequality fails (q = {q})")
         return f"count {count} <= {bound}; existence inequality holds (q = {q} > 0)"

@@ -365,6 +365,9 @@ def test_published_row_outside_table():
     assert published_row("D:5:[1,4]:+") is None
     assert published_row("A:5:[2,4]:-") is None
     assert published_row("D:5:[5]:-") is None
+    # the A3 pair flags' row does not hold for the irreducible [3,1]
+    assert published_row("A:3:[3,1]:-") is None
+    assert published_row("A:3:[1,3]:-") is None
 
 
 def test_expectation_matching():

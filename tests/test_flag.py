@@ -404,3 +404,62 @@ class TestNames:
     )
     def test_examples(self, text, name):
         assert manifold_name(flag(text)) == name
+
+    def test_spin_node_swap(self):
+        # D:l:[l-1,1]:+ is D:l:[l]:- with the last two simple roots swapped
+        assert manifold_name(flag("D:5:[5]:-")) == "(SO(5)xSO(5))/SO(5)"
+        assert manifold_name(flag("D:5:[4,1]:+")) == "(SO(5)xSO(5))/SO(5)"
+        assert flag("D:5:[4,1]:+").shape == flag("D:5:[5]:-").shape == "D-full"
+        assert flag("D:4:[3,1]:+").shape == flag("D:4:[4]:-").shape == "D4-full"
+
+
+SHAPES = {
+    "A": {"A3-pair", "A3-split", "A3-irreducible", "A-three"},
+    "B": {"B-full", "B4-full", "B-plus1", "B-plus"},
+    "C": {"C-full", "C-plus1", "C-plus"},
+    "D": {"D-full", "D4-full", "D-pair", "D-plus"},
+}
+
+
+class TestShape:
+    @pytest.mark.parametrize(
+        "text,shape",
+        [
+            ("A:3:[1,2,1]:-", "A3-pair"),
+            ("A:3:[2,2]:-", "A3-split"),
+            ("A:3:[3,1]:-", "A3-irreducible"),
+            ("A:8:[3,3,3]:-", "A-three"),
+            ("A:4:[3,2]:-", None),
+            ("B:5:[5]:-", "B-full"),
+            ("B:4:[4]:-", "B4-full"),
+            ("B:5:[1,4]:+", "B-plus1"),
+            ("B:5:[2,3]:+", "B-plus"),
+            ("B:2:[2]:-", None),
+            ("B:5:[2,3]:-", None),
+            ("C:4:[4]:-", "C-full"),
+            ("C:4:[1,3]:+", "C-plus1"),
+            ("C:5:[3,2]:+", "C-plus"),
+            ("C:5:[1,1,3]:-", None),
+            ("D:5:[5]:-", "D-full"),
+            ("D:4:[4]:-", "D4-full"),
+            ("D:5:[4,1]:-", "D-pair"),
+            ("D:5:[1,4]:-", "D-pair"),
+            ("D:5:[1,3,1]:+", "D-pair"),
+            ("D:5:[1,4]:+", "D-plus"),
+            ("D:5:[3,2]:+", "D-plus"),
+            ("D:4:[2,2]:+", None),
+            ("D:3:[3]:-", None),
+        ],
+    )
+    def test_examples(self, text, shape):
+        assert flag(text).shape == shape
+
+    def test_every_listed_flag_has_a_shape_and_a_name(self):
+        # spec level only: no decomposition is built
+        from einflag.cli import _table_rows
+
+        specs = _table_rows(25)
+        assert len(specs) == 3586
+        for spec in specs:
+            assert spec.shape in SHAPES[spec.family], str(spec)
+            assert " flag " not in manifold_name(spec), str(spec)

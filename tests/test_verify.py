@@ -547,6 +547,43 @@ def test_no_exact_count_propagates_from_the_checks(cold_search, monkeypatch):
         verify.run_checks("D:5:[4,1]:-")
 
 
+@pytest.mark.parametrize("rank", [3, 8, 25])
+def test_killing_trace_ratio_of_the_centre_is_exactly_zero(rank):
+    # the centre of u(l) is Ricci flat: its ratio is decided by the nullity
+    # of the integer Killing block, not left as eigensolver rounding
+    ratios = verify._killing_trace_ratios(build_algebra("C", rank))
+    assert ratios[0] == 0.0 and np.sum(ratios == 0.0) == 1
+    assert ratios[1] > 1.0
+
+
+def test_killing_trace_ratio_prints_the_zero_ratio_as_zero():
+    ctx = verify._Context(parse_flag_spec("C:3:[3]:-"))
+    assert verify._check_killing_trace_ratio(ctx) == "2 constant ratio(s): 0, 3"
+
+
+def test_nullity_of_integer_stacks():
+    # fraction-free elimination against the float rank on low-rank products
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, 6):
+        for r in range(k + 1):
+            M = rng.integers(-3, 4, (20, k, r)) @ rng.integers(-3, 4, (20, r, k))
+            want = k - np.linalg.matrix_rank(M.astype(float))
+            assert np.array_equal(verify._nullity(M), want), (k, r)
+    # a block whose minors overflow int64: 400 I - J at k = 25 is regular
+    big = 400 * np.eye(25, dtype=np.int64) - np.ones((25, 25), dtype=np.int64)
+    assert verify._nullity(big[None]).tolist() == [0]
+    assert verify._nullity((25 * np.eye(25) - np.ones((25, 25))).astype(np.int64)[None]).tolist() == [1]
+
+
+def test_spin_node_flag_passes_every_check():
+    # D:5:[4,1]:+ is D:5:[5]:- under the spin-node swap: its one summand is
+    # catalogued, and the solve names its root
+    results = verify.run_checks("D:5:[4,1]:+")
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 22
+    assert [s.rule_id for s in einstein.solve("D:5:[4,1]:+").solutions] == ["normal"]
+
+
 def test_killing_trace_ratio_fails_on_a_non_orthogonal_basis():
     # negative control: one basis row moved onto the span of two, so the
     # trace Gram has an off-diagonal entry; the check fails, it does not
