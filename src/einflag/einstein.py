@@ -36,7 +36,7 @@ import numpy as np
 from .algebraic import diagonal_count, mixed_count, normal_is_einstein
 from .curvature import curvature, reduced_ricci
 from .errors import InvariantViolation, NoCatalogEntry, TooManyParameters
-from .flag import manifold_name, parse_flag_spec
+from .flag import TableExpectation, _blocks, manifold_name, parse_flag_spec
 from .invariant import make_metric, metric_space
 
 __all__ = [
@@ -199,81 +199,78 @@ def _solution(space, coeffs, provenance, rule_id):
     return EinsteinSolution(metric, report, provenance, rule_id)
 
 
+def _a_three(l, p):
+    # catalogued only with two equal blocks of at least three after the first
+    if not (p[1] == p[2] and p[1] >= 3):
+        return None
+    l1, m = p[0], p[1]
+    out = []
+    # branch with equal first two coefficients
+    a1 = 2 * m + l1 - 2
+    disc1 = l1 * l1 - 4 * (m - 1)
+    if disc1 >= 0:
+        roots = {(a1 + math.sqrt(disc1)) / (4 * (m - 1)), (a1 - math.sqrt(disc1)) / (4 * (m - 1))}
+        out += [(tag, (x, x, 1.0)) for tag, x in zip(("sym+", "sym-"), sorted(roots, reverse=True)) if x > 0]
+    # swapped-pair branch
+    a2 = m * (m + l1 - 1) * (2 * m + l1 - 2)
+    disc2 = (m + l1 - 1) * (
+        -l1 * l1 + l1 * (m - 2) ** 2 + m**3 - 4 * m * m + 8 * m - 4
+    )
+    # a double root (disc2 = 0) is the one branch pair+
+    if disc2 >= 0:
+        den = 2 * m * m * (m + l1 - 1)
+        y1 = (a2 + m * math.sqrt(disc2)) / den
+        y2 = (a2 - m * math.sqrt(disc2)) / den
+        if y1 > 0 and y2 > 0:
+            out.append(("pair+", (y1, y2, 1.0)))
+            if abs(y1 - y2) > 1e-12 * max(y1, y2):
+                out.append(("pair-", (y2, y1, 1.0)))
+    return out
+
+
+def _d_pair(l, p):
+    # at l = 4, s = 0 and F2 is F1
+    s = math.sqrt(l * l - 5.0 * l + 4.0) / (2.0 * (l - 1.0))
+    out = [("F1", (1 / (1 + s), (1 - s) / (1 + s), 1.0, 0.0))]
+    if s > 1e-12:
+        out.append(("F2", (1 / (1 - s), (1 + s) / (1 - s), 1.0, 0.0)))
+    return out + _mixed("F", 3)
+
+
+def _mixed(tag, first):
+    """The four mixed branches of a flag with an equivalent pair, related by
+    swaps and mixing-sign flips."""
+    coeffs = [(2.0 / 3.0, 1.0 / 3.0, 1.0, 1.0 / 3.0), (2.0, 3.0, 1.0, 1.0)]
+    coeffs += [(*c[:3], -c[3]) for c in coeffs]
+    return [(f"{tag}{first + k}", c) for k, c in enumerate(coeffs)]
+
+
+# the exact branches of each shape key from the rank l and partition p, as
+# (rule_id, coefficients) pairs; a key absent here, or a formula giving
+# None, has no catalog entry.  The "normal" keys have the normal metric only,
+# and C-full's center direction is Ricci flat at every invariant metric.
+_CLOSED_FORMS = {
+    "A3-split": lambda l, p: [("normal", (1.0, 1.0))],
+    "A3-irreducible": lambda l, p: [("normal", (1.0,))],
+    "D-full": lambda l, p: [("normal", (1.0,))],
+    "D4-full": lambda l, p: [("normal", (1.0, 1.0))],
+    "A3-pair": lambda l, p: [("E1", (4.0 / 3.0, 1.0, 1.0, 0.0))] + _mixed("E", 2),
+    "A-three": _a_three,
+    "B-full": lambda l, p: [("mu-half", (0.5, 1.0)), ("mu-upper", (l / (2.0 * l - 4.0), 1.0))],
+    "B4-full": lambda l, p: [("mu-half", (0.5, 1.0, 1.0)), ("normal", (1.0, 1.0, 1.0))],
+    "B-plus1": lambda l, p: [("ratio", ((l - 2.0) / (l - 1.0), 1.0))],
+    "C-full": lambda l, p: [],
+    "C-plus1": lambda l, p: [("mu0-double", (2.0, 1.0))],
+    "D-pair": _d_pair,
+}
+
+
 def _catalog_entries(spec):
     """Exact gauge-normalized solutions, as (rule_id, coefficients) pairs."""
-    shape, l, part = spec.shape, spec.rank, spec.partition
-
-    if shape in ("A3-split", "A3-irreducible", "D-full", "D4-full"):
-        # [2,2] and the rank-4 D flags split into two summands, the others
-        # are isotropy irreducible; each has the normal metric only
-        return [("normal", (1.0, 1.0) if shape in ("A3-split", "D4-full") else (1.0,))]
-    if shape == "A3-pair":
-        # three summands with an equivalent pair: one diagonal solution
-        # plus four mixed ones related by swaps and mixing-sign flips
-        return [
-            ("E1", (4.0 / 3.0, 1.0, 1.0, 0.0)),
-            ("E2", (2.0 / 3.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)),
-            ("E3", (2.0, 3.0, 1.0, 1.0)),
-            ("E4", (2.0 / 3.0, 1.0 / 3.0, 1.0, -1.0 / 3.0)),
-            ("E5", (2.0, 3.0, 1.0, -1.0)),
-        ]
-    if shape == "A-three" and part[1] == part[2] and part[1] >= 3:
-        l1, m = part[0], part[1]
-        out = []
-        # branch with equal first two coefficients
-        a1 = 2 * m + l1 - 2
-        disc1 = l1 * l1 - 4 * (m - 1)
-        if disc1 >= 0:
-            roots = {(a1 + math.sqrt(disc1)) / (4 * (m - 1)),
-                     (a1 - math.sqrt(disc1)) / (4 * (m - 1))}
-            for tag, x in zip(("sym+", "sym-"), sorted(roots, reverse=True)):
-                if x > 0:
-                    out.append((tag, (x, x, 1.0)))
-        # swapped-pair branch
-        a2 = m * (m + l1 - 1) * (2 * m + l1 - 2)
-        disc2 = (m + l1 - 1) * (
-            -l1 * l1 + l1 * (m - 2) ** 2 + m**3 - 4 * m * m + 8 * m - 4
-        )
-        if disc2 > 0:
-            den = 2 * m * m * (m + l1 - 1)
-            y1 = (a2 + m * math.sqrt(disc2)) / den
-            y2 = (a2 - m * math.sqrt(disc2)) / den
-            if y1 > 0 and y2 > 0:
-                out.append(("pair+", (y1, y2, 1.0)))
-                if abs(y1 - y2) > 1e-12 * max(y1, y2):
-                    out.append(("pair-", (y2, y1, 1.0)))
-        elif disc2 == 0:
-            y = a2 / (2 * m * m * (m + l1 - 1))
-            if y > 0:
-                out.append(("pair+", (y, y, 1.0)))
-        return out
-    if shape == "B-full":
-        return [("mu-half", (0.5, 1.0)), ("mu-upper", (l / (2.0 * l - 4.0), 1.0))]
-    if shape == "B4-full":
-        return [("mu-half", (0.5, 1.0, 1.0)), ("normal", (1.0, 1.0, 1.0))]
-    if shape == "B-plus1":
-        return [("ratio", ((l - 2.0) / (l - 1.0), 1.0))]
-    if shape == "C-full":
-        # the center direction is Ricci flat at every invariant metric
-        return []
-    if shape == "C-plus1":
-        return [("mu0-double", (2.0, 1.0))]
-    if shape == "D-pair":
-        s = math.sqrt(l * l - 5.0 * l + 4.0) / (2.0 * (l - 1.0))
-        out = []
-        if s > 1e-12:
-            out.append(("F1", (1 / (1 + s), (1 - s) / (1 + s), 1.0, 0.0)))
-            out.append(("F2", (1 / (1 - s), (1 + s) / (1 - s), 1.0, 0.0)))
-        else:
-            out.append(("F1", (1.0, 1.0, 1.0, 0.0)))
-        out += [
-            ("F3", (2.0 / 3.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)),
-            ("F4", (2.0, 3.0, 1.0, 1.0)),
-            ("F5", (2.0 / 3.0, 1.0 / 3.0, 1.0, -1.0 / 3.0)),
-            ("F6", (2.0, 3.0, 1.0, -1.0)),
-        ]
-        return out
-    raise NoCatalogEntry(f"no closed-form catalog for {spec}")
+    entries = _CLOSED_FORMS.get(spec.shape, lambda l, p: None)(spec.rank, spec.partition)
+    if entries is None:
+        raise NoCatalogEntry(f"no closed-form catalog for {spec}")
+    return entries
 
 
 def closed_form_solutions(spec):
@@ -389,14 +386,6 @@ def _gauge(space, coeffs):
     return coeffs / coeffs[..., s - 1 : s]
 
 
-def _block_ranges(part):
-    out, start = [], 0
-    for p in part:
-        out.append(range(start, start + p))
-        start += p
-    return out
-
-
 def _ambient_candidates(spec):
     """Orthogonal ambient matrices that may normalize the isotropy group.
 
@@ -407,17 +396,17 @@ def _ambient_candidates(spec):
     every two sign flips P, Q of the first and last entries.  Other families
     have none.
     """
-    fam, l, part = spec.family, spec.rank, spec.partition
+    fam, l = spec.family, spec.rank
     N = spec.algebra.ambient_dim
     perms, signs = [], []
 
     if fam == "A":
-        blocks = _block_ranges(part)
+        blocks = [[k - 1 for k in blk] for blk in _blocks(spec)]
         swaps = [np.arange(N)]
         for i, j in itertools.combinations(range(len(blocks)), 2):
-            if part[i] != part[j]:
+            if len(blocks[i]) != len(blocks[j]):
                 continue
-            p, a, b = np.arange(N), list(blocks[i]), list(blocks[j])
+            p, a, b = np.arange(N), blocks[i], blocks[j]
             p[a], p[b] = b, a
             swaps.append(p)
         flips = [np.ones(N)]
@@ -640,57 +629,17 @@ def _solve_cached(spec):
     )
 
 
-@dataclass(frozen=True)
-class TableExpectation:
-    """Published solution count for one flag: exact, an upper bound, or none."""
-
-    display: str
-    exact: int | None = None
-    bound: int | None = None
-    normal: bool | None = None
-
-    def matches(self, count, normal_is_einstein):
-        if self.exact is not None:
-            if count != self.exact:
-                return False
-            if self.normal is not None and normal_is_einstein != self.normal:
-                return False
-            return True
-        if self.bound is not None:
-            return count <= self.bound
-        return None
-
-
-_TABLE1 = {
-    "A3-pair": TableExpectation("5", exact=5, normal=False),
-    "A3-split": TableExpectation("1", exact=1, normal=True),
-    "A-three": TableExpectation("<=4", bound=4),
-    "B-full": TableExpectation("2", exact=2, normal=False),
-    "B4-full": TableExpectation("2", exact=2, normal=True),
-    "B-plus1": TableExpectation("1", exact=1, normal=False),
-    "C-full": TableExpectation("0", exact=0, normal=False),
-    "C-plus1": TableExpectation("1", exact=1, normal=False),
-    "C-plus": TableExpectation("<=2", bound=2),
-    "D4-full": TableExpectation("1", exact=1, normal=True),
-}
-
-
 def published_row(spec):
     """The published count/normal expectation for a flag, or None.
 
     Exact rows carry the expected count and whether the normal metric is
     Einstein; family rows known only up to a bound carry the bound; shapes
-    outside the published table return None.
+    outside the published table return None.  The row is the one of the
+    flag's :class:`~einflag.flag.ShapeRecord`.
     """
     if isinstance(spec, str):
         spec = parse_flag_spec(spec)
-    if spec.shape == "B-plus":
-        return TableExpectation("<=3", bound=3) if spec.partition[0] == 2 else TableExpectation("<=4", bound=4)
-    if spec.shape == "D-pair":
-        if spec.rank == 4:
-            return TableExpectation("5", exact=5, normal=True)
-        return TableExpectation("6", exact=6, normal=False)
-    return _TABLE1.get(spec.shape)
+    return None if spec.record is None else spec.record.row(spec.rank, spec.partition)
 
 
 @dataclass

@@ -12,14 +12,16 @@ the basis vectors whose restricted roots are *not* in the linear span of
 Theta, and it splits into explicitly catalogued irreducible summands with
 declared equivalences between them.
 
-The catalogue is a case analysis over flag shapes, stated once by
-:attr:`FlagSpec.shape`: the manifold name, the coefficient names, the
-closed-form branches, the Table 1 row and the summand dimensions are each
-looked up by its key.  The last two simple roots of D_l, ``l_{l-1} -+ l_l``,
-are the spin nodes of its diagram, and the symmetry that swaps them
-(``l_l -> -l_l``) maps Theta of ``D:l:[l-1,1]:+`` onto Theta of
-``D:l:[l]:-``; the two are one flag, with one key.  Shapes outside the
-catalogued ranges raise :class:`~einflag.errors.UnimplementedCase`.
+The catalogue is a case analysis over flag shapes: one :class:`ShapeRecord`
+per key of :attr:`FlagSpec.shape` holds the key's listed flags, inner scale,
+manifold name, coefficient names, Table 1 row and summand dimensions, so
+:attr:`FlagSpec.inner_scale` is derived from the record, not stored.  The
+last two simple roots of D_l, ``l_{l-1} -+ l_l``, are the spin nodes of its
+diagram, and the symmetry that swaps them (``l_l -> -l_l``) maps Theta of
+``D:l:[l-1,1]:+`` onto Theta of ``D:l:[l]:-``: the two are one flag, with one
+key, and the twin is built by its representative's builder under the swap,
+keeping its own summand names.  Shapes outside the catalogued ranges raise
+:class:`~einflag.errors.UnimplementedCase`.
 
 Every constructed decomposition is verified a posteriori: submodules must be
 pairwise orthogonal, ad(k_Theta)-invariant, and fill the tangent space.
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -62,15 +65,15 @@ class FlagSpec:
     partition : tuple of int
     includes_last_root : bool
         Whether the last simple root is in Theta (never for family A).
-    inner_scale : Fraction
-        Positive rational multiplying the ambient product to give the
-        background metric; chosen so the catalogued bases are orthonormal.
+
+    The background metric is the ambient product times ``inner_scale``, a
+    positive rational read from the flag's :attr:`record` so that the
+    catalogued bases are orthonormal.
     """
 
     algebra: AlgebraModel
     partition: tuple
     includes_last_root: bool
-    inner_scale: Fraction
 
     @property
     def family(self):
@@ -80,40 +83,41 @@ class FlagSpec:
     def rank(self):
         return self.algebra.rank
 
-    @property
-    def shape(self):
-        """The catalogue key of the flag, or None outside the catalogue.
+    @cached_property
+    def representative(self):
+        """The flag whose builder decomposes this one: the flag itself, or
+        for a D flag whose last block is the singleton ``{l}`` with the last
+        root in Theta, the flag of the Theta that the spin-node swap
+        ``l_l -> -l_l`` gives (the singleton joins the block before it)."""
+        part = self.partition
+        if self.family == "D" and self.includes_last_root and len(part) > 1 and part[-1] == 1:
+            return make_flag(self.algebra, part[:-2] + (part[-2] + 1,))
+        return self
 
-        A: ``A3-pair``, ``A3-split``, ``A3-irreducible``, ``A-three``; B:
-        ``B-full``, ``B4-full``, ``B-plus1``, ``B-plus``; C: ``C-full``,
-        ``C-plus1``, ``C-plus``; D: ``D-full``, ``D4-full``, ``D-pair``,
-        ``D-plus``.  The README tabulates each key's flags and Table 1 row.
+    @cached_property
+    def shape(self):
+        """The catalogue key of the flag, or None outside the catalogue: the
+        key of the record whose flags at the rank hold the
+        :attr:`representative`, so a spin-node twin has its representative's
+        key.  The README tabulates each key's flags and Table 1 row.
         """
-        fam, l, part, plus = self.family, self.rank, self.partition, self.includes_last_root
-        if fam == "A":
-            if l != 3:
-                return "A-three" if len(part) == 3 else None
-            if len(part) == 3:
-                return "A3-pair"
-            return {(2, 2): "A3-split", (3, 1): "A3-irreducible", (1, 3): "A3-irreducible"}.get(part)
-        if fam == "D":
-            if l < 4:
-                return None
-            if plus and part == (l - 1, 1):
-                # the spin-node swap turns [l-1,1]:+ into [l]:-
-                part, plus = (l,), False
-            if not plus and part == (l,):
-                return "D4-full" if l == 4 else "D-full"
-            if part in {(l - 1, 1), (1, l - 1)} and not plus or part == (1, l - 2, 1) and plus:
-                return "D-pair"
-            return "D-plus" if plus and len(part) == 2 and l >= 5 else None
-        if l < 3:
+        if (self.family, self.rank) in _REFUSED:
             return None
-        if not plus and part == (l,):
-            return "B4-full" if fam == "B" and l == 4 else f"{fam}-full"
-        if plus and len(part) == 2:
-            return f"{fam}-plus1" if part[0] == 1 else f"{fam}-plus"
-        return None
+        rep = self.representative
+        flag = (rep.partition, rep.includes_last_root)
+        keys = (k for k, record in _RECORDS.items() if k[0] == self.family and flag in record.flags(self.rank))
+        return next(keys, None)
+
+    @cached_property
+    def record(self):
+        """The :class:`ShapeRecord` of the flag's shape.  An A flag outside
+        the catalogue gets the generic A record, whose name and summand
+        formulas hold for every A flag; any other such flag gets None."""
+        return _RECORDS.get(self.shape, _A_FLAG if self.family == "A" else None)
+
+    @cached_property
+    def inner_scale(self):
+        return Fraction(1) if self.record is None else self.record.inner_scale(self.rank)
 
     def __str__(self):
         parts = ",".join(str(p) for p in self.partition)
@@ -137,11 +141,7 @@ def make_flag(algebra, partition, includes_last_root=False):
         )
     if algebra.family == "A" and includes_last_root:
         raise BadFlag("family A flags have no last-root option")
-    if algebra.family == "A" and len(partition) == 3:
-        scale = Fraction(1, 2 * (algebra.rank - 1))
-    else:
-        scale = Fraction(1)
-    return FlagSpec(algebra, partition, bool(includes_last_root), scale)
+    return FlagSpec(algebra, partition, bool(includes_last_root))
 
 
 def parse_flag_spec(text):
@@ -161,49 +161,24 @@ def parse_flag_spec(text):
 
 def _blocks(spec):
     """1-based lambda indices per partition block."""
-    out = []
-    start = 1
-    for p in spec.partition:
-        out.append(list(range(start, start + p)))
-        start += p
-    return out
+    ends = list(accumulate(spec.partition))
+    return [list(range(end - p + 1, end + 1)) for p, end in zip(spec.partition, ends)]
 
 
 def theta(spec):
     """Indices (1-based) of the simple roots in Theta."""
-    idx = []
-    start = 0
-    for p in spec.partition:
-        idx.extend(range(start + 1, start + p))
-        start += p
+    idx = [i for blk in _blocks(spec) for i in blk[:-1]]
     if spec.includes_last_root:
         idx.append(spec.rank)
     return tuple(sorted(set(idx)))
 
 
 def _simple_roots(family, rank):
-    dim = rank + 1 if family == "A" else rank
-    roots = []
-    n_chain = rank if family == "A" else rank - 1
-    for i in range(1, n_chain + 1):
-        v = np.zeros(dim)
-        v[i - 1] = 1.0
-        v[i] = -1.0
-        roots.append(v)
-    if family == "B":
-        v = np.zeros(dim)
-        v[rank - 1] = 1.0
-        roots.append(v)
-    elif family == "C":
-        v = np.zeros(dim)
-        v[rank - 1] = 2.0
-        roots.append(v)
-    elif family == "D":
-        v = np.zeros(dim)
-        v[rank - 2] = 1.0
-        v[rank - 1] = 1.0
-        roots.append(v)
-    return np.array(roots)
+    """The chain ``l_i - l_{i+1}``, then B's ``l_l``, C's ``2 l_l`` or D's
+    ``l_{l-1} + l_l``."""
+    eye = np.eye(rank + 1 if family == "A" else rank)
+    last = {"A": eye[:0], "B": eye[-1:], "C": 2 * eye[-1:], "D": eye[-2:-1] + eye[-1:]}
+    return np.vstack([eye[:-1] - eye[1:], last[family]])
 
 
 def split_reductive(spec):
@@ -373,185 +348,106 @@ def _add_equivalent_pairs(subs, equiv, blocks, m_hi):
 
 
 def _decompose_a(spec, blocks):
-    l = spec.rank
-    r = len(blocks)
-    subs = []
-    equiv = []
-
     def mod_mn(m, n, order=None):
         prs = order if order is not None else _pairs_between(blocks[m - 1], blocks[n - 1])
         return (f"M{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs])
 
-    if l == 3:
-        part = spec.partition
-        if part == (2, 2):
-            subs = [
-                ("M1", [[("w(3,1)", 1.0), ("w(4,2)", -1.0)], [("w(4,1)", 1.0), ("w(3,2)", 1.0)]]),
-                ("M2", [[("w(3,1)", 1.0), ("w(4,2)", 1.0)], [("w(4,1)", 1.0), ("w(3,2)", -1.0)]]),
-            ]
-            return subs, []
-        if part == (2, 1, 1):
-            subs = [
-                mod_mn(3, 2),                     # span {w(4,3)}
-                mod_mn(2, 1, [(3, 1), (3, 2)]),   # span {w(3,1), w(3,2)}
-                mod_mn(3, 1, [(4, 2), (4, 1)]),   # span {w(4,2), w(4,1)}
-            ]
-            return subs, [(1, 2)]
-        if part == (1, 2, 1):
-            subs = [mod_mn(3, 1), mod_mn(2, 1), mod_mn(3, 2)]
-            return subs, [(1, 2)]
-        if part == (1, 1, 2):
-            subs = [mod_mn(2, 1), mod_mn(3, 1), mod_mn(3, 2)]
-            return subs, [(1, 2)]
-        if part == (1, 1, 1, 1):
-            order = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
-            subs = [(f"M{m}{n}", [[(_w(m, n), 1.0)]]) for m, n in order]
-            return subs, [(0, 5), (1, 4), (2, 3)]
-        # (3,1), (1,3): fall through to the generic rule
+    if spec.shape == "A3-split":
+        subs = [
+            ("M1", [[("w(3,1)", 1.0), ("w(4,2)", -1.0)], [("w(4,1)", 1.0), ("w(3,2)", 1.0)]]),
+            ("M2", [[("w(3,1)", 1.0), ("w(4,2)", 1.0)], [("w(4,1)", 1.0), ("w(3,2)", -1.0)]]),
+        ]
+        return subs, []
+    if spec.shape == "A3-pair":
+        # the one-dimensional summand first, then the equivalent pair; on
+        # [2,1,1] the pair is span {w(3,1), w(3,2)} and span {w(4,2), w(4,1)}
+        subs = sorted((mod_mn(m, n) for m, n in ((2, 1), (3, 1), (3, 2))), key=lambda s: len(s[1]) > 1)
+        if len(blocks[0]) == 2:
+            subs[2] = mod_mn(3, 1, [(4, 2), (4, 1)])
+        return subs, [(1, 2)]
+    if spec.rank == 3 and len(blocks) == 4:
+        # the uncatalogued [1,1,1,1]: six lines, three equivalent pairs
+        order = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+        return [mod_mn(m, n) for m, n in order], [(0, 5), (1, 4), (2, 3)]
+    return [mod_mn(m, n) for m in range(2, len(blocks) + 1) for n in range(1, m)], []
 
-    for m in range(2, r + 1):
-        for n in range(1, m):
-            subs.append(mod_mn(m, n))
+
+def _so4_halves(names, sign):
+    """The two three-dimensional ideals of so(4) on ``u(i,j)``, ``i, j <= 4``:
+    each of ``u(2,1)``, ``u(3,1)``, ``u(4,1)`` plus and minus its dual
+    ``u(4,3)``, ``-u(4,2)``, ``u(3,2)``; the first row of the second ideal is
+    taken times ``sign``."""
+    duals = [("u(2,1)", "u(4,3)", 1.0), ("u(3,1)", "u(4,2)", -1.0), ("u(4,1)", "u(3,2)", 1.0)]
+    first = [[(a, 1.0), (b, s)] for a, b, s in duals]
+    second = [[(a, 1.0), (b, -s)] for a, b, s in duals]
+    second[0] = [(a, sign * c) for a, c in second[0]]
+    return [(names[0], first), (names[1], second)]
+
+
+def _last_root_summands(blocks, name, with_v):
+    """The summands of a B or D flag whose last block has the last root in
+    Theta: the pairs and ``U{i}`` of the other blocks, then the w-u and w+u
+    halves ``{name(n)}_1``, ``{name(n)}_2`` of block n against the last one,
+    the second led by the ``v`` rows of block n when ``with_v``.  The halves
+    land in different ideals of the isotropy action, so no equivalence."""
+    subs, equiv = _within_summands(blocks[:-1]), []
+    _add_equivalent_pairs(subs, equiv, blocks, len(blocks) - 1)
+    for n, blk in enumerate(blocks[:-1], 1):
+        prs = _pairs_between(blocks[-1], blk)
+        v_rows = [[(f"v({t})", 1.0)] for t in blk] if with_v else []
+        subs.append((f"{name(n)}_1", [[(_w(i, j), 1.0), (_u(i, j), -1.0)] for i, j in prs]))
+        subs.append((f"{name(n)}_2", v_rows + [[(_w(i, j), 1.0), (_u(i, j), 1.0)] for i, j in prs]))
     return subs, equiv
 
 
 def _decompose_b(spec, blocks):
-    r = len(blocks)
-    plus = spec.includes_last_root
     if spec.shape == "B4-full":
-        subs = [
-            ("V1", [[(f"v({k})", 1.0)] for k in range(1, 5)]),
-            ("T1", [
-                [("u(2,1)", 1.0), ("u(4,3)", 1.0)],
-                [("u(3,1)", 1.0), ("u(4,2)", -1.0)],
-                [("u(4,1)", 1.0), ("u(3,2)", 1.0)],
-            ]),
-            ("T2", [
-                [("u(2,1)", 1.0), ("u(4,3)", -1.0)],
-                [("u(3,1)", 1.0), ("u(4,2)", 1.0)],
-                [("u(4,1)", 1.0), ("u(3,2)", -1.0)],
-            ]),
-        ]
-        return subs, []
-
-    subs = []
-    equiv = []
-    if not plus:
-        for i, blk in enumerate(blocks, 1):
-            subs.append((f"V{i}", [[(f"v({k})", 1.0)] for k in blk]))
-        _add_equivalent_pairs(subs, equiv, blocks, r)
-        subs += _within_summands(blocks)
-        return subs, equiv
-
-    # last root in Theta
-    subs += _within_summands(blocks[:-1])
-    _add_equivalent_pairs(subs, equiv, blocks, r - 1)
-    last = blocks[-1]
-    for i, blk in enumerate(blocks[:-1], 1):
-        minus = [[(_w(s, t), 1.0), (_u(s, t), -1.0)] for t in blk for s in last]
-        plus_terms = [[(f"v({t})", 1.0)] for t in blk]
-        plus_terms += [[(_w(s, t), 1.0), (_u(s, t), 1.0)] for t in blk for s in last]
-        subs.append((f"V{i}_1", minus))
-        subs.append((f"V{i}_2", plus_terms))
-    return subs, equiv
+        return [("V1", [[(f"v({k})", 1.0)] for k in range(1, 5)])] + _so4_halves(("T1", "T2"), 1.0), []
+    if spec.includes_last_root:
+        return _last_root_summands(blocks, lambda n: f"V{n}", True)
+    subs, equiv = [(f"V{i}", [[(f"v({k})", 1.0)] for k in blk]) for i, blk in enumerate(blocks, 1)], []
+    _add_equivalent_pairs(subs, equiv, blocks, len(blocks))
+    return subs + _within_summands(blocks), equiv
 
 
 def _decompose_c(spec, blocks):
     r = len(blocks)
-    plus = spec.includes_last_root
-    subs = []
-    equiv = []
-    n_v = r if not plus else r - 1
-    for i in range(1, n_v + 1):
-        subs.append((f"V{i}", [[(f"u({k},{k})", 1.0) for k in blocks[i - 1]]]))
-    if n_v >= 2:
-        equiv.append(tuple(range(n_v)))
-
-    def u_block(i, blk):
-        terms = []
-        for a in range(len(blk) - 1):
-            terms.append([(f"u({blk[a]},{blk[a]})", 1.0), (f"u({blk[a+1]},{blk[a+1]})", -1.0)])
-        terms += [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)]
-        return (f"U{i}", terms)
-
-    for i in range(1, n_v + 1):
-        blk = blocks[i - 1]
+    n_v = r - 1 if spec.includes_last_root else r
+    subs = [(f"V{i}", [[(f"u({k},{k})", 1.0) for k in blk]]) for i, blk in enumerate(blocks[:n_v], 1)]
+    equiv = [tuple(range(n_v))] if n_v >= 2 else []
+    for i, blk in enumerate(blocks[:n_v], 1):
         if len(blk) > 1:
-            subs.append(u_block(i, blk))
+            # the traceless diagonal of block i, then its pairs
+            diag = [[(f"u({a},{a})", 1.0), (f"u({b},{b})", -1.0)] for a, b in zip(blk, blk[1:])]
+            subs.append((f"U{i}", diag + [[(_u(s, t), 1.0)] for s, t in _pairs_within(blk)]))
     _add_equivalent_pairs(subs, equiv, blocks, n_v)
-    if plus:
-        for n in range(1, r):
-            prs = _pairs_between(blocks[r - 1], blocks[n - 1])
-            terms = [[(_w(i, j), 1.0)] for i, j in prs]
-            terms += [[(_u(i, j), 1.0)] for i, j in prs]
-            subs.append((f"M{r}{n}", terms))
+    if spec.includes_last_root:
+        for n, blk in enumerate(blocks[:-1], 1):
+            prs = _pairs_between(blocks[-1], blk)
+            subs.append((f"M{r}{n}", [[(_w(i, j), 1.0)] for i, j in prs] + [[(_u(i, j), 1.0)] for i, j in prs]))
     return subs, equiv
 
 
 def _decompose_d(spec, blocks):
-    l = spec.rank
+    # a last block {l} with the last root in Theta is a spin-node twin,
+    # built through its representative
     r = len(blocks)
-    part = spec.partition
-    plus = spec.includes_last_root
     if spec.shape == "D4-full":
-        # [3,1]:+ is [4]:- under the spin-node swap l_4 -> -l_4, which turns
-        # each u(4,j) into w(4,j)
-        x = "w" if plus else "u"
-        subs = [
-            ("T1", [
-                [("u(2,1)", 1.0), (f"{x}(4,3)", 1.0)],
-                [("u(3,1)", 1.0), (f"{x}(4,2)", -1.0)],
-                [(f"{x}(4,1)", 1.0), ("u(3,2)", 1.0)],
-            ]),
-            ("S1", [
-                [(f"{x}(4,3)", 1.0), ("u(2,1)", -1.0)],
-                [("u(3,1)", 1.0), (f"{x}(4,2)", 1.0)],
-                [(f"{x}(4,1)", 1.0), ("u(3,2)", -1.0)],
-            ]),
-        ]
-        return subs, []
-
-    subs = []
-    equiv = []
-    if not plus:
-        subs += _within_summands(blocks)
-        _add_equivalent_pairs(subs, equiv, blocks, r)
-        return subs, equiv
-
-    if part[-1] >= 2:
-        # both of the last two simple roots are in Theta
-        subs += _within_summands(blocks[:-1])
-        _add_equivalent_pairs(subs, equiv, blocks, r - 1)
-        last = blocks[-1]
-        for n in range(1, r):
-            # the mixed block splits along the two so(l) ideals of the
-            # isotropy action: the w-u and w+u combinations are separately
-            # invariant and land in different ideals, so no equivalence
-            prs = _pairs_between(last, blocks[n - 1])
-            minus = [[(_w(i, j), 1.0), (_u(i, j), -1.0)] for i, j in prs]
-            plus_half = [[(_w(i, j), 1.0), (_u(i, j), 1.0)] for i, j in prs]
-            subs.append((f"M{r}{n}_1", minus))
-            subs.append((f"M{r}{n}_2", plus_half))
-        return subs, equiv
-
-    # last root in Theta, next-to-last not: final block is the singleton {l}
-    subs += _within_summands(blocks[:-2])
-    pen = blocks[-2]
-    v_terms = [[(_u(s, t), 1.0)] for s, t in _pairs_within(pen)]
-    v_terms += [[(_w(l, t), 1.0)] for t in pen]
-    subs.append((f"V{r-1}", v_terms))
-    _add_equivalent_pairs(subs, equiv, blocks, r - 2)
-    for n in range(1, r - 1):
-        blk = blocks[n - 1]
-        m_terms = [[(_w(i, j), 1.0)] for j in blk for i in pen]
-        m_terms += [[(_u(l, j), 1.0)] for j in blk]
-        n_terms = [[(_u(i, j), 1.0)] for j in blk for i in pen]
-        n_terms += [[(_w(l, j), 1.0)] for j in blk]
-        a = len(subs)
-        subs.append((f"M{n}", m_terms))
-        subs.append((f"N{n}", n_terms))
-        equiv.append((a, a + 1))
+        return _so4_halves(("T1", "S1"), -1.0), []
+    if spec.includes_last_root:
+        return _last_root_summands(blocks, lambda n: f"M{r}{n}", False)
+    subs, equiv = _within_summands(blocks), []
+    _add_equivalent_pairs(subs, equiv, blocks, r)
     return subs, equiv
+
+
+def _spin_swap(model):
+    """The basis permutation of the spin-node swap ``l_l -> -l_l`` of D_l,
+    read off ``model.roots``: it exchanges ``w(l,j)`` and ``u(l,j)`` and fixes
+    every other element.  A root and its negative name one element, and two
+    roots ``+-l_i +- l_j`` agree up to sign exactly where their product is +-2."""
+    flipped = model.roots * np.r_[np.ones(model.rank - 1), -1.0]
+    return np.argmax(np.abs(flipped @ model.roots.T), axis=1)
 
 
 def _orthonormalize(spec, rows):
@@ -602,7 +498,6 @@ _GATED_RANKS = {"B": (3, 4), "C": (4,), "D": (4,)}
 def decompose_isotropy(spec):
     """Decompose the tangent space into catalogued irreducible summands."""
     model = spec.algebra
-    blocks = _blocks(spec)
     iso, tan = split_reductive(spec)
     if (spec.family, spec.rank) in _REFUSED:
         raise UnimplementedCase(_REFUSED[spec.family, spec.rank])
@@ -611,15 +506,20 @@ def decompose_isotropy(spec):
         raise UnimplementedCase(
             f"{spec.family} rank {spec.rank} flag {spec.partition}:{sign} is outside the catalogue"
         )
+    # a spin-node twin is its representative's summands under the swap,
+    # with the names of its record
+    rep = spec.representative
     builder = {"A": _decompose_a, "B": _decompose_b, "C": _decompose_c, "D": _decompose_d}
-    raw_subs, equiv = builder[spec.family](spec, blocks)
+    raw_subs, equiv = builder[spec.family](rep, _blocks(rep))
     if not raw_subs:
         raise UnimplementedCase(f"{spec} has no tangent summand: the flag is a point")
+    swap = _spin_swap(model) if rep is not spec else slice(None)
+    names = dict(spec.record.twin_names) if rep is not spec and spec.record else {}
 
     submodules = []
     for name, terms in raw_subs:
-        span = _span_from_terms(model, terms)
-        submodules.append(Submodule(name, span, _orthonormalize(spec, span)))
+        span = _span_from_terms(model, terms)[:, swap]
+        submodules.append(Submodule(names.get(name, name), span, _orthonormalize(spec, span)))
 
     dec = Decomposition(spec, submodules, [tuple(c) for c in equiv], iso, tan)
     _verify_decomposition(dec)
@@ -675,61 +575,179 @@ def _verify_decomposition(dec):
 
 
 def enumerate_small_flags(family, rank):
-    """All catalogued flags of the family with two or three summands."""
-    build_algebra(family, rank)  # validates the rank
-    specs = []
-    if family == "A":
-        if rank == 3:
-            parts = [(2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2)]
-        else:
-            parts = [
-                (a, b, rank + 1 - a - b)
-                for a in range(1, rank)
-                for b in range(1, rank + 1 - a)
-                if rank + 1 - a - b >= 1
-            ]
-        for p in parts:
-            specs.append(make_flag(build_algebra(family, rank), p))
-        return specs
-    if family in ("B", "C"):
-        if rank == 2:
-            raise UnimplementedCase(f"rank-2 {family} flags are not catalogued")
-        specs.append(make_flag(build_algebra(family, rank), (rank,)))
-        for d in range(1, rank):
-            specs.append(make_flag(build_algebra(family, rank), (d, rank - d), True))
-        return specs
-    # family D
-    if rank == 3:
-        raise UnimplementedCase("rank-3 D flags are not catalogued")
-    if rank == 4:
-        shapes = [((4,), False), ((3, 1), True), ((3, 1), False), ((1, 3), False), ((1, 2, 1), True)]
-    else:
-        shapes = [((rank - 1, 1), False), ((1, rank - 1), False), ((1, rank - 2, 1), True)]
-        shapes += [((d, rank - d), True) for d in range(1, rank - 1)]
-    for part, plus in shapes:
-        specs.append(make_flag(build_algebra(family, rank), part, plus))
-    return specs
-
-
-_NAMES = {
-    "B-full": lambda l, d: f"(SO({l})xSO({l + 1}))/SO({l})",
-    "B-plus1": lambda l, d: f"(SO({l})xSO({l + 1}))/(SO({l - 1})xSO({l}))",
-    "B-plus": lambda l, d: f"(SO({l})xSO({l + 1}))/(SO({d})xSO({l - d})xSO({l - d + 1}))",
-    "C-full": lambda l, d: f"U({l})/O({l})",
-    "C-plus": lambda l, d: f"U({l})/(O({d})xU({l - d}))",
-    "D-full": lambda l, d: f"(SO({l})xSO({l}))/SO({l})",
-    "D-pair": lambda l, d: f"(SO({l})xSO({l}))/S(O({l - 1})xO(1))",
-    "D-plus": lambda l, d: f"(SO({l})xSO({l}))/(SO({d})xSO({l - d})xSO({l - d}))",
-}
-_NAMES.update({"B4-full": _NAMES["B-full"], "C-plus1": _NAMES["C-plus"], "D4-full": _NAMES["D-full"]})
+    """All catalogued flags of the family with two or three summands, the
+    listed flags of each of the family's records in turn."""
+    algebra = build_algebra(family, rank)  # validates the rank
+    if (family, rank) in _REFUSED:
+        raise UnimplementedCase(_REFUSED[family, rank])
+    return [
+        make_flag(algebra, part, plus)
+        for key, record in _RECORDS.items()
+        if key[0] == family and record.listed
+        for part, plus in record.flags(rank)
+    ]
 
 
 def manifold_name(spec):
     """Display name of the underlying homogeneous space."""
-    l, p = spec.rank, spec.partition
-    if spec.family == "A":
-        inner = "x".join(f"O({k})" for k in p)
-        return f"SO({l + 1})/S({inner})"
-    if spec.shape in _NAMES:
-        return _NAMES[spec.shape](l, p[0])
-    return f"{spec.family}{l} flag {list(p)}{'+' if spec.includes_last_root else '-'}"
+    if spec.record is not None:
+        return spec.record.name(spec.rank, spec.partition)
+    return f"{spec.family}{spec.rank} flag {list(spec.partition)}{'+' if spec.includes_last_root else '-'}"
+
+
+# ---------------------------------------------------------------------------
+# the catalogue: one record per shape key
+
+
+@dataclass(frozen=True)
+class TableExpectation:
+    """Published solution count for one flag: exact, an upper bound, or none."""
+
+    display: str
+    exact: int | None = None
+    bound: int | None = None
+    normal: bool | None = None
+
+    def matches(self, count, normal_is_einstein):
+        if self.exact is not None:
+            return count == self.exact and self.normal in (None, normal_is_einstein)
+        return None if self.bound is None else count <= self.bound
+
+
+def _exact(count, normal):
+    return lambda l, p: TableExpectation(str(count), exact=count, normal=normal)
+
+
+def _bound(bound):
+    return lambda l, p: TableExpectation(f"<={bound}", bound=bound)
+
+
+@dataclass(frozen=True)
+class ShapeRecord:
+    """What the catalogue states about one shape key.
+
+    ``flags(l)``: the ``(partition, includes_last_root)`` of the key's flags at
+    rank l in table order, every representative and each listed twin, which
+    :func:`enumerate_small_flags` lists where ``listed``.  The formulas
+    ``name``, ``dims`` (``{summand name: dim}``, a summand sized 0 absent)
+    and ``row`` (the Table 1 :class:`TableExpectation`, or None) read the
+    rank l and partition p, ``dims`` those of the
+    :attr:`~FlagSpec.representative`.  ``coefficient_names`` None means the
+    generic names; ``twin_names`` maps a representative's summand names to a
+    spin-node twin's.
+    """
+
+    flags: object
+    name: object
+    dims: object
+    coefficient_names: tuple | None = None
+    row: object = lambda l, p: None
+    inner_scale: object = lambda l: Fraction(1)
+    twin_names: tuple = ()
+    listed: bool = True
+
+
+def _a_name(l, p):
+    return f"SO({l + 1})/S({'x'.join(f'O({k})' for k in p)})"
+
+
+def _a_dims(l, p):
+    return {f"M{m}{n}": p[m - 1] * p[n - 1] for m in range(2, len(p) + 1) for n in range(1, m)}
+
+
+def _b_full_name(l, p):
+    return f"(SO({l})xSO({l + 1}))/SO({l})"
+
+
+def _c_plus_name(l, p):
+    return f"U({l})/(O({p[0]})xU({l - p[0]}))"
+
+
+def _d_full_name(l, p):
+    return f"(SO({l})xSO({l}))/SO({l})"
+
+
+def _b_plus_dims(l, p):
+    return {"U1": p[0] * (p[0] - 1) // 2, "V1_1": p[0] * (l - p[0]), "V1_2": p[0] * (l - p[0] + 1)}
+
+
+def _c_plus_dims(l, p):
+    return {"V1": 1, "M21": 2 * p[0] * (l - p[0]), "U1": p[0] * (p[0] + 1) // 2 - 1}
+
+
+# the records of each family in the order that enumerate_small_flags lists
+# their flags; each key starts with its family's letter
+_RECORDS = {
+    "A3-pair": ShapeRecord(
+        lambda l: [((2, 1, 1), False), ((1, 2, 1), False), ((1, 1, 2), False)] if l == 3 else [],
+        _a_name, _a_dims, ("mu_0", "mu_1", "mu_2", "b"), _exact(5, False), lambda l: Fraction(1, 2 * (l - 1)),
+    ),
+    "A3-split": ShapeRecord(
+        lambda l: [((2, 2), False)] if l == 3 else [],
+        _a_name, lambda l, p: {"M1": 2, "M2": 2}, ("mu_1", "mu_2"), _exact(1, True),
+    ),
+    "A3-irreducible": ShapeRecord(
+        lambda l: [((3, 1), False), ((1, 3), False)] if l == 3 else [], _a_name, _a_dims, listed=False
+    ),
+    "A-three": ShapeRecord(
+        lambda l: [] if l == 3 else [
+            ((a, b, l + 1 - a - b), False) for a in range(1, l) for b in range(1, l + 1 - a)
+        ],
+        _a_name, _a_dims, ("mu_21", "mu_31", "mu_32"), _bound(4), lambda l: Fraction(1, 2 * (l - 1)),
+    ),
+    "B-full": ShapeRecord(
+        lambda l: [((l,), False)] if l != 4 else [],
+        _b_full_name, lambda l, p: {"V1": l, "U1": l * (l - 1) // 2}, ("mu", "gamma"), _exact(2, False),
+    ),
+    "B4-full": ShapeRecord(
+        lambda l: [((4,), False)] if l == 4 else [],
+        _b_full_name, lambda l, p: {"V1": 4, "T1": 3, "T2": 3}, ("mu", "gamma_1", "gamma_2"), _exact(2, True),
+    ),
+    "B-plus1": ShapeRecord(
+        lambda l: [((1, l - 1), True)],
+        lambda l, p: f"(SO({l})xSO({l + 1}))/(SO({l - 1})xSO({l}))",
+        _b_plus_dims, ("rho", "mu"), _exact(1, False),
+    ),
+    "B-plus": ShapeRecord(
+        lambda l: [((d, l - d), True) for d in range(2, l)],
+        lambda l, p: f"(SO({l})xSO({l + 1}))/(SO({p[0]})xSO({l - p[0]})xSO({l - p[0] + 1}))",
+        _b_plus_dims, ("gamma", "rho", "mu"), lambda l, p: _bound(3 if p[0] == 2 else 4)(l, p),
+    ),
+    "C-full": ShapeRecord(
+        lambda l: [((l,), False)],
+        lambda l, p: f"U({l})/O({l})",
+        lambda l, p: {"V1": 1, "U1": l * (l + 1) // 2 - 1}, ("mu_0", "mu_1"), _exact(0, False),
+    ),
+    "C-plus1": ShapeRecord(
+        lambda l: [((1, l - 1), True)], _c_plus_name, _c_plus_dims, ("mu_0", "mu_21"), _exact(1, False),
+    ),
+    "C-plus": ShapeRecord(
+        lambda l: [((d, l - d), True) for d in range(2, l)],
+        _c_plus_name, _c_plus_dims, ("mu_0", "mu_1", "mu_21"), _bound(2),
+    ),
+    "D-full": ShapeRecord(
+        lambda l: [((l,), False)] if l >= 5 else [],
+        _d_full_name, lambda l, p: {"U1": l * (l - 1) // 2}, twin_names=(("U1", "V1"),), listed=False,
+    ),
+    "D4-full": ShapeRecord(
+        lambda l: [((4,), False), ((3, 1), True)] if l == 4 else [],
+        _d_full_name, lambda l, p: {"T1": 3, "S1": 3}, ("mu_1", "mu_2"), _exact(1, True),
+    ),
+    "D-pair": ShapeRecord(
+        lambda l: [((l - 1, 1), False), ((1, l - 1), False), ((1, l - 2, 1), True)],
+        lambda l, p: f"(SO({l})xSO({l}))/S(O({l - 1})xO(1))",
+        # the U block of l - 1 indices beside the pair W21 ~ U21
+        lambda l, p: {"U1": p[0] * (p[0] - 1) // 2, "U2": p[1] * (p[1] - 1) // 2, "W21": l - 1, "U21": l - 1},
+        ("gamma", "lambda_1", "lambda_2", "b"),
+        lambda l, p: (_exact(5, True) if l == 4 else _exact(6, False))(l, p),
+        twin_names=(("U2", "V2"), ("W21", "M1"), ("U21", "N1")),
+    ),
+    "D-plus": ShapeRecord(
+        lambda l: [((d, l - d), True) for d in range(1, l - 1)] if l >= 5 else [],
+        lambda l, p: f"(SO({l})xSO({l}))/(SO({p[0]})xSO({l - p[0]})xSO({l - p[0]}))",
+        lambda l, p: {"M21_1": p[0] * (l - p[0]), "M21_2": p[0] * (l - p[0]), "U1": p[0] * (p[0] - 1) // 2},
+    ),
+}
+
+# an A flag outside the catalogue: its name and summands follow the A rule
+_A_FLAG = ShapeRecord(lambda l: [], _a_name, _a_dims, listed=False)

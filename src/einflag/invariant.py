@@ -591,26 +591,10 @@ def _normalized_intertwiner(B0, spec):
     return R + 0.0
 
 
-_COEFFICIENT_NAMES = {
-    "A3-pair": ["mu_0", "mu_1", "mu_2", "b"],
-    "A3-split": ["mu_1", "mu_2"],
-    "A-three": ["mu_21", "mu_31", "mu_32"],
-    "B-full": ["mu", "gamma"],
-    "B4-full": ["mu", "gamma_1", "gamma_2"],
-    "B-plus1": ["rho", "mu"],
-    "B-plus": ["gamma", "rho", "mu"],
-    "C-full": ["mu_0", "mu_1"],
-    "C-plus1": ["mu_0", "mu_21"],
-    "C-plus": ["mu_0", "mu_1", "mu_21"],
-    "D4-full": ["mu_1", "mu_2"],
-    "D-pair": ["gamma", "lambda_1", "lambda_2", "b"],
-}
-
-
 def _coefficient_names(spec, n_sub, n_pairs):
-    if spec.shape in _COEFFICIENT_NAMES:
-        return list(_COEFFICIENT_NAMES[spec.shape])
-    return [f"x{i}" for i in range(n_sub)] + [f"b{i}" for i in range(n_pairs)]
+    """The names of the flag's record, else ``x{i}`` per summand, ``b{i}`` per pair."""
+    names = getattr(spec.record, "coefficient_names", None)
+    return list(names) if names else [f"x{i}" for i in range(n_sub)] + [f"b{i}" for i in range(n_pairs)]
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .algebra import _matches
+from .algebraic import normal_is_einstein
 from .curvature import curvature, reduced_ricci, u_map
 from .einstein import (
     DEFECT_TOL,
@@ -343,35 +344,14 @@ def _check_isotropy_stability(ctx):
 
 
 def _expected_dims(spec):
-    """The summand dimensions of the flag's shape, by summand name; a summand
-    that a formula gives dimension 0 is absent."""
-    l, p, shape = spec.rank, spec.partition, spec.shape
-    d = p[0]
-    if spec.family == "A" and shape != "A3-split":
-        return {f"M{m}{n}": p[m - 1] * p[n - 1] for m in range(2, len(p) + 1) for n in range(1, m)}
-    dims = {
-        "A3-split": {"M1": 2, "M2": 2},
-        "B-full": {"V1": l, "U1": l * (l - 1) // 2},
-        "B4-full": {"V1": 4, "T1": 3, "T2": 3},
-        "B-plus1": {"V1_1": l - 1, "V1_2": l},
-        "B-plus": {"U1": d * (d - 1) // 2, "V1_1": d * (l - d), "V1_2": d * (l - d + 1)},
-        "C-full": {"V1": 1, "U1": l * (l + 1) // 2 - 1},
-        "C-plus1": {"V1": 1, "M21": 2 * (l - 1)},
-        "C-plus": {"V1": 1, "M21": 2 * d * (l - d), "U1": d * (d + 1) // 2 - 1},
-        # [l]:- builds its one summand as U1, [l-1,1]:+ as V1
-        "D-full": {"U1" if len(p) == 1 else "V1": l * (l - 1) // 2},
-        "D4-full": {"T1": 3, "S1": 3},
-        "D-plus": {"M21_1": d * (l - d), "M21_2": d * (l - d), "U1": d * (d - 1) // 2},
-    }
-    if shape == "D-pair":
-        # [1,l-2,1]:+, or the pair W~U beside the U block of l - 1 indices
-        pen = (l - 1) * (l - 2) // 2
-        if len(p) == 3:
-            return {"V2": pen, "M1": l - 1, "N1": l - 1}
-        return {f"U{p.index(l - 1) + 1}": pen, "W21": l - 1, "U21": l - 1}
-    if shape not in dims:
+    """The summand dimensions of the flag's record, by summand name, or None
+    without a record; a summand that the formula sizes 0 is absent.  A
+    spin-node twin has its representative's dimensions under its own names."""
+    record, rep = spec.record, spec.representative
+    if record is None:
         return None
-    return {name: dim for name, dim in dims[shape].items() if dim}
+    names = dict(record.twin_names) if rep is not spec else {}
+    return {names.get(n, n): dim for n, dim in record.dims(rep.rank, rep.partition).items() if dim}
 
 
 def _check_summand_dimensions(ctx):
@@ -800,9 +780,18 @@ def _check_count_bounds(ctx):
     spec = ctx.spec
     count = len(ctx.solutions)
     row = published_row(spec)
-    bound = None if row is None else row.bound
-    if bound is None:
-        return f"count {count}; no published bound for this shape"
+    if row is None:
+        return f"count {count}; no published row for this shape"
+    if row.exact is not None:
+        normal = normal_is_einstein(reduced_ricci(spec))
+        state = {True: "Einstein", False: "not Einstein"}
+        seen = f"count {count}, normal metric {state[normal]}"
+        _require(
+            row.matches(count, normal),
+            f"{seen}; the exact Table 1 row is {row.display}, normal metric {state[row.normal]}",
+        )
+        return f"{seen}, as the exact Table 1 row {row.display}"
+    bound = row.bound
     _require(count <= bound, f"count {count} exceeds the bound {bound}")
     l, d = spec.rank, spec.partition[0]
     if spec.shape == "B-plus" and d != 2 and count >= 1:

@@ -19,11 +19,16 @@ from conftest import expand_matrix
 from einflag.curvature import _form_coefficients
 from einflag.einstein import (
     CONSTANT_RTOL,
-    _block_ranges,
     _gauge,
     _matches,
 )
 from einflag.invariant import metric_space
+
+
+def _block_ranges(part):
+    """0-based ambient coordinates per partition block."""
+    ends = np.cumsum(part).tolist()
+    return [range(end - p, end) for p, end in zip(part, ends)]
 
 
 def ambient_candidates(spec):

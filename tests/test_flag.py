@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import FLAGS, summary, tangent_dim
 from einflag.algebra import build_algebra
 from einflag.errors import BadFlag, BadPartition, InvariantViolation, UnimplementedCase
 from einflag.flag import (
+    _RECORDS,
     Submodule,
     _check_reductive,
     _orthonormalize,
@@ -463,3 +465,91 @@ class TestShape:
         for spec in specs:
             assert spec.shape in SHAPES[spec.family], str(spec)
             assert " flag " not in manifold_name(spec), str(spec)
+
+
+# the listed flags of `_table_rows(25)` per key
+KEY_COUNTS = {
+    "A-three": 2597, "A3-pair": 3, "A3-split": 1,
+    "B-full": 22, "B4-full": 1, "B-plus1": 23, "B-plus": 276,
+    "C-full": 23, "C-plus1": 23, "C-plus": 276,
+    "D4-full": 2, "D-pair": 66, "D-plus": 273,
+}
+
+
+# the first rank of each family that is not refused
+FIRST_RANK = {"A": 1, "B": 3, "C": 3, "D": 4}
+
+
+class TestRecords:
+    """The catalogue records, at spec level only: no decomposition is built."""
+
+    @staticmethod
+    def _flags(family, rank):
+        # every (key, flag) of the family's records at one rank, listed or not
+        return [
+            (key, part, plus)
+            for key, record in _RECORDS.items()
+            if key[0] == family
+            for part, plus in record.flags(rank)
+        ]
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_every_flag_of_a_record_has_its_key(self, family):
+        for rank in range(FIRST_RANK[family], 26):
+            algebra = build_algebra(family, rank)
+            for key, part, plus in self._flags(family, rank):
+                spec = make_flag(algebra, part, plus)
+                assert spec.shape == key, str(spec)
+                assert spec.record is _RECORDS[key], str(spec)
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_no_flag_is_listed_twice(self, family):
+        for rank in range(FIRST_RANK[family], 26):
+            flags = [(part, plus) for _, part, plus in self._flags(family, rank)]
+            assert len(flags) == len(set(flags)), (family, rank)
+
+    def test_listed_flags_per_key(self):
+        from einflag.cli import _table_rows
+
+        counts = Counter(spec.shape for spec in _table_rows(25))
+        assert counts == KEY_COUNTS
+        assert sum(counts.values()) == 3586
+        assert not {"A3-irreducible", "D-full"} & set(counts)
+
+    def test_an_uncatalogued_a_flag_keeps_the_a_formulas(self):
+        spec = flag("A:4:[2,3]:-")
+        assert spec.shape is None
+        assert manifold_name(spec) == "SO(5)/S(O(2)xO(3))"
+        assert spec.record.dims(spec.rank, spec.partition) == {"M21": 6}
+        assert spec.inner_scale == Fraction(1)
+
+
+def _label_swap(model):
+    """The spin-node swap as a column permutation, read from the labels alone:
+    ``w(l,j)`` and ``u(l,j)`` trade places."""
+    l = model.rank
+
+    def swapped(label):
+        if label[1:].startswith(f"({l},"):
+            return {"w": "u", "u": "w"}[label[0]] + label[1:]
+        return label
+
+    return np.array([model.label_index[swapped(b.label)] for b in model.basis])
+
+
+TWINS = [
+    (f"D:{l}:[{l - 1},1]:+", f"D:{l}:[{l}]:-", ["T1", "S1"] if l == 4 else ["V1"])
+    for l in range(4, 11)
+] + [(f"D:{l}:[1,{l - 2},1]:+", f"D:{l}:[1,{l - 1}]:-", ["V2", "M1", "N1"]) for l in range(4, 11)]
+
+
+@pytest.mark.parametrize("twin,representative,names", TWINS)
+def test_a_twin_is_its_representative_under_the_spin_node_swap(twin, representative, names):
+    spec, rep = flag(twin), flag(representative)
+    assert spec.representative == rep and spec.shape == rep.shape
+    dec, rep_dec = decompose_isotropy(spec), decompose_isotropy(rep)
+    cols = _label_swap(spec.algebra)
+    assert [s.name for s in dec.submodules] == names
+    for s, r in zip(dec.submodules, rep_dec.submodules, strict=True):
+        assert np.array_equal(s.span.view(np.int64), r.span[:, cols].view(np.int64)), (twin, s.name)
+    assert dec.equiv_classes == rep_dec.equiv_classes

@@ -91,15 +91,24 @@ def test_reduced_route_sees_a_corrupt_exact_term(cold_caches, monkeypatch):
         ("B:4:[2,2]:+", 3, "count 3 <= 3"),
         ("B:5:[3,2]:+", 1, "count 1 <= 4; existence inequality holds (q = 169 > 0)"),
         ("C:5:[2,3]:+", 0, "count 0 <= 2"),
-        ("D:5:[4,1]:-", 9, "count 9; no published bound for this shape"),
+        ("D:5:[4,1]:-", 6, "count 6, normal metric not Einstein, as the exact Table 1 row 6"),
+        ("D:4:[3,1]:+", 1, "count 1, normal metric Einstein, as the exact Table 1 row 1"),
+        ("D:5:[1,4]:+", 2, "count 2; no published row for this shape"),
     ],
 )
 def test_count_bounds_read_the_published_table(monkeypatch, text, count, detail):
-    # the bound is Table 1's, from published_row; no solve runs here
+    # the row is Table 1's, from published_row; no solve runs here
     fake = [types.SimpleNamespace()] * count
     monkeypatch.setattr(verify._Context, "solutions", property(lambda self: fake))
     ctx = verify._Context(parse_flag_spec(text))
     assert verify._check_count_bounds(ctx) == detail
+
+
+def test_count_bounds_reject_a_count_off_an_exact_row(monkeypatch):
+    fake = [types.SimpleNamespace()] * 9
+    monkeypatch.setattr(verify._Context, "solutions", property(lambda self: fake))
+    with pytest.raises(verify._Failure, match="count 9, normal metric not Einstein; the exact Table 1 row is 6"):
+        verify._check_count_bounds(verify._Context(parse_flag_spec("D:5:[4,1]:-")))
 
 
 def test_count_bounds_reject_too_many_solutions(monkeypatch):
@@ -582,6 +591,18 @@ def test_spin_node_flag_passes_every_check():
     assert [r.name for r in results if not r.passed] == []
     assert len(results) == 22
     assert [s.rule_id for s in einstein.solve("D:5:[4,1]:+").solutions] == ["normal"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"D:{l}:[{l - 1},1]:+" for l in range(4, 11)] + [f"D:{l}:[1,{l - 2},1]:+" for l in range(4, 11)],
+)
+def test_every_spin_node_twin_passes_every_check(text):
+    # each twin is built through its representative; count-bounds compares
+    # D:4:[3,1]:+ and the pair twins with their exact Table 1 rows
+    results = verify.run_checks(text)
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 22
 
 
 def test_killing_trace_ratio_fails_on_a_non_orthogonal_basis():
