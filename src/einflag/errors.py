@@ -25,10 +25,6 @@ class ClosureViolation(EinflagError):
     """A bracket of basis elements failed to expand in the basis."""
 
 
-class GeneratorMismatch(EinflagError):
-    """A discrete isotropy generator does not preserve the tangent space."""
-
-
 class NotPositiveDefinite(EinflagError):
     """Metric coefficients define an operator that is not positive definite."""
 

@@ -9,7 +9,10 @@ sign components of the stabilizer (products of reflections with pairwise
 matching determinants), which is what makes the summand catalogue of
 :mod:`einflag.flag` have a clean commutant: its dimension must come out as
 the number of summands plus the number of declared equivalent pairs, and
-this is proved for every constructed space.
+this is proved for every constructed space.  The sign components that keep
+every summand are computed, not searched for: :func:`_sign_actions` takes
+them as one GF(2) kernel of the root parities, and each acts on the tangent
+basis as an exact +-1 diagonal.
 
 The proof is one block-wise certificate for every tangent dimension,
 :func:`einflag.schur._schur_certificate`.  Three probes stand in for the
@@ -42,12 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    GeneratorMismatch,
-    InvariantViolation,
-    NotPositiveDefinite,
-    UnimplementedCase,
-)
+from .errors import InvariantViolation, NotPositiveDefinite, UnimplementedCase
 from .algebra import _coo_pattern, _coo_sums, _coo_transform, _matches, _row_entries
 from .flag import GeneratorTable, decompose_isotropy, tangent_basis
 from .schur import _probes, _schur_certificate
@@ -69,101 +67,68 @@ __all__ = [
 _UNMIXED = 1e-14
 
 
-def _position_sign_sets(spec):
-    """Candidate sign patterns, as sets of flipped 1-based ambient positions.
+def _gf2_kernel(rows, n):
+    """A basis of the s in GF(2)^n with ``<r, s> = 0`` for every row r, all
+    as int bitmasks.
 
-    Family A flips pairs of coordinates (even products of reflections stay in
-    the special orthogonal group); the other families also flip single
-    positions, which acts as a reflection with matching determinant on both
-    orthogonal factors.
+    The elimination pivots on the lowest set bit of each row and keeps the
+    rows reduced, so each pivot bit is set in its own row alone.  The basis
+    vector of a free bit f is f with the pivots of the rows that hold f, all
+    below f.
     """
-    npos = spec.rank + 1 if spec.family == "A" else spec.rank
-    cands = []
-    if spec.family != "A":
-        cands += [frozenset({k}) for k in range(1, npos + 1)]
-    if npos <= 12:
-        cands += [
-            frozenset({i, j})
-            for i in range(1, npos + 1)
-            for j in range(i + 1, npos + 1)
-        ]
-    else:
-        cands += [frozenset({1, j}) for j in range(2, npos + 1)]
-        cands += [frozenset({2, j}) for j in range(3, npos + 1)]
-    return cands
+    pivots = {}
+    for r in set(rows):
+        for p, row in pivots.items():
+            if r >> p & 1:
+                r ^= row
+        if r:
+            low = (r & -r).bit_length() - 1
+            for p in pivots:
+                if pivots[p] >> low & 1:
+                    pivots[p] ^= r
+            pivots[low] = r
+    return [
+        1 << f | sum(1 << p for p, row in pivots.items() if row >> f & 1)
+        for f in range(n)
+        if f not in pivots
+    ]
 
 
-def _basis_signs(model, candidates):
-    """+-1 vectors over the algebra basis, one row per flipped position set.
+def _sign_actions(spec, B):
+    """A basis of the sign symmetries of the stabilizer that keep every
+    summand: ``(flips, table)``, the flipped ambient positions of each as an
+    int bitmask (position k at bit k - 1), and their actions on the rows of
+    the tangent basis B, a :class:`~einflag.flag.GeneratorTable` of exact
+    +-1 diagonals.
 
-    A basis vector changes sign when its root has an odd total coefficient
-    on the flipped positions: the parities of the flipped positions' rows of
-    the roots, summed per set.
+    A flip s of the ambient positions multiplies basis element p by
+    ``(-1)^<r_p, s>``, r_p its root mod 2.  On family A the flips are even,
+    as the group is SO(l+1); B, C and D may flip single positions.  If s
+    gives one sign to every nonzero of a row of B, then rows sharing a
+    coordinate share that sign, and as the rows are orthonormal ``B_w
+    diag(s) B^T`` is exactly ``diag(sigma)``, sigma_a the sign of row a's
+    first nonzero: s keeps every summand.  A flip that gives a row two signs
+    moves it off its line; it could stay in the summand only if the summand
+    also held the sign-mixed partner row, which no catalogued summand does.
+    Were one to, this group would be too small, the probe commutant would
+    overcount and :func:`metric_space` would raise.  So the group is the
+    GF(2) kernel of ``r_p ^ r_first(a)`` over every nonzero (a, p) of B, with
+    the all-ones row on family A.
     """
-    parity = model.roots.T % 2
-    sizes = np.array([len(flipped) for flipped in candidates])
-    rows = parity[[pos - 1 for flipped in candidates for pos in flipped]]
-    return 1.0 - 2.0 * (np.add.reduceat(rows, np.cumsum(sizes) - sizes) % 2)
-
-
-def _sign_entries(signs, B, Bw):
-    """Every ``S = B_w diag(s) B^T``, one per row s of ``signs``, on one
-    pattern shared by all of them: ``(keys, S)``, the sorted flat d x d
-    positions where some ``B_w[a, k] B[b, k]`` is nonzero, and the ``(count,
-    m)`` entries there.
-
-    The products of the nonzeros of both bases in each column k are summed
-    over k ascending, as one gather of the diagonal entries ``(g, k, k,
-    s_g[k])`` through both bases sums them.
-    """
-    d = B.shape[0]
-    # the nonzeros of each basis column by column, k ascending, and each
-    # pair of them in one column
-    kw, a = np.nonzero(Bw.T)
-    kb, b = np.nonzero(B.T)
-    e, f = _matches(kw, kb)
-    keys, inv = np.unique(a[e] * d + b[f], return_inverse=True)
-    count, m = len(signs), keys.size
-    S = np.bincount(
-        (np.arange(count)[:, None] * m + inv).ravel(),
-        weights=(signs[:, kw[e]] * Bw[a[e], kw[e]] * B[b[f], kb[f]]).ravel(),
-        minlength=count * m,
-    )
-    return keys, S.reshape(count, m)
-
-
-def _preserved(keys, S, owner):
-    """Which rows of ``S`` (:func:`_sign_entries`) map each span of the basis
-    rows into itself; ``owner`` names the span of each row.
-
-    The rows of a span are a g-orthonormal basis of it, so row a of S, in
-    the columns of its span, holds the coordinates of the projection of
-    ``b_a * s`` onto the span.  ``b_a * s`` has unit g-length, so it lies in
-    the span exactly when that part of the row has unit norm.
-    """
-    d, count = owner.size, len(S)
-    row, col = keys // d, keys % d
-    inside = owner[row] == owner[col]
-    norms = np.bincount(
-        (np.arange(count)[:, None] * d + row[inside]).ravel(),
-        weights=(S[:, inside] ** 2).ravel(),
-        minlength=count * d,
-    )
-    return np.all(np.abs(norms.reshape(count, d) - 1.0) <= 1e-10, axis=1)
-
-
-def _sign_actions(dec, B, Bw, slices):
-    """The sign symmetries of the stabilizer that preserve every summand, as
-    +-1 vectors over the algebra basis, with their :func:`_sign_entries`
-    ``(keys, S)`` over the tangent basis B, whose summands are ``slices``."""
-    spec = dec.spec
-    signs = _basis_signs(spec.algebra, _position_sign_sets(spec))
-    keys, S = _sign_entries(signs, B, Bw)
-    owner = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
-    kept = _preserved(keys, S, owner)
-    if not kept.any():
-        raise GeneratorMismatch(f"no sign symmetry preserves the summands of {spec}")
-    return signs[kept], keys, S[kept]
+    parity = spec.algebra.roots % 2
+    npos = parity.shape[1]
+    bits = parity @ (1 << np.arange(npos))
+    a, p = np.nonzero(B)
+    first = p[np.r_[True, a[1:] != a[:-1]]]
+    rows = (bits[p] ^ bits[first[a]]).tolist()
+    if spec.family == "A":
+        rows.append((1 << npos) - 1)
+    flips = np.array(_gf2_kernel(rows, npos), dtype=np.int64)
+    on = (flips[:, None] >> np.arange(npos)) & 1
+    sigma = 1.0 - 2.0 * ((on @ parity[first].T) % 2)
+    count, d = sigma.shape
+    diag = np.tile(np.arange(d), count)
+    return flips, GeneratorTable(count, np.repeat(np.arange(count), d), diag, diag, sigma.ravel())
 
 
 @dataclass
@@ -172,8 +137,9 @@ class MetricSpace:
 
     ``reps`` and ``signs`` are :class:`~einflag.flag.GeneratorTable` s over the
     tangent basis: the isotropy action ``ad(e_p)`` of every isotropy basis
-    vector, and the sign actions of the stabilizer that preserve every
-    summand.
+    vector, and a basis of the sign actions of the stabilizer that preserve
+    every summand, each given by all d of its diagonal entries, every one
+    exactly +-1.0.
     ``operators`` is the read-only ``(n, d, d)`` stack of the operator basis.
     ``certificate_margin`` is the ``(zero, nonzero)`` margin of the Schur
     certificate that proved its dimension: over every block, the largest
@@ -493,23 +459,6 @@ def _freeze(tree):
             _freeze(item)
 
 
-def _sign_table(keys, S, d):
-    """The sign actions of :func:`_sign_entries` as a table, and ``max |S S -
-    I|`` over them.  The pairs of entries whose products ``S S`` sums are
-    laid out once for all of them."""
-    count, m = S.shape
-    row, col = keys // d, keys % d
-    e, f = _matches(col, row)
-    square, at = np.unique(np.r_[row[e] * d + col[f], np.arange(d) * (d + 1)], return_inverse=True)
-    terms = np.c_[S[:, e] * S[:, f], -np.ones((count, d))]
-    gens = np.arange(count)[:, None]
-    resid = np.bincount((gens * square.size + at).ravel(), weights=terms.ravel())
-    table = GeneratorTable(
-        count, np.repeat(gens.ravel(), m), np.tile(row, count), np.tile(col, count), S.ravel()
-    )
-    return table, float(np.max(np.abs(resid), initial=0.0))
-
-
 def _skew_residual(table, d):
     """``max |G + G^T|`` over the generators of a table, from its entries.
 
@@ -603,26 +552,18 @@ def metric_space(spec):
 
     The generators are kept as :class:`~einflag.flag.GeneratorTable` s:
     ``reps`` is the decomposition's ``isotropy_action``, checked skew entry
-    by entry against its mirror, and ``signs`` holds the sign actions,
-    gathered on one pattern for all of them and checked to be involutions
-    from their entries.
+    by entry against its mirror, and ``signs`` holds the exact +-1 diagonal
+    sign actions of :func:`_sign_actions`.
     """
     dec = decompose_isotropy(spec)
-    model = spec.algebra
-    g = float(spec.inner_scale) * model.gram
     Bm, slices = tangent_basis(dec)
-    Bw = Bm * g
     d = Bm.shape[0]
     subs = dec.submodules
 
     reps = dec.isotropy_action
     if _skew_residual(reps, d) > 1e-10:
         raise InvariantViolation(f"isotropy action on {spec} is not skew")
-
-    _, keys, S = _sign_actions(dec, Bm, Bw, slices)
-    signs, involution = _sign_table(keys, S, d)
-    if involution > 1e-10:
-        raise InvariantViolation(f"sign action on {spec} is not an involution")
+    _, signs = _sign_actions(spec, Bm)
 
     # Schur's lemma block by block: Sym End(m_i) on each summand and
     # Hom(m_i, m_j) for each pair i < j, against the probes.
@@ -836,7 +777,8 @@ def orthonormal_frame(metric):
 
     V's entries over the space's :class:`FramePlan` are one gather of
     :func:`_frame_factors`; ``W = V^T A`` and the check ``W V = I`` are
-    summed over the plan as well, so no d x d array is formed.
+    summed over the plan as well, so no d x d array is formed.  The entries
+    of V and W are read-only, as the plan is.
     """
     plan = metric.space.frame_plan
     v = _frame_factors(metric.space, metric)[plan.frame[2]]
@@ -844,4 +786,5 @@ def orthonormal_frame(metric):
     gram, identity = plan.gram
     if np.abs(_coo_sums(gram, w[gram[0]], (None, v)) - identity).max() > 1e-9:
         raise InvariantViolation("frame is not orthonormal for the metric")
+    _freeze((v, w))
     return Frame(metric, sparse=(plan, v, w))

@@ -90,11 +90,19 @@ def edit_first_generator(table, d, rows, cols, deltas):
 
 
 def component_sign_actions(dec):
-    """The sign symmetries of the stabilizer that preserve every summand of a
-    decomposition, as a list of +-1 vectors over the algebra basis."""
-    B, slices = tangent_basis(dec)
-    Bw = B * (float(dec.spec.inner_scale) * dec.spec.algebra.gram)
-    return list(_sign_actions(dec, B, Bw, slices)[0])
+    """A basis of the sign symmetries of the stabilizer that preserve every
+    summand of a decomposition, as a list of +-1 vectors over the algebra basis."""
+    flips, _ = _sign_actions(dec.spec, tangent_basis(dec)[0])
+    return list(flip_signs(dec.spec.algebra, flips))
+
+
+def flip_signs(model, flips):
+    """The +-1 vectors over the algebra basis of flips given as int bitmasks
+    of ambient positions: basis element p changes sign when its root has an
+    odd total coefficient on the flipped positions."""
+    parity = model.roots % 2
+    on = (np.asarray(flips, dtype=np.int64)[:, None] >> np.arange(parity.shape[1])) & 1
+    return 1.0 - 2.0 * ((on @ parity.T) % 2)
 
 
 NO_GENERATORS = GeneratorTable(0, *[np.zeros(0, dtype=np.int64)] * 3, np.zeros(0))

@@ -14,7 +14,7 @@ import einflag.einstein
 from einflag import __version__
 from einflag.cli import _table_rows, main
 from einflag.invariant import metric_space
-from einflag.errors import ClosureViolation, GeneratorMismatch, NoExactCount
+from einflag.errors import ClosureViolation, NoExactCount
 from einflag.verify import CHECK_NAMES
 
 
@@ -136,7 +136,7 @@ def test_no_exact_count_unsupported(cold_search, monkeypatch, capsys):
     assert err == "einflag: unsupported case: the mixing equation is not linear in b^2\n"
 
 
-@pytest.mark.parametrize("error", [ClosureViolation, GeneratorMismatch])
+@pytest.mark.parametrize("error", [ClosureViolation])
 def test_construction_failure_is_invariant_error(monkeypatch, capsys, error):
     def broken(*args, **kwargs):
         raise error("synthetic construction failure")

@@ -423,11 +423,14 @@ def test_memoised_solutions_are_immutable():
         first.solutions[0].metric.spectrum[0] = 9.0
     rep = first.solutions[0].report
     ricci_coeffs = rep.coefficients.copy()
+    _, v, w = rep.frame.sparse
     for arr in (
         rep.coefficients,
         rep.ricci,
         rep.ricci_tangent,
         rep.frame.vectors,
+        v,
+        w,
     ):
         with pytest.raises(ValueError):
             arr.flat[0] = 9.0

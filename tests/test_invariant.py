@@ -11,6 +11,7 @@ from conftest import (
     component_sign_actions,
     dense_generators,
     edit_first_generator,
+    flip_signs,
     tangent_dim,
 )
 
@@ -138,6 +139,9 @@ class TestMetricSpace:
         for spec in specs:
             sp = metric_space(spec)
             assert sp.dim == sp.n_sub + len(sp.pairs)
+            # the sign actions are exact +-1 diagonals
+            assert np.array_equal(sp.signs.row, sp.signs.col)
+            assert np.array_equal(np.abs(sp.signs.value), np.ones(sp.signs.value.size))
             # the probes are drawn from a fixed seed, so a cold rebuild
             # repeats the operators bit for bit
             cold = metric_space.__wrapped__(spec)
@@ -258,19 +262,6 @@ class TestCertificateFailures:
         with pytest.raises(InvariantViolation, match="is not skew"):
             metric_space.__wrapped__(spec)
 
-    def test_involution_check_sees_a_scaled_sign(self, monkeypatch):
-        # every kept action doubled, S = 2 S0 with S0 S0 = I, gives S S - I = 3 I
-        spec = parse_flag_spec("D:5:[4,1]:-")
-        kept = invariant._sign_actions
-
-        def doubled(*args):
-            signs, keys, S = kept(*args)
-            return signs, keys, 2.0 * S
-
-        monkeypatch.setattr(invariant, "_sign_actions", doubled)
-        with pytest.raises(InvariantViolation, match="is not an involution"):
-            metric_space.__wrapped__(spec)
-
     def test_structure_trace_raises(self, monkeypatch):
         # the Ricci formula leaves out the trace vector, so a tangent
         # structure tensor with t[k,i,i] != 0 must not get past its build
@@ -314,101 +305,171 @@ class TestGeneratorTables:
     @pytest.mark.parametrize(
         "text", ["A:3:[2,1,1]:-", "B:4:[4]:-", "B:4:[2,2]:+", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
     )
-    def test_sign_table_equals_the_gather_through_both_bases(self, text):
-        # the table is laid out once for all sign actions; the gather of the
-        # diagonal entries (g, k, k, s_g[k]) through both bases sums each
-        # entry in the same order, so they agree bit for bit, and S S - I
-        # is the same from the gathered entries
+    def test_sign_table_equals_the_dense_actions(self, text):
+        # the same rounding allowance as the isotropy action.  Every entry is
+        # on the diagonal and exactly +-1, all d of them per generator, so
+        # each action squares to I exactly and needs no involution check
         spec = parse_flag_spec(text)
         dec = decompose_isotropy(spec)
         Bm, _ = tangent_basis(dec)
         Bw = Bm * (float(spec.inner_scale) * spec.algebra.gram)
         d = Bm.shape[0]
-        flips = np.array(component_sign_actions(dec))
-        got, involution = invariant._sign_table(*invariant._sign_entries(flips, Bm, Bw), d)
-        count, n = flips.shape
-        g, k = np.divmod(np.arange(count * n), n)
-        one = (np.arange(count + 1), np.arange(count), np.ones(count))
-        maps = (one, algebra._row_entries(Bw.T), algebra._row_entries(Bm.T))
-        want = algebra._coo_transform((g, k, k, flips.ravel()), maps, d)
-        assert got.count == count
-        for a, b in zip(got[1:4], want[:3]):
-            assert np.array_equal(a, b)
-        assert np.array_equal(got.value.view(np.int64), want[3].view(np.int64))
-        S = dense_generators(got, d)
-        square = np.max(np.abs(S @ S - np.eye(d)))
-        assert involution <= 1e-14 and abs(involution - square) <= 1e-14
-
-    @pytest.mark.parametrize("text", ["A:3:[2,1,1]:-", "B:4:[4]:-", "A:25:[20,3,3]:-"])
-    def test_sign_table_equals_the_dense_actions(self, text):
-        # the same rounding allowance as the isotropy action
-        spec = parse_flag_spec(text)
-        dec = decompose_isotropy(spec)
-        Bm, _ = tangent_basis(dec)
-        Bw = Bm * (float(spec.inner_scale) * spec.algebra.gram)
         ref = np.array([Bw @ (Bm * s).T for s in component_sign_actions(dec)])
-        got = dense_generators(metric_space(spec).signs, Bm.shape[0])
+        table = metric_space(spec).signs
+        got = dense_generators(table, d)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-15
+        assert np.array_equal(table.row, table.col)
+        assert table.value.size == table.count * d
+        assert np.array_equal(np.abs(table.value), np.ones(table.value.size))
+
+
+def _span(flips):
+    """Every XOR of a subset of the int bitmasks ``flips``."""
+    span = {0}
+    for f in flips:
+        span |= {f ^ x for x in span}
+    return span
+
+
+def _gf2_rank(rows):
+    """The GF(2) rank of int bitmasks, by a basis with distinct leading bits."""
+    basis = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis = sorted(basis + [r], reverse=True)
+    return len(basis)
+
+
+def _sign_bits(signs):
+    """+-1 vectors as int bitmasks of their -1 entries."""
+    return [int("".join("1" if v < 0 else "0" for v in s), 2) for s in signs]
+
+
+def _kept_by_projection(dec, signs):
+    """The reference decision per +-1 vector s over the algebra basis: does s
+    keep every summand, by the largest entry of ``s * b - proj(s * b)`` over
+    its rows b.  Returns the kept mask and every vector's residual."""
+    g = float(dec.spec.inner_scale) * dec.spec.algebra.gram
+    resid = np.zeros(len(signs))
+    for sub in dec.submodules:
+        img = sub.orthonormal * signs[:, None, :]
+        off = img - (img @ (sub.orthonormal * g).T) @ sub.orthonormal
+        resid = np.maximum(resid, np.max(np.abs(off), axis=(1, 2)))
+    return resid <= 1e-10, resid
+
+
+def _spec_basis(text):
+    """A flag's spec and the rows of its tangent basis."""
+    spec = parse_flag_spec(text)
+    return spec, tangent_basis(decompose_isotropy(spec))[0]
+
+
+def _flip_sets(spec, flips):
+    """The flips as sets of 1-based ambient positions."""
+    npos = spec.algebra.roots.shape[1]
+    return [{k + 1 for k in range(npos) if f >> k & 1} for f in flips]
 
 
 class TestSignActions:
     def test_triality_blocks_filter_singles(self):
-        # single reflections swap the two 3-dimensional summands
-        dec = decompose_isotropy(parse_flag_spec("B:4:[4]:-"))
-        assert len(component_sign_actions(dec)) == 6
-        dec = decompose_isotropy(parse_flag_spec("D:4:[4]:-"))
-        assert len(component_sign_actions(dec)) == 6
+        # single reflections swap the two 3-dimensional summands, so the
+        # kernel is the 8 even flips of the 4 positions
+        for text in ("B:4:[4]:-", "D:4:[4]:-"):
+            flips, _ = invariant._sign_actions(*_spec_basis(text))
+            span = _span(flips.tolist())
+            assert len(span) == 8
+            assert not any(bin(f).count("1") == 1 for f in span)
+            assert all(bin(f).count("1") % 2 == 0 for f in span)
 
     @pytest.mark.parametrize(
         "text", ["A:5:[2,2,2]:-", "B:4:[4]:-", "C:5:[2,3]:+", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
     )
     def test_basis_signs_match_root_parity_loop(self, text):
-        spec = parse_flag_spec(text)
+        # sigma_a is the sign of row a's first nonzero under the flip, and
+        # every nonzero of the row takes the same sign; the vectors over the
+        # algebra basis read the same loop
+        spec, B = _spec_basis(text)
         model = spec.algebra
-        cands = invariant._position_sign_sets(spec)
-        for flipped, row in zip(cands, invariant._basis_signs(model, cands)):
-            ref = [
+        flips, table = invariant._sign_actions(spec, B)
+        d = B.shape[0]
+        sigma = table.value.reshape(table.count, d)
+        for flipped, row, over_basis in zip(
+            _flip_sets(spec, flips), sigma, component_sign_actions(decompose_isotropy(spec))
+        ):
+            loop = np.array([
                 (-1) ** sum(c % 2 for pos, c in enumerate(e.root, start=1) if pos in flipped)
                 for e in model.basis
-            ]
-            assert np.array_equal(row, ref)
+            ])
+            assert np.array_equal(over_basis, loop)
+            for a in range(d):
+                support = np.flatnonzero(B[a])
+                assert np.all(loop[support] == row[a])
 
     def test_basis_aligned_spans_keep_all(self):
-        dec = decompose_isotropy(parse_flag_spec("D:4:[3,1]:-"))
-        assert len(component_sign_actions(dec)) == 10  # 4 singles + 6 pairs
+        flips, _ = invariant._sign_actions(*_spec_basis("D:4:[3,1]:-"))
+        assert len(_span(flips.tolist())) == 16
 
     @pytest.mark.parametrize(
         "text", [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-", "C:25:[12,13]:+"]
     )
     def test_kept_signs_equal_the_projection_residual_decision(self, text):
-        # the reference decides one candidate and one summand at a time, by
-        # the largest entry of s * b - proj(s * b) over the summand's rows b;
-        # 12 candidates on these flags are rejected, by a residual near 1
+        # the reference decides one flip and one summand at a time, by the
+        # largest entry of s * b - proj(s * b) over the summand's rows b.  On
+        # up to 10 positions it decides every flip (the even ones on A), and
+        # the kept sign vectors over the algebra basis are the span of the
+        # generators'.  On A:25 and C:25 it decides the singles and the
+        # pairs {1, j}, {2, j}, and each kept one lies in the span.  A
+        # rejected flip moves some row by a residual near 1, far from the cut
         dec = decompose_isotropy(parse_flag_spec(text))
-        model = dec.spec.algebra
-        g = float(dec.spec.inner_scale) * model.gram
-        ref = []
-        for s in invariant._basis_signs(model, invariant._position_sign_sets(dec.spec)):
-            imgs = [sub.orthonormal * s for sub in dec.submodules]
-            resid = [
-                np.max(np.abs(img - (img @ (sub.orthonormal * g).T) @ sub.orthonormal))
-                for img, sub in zip(imgs, dec.submodules)
-            ]
-            if max(resid) <= 1e-10:
-                ref.append(s)
-        got = component_sign_actions(dec)
-        assert len(got) == len(ref)
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        spec = dec.spec
+        npos = spec.algebra.roots.shape[1]
+        gens = component_sign_actions(dec)
+        rank = _gf2_rank(_sign_bits(gens))
+        if npos <= 10:
+            flips = range(2**npos)
+        else:
+            flips = [1 << k for k in range(npos)]
+            flips += [1 | 1 << j for j in range(1, npos)] + [2 | 1 << j for j in range(2, npos)]
+        if spec.family == "A":
+            flips = [f for f in flips if bin(f).count("1") % 2 == 0]
+        signs = flip_signs(spec.algebra, list(flips))
+        kept, resid = _kept_by_projection(dec, signs)
+        assert np.min(resid[~kept], initial=1.0) >= 0.5
+        kept_bits = set(_sign_bits(signs[kept]))
+        for v in kept_bits:
+            assert _gf2_rank(_sign_bits(gens) + [v]) == rank
+        if npos <= 10:
+            assert len(kept_bits) == 2**rank
+        assert _kept_by_projection(dec, np.array(gens))[0].all()
 
     def test_a_sign_that_mixes_a_summand_is_dropped(self):
-        # the span of (1, 1) in two coordinates is kept by flipping both
-        # and by flipping neither, and mixed with (1, -1) by flipping one
-        B = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
-        signs = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
-        keys, S = invariant._sign_entries(signs, B, B)
-        kept = invariant._preserved(keys, S, np.zeros(1, dtype=np.int64))
-        assert kept.tolist() == [True, True, False, True]
+        # the span of (1, 1) in two coordinates is kept by flipping both and
+        # by flipping neither, and mixed with (1, -1) by flipping one: its
+        # one constraint row is 0b011, and the third coordinate is free
+        assert invariant._gf2_kernel([0b011], 3) == [0b011, 0b100]
+        assert invariant._gf2_kernel([0b011, 0b011, 0], 3) == [0b011, 0b100]
+        span = _span([0b011, 0b100])
+        assert {0b000, 0b011, 0b100, 0b111} == span
+        assert not {0b001, 0b010, 0b101, 0b110} & span
+
+    def test_lowest_bit_pivots_give_singles_and_pairs(self):
+        # no constraint keeps every single flip; the all-ones row of family A
+        # leaves the pairs {1, k}
+        assert invariant._gf2_kernel([], 4) == [0b0001, 0b0010, 0b0100, 0b1000]
+        assert invariant._gf2_kernel([0b1111], 4) == [0b0011, 0b0101, 0b1001]
+
+    def test_gf2_kernel_equals_the_brute_force_kernel(self):
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            rows = rng.integers(0, 2**n, size=int(rng.integers(0, 7))).tolist()
+            want = {s for s in range(2**n) if all(bin(r & s).count("1") % 2 == 0 for r in rows)}
+            got = invariant._gf2_kernel(rows, n)
+            assert _gf2_rank(got) == len(got)
+            assert _span(got) == want
 
 
 class TestMakeMetric:

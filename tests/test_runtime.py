@@ -1,4 +1,5 @@
-"""The runtime needs numpy alone; scipy is a test-only reference."""
+"""The runtime needs numpy alone; scipy is a test-only reference, and the
+cold path never loads ``numpy.ma``."""
 
 import subprocess
 import sys
@@ -20,5 +21,6 @@ def test_solve_and_check_load_no_scipy():
         "    assert cli.main(['check', 'B:3:[3]:-']) == 0\n"
         "bad = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not bad, bad\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
