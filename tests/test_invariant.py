@@ -323,6 +323,34 @@ class TestGeneratorTables:
         assert table.value.size == table.count * d
         assert np.array_equal(np.abs(table.value), np.ones(table.value.size))
 
+    @pytest.mark.parametrize(
+        "text", ["A:3:[2,1,1]:-", "B:4:[4]:-", "B:4:[2,2]:+", "D:5:[4,1]:-", "A:25:[20,3,3]:-"]
+    )
+    def test_sign_table_equals_the_gather_through_both_bases(self, text):
+        # a second reference: the gather of the diagonal entries (g, k, k,
+        # s_g[k]) through both bases, summed as the structure constants are.
+        # Its off-diagonal sums cancel and its diagonal sums come to the
+        # table's exact +-1 up to rounding, and it squares to I as well
+        spec = parse_flag_spec(text)
+        dec = decompose_isotropy(spec)
+        Bm, _ = tangent_basis(dec)
+        Bw = Bm * (float(spec.inner_scale) * spec.algebra.gram)
+        d = Bm.shape[0]
+        flips = np.array(component_sign_actions(dec))
+        count, n = flips.shape
+        g, k = np.divmod(np.arange(count * n), n)
+        one = (np.arange(count + 1), np.arange(count), np.ones(count))
+        maps = (one, algebra._row_entries(Bw.T), algebra._row_entries(Bm.T))
+        gen, a, b, v = algebra._coo_transform((g, k, k, flips.ravel()), maps, d)
+        want = np.zeros((count, d, d))
+        want[gen, a, b] = v
+        table = metric_space(spec).signs
+        assert table.count == count
+        got = dense_generators(table, d)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        square = np.max(np.abs(want @ want - np.eye(d)))
+        assert square <= 1e-14
+
 
 def _span(flips):
     """Every XOR of a subset of the int bitmasks ``flips``."""
