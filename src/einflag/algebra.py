@@ -38,7 +38,12 @@ and D families).
 
 The ambient inner product ``(.,.)`` is the family pairing under which each
 basis is orthogonal: minus the Killing form of so(l+1) for the A family, and
-the block pairings of the matrix realizations otherwise.
+the block pairings of the matrix realizations otherwise.  It is one table
+over the flat ambient positions, a weight ``w(p)`` and a partner position
+``pi(p)`` with ``(X, Y) = sum_p w(p) X[p] Y[pi(p)]``, so the pairing of two
+lists of entries is one join of each entry's partner against the positions
+(:func:`_pair_sums`), summed over the joined pairs only; the Gram diagonal
+``gram`` is read off that join of the basis entries.
 """
 
 from __future__ import annotations
@@ -167,11 +172,61 @@ def _matches(keys, targets):
     return e, order[np.arange(len(e)) - np.repeat(start - lo, counts)]
 
 
-def _trace_pairs(X, Y):
-    """``tr(X Y)`` of every matrix of the stack X with every matrix of Y."""
-    return np.inner(
-        X.reshape(X.shape[:-2] + (-1,)), Y.swapaxes(-1, -2).reshape(Y.shape[:-2] + (-1,))
-    )
+def _pairing_table(family, l, N):
+    """The family pairing as ``(weight, partner)`` over the flat positions
+    ``p = r N + c``: ``(X, Y) = sum_p weight[p] X[p] Y[partner[p]]``.
+
+    A pairs every position with its transpose at ``-max(l-1, 1)``.  B pairs
+    ``(0, c)``, ``1 <= c <= l``, with itself at 1, its top-left l x l block
+    with the transpose at -1/2, and ``(1+i, l+1+j)`` with ``(1+j, l+1+i)`` at
+    -1/2.  C and D pair the top-left l x l block with the transpose at
+    -1/2, and ``(l+i, j)`` with ``(l+j, i)``, ``j < l``, at +1/2 (C) or -1/2
+    (D).  Every other position weighs 0 and has partner -1, which no
+    position matches.
+    """
+    r, c = np.divmod(np.arange(N * N), N)
+    if family == "A":
+        rules = [(np.ones(N * N, dtype=bool), -max(l - 1, 1), c, r)]
+    elif family == "B":
+        top, right = (r >= 1) & (r <= l), c > l
+        rules = [
+            ((r == 0) & (c >= 1) & (c <= l), 1.0, r, c),
+            (top & (c >= 1) & ~right, -0.5, c, r),
+            (top & right, -0.5, c - l, r + l),
+        ]
+    else:
+        rules = [
+            ((r < l) & (c < l), -0.5, c, r),
+            ((r >= l) & (c < l), 0.5 if family == "C" else -0.5, c + l, r - l),
+        ]
+    weight, partner = np.zeros(N * N), np.full(N * N, -1)
+    for at, w, pr, pc in rules:
+        weight[at] = w
+        partner[at] = (pr * N + pc)[at]
+    return weight, partner
+
+
+def _pair_sums(elem, pos, val, partner, weight, n):
+    """Sums of ``weight[x] val[x] val[y]`` per element pair over the joined entries.
+
+    Entry x is ``val[x]`` at the flat position ``pos[x]`` of matrix
+    ``elem[x] < n``; it joins every entry y with ``pos[y] == partner[x]``.
+    ``weight`` may be None, for 1.  Returns ``(diag, (e, f, sums))``:
+    ``diag[e]`` is the sum of the pair ``(e, e)``, and ``sums`` are those of
+    the pairs ``e != f`` that meet in some join, sorted by ``(e, f)``; a pair
+    that never meets sums to 0.
+    """
+    x, y = _matches(partner, pos)
+    prod = val[x] * val[y]
+    if weight is not None:
+        prod = weight[x] * prod
+    keys, inv = np.unique(elem[x] * n + elem[y], return_inverse=True)
+    sums = np.bincount(inv, weights=prod, minlength=keys.size)
+    e, f = keys // n, keys % n
+    diag = np.zeros(n)
+    diag[e[e == f]] = sums[e == f]
+    off = e != f
+    return diag, (e[off], f[off], sums[off])
 
 
 class AlgebraModel:
@@ -200,38 +255,26 @@ class AlgebraModel:
         self._owner[row * N + col] = elem
         self._owner_value = np.zeros(N * N, dtype=np.int64)
         self._owner_value[row * N + col] = self._entries[3]
-        self.gram = np.array(
-            [self.ambient_inner_matrices(e.matrix, e.matrix) for e in self.basis]
-        )
+        self.pairing = _pairing_table(family, rank, N)
+        for arr in self.pairing:
+            arr.setflags(write=False)
+        self.gram = self.pair_entries(elem, row * N + col, self._entries[3])[0]
         self.structure_index = self._build_structure()
         self.killing_matrix = self._build_killing()
 
     # -- ambient pairing ---------------------------------------------------
 
-    def ambient_inner_matrices(self, X, Y):
-        """Family inner product of ambient matrices.
+    def pair_entries(self, elem, pos, val):
+        """The family pairing of matrices given by their nonzero entries.
 
-        ``X`` and ``Y`` are matrices or stacks of them, shaped ``(..., N, N)``;
-        as with ``np.inner``, every matrix of X is paired with every matrix
-        of Y, giving shape ``X.shape[:-2] + Y.shape[:-2]`` (a float for two
-        matrices).
+        Entry x is ``val[x]`` at the flat position ``pos[x] = row * N + col``
+        of matrix ``elem[x]``, an index below ``n``.  Returns the
+        :func:`_pair_sums` ``(diag, (e, f, sums))`` of the pairing table:
+        each matrix paired with itself, and the pairing of matrices e and f
+        for every other pair with a joined entry.
         """
-        X, Y = np.asarray(X), np.asarray(Y)
-        l = self.rank
-        if self.family == "A":
-            out = -max(l - 1, 1) * _trace_pairs(X, Y)
-        elif self.family == "B":
-            top = slice(1, l + 1)
-            a, c = X[..., 0, top], Y[..., 0, top]
-            A1, A2 = X[..., top, top], Y[..., top, top]
-            B1, B2 = X[..., top, l + 1 :], Y[..., top, l + 1 :]
-            out = np.inner(a, c) - (_trace_pairs(A1, A2) + _trace_pairs(B1, B2)) / 2.0
-        else:
-            A1, A2 = X[..., :l, :l], Y[..., :l, :l]
-            B1, B2 = X[..., l:, :l], Y[..., l:, :l]
-            sign = 1.0 if self.family == "C" else -1.0
-            out = (sign * _trace_pairs(B1, B2) - _trace_pairs(A1, A2)) / 2.0
-        return float(out) if out.ndim == 0 else out
+        weight, partner = self.pairing
+        return _pair_sums(elem, pos, val, partner[pos], weight[pos], self.n)
 
     # -- structure table ---------------------------------------------------
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .algebra import _matches
+from .algebra import _matches, _pair_sums
 from .algebraic import normal_is_einstein
 from .curvature import curvature, reduced_ricci, u_map
 from .einstein import (
@@ -57,6 +57,8 @@ from .invariant import (
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
 _SEED = 20240516
+# the exact Jacobi test passes a nonzero cyclic sum with at most this probability
+_JACOBI_MISS = 1e-12
 # a group's residual rows are computed on their narrow column set only when
 # that leaves out more than this many of their entries: the narrow set costs
 # a fixed handful of array calls, which per-group timings on flags of
@@ -90,6 +92,21 @@ class _Context:
         self.model = spec.algebra
         self.rng = default_rng(_SEED)
 
+    @property
+    def model(self):
+        return self._model
+
+    @model.setter
+    def model(self, model):
+        # a new model's basis entries are read again from its matrices
+        self._model = model
+        self.__dict__.pop("basis_entries", None)
+
+    @cached_property
+    def basis_entries(self):
+        """:func:`_basis_entries` of the model's basis, read once per run."""
+        return _basis_entries(self.model.basis)
+
     @cached_property
     def space(self):
         return metric_space(self.spec)
@@ -122,6 +139,15 @@ class _Context:
 # algebra
 
 
+def _basis_entries(basis):
+    """The nonzeros of the basis matrices as ``(elem, pos, val)``: ``val[x]``
+    at the flat position ``pos[x] = row * N + col`` of basis matrix ``elem[x]``,
+    read from each element's ``matrix``, so that a changed matrix is seen."""
+    mats = np.array([e.matrix for e in basis])
+    elem, row, col = np.nonzero(mats)
+    return elem, row * mats.shape[-1] + col, mats[elem, row, col]
+
+
 def _check_ambient_ad_invariance(ctx):
     """``([e_i, e_j], e_k) + (e_j, [e_i, e_k]) = C_ijk g_k + C_ikj g_j = 0`` on
     every structure constant, exactly: the constants and the Gram diagonal
@@ -146,13 +172,14 @@ def _check_ambient_ad_invariance(ctx):
     return f"([e_i,e_j],e_k)+(e_j,[e_i,e_k]) = 0 exactly on all {C.size} structure constants"
 
 
-def _killing_trace_ratios(m):
+def _killing_trace_ratios(m, entries):
     """Ascending generalized eigenvalues of (-Killing form, trace form).
 
     The trace Gram ``G[e, f] = tr(M_e M_f^T) = -tr(M_e M_f)`` of the skew
-    basis matrices is the positive trace form; it is taken exactly, as
-    integers, from one join of the nonzeros of all basis matrices on their
-    ambient position, and a Gram entry off the diagonal fails the check.
+    basis matrices is the positive trace form; it is summed exactly, per
+    pair of elements that meet, over one join of the basis ``entries``
+    (:func:`_basis_entries`) on their ambient position, and a Gram entry
+    off the diagonal fails the check.
     With G a diagonal g, ``K x = r G x`` is ``g^-1/2 K g^-1/2 y = r y``, and
     it splits over the connected blocks of K's off-diagonal pattern: one
     stacked ``eigvalsh`` per block size, 1 x 1 blocks included.  A zero
@@ -161,19 +188,12 @@ def _killing_trace_ratios(m):
     :func:`_nullity`, and that many of its eigenvalues, the smallest in
     magnitude, are set to 0.
     """
-    mats = np.array([e.matrix for e in m.basis])
-    n = len(mats)
-    elem, row, col = np.nonzero(mats)
-    val = mats[elem, row, col].astype(np.int64)
-    pos = row * mats.shape[2] + col
-    x, y = _matches(pos, pos)
-    G = np.zeros(n * n, dtype=np.int64)
-    np.add.at(G, elem[x] * n + elem[y], val[x] * val[y])
-    G = G.reshape(n, n)
-    g = np.diag(G).copy()
-    np.fill_diagonal(G, 0)
-    off = int(np.max(np.abs(G)))
-    _require(off == 0, f"trace Gram of the basis has an off-diagonal entry {off}")
+    n = len(m.basis)
+    elem, pos, val = entries
+    g, (_, _, off) = _pair_sums(elem, pos, val, pos, None, n)
+    bad = np.flatnonzero(off)
+    if bad.size:
+        raise _Failure(f"trace Gram of the basis has an off-diagonal entry {off[bad[0]]:g}")
     scale = 1.0 / np.sqrt(g)
     K = -np.asarray(m.killing_matrix, dtype=float)
     # each index takes the least label of its block, passed along K's
@@ -235,7 +255,7 @@ def _nullity(M):
 
 def _check_killing_trace_ratio(ctx):
     m = ctx.model
-    ratios = _killing_trace_ratios(m)
+    ratios = _killing_trace_ratios(m, ctx.basis_entries)
     scale = max(ratios[-1], 1.0)
     _require(ratios[0] > -1e-9 * scale, f"negative ratio {ratios[0]:.2e}")
     clusters = [[ratios[0]]]
@@ -254,37 +274,81 @@ def _check_killing_trace_ratio(ctx):
     return f"{len(clusters)} constant ratio(s): {vals}"
 
 
+def _jacobi_draws(r, v):
+    """``(B, k, miss)`` of the exact Jacobi test for structure constants of
+    magnitude at most v, at most r of them per output coordinate.
+
+    On integer vectors in ``[-B, B)`` a bracket coordinate sums at most r
+    products of magnitude ``v B^2``, and a double bracket at most r of
+    magnitude ``r v^2 B^3``, so every product and partial sum of the three
+    double brackets of the cyclic sum is an integer of magnitude at most
+    ``3 (r v)^2 B^3``.  B is the largest power of two that keeps this below
+    2^53, where float64 holds every integer exactly.  The sum is trilinear,
+    so if it is not zero, a triple drawn uniformly from ``[-B, B)^3n``
+    zeroes it with probability at most ``3 / (2B)`` (Schwartz-Zippel); k is
+    the fewest independent triples that all miss it with probability
+    ``miss = (3 / (2B))^k`` below ``_JACOBI_MISS``.
+    """
+    B = 1
+    while 3 * (r * v) ** 2 * (2 * B) ** 3 < 2**53:
+        B *= 2
+    k, miss = 1, 3 / (2 * B)
+    while miss >= _JACOBI_MISS:
+        k, miss = k + 1, miss * 3 / (2 * B)
+    return B, k, miss
+
+
 def _check_jacobi(ctx):
+    """The cyclic sum ``[x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` is exactly 0 at k
+    random integer triples of :func:`_jacobi_draws`, with no tolerance; the
+    structure constants must be integers."""
     m = ctx.model
-    worst = 0.0
-    for _ in range(20):
-        x, y, z = (ctx.rng.standard_normal(m.n) for _ in range(3))
-        x, y, z = (v / np.linalg.norm(v) for v in (x, y, z))
-        s = (
-            m.bracket_coords(x, m.bracket_coords(y, z))
-            + m.bracket_coords(y, m.bracket_coords(z, x))
-            + m.bracket_coords(z, m.bracket_coords(x, y))
+    I, J, K, V = m.structure_index
+    if not V.size:
+        return "the bracket is zero: no structure constants, nothing to test"
+    bad = np.flatnonzero(V != np.rint(V))
+    if bad.size:
+        e = bad[0]
+        raise _Failure(
+            f"structure constant C[{I[e]}, {J[e]}, {K[e]}] = {V[e]!r} of "
+            f"[{m.basis[I[e]].label}, {m.basis[J[e]].label}] at "
+            f"{m.basis[K[e]].label} is not an integer"
         )
-        worst = max(worst, float(np.linalg.norm(s)))
-    _require(worst < 1e-10, f"Jacobi residual {worst:.2e}")
-    return f"max cyclic-sum norm = {worst:.1e} over 20 random triples"
+    r, v = int(np.bincount(K).max()), int(np.max(np.abs(V)))
+    _require(3 * (r * v) ** 2 < 2**53, f"structure constants up to {v} leave no exact draw")
+    B, k, miss = _jacobi_draws(r, v)
+    br = m.bracket_coords
+    for x, y, z in ctx.rng.integers(-B, B, size=(k, 3, m.n)).astype(float):
+        s = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
+        bad = np.flatnonzero(s)
+        if bad.size:
+            raise _Failure(f"Jacobi cyclic sum {s[bad[0]]:g} at coordinate {bad[0]}")
+    return (
+        f"cyclic sum exactly 0 at {k} random integer triples in [-{B}, {B})^{m.n}; "
+        f"a nonzero one passes with probability <= {miss:.1e}"
+    )
 
 
 def _check_orthogonal_basis(ctx):
+    """Every pair of basis matrices pairs to 0 under the family pairing and
+    every one to its ``gram`` entry, exactly: the pairing of the basis
+    entries of the run is one join of their partner positions (the model's
+    pairing table) against their positions, summed over the joined pairs
+    only, and every value is an integer or a half."""
     m = ctx.model
     n = m.n
-    # floats, so that the pairing of all pairs is one BLAS product
-    mats = np.array([e.matrix for e in m.basis], dtype=float)
-    G = m.ambient_inner_matrices(mats, mats)
-    diag = np.diag(G)
-    worst = float(np.max(np.abs(G - np.diag(diag))))
-    _require(worst < 1e-12, f"off-diagonal ambient pairing {worst:.2e}")
+    diag, (e, f, off) = m.pair_entries(*ctx.basis_entries)
+    bad = np.flatnonzero(off)
+    if bad.size:
+        a = bad[0]
+        raise _Failure(f"off-diagonal ambient pairing {off[a]:.2e} of ({e[a]}, {f[a]})")
     bad = np.flatnonzero(diag <= 0)
     if bad.size:
         raise _Failure(f"non-positive squared norm at index {bad[0]}")
-    diag_err = float(np.max(np.abs(diag - m.gram)))
-    _require(diag_err < 1e-12, f"gram mismatch {diag_err:.2e}")
-    return f"basis orthogonal ({n * (n - 1) // 2} pairs), gram positive"
+    bad = np.flatnonzero(diag != m.gram)
+    if bad.size:
+        raise _Failure(f"gram mismatch at index {bad[0]}: {diag[bad[0]]!r} != {m.gram[bad[0]]!r}")
+    return f"basis orthogonal ({n * (n - 1) // 2} pairs), gram positive, exactly"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ of the frame structure constants, the block sums of the reduced engine from
 dense slices of ``MetricSpace.structure``, the transform of a coordinate
 list with every map row padded to the longest one, and the canonical-frame
 report with its index work redone per call and its frame products dense.
-The tests compare the package against them.
+The family pairing of ambient matrices in its three-branch form, a dense
+trace product per family, is kept here too, against the package's pairing
+table and its join of entries.  The tests compare the package against them.
 """
 
 import numpy as np
@@ -213,3 +215,36 @@ def orthonormal_frame(metric):
     a_at = np.flatnonzero(np.any(space.operators != 0, axis=0))
     w = _coo_values(plan.inverse, metric.matrix.ravel()[a_at], (v, np.ones(len(V))))
     return V, v, w
+
+
+def _trace_pairs(X, Y):
+    """``tr(X Y)`` of every matrix of the stack X with every matrix of Y."""
+    return np.inner(
+        X.reshape(X.shape[:-2] + (-1,)), Y.swapaxes(-1, -2).reshape(Y.shape[:-2] + (-1,))
+    )
+
+
+def ambient_inner_matrices(model, X, Y):
+    """Family inner product of ambient matrices, by dense traces per family.
+
+    ``X`` and ``Y`` are matrices or stacks of them, shaped ``(..., N, N)``;
+    as with ``np.inner``, every matrix of X is paired with every matrix of
+    Y, giving shape ``X.shape[:-2] + Y.shape[:-2]`` (a float for two
+    matrices).
+    """
+    X, Y = np.asarray(X), np.asarray(Y)
+    l = model.rank
+    if model.family == "A":
+        out = -max(l - 1, 1) * _trace_pairs(X, Y)
+    elif model.family == "B":
+        top = slice(1, l + 1)
+        a, c = X[..., 0, top], Y[..., 0, top]
+        A1, A2 = X[..., top, top], Y[..., top, top]
+        B1, B2 = X[..., top, l + 1 :], Y[..., top, l + 1 :]
+        out = np.inner(a, c) - (_trace_pairs(A1, A2) + _trace_pairs(B1, B2)) / 2.0
+    else:
+        A1, A2 = X[..., :l, :l], Y[..., :l, :l]
+        B1, B2 = X[..., l:, :l], Y[..., l:, :l]
+        sign = 1.0 if model.family == "C" else -1.0
+        out = (sign * _trace_pairs(B1, B2) - _trace_pairs(A1, A2)) / 2.0
+    return float(out) if out.ndim == 0 else out

@@ -1,3 +1,4 @@
+import dense_oracle
 import numpy as np
 import pytest
 
@@ -132,8 +133,48 @@ def test_gram_is_diagonal(family, rank):
     mats = [e.matrix for e in model.basis]
     for i in range(model.n):
         for j in range(i + 1, model.n):
-            assert model.ambient_inner_matrices(mats[i], mats[j]) == pytest.approx(0.0, abs=1e-12)
+            assert dense_oracle.ambient_inner_matrices(model, mats[i], mats[j]) == pytest.approx(0.0, abs=1e-12)
     assert np.all(model.gram > 0)
+
+
+_PAIRING_RANKS = [
+    (family, rank)
+    for family, low in algebra._MIN_RANK.items()
+    for rank in [*range(low, 7), 12, 25]
+]
+
+
+@pytest.mark.parametrize("family,rank", _PAIRING_RANKS)
+def test_pairing_join_equals_the_dense_oracle(family, rank):
+    # the join of the basis entries through the pairing table, every pair
+    # that meets, against the three-branch dense pairing of all pairs; a
+    # pair that never meets must pair to 0, and the Gram diagonal is the
+    # oracle's diagonal bit for bit
+    model = build_algebra(family, rank)
+    mats = np.array([e.matrix for e in model.basis])
+    want = np.asarray(dense_oracle.ambient_inner_matrices(model, mats, mats), dtype=float)
+    elem, row, col = np.nonzero(mats)
+    diag, (e, f, sums) = model.pair_entries(elem, row * model.ambient_dim + col, mats[elem, row, col])
+    got = np.diag(diag)
+    got[e, f] = sums
+    assert np.array_equal(got.view(np.int64), (want + 0.0).view(np.int64))
+    assert np.array_equal(model.gram.view(np.int64), np.diag(want).copy().view(np.int64))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+def test_pairing_join_pairs_arbitrary_matrices(family, rank):
+    # random integer matrices with every position filled, not only the
+    # basis pattern: the table's weights and partners on every position
+    model = build_algebra(family, rank)
+    N = model.ambient_dim
+    rng = np.random.default_rng(5)
+    X = rng.integers(-3, 4, size=(6, N, N))
+    want = np.asarray(dense_oracle.ambient_inner_matrices(model, X, X), dtype=float)
+    elem, row, col = np.nonzero(X)
+    diag, (e, f, sums) = model.pair_entries(elem, row * N + col, X[elem, row, col])
+    got = np.diag(diag[:6])
+    got[e, f] = sums
+    assert np.array_equal(got, want)
 
 
 def test_bcd_gram_values():

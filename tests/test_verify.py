@@ -1,15 +1,18 @@
 """The variational check, probed through the reduced engine, the reduced
 route against a corrupt exact term of the engine, the count bounds read
 from the published table, the isotropy checks of the suite, computed on
-each generator's support, the Killing/trace ratios, and the refusals that
-come before any check."""
+each generator's support, the Killing/trace ratios, the exact Jacobi and
+orthogonal-basis checks against mutated constants and matrices, and the
+refusals that come before any check."""
 
 import copy
 import dataclasses
 import importlib
+import re
 import types
 from fractions import Fraction
 
+import dense_oracle
 import numpy as np
 import pytest
 from conftest import ad_matrix, dense_generators, edit_first_generator
@@ -165,7 +168,7 @@ def test_killing_trace_ratios_match_the_generalized_eigh(family, rank):
     m = build_algebra(family, rank)
     mats = np.stack([e.matrix.astype(float).reshape(-1) for e in m.basis])
     ref = linalg.eigh(-m.killing_matrix, mats @ mats.T, eigvals_only=True)
-    got = verify._killing_trace_ratios(m)
+    got = verify._killing_trace_ratios(m, verify._basis_entries(m.basis))
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -560,7 +563,8 @@ def test_no_exact_count_propagates_from_the_checks(cold_search, monkeypatch):
 def test_killing_trace_ratio_of_the_centre_is_exactly_zero(rank):
     # the centre of u(l) is Ricci flat: its ratio is decided by the nullity
     # of the integer Killing block, not left as eigensolver rounding
-    ratios = verify._killing_trace_ratios(build_algebra("C", rank))
+    model = build_algebra("C", rank)
+    ratios = verify._killing_trace_ratios(model, verify._basis_entries(model.basis))
     assert ratios[0] == 0.0 and np.sum(ratios == 0.0) == 1
     assert ratios[1] > 1.0
 
@@ -669,7 +673,7 @@ def test_solve_and_checks_never_read_the_dense_structure(cold_caches, monkeypatc
 def _pairwise_oracle(model):
     """The old one-pair-at-a-time pairing of every basis pair."""
     mats = [e.matrix for e in model.basis]
-    return np.array([[model.ambient_inner_matrices(x, y) for y in mats] for x in mats])
+    return np.array([[dense_oracle.ambient_inner_matrices(model, x, y) for y in mats] for x in mats])
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("C", 5), ("D", 5)])
@@ -677,11 +681,11 @@ def test_orthogonal_basis_pairs_every_basis_pair(family, rank):
     # the stacked pairing against the one-pair form, on every pair
     model = build_algebra(family, rank)
     mats = np.array([e.matrix for e in model.basis])
-    G = model.ambient_inner_matrices(mats, mats)
+    G = dense_oracle.ambient_inner_matrices(model, mats, mats)
     assert G.shape == (model.n, model.n)
     assert np.array_equal(G, _pairwise_oracle(model))
-    assert model.ambient_inner_matrices(mats[0], mats[1:]).shape == (model.n - 1,)
-    assert isinstance(model.ambient_inner_matrices(mats[0], mats[0]), float)
+    assert dense_oracle.ambient_inner_matrices(model, mats[0], mats[1:]).shape == (model.n - 1,)
+    assert isinstance(dense_oracle.ambient_inner_matrices(model, mats[0], mats[0]), float)
 
 
 def test_orthogonal_basis_sees_one_pair_out_of_52650(monkeypatch):
@@ -697,6 +701,134 @@ def test_orthogonal_basis_sees_one_pair_out_of_52650(monkeypatch):
     ctx.model = model
     with pytest.raises(verify._Failure, match="off-diagonal ambient pairing"):
         verify._check_orthogonal_basis(ctx)
+
+
+@pytest.mark.parametrize(
+    "text,target,source",
+    [("C:5:[1,4]:+", 24, 0), ("C:5:[1,4]:+", 5, 20), ("D:5:[4,1]:-", 19, 12), ("D:5:[4,1]:-", 3, 15)],
+)
+def test_orthogonal_basis_sees_one_pair_through_the_bcd_partners(text, target, source):
+    # the A:25 control on C and D: a u(i,j) (or C's u(k,k)) pairs through the
+    # cross-block partner rule, a w(i,j) through the transpose; one pair
+    # that is not orthogonal fails the check
+    ctx = verify._Context(parse_flag_spec(text))
+    n = ctx.model.n
+    assert f"{n * (n - 1) // 2} pairs" in verify._check_orthogonal_basis(ctx)
+    model = copy.copy(ctx.model)
+    model.basis = list(model.basis)
+    model.basis[target] = dataclasses.replace(
+        model.basis[target], matrix=model.basis[target].matrix + 1e-6 * model.basis[source].matrix
+    )
+    ctx.model = model
+    with pytest.raises(verify._Failure, match="off-diagonal ambient pairing"):
+        verify._check_orthogonal_basis(ctx)
+
+
+def test_orthogonal_basis_sees_a_wrong_gram_entry():
+    # the join's diagonal is compared with model.gram exactly
+    ctx = verify._Context(parse_flag_spec("C:5:[1,4]:+"))
+    model = copy.copy(ctx.model)
+    model.gram = model.gram.copy()
+    model.gram[7] += 2.0**-40
+    ctx.model = model
+    with pytest.raises(verify._Failure, match="gram mismatch at index 7"):
+        verify._check_orthogonal_basis(ctx)
+
+
+def _with_constants(ctx, edit):
+    """``ctx`` with a copy of its model whose structure constants V are
+    replaced by ``edit(V, h)``, h the offset of each entry's (j, i, k) partner."""
+    model = copy.copy(ctx.model)
+    I, J, K, V = model.structure_index
+    h = V.size // 2
+    assert np.array_equal(I[h:], J[:h]) and np.array_equal(J[h:], I[:h]) and np.array_equal(K[h:], K[:h])
+    model.structure_index = (I, J, K, edit(V.copy(), h))
+    ctx.model = model
+    return ctx
+
+
+@pytest.mark.parametrize("text", ["A:3:[1,1,2]:-", "B:4:[4]:-", "C:5:[1,4]:+", "D:5:[4,1]:-", "A:25:[20,3,3]:-"])
+def test_jacobi_sees_one_constant_off_by_one(text):
+    # negative control: C_ij^k + 1 and C_ji^k - 1, at three entries each;
+    # the bracket stays antisymmetric and integral, and the exact cyclic sum
+    # is nonzero at the check's own draws
+    spec = parse_flag_spec(text)
+    assert "exactly 0" in verify._check_jacobi(verify._Context(spec))
+
+    def off_by_one(e):
+        def edit(V, h):
+            V[e] += 1
+            V[e + h] -= 1
+            return V
+        return edit
+
+    h = spec.algebra.structure_index[3].size // 2
+    for e in (0, h // 2, h - 1):
+        ctx = _with_constants(verify._Context(spec), off_by_one(e))
+        with pytest.raises(verify._Failure, match="Jacobi cyclic sum"):
+            verify._check_jacobi(ctx)
+
+
+def test_jacobi_names_a_non_integral_constant():
+    def edit(V, h):
+        V[5] += 0.5
+        V[5 + h] -= 0.5
+        return V
+
+    ctx = _with_constants(verify._Context(parse_flag_spec("D:5:[4,1]:-")), edit)
+    I, J, K, V = ctx.model.structure_index
+    labels = [ctx.model.basis[i].label for i in (I[5], J[5], K[5])]
+    want = f"C[{I[5]}, {J[5]}, {K[5]}] = {V[5]!r} of [{labels[0]}, {labels[1]}] at {labels[2]} is not an integer"
+    with pytest.raises(verify._Failure, match=re.escape(want)):
+        verify._check_jacobi(ctx)
+
+
+@pytest.mark.parametrize(
+    "text,B,k,miss",
+    [("A:25:[20,3,3]:-", 2**13, 4, "1.1e-15"), ("D:5:[4,1]:-", 2**14, 3, "7.7e-13")],
+)
+def test_jacobi_draws_are_exact_and_few(monkeypatch, text, B, k, miss):
+    # B is the largest power of two with 3 (r v)^2 B^3 < 2^53, k the fewest
+    # triples with (3 / 2B)^k < 1e-12; the detail prints no residual, so
+    # another seed gives the same line
+    model = parse_flag_spec(text).algebra
+    _, _, K, V = model.structure_index
+    r, v = int(np.bincount(K).max()), int(np.max(np.abs(V)))
+    assert verify._jacobi_draws(r, v)[:2] == (B, k)
+    assert 3 * (r * v) ** 2 * B**3 < 2**53 <= 3 * (r * v) ** 2 * (2 * B) ** 3
+    assert (3 / (2 * B)) ** k < 1e-12 <= (3 / (2 * B)) ** (k - 1)
+    detail = verify._check_jacobi(verify._Context(parse_flag_spec(text)))
+    assert detail == (
+        f"cyclic sum exactly 0 at {k} random integer triples in [-{B}, {B})^{model.n}; "
+        f"a nonzero one passes with probability <= {miss}"
+    )
+    monkeypatch.setattr(verify, "_SEED", 7)
+    assert verify._check_jacobi(verify._Context(parse_flag_spec(text))) == detail
+
+
+def test_so2_passes_every_check():
+    # so(2) is abelian: no structure constants, a vacuous Jacobi test
+    results = verify.run_checks("A:1:[1,1]:-")
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == 22
+    jacobi = next(r for r in results if r.name == "jacobi-identity")
+    assert jacobi.detail == "the bracket is zero: no structure constants, nothing to test"
+
+
+def test_basis_entries_are_read_once_per_run(monkeypatch):
+    # killing-trace-ratio and orthogonal-basis share one read of the basis
+    # matrices, and a new model is read again
+    calls = []
+    real = verify._basis_entries
+    monkeypatch.setattr(verify, "_basis_entries", lambda basis: calls.append(1) or real(basis))
+    results = verify.run_checks("B:4:[4]:-")
+    assert [r.name for r in results if not r.passed] == []
+    assert len(calls) == 1
+    ctx = verify._Context(parse_flag_spec("B:4:[4]:-"))
+    ctx.basis_entries
+    ctx.model = copy.copy(ctx.model)
+    ctx.basis_entries
+    assert len(calls) == 3
 
 
 def _mixed_decomposition(dec, theta=0.3):
