@@ -28,11 +28,26 @@ root are decided by Sturm counts as well (S. Basu, R. Pollack, M.-F. Roy,
 vanishes at a root, that root must be rational: it is substituted exactly
 and the common roots of ``gcd(f1, f2)`` in y over it are counted.
 
-Every step is exact integer or rational arithmetic from the standard
-library.  A system that no listed shear puts in a countable position, or
-that has any other shape the counts do not cover, raises
-:class:`NoExactCount` with the reason; nothing is ever rounded to make it
-fit.
+Every step is exact arithmetic from the standard library, and nearly all
+of it is in plain integers: the engine's rational terms are scaled once by
+their least common denominator, every polynomial division is exact in
+Z[x] (by Gauss's lemma, or by Sylvester's identity in the fraction-free
+Bareiss determinant of the subresultants), and each interval end is an
+integer over a common denominator.  ``Fraction`` remains only where a
+rational point is the answer: an exact root (``_Root.exact``), the value
+of a polynomial there (:func:`_value`) and the search for a rational root
+(``limit_denominator``).  Floats only guess: a float Newton root picks a
+cell of the bisection's own dyadic lattice, kept only when exact integer
+signs at both of its ends bracket the root.  Bisection passes through that
+same cell, so every interval, exact root and point is bit for bit the one
+plain bisection gives; a guess that fails the check (NaN, overflow, a
+wrong cell, a root at a cell end) leaves plain bisection to do the work.
+The Sturm sequences and plane substitutions that a root's signs need are
+built once per square-free factor and polynomial, within one count call.
+
+A system that no listed shear puts in a countable position, or that has
+any other shape the counts do not cover, raises :class:`NoExactCount` with
+the reason; nothing is ever rounded to make it fit.
 
 Univariate polynomials are coefficient lists in ascending order, with no
 trailing zero (``[]`` is the zero polynomial); plane polynomials are dicts
@@ -43,6 +58,7 @@ their exponent tuples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,6 +76,10 @@ _SHEARS = (2, 3, 5, 7, 11)
 # further apart than that width, for roots below 2^18)
 _ROOT_BITS = 58
 _RATIONAL_DENOMINATOR = 2**20
+# a float Newton guess of a root picks the bisection cell about
+# 2^-_GUESS_BITS relative wide that holds it, within _NEWTON_STEPS steps
+_GUESS_BITS = 44
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -84,7 +104,7 @@ class ExactCount:
 
 
 # ---------------------------------------------------------------------------
-# univariate kernels
+# univariate kernels, in integers
 
 
 def _trim(p):
@@ -121,16 +141,14 @@ def _deriv(a):
 
 def _primitive(a):
     """The integer polynomial with coprime coefficients and positive leading
-    coefficient that is a rational multiple of ``a``."""
+    coefficient that is a rational multiple of the integer polynomial ``a``."""
     a = _trim(a)
     if not a:
         return []
-    den = math.lcm(*(Fraction(c).denominator for c in a))
-    ints = [int(Fraction(c) * den) for c in a]
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
+    g = math.gcd(*a)
+    if a[-1] < 0:
         g = -g
-    return [c // g for c in ints]
+    return [c // g for c in a]
 
 
 def _rem(a, b):
@@ -162,37 +180,48 @@ def _gcd(a, b):
 
 
 def _quo(a, b):
-    """Exact quotient ``a / b`` over Q."""
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, v in enumerate(b):
-            a[shift + i] -= c * v
-        a = _trim(a)
-    if a:
+    """Exact quotient ``a / b`` of integer polynomials, in integers.
+
+    The quotient has integer coefficients wherever it is used: by Gauss's
+    lemma when b is primitive and divides a over Q, and by Sylvester's
+    identity in :func:`_det`.  A division that is not exact in Z[x] raises
+    :class:`InvariantViolation`.
+    """
+    a, lead, n = list(a), b[-1], len(b)
+    q = [0] * max(len(a) - n + 1, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[shift + n - 1], lead)
+        if r:
+            break
+        if c:
+            q[shift] = c
+            for i, v in enumerate(b):
+                a[shift + i] -= c * v
+    if any(a):
         raise InvariantViolation("an exact polynomial division left a remainder")
     return q
 
 
+def _hom(p, n, d, deg):
+    """``d^deg p(n / d)`` in integers, by Horner, for ``deg >= deg p``."""
+    acc, power = 0, d ** (deg - len(p) + 1) if p else 1
+    for c in reversed(p):
+        acc = acc * n + c * power
+        power *= d
+    return acc
+
+
 def _value(p, t):
     """``p(t)`` exactly, for a rational t."""
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
+    n, d = t.numerator, t.denominator
+    deg = max(len(p) - 1, 0)
+    return Fraction(_hom(p, n, d, deg), d**deg)
 
 
 def _sign(p, n, d=1):
     """Sign of the integer polynomial ``p`` at ``n / d`` (integers, d > 0)."""
-    acc, power = 0, 1
-    # d^deg p(n/d) by Horner, in integers
-    for c in reversed(p):
-        acc = acc * n + c * power
-        power *= d
-    return (acc > 0) - (acc < 0)
+    v = _hom(p, n, d, len(p) - 1)
+    return (v > 0) - (v < 0)
 
 
 def _sturm(p):
@@ -201,22 +230,33 @@ def _sturm(p):
     With a square-free first member, :func:`_count` is right on every
     ``(a, b]``, also when a or b is a root.
     """
-    p = _primitive(_quo(p, _gcd(p, _deriv(p))))
+    p = _primitive(p)
     seq = [p, _primitive(_deriv(p))]
     while seq[-1]:
         seq.append(_neg(_rem(seq[-2], seq[-1])))
-    return seq[:-1]
+    seq.pop()
+    if len(seq[-1]) > 1:
+        # the last member is gcd(p, p') up to a constant: start again from
+        # the square-free part
+        return _sturm(_quo(p, _primitive(seq[-1])))
+    return seq
 
 
-def _variations(seq, t):
-    signs = [s for s in (_sign(p, t.numerator, t.denominator) for p in seq) if s]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+def _variations(seq, n, d=1):
+    """Sign changes along the Sturm sequence ``seq`` at ``n / d`` (d > 0)."""
+    changes, last = 0, 0
+    for p in seq:
+        sign = _sign(p, n, d)
+        if sign:
+            changes += last and sign != last
+            last = sign
+    return changes
 
 
-def _count(seq, a, b):
-    """Number of distinct roots in ``(a, b]`` of the first polynomial of the
-    Sturm sequence ``seq``."""
-    return _variations(seq, a) - _variations(seq, b)
+def _count(seq, lo, hi, den=1):
+    """Number of distinct roots in ``(lo/den, hi/den]`` of the first
+    polynomial of the Sturm sequence ``seq`` (integers, den > 0)."""
+    return _variations(seq, lo, den) - _variations(seq, hi, den)
 
 
 def _yun(p):
@@ -243,41 +283,107 @@ def _yun(p):
 
 def _root_bound(p):
     """An integer above the modulus of every root of ``p`` (Cauchy)."""
-    return 2 + max(abs(Fraction(c)) for c in p[:-1]) // abs(Fraction(p[-1]))
+    return 2 + max(abs(c) for c in p[:-1]) // abs(p[-1])
 
 
-def _isolate(p, lo, hi):
-    """Disjoint intervals ``(a, b]`` within ``(lo, hi]``, in increasing
-    order, each holding exactly one root of the square-free ``p``."""
-    seq = _sturm(p)
-    lo, hi = Fraction(lo), Fraction(hi)
-    todo, out = [(lo, hi, _count(seq, lo, hi))], []
+def _isolate(seq, lo, hi, den):
+    """Disjoint intervals ``(a/e, b/e]`` within ``(lo/den, hi/den]``, as
+    integer triples ``(a, b, e)`` in increasing order, each holding exactly
+    one root of the square-free first member of the Sturm sequence
+    ``seq``.  Each bisection halves an interval at its midpoint, and the
+    Sturm variations at each end are read once."""
+    todo = [(lo, hi, den, _variations(seq, lo, den), _variations(seq, hi, den))]
+    out = []
     while todo:
-        a, b, n = todo.pop()
-        if n == 1:
-            out.append((a, b))
-        elif n > 1:
-            m = (a + b) / 2
-            left = _count(seq, a, m)
-            todo += [(a, m, left), (m, b, n - left)]
-    return sorted(out)
+        a, b, d, va, vb = todo.pop()
+        if va - vb == 1:
+            out.append((a, b, d))
+        elif va - vb > 1:
+            mid, d = a + b, 2 * d
+            vm = _variations(seq, mid, d)
+            # the right half below the left, so the left one is taken first
+            todo += [(mid, 2 * b, d, vm, vb), (2 * a, mid, d, va, vm)]
+    return out
+
+
+class _Factor:
+    """One square-free integer polynomial ``p`` whose roots a count refines.
+
+    It holds what its roots share: the Sturm sequence of p, and for each
+    polynomial q that a root is asked the sign of, the Sturm sequences of
+    ``gcd(p, q)`` and of q, each built on first use.  It lives as long as
+    one count call.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.seq = _sturm(p)
+        self._common, self._sturms = {}, {}
+
+    def common(self, q):
+        """Sturm sequence of ``gcd(p, q)``, or None where it is constant."""
+        key = tuple(q)
+        if key not in self._common:
+            g = _gcd(self.p, q)
+            self._common[key] = _sturm(g) if len(g) > 1 else None
+        return self._common[key]
+
+    def sturm(self, q):
+        """Sturm sequence of q."""
+        key = tuple(q)
+        if key not in self._sturms:
+            self._sturms[key] = _sturm(q)
+        return self._sturms[key]
+
+
+def _float_guess(root):
+    """A float near the root, for :meth:`_Root.refine`.
+
+    Newton steps on p in floats, inside a bracket that each step's float
+    sign narrows (p has the sign ``root.top`` above the root and the other
+    one below it), with a bisection of the bracket where a step leaves it.
+    The result may be anything, NaN where the floats overflow: it is only a
+    guess.
+    """
+    try:
+        coeffs = [float(c) for c in reversed(root.p)]
+        a, b = root.lo / root.den, root.hi / root.den
+    except OverflowError:
+        return math.nan
+    x = 0.5 * (a + b)
+    for _ in range(_NEWTON_STEPS):
+        fx = dfx = 0.0
+        for c in coeffs:
+            dfx = dfx * x + fx
+            fx = fx * x + c
+        if fx == 0 or fx != fx:
+            return x
+        if (fx > 0) == (root.top > 0):
+            b = x
+        else:
+            a = x
+        step = x - fx / dfx if dfx else math.nan
+        if not a < step < b:
+            step = 0.5 * (a + b)
+        if abs(step - x) <= 1e-15 * abs(x):
+            return step
+        x = step
+    return x
 
 
 class _Root:
-    """The one root of the square-free integer polynomial ``p`` in
-    ``(lo/den, hi/den]``, with integer ends; ``exact`` is the root itself
-    once it is known as a rational, else None."""
+    """The one root of a square-free integer polynomial ``p`` in
+    ``(lo/den, hi/den]``, with integer ends over the least common
+    denominator and ``lo >= 0``; ``exact`` is the root itself once it is
+    known as a rational, else None.  ``factor`` is the :class:`_Factor` of
+    p."""
 
-    def __init__(self, p, a, b):
-        self.p = p
-        self.den = math.lcm(a.denominator, b.denominator)
-        self.lo, self.hi = int(a * self.den), int(b * self.den)
-        self.top = _sign(p, self.hi, self.den)
-        self.exact = b if self.top == 0 else None
-
-    @property
-    def a(self):
-        return Fraction(self.lo, self.den)
+    def __init__(self, factor, lo, hi, den):
+        g = math.gcd(lo, hi, den)
+        self.factor, self.p = factor, factor.p
+        self.lo, self.hi, self.den = lo // g, hi // g, den // g
+        self.top = _sign(self.p, self.hi, self.den)
+        self.exact = Fraction(self.hi, self.den) if self.top == 0 else None
 
     @property
     def b(self):
@@ -297,40 +403,85 @@ class _Root:
         else:
             self.lo = mid
 
+    def _jump(self, guess):
+        """Move to the bisection cell about ``2^-_GUESS_BITS`` relative wide
+        that holds the float ``guess``, when exact signs at both its ends
+        bracket the root; else stay.
+
+        Every halving keeps ``hi - lo``, so the cells of k halvings are
+        ``(lo 2^k + j w, lo 2^k + (j + 1) w]`` over ``den 2^k``, with
+        ``w = hi - lo``.  When the root is inside one of them, with nonzero
+        signs at its ends, no midpoint on the way there is the root and each
+        halving keeps the half that holds it.  With ``lo >= 0`` the right
+        end only grows on the way, and the cell is far wider than
+        ``2^-_ROOT_BITS`` relative, so :meth:`refine` bisects through the
+        same state.
+        """
+        if not (guess > 0 and math.isfinite(guess)):
+            return
+        w = self.hi - self.lo
+        k = _GUESS_BITS + w.bit_length() - self.den.bit_length() - math.frexp(guess)[1]
+        if k <= 0:
+            return
+        n, d = guess.as_integer_ratio()
+        j = ((n * self.den - self.lo * d) << k) // (w * d)
+        if not 0 <= j < 1 << k:
+            return
+        lo, den = (self.lo << k) + j * w, self.den << k
+        hi = lo + w
+        if _sign(self.p, lo, den) == -self.top and _sign(self.p, hi, den) == self.top:
+            self.lo, self.hi, self.den = lo, hi, den
+
     def refine(self):
         """Bisect below ``2^-_ROOT_BITS`` relative width and recognize a
-        rational root exactly."""
+        rational root exactly.
+
+        A float Newton guess jumps to a cell of the bisection on the way
+        (:meth:`_jump`), so the interval and ``exact`` end bit for bit as
+        plain bisection leaves them.
+        """
+        if self.exact is None:
+            self._jump(_float_guess(self))
         while self.exact is None and (self.hi - self.lo) << _ROOT_BITS > self.hi:
             self.halve()
-        if self.exact is None:
-            mid = Fraction(self.lo + self.hi, 2 * self.den)
-            r = mid.limit_denominator(_RATIONAL_DENOMINATOR)
-            if self.a < r <= self.b and _sign(self.p, r.numerator, r.denominator) == 0:
+        # a rational root of p has a denominator that divides lc(p), so the
+        # interval holds a multiple of 1 / lc(p) wherever a rational can be
+        # found in it
+        lead = abs(self.p[-1])
+        if self.exact is None and (self.hi * lead) // self.den * self.den > self.lo * lead:
+            r = Fraction(self.lo + self.hi, 2 * self.den).limit_denominator(_RATIONAL_DENOMINATOR)
+            n, d = r.numerator, r.denominator
+            if self.lo * d < n * self.den <= self.hi * d and _sign(self.p, n, d) == 0:
                 self.exact = r
         return self
 
     def sign_of(self, q):
         """Sign of the integer polynomial ``q`` at the root, exactly."""
         if self.exact is None:
-            g = _gcd(self.p, q)
-            if len(g) > 1 and _count(_sturm(g), self.a, self.b):
+            common = self.factor.common(q)
+            if common is not None and _count(common, self.lo, self.hi, self.den):
                 return 0
             # q does not vanish at the root: narrow until it has no root
             # in (a, b]
-            seq = _sturm(q)
-            while self.exact is None and _count(seq, self.a, self.b):
+            seq = self.factor.sturm(q)
+            while self.exact is None and _count(seq, self.lo, self.hi, self.den):
                 self.halve()
-        b = self.b
-        return _sign(q, b.numerator, b.denominator)
+        if self.exact is None:
+            return _sign(q, self.hi, self.den)
+        return _sign(q, self.exact.numerator, self.exact.denominator)
 
 
 def _positive_roots(p, hi=None):
     """Refined roots of the square-free ``p`` in ``(0, hi]`` (all positive
-    roots by default)."""
+    roots by default; hi an integer or a Fraction)."""
     if len(p) < 2:
         return []
+    factor = _Factor(p)
     hi = _root_bound(p) if hi is None else hi
-    return [_Root(p, a, b).refine() for a, b in _isolate(p, 0, hi)]
+    return [
+        _Root(factor, a, b, d).refine()
+        for a, b, d in _isolate(factor.seq, 0, hi.numerator, hi.denominator)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +514,40 @@ def _combine(terms):
 
 def _pmul(f, g):
     """Product of two multivariate polynomials ``{e: c}``."""
-    return _combine(
-        (tuple(u + v for u, v in zip(e, e2)), c * c2)
-        for e, c in f.items()
-        for e2, c2 in g.items()
-    )
+    out = {}
+    for e, c in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(operator.add, e, e2))
+            out[key] = out.get(key, 0) + c * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def _ppow(f, k):
-    out = {(0,) * len(next(iter(f))): 1}
-    for _ in range(k):
-        out = _pmul(out, f)
+def _powers(f, top):
+    """``[f^0, f^1, ..., f^top]`` of a multivariate polynomial."""
+    out = [{(0,) * len(next(iter(f))): 1}]
+    for _ in range(top):
+        out.append(_pmul(out[-1], f))
     return out
+
+
+def _grouped(poly, slot):
+    """``poly`` as ``{k: g_k}`` with ``poly = sum_k g_k v^k`` for the
+    variable v of exponent ``slot``, each ``g_k`` over the other exponents."""
+    out = {}
+    for e, c in poly.items():
+        out.setdefault(e[slot], {})[e[:slot] + e[slot + 1:]] = c
+    return out
+
+
+def _integer_terms(engine):
+    """The engine's Ricci coefficients times one positive integer, the least
+    common denominator of all their terms, so that every coefficient is an
+    integer.  Every equation built from them is then that integer times the
+    one built from the engine's own terms, and its primitive form is the
+    same."""
+    terms = engine.terms()
+    scale = math.lcm(*(c.denominator for poly in terms for c in poly.values()))
+    return [{e: c.numerator * (scale // c.denominator) for e, c in poly.items()} for poly in terms]
 
 
 def _einstein_equations(engine, ricci):
@@ -444,7 +617,7 @@ def diagonal_system(engine):
             out.append((tuple(x), c))
         return _combine(out)
 
-    ricci = [diagonal(poly) for poly in engine.terms()[:s]]
+    ricci = [diagonal(poly) for poly in _integer_terms(engine)[:s]]
     equations = []
     for eq in _einstein_equations(engine, ricci):
         eq = _content_free(_gauge(eq, s - 1))
@@ -483,13 +656,15 @@ def mixed_system(engine):
         tuple((v == i) + (v == j) for v in range(n)): 1,
         tuple(2 * (v == s) for v in range(n)): -1,
     }
+    system = [_grouped(eq, n) for eq in _einstein_equations(engine, _integer_terms(engine))]
+    # each power of the determinant is formed once, for the terms it
+    # multiplies together
+    powers = _powers(det, max(max(groups) - min(groups) for groups in system))
     equations = []
-    for eq in _einstein_equations(engine, engine.terms()):
-        low = min(e[n] for e in eq)
+    for groups in system:
+        low = min(groups)
         expanded = _combine(
-            term
-            for e, c in eq.items()
-            for term in _pmul({e[:n]: c}, _ppow(det, e[n] - low)).items()
+            term for m, g in groups.items() for term in _pmul(g, powers[m - low]).items()
         )
         gauged = _gauge(expanded, s - 1)
         if any(e[-1] % 2 for e in gauged):
@@ -520,26 +695,41 @@ def _shear(f, k):
 
 
 def _det(rows):
-    """Determinant of a square matrix of polynomials.
+    """Determinants of polynomial matrices that share all columns but one.
 
-    Laplace expansion row by row, with the minors of the rows so far kept
-    per set of columns used: no division, so it stays in integers.
+    ``rows`` are n rows of integer polynomials, n - 1 + t wide; returns the
+    t determinants of the first n - 1 columns with each further column
+    last, in order (a square matrix gives a list of its determinant alone).
+    Fraction-free Bareiss elimination (E. H. Bareiss, *Math. Comp.* 22,
+    1968) clears the shared columns once: step k replaces each entry below
+    and right of the pivot by a 2x2 minor divided by the previous pivot, a
+    division that is exact in Z[u], so everything stays in integers.  A
+    zero pivot is swapped with a row below, which flips the sign.
     """
-    n = len(rows)
-    minors = {0: [1]}
-    for r, row in enumerate(rows):
-        nxt = {}
-        for used, minor in minors.items():
-            for c in range(n):
-                if used >> c & 1 or not row[c]:
-                    continue
-                term = _mul(row[c], minor)
-                if (r + bin(used & ((1 << c) - 1)).count("1")) % 2:
-                    term = _neg(term)
-                key = used | 1 << c
-                nxt[key] = _add(nxt.get(key, []), term)
-        minors = {k: v for k, v in nxt.items() if v}
-    return minors.get((1 << n) - 1, [])
+    m = [list(row) for row in rows]
+    n = len(m)
+    if not n:
+        return [[1]]
+    width = len(m[0])
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            below = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if below is None:
+                return [[] for _ in range(width - n + 1)]
+            m[k], m[below] = m[below], m[k]
+            sign = -sign
+        pivot, row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            lead, other = m[i][k], m[i]
+            for j in range(k + 1, width):
+                minor = _mul(other[j], pivot)
+                if lead and row[j]:
+                    minor = _add(minor, _neg(_mul(lead, row[j])))
+                other[j] = _quo(minor, prev) if prev != [1] else minor
+        prev = pivot
+    last = m[-1][n - 1:]
+    return last if sign > 0 else [_neg(v) for v in last]
 
 
 def _subresultant(P, Q, j):
@@ -560,41 +750,60 @@ def _subresultant(P, Q, j):
                 row[width - 1 - (e + t)] = c
             rows.append(row)
     lead = len(rows) - 1
-    return [_det([row[:lead] + [row[width - 1 - i]] for row in rows]) for i in range(j + 1)]
+    return _det([row[:lead] + [row[width - 1 - i] for i in range(j + 1)] for row in rows])
+
+
+class _Lift:
+    """The map ``t -> (xt(t) / den(t), yt(t) / den(t))`` from the roots t
+    of one count to plane points, with ``den^deg f(xt / den, yt / den)``, a
+    polynomial in t, built once for each plane polynomial f it is asked
+    about."""
+
+    def __init__(self, xt, yt, den):
+        self.xt, self.yt, self.den = xt, yt, den
+        self._numerators = {}
+
+    def numerator(self, f):
+        key = frozenset(f.items())
+        if key not in self._numerators:
+            deg = max(i + j for i, j in f)
+            powers = []
+            for v in (self.xt, self.yt, self.den):
+                powers.append([[1]])
+                for _ in range(deg):
+                    powers[-1].append(_mul(powers[-1][-1], v))
+            num = []
+            for (i, j), c in f.items():
+                term = _mul(_mul(powers[0][i], powers[1][j]), powers[2][deg - i - j])
+                num = _add(num, [c * v for v in term])
+            self._numerators[key] = num, deg
+        return self._numerators[key]
 
 
 class _PlaneRoot:
     """One positive common root ``(x, y)`` of two plane curves.
 
     ``t`` is a refined :class:`_Root` of a univariate polynomial, and the
-    root is ``x = xt(t) / den(t)``, ``y = yt(t) / den(t)`` with ``den``
-    nonzero at t.  ``point`` holds (x, y) as rationals at the end of t's
+    root is ``(x, y)`` of t under ``lift``, a :class:`_Lift` whose ``den``
+    is nonzero at t.  ``point`` holds (x, y) as rationals at the end of t's
     interval when the root was found (the root itself where t is exact),
     and ``multiplicity`` the multiplicity of the root of the resultant it
     lies over.
     """
 
-    def __init__(self, t, xt, yt, den, multiplicity):
-        self.t, self.xt, self.yt, self.den = t, xt, yt, den
+    def __init__(self, t, lift, multiplicity):
+        self.t, self.lift = t, lift
         b = t.b
-        d = _value(den, b)
-        self.point = (_value(xt, b) / d, _value(yt, b) / d)
+        d = _value(lift.den, b)
+        self.point = (_value(lift.xt, b) / d, _value(lift.yt, b) / d)
         self.multiplicity = multiplicity
 
     def sign_of(self, f):
         """Sign of the plane polynomial ``f`` at the root, exactly."""
         if not f:
             return 0
-        deg = max(i + j for i, j in f)
-        # den^deg f(xt / den, yt / den), a polynomial in t
-        num = []
-        for (i, j), c in f.items():
-            term = [c]
-            for factor, times in ((self.xt, i), (self.yt, j), (self.den, deg - i - j)):
-                for _ in range(times):
-                    term = _mul(term, factor)
-            num = _add(num, term)
-        return self.t.sign_of(num) * self.t.sign_of(self.den) ** deg
+        num, deg = self.lift.numerator(f)
+        return self.t.sign_of(num) * self.t.sign_of(self.lift.den) ** deg
 
 
 def _fiber(F1, F2, u, k, m):
@@ -603,14 +812,15 @@ def _fiber(F1, F2, u, k, m):
     The common roots y of the two equations specialized at u, with
     ``x = u - k y`` positive, as :class:`_PlaneRoot` of multiplicity m.
     """
-    G = _gcd([_value(c, u) for c in F1], [_value(c, u) for c in F2])
+    n, d = u.numerator, u.denominator
+    # each equation at u, times a positive integer
+    G1, G2 = ([_hom(c, n, d, max(map(len, F)) - 1) for c in F] for F in (F1, F2))
+    G = _gcd(G1, G2)
     G = _primitive(_quo(G, _gcd(G, _deriv(G))))
     top = u / k
-    return [
-        _PlaneRoot(y, [u, -k], [0, 1], [1], m)
-        for y in _positive_roots(G, top)
-        if y.exact != top
-    ]
+    # x = (n - k d y) / d and y = d y / d
+    lift = _Lift([n, -k * d], [0, d], [d])
+    return [_PlaneRoot(y, lift, m) for y in _positive_roots(G, top) if y.exact != top]
 
 
 def _count_plane(f1, f2, k):
@@ -633,6 +843,7 @@ def _count_plane(f1, f2, k):
         s10, s11 = _subresultant(F1, F2, 1)
     # x s11 = u s11 + k s10 gives the sign of x = u - k y
     xs11 = _add(_mul([0, 1], s11), [k * c for c in s10])
+    lift = _Lift(xs11, _neg(s10), s11)
     found = []
     for factor, m in _yun(R):
         g11 = _gcd(factor, s11)
@@ -646,7 +857,7 @@ def _count_plane(f1, f2, k):
                     raise _NotGeneric
                 found += _fiber(F1, F2, root.exact, k, m)
             elif -root.sign_of(s10) * sign11 > 0 and root.sign_of(xs11) * sign11 > 0:
-                found.append(_PlaneRoot(root, xs11, _neg(s10), s11, m))
+                found.append(_PlaneRoot(root, lift, m))
     return found
 
 
@@ -694,8 +905,13 @@ def _exact_count(found, shear):
     )
 
 
-def _plane_value(f, x, y):
-    return sum(c * x**i * y**j for (i, j), c in f.items())
+def _plane_values(fs, x, y):
+    """The values of the plane polynomials ``fs`` at the rationals (x, y),
+    each times one common positive integer, in integers."""
+    d = math.lcm(x.denominator, y.denominator)
+    X, Y = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+    deg = max(i + j for f in fs for i, j in f)
+    return [sum(c * X**i * Y**j * d ** (deg - i - j) for (i, j), c in f.items()) for f in fs]
 
 
 def _square_root(q):
@@ -726,15 +942,19 @@ def mixed_count(engine):
         raise NoExactCount("the mixing equation is not linear in b^2")
     p1 = {e[:2]: c for e, c in mix.items() if e[2] == 1}
     p0 = {e[:2]: c for e, c in mix.items() if e[2] == 0}
-    minus_p0 = {e: -c for e, c in p0.items()}
+    # the powers of -p0 and p1 are formed once, for both equations
+    top = max(k for f in (f1, f2) for _, _, k in f)
+    minus_p0 = _powers({e: -c for e, c in p0.items()}, top)
+    powers1 = _powers(p1, top)
 
     def eliminate(f):
         # f(x, y, -p0 / p1) p1^d for the degree d of f in B
-        d = max(k for _, _, k in f)
+        groups = _grouped(f, 2)
+        d = max(groups)
         out = _combine(
             term
-            for (i, j, k), c in f.items()
-            for term in _pmul({(i, j): c}, _pmul(_ppow(minus_p0, k), _ppow(p1, d - k))).items()
+            for k, g in groups.items()
+            for term in _pmul(g, _pmul(minus_p0[k], powers1[d - k])).items()
         )
         if not out:
             raise NoExactCount("an Einstein equation vanishes on the mixing equation")
@@ -752,6 +972,7 @@ def mixed_count(engine):
             raise NoExactCount("the b^2 coefficient of the mixing equation vanishes at a root")
         if root.sign_of(p0) * sign1 < 0 and root.sign_of(det) * sign1 > 0:
             x, y = root.point
-            b = _square_root(-_plane_value(p0, x, y) / _plane_value(p1, x, y))
+            v0, v1 = _plane_values((p0, p1), x, y)
+            b = _square_root(Fraction(-v0, v1))
             found += [((x, y, b), root.multiplicity), ((x, y, -b), root.multiplicity)]
     return _exact_count(found, shear)
