@@ -53,7 +53,8 @@ def test_sturm_counts_the_built_in_roots(roots, mults, no_real_root, a, b):
         factors.append([1, 0, 1])
     p = product(factors)
     # (a, b] over the common denominator of its ends
-    lo, hi, den = a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+    lo, hi = a.numerator * b.denominator, b.numerator * a.denominator
+    den = a.denominator * b.denominator
     assert algebraic._count(algebraic._sturm(p), lo, hi, den) == sum(a < r <= b for r in roots)
 
 
@@ -137,7 +138,10 @@ def refined(factor, interval, guess):
     st.lists(fractions, max_size=4, unique=True),
     st.lists(irrational, min_size=1, max_size=3, unique_by=lambda dn: Fraction(dn[1], dn[0])),
     st.floats(-(2.0**-38), 2.0**-38),
-    st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([math.nan, math.inf, -math.inf, 0.0])),
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+    ),
 )
 def test_float_guided_refinement_ends_as_plain_bisection(roots, quadratics, shift, wild):
     # on every positive root: the module's own guess, a guess near the root
@@ -166,7 +170,7 @@ def test_float_guess_jumps_onto_the_bisection_path(d, n):
     # the guess moves the root into a cell about 2^-44 relative wide in two
     # exact signs, and refine goes on from there to plain bisection's state
     factor = algebraic._Factor(quadratic(d, n))
-    ((interval),) = algebraic._isolate(factor.seq, 0, algebraic._root_bound(factor.p), 1)
+    (interval,) = algebraic._isolate(factor.seq, 0, algebraic._root_bound(factor.p), 1)
     root = algebraic._Root(factor, *interval)
     root._jump(algebraic._float_guess(root))
     width = Fraction(root.hi - root.lo, root.den)
