@@ -1,7 +1,7 @@
 """Command-line surface: enumerate flags, solve, tabulate, verify.
 
 Exit codes: 0 on success, 1 when a verified invariant fails (a failed
-check, a root of an exact count that fails its curvature certificate, a
+check, a root of an exact count that fails its Einstein-defect gate, a
 bracket or isotropy generator that breaks the construction, or a table row
 that contradicts the published count), 2 for unsupported or malformed
 inputs (a rank above 25 among them, a metric family of more than four
@@ -97,7 +97,7 @@ def _solution_entry(space, index, sol, group_index):
         "coefficients": coeffs,
         "einstein_constant": _round(sol.constant),
         "normalized_constant": _round(sol.normalized_constant),
-        "scalar_curvature": _round(sol.report.scalar),
+        "scalar_curvature": _round(sol.scalar),
         "defect": _round(sol.defect),
         "group": group_index,
     }
@@ -111,7 +111,7 @@ def _solve_report(argv_echo, spec, sol_set, elapsed):
             group_of[i] = gi
     dec = space.dec
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "tool": "einflag",
         "version": __version__,
         "command": argv_echo,

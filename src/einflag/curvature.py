@@ -12,9 +12,9 @@ where B is the Killing form of the transitive group.  The general formula
 (A. Besse, Einstein Manifolds, 1987, Cor. 7.38) has one more term,
 ``-1/2 sum_c Z_c (T[c,a,b] + T[c,b,a])``.  Its trace vector Z is the frame
 image of the trace ``z_k = sum_i t[k,i,i]`` of the tangent structure tensor,
-which ``MetricSpace.structure_coo`` checks to vanish, once per flag.  Every
-report goes through this route: it certifies each solution once, through
-the defect gate, and it is the reference of the check suite.
+which ``MetricSpace.structure_coo`` checks to vanish, once per flag.  This
+route is the reference of the check suite, which certifies every solution
+of ``solve`` by it again.
 
 The route has two implementations, and neither forms a d^3 array.  In the
 canonical eigenframe (the default) the tangent structure tensor t is almost
@@ -56,8 +56,9 @@ summand pairs.  Its block sums, contracted from the nonzeros of t as well,
 and the block traces of the Killing form are integers, and the engine
 reads nothing else.  It expands them once into the exact Laurent terms
 (:meth:`ReducedRicci.terms`) that the counts solve, and its float Ricci
-coefficients and scalar curvature ``tr(A^-1 Ric)``, which the check suite
-compares against the frame route, are sums of those same terms.
+coefficients and scalar curvature ``tr(A^-1 Ric)``, which certify every
+solution of ``solve`` and which the check suite compares against the frame
+route, are sums of those same terms.
 """
 
 import math

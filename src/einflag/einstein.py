@@ -10,8 +10,9 @@ with a nonzero mixing coefficient, and each stage's
 of the catalog (:func:`closed_form_solutions`) matches is replaced by the
 branch, reported under its name with its own closed-form coefficients,
 which may differ from the root in the last bit; each reported solution is
-certified once by the frame-route curvature report.  The catalog and the
-published Table 1 rows are keyed by :attr:`~einflag.flag.FlagSpec.shape`.
+certified once on the reduced engine that the counts solve, which gives
+its Einstein constant and defect.  The catalog and the published Table 1
+rows are keyed by :attr:`~einflag.flag.FlagSpec.shape`.
 A system the exact count does not cover raises :class:`NoExactCount`; no
 search stands in for it.
 
@@ -34,10 +35,11 @@ from functools import lru_cache
 import numpy as np
 
 from .algebraic import diagonal_count, mixed_count, normal_is_einstein
-from .curvature import curvature, reduced_ricci
+# curvature is unused here; bench/tracing.py wraps it by this name
+from .curvature import curvature, reduced_ricci  # noqa: F401
 from .errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from .flag import TableExpectation, _blocks, manifold_name, parse_flag_spec
-from .invariant import make_metric, metric_space
+from .invariant import make_metric, metric_space, volume_root
 
 __all__ = [
     "EinsteinSolution",
@@ -63,12 +65,17 @@ CONSTANT_RTOL = 1e-8
 class EinsteinSolution:
     """One invariant Einstein metric in the unit-last-coefficient gauge.
 
+    Its constants, scalar curvature and defect are read off the reduced
+    engine (:func:`_solution`).
     Solutions are shared by the memoised routes, so the arrays of the
-    metric and of its curvature report are read-only.
+    metric are read-only.
     """
 
     metric: object
-    report: object
+    constant: float
+    normalized_constant: float
+    scalar: float
+    defect: float
     provenance: str  # "closed-form" | "numeric"
     rule_id: str
 
@@ -76,24 +83,8 @@ class EinsteinSolution:
     def coeffs(self):
         return self.metric.coeffs
 
-    @property
-    def names(self):
-        return self.metric.names
-
-    @property
-    def defect(self):
-        return self.report.einstein_defect
-
-    @property
-    def constant(self):
-        return self.report.einstein_constant
-
-    @property
-    def normalized_constant(self):
-        return self.report.normalized_constant
-
     def __repr__(self):
-        vals = ", ".join(f"{n}={c:.6g}" for n, c in zip(self.names, self.coeffs))
+        vals = ", ".join(f"{n}={c:.6g}" for n, c in zip(self.metric.names, self.coeffs))
         return f"EinsteinSolution[{self.rule_id}]({vals})"
 
 
@@ -173,30 +164,26 @@ class SolutionSet:
 
 
 def _solution(space, coeffs, provenance, rule_id):
-    """Certify one candidate through the frame-route curvature report.
+    """Certify one candidate on the reduced engine.
 
-    This is the only frame-route evaluation a solution gets; a defect at or
-    above ``DEFECT_TOL`` raises :class:`InvariantViolation`.
+    An Einstein metric of constant c has Ricci coefficients ``rho = c
+    alpha``, alpha its own, and scalar curvature ``c d``; a defect ``max
+    |rho - c alpha|`` at or above ``DEFECT_TOL`` raises :class:`InvariantViolation`.
     """
     metric = make_metric(space, np.array(coeffs, dtype=float))
-    report = curvature(metric)
-    if report.einstein_defect >= DEFECT_TOL:
+    engine = reduced_ricci(space.spec)
+    scalar = float(engine.scalar(metric.coeffs))
+    c = scalar / space.tangent_dim
+    defect = float(np.max(np.abs(engine(metric.coeffs) - c * metric.coeffs)))
+    if not defect < DEFECT_TOL:
         raise InvariantViolation(
-            f"{space.spec} candidate {rule_id} has Einstein defect "
-            f"{report.einstein_defect:.3e}"
+            f"{space.spec} candidate {rule_id} has Einstein defect {defect:.3e}"
         )
     # the solution is memoised and shared: freeze every array it hands out
-    for arr in (
-        metric.coeffs,
-        metric.matrix,
-        metric.spectrum,
-        report.coefficients,
-        report.ricci,
-        report.ricci_tangent,
-        report.frame.vectors,
-    ):
+    for arr in (metric.coeffs, metric.matrix, metric.spectrum):
         arr.setflags(write=False)
-    return EinsteinSolution(metric, report, provenance, rule_id)
+    normalized = c * float(volume_root(space, metric.spectrum))
+    return EinsteinSolution(metric, c, normalized, scalar, defect, provenance, rule_id)
 
 
 def _a_three(l, p):
@@ -349,7 +336,7 @@ def _require_countable(space):
 # calls this; the benchmark tracer (bench/tracing.py) wraps it by this name
 def numeric_solutions(spec):
     """The roots of the exact counts (:func:`_exact_roots`), each certified
-    by the frame-route curvature report on every call, as ``numeric-k``.
+    on the reduced engine (:func:`_solution`) on every call, as ``numeric-k``.
 
     Raises :class:`TooManyParameters` for metric families with more than
     four coefficients and :class:`NoExactCount` when a stage cannot be

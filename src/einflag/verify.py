@@ -2,8 +2,8 @@
 
 Every check re-derives a structural property from raw data instead of
 trusting cached fields: orthogonality goes back to ambient matrices, the
-Ricci tensor is recomputed in rotated frames, and Einstein candidates are
-re-certified from their curvature reports.  The variational
+Ricci tensor is recomputed in rotated frames, and Einstein solutions are
+re-certified by the frame route.  The variational
 characterization is probed with central finite differences of the
 volume-normalized scalar curvature, taken from the reduced engine
 (:meth:`~einflag.curvature.ReducedRicci.scalar`): all ``2 * dim`` probes
@@ -768,13 +768,25 @@ def _normal_coeffs(space):
 
 
 def _check_solution_certificates(ctx):
+    # solve certifies on the reduced engine; the frame route certifies again
     sols = ctx.solutions
     if not sols:
         return "no invariant Einstein metric (nothing to certify)"
-    worst_defect = 0.0
+    worst_defect = worst_gap = 0.0
     for s in sols:
-        worst_defect = max(worst_defect, s.defect)
+        rep = curvature(s.metric)
+        # relative, with 0 where both vanish (an abelian group is Ricci flat)
+        gap = max(
+            abs(x - y) / (max(abs(x), abs(y)) or 1.0)
+            for x, y in ((s.constant, rep.einstein_constant), (s.scalar, rep.scalar))
+        )
+        worst_defect = max(worst_defect, s.defect, rep.einstein_defect)
+        worst_gap = max(worst_gap, gap)
         _require(s.defect < DEFECT_TOL, f"{s.rule_id}: defect {s.defect:.2e}")
+        _require(
+            rep.einstein_defect < DEFECT_TOL, f"{s.rule_id}: frame defect {rep.einstein_defect:.2e}"
+        )
+        _require(gap <= 1e-10, f"{s.rule_id}: engine and frame route differ by {gap:.2e}")
         evs = np.linalg.eigvalsh(s.metric.matrix)
         _require(evs[0] > 0, f"{s.rule_id}: not positive definite")
         gauge = s.coeffs[ctx.space.n_sub - 1]
@@ -785,7 +797,10 @@ def _check_solution_certificates(ctx):
                 1.0, float(np.max(np.abs(sols[a].coeffs)))
             )
             _require(diff > 1e-6, f"solutions {a} and {b} are homothetic")
-    return f"{len(sols)} solution(s), max defect {worst_defect:.1e}, all SPD, no duplicates"
+    return (
+        f"{len(sols)} solution(s), max defect {worst_defect:.1e}, frame route "
+        f"agrees to {worst_gap:.1e}, all SPD, no duplicates"
+    )
 
 
 def _check_catalog_agreement(ctx):

@@ -305,8 +305,8 @@ def test_mutated_system_disagrees_with_the_grid(mutated):
 
 
 def test_mutated_system_fails_the_certificate(mutated):
-    # the roots of the mutated system are no Einstein metrics: the
-    # frame-route certificate of the answer refuses them
+    # the roots of the mutated system are no Einstein metrics: the engine
+    # certificate of the answer refuses them
     with pytest.raises(InvariantViolation, match="Einstein defect"):
         numeric_solutions(mutated[0])
 

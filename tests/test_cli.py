@@ -48,7 +48,7 @@ def test_solve_json_report(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "A:3:[2,1,1]:-", "--json", str(target))
     assert code == 0
     doc = json.loads(target.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["tool"] == "einflag"
     assert doc["version"] == __version__
     assert doc["flag"] == "A:3:[2,1,1]:-"

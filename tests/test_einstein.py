@@ -7,7 +7,7 @@ import pytest
 
 import einflag.einstein
 from einflag.cli import _table_rows
-from einflag.curvature import curvature
+from einflag.curvature import ReducedRicci, curvature
 from einflag.einstein import (
     CONSTANT_RTOL,
     DEFECT_TOL,
@@ -203,23 +203,36 @@ def count_exact_counts(monkeypatch):
     return calls
 
 
+def count_engine_readouts(monkeypatch):
+    """Record every scalar curvature read off a reduced engine."""
+    readouts = []
+    scalar = ReducedRicci.scalar
+
+    def counted(engine, coeffs):
+        readouts.append(coeffs)
+        return scalar(engine, coeffs)
+
+    monkeypatch.setattr(ReducedRicci, "scalar", counted)
+    return readouts
+
+
 def test_check_suite_reuses_the_numeric_route(monkeypatch):
     solve("A:3:[2,1,1]:-")
     calls = count_exact_counts(monkeypatch)
-    reports = []
-    curvature = einflag.einstein.curvature
+    certified = []
+    solution = einflag.einstein._solution
 
-    def counted_curvature(metric):
-        reports.append(metric)
-        return curvature(metric)
+    def counted(space, coeffs, provenance, rule_id):
+        certified.append(coeffs)
+        return solution(space, coeffs, provenance, rule_id)
 
     # the catalog is memoised like the numeric route: after solve, the
     # check suite certifies nothing again through the einstein module
-    monkeypatch.setattr(einflag.einstein, "curvature", counted_curvature)
+    monkeypatch.setattr(einflag.einstein, "_solution", counted)
     results = run_checks("A:3:[2,1,1]:-")
     assert all(r.passed for r in results)
     assert calls == []
-    assert reports == []
+    assert certified == []
     # the memo hands out copies: a caller's edit does not reach the next one
     first = numeric_solutions("A:3:[2,1,1]:-")
     first.clear()
@@ -228,8 +241,8 @@ def test_check_suite_reuses_the_numeric_route(monkeypatch):
 
 
 def test_certificate_failure_raises(cold_search, monkeypatch):
-    # the frame-route certificate is the only gate a root meets after the
-    # exact count: with a zero tolerance it must raise, not drop the roots
+    # the engine certificate is the only gate a root meets after the exact
+    # count: with a zero tolerance it must raise, not drop the roots
     monkeypatch.setattr(einflag.einstein, "DEFECT_TOL", 0.0)
     with pytest.raises(InvariantViolation):
         numeric_solutions("B:3:[3]:-")
@@ -248,17 +261,10 @@ def test_counter_sees_a_cold_solve(cold_search, monkeypatch, text, stages):
 
 
 def test_one_certificate_per_root(cold_search, monkeypatch):
-    reports = []
-    curvature = einflag.einstein.curvature
-
-    def counted(metric):
-        reports.append(metric)
-        return curvature(metric)
-
-    monkeypatch.setattr(einflag.einstein, "curvature", counted)
+    readouts = count_engine_readouts(monkeypatch)
     roots = numeric_solutions("B:3:[3]:-")
     assert len(roots) == 2
-    assert len(reports) == len(roots)
+    assert len(readouts) == len(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +287,31 @@ def test_solve_labels_the_roots_by_the_catalog():
 
 def test_one_certificate_per_reported_solution(cold_search, monkeypatch):
     # a root that repeats a catalog entry is not certified a second time:
-    # a cold solve makes one frame-route report per solution it returns
-    reports = []
-    curvature = einflag.einstein.curvature
-
-    def counted(metric):
-        reports.append(metric)
-        return curvature(metric)
-
-    monkeypatch.setattr(einflag.einstein, "curvature", counted)
+    # a cold solve reads the engine once per solution it returns
+    readouts = count_engine_readouts(monkeypatch)
     monkeypatch.setattr(
         einflag.einstein,
         "_closed_cached",
         lru_cache(maxsize=None)(einflag.einstein._closed_cached.__wrapped__),
     )
     for text, count in (("D:5:[4,1]:-", 6), ("B:5:[2,3]:+", 1), ("A:3:[2,1,1]:-", 5)):
-        reports.clear()
+        readouts.clear()
         assert solve(text).count == count
-        assert len(reports) == count, text
+        assert len(readouts) == count, text
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "C:5:[1,4]:+", "A:25:[20,3,3]:-"])
+def test_solve_builds_no_frame_plan(cold_caches, text):
+    # solve and table1 read every number off the reduced engine: neither
+    # builds the frame route's plan, which a curvature report does build
+    spec = parse_flag_spec(text)
+    assert solve(spec).count > 0
+    table1_row(spec)
+    # the fresh memo's space, not the shared one that other tests reach
+    space = einflag.einstein.metric_space(spec)
+    assert "frame_plan" not in vars(space)
+    curvature(solve(spec).solutions[0].metric)
+    assert "frame_plan" in vars(space)
 
 
 def test_solve_gauge_and_distinctness():
@@ -314,13 +327,33 @@ def test_solve_gauge_and_distinctness():
 
 def test_solution_constants_consistent():
     for sol in solve("B:5:[1,4]:+").solutions:
-        rep = sol.report
+        rep = curvature(sol.metric)
         d = rep.ricci_tangent.shape[0]
+        assert sol.scalar == pytest.approx(sol.constant * d, rel=1e-12)
         assert rep.scalar == pytest.approx(sol.constant * d, rel=1e-9)
         det = np.linalg.det(sol.metric.matrix)
         assert sol.normalized_constant == pytest.approx(
             sol.constant * det ** (1.0 / d), rel=CONSTANT_RTOL
         )
+
+
+def test_engine_certificates_agree_with_the_frame_route():
+    # solve certifies on the reduced engine alone; the independent frame
+    # route must find every solution of every `table1 --max-l 10` flag
+    # Einstein, with the same c, c-hat and scalar curvature
+    solutions = 0
+    for spec in _table_rows(10):
+        for sol in solve(spec).solutions:
+            rep = curvature(sol.metric)
+            assert rep.einstein_defect < DEFECT_TOL, (str(spec), sol.rule_id)
+            assert sol.defect < DEFECT_TOL, (str(spec), sol.rule_id)
+            assert sol.constant == pytest.approx(rep.einstein_constant, rel=1e-10, abs=0)
+            assert sol.normalized_constant == pytest.approx(
+                rep.normalized_constant, rel=1e-10, abs=0
+            )
+            assert sol.scalar == pytest.approx(rep.scalar, rel=1e-10, abs=0)
+            solutions += 1
+    assert solutions == 612
 
 
 # ---------------------------------------------------------------------------
@@ -421,32 +454,16 @@ def test_memoised_solutions_are_immutable():
         first.solutions[0].metric.matrix[0, 0] = 9.0
     with pytest.raises(ValueError):
         first.solutions[0].metric.spectrum[0] = 9.0
-    rep = first.solutions[0].report
-    ricci_coeffs = rep.coefficients.copy()
-    _, v, w = rep.frame.sparse
-    for arr in (
-        rep.coefficients,
-        rep.ricci,
-        rep.ricci_tangent,
-        rep.frame.vectors,
-        v,
-        w,
-    ):
-        with pytest.raises(ValueError):
-            arr.flat[0] = 9.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.solutions[0].rule_id = "edited"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        first.solutions[0].report.einstein_constant = 0.0
+        first.solutions[0].constant = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.solutions[0].metric.coeffs = np.zeros(2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        first.solutions[0].report.frame.vectors = np.eye(2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.groups[0].tag = "edited"
     again = solve("B:3:[3]:-")
     assert again.count == count == 2
     assert again.solutions[0].coeffs[0] != 9.0
-    assert np.array_equal(again.solutions[0].report.coefficients, ricci_coeffs)
     assert again.solutions[0].rule_id != "edited"
     assert isinstance(again.solutions, tuple) and isinstance(again.groups, tuple)

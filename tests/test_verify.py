@@ -1,5 +1,6 @@
 """The variational check, probed through the reduced engine, the reduced
-route against a corrupt exact term of the engine, the count bounds read
+route against a corrupt exact term of the engine, the solution
+certificates against the frame route, the count bounds read
 from the published table, the isotropy checks of the suite, computed on
 each generator's support, the Killing/trace ratios, the exact Jacobi and
 orthogonal-basis checks against mutated constants and matrices, and the
@@ -85,6 +86,24 @@ def test_reduced_route_sees_a_corrupt_exact_term(cold_caches, monkeypatch):
     assert not results["reduced-route"].passed
     assert "reduced engine disagrees with the frame route" in results["reduced-route"].detail
     assert verify.reduced_ricci(spec).terms()[0] == built[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # an engine constant 1e-9 off the frame route's
+    (lambda s: dataclasses.replace(s, constant=s.constant * (1 + 1e-9)), "engine and frame route differ"),
+    # a metric that is no Einstein metric, under the solution's engine numbers
+    (lambda s: dataclasses.replace(s, metric=make_metric(s.metric.space, s.coeffs * [1.1, 1.0])),
+     "frame defect"),
+])
+def test_solution_certificates_compare_with_the_frame_route(monkeypatch, edit, message):
+    # solve certifies on the engine alone; the check's frame-route reports
+    # refuse a solution whose numbers the frame route does not confirm
+    ctx = verify._Context(parse_flag_spec("B:3:[3]:-"))
+    assert "frame route agrees to" in verify._check_solution_certificates(ctx)
+    edited = [edit(s) for s in ctx.solutions]
+    monkeypatch.setattr(verify._Context, "solutions", property(lambda self: edited))
+    with pytest.raises(verify._Failure, match=message):
+        verify._check_solution_certificates(verify._Context(parse_flag_spec("B:3:[3]:-")))
 
 
 @pytest.mark.parametrize(
