@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .algebra import _MAX_RANK
@@ -277,7 +278,10 @@ def _cmd_check(args, parser):
     return 1 if failed else 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The command-line parser, built once per process: a parse reads it and
+    changes nothing in it, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="einflag",
         description=(

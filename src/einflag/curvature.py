@@ -28,22 +28,27 @@ pairs of both sums, and the frame products ``V^T A``, ``V^T A V``,
 and of the Killing form gathered per product -- is one
 :class:`~einflag.invariant.FramePlan`, built at the first report of the
 flag and kept on the metric space.  A report is then a fixed run of
-gathers, elementwise products and ``bincount`` s, and its only d x d
-arrays are its outputs ``ricci`` and ``ricci_tangent``: the frame stays
-its entries over the plan, and the defect is taken on ``ricci`` itself.
-Each single-term entry rounds as the dense product would; an entry of two
-terms, on a mixed pair, is summed without BLAS's fused multiply-add.  An
-explicit ``frame`` may be any orthonormal frame, so its T is dense, and the
-route never forms it.  Both quadratic sums are the same sums re-associated
-through the frame's Gram matrices ``P = V V^T`` and ``R = W W^T``, ``W =
-V^-T``: ``sum_{b,c} T[a,b,c] T[a',b,c] = (V^T M V)[a,a']`` with ``M[i,i'] =
-sum t[i,j,k] t[i',j',k'] P[j,j'] R[k,k']``, ``sum_{a,b} T[a,b,c] T[a,b,c']
-= (W^T N W)[c,c']`` with ``N[k,k'] = sum t[i,j,k] t[i',j',k'] P[i,i']
-P[j,j']``, and ``sum T^2 = <M, P>``.  Column h of M is one product over
-the nonzeros of t whose first index is h, gathered back at the nonzeros of
-t and summed per first index; N is the same with the last index as the
-key.  That costs ``O(d^2 nnz + d^3)`` and a handful of d x d arrays, and the
-sums assume nothing of the frame but that it is invertible.  This route is the
+gathers, elementwise products and ``bincount`` s, and it makes no d x d
+array: the frame stays its entries over the plan; the scalar curvature and
+the defect are summed over the structural entries of ``ricci``; the
+coefficients are one product of the operator rows, gathered once at the
+plan's keys of ``ricci_tangent``, with that form's entries; and the two
+forms themselves are scattered from their entries when they are first
+read.  Each single-term entry rounds as the dense product would; an entry
+of two terms, on a mixed pair, is summed without BLAS's fused
+multiply-add, and the coefficients and the defect differ from their dense
+sums only in how BLAS blocks a dot product.  An explicit ``frame`` may be
+any orthonormal frame, so its T is dense, and the route never forms it.
+Both quadratic sums are the same sums re-associated through the frame's
+Gram matrices ``P = V V^T`` and ``R = W W^T``, ``W = V^-T``: ``sum_{b,c}
+T[a,b,c] T[a',b,c] = (V^T M V)[a,a']`` with ``M[i,i'] = sum t[i,j,k]
+t[i',j',k'] P[j,j'] R[k,k']``, ``sum_{a,b} T[a,b,c] T[a,b,c'] = (W^T N
+W)[c,c']`` with ``N[k,k'] = sum t[i,j,k] t[i',j',k'] P[i,i'] P[j,j']``,
+and ``sum T^2 = <M, P>``.  Column h of M is one product over the nonzeros
+of t whose first index is h, gathered back at the nonzeros of t and summed
+per first index; N is the same with the last index as the key.  That
+costs ``O(d^2 nnz + d^3)`` and a handful of d x d arrays, and the sums
+assume nothing of the frame but that it is invertible.  This route is the
 reference the ``ricci-frame-independence`` check compares the sparse route
 against.
 
@@ -175,6 +180,13 @@ class CurvatureReport:
     normalized_constant : float
         Scale-invariant constant ``einstein_constant * det(A)^(1/dim)``,
         with ``det(A)`` taken from the coefficient spectrum.
+
+    A report of the canonical frame is given ``ricci`` and
+    ``ricci_tangent`` as their structural entries, ``(keys, values, d)``;
+    each is scattered into a read-only d x d array at its first read and
+    kept (:class:`_Form`), so a caller that reads neither makes no d x d
+    array.  A form given as an array, as by the explicit-frame route or by
+    ``dataclasses.replace``, is kept as it is.
     """
 
     metric: object
@@ -193,6 +205,38 @@ class CurvatureReport:
             f"curvature(S={self.scalar:.6g}, c={self.einstein_constant:.6g}, "
             f"defect={self.einstein_defect:.3g})"
         )
+
+
+class _Form:
+    """A d x d form of a :class:`CurvatureReport`, a data descriptor.
+
+    The value the report is built with is kept in its ``__dict__`` under
+    the field's name; entries ``(keys, values, d)`` are replaced by their
+    :func:`_scatter`, made read-only, at the first read.
+    """
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        value = report.__dict__[self.name]
+        if isinstance(value, tuple):
+            value = _scatter(*value)
+            value.setflags(write=False)
+            report.__dict__[self.name] = value
+        return value
+
+    def __set__(self, report, value):
+        # only the dataclass's __init__ gets here, by object.__setattr__; the
+        # frozen __setattr__ refuses every later assignment
+        report.__dict__[self.name] = value
+
+
+# set once the dataclass has read its fields, so that each keeps repr=False
+CurvatureReport.ricci = _Form("ricci")
+CurvatureReport.ricci_tangent = _Form("ricci_tangent")
 
 
 def _form_coefficients(space, form):
@@ -266,16 +310,17 @@ def curvature(metric, frame=None):
         A metric-orthonormal frame to evaluate in.  Defaults to the
         canonical eigenframe, which is evaluated over the nonzeros of the
         structure tensor by the frame's
-        :class:`~einflag.invariant.FramePlan`: ``ricci`` and
-        ``ricci_tangent`` are scattered from their structural entries, and
-        no other d x d array is made.  An explicit frame is dense; its sums
-        are contracted through its Gram matrices ``V V^T`` and ``W W^T``
-        (:func:`_dense_terms`), in ``O(d^2 nnz + d^3)`` with a few d x d
-        arrays and no T.  Any metric-orthonormal frame must give the same
-        tangent-coordinate Ricci form, which the verification suite
-        exploits.  Either way
-        ``einstein_defect`` is the Frobenius norm of ``ricci - c I``, taken
-        on ``ricci`` with c off its diagonal and then put back.
+        :class:`~einflag.invariant.FramePlan`, with no d x d array: every
+        scalar and the coefficients are summed over the structural entries
+        of ``ricci`` and ``ricci_tangent``, and the two forms are scattered
+        from those entries when they are first read.  An explicit frame is
+        dense; its sums are contracted through its Gram matrices ``V V^T``
+        and ``W W^T`` (:func:`_dense_terms`), in ``O(d^2 nnz + d^3)`` with
+        a few d x d arrays and no T.  Any metric-orthonormal frame must give
+        the same tangent-coordinate Ricci form, which the verification
+        suite exploits.  Either way ``einstein_defect`` is the Frobenius
+        norm of ``ricci - c I``, with c taken off the diagonal entries
+        alone.
 
     Returns
     -------
@@ -287,29 +332,32 @@ def curvature(metric, frame=None):
         frame = orthonormal_frame(metric)
         plan, _, w = frame.sparse
         entries, square, killing_trace = _planned_ricci(frame)
-        ric = _scatter(plan.ricci[0], entries, d)
+        keys, on_diagonal = plan.ricci
         # W = V^-1 from the frame's plan, over the structural entries of ric
-        ric_tan = _scatter(plan.tangent[3], _coo_values(plan.tangent, entries, (w, w)), d)
+        tangent = _coo_values(plan.tangent, entries, (w, w))
+        rows, norms = plan.operators
+        coeffs = rows @ tangent / norms
+        ric, ric_tan = (keys, entries, d), (plan.tangent[3], tangent, d)
+        flat = entries
     else:
         quad_out, quad_in, square = _dense_terms(frame)
         K = frame.vectors.T @ space.killing @ frame.vectors
         ric = -0.5 * quad_out + 0.25 * quad_in - 0.5 * K
         killing_trace = np.trace(K)
         ric_tan = frame.inverse.T @ ric @ frame.inverse
+        coeffs = _form_coefficients(space, ric_tan)
+        flat, on_diagonal = ric.reshape(-1), slice(None, None, d + 1)
 
-    diag = ric.diagonal().copy()
+    diag = flat[on_diagonal].copy()
     scalar = float(diag.sum())
     scalar_direct = float(-0.25 * square - 0.5 * killing_trace)
     c = scalar / d
-    # the norm of ric - c I, with c taken off ric's own diagonal and the
-    # diagonal put back after, so that no second d x d array is made
-    flat = ric.reshape(-1)
-    flat[:: d + 1] = diag - c
+    # the norm of ric - c I over ric's entries, with c taken off the diagonal
+    # ones and the diagonal put back after, so that no second array is made
+    flat[on_diagonal] = diag - c
     defect = math.sqrt(flat.dot(flat))  # as np.linalg.norm takes it
-    flat[:: d + 1] = diag
+    flat[on_diagonal] = diag
     normalized = c * float(volume_root(space, metric.spectrum))
-
-    coeffs = _form_coefficients(space, ric_tan)
 
     return CurvatureReport(
         metric=metric,

@@ -318,6 +318,11 @@ class FramePlan:
         into the Ricci entries, and the entry of K of each of its products.
     tangent : tuple
         ``W^T ric W`` from the Ricci entries.
+    operators : tuple
+        The operator rows of :attr:`MetricSpace.operator_rows` gathered at
+        the keys of ``tangent``, an ``(n, k)`` array, and their squared
+        norms: a report's Ricci coefficients are one product of those rows
+        with the entries of ``W^T ric W``.
     """
 
     frame: tuple
@@ -330,6 +335,7 @@ class FramePlan:
     quads: tuple
     killing: tuple
     tangent: tuple
+    operators: tuple
 
 
 def _quad_plan(group, index, d):
@@ -397,6 +403,7 @@ def _frame_plan(space):
     src, pos, inv, keys = killing
     killing = (src, pos, np.searchsorted(ricci, keys)[inv], ricci)
     tangent = _coo_pattern((row, col), (w_rows, w_rows), d)
+    rows, norms = space.operator_rows
     plan = FramePlan(
         frame=(v_at, v_rows, _frame_roles(space, v_at)),
         metric=a_at[inverse[0]],
@@ -408,6 +415,7 @@ def _frame_plan(space):
         quads=quads,
         killing=(killing, space.killing.ravel()[k_at][killing[0]]),
         tangent=tangent,
+        operators=(rows[:, tangent[3]], norms),
     )
     _freeze(tuple(vars(plan).values()))
     return plan

@@ -171,6 +171,55 @@ def canonical_report(metric):
     }
 
 
+REPORT_FIELDS = (
+    "ricci",
+    "ricci_tangent",
+    "coefficients",
+    "scalar",
+    "scalar_direct",
+    "einstein_constant",
+    "einstein_defect",
+    "normalized_constant",
+)
+
+# the report sums its coefficients and its defect over the plan's entries,
+# and the oracle over every d x d position, so the two dot products are
+# blocked, and rounded, differently: they agree to this share of the
+# oracle's largest value
+SUMMED_RTOL = 1e-14
+
+
+def report_mismatches(report, want, frac):
+    """The fields of a canonical ``report`` that break their rule against
+    :func:`canonical_report`'s ``want``, as ``(name, gap, bound)``, a bound
+    of 0 for a field that must agree bit for bit.
+
+    ``frac`` is the mixing of the metric's pairs relative to ``sqrt(x_i
+    x_j)``: None without a pair, else 0.0, 1e-15 or a mixed value.  Where
+    every entry is a single product -- no pair, or b = 0 -- both routes
+    round the forms and the scalars alike and agree bit for bit.  At b =
+    1e-15 the frame is still diagonal but A carries the B0 blocks:
+    ``ricci_tangent`` differs from BLAS's fused multiply-add only on its
+    O(b) two-term entries, within 1e-27 of its largest, far below the 1e-14
+    a plan without those blocks misses by, and every other form and scalar
+    agrees bit for bit.  Mixed b agrees to 1e-14.  The coefficients and the
+    defect are held to :data:`SUMMED_RTOL` in every case.
+    """
+    out = []
+    for name in REPORT_FIELDS:
+        g, w = np.asarray(getattr(report, name)), np.asarray(want[name])
+        if name in ("coefficients", "einstein_defect"):
+            rtol = SUMMED_RTOL
+        elif frac in (None, 0.0) or (frac == 1e-15 and name != "ricci_tangent"):
+            rtol = 0.0
+        else:
+            rtol = 1e-27 if frac == 1e-15 else 1e-14
+        gap, bound = float(np.max(np.abs(g - w))), rtol * float(np.max(np.abs(w)))
+        if not gap <= bound:
+            out.append((name, gap, bound))
+    return out
+
+
 def orthonormal_frame(metric):
     """The canonical frame as a dense d x d matrix V, column by column, and
     ``(v, w)``: V's entries over the space's frame plan and ``W = V^T A``

@@ -24,6 +24,40 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def outcome(capsys, argv):
+    """``(exit code, stdout, stderr)`` of one ``main`` call, usage errors
+    and ``--help`` included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(capsys):
+    # main shares one parser per process: each command's exit code, output
+    # and error must be those of a parser built for that command alone
+    commands = [
+        ("list", "B", "4"),
+        ("solve", "B:3:[3]:-"),
+        ("check", "A:3:[2,2]:-"),
+        ("list", "E", "4"),
+        ("solve", "--help"),
+        ("--version",),
+    ]
+    fresh = []
+    for argv in commands:
+        einflag.cli._build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    einflag.cli._build_parser.cache_clear()
+    shared = [outcome(capsys, argv) for argv in commands]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0]
+    info = einflag.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(commands) - 1)
+
+
 # ---------------------------------------------------------------------------
 # solve
 
