@@ -14,15 +14,19 @@ realized by explicit integer ambient matrices:
 B, C and D act on two copies of R^l and share one rule: ``w(i,j)`` is the
 rotation ``E_ij - E_ji`` in both copies, and ``u(i,j)`` maps copy one to
 copy two by ``E_ij + s E_ji`` and back by minus its transpose, ``s = +1``
-for C (whose ``u(k,k)`` is the case i = j) and -1 for B and D.  B puts its
-extra coordinate first, and its ``v(k)`` pairs it with coordinate k of
-both copies.
+for C and -1 for B and D.  C's ``u(k,k)`` is the case i = j, with the one
+entry ``E_kk`` each way.  B puts its extra coordinate 0 first, and its
+``v(k)`` is ``E_k0 - E_0k`` with k read in both copies.  Always ``i > j``;
+the basis lists B's ``v(k)`` or C's ``u(k,k)`` by k, then every ``w(i,j)``
+and then every ``u(i,j)``, each by i and then j.
 
-At build time the nonzeros of all basis matrices form one list of entries,
-and every ambient position records the one basis element that owns it.  The
-commutators of all basis pairs ``i < j`` come from one join of that list with
-itself (an entry in column c meets every entry in row c), summed exactly per
-pair and position.  Each position is expanded through its owner, giving the
+The basis is built as one list of integer entries ``(elem, row, col, val)``,
+the nonzeros of its ambient matrices: two for each A element and for C's
+``u(k,k)``, four for every other, each +-1.  No dense ambient matrix is
+formed, and every ambient position records the one basis element that owns
+it.  The commutators of all basis pairs ``i < j`` come from one join of that
+list with itself (an entry in column c meets every entry in row c), summed
+exactly per pair and position.  Each position is expanded through its owner, giving the
 ``(k, c)`` with ``[e_i, e_j] = sum c e_k``; an entry outside the span, an
 element whose positions disagree on c, or an expansion that does not rebuild
 the commutator raises :class:`~einflag.errors.ClosureViolation` naming the
@@ -85,14 +89,14 @@ class BasisElement:
     ----------
     label : str
         ``"w(i,j)"`` / ``"u(i,j)"`` / ``"v(k)"`` / ``"u(k,k)"``.
-    matrix : numpy.ndarray
-        Integer ambient matrix.
     root : tuple of int
         Restricted root in lambda coordinates (length l+1 for A, l else).
+
+    Its ambient matrix is held by the model, as the element's rows of
+    :attr:`AlgebraModel.entries`.
     """
 
     label: str
-    matrix: np.ndarray
     root: tuple
 
     @property
@@ -111,50 +115,47 @@ def _unit(root_dim, entries):
 
 
 def _build_basis(family, l):
-    """Return (ambient_dim, list[BasisElement])."""
+    """Return ``(N, basis, entries)``: the ambient dimension, the list of
+    :class:`BasisElement` and their entries ``(elem, row, col, val)``,
+    element by element and in ``(row, col)`` order within each."""
+    basis, entries = [], []
+
+    def element(label, cells, root):
+        # a later cell on the same position replaces the earlier one: the
+        # two halves of C's u(k,k) coincide
+        at = {(r, c): v for r, c, v in cells}
+        entries.extend((len(basis), r, c, v) for (r, c), v in sorted(at.items()))
+        basis.append(BasisElement(label, root))
+
     if family == "A":
         N = l + 1
-        basis = []
         for i in range(2, N + 1):
             for j in range(1, i):
-                M = np.zeros((N, N), dtype=np.int64)
-                M[i - 1, j - 1] = 1
-                M[j - 1, i - 1] = -1
-                basis.append(
-                    BasisElement(f"w({i},{j})", M, _unit(N, [(i, 1), (j, -1)]))
-                )
-        return N, basis
+                element(f"w({i},{j})", [(i - 1, j - 1, 1), (j - 1, i - 1, -1)], _unit(N, [(i, 1), (j, -1)]))
+    else:
+        # two copies of R^l, coordinate i at p + i in the first and q + i in
+        # the second, after B's extra coordinate 0; C's u is symmetric across them
+        p = 0 if family == "B" else -1
+        q, N, s = p + l, 2 * l + p + 1, 1 if family == "C" else -1
 
-    # two copies of R^l, coordinate i at p + i in the first and q + i in the
-    # second, after B's extra coordinate 0; C's u is symmetric across them
-    p = 0 if family == "B" else -1
-    q, N, s = p + l, 2 * l + p + 1, 1 if family == "C" else -1
+        def u(i, j):
+            # at i = j the cells coincide: C's u(k,k), of root 2 l_k
+            cells = [(q + i, p + j, 1), (q + j, p + i, s), (p + j, q + i, -1), (p + i, q + j, -s)]
+            element(f"u({i},{j})", cells, _unit(l, [(i, 1), (j, 1)]))
 
-    def element(label, entries, root):
-        M = np.zeros((N, N), dtype=np.int64)
-        for r, c, v in entries:
-            M[r, c] = v
-        return BasisElement(label, M, _unit(l, root))
-
-    def w(i, j):
-        entries = [(p + i, p + j, 1), (p + j, p + i, -1), (q + i, q + j, 1), (q + j, q + i, -1)]
-        return element(f"w({i},{j})", entries, [(i, 1), (j, -1)])
-
-    def u(i, j):
-        # at i = j the entries coincide: C's u(k,k), of root 2 l_k
-        entries = [(q + i, p + j, 1), (q + j, p + i, s), (p + j, q + i, -1), (p + i, q + j, -s)]
-        return element(f"u({i},{j})", entries, [(i, 1), (j, 1)])
-
-    basis = []
-    if family == "B":
-        basis = [
-            element(f"v({k})", [(p + k, 0, 1), (0, p + k, -1), (q + k, 0, 1), (0, q + k, -1)], [(k, 1)])
-            for k in range(1, l + 1)
-        ]
-    elif family == "C":
-        basis = [u(k, k) for k in range(1, l + 1)]
-    pairs = [(i, j) for i in range(2, l + 1) for j in range(1, i)]
-    return N, basis + [w(i, j) for i, j in pairs] + [u(i, j) for i, j in pairs]
+        for k in range(1, l + 1):
+            if family == "B":
+                cells = [(p + k, 0, 1), (0, p + k, -1), (q + k, 0, 1), (0, q + k, -1)]
+                element(f"v({k})", cells, _unit(l, [(k, 1)]))
+            elif family == "C":
+                u(k, k)
+        pairs = [(i, j) for i in range(2, l + 1) for j in range(1, i)]
+        for i, j in pairs:
+            cells = [(p + i, p + j, 1), (p + j, p + i, -1), (q + i, q + j, 1), (q + j, q + i, -1)]
+            element(f"w({i},{j})", cells, _unit(l, [(i, 1), (j, -1)]))
+        for i, j in pairs:
+            u(i, j)
+    return N, basis, tuple(np.array(entries, dtype=np.int64).T.copy())
 
 
 def _matches(keys, targets):
@@ -238,15 +239,16 @@ class AlgebraModel:
     def __init__(self, family, rank):
         self.family = family
         self.rank = rank
-        self.ambient_dim, self.basis = _build_basis(family, rank)
+        self.ambient_dim, self.basis, self.entries = _build_basis(family, rank)
         self.n = len(self.basis)
         self.label_index = {e.label: i for i, e in enumerate(self.basis)}
         # the root of each basis element, one read-only (n, root_dim) row each
         self.roots = np.array([e.root for e in self.basis], dtype=np.int64)
         self.roots.setflags(write=False)
-        mats = np.array([e.matrix for e in self.basis])
-        elem, row, col = np.nonzero(mats)
-        self._entries = (elem, row, col, mats[elem, row, col])
+        # the basis: val[x] at (row[x], col[x]) of element elem[x], read-only
+        elem, row, col, val = self.entries
+        for arr in self.entries:
+            arr.setflags(write=False)
         # Each ambient position belongs to at most one basis element, which
         # makes exact expansion a positionwise lookup: _owner[r * N + c] is
         # that element (-1 for none) and _owner_value its entry there.
@@ -254,11 +256,11 @@ class AlgebraModel:
         self._owner = np.full(N * N, -1)
         self._owner[row * N + col] = elem
         self._owner_value = np.zeros(N * N, dtype=np.int64)
-        self._owner_value[row * N + col] = self._entries[3]
+        self._owner_value[row * N + col] = val
         self.pairing = _pairing_table(family, rank, N)
         for arr in self.pairing:
             arr.setflags(write=False)
-        self.gram = self.pair_entries(elem, row * N + col, self._entries[3])[0]
+        self.gram = self.pair_entries(elem, row * N + col, val)[0]
         self.structure_index = self._build_structure()
         self.killing_matrix = self._build_killing()
 
@@ -310,7 +312,7 @@ class AlgebraModel:
         """
         coords = np.asarray(coords, dtype=float)
         N = self.ambient_dim
-        elem, row, col, val = self._entries
+        elem, row, col, val = self.entries
         out = np.zeros(coords.shape[:-1] + (N * N,))
         out[..., row * N + col] = coords[..., elem] * val
         return out.reshape(coords.shape[:-1] + (N, N))
@@ -331,7 +333,7 @@ class AlgebraModel:
         A failure raises :class:`ClosureViolation` naming the first such pair.
         """
         n, N = self.n, self.ambient_dim
-        elem, row, col, val = self._entries
+        elem, row, col, val = self.entries
         x, y = _matches(col, row)
         a, b = elem[x], elem[y]
         x, y, a, b = (arr[a != b] for arr in (x, y, a, b))  # e_i e_i cancels

@@ -19,7 +19,7 @@ import time
 from functools import lru_cache
 
 from . import __version__
-from .algebra import _MAX_RANK
+from .algebra import _MAX_RANK, build_algebra
 from .einstein import published_row, solve, table1_row
 from .errors import (
     BadFlag,
@@ -182,16 +182,20 @@ def _cmd_solve(args, parser, argv_echo):
     return 0
 
 
-def _table_rows(max_l):
-    rows = []
+def _rank_specs(max_l):
+    """The table's flags up to rank ``max_l``, one list per family and rank
+    in table order, leaving out the ranks that have no catalogued flags."""
     for family in "ABCD":
         for rank in range(1, max_l + 1):
             try:
-                specs = enumerate_small_flags(family, rank)
+                yield enumerate_small_flags(family, rank)
             except (UnsupportedRank, UnimplementedCase):
                 continue
-            rows.extend(specs)
-    return rows
+
+
+def _table_rows(max_l):
+    """Every flag of :func:`_rank_specs` in one list."""
+    return [spec for specs in _rank_specs(max_l) for spec in specs]
 
 
 def _drop_flag_memos():
@@ -206,12 +210,32 @@ def _drop_flag_memos():
         memo.cache_clear()
 
 
+def _table_line(spec):
+    """The printed fields of one flag's table row, its memos dropped after it."""
+    row = table1_row(spec)
+    _drop_flag_memos()
+    exp = published_row(spec)
+    if exp is None:
+        expected, match = "n/a", "n/a"
+    else:
+        expected = exp.display
+        match = "MATCH" if exp.matches(row.count, row.normal_is_einstein) else "MISMATCH"
+    return (
+        str(spec),
+        str(row.summands),
+        "yes" if row.has_equivalent else "no",
+        str(row.count),
+        "yes" if row.normal_is_einstein else "no",
+        expected,
+        match,
+    )
+
+
 def _cmd_table1(args, parser):
     if args.max_l < 1:
         parser.error(f"table1 requires --max-l >= 1, got {args.max_l}")
     if args.max_l > _MAX_RANK:
         parser.error(f"table1 requires --max-l <= {_MAX_RANK}, got {args.max_l}")
-    specs = _table_rows(args.max_l)
     header = (
         "flag",
         "summands",
@@ -222,29 +246,12 @@ def _cmd_table1(args, parser):
         "match",
     )
     table = []
-    any_mismatch = False
-    for spec in specs:
-        row = table1_row(spec)
-        _drop_flag_memos()
-        exp = published_row(spec)
-        if exp is None:
-            expected, match = "n/a", "n/a"
-        else:
-            ok = exp.matches(row.count, row.normal_is_einstein)
-            expected = exp.display
-            match = "MATCH" if ok else "MISMATCH"
-            any_mismatch = any_mismatch or not ok
-        table.append(
-            (
-                str(spec),
-                str(row.summands),
-                "yes" if row.has_equivalent else "no",
-                str(row.count),
-                "yes" if row.normal_is_einstein else "no",
-                expected,
-                match,
-            )
-        )
+    for specs in _rank_specs(args.max_l):
+        table.extend(_table_line(spec) for spec in specs)
+        # the rank's flags are the last holders of its algebra: drop both
+        # before the next rank's is built
+        del specs
+        build_algebra.cache_clear()
     widths = [max(len(h), *(len(r[k]) for r in table)) if table else len(h) for k, h in enumerate(header)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     print(fmt.format(*header))
@@ -262,7 +269,7 @@ def _cmd_table1(args, parser):
         except OSError as exc:
             return _cannot_write(args.csv, exc)
         print(f"# csv written to {args.csv}")
-    return 1 if any_mismatch else 0
+    return 1 if any(r[6] == "MISMATCH" for r in table) else 0
 
 
 def _cmd_check(args, parser):

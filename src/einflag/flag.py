@@ -83,16 +83,22 @@ class FlagSpec:
     def rank(self):
         return self.algebra.rank
 
-    @cached_property
+    @property
     def representative(self):
         """The flag whose builder decomposes this one: the flag itself, or
         for a D flag whose last block is the singleton ``{l}`` with the last
         root in Theta, the flag of the Theta that the spin-node swap
         ``l_l -> -l_l`` gives (the singleton joins the block before it)."""
+        return self._swapped or self
+
+    @cached_property
+    def _swapped(self):
+        # the swapped flag or None, never the flag itself: a flag that refers
+        # to itself would wait for the cycle collector to free its algebra
         part = self.partition
         if self.family == "D" and self.includes_last_root and len(part) > 1 and part[-1] == 1:
             return make_flag(self.algebra, part[:-2] + (part[-2] + 1,))
-        return self
+        return None
 
     @cached_property
     def shape(self):
@@ -577,9 +583,9 @@ def _verify_decomposition(dec):
 def enumerate_small_flags(family, rank):
     """All catalogued flags of the family with two or three summands, the
     listed flags of each of the family's records in turn."""
-    algebra = build_algebra(family, rank)  # validates the rank
     if (family, rank) in _REFUSED:
         raise UnimplementedCase(_REFUSED[family, rank])
+    algebra = build_algebra(family, rank)  # validates the rank
     return [
         make_flag(algebra, part, plus)
         for key, record in _RECORDS.items()

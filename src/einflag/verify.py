@@ -1,7 +1,7 @@
 """Per-flag verification suite behind the ``check`` command.
 
 Every check re-derives a structural property from raw data instead of
-trusting cached fields: orthogonality goes back to ambient matrices, the
+trusting cached fields: orthogonality goes back to the basis entries, the
 Ricci tensor is recomputed in rotated frames, and Einstein solutions are
 re-certified by the frame route.  The variational
 characterization is probed with central finite differences of the
@@ -92,21 +92,6 @@ class _Context:
         self.model = spec.algebra
         self.rng = default_rng(_SEED)
 
-    @property
-    def model(self):
-        return self._model
-
-    @model.setter
-    def model(self, model):
-        # a new model's basis entries are read again from its matrices
-        self._model = model
-        self.__dict__.pop("basis_entries", None)
-
-    @cached_property
-    def basis_entries(self):
-        """:func:`_basis_entries` of the model's basis, read once per run."""
-        return _basis_entries(self.model.basis)
-
     @cached_property
     def space(self):
         return metric_space(self.spec)
@@ -139,13 +124,11 @@ class _Context:
 # algebra
 
 
-def _basis_entries(basis):
-    """The nonzeros of the basis matrices as ``(elem, pos, val)``: ``val[x]``
-    at the flat position ``pos[x] = row * N + col`` of basis matrix ``elem[x]``,
-    read from each element's ``matrix``, so that a changed matrix is seen."""
-    mats = np.array([e.matrix for e in basis])
-    elem, row, col = np.nonzero(mats)
-    return elem, row * mats.shape[-1] + col, mats[elem, row, col]
+def _flat_entries(m):
+    """The model's basis entries as ``(elem, pos, val)``: ``val[x]`` at the
+    flat position ``pos[x] = row * N + col`` of basis element ``elem[x]``."""
+    elem, row, col, val = m.entries
+    return elem, row * m.ambient_dim + col, val
 
 
 def _check_ambient_ad_invariance(ctx):
@@ -172,14 +155,14 @@ def _check_ambient_ad_invariance(ctx):
     return f"([e_i,e_j],e_k)+(e_j,[e_i,e_k]) = 0 exactly on all {C.size} structure constants"
 
 
-def _killing_trace_ratios(m, entries):
+def _killing_trace_ratios(m):
     """Ascending generalized eigenvalues of (-Killing form, trace form).
 
     The trace Gram ``G[e, f] = tr(M_e M_f^T) = -tr(M_e M_f)`` of the skew
     basis matrices is the positive trace form; it is summed exactly, per
-    pair of elements that meet, over one join of the basis ``entries``
-    (:func:`_basis_entries`) on their ambient position, and a Gram entry
-    off the diagonal fails the check.
+    pair of elements that meet, over one join of the model's basis entries
+    on their ambient position, and a Gram entry off the diagonal fails the
+    check.
     With G a diagonal g, ``K x = r G x`` is ``g^-1/2 K g^-1/2 y = r y``, and
     it splits over the connected blocks of K's off-diagonal pattern: one
     stacked ``eigvalsh`` per block size, 1 x 1 blocks included.  A zero
@@ -188,8 +171,8 @@ def _killing_trace_ratios(m, entries):
     :func:`_nullity`, and that many of its eigenvalues, the smallest in
     magnitude, are set to 0.
     """
-    n = len(m.basis)
-    elem, pos, val = entries
+    n = m.n
+    elem, pos, val = _flat_entries(m)
     g, (_, _, off) = _pair_sums(elem, pos, val, pos, None, n)
     bad = np.flatnonzero(off)
     if bad.size:
@@ -255,7 +238,7 @@ def _nullity(M):
 
 def _check_killing_trace_ratio(ctx):
     m = ctx.model
-    ratios = _killing_trace_ratios(m, ctx.basis_entries)
+    ratios = _killing_trace_ratios(m)
     scale = max(ratios[-1], 1.0)
     _require(ratios[0] > -1e-9 * scale, f"negative ratio {ratios[0]:.2e}")
     clusters = [[ratios[0]]]
@@ -331,13 +314,13 @@ def _check_jacobi(ctx):
 
 def _check_orthogonal_basis(ctx):
     """Every pair of basis matrices pairs to 0 under the family pairing and
-    every one to its ``gram`` entry, exactly: the pairing of the basis
-    entries of the run is one join of their partner positions (the model's
+    every one to its ``gram`` entry, exactly: the pairing of the model's
+    basis entries is one join of their partner positions (the model's
     pairing table) against their positions, summed over the joined pairs
     only, and every value is an integer or a half."""
     m = ctx.model
     n = m.n
-    diag, (e, f, off) = m.pair_entries(*ctx.basis_entries)
+    diag, (e, f, off) = m.pair_entries(*_flat_entries(m))
     bad = np.flatnonzero(off)
     if bad.size:
         a = bad[0]

@@ -1,6 +1,6 @@
 """Shared fixtures and flag lists, helpers that build and edit generator
-tables, the dense forms of the algebra expansion and of ``ad(x)``, and
-readouts of a decomposition and of its sign symmetries."""
+tables, the dense forms of the algebra basis, of its expansion and of
+``ad(x)``, and readouts of a decomposition and of its sign symmetries."""
 
 import sys
 from functools import lru_cache
@@ -70,6 +70,12 @@ def expand_matrix(model, M, tol=1e-9):
     if residual.ndim == 0:
         residual = float(residual)
     return coords.reshape(M.shape[:-2] + (model.n,)), residual
+
+
+def ambient_basis(model):
+    """The ambient matrices of the algebra basis, an ``(n, N, N)`` float
+    stack in label order, scattered from the model's entries."""
+    return model.ambient_matrices(np.eye(model.n))
 
 
 def dense_generators(table, d):

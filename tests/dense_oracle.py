@@ -8,7 +8,9 @@ list with every map row padded to the longest one, and the canonical-frame
 report with its index work redone per call and its frame products dense.
 The family pairing of ambient matrices in its three-branch form, a dense
 trace product per family, is kept here too, against the package's pairing
-table and its join of entries.  The tests compare the package against them.
+table and its join of entries, and so is the algebra basis as dense matrices
+built from the family rules, against the package's list of entries.  The
+tests compare the package against them.
 """
 
 import numpy as np
@@ -297,3 +299,54 @@ def ambient_inner_matrices(model, X, Y):
         sign = 1.0 if model.family == "C" else -1.0
         out = (sign * _trace_pairs(B1, B2) - _trace_pairs(A1, A2)) / 2.0
     return float(out) if out.ndim == 0 else out
+
+
+def _basis(family, l):
+    """``(label, matrix)`` of every basis element, from the family rules of
+    the :mod:`einflag.algebra` docstring, one dense matrix each."""
+
+    def E(n, i, j):
+        M = np.zeros((n, n), dtype=np.int64)
+        M[i - 1, j - 1] = 1
+        return M
+
+    if family == "A":
+        pairs = [(i, j) for i in range(2, l + 2) for j in range(1, i)]
+        return [(f"w({i},{j})", E(l + 1, i, j) - E(l + 1, j, i)) for i, j in pairs]
+    first = 1 if family == "B" else 0
+    N = first + 2 * l
+    one, two = slice(first, first + l), slice(first + l, N)
+
+    def blocks(rotation, X):
+        # the rotation in both copies, X from copy one to copy two, -X^T back
+        M = np.zeros((N, N), dtype=np.int64)
+        M[one, one] = M[two, two] = rotation
+        M[two, one], M[one, two] = X, -X.T
+        return M
+
+    zero = np.zeros((l, l), dtype=np.int64)
+    out = []
+    for k in range(1, l + 1):
+        if family == "B":
+            M = np.zeros((N, N), dtype=np.int64)
+            M[[k, l + k], 0], M[0, [k, l + k]] = 1, -1
+            out.append((f"v({k})", M))
+        elif family == "C":
+            out.append((f"u({k},{k})", blocks(zero, E(l, k, k))))
+    s = 1 if family == "C" else -1
+    pairs = [(i, j) for i in range(2, l + 1) for j in range(1, i)]
+    out += [(f"w({i},{j})", blocks(E(l, i, j) - E(l, j, i), zero)) for i, j in pairs]
+    out += [(f"u({i},{j})", blocks(zero, E(l, i, j) + s * E(l, j, i))) for i, j in pairs]
+    return out
+
+
+def basis_labels(family, rank):
+    """The labels of :func:`basis_matrices`, in its order."""
+    return [label for label, _ in _basis(family, rank)]
+
+
+def basis_matrices(family, rank):
+    """The basis of the compact algebra as an int64 ``(n, N, N)`` stack in
+    label order, built from the family rules of the :mod:`einflag.algebra`
+    docstring with no list of entries."""
+    return np.array([M for _, M in _basis(family, rank)])

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from conftest import expand_matrix
+from conftest import ambient_basis, expand_matrix
 from einflag.curvature import _form_coefficients
 from einflag.einstein import (
     CONSTANT_RTOL,
@@ -88,7 +88,7 @@ def _induced_tangent_map(space, O):
     model = space.spec.algebra
     g = float(space.spec.inner_scale) * model.gram
     Bw = space.basis * g
-    mats = np.array([e.matrix for e in model.basis], dtype=float)
+    mats = ambient_basis(model)
     d = space.tangent_dim
     images, residual = expand_matrix(model, O @ np.einsum("kc,cij->kij", space.basis, mats) @ O.T)
     # expand_matrix gives one residual per image

@@ -2,9 +2,9 @@ import dense_oracle
 import numpy as np
 import pytest
 
-from conftest import ad_matrix, expand_matrix
+from conftest import ad_matrix, ambient_basis, expand_matrix
 from einflag import algebra
-from einflag.algebra import AlgebraModel, BasisElement, build_algebra
+from einflag.algebra import AlgebraModel, build_algebra
 from einflag.errors import ClosureViolation, UnsupportedRank
 
 
@@ -20,8 +20,7 @@ def unit(model, label):
 
 def ambient(model, x):
     """Ambient matrix of a coordinate vector."""
-    mats = np.array([e.matrix for e in model.basis], dtype=float)
-    return np.tensordot(x, mats, 1)
+    return np.tensordot(x, ambient_basis(model), 1)
 
 
 def killing(model, x, y):
@@ -130,7 +129,7 @@ def test_killing_value_a3():
 @pytest.mark.parametrize("family,rank", FAMILIES)
 def test_gram_is_diagonal(family, rank):
     model = build_algebra(family, rank)
-    mats = [e.matrix for e in model.basis]
+    mats = ambient_basis(model)
     for i in range(model.n):
         for j in range(i + 1, model.n):
             assert dense_oracle.ambient_inner_matrices(model, mats[i], mats[j]) == pytest.approx(0.0, abs=1e-12)
@@ -151,14 +150,39 @@ def test_pairing_join_equals_the_dense_oracle(family, rank):
     # pair that never meets must pair to 0, and the Gram diagonal is the
     # oracle's diagonal bit for bit
     model = build_algebra(family, rank)
-    mats = np.array([e.matrix for e in model.basis])
+    mats = dense_oracle.basis_matrices(family, rank)
     want = np.asarray(dense_oracle.ambient_inner_matrices(model, mats, mats), dtype=float)
-    elem, row, col = np.nonzero(mats)
-    diag, (e, f, sums) = model.pair_entries(elem, row * model.ambient_dim + col, mats[elem, row, col])
+    elem, row, col, val = model.entries
+    diag, (e, f, sums) = model.pair_entries(elem, row * model.ambient_dim + col, val)
     got = np.diag(diag)
     got[e, f] = sums
     assert np.array_equal(got.view(np.int64), (want + 0.0).view(np.int64))
     assert np.array_equal(model.gram.view(np.int64), np.diag(want).copy().view(np.int64))
+
+
+_ORACLE_RANKS = [
+    (family, rank) for family, low in algebra._MIN_RANK.items() for rank in range(low, 11)
+] + [("A", 25), ("C", 25), ("D", 25)]
+
+
+@pytest.mark.parametrize("family,rank", _ORACLE_RANKS)
+def test_entries_equal_the_dense_basis_oracle(family, rank):
+    # the model's entries scattered into dense matrices, against the basis
+    # built from the family rules with no list of entries; the entries are
+    # +-1, read-only and listed element by element in (row, col) order, so
+    # no position repeats, and each element has 2 (A, C's u(k,k)) or 4 of them
+    model = build_algebra(family, rank)
+    assert [e.label for e in model.basis] == dense_oracle.basis_labels(family, rank)
+    want = dense_oracle.basis_matrices(family, rank)
+    assert np.array_equal(ambient_basis(model), want)
+    elem, row, col, val = model.entries
+    N = model.ambient_dim
+    assert np.all(np.diff((elem * N + row) * N + col) > 0)
+    assert np.array_equal(np.abs(val), np.ones(val.size, dtype=np.int64))
+    assert not any(a.flags.writeable for a in model.entries)
+    two = {f"u({k},{k})" for k in range(1, rank + 1)}
+    count = [2 if family == "A" or e.label in two else 4 for e in model.basis]
+    assert np.bincount(elem, minlength=model.n).tolist() == count
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
@@ -240,12 +264,8 @@ def test_killing_trace_pencil_clusters(family, rank, nonzero_ratios):
     # Per ideal, the Killing form is a constant multiple of the trace form;
     # the generalized eigenvalues of the pencil must cluster accordingly.
     model = build_algebra(family, rank)
-    T = np.array(
-        [
-            [float(np.einsum("ij,ji->", a.matrix, b.matrix)) for b in model.basis]
-            for a in model.basis
-        ]
-    )
+    mats = ambient_basis(model)
+    T = np.einsum("aij,bji->ab", mats, mats)
     vals = np.linalg.eigvals(np.linalg.solve(T, model.killing_matrix))
     vals = np.real_if_close(vals, tol=1e6)
     clusters = []
@@ -336,9 +356,10 @@ def test_structure_index_equals_the_dense_commutators(family, rank):
     model = build_algebra(family, rank)
     n = model.n
     ref = np.zeros((n, n, n))
-    for i, ei in enumerate(model.basis):
-        for j, ej in enumerate(model.basis):
-            coords, residual = expand_matrix(model, ei.matrix @ ej.matrix - ej.matrix @ ei.matrix)
+    mats = ambient_basis(model)
+    for i, ei in enumerate(mats):
+        for j, ej in enumerate(mats):
+            coords, residual = expand_matrix(model, ei @ ej - ej @ ei)
             assert residual == 0.0
             ref[i, j] = coords
     I, J, K, V = model.structure_index
@@ -354,28 +375,30 @@ def test_structure_index_equals_the_dense_commutators(family, rank):
     assert np.array_equal(I[half:], J[:half]) and np.array_equal(V[half:], -V[:half])
 
 
-def _drop_w31(N, basis):
-    return N, [e for e in basis if e.label != "w(3,1)"]
+def _w31(basis):
+    return next(k for k, e in enumerate(basis) if e.label == "w(3,1)")
 
 
-def _symmetric_w31(N, basis):
-    return N, [
-        BasisElement(e.label, np.abs(e.matrix), e.root) if e.label == "w(3,1)" else e
-        for e in basis
-    ]
+def _drop_w31(N, basis, entries):
+    k = _w31(basis)
+    elem, row, col, val = entries
+    keep = elem != k
+    return N, basis[:k] + basis[k + 1 :], (elem[keep] - (elem[keep] > k), row[keep], col[keep], val[keep])
 
 
-def _w31_with_an_extra_corner(N, basis):
+def _symmetric_w31(N, basis, entries):
+    elem, row, col, val = entries
+    return N, basis, (elem, row, col, np.where(elem == _w31(basis), np.abs(val), val))
+
+
+def _w31_with_an_extra_corner(N, basis, entries):
     # one more ambient dimension, touched only by w(3,1): E_NN commutes with
     # every other basis matrix, so each bracket keeps its entries, but the
-    # bracket that yields w(3,1) misses the corner
-    out = []
-    for e in basis:
-        M = np.zeros((N + 1, N + 1), dtype=np.int64)
-        M[:N, :N] = e.matrix
-        M[N, N] = int(e.label == "w(3,1)")
-        out.append(BasisElement(e.label, M, e.root))
-    return N + 1, out
+    # bracket that yields w(3,1) misses the corner, the last position of
+    # w(3,1)'s entries
+    k = _w31(basis)
+    at = np.searchsorted(entries[0], k, side="right")
+    return N + 1, basis, tuple(np.insert(a, at, x) for a, x in zip(entries, (k, N, N, 1)))
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import csv
+import gc
 import importlib
 import json
 import subprocess
 import sys
+import weakref
 from itertools import groupby
 from pathlib import Path
 
@@ -335,7 +337,7 @@ FLAG_MEMOS = [
 
 def test_table1_keeps_no_flag_memo(cold_caches, monkeypatch, capsys):
     # a survey drops each flag's memos once its row is done (`--max-l 16`
-    # held 1123 MB of them); the algebra of a rank stays memoised.  The
+    # held 1123 MB of them), and the algebra memo after each rank.  The
     # memos are the fresh ones of cold_caches, looked up in their modules
     memos = {
         name: getattr(importlib.import_module(f"einflag.{module}"), name)
@@ -356,7 +358,36 @@ def test_table1_keeps_no_flag_memo(cold_caches, monkeypatch, capsys):
     assert all(filled.values()), filled
     left = {name: memo.cache_info().currsize for name, memo in memos.items()}
     assert not any(left.values()), left
-    assert einflag.algebra.build_algebra.cache_info().currsize > 0
+    assert einflag.algebra.build_algebra.cache_info().currsize == 0
+
+
+def test_table1_holds_one_algebra_at_a_time(cold_caches, monkeypatch, capsys):
+    # the survey enumerates and solves one (family, rank) at a time and
+    # drops the rank's flags and algebra before the next rank's is built:
+    # then no algebra of an earlier rank is alive, before a collection (no
+    # flag refers to itself, so each is freed when its last holder lets go)
+    # and after one
+    built, alive = [], []
+    model = einflag.algebra.AlgebraModel
+
+    def recorded(family, rank):
+        before = [key for key, ref in built if ref() is not None]
+        gc.collect()
+        alive.append((before, [key for key, ref in built if ref() is not None]))
+        out = model(family, rank)
+        built.append(((family, rank), weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(einflag.algebra, "AlgebraModel", recorded)
+    code, out, _ = run(capsys, "table1", "--max-l", "6")
+    assert code == 0 and "MISMATCH" not in out
+    # every rank the catalogue lists is built once, in table order; A:1
+    # has no row, and B:2, C:2 and D:3 are refused before any build
+    ranks = [key for key, _ in built]
+    rows = {tuple(line.split(":")[:2]) for line in out.splitlines()[1:-1]}
+    assert ranks == sorted(set(ranks)) and len(ranks) == 17
+    assert sorted((family, int(rank)) for family, rank in rows) == ranks[1:]
+    assert alive == [([], [])] * len(ranks)
 
 
 # a fresh interpreter runs `table1 --max-l 9`, 250 rows, and prints the
@@ -379,9 +410,9 @@ print(code, len(peaks), peaks[19], peaks[-1])
 
 
 def test_survey_memory_stays_flat():
-    # with each flag's memos dropped after its row, the 230 rows after the
-    # first 20 grow the peak by about 6 MB (the algebras of ranks 7-9 stay
-    # memoised); with the memos kept they grow it by about 46 MB
+    # with each flag's memos dropped after its row and each rank's algebra
+    # after the rank, the 230 rows after the first 20 grow the peak by a few
+    # MB; with the flag memos kept they grow it by about 46 MB
     src = str(Path(einflag.cli.__file__).parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", SURVEY.format(src=src)], check=True, capture_output=True, text=True

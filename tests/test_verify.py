@@ -3,7 +3,7 @@ route against a corrupt exact term of the engine, the solution
 certificates against the frame route, the count bounds read
 from the published table, the isotropy checks of the suite, computed on
 each generator's support, the Killing/trace ratios, the exact Jacobi and
-orthogonal-basis checks against mutated constants and matrices, and the
+orthogonal-basis checks against mutated constants and basis entries, and the
 refusals that come before any check."""
 
 import copy
@@ -16,7 +16,7 @@ from fractions import Fraction
 import dense_oracle
 import numpy as np
 import pytest
-from conftest import ad_matrix, dense_generators, edit_first_generator
+from conftest import ad_matrix, ambient_basis, dense_generators, edit_first_generator
 
 from einflag import einstein, invariant, verify
 from einflag.algebra import build_algebra
@@ -185,9 +185,9 @@ def test_metric_invariance_sees_a_non_skew_block(monkeypatch):
 def test_killing_trace_ratios_match_the_generalized_eigh(family, rank):
     linalg = pytest.importorskip("scipy.linalg")
     m = build_algebra(family, rank)
-    mats = np.stack([e.matrix.astype(float).reshape(-1) for e in m.basis])
+    mats = ambient_basis(m).reshape(m.n, -1)
     ref = linalg.eigh(-m.killing_matrix, mats @ mats.T, eigvals_only=True)
-    got = verify._killing_trace_ratios(m, verify._basis_entries(m.basis))
+    got = verify._killing_trace_ratios(m)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -583,7 +583,7 @@ def test_killing_trace_ratio_of_the_centre_is_exactly_zero(rank):
     # the centre of u(l) is Ricci flat: its ratio is decided by the nullity
     # of the integer Killing block, not left as eigensolver rounding
     model = build_algebra("C", rank)
-    ratios = verify._killing_trace_ratios(model, verify._basis_entries(model.basis))
+    ratios = verify._killing_trace_ratios(model)
     assert ratios[0] == 0.0 and np.sum(ratios == 0.0) == 1
     assert ratios[1] > 1.0
 
@@ -628,16 +628,34 @@ def test_every_spin_node_twin_passes_every_check(text):
     assert len(results) == 22
 
 
+def _plus_element(entries, target, source, scale):
+    """Basis ``entries`` with ``scale`` times element ``source`` added to
+    element ``target``: no two elements share a position, so the sum is the
+    old entries and a scaled copy of the source's, listed as the target's."""
+    elem, row, col, val = entries
+    at = elem == source
+    return (
+        np.r_[elem, np.full(np.count_nonzero(at), target)],
+        np.r_[row, row[at]],
+        np.r_[col, col[at]],
+        np.r_[val, scale * val[at]],
+    )
+
+
 def test_killing_trace_ratio_fails_on_a_non_orthogonal_basis():
-    # negative control: one basis row moved onto the span of two, so the
-    # trace Gram has an off-diagonal entry; the check fails, it does not
-    # fall back to a general Gram
+    # negative control: one basis element moved onto the span of two, its
+    # entries joined by those of the next, so the trace Gram has an
+    # off-diagonal entry; the check fails, it does not fall back to a
+    # general Gram
     ctx = verify._Context(parse_flag_spec("B:3:[3]:-"))
     assert "constant ratio" in verify._check_killing_trace_ratio(ctx)
-    basis = list(ctx.model.basis)
-    basis[0] = dataclasses.replace(basis[0], matrix=basis[0].matrix + basis[1].matrix)
+    m = ctx.model
     ctx.model = types.SimpleNamespace(
-        basis=basis, killing_matrix=ctx.model.killing_matrix, family=ctx.model.family
+        n=m.n,
+        ambient_dim=m.ambient_dim,
+        entries=_plus_element(m.entries, 0, 1, 1),
+        killing_matrix=m.killing_matrix,
+        family=m.family,
     )
     with pytest.raises(verify._Failure, match="off-diagonal entry"):
         verify._check_killing_trace_ratio(ctx)
@@ -691,7 +709,7 @@ def test_solve_and_checks_never_read_the_dense_structure(cold_caches, monkeypatc
 
 def _pairwise_oracle(model):
     """The old one-pair-at-a-time pairing of every basis pair."""
-    mats = [e.matrix for e in model.basis]
+    mats = ambient_basis(model)
     return np.array([[dense_oracle.ambient_inner_matrices(model, x, y) for y in mats] for x in mats])
 
 
@@ -699,7 +717,7 @@ def _pairwise_oracle(model):
 def test_orthogonal_basis_pairs_every_basis_pair(family, rank):
     # the stacked pairing against the one-pair form, on every pair
     model = build_algebra(family, rank)
-    mats = np.array([e.matrix for e in model.basis])
+    mats = ambient_basis(model)
     G = dense_oracle.ambient_inner_matrices(model, mats, mats)
     assert G.shape == (model.n, model.n)
     assert np.array_equal(G, _pairwise_oracle(model))
@@ -713,10 +731,7 @@ def test_orthogonal_basis_sees_one_pair_out_of_52650(monkeypatch):
     ctx = verify._Context(parse_flag_spec("A:25:[20,3,3]:-"))
     assert "52650 pairs" in verify._check_orthogonal_basis(ctx)
     model = copy.copy(ctx.model)
-    model.basis = list(model.basis)
-    model.basis[300] = dataclasses.replace(
-        model.basis[300], matrix=model.basis[300].matrix + 1e-6 * model.basis[17].matrix
-    )
+    model.entries = _plus_element(model.entries, 300, 17, 1e-6)
     ctx.model = model
     with pytest.raises(verify._Failure, match="off-diagonal ambient pairing"):
         verify._check_orthogonal_basis(ctx)
@@ -734,10 +749,7 @@ def test_orthogonal_basis_sees_one_pair_through_the_bcd_partners(text, target, s
     n = ctx.model.n
     assert f"{n * (n - 1) // 2} pairs" in verify._check_orthogonal_basis(ctx)
     model = copy.copy(ctx.model)
-    model.basis = list(model.basis)
-    model.basis[target] = dataclasses.replace(
-        model.basis[target], matrix=model.basis[target].matrix + 1e-6 * model.basis[source].matrix
-    )
+    model.entries = _plus_element(model.entries, target, source, 1e-6)
     ctx.model = model
     with pytest.raises(verify._Failure, match="off-diagonal ambient pairing"):
         verify._check_orthogonal_basis(ctx)
@@ -832,22 +844,6 @@ def test_so2_passes_every_check():
     assert len(results) == 22
     jacobi = next(r for r in results if r.name == "jacobi-identity")
     assert jacobi.detail == "the bracket is zero: no structure constants, nothing to test"
-
-
-def test_basis_entries_are_read_once_per_run(monkeypatch):
-    # killing-trace-ratio and orthogonal-basis share one read of the basis
-    # matrices, and a new model is read again
-    calls = []
-    real = verify._basis_entries
-    monkeypatch.setattr(verify, "_basis_entries", lambda basis: calls.append(1) or real(basis))
-    results = verify.run_checks("B:4:[4]:-")
-    assert [r.name for r in results if not r.passed] == []
-    assert len(calls) == 1
-    ctx = verify._Context(parse_flag_spec("B:4:[4]:-"))
-    ctx.basis_entries
-    ctx.model = copy.copy(ctx.model)
-    ctx.basis_entries
-    assert len(calls) == 3
 
 
 def _mixed_decomposition(dec, theta=0.3):
