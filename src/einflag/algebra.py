@@ -280,43 +280,6 @@ class AlgebraModel:
 
     # -- structure table ---------------------------------------------------
 
-    def expand_entries(self, count, mat, pos, vals):
-        """Expand ``count`` ambient matrices, given by their nonzero entries,
-        in the basis.
-
-        Entry e is ``vals[e]`` at the flat position ``pos[e] = row * N + col``
-        of matrix ``mat[e]``.  Returns ``(coords, residual)``: ``coords[i]``
-        are the coordinates of matrix i, and ``residual[i]`` the largest
-        magnitude in it of a part that does not lie in the basis span
-        (including any positionwise inconsistency).
-        """
-        k = self._owner[pos]
-        owned = k >= 0
-        residual = np.zeros(count)
-        np.maximum.at(residual, mat[~owned], np.abs(vals[~owned]))
-        coeff = vals[owned] / self._owner_value[pos[owned]]
-        # the first entry of each element, in the given order, sets its
-        # coordinate; every later one must agree with it
-        key = mat[owned] * self.n + k[owned]
-        keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        coords = np.zeros((count, self.n))
-        coords.flat[keys] = coeff[first]
-        np.maximum.at(residual, mat[owned], np.abs(coeff - coeff[first][inv]))
-        return coords, residual
-
-    def ambient_matrices(self, coords):
-        """The ambient matrices of coordinate vectors, ``(..., n)`` to ``(..., N, N)``.
-
-        Every ambient position has one owner, so each entry is one product,
-        and :meth:`expand_entries` inverts this exactly.
-        """
-        coords = np.asarray(coords, dtype=float)
-        N = self.ambient_dim
-        elem, row, col, val = self.entries
-        out = np.zeros(coords.shape[:-1] + (N * N,))
-        out[..., row * N + col] = coords[..., elem] * val
-        return out.reshape(coords.shape[:-1] + (N, N))
-
     def _pair_label(self, pair):
         i, j = divmod(int(pair), self.n)
         return f"[{self.basis[i].label}, {self.basis[j].label}]"

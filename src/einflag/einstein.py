@@ -20,9 +20,10 @@ The screening step groups solutions by the scale-invariant Einstein
 constant and tries to realize coincidences by explicit isometries: ambient
 conjugations that normalize the isotropy algebra pull one metric back to
 another, which proves equivalence; distinct constants prove distinctness;
-anything else stays undecided.  A witness acts on the metric coefficients
-as a linear map, built and checked once per flag in one batched pass over
-the candidates (:func:`_witness_maps`).
+anything else stays undecided.  Every candidate is a signed permutation of
+the ambient coordinates, so it permutes the basis up to sign, and a witness
+acts on the metric coefficients as a signed permutation, built exactly once
+per flag from the integer action of all candidates (:func:`_witness_maps`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algebra import _matches as _join
 from .algebraic import diagonal_count, mixed_count, normal_is_einstein
 # curvature is unused here; bench/tracing.py wraps it by this name
 from .curvature import curvature, reduced_ricci  # noqa: F401
@@ -376,12 +378,13 @@ def _gauge(space, coeffs):
 def _ambient_candidates(spec):
     """Orthogonal ambient matrices that may normalize the isotropy group.
 
-    They are signed permutations, returned as one ``(m, N, N)`` stack.  On
-    the A family: each swap of two equal blocks (and the identity) times a
-    sign flip of the first entry of one block (or none).  On the D family:
-    ``M = 0.5 [[P + Q, P - Q], [P - Q, P + Q]]`` and ``diag(I, -I) M`` for
-    every two sign flips P, Q of the first and last entries.  Other families
-    have none.
+    They are signed permutations, returned as two int64 ``(m, N)`` arrays
+    ``(perm, sign)``: candidate k has the entry ``sign[k, i]`` at ``(i,
+    perm[k, i])`` and zeros elsewhere.  On the A family: each swap of two
+    equal blocks (and the identity) times a sign flip of the first entry of
+    one block (or none).  On the D family: ``M = 0.5 [[P + Q, P - Q], [P -
+    Q, P + Q]]`` and ``diag(I, -I) M`` for every two sign flips P, Q of the
+    first and last entries.  Other families have none.
     """
     fam, l = spec.family, spec.rank
     N = spec.algebra.ambient_dim
@@ -420,86 +423,118 @@ def _ambient_candidates(spec):
         perms = np.repeat(row.reshape(-1, N), 2, axis=0)
         signs = np.stack([np.concatenate([p, p], -1), np.concatenate([p, -p], -1)], axis=2)
 
-    # O[k, i, perm[k, i]] = sign[k, i], zero elsewhere
-    perm = np.array(perms, dtype=int).reshape(-1, N)
-    O = np.zeros(perm.shape + (N,))
-    O[np.arange(len(perm))[:, None], np.arange(N), perm] = np.reshape(signs, perm.shape)
-    return O
+    return tuple(np.array(a, dtype=np.int64).reshape(-1, N) for a in (perms, signs))
 
 
-def _witness_tangent_maps(space, candidates):
-    """The tangent actions of the ambient candidates, deduplicated, as a
-    ``(w, d, d)`` stack.
+def _basis_action(model, perm, sign):
+    """How each candidate ``(perm, sign)`` conjugates the algebra basis.
 
-    One pass over the ``(m, N, N)`` stack of signed permutations: the
-    tangent-basis matrices are built once, and their conjugates by every
-    candidate are expanded in the algebra basis in one call.  A candidate
-    is kept when, to 1e-9, every image lies in the span of the algebra
-    basis, its map W is orthogonal for the background metric, and W maps
-    the tangent subspace to itself.  Of the maps whose entries agree to 8
-    decimals the first is kept, and the identity is skipped.
+    Returns ``(target, value, closed)``: candidate k maps basis element a to
+    ``value[k, a] e_{target[k, a]}`` when ``closed[k]``.  Conjugation ``O X
+    O^T`` moves the entry ``X[r, c]`` to ``(q_r, q_c)``, q the inverse of
+    perm, times ``t_r t_c`` with ``t_r = sign[q_r]``; every ambient position
+    has one owner, so each moved entry is one exact +-1 multiple of its
+    owner's entry there, or lands off the algebra.  A candidate is not
+    closed when it sends an entry off the algebra or gives one element two
+    targets or two signs.
     """
-    model = space.spec.algebra
-    d, N, m = space.tangent_dim, model.ambient_dim, len(candidates)
-    # (O X O^T)[i, j] sums O[i, a] X[a, b] O[j, b]; a signed permutation has
-    # one entry t_r per column r, in row q_r, so each nonzero X[r, c] lands
-    # at (q_r, q_c) times t_r t_c.  The conjugates are mostly zeros, so only
-    # these entries are formed.
-    X = model.ambient_matrices(space.basis)
-    k, r, c = np.nonzero(np.abs(X) > 1e-9)
-    q = np.argmax(candidates != 0, axis=1)
-    t = candidates.sum(axis=1)
-    images, residual = model.expand_entries(
-        m * d,
-        (np.arange(m)[:, None] * d + k).ravel(),
-        (q[:, r] * N + q[:, c]).ravel(),
-        (X[k, r, c] * t[:, r] * t[:, c]).ravel(),
-    )
-    images, residual = images.reshape(m, d, model.n), residual.reshape(m, d)
-    Bw = space.basis * (float(space.spec.inner_scale) * model.gram)
-    W = Bw @ np.swapaxes(images, 1, 2)
-    Wt, eye = np.swapaxes(W, 1, 2), np.eye(d)
-    kept = (
-        (np.max(residual, axis=1) <= 1e-9)
-        & (np.max(np.abs(Wt @ W - eye), axis=(1, 2)) <= 1e-9)
-        & (np.max(np.abs(images - Wt @ space.basis), axis=(1, 2)) <= 1e-9)
-        & (np.max(np.abs(W - eye), axis=(1, 2)) >= 1e-10)
-    )
-    W = W[kept]
-    # the first map of each rounded key; adding 0.0 turns -0.0 into 0.0,
-    # as a tuple of the entries would compare it
-    first = {}
-    for at, key in enumerate(np.round(W, 8) + 0.0):
-        first.setdefault(key.tobytes(), at)
-    return W[list(first.values())]
+    q = np.argsort(perm, axis=1)
+    t = np.take_along_axis(sign, q, axis=1)
+    elem, row, col, val = model.entries
+    pos = q[:, row] * model.ambient_dim + q[:, col]
+    owner = model._owner[pos]
+    # _owner_value is +-1 where owned and 0 elsewhere, so this is the
+    # moved entry over its owner's
+    ratio = val * t[:, row] * t[:, col] * model._owner_value[pos]
+    # the entries come element by element: the first names the image
+    first = np.searchsorted(elem, np.arange(model.n))
+    target, value = owner[:, first], ratio[:, first]
+    same = (owner == target[:, elem]) & (ratio == value[:, elem]) & (owner >= 0)
+    return target, value, np.all(same, axis=1)
 
 
 @lru_cache(maxsize=None)
 def _witness_maps(spec):
-    """The coefficient maps of the witnesses, a read-only ``(w, dim, dim)`` stack.
+    """The coefficient maps of the witnesses, a read-only int64 ``(w, dim, dim)`` stack.
 
     A witness W pulls the metric with coefficients c back to ``W^T A(c) W``,
-    whose coefficients are ``L_W c``: column k of ``L_W`` expands ``W^T P_k
-    W`` for the k-th operator ``P_k``.  A witness is kept only if each
-    ``W^T P_k W`` lies in the span of the operators, to 1e-8 relative to
-    one plus its largest entry; the check runs once per flag, and every
-    pull-back is then exact up to rounding.
+    whose coefficients are ``L_W c``.  Each closed candidate acts on the
+    basis as a signed permutation P (:func:`_basis_action`).  It is kept
+    when P maps the tangent indices onto themselves, but not as the
+    identity, sends each summand's integer span S_u into one summand, and
+    sends every declared pair onto a declared pair.  The spans are
+    orthogonal and fill the tangent space, so u lands in w exactly when the
+    integer products ``S_u P (2 gram) S_v^T`` vanish for every other
+    summand v; P is invertible there, so u then fills w, of equal dimension.
+    ``L_W`` sends coefficient u to that of its image, and by Schur's lemma
+    each pair's mixing coefficient to +- that of its image pair.  The sign is
+    that of one trace, ``tr(B0^T W_j^T B0' W_i)`` with B0' the image pair's,
+    which must be +-d_i; a trace off that raises :class:`InvariantViolation`.
+    Of equal maps the first in candidate order is kept.
     """
     space = metric_space(spec)
-    W = _witness_tangent_maps(space, _ambient_candidates(spec))
-    rows, norms = space.operator_rows
-    n, d = space.dim, space.tangent_dim
-    maps = np.zeros((len(W), n, n))
-    kept = np.ones(len(W), dtype=bool)
-    # one operator at a time keeps the (w, d, d) products small
-    for k, op in enumerate(space.operators):
-        pulled = (np.swapaxes(W, 1, 2) @ op @ W).reshape(len(W), d * d)
-        maps[:, :, k] = pulled @ rows.T / norms
-        gap = np.max(np.abs(maps[:, :, k] @ rows - pulled), axis=1)
-        kept &= gap <= 1e-8 * (1 + np.max(np.abs(pulled), axis=1))
-    maps = maps[kept]
-    maps.setflags(write=False)
-    return maps
+    model, s, d = spec.algebra, space.n_sub, space.tangent_dim
+    target, value, keep = _basis_action(model, *_ambient_candidates(spec))
+    tan = np.array(space.dec.tangent_indices)
+    keep &= np.all((np.bincount(tan, minlength=model.n) > 0)[target[:, tan]], axis=1)
+    keep &= np.any((target[:, tan] != tan) | (value[:, tan] != 1), axis=1)
+    target, value = target[keep], value[keep]
+
+    # every image row of the spans against every row, one integer sum per
+    # (candidate, row, row) over the joined columns
+    S = np.vstack([sub.span for sub in space.dec.submodules])
+    row, col = np.nonzero(S)
+    span, gram2 = S[row, col].astype(np.int64), (2 * model.gram).astype(np.int64)
+    if not (np.array_equal(span, S[row, col]) and np.array_equal(gram2, 2 * model.gram)):
+        raise InvariantViolation(f"the spans of {spec} or twice its Gram diagonal are not integral")
+    x, y = _join(target[:, col].ravel(), col)
+    k, e = np.divmod(x, col.size)
+    keys, inv = np.unique((k * d + row[e]) * d + row[y], return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(sums, inv, span[e] * value[k, col[e]] * gram2[col[y]] * span[y])
+    keys = keys[sums != 0]
+    owner = np.repeat(np.arange(s), space.dims)
+    meets = np.zeros((len(target), s, s), dtype=bool)
+    meets[keys // (d * d), owner[keys // d % d], owner[keys % d]] = True
+    image = np.argmax(meets, axis=2)
+    keep = np.all(np.sum(meets, axis=2) == 1, axis=1)
+    first, second = (np.array([pair[side] for pair in space.pairs], dtype=int) for side in (0, 1))
+    pair_of = np.full((s, s), -1)
+    pair_of[first, second] = pair_of[second, first] = np.arange(len(space.pairs))
+    pair_image = pair_of[image[:, first], image[:, second]]
+    keep &= np.all(pair_image >= 0, axis=1)
+    target, value, image, pair_image = (a[keep] for a in (target, value, image, pair_image))
+
+    w, n = len(target), space.dim
+    L = np.zeros((w, n, n), dtype=np.int64)
+    L[np.arange(w)[:, None], np.arange(s), image] = 1
+    starts = np.array([sl.start for sl in space.slices])
+    weight = float(spec.inner_scale) * model.gram
+    ops = space.operators
+    for p, (i, j, B0) in enumerate(space.pairs):
+        # W on the pair's rows, to the rows of their images in the same
+        # order: W[r, c] = sum_a B_w[r, target a] value[a] B[c, a]
+        cols = np.r_[space.slices[i], space.slices[j]]
+        rows = np.hstack([starts[image[:, u], None] + np.arange(len(B0)) for u in (i, j)])
+        B = space.basis[cols]
+        supp = np.flatnonzero(np.any(B, axis=0))
+        moved = target[:, supp]
+        W = space.basis[rows[:, :, None], moved[:, None, :]] * (weight[moved] * value[:, supp])[:, None, :]
+        W = W @ B[:, supp].T
+        t = s + pair_image[:, p]
+        pulled = np.swapaxes(W, 1, 2) @ ops[t[:, None, None], rows[:, :, None], rows[:, None, :]] @ W
+        # the pair's operator holds B0 and its transpose, so half this sum
+        # is tr(B0^T W_j^T B0' W_i), B0' the image pair's as it is mapped
+        trace = np.sum(ops[s + p][np.ix_(cols, cols)] * pulled, axis=(1, 2)) / 2
+        if np.any(np.abs(np.abs(trace) - len(B0)) > 1e-9 * len(B0)):
+            raise InvariantViolation(f"a witness of {spec} maps a pair off +-its image pair")
+        L[np.arange(w), s + p, t] = np.sign(trace).astype(np.int64)
+    seen = {}
+    for at, key in enumerate(L.reshape(w, n * n)):
+        seen.setdefault(key.tobytes(), at)
+    L = L[list(seen.values())]
+    L.setflags(write=False)
+    return L
 
 
 def equivalence_screen(spec, solutions):
@@ -507,7 +542,7 @@ def equivalence_screen(spec, solutions):
 
     Within a class of equal constants, a witness joins solution i to j when
     its pull-back of i, gauged, matches j.  A witness acts on the
-    coefficients as a linear map checked once per flag
+    coefficients as an integer map built once per flag
     (:func:`_witness_maps`), so each class is pulled back through every
     witness in one product.
     """

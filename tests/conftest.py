@@ -1,6 +1,7 @@
 """Shared fixtures and flag lists, helpers that build and edit generator
 tables, the dense forms of the algebra basis, of its expansion and of
-``ad(x)``, and readouts of a decomposition and of its sign symmetries."""
+``ad(x)``, with the entry-wise scatter and expansion they wrap, and readouts
+of a decomposition and of its sign symmetries."""
 
 import sys
 from functools import lru_cache
@@ -54,18 +55,57 @@ def cold_caches(monkeypatch):
                 monkeypatch.setattr(module, name, fresh[id(value)])
 
 
+def expand_entries(model, count, mat, pos, vals):
+    """Expand ``count`` ambient matrices, given by their nonzero entries,
+    in the basis.
+
+    Entry e is ``vals[e]`` at the flat position ``pos[e] = row * N + col``
+    of matrix ``mat[e]``.  Returns ``(coords, residual)``: ``coords[i]``
+    are the coordinates of matrix i, and ``residual[i]`` the largest
+    magnitude in it of a part that does not lie in the basis span
+    (including any positionwise inconsistency).  Each ambient position has
+    one owner (``model._owner``), so the expansion is a positionwise lookup.
+    """
+    k = model._owner[pos]
+    owned = k >= 0
+    residual = np.zeros(count)
+    np.maximum.at(residual, mat[~owned], np.abs(vals[~owned]))
+    coeff = vals[owned] / model._owner_value[pos[owned]]
+    # the first entry of each element, in the given order, sets its
+    # coordinate; every later one must agree with it
+    key = mat[owned] * model.n + k[owned]
+    keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    coords = np.zeros((count, model.n))
+    coords.flat[keys] = coeff[first]
+    np.maximum.at(residual, mat[owned], np.abs(coeff - coeff[first][inv]))
+    return coords, residual
+
+
+def ambient_matrices(model, coords):
+    """The ambient matrices of coordinate vectors, ``(..., n)`` to ``(..., N, N)``.
+
+    Every ambient position has one owner, so each entry is one product of
+    the model's entries, and :func:`expand_entries` inverts this exactly.
+    """
+    coords = np.asarray(coords, dtype=float)
+    N = model.ambient_dim
+    elem, row, col, val = model.entries
+    out = np.zeros(coords.shape[:-1] + (N * N,))
+    out[..., row * N + col] = coords[..., elem] * val
+    return out.reshape(coords.shape[:-1] + (N, N))
+
+
 def expand_matrix(model, M, tol=1e-9):
     """Expand an ambient matrix, or a stack of them, in the algebra basis.
 
-    The dense form of :meth:`~einflag.algebra.AlgebraModel.expand_entries`,
-    which reads the entries of magnitude above ``tol``.  Returns ``(coords,
-    residual)`` shaped ``M.shape[:-2] + (n,)`` and ``M.shape[:-2]`` (a float
-    for one matrix).
+    The dense form of :func:`expand_entries`, which reads the entries of
+    magnitude above ``tol``.  Returns ``(coords, residual)`` shaped
+    ``M.shape[:-2] + (n,)`` and ``M.shape[:-2]`` (a float for one matrix).
     """
     M = np.asarray(M, dtype=float)
     flat = M.reshape(-1, model.ambient_dim**2)
     mat, pos = np.nonzero(np.abs(flat) > tol)
-    coords, residual = model.expand_entries(len(flat), mat, pos, flat[mat, pos])
+    coords, residual = expand_entries(model, len(flat), mat, pos, flat[mat, pos])
     residual = residual.reshape(M.shape[:-2])
     if residual.ndim == 0:
         residual = float(residual)
@@ -75,7 +115,7 @@ def expand_matrix(model, M, tol=1e-9):
 def ambient_basis(model):
     """The ambient matrices of the algebra basis, an ``(n, N, N)`` float
     stack in label order, scattered from the model's entries."""
-    return model.ambient_matrices(np.eye(model.n))
+    return ambient_matrices(model, np.eye(model.n))
 
 
 def dense_generators(table, d):

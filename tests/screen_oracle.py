@@ -1,14 +1,16 @@
-"""The per-candidate equivalence screen, kept as a test oracle.
+"""The per-candidate equivalence screen in floats, kept as a test oracle.
 
 ``equivalence_screen`` pulls solutions back through per-flag coefficient
-maps built in one batched pass over the candidates
-(:func:`einflag.einstein._witness_maps`).  This module is the route it
-replaced: each candidate built as a dense matrix from ``np.block``, its
-tangent action found one candidate at a time
+maps that :func:`einflag.einstein._witness_maps` builds exactly, as signed
+permutations read off each candidate's integer action on the algebra basis.
+This module is the float route those maps replaced: each candidate built as
+a dense matrix from ``np.block``, its tangent action found one candidate at
+a time by conjugating and expanding the tangent basis matrices
 (:func:`_induced_tangent_map`), and each pull-back made by forming both
 metric matrices and projecting (:func:`_pulled_coefficients`).
-:func:`oracle_screen` groups solutions through it, with the union-find and
-tags of ``equivalence_screen``.
+:func:`coefficient_maps` reads the coefficient map of each of its witnesses,
+and :func:`oracle_screen` groups solutions through it, with the union-find
+and tags of ``equivalence_screen``.
 """
 
 import itertools
@@ -117,6 +119,22 @@ def witness_maps(spec, candidates):
         seen.add(key)
         maps.append(W)
     return tuple(maps)
+
+
+def coefficient_maps(spec, candidates):
+    """The coefficient map of each witness of ``candidates``, as int64 arrays.
+
+    Column k expands ``W^T P_k W`` over the operators with
+    ``_form_coefficients``, as :func:`_pulled_coefficients` does; every
+    entry lies within 1e-9 of an integer, which it is rounded to.
+    """
+    space = metric_space(spec)
+    maps = []
+    for W in witness_maps(spec, candidates):
+        L = np.array([_form_coefficients(space, W.T @ P @ W) for P in space.operators]).T
+        assert np.max(np.abs(L - np.rint(L))) <= 1e-9, L
+        maps.append(np.rint(L).astype(np.int64))
+    return maps
 
 
 def _pulled_coefficients(space, W, coeffs):

@@ -2,7 +2,7 @@ import dense_oracle
 import numpy as np
 import pytest
 
-from conftest import ad_matrix, ambient_basis, expand_matrix
+from conftest import ad_matrix, ambient_basis, ambient_matrices, expand_matrix
 from einflag import algebra
 from einflag.algebra import AlgebraModel, build_algebra
 from einflag.errors import ClosureViolation, UnsupportedRank
@@ -332,7 +332,7 @@ def test_expand_matrix_residual_of_an_inconsistent_element_stays_in_its_matrix()
 def test_ambient_matrices_invert_expand_matrix(family, rank):
     model = build_algebra(family, rank)
     xs = np.random.default_rng(2).standard_normal((2, 3, model.n))
-    mats = model.ambient_matrices(xs)
+    mats = ambient_matrices(model, xs)
     assert mats.shape == (2, 3, model.ambient_dim, model.ambient_dim)
     assert np.array_equal(mats[1, 2], ambient(model, xs[1, 2]))
     coords, residual = expand_matrix(model, mats)
