@@ -12,7 +12,7 @@ where B is the Killing form of the transitive group.  The general formula
 (A. Besse, Einstein Manifolds, 1987, Cor. 7.38) has one more term,
 ``-1/2 sum_c Z_c (T[c,a,b] + T[c,b,a])``.  Its trace vector Z is the frame
 image of the trace ``z_k = sum_i t[k,i,i]`` of the tangent structure tensor,
-which ``MetricSpace.structure_coo`` checks to vanish, once per flag.  This
+which ``MetricSpace.structure`` checks to vanish, once per flag.  This
 route is the reference of the check suite, which certifies every solution
 of ``solve`` by it again.
 
@@ -117,7 +117,7 @@ def frame_structure(frame):
     """
     d = frame.metric.space.tangent_dim
     V, W = frame.vectors, frame.inverse.T
-    I, J, K, t = frame.metric.space.structure_coo
+    I, J, K, t = frame.metric.space.structure
     X = np.zeros((d, d, d))
     for h, at in _per_key(I, d):
         X[h] = (V[J[at]].T * t[at]) @ W[K[at]]
@@ -126,7 +126,7 @@ def frame_structure(frame):
 
 def _per_key(key, d):
     """The nonzeros of t per value h of one of its index arrays, as ``(h, at)``
-    with ``at`` their positions in :attr:`~einflag.invariant.MetricSpace.structure_coo`;
+    with ``at`` their positions in :attr:`~einflag.invariant.MetricSpace.structure`;
     the values that no nonzero takes are left out."""
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key, np.arange(d + 1), sorter=order).tolist()
@@ -137,14 +137,14 @@ def _gram_sum(space, slots, P, R):
     """``M[x, h] = sum t[e] t[s] P[a_e, a_s] R[b_e, b_s]`` over the nonzeros e of t
     with ``key_e = x`` and s with ``key_s = h``.
 
-    ``slots = (key, a, b)`` are three index arrays of ``structure_coo``.
+    ``slots = (key, a, b)`` are three index arrays of ``structure``.
     Column h is ``Y = (P[:, a_s] t_s) @ R[b_s, :]`` over the nonzeros s of
     key h, one ``(d, s) x (s, d)`` product, gathered at ``(a_e, b_e)`` for
     every nonzero e and summed per ``key_e``; so the largest array is d x d.
     """
     d = space.tangent_dim
     key, a, b = slots
-    t = space.structure_coo[3]
+    t = space.structure[3]
     flat = a * d + b
     M = np.zeros((d, d))
     for h, at in _per_key(key, d):
@@ -290,7 +290,7 @@ def _dense_terms(frame):
     W^T``, keyed on the first and on the last index of t.
     """
     space = frame.metric.space
-    I, J, K, _ = space.structure_coo
+    I, J, K, _ = space.structure
     V, W = frame.vectors, frame.inverse.T
     P = V @ V.T
     M = _gram_sum(space, (I, J, K), P, W @ W.T)
@@ -389,7 +389,7 @@ def u_map(metric, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     V = orthonormal_frame(metric).vectors
-    I, J, K, t = metric.space.structure_coo
+    I, J, K, t = metric.space.structure
     Ax, Ay = metric.matrix @ x, metric.matrix @ y
     # g([e_i, x]_m, y) + g([e_i, y]_m, x) over the tangent basis, then F_a = V e
     basis_terms = np.bincount(
@@ -434,7 +434,7 @@ def _block_sums(space, blocks):
             np.eye(sl[u].stop - sl[u].start) if M is None else M
         )
     rows = _row_entries(push)
-    coo = space.structure_coo
+    coo = space.structure
     A, B, C, pushed = _coo_transform(coo, (rows, rows, rows), m * d)
     I, J, K, t = coo
     tkey = (I * d + J) * d + K

@@ -145,8 +145,7 @@ class MetricSpace:
     certificate that proved its dimension: over every block, the largest
     Gram eigenvalue counted as zero and the smallest counted as nonzero,
     each relative to its block's norm, on either side of the cut at 1e-9.
-    The derived per-flag data below is built at its first use and kept,
-    except the dense :attr:`structure`.
+    The derived per-flag data below is built at its first use and kept.
     """
 
     dec: object
@@ -187,22 +186,10 @@ class MetricSpace:
         d = self.tangent_dim
         return (np.asarray(coeffs, dtype=float) @ self.operator_rows[0]).reshape(d, d)
 
-    @property
-    def structure(self):
-        """Bracket coefficients over the tangent basis, t[a,b,c] = g0([a,b],c).
-
-        A fresh d^3 array scattered from :attr:`structure_coo` at each read;
-        nothing in the package reads it, so it is never kept.
-        """
-        d = self.tangent_dim
-        I, J, K, V = self.structure_coo
-        t = np.zeros((d, d, d))
-        t[I, J, K] = V
-        return t
-
     @cached_property
-    def structure_coo(self):
-        """The nonzeros of :attr:`structure` as ``(I, J, K, V)``, ``t[I, J, K] = V``.
+    def structure(self):
+        """Bracket coefficients over the tangent basis, t[a,b,c] = g0([a,b],c),
+        as their nonzeros ``(I, J, K, V)``, ``t[I, J, K] = V``.
 
         One gather from the algebra's ``structure_index``: each bracket
         coefficient is pushed through the nonzeros of the tangent basis.  The
@@ -237,8 +224,8 @@ class MetricSpace:
 
     @cached_property
     def structure_trace(self):
-        """``max_k |z_k|`` of the trace of t, which :attr:`structure_coo` bounds."""
-        return _trace_size(self.structure_coo, self.tangent_dim)
+        """``max_k |z_k|`` of the trace of t, which :attr:`structure` bounds."""
+        return _trace_size(self.structure, self.tangent_dim)
 
     @cached_property
     def operator_rows(self):
@@ -381,7 +368,7 @@ def _frame_plan(space):
     w_t = w_keys % d * d + w_keys // d
     to_t = np.argsort(w_t)
     t_rows = _key_rows(w_t[to_t], d)
-    I, J, K, _ = space.structure_coo
+    I, J, K, _ = space.structure
     structure = _coo_pattern((I, J, K), (v_rows, v_rows, t_rows), d)
     a, b, c = structure[3] // (d * d), structure[3] // d % d, structure[3] % d
     quad_out = _quad_plan(b * d + c, a, d)
@@ -410,7 +397,7 @@ def _frame_plan(space):
         inverse=inverse,
         gram=(gram, identity),
         transpose=(to_t, t_rows),
-        structure=(structure, space.structure_coo[3][structure[0]]),
+        structure=(structure, space.structure[3][structure[0]]),
         ricci=(ricci, np.flatnonzero(row == col)),
         quads=quads,
         killing=(killing, space.killing.ravel()[k_at][killing[0]]),

@@ -526,26 +526,32 @@ def _support_residuals(P, order, blocks, group, pattern):
     the residual is ``T^T P T - P``.  Either vanishes outside the rows and
     columns in S, and its columns S are the transposed rows S of the
     residual of ``P^T``.  In a column c outside S it is ``G[S, S]^T P[S, c]``
-    (or that minus ``P[S, c]``), exactly zero where ``P[S, c]`` is.  So when
-    S and the pattern's columns of the rows S, ``k (1 + w)`` of them, leave
-    out more than ``_NARROW_MIN`` of the ``n k d`` entries of the n
-    generators' rows, only those columns are computed, S first; a pattern
-    column that lies in S is already among the first k, and its place in the
-    tail goes to the first column outside S.  Otherwise every column is,
-    ordered as in ``order``.  Either way the largest entry of each
-    generator's rows is the same.  Returns the ``(n, k, m)`` rows and the
-    ``(n, m)`` columns they hold.
+    (or that minus ``P[S, c]``), exactly zero where ``P[S, c]`` is.  So each
+    generator needs only S and the distinct pattern columns of its rows S
+    that lie outside S, ascending: a tail, padded to the longest of the
+    group with the first column outside S.  When S and the tail leave out
+    more than ``_NARROW_MIN`` of the ``n k d`` entries of the n generators'
+    rows, only those columns are computed, S first.  Otherwise every column
+    is, ordered as in ``order``.  Either way the largest entry of each generator's rows
+    is the same.  Returns the ``(n, k, m)`` rows and the ``(n, m)`` columns
+    they hold.
     """
     n, k = blocks.shape[:2]
     d = len(P)
     S = order[:, :k]
     cols = order
-    if pattern is not None and n * k * (d - k * (1 + pattern.shape[1])) > _NARROW_MIN:
-        at = np.arange(n)[:, None] * d  # flat offsets, one row of d per generator
-        inside = np.zeros(n * d, dtype=bool)
-        inside[S + at] = True
-        tail = pattern[S].reshape(n, -1)
-        cols = np.concatenate([S, np.where(inside[tail + at], order[:, k : k + 1], tail)], axis=1)
+    if pattern is not None and n * k * (d - k) > _NARROW_MIN:
+        gen = np.arange(n)[:, None]
+        outside = np.zeros((n, d), dtype=bool)
+        outside[gen, pattern[S].reshape(n, -1)] = True
+        outside[gen, S] = False
+        r, c = np.nonzero(outside)
+        count = np.bincount(r, minlength=n)
+        width = count.max(initial=0)
+        if n * k * (d - k - width) > _NARROW_MIN:
+            tail = np.repeat(order[:, k : k + 1], width, axis=1)
+            tail[r, np.arange(r.size) - (np.cumsum(count) - count)[r]] = c
+            cols = np.concatenate([S, tail], axis=1)
     # the rows S of P, columns S first, gathered through flat positions
     X = np.ravel(P).take(S[:, :, None] * d + cols[:, None, :])
     rows = np.swapaxes(blocks, 1, 2) @ X
@@ -672,7 +678,7 @@ def _check_ricci_equivariance(ctx):
 def _check_scalar_trace(ctx):
     space = ctx.space
     # the Ricci formula leaves out the trace vector, the frame image of
-    # z_k = sum_i t[k,i,i]; structure_coo raises unless z vanishes
+    # z_k = sum_i t[k,i,i]; space.structure raises unless z vanishes
     ztr = space.structure_trace
     met = make_metric(space, ctx.sample_coeffs())
     rep = curvature(met)
@@ -724,7 +730,7 @@ def _check_connection_term(ctx):
     _require(worst < 1e-10, f"U != 0 for the normal metric: {worst:.2e}")
     met = make_metric(space, ctx.sample_coeffs())
     A = met.matrix
-    I, J, K, t = space.structure_coo
+    I, J, K, t = space.structure
     err = 0.0
     for _ in range(4):
         x, y, w = ctx.rng.standard_normal((3, d))

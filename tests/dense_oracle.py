@@ -1,9 +1,10 @@
 """Dense and padded forms of the sparse contractions, kept as test oracles.
 
 Each function here is the form the package computed before it moved to the
-nonzeros of the structure tensor or to a planned report: the full d^3 einsum
-of the frame structure constants, the block sums of the reduced engine from
-dense slices of ``MetricSpace.structure``, the transform of a coordinate
+nonzeros of the structure tensor or to a planned report: the structure tensor
+scattered from ``MetricSpace.structure``, its nonzeros, into a d^3 array, the
+full d^3 einsum of the frame structure constants, the block sums of the
+reduced engine from dense slices of that array, the transform of a coordinate
 list with every map row padded to the longest one, and the canonical-frame
 report with its index work redone per call and its frame products dense.
 The family pairing of ambient matrices in its three-branch form, a dense
@@ -20,11 +21,21 @@ from einflag.curvature import _form_coefficients
 from einflag.invariant import _UNMIXED, volume_root
 
 
+def dense_structure(space):
+    """The d^3 array ``t[a, b, c] = g0([a, b], c)`` scattered from ``space.structure``."""
+    d = space.tangent_dim
+    I, J, K, V = space.structure
+    t = np.zeros((d, d, d))
+    t[I, J, K] = V
+    return t
+
+
 def frame_structure(frame):
     """``T[a, b, c] = g([F_a, F_b]_m, F_c)`` by two dense einsums over t."""
     V = frame.vectors
     W = np.linalg.inv(V)
-    mid = np.einsum("ia,jb,ijk->abk", V, V, frame.metric.space.structure, optimize=True)
+    t = dense_structure(frame.metric.space)
+    mid = np.einsum("ia,jb,ijk->abk", V, V, t, optimize=True)
     return np.einsum("abk,ck->abc", mid, W, optimize=True)
 
 
@@ -40,7 +51,7 @@ def dense_terms(frame):
 
 def block_sums(space, blocks):
     """``G[a, b, c]`` of :class:`~einflag.curvature.ReducedRicci` from dense slices of t."""
-    t = space.structure
+    t = dense_structure(space)
     sl = space.slices
     m = len(blocks)
     G = np.zeros((m, m, m))
@@ -141,7 +152,7 @@ def sparse_terms(space, V, W):
     """
     d = space.tangent_dim
     rows = _row_entries(V)
-    a, b, c, T = _coo_transform(space.structure_coo, (rows, rows, _row_entries(W.T)), d)
+    a, b, c, T = _coo_transform(space.structure, (rows, rows, _row_entries(W.T)), d)
     return pair_sum(b * d + c, a, T, d), pair_sum(a * d + b, c, T, d), float(T @ T)
 
 

@@ -350,7 +350,7 @@ class TestRicciProperties:
             assert np.isclose(rep.scalar, rep.scalar_direct, rtol=1e-9)
         # the trace vector the Ricci formula leaves out is the frame image of
         # z_k = sum_i t[k,i,i]; t has no entry on its trace at all
-        I, J, K, _ = sp.structure_coo
+        I, J, K, _ = sp.structure
         assert not np.any(J == K)
 
     @pytest.mark.parametrize("text", PROPERTY_FLAGS)
@@ -484,7 +484,7 @@ def test_u_map_matches_dense_contraction(text):
     m = random_metric(sp, rng)
     V = orthonormal_frame(m).vectors
     A = m.matrix
-    t = sp.structure
+    t = dense_oracle.dense_structure(sp)
     for _ in range(3):
         x, y = rng.standard_normal((2, sp.tangent_dim))
         bx = np.einsum("ia,j,ijc->ac", V, x, t)

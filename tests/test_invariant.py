@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 
 import dense_oracle
 import numpy as np
@@ -157,8 +158,23 @@ class TestMetricSpace:
         # vectors, so t[a, b] and t[b, a] round differently before they
         # are averaged.
         for text in ("B:5:[1,4]:+", "B:4:[2,2]:+"):
-            t = space(text).structure
+            t = dense_oracle.dense_structure(space(text))
             assert np.array_equal(t, -np.transpose(t, (1, 0, 2)))
+
+    def test_structure_read_allocates_only_its_nonzeros(self):
+        # at d = 129 the tensor has 1080 nonzeros: the first read of a cold
+        # copy gathers them in under 1 MB, where one d^3 float array would
+        # be 16.4 MB, and every later read returns the same arrays
+        cold = dataclasses.replace(space("A:25:[20,3,3]:-"))
+        tracemalloc.start()
+        try:
+            coo = cold.structure
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert len(coo[0]) == 1080
+        assert cold.structure is coo
 
     @pytest.mark.parametrize(
         "text", ["B:4:[2,2]:+", "C:5:[1,4]:+", "D:5:[4,1]:-", "A:3:[1,1,1,1]:-"]
@@ -170,9 +186,9 @@ class TestMetricSpace:
         model = sp.spec.algebra
         Bw = sp.basis * (float(sp.spec.inner_scale) * model.gram)
         ref = np.array([(sp.basis @ ad_matrix(model, x)) @ Bw.T for x in sp.basis])
-        t = sp.structure
+        t = dense_oracle.dense_structure(sp)
         assert np.max(np.abs(t - ref)) <= 1e-15
-        I, J, K, V = sp.structure_coo
+        I, J, K, V = sp.structure
         assert len(I) == np.count_nonzero(t)
         assert np.array_equal(t[I, J, K], V)
 
@@ -276,7 +292,7 @@ class TestCertificateFailures:
         monkeypatch.setattr(invariant, "_coo_transform", traced)
         # antisymmetrizing halves the injected entry
         with pytest.raises(InvariantViolation, match=r"nonzero trace, max \|z_k\| = 0\.125$"):
-            dataclasses.replace(sp).structure_coo
+            dataclasses.replace(sp).structure
 
 
 class TestGeneratorTables:
@@ -799,7 +815,7 @@ def test_frame_plan_refuses_an_intertwiner_that_is_no_signed_permutation():
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
 def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     # every ragged transform of t, recorded on a cold build: the isotropy
-    # table and structure_coo through _coo_transform, and
+    # table and space.structure through _coo_transform, and
     # the canonical-frame report's T through the pattern step of its plan
     # and the sum step of the report, which takes t's entry of each product
     # from the plan, gathered at its build; the reference pads every map row
@@ -831,7 +847,7 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     spec = parse_flag_spec(text)
     monkeypatch.setattr(invariant, "decompose_isotropy", flag.decompose_isotropy.__wrapped__)
     sp = invariant.metric_space.__wrapped__(spec)
-    sp.structure_coo
+    sp.structure
     coeffs = np.r_[np.linspace(0.7, 1.6, sp.n_sub), np.full(sp.dim - sp.n_sub, 0.1)]
     curvature_module.curvature(make_metric(sp, coeffs))
     assert len(calls) == 2
@@ -843,7 +859,7 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
         assert np.max(np.abs(got[3] - want[3]), initial=0.0) <= bound
     (index, rows, d, pattern), = [p for p in patterns if len(p[1]) == 3]
     (gathered, maps, got), = [v[1:] for v in values if v[0] is pattern]
-    vals = sp.structure_coo[3]
+    vals = sp.structure[3]
     assert np.array_equal(gathered, vals[pattern[0]])
     maps = tuple((*r, m) for r, m in zip(rows, maps))
     a, b, c, want = dense_oracle.padded_transform((*index, vals), maps, d)
