@@ -193,11 +193,6 @@ def _rank_specs(max_l):
                 continue
 
 
-def _table_rows(max_l):
-    """Every flag of :func:`_rank_specs` in one list."""
-    return [spec for specs in _rank_specs(max_l) for spec in specs]
-
-
 def _drop_flag_memos():
     """Empty the memos that a table row fills, each read from its own module at
     the call; the memo of ``build_algebra``, shared by a rank's flags, stays."""

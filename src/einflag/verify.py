@@ -568,13 +568,15 @@ def _action_residual(P, actions):
     :func:`_support_residuals`, over every generator of the groups.
 
     ``P`` is an ``(m, d, d)`` stack and ``actions`` a list of ``(groups,
-    group)``, the support groups and whether they hold group elements.  The
-    forms are taken one at a time so that each pass stays in cache, and the
-    pattern of each is read once, and only when some group can take the
-    narrow columns: a pattern only shrinks the ``n k (d - k)`` entries that
-    a group leaves out with an empty one.  Returns the m maxima.  A
-    symmetric form's columns S are its rows S transposed, so only its rows
-    are computed.
+    group)``, the support groups and whether they hold group elements, or a
+    function that makes a group's elements from its generators just before
+    its pass.  The forms are taken one at a time so that each pass stays in
+    cache, and each group passes over a form and, unless it is symmetric,
+    its transpose; the pattern of each is read once, and only when some
+    group can take the narrow columns: a pattern only shrinks the
+    ``n k (d - k)`` entries that a group leaves out with an empty one.
+    Returns the m maxima.  A symmetric form's columns S are its rows S
+    transposed, so only its rows are computed.
     """
     d = P.shape[-1]
     narrow = any(
@@ -584,13 +586,16 @@ def _action_residual(P, actions):
     )
     worst = np.zeros(len(P))
     for f, form in enumerate(P):
-        symmetric = np.array_equal(form, form.T)
-        for side in (form,) if symmetric else (form, np.ascontiguousarray(form.T)):
-            pattern = _row_pattern(side) if narrow else None
-            for groups, group in actions:
-                for order, blocks in groups:
-                    rows, _ = _support_residuals(side, order, blocks, group, pattern)
+        sides = [form] if np.array_equal(form, form.T) else [form, np.ascontiguousarray(form.T)]
+        patterns = [_row_pattern(side) if narrow else None for side in sides]
+        for groups, group in actions:
+            for order, blocks in groups:
+                if callable(group):
+                    blocks = group(blocks)
+                for side, pattern in zip(sides, patterns):
+                    rows, _ = _support_residuals(side, order, blocks, bool(group), pattern)
                     worst[f] = max(worst[f], rows.max(), -rows.min())
+                    del rows  # before the next pass builds its own
     return worst
 
 
@@ -663,13 +668,14 @@ def _rotation(G, t):
 
 def _check_ricci_equivariance(ctx):
     space = ctx.space
-    met = make_metric(space, ctx.sample_coeffs())
-    P = curvature(met).ricci_tangent[None]
+    # the metric is let go once its Ricci form is read
+    P = curvature(make_metric(space, ctx.sample_coeffs())).ricci_tangent[None]
     scale = float(np.max(np.abs(P))) + 1.0
     reps, signs = ctx.isotropy_groups
-    # the finite rotation exp(0.7 G) is exp(0.7 G[S, S]) on S x S and I elsewhere
-    rots = [(order, _rotation(G, 0.7)) for order, G in reps]
-    resid = _action_residual(P, [(reps, False), (signs, True), (rots, True)])[0]
+    # the finite rotation exp(0.7 G) is exp(0.7 G[S, S]) on S x S and I
+    # elsewhere, built for each group's own pass
+    rotations = (reps, lambda G: _rotation(G, 0.7))
+    resid = _action_residual(P, [(reps, False), (signs, True), rotations])[0]
     worst = max(commutation_residual(space), resid / scale)
     _require(worst < 1e-10, f"Ricci not isotropy-equivariant: {worst:.2e}")
     return f"Ric(Ad(k)X, Ad(k)Y) = Ric(X, Y) to {worst:.1e}"

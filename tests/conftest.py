@@ -10,18 +10,14 @@ import numpy as np
 import pytest
 
 import einflag.einstein
-from einflag.cli import _table_rows
 from einflag.flag import GeneratorTable, tangent_basis
 from einflag.invariant import _sign_actions
+import sweeps
 
 # every `table1 --max-l 6` flag, plus the large three-summand flag
-FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
+FLAGS = [str(s) for s in sweeps.table_rows(6)] + ["A:25:[20,3,3]:-"]
 # every flag with an equivalent pair up to rank 10
-PAIR_FLAGS = ["A:3:[2,1,1]:-", "A:3:[1,2,1]:-", "A:3:[1,1,2]:-"] + [
-    text
-    for l in range(4, 11)
-    for text in (f"D:{l}:[{l - 1},1]:-", f"D:{l}:[1,{l - 1}]:-", f"D:{l}:[1,{l - 2},1]:+")
-]
+PAIR_FLAGS = ["A:3:[2,1,1]:-", "A:3:[1,2,1]:-", "A:3:[1,1,2]:-"] + sweeps.pair_flags(range(4, 11))
 
 
 @pytest.fixture
@@ -53,6 +49,13 @@ def cold_caches(monkeypatch):
                 if id(value) not in fresh:
                     fresh[id(value)] = lru_cache(maxsize=None)(value.__wrapped__)
                 monkeypatch.setattr(module, name, fresh[id(value)])
+
+
+@pytest.fixture
+def kept_memos(monkeypatch):
+    """The shared memos for a sweep in one test: the sweep's drop of every
+    flag memo after each flag, which bounds a long run's memory, is skipped."""
+    monkeypatch.setattr(sweeps, "_drop_flag_memos", lambda: None)
 
 
 def expand_entries(model, count, mat, pos, vals):

@@ -18,13 +18,14 @@ import itertools
 import numpy as np
 
 from conftest import ambient_basis, expand_matrix
+# metric_space is read off its module, so that a test's fresh memos reach it
+from einflag import invariant
 from einflag.curvature import _form_coefficients
 from einflag.einstein import (
     CONSTANT_RTOL,
     _gauge,
     _matches,
 )
-from einflag.invariant import metric_space
 
 
 def _block_ranges(part):
@@ -106,7 +107,7 @@ def _induced_tangent_map(space, O):
 
 def witness_maps(spec, candidates):
     """Deduplicated tangent isometry actions available for pullbacks."""
-    space = metric_space(spec)
+    space = invariant.metric_space(spec)
     maps = []
     seen = set()
     for O in candidates:
@@ -128,7 +129,7 @@ def coefficient_maps(spec, candidates):
     ``_form_coefficients``, as :func:`_pulled_coefficients` does; every
     entry lies within 1e-9 of an integer, which it is rounded to.
     """
-    space = metric_space(spec)
+    space = invariant.metric_space(spec)
     maps = []
     for W in witness_maps(spec, candidates):
         L = np.array([_form_coefficients(space, W.T @ P @ W) for P in space.operators]).T
@@ -178,7 +179,7 @@ def oracle_screen(spec, solutions, candidates):
             parent[ra] = rb
 
     if any(len(cls) > 1 for cls in classes):
-        space = metric_space(spec)
+        space = invariant.metric_space(spec)
         witnesses = witness_maps(spec, candidates)
         for cls in classes:
             if len(cls) == 1:

@@ -1,6 +1,7 @@
 import dense_oracle
 import numpy as np
 import pytest
+import sweeps
 
 from conftest import ad_matrix, ambient_basis, ambient_matrices, expand_matrix
 from einflag import algebra
@@ -145,44 +146,18 @@ _PAIRING_RANKS = [
 
 @pytest.mark.parametrize("family,rank", _PAIRING_RANKS)
 def test_pairing_join_equals_the_dense_oracle(family, rank):
-    # the join of the basis entries through the pairing table, every pair
-    # that meets, against the three-branch dense pairing of all pairs; a
-    # pair that never meets must pair to 0, and the Gram diagonal is the
-    # oracle's diagonal bit for bit
-    model = build_algebra(family, rank)
-    mats = dense_oracle.basis_matrices(family, rank)
-    want = np.asarray(dense_oracle.ambient_inner_matrices(model, mats, mats), dtype=float)
-    elem, row, col, val = model.entries
-    diag, (e, f, sums) = model.pair_entries(elem, row * model.ambient_dim + col, val)
-    got = np.diag(diag)
-    got[e, f] = sums
-    assert np.array_equal(got.view(np.int64), (want + 0.0).view(np.int64))
-    assert np.array_equal(model.gram.view(np.int64), np.diag(want).copy().view(np.int64))
+    # the algebra sweep that CI runs on every rank to 25
+    sweeps.algebras([(family, rank)])
 
 
-_ORACLE_RANKS = [
-    (family, rank) for family, low in algebra._MIN_RANK.items() for rank in range(low, 11)
-] + [("A", 25), ("C", 25), ("D", 25)]
+# rank 25 runs in the test above
+_ORACLE_RANKS = [(family, rank) for family, low in algebra._MIN_RANK.items() for rank in range(low, 11)]
 
 
 @pytest.mark.parametrize("family,rank", _ORACLE_RANKS)
 def test_entries_equal_the_dense_basis_oracle(family, rank):
-    # the model's entries scattered into dense matrices, against the basis
-    # built from the family rules with no list of entries; the entries are
-    # +-1, read-only and listed element by element in (row, col) order, so
-    # no position repeats, and each element has 2 (A, C's u(k,k)) or 4 of them
-    model = build_algebra(family, rank)
-    assert [e.label for e in model.basis] == dense_oracle.basis_labels(family, rank)
-    want = dense_oracle.basis_matrices(family, rank)
-    assert np.array_equal(ambient_basis(model), want)
-    elem, row, col, val = model.entries
-    N = model.ambient_dim
-    assert np.all(np.diff((elem * N + row) * N + col) > 0)
-    assert np.array_equal(np.abs(val), np.ones(val.size, dtype=np.int64))
-    assert not any(a.flags.writeable for a in model.entries)
-    two = {f"u({k},{k})" for k in range(1, rank + 1)}
-    count = [2 if family == "A" or e.label in two else 4 for e in model.basis]
-    assert np.bincount(elem, minlength=model.n).tolist() == count
+    # the algebra sweep that CI runs on every rank to 25
+    sweeps.algebras([(family, rank)])
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])

@@ -14,10 +14,11 @@ import einflag.algebra
 import einflag.cli
 import einflag.einstein
 from einflag import __version__
-from einflag.cli import _table_rows, main
+from einflag.cli import main
 from einflag.invariant import metric_space
 from einflag.errors import ClosureViolation, NoExactCount
 from einflag.verify import CHECK_NAMES
+from sweeps import table_rows
 
 
 def run(capsys, *argv):
@@ -234,7 +235,7 @@ def test_list_columns_agree_with_the_metric_space(capsys):
     # list prints the catalogued decomposition; the certified metric space
     # of each flag must have as many summands, and a pair exactly when the
     # decomposition declares one
-    for (family, rank), specs in groupby(_table_rows(10), lambda s: (s.family, s.rank)):
+    for (family, rank), specs in groupby(table_rows(10), lambda s: (s.family, s.rank)):
         code, out, _ = run(capsys, "list", family, str(rank))
         assert code == 0
         rows = [line.split() for line in out.splitlines()[1:]]
@@ -381,6 +382,7 @@ def test_table1_holds_one_algebra_at_a_time(cold_caches, monkeypatch, capsys):
     monkeypatch.setattr(einflag.algebra, "AlgebraModel", recorded)
     code, out, _ = run(capsys, "table1", "--max-l", "6")
     assert code == 0 and "MISMATCH" not in out
+    assert out == (Path(__file__).parent / "golden" / "table1_max_l6.txt").read_text()
     # every rank the catalogue lists is built once, in table order; A:1
     # has no row, and B:2, C:2 and D:3 are refused before any build
     ranks = [key for key, _ in built]

@@ -17,9 +17,9 @@ from einflag.curvature import (
     reduced_ricci,
     u_map,
 )
-from einflag.cli import _table_rows
 from einflag.flag import parse_flag_spec
 from einflag.invariant import Frame, make_metric, metric_space, orthonormal_frame
+from sweeps import planned_cases, reports_agree
 
 # the module itself: the package exports its function ``curvature`` under
 # the same name
@@ -334,10 +334,6 @@ PROPERTY_FLAGS = [
     "D:5:[2,3]:+",
 ]
 
-# every `table1 --max-l 6` flag, plus the large three-summand flag
-ENGINE_FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
-
-
 class TestRicciProperties:
     @pytest.mark.parametrize("text", PROPERTY_FLAGS)
     def test_symmetry_and_trace(self, text):
@@ -376,7 +372,7 @@ class TestRicciProperties:
             assert np.isclose(scaled.normalized_constant, rep.normalized_constant)
             assert np.allclose(scaled.ricci, rep.ricci / t)
 
-    @pytest.mark.parametrize("text", ENGINE_FLAGS)
+    @pytest.mark.parametrize("text", FLAGS)
     def test_fast_path_matches_frame_path(self, text):
         # the reduced engine, stored over its nonzero products, against the
         # frame route, mixing included
@@ -571,7 +567,7 @@ def rotated_frame(m, rng):
     return Frame(m, fr.vectors @ Q)
 
 
-@pytest.mark.parametrize("text", ENGINE_FLAGS)
+@pytest.mark.parametrize("text", FLAGS)
 def test_slab_route_matches_the_full_contraction(text):
     # the explicit-frame route (named for the slab contraction it replaced)
     # sums through the frame's Gram matrices and never forms T; the
@@ -690,7 +686,7 @@ def test_canonical_forms_are_scattered_at_their_first_read(text, monkeypatch):
     assert moved.einstein_defect == got.einstein_defect
 
 
-@pytest.mark.parametrize("text", ENGINE_FLAGS)
+@pytest.mark.parametrize("text", FLAGS)
 def test_block_sums_match_the_dense_slices(text):
     # the engine's block sums come from the nonzeros of t; the reference
     # contracts dense slices of t.  Both are integers to well within the
@@ -708,31 +704,11 @@ def test_block_sums_match_the_dense_slices(text):
     assert engine._G.dtype == np.int64 and np.array_equal(engine._G, np.rint(want))
 
 
-def planned_cases(sp, rng):
-    """Coefficients of one flag: two metrics without a pair, else b = 0,
-    b = 1e-15 and two mixed b, each b relative to ``sqrt(x_i x_j)``."""
-    x = rng.uniform(0.5, 2.0, sp.n_sub)
-    if not sp.pairs:
-        return [(None, x), (None, rng.uniform(0.5, 2.0, sp.n_sub))]
-    scale = np.array([np.sqrt(x[i] * x[j]) for i, j, _ in sp.pairs])
-    fracs = [0.0, 1e-15] + list(rng.uniform(-0.5, 0.5, 2))
-    return [(f, np.r_[x, f * scale]) for f in fracs]
-
-
-@pytest.mark.parametrize("text", ENGINE_FLAGS + ["C:25:[12,13]:+"])
+@pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
 def test_planned_report_equals_the_dense_composition(text):
-    # the canonical report runs the plan of its flag; the oracle redoes the
-    # index work per call and takes the frame products as dense matrix
-    # products.  The forms and the scalars agree bit for bit where every
-    # entry is a single product, and the coefficients and the defect,
-    # which the report sums over the plan's entries alone, to 1e-14 of the
-    # largest (dense_oracle.report_mismatches states each rule)
+    # the report part of the engine sweep that CI runs on ranks 11 to 16
     sp = metric_space(parse_flag_spec(text))
-    rng = np.random.default_rng(list(text.encode()))
-    for frac, coeffs in planned_cases(sp, rng):
-        m = make_metric(sp, coeffs)
-        got, want = curvature(m), dense_oracle.canonical_report(m)
-        assert dense_oracle.report_mismatches(got, want, frac) == [], frac
+    reports_agree(sp, np.random.default_rng(list(text.encode())))
 
 
 @pytest.mark.parametrize("text", FLAGS)

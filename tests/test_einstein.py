@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import einflag.einstein
-from einflag.cli import _table_rows
 from einflag.curvature import ReducedRicci, curvature
 from einflag.einstein import (
     CONSTANT_RTOL,
@@ -22,6 +21,7 @@ from einflag.errors import InvariantViolation, NoCatalogEntry, TooManyParameters
 from einflag.flag import parse_flag_spec
 from einflag.invariant import make_metric, metric_space
 from einflag.verify import run_checks
+from sweeps import table_rows
 
 
 def coeff_rows(solutions):
@@ -342,7 +342,7 @@ def test_engine_certificates_agree_with_the_frame_route():
     # route must find every solution of every `table1 --max-l 10` flag
     # Einstein, with the same c, c-hat and scalar curvature
     solutions = 0
-    for spec in _table_rows(10):
+    for spec in table_rows(10):
         for sol in solve(spec).solutions:
             rep = curvature(sol.metric)
             assert rep.einstein_defect < DEFECT_TOL, (str(spec), sol.rule_id)
@@ -433,7 +433,7 @@ def test_normal_verdict_matches_the_curvature_defect():
     # oracle of the exact verdict: the Einstein defect of the normal
     # metric's frame-route report, on every `table1 --max-l 6` flag
     verdicts = set()
-    for spec in _table_rows(6):
+    for spec in table_rows(6):
         space = metric_space(spec)
         normal = np.zeros(space.dim)
         normal[: space.n_sub] = 1.0

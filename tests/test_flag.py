@@ -23,6 +23,7 @@ from einflag.flag import (
     split_reductive,
     theta,
 )
+from sweeps import table_rows
 
 
 def flag(text):
@@ -458,16 +459,14 @@ class TestShape:
 
     def test_every_listed_flag_has_a_shape_and_a_name(self):
         # spec level only: no decomposition is built
-        from einflag.cli import _table_rows
-
-        specs = _table_rows(25)
+        specs = table_rows(25)
         assert len(specs) == 3586
         for spec in specs:
             assert spec.shape in SHAPES[spec.family], str(spec)
             assert " flag " not in manifold_name(spec), str(spec)
 
 
-# the listed flags of `_table_rows(25)` per key
+# the listed flags of `table_rows(25)` per key
 KEY_COUNTS = {
     "A-three": 2597, "A3-pair": 3, "A3-split": 1,
     "B-full": 22, "B4-full": 1, "B-plus1": 23, "B-plus": 276,
@@ -509,9 +508,7 @@ class TestRecords:
             assert len(flags) == len(set(flags)), (family, rank)
 
     def test_listed_flags_per_key(self):
-        from einflag.cli import _table_rows
-
-        counts = Counter(spec.shape for spec in _table_rows(25))
+        counts = Counter(spec.shape for spec in table_rows(25))
         assert counts == KEY_COUNTS
         assert sum(counts.values()) == 3586
         assert not {"A3-irreducible", "D-full"} & set(counts)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from einflag.cli import _table_rows
 from einflag.flag import decompose_isotropy
+from sweeps import table_rows
 
 GOLDEN = Path(__file__).parent / "golden" / "decompositions_max_l10.txt"
 
@@ -31,7 +31,7 @@ def decomposition_digest(spec):
 
 
 def render():
-    return "".join(f"{spec}  {decomposition_digest(spec)}\n" for spec in _table_rows(10))
+    return "".join(f"{spec}  {decomposition_digest(spec)}\n" for spec in table_rows(10))
 
 
 def test_decompositions_match_the_golden_file():

@@ -13,10 +13,11 @@ Regenerate it with
 from pathlib import Path
 
 from einflag import algebraic
-from einflag.cli import _drop_flag_memos, _table_rows
+from einflag.cli import _drop_flag_memos
 from einflag.curvature import reduced_ricci
 from einflag.flag import parse_flag_spec
 from einflag.invariant import metric_space
+from sweeps import table_rows
 
 GOLDEN = Path(__file__).parent / "golden" / "exact_counts_max_l10.txt"
 LARGE = ["A:25:[20,3,3]:-", "C:25:[12,13]:+", "B:18:[9,9]:+", "D:25:[24,1]:-"]
@@ -31,7 +32,7 @@ def _stage(name, count):
 
 def render():
     lines = []
-    for spec in [*_table_rows(10), *map(parse_flag_spec, LARGE)]:
+    for spec in [*table_rows(10), *map(parse_flag_spec, LARGE)]:
         engine = reduced_ricci(spec)
         lines.append(str(spec))
         lines += _stage("diagonal", algebraic.diagonal_count(engine))

@@ -13,8 +13,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from einflag.cli import _solve_report, _table_rows
+from einflag.cli import _solve_report
 from einflag.einstein import solve
+from sweeps import table_rows
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_reports_max_l6.txt"
 
@@ -27,7 +28,7 @@ def report_digest(spec):
 
 
 def render():
-    return "".join(f"{spec}  {report_digest(spec)}\n" for spec in _table_rows(6))
+    return "".join(f"{spec}  {report_digest(spec)}\n" for spec in table_rows(6))
 
 
 def test_reports_match_the_golden_file():

@@ -10,8 +10,8 @@ and the screening tag of its group.  Regenerate it with
 
 from pathlib import Path
 
-from einflag.cli import _table_rows
 from einflag.einstein import solve
+from sweeps import table_rows
 
 GOLDEN = Path(__file__).parent / "golden" / "solutions_max_l6.txt"
 
@@ -27,7 +27,7 @@ def _stage(cert):
 
 def render():
     lines = []
-    for spec in _table_rows(6):
+    for spec in table_rows(6):
         result = solve(spec)
         stages = "; ".join(_stage(c) for c in result.completeness)
         lines.append(f"{spec}  {stages}")

@@ -17,7 +17,6 @@ from conftest import (
 )
 
 from einflag import algebra, flag, invariant
-from einflag.cli import _table_rows
 from einflag.errors import InvariantViolation, NotPositiveDefinite, UnimplementedCase
 from einflag.flag import (
     Submodule,
@@ -31,6 +30,7 @@ from einflag.invariant import (
     metric_space,
     orthonormal_frame,
 )
+from sweeps import frames_agree, table_rows
 
 
 curvature_module = importlib.import_module("einflag.curvature")
@@ -151,7 +151,7 @@ class TestMetricSpace:
                 assert np.array_equal(a, b)
 
     def test_build_sets_cover_table1(self):
-        assert {(s.family, s.rank) for s in _table_rows(6)} <= set(BUILD_SETS)
+        assert {(s.family, s.rank) for s in table_rows(6)} <= set(BUILD_SETS)
 
     def test_structure_antisymmetry(self):
         # B:4:[2,2]:+ has tangent basis vectors that are not coordinate
@@ -194,7 +194,7 @@ class TestMetricSpace:
 
     def test_pair_intertwiners_are_signed_permutations(self):
         # every B0 is stored exactly, so the canonical frame keeps its zeros
-        pairs = [B0 for spec in _table_rows(6) for _, _, B0 in space(str(spec)).pairs]
+        pairs = [B0 for spec in table_rows(6) for _, _, B0 in space(str(spec)).pairs]
         assert pairs
         for B0 in pairs:
             assert set(np.unique(B0)) <= {-1.0, 0.0, 1.0}
@@ -456,9 +456,7 @@ class TestSignActions:
         flips, _ = invariant._sign_actions(*_spec_basis("D:4:[3,1]:-"))
         assert len(_span(flips.tolist())) == 16
 
-    @pytest.mark.parametrize(
-        "text", [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-", "C:25:[12,13]:+"]
-    )
+    @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
     def test_kept_signs_equal_the_projection_residual_decision(self, text):
         # the reference decides one flip and one summand at a time, by the
         # largest entry of s * b - proj(s * b) over the summand's rows b.  On
@@ -543,10 +541,6 @@ class TestMakeMetric:
                 make_metric(sp, c)
 
 
-def _spectrum_flags():
-    return [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
-
-
 class TestMetricEigenvalues:
     """The one coefficient spectrum against the dense spectrum of A."""
 
@@ -567,7 +561,7 @@ class TestMetricEigenvalues:
                     assert row[i] <= row[j]
         return lam
 
-    @pytest.mark.parametrize("text", _spectrum_flags())
+    @pytest.mark.parametrize("text", FLAGS)
     def test_matches_metric_matrix(self, text):
         # indefinite coefficients included: the positive-definiteness rule
         # reads these eigenvalues
@@ -575,7 +569,7 @@ class TestMetricEigenvalues:
         rng = np.random.default_rng(3)
         self._assert_spectrum(sp, rng.uniform(-1.0, 2.0, (8, sp.dim)))
 
-    @pytest.mark.parametrize("text", _spectrum_flags())
+    @pytest.mark.parametrize("text", FLAGS)
     def test_single_vector_path_matches_the_stack(self, text):
         # positive_spectrum's verdict and min_eigenvalue on every row,
         # indefinite ones too, against the rule taken over the stack of
@@ -604,7 +598,7 @@ class TestMetricEigenvalues:
     def test_mixing_edges(self):
         # mixing near +-sqrt(x_i x_j), where xi1 is small and the product
         # form matters, and below the 1e-14 cut, where the pair is unmixed
-        spaces = [space(t) for t in _spectrum_flags() if space(t).pairs]
+        spaces = [space(t) for t in FLAGS if space(t).pairs]
         assert spaces
         for sp in spaces:
             self._check_mixing_edges(sp)
@@ -702,64 +696,10 @@ class TestFrame:
         assert np.allclose(m.spectrum, [1, 2, 3])
 
 
-def frame_cases(sp, rng):
-    """Coefficients of one flag for the frame oracle.
-
-    Without a pair, two random metrics.  With pairs, each mixing fraction
-    of ``sqrt(x_i x_j)`` at x and at x with x_i and x_j swapped, so that
-    ``x_i - x_j`` takes both signs: b = 0, ``0 < |b| < 1e-14`` (unmixed),
-    ``|b| = 2e-14`` and mixed b of both signs.  Then ``b = +-1.5e-14`` at
-    ``x_j = 4 x_i`` and at ``x_i = 4 x_j``, where the eye factor of one
-    side is below 1e-12 and its B0 factor is not; x_i = x_j; and both x
-    scaled by 1e26 with b = 1e12, where no entry of a pair's column is
-    above 1e-12.
-    """
-    x = rng.uniform(0.5, 2.0, sp.n_sub)
-    if not sp.pairs:
-        return [x, rng.uniform(0.5, 2.0, sp.n_sub)]
-    i, j = np.array([p[:2] for p in sp.pairs]).T
-    swapped = x.copy()
-    swapped[i], swapped[j] = x[j], x[i]
-    scale = np.sqrt(x[i] * x[j])
-    fracs = [0.0, 5e-15, -5e-15, 2e-14, -2e-14, 0.4, -0.4, rng.uniform(-0.85, 0.85)]
-    cases = [np.r_[z, f * scale] for z in (x, swapped) for f in fracs]
-    for u, v in ((i, j), (j, i)):
-        far = x.copy()
-        far[v] = 4 * x[u]
-        cases += [np.r_[far, np.full(i.size, b)] for b in (1.5e-14, -1.5e-14)]
-    equal = x.copy()
-    equal[j] = x[i]
-    cases.append(np.r_[equal, 0.3 * x[i]])
-    return cases + [np.r_[1e26 * z, np.full(i.size, 1e12)] for z in (x, swapped)]
-
-
 @pytest.mark.parametrize("text", FLAGS)
 def test_frame_equals_the_dense_construction(text):
-    # V's entries are one gather of per-summand and per-pair factors; the
-    # oracle builds V densely, column by column, and gathers v from it.  v
-    # and W = V^T A agree bit for bit, signed zeros included, and the dense
-    # vectors scattered from v agree by value
-    sp = space(text)
-    rng = np.random.default_rng(list(text.encode()))
-    leads = set()
-    for coeffs in frame_cases(sp, rng):
-        m = make_metric(sp, coeffs)
-        frame = orthonormal_frame(m)
-        V, v, w = dense_oracle.orthonormal_frame(m)
-        _, got_v, got_w = frame.sparse
-        assert np.array_equal(got_v.view(np.int64), v.view(np.int64))
-        assert np.array_equal(got_w.view(np.int64), w.view(np.int64))
-        assert np.array_equal(frame.vectors, V)
-        # each side of each pair has mixed columns whose eye entry, on the
-        # diagonal for summand i and in the rows of summand i for summand
-        # j, is at most 1e-12, and whose B0 entry is above it
-        for k, (a, b, _) in enumerate(sp.pairs):
-            si, sj = sp.slices[a], sp.slices[b]
-            for side, (eye, other) in enumerate(((V[si, si], V[sj, si]), (V[si, sj], V[sj, sj]))):
-                small = np.max(np.abs(np.diag(eye))) <= 1e-12 < np.min(np.max(np.abs(other), 0))
-                if abs(coeffs[sp.n_sub + k]) >= 1e-14 and small:
-                    leads.add((k, side))
-    assert len(leads) == 2 * len(sp.pairs)
+    # the body of the frame sweep that CI runs on the pair flags to rank 25
+    frames_agree(space(text), np.random.default_rng(list(text.encode())))
 
 
 def pair_first(text):
@@ -789,14 +729,7 @@ def pair_first(text):
 @pytest.mark.parametrize("text", ["A:3:[1,2,1]:-", "D:4:[3,1]:-"])
 def test_frame_of_a_pair_at_row_zero_equals_the_dense_construction(text):
     # the frame's roles do not depend on where a pair's rows start
-    sp = pair_first(text)
-    rng = np.random.default_rng(list(text.encode()))
-    for coeffs in frame_cases(sp, rng):
-        m = make_metric(sp, coeffs)
-        _, v, w = orthonormal_frame(m).sparse
-        V, want_v, want_w = dense_oracle.orthonormal_frame(m)
-        assert np.array_equal(v.view(np.int64), want_v.view(np.int64))
-        assert np.array_equal(w.view(np.int64), want_w.view(np.int64))
+    frames_agree(pair_first(text), np.random.default_rng(list(text.encode())))
 
 
 def test_frame_plan_refuses_an_intertwiner_that_is_no_signed_permutation():

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import schur_oracle
+import sweeps
 from einflag import invariant, schur
-from einflag.cli import _table_rows
 from einflag.errors import InvariantViolation
 from einflag.flag import GeneratorTable, decompose_isotropy, parse_flag_spec, tangent_basis
 
@@ -28,7 +28,7 @@ LARGE = ["A:25:[20,3,3]:-", "C:25:[12,13]:+", "B:18:[9,9]:+", "D:25:[24,1]:-"]
 def _groups():
     """The oracle flags by family and rank, so that each group shares its algebra."""
     groups = defaultdict(list)
-    for spec in _table_rows(10):
+    for spec in sweeps.table_rows(10):
         groups[f"{spec.family}:{spec.rank}"].append(str(spec))
     for text in LARGE:
         groups[text].append(text)
@@ -43,36 +43,11 @@ def test_the_oracle_flags_are_every_table1_flag_to_rank_10_and_four_large_ones()
     assert len(flags) == 326 + 4
 
 
-def counts(found, homs, n_sub):
-    """``(dim of the Sym End maps, {(i, j): dim Hom(m_i, m_j)})`` of a certificate."""
-    hom = {(i, j): len(homs.get((i, j), [])) for i in range(n_sub) for j in range(i + 1, n_sub)}
-    return found - sum(hom.values()), hom
-
-
 @pytest.mark.parametrize("group", list(GROUPS))
 def test_certificate_equals_the_x2_oracle(cold_caches, group):
-    # each group runs on fresh memos, which it drops when it ends
-    for text in GROUPS[group]:
-        spec = parse_flag_spec(text)
-        space = invariant.metric_space(spec)
-        probes = schur._probes(space.reps, space.signs, space.tangent_dim)
-        found, homs, margin = schur._schur_certificate(probes, space.slices)
-        want, want_homs, _ = schur_oracle.certificate(probes, space.slices)
-        got = counts(found, homs, space.n_sub)
-        assert got == counts(want, want_homs, space.n_sub), text
-        assert got[0] == space.n_sub and sum(got[1].values()) == len(space.pairs), text
-        # the zero and nonzero Gram eigenvalues are each at least 100x from
-        # the cut at 1e-9 of their block's norm
-        assert margin == space.certificate_margin
-        zero, nonzero = margin
-        assert zero <= 1e-11 and nonzero >= 1e-7, (text, margin)
-        oracle = schur_oracle.metric_space(spec)
-        assert oracle.operators.shape == space.operators.shape
-        assert np.array_equal(oracle.operators.view(np.int64), space.operators.view(np.int64))
-        for _, _, B0 in space.pairs:
-            assert set(np.unique(B0)) <= {-1.0, 0.0, 1.0}
-            assert np.array_equal(np.abs(B0).sum(axis=0), np.ones(len(B0)))
-            assert not np.any(np.signbit(B0[B0 == 0]))
+    # the Schur sweep that CI runs on ranks 11 to 16; each group runs on
+    # fresh memos, which the sweep drops after each flag
+    sweeps.schur_certificates(map(parse_flag_spec, GROUPS[group]))
 
 
 def test_a_complex_type_summand_keeps_more_unknowns():

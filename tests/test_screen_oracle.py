@@ -24,7 +24,6 @@ import pytest
 import einflag.einstein
 import screen_oracle
 from conftest import FLAGS, ambient_basis, ambient_matrices, expand_matrix
-from einflag.cli import _table_rows
 from einflag.einstein import (
     _ambient_candidates,
     _basis_action,
@@ -35,23 +34,16 @@ from einflag.einstein import (
 from einflag.errors import InvariantViolation
 from einflag.flag import parse_flag_spec
 from einflag.invariant import metric_space
+from sweeps import as_set, dense_candidates, table_rows, witnesses
 
 # the --max-l 10 flags with a candidate, those of families A and D, beyond FLAGS
 MORE_WITH_CANDIDATES = [
-    str(spec) for spec in _table_rows(10) if spec.family in "AD" and str(spec) not in FLAGS
+    str(spec) for spec in table_rows(10) if spec.family in "AD" and str(spec) not in FLAGS
 ]
 
 
 def groups(solset_groups):
     return sorted((g.indices, g.tag) for g in solset_groups)
-
-
-def dense(perm, sign):
-    """The ``(m, N, N)`` matrices of candidates given as ``(perm, sign)``."""
-    m, N = perm.shape
-    O = np.zeros((m, N, N))
-    O[np.arange(m)[:, None], np.arange(N), perm] = sign
-    return O
 
 
 def signed_permutation(O):
@@ -70,10 +62,6 @@ def swapped(N, swaps, flip):
     return O
 
 
-def as_set(maps):
-    return {np.asarray(L, dtype=np.int64).tobytes() for L in maps}
-
-
 def patched_witnesses(monkeypatch, name, value):
     """Replace ``einflag.einstein.<name>`` by ``value`` and the witness memo
     by an empty one, for one test; returns that memo."""
@@ -84,22 +72,9 @@ def patched_witnesses(monkeypatch, name, value):
 
 
 @pytest.mark.parametrize("text", FLAGS + MORE_WITH_CANDIDATES)
-def test_batched_witnesses_equal_the_per_candidate_route(text):
-    # one gather acts with every candidate at once; the candidates are the
-    # oracle's in the same order, the exact maps are the coefficient maps of
-    # the oracle's witnesses, and both screens give the same groups
-    spec = parse_flag_spec(text)
-    perm, sign = _ambient_candidates(spec)
-    old = screen_oracle.ambient_candidates(spec)
-    assert perm.dtype == sign.dtype == np.int64
-    assert len(perm) == len(old)
-    assert all(np.array_equal(a, b) for a, b in zip(dense(perm, sign), old))
-    maps = _witness_maps(spec)
-    assert as_set(maps) == as_set(screen_oracle.coefficient_maps(spec, old))
-    sols = solve(spec).solutions
-    want = screen_oracle.oracle_screen(spec, sols, old)
-    assert groups(equivalence_screen(spec, sols)) == want
-    assert groups(solve(spec).groups) == want
+def test_batched_witnesses_equal_the_per_candidate_route(kept_memos, text):
+    # the witness sweep that CI runs on ranks 11 to 25, on fresh memos
+    witnesses([parse_flag_spec(text)])
 
 
 @pytest.mark.parametrize("text", ["D:5:[4,1]:-", "A:8:[3,3,3]:-"])
@@ -159,7 +134,7 @@ def test_a_cycle_of_blocks_conjugates_as_its_matrix_does(monkeypatch):
     # every listed candidate is an involution; a 3-cycle of the blocks is
     # not, so its conjugation tells the permutation from its inverse
     spec = parse_flag_spec("A:8:[3,3,3]:-")
-    real = dense(*_ambient_candidates(spec))
+    real = dense_candidates(*_ambient_candidates(spec))
     cycle = np.eye(real.shape[1])[np.r_[3:9, 0:3]]
     cycle[0] *= -1.0
     cands = np.concatenate([real, cycle[None], cycle.T[None]])
@@ -197,7 +172,7 @@ def test_a_candidate_that_does_not_normalize_yields_no_witness(
     _, residual = expand_matrix(spec.algebra, bad @ X @ bad.T)
     assert np.max(residual) == 0.0
     assert screen_oracle.witness_maps(spec, [bad]) == ()
-    extended = np.concatenate([dense(perm, sign), bad[None]])
+    extended = np.concatenate([dense_candidates(perm, sign), bad[None]])
     fresh = patched_witnesses(monkeypatch, "_ambient_candidates", lambda s: signed_permutation(extended))
     assert np.array_equal(fresh(spec), want)
     assert groups(equivalence_screen(spec, solset.solutions)) == groups(solset.groups)
@@ -241,7 +216,7 @@ def test_a_candidate_that_leaves_the_algebra_is_dropped(monkeypatch, kind, text,
     _, _, closed = _basis_action(model, *signed_permutation(bad[None]))
     assert not closed[0]
     assert screen_oracle.witness_maps(spec, [bad]) == ()
-    extended = np.concatenate([dense(*_ambient_candidates(spec)), bad[None]])
+    extended = np.concatenate([dense_candidates(*_ambient_candidates(spec)), bad[None]])
     fresh = patched_witnesses(monkeypatch, "_ambient_candidates", lambda s: signed_permutation(extended))
     assert np.array_equal(fresh(spec), want)
 
@@ -252,7 +227,7 @@ def test_the_identity_on_the_tangent_set_yields_no_witness(monkeypatch):
     spec = parse_flag_spec("D:5:[4,1]:-")
     model = spec.algebra
     perm, sign = _ambient_candidates(spec)
-    assert np.array_equal(dense(perm[:1], sign[:1])[0], np.eye(model.ambient_dim))
+    assert np.array_equal(dense_candidates(perm[:1], sign[:1])[0], np.eye(model.ambient_dim))
     ident = (np.stack([perm[0], perm[0]]), np.stack([sign[0], -sign[0]]))
     target, value, closed = _basis_action(model, *ident)
     assert np.all(closed) and np.all(target == np.arange(model.n)) and np.all(value == 1)

@@ -16,11 +16,10 @@ from fractions import Fraction
 import dense_oracle
 import numpy as np
 import pytest
-from conftest import ad_matrix, ambient_basis, dense_generators, edit_first_generator
+from conftest import FLAGS, ad_matrix, ambient_basis, dense_generators, edit_first_generator
 
 from einflag import einstein, invariant, verify
 from einflag.algebra import build_algebra
-from einflag.cli import _table_rows
 from einflag.errors import NoExactCount, TooManyParameters
 from einflag.flag import GeneratorTable, parse_flag_spec
 from einflag.curvature import curvature
@@ -228,7 +227,6 @@ def test_rotation_matches_expm_on_the_rep_blocks(text):
         assert np.max(np.abs(R - linalg.expm(0.7 * G))) <= 1e-14
 
 
-FLAGS = [str(s) for s in _table_rows(6)] + ["A:25:[20,3,3]:-"]
 # flags whose kernel leaves columns out of some group: on D:10 the groups of
 # 36 generators with k = 18 and a pattern of w = 2 columns a row narrow only
 # on distinct columns, as k (1 + w) = 54 = d
