@@ -150,8 +150,9 @@ def test_pairing_join_equals_the_dense_oracle(family, rank):
     sweeps.algebras([(family, rank)])
 
 
-# rank 25 runs in the test above
-_ORACLE_RANKS = [(family, rank) for family, low in algebra._MIN_RANK.items() for rank in range(low, 11)]
+_ORACLE_RANKS = [
+    (family, rank) for family, low in algebra._MIN_RANK.items() for rank in range(low, 11)
+] + [("A", 25), ("C", 25), ("D", 25)]
 
 
 @pytest.mark.parametrize("family,rank", _ORACLE_RANKS)
