@@ -57,10 +57,13 @@ straight to the coefficients of the Ricci form over the metric-space
 operators, without a frame.  It is the ``[ijk]`` block-sum formula
 (M. Wang, W. Ziller, Invent. Math. 84, 1986; J.-S. Park, Y. Sakane, Tokyo
 J. Math. 20, 1997), extended to the mixing coefficients of equivalent
-summand pairs.  Its block sums, contracted from the nonzeros of t as well,
-and the block traces of the Killing form are integers, and the engine
-reads nothing else.  It expands them once into the exact Laurent terms
-(:meth:`ReducedRicci.terms`) that the counts solve, and its float Ricci
+summand pairs.  Every pair is aligned (:mod:`einflag.invariant`), so each
+operator is a sum of identity maps between summands, and a block sum pairs
+t with itself, its indices moved between summands.  Its block sums,
+contracted from the nonzeros of t as well, and the block traces of the
+Killing form are integers, and the engine reads nothing else.  It expands
+them once into the exact Laurent terms (:meth:`ReducedRicci.terms`) that
+the counts solve, and its float Ricci
 coefficients and scalar curvature ``tr(A^-1 Ric)``, which certify every
 solution of ``solve`` and which the check suite compares against the frame
 route, are sums of those same terms.
@@ -75,7 +78,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import _coo_sums, _coo_transform, _coo_values, _row_entries
+from .algebra import _coo_sums, _coo_transform, _coo_values
 from .errors import NoExactCount
 from .invariant import metric_space, orthonormal_frame, volume_root
 
@@ -419,21 +422,22 @@ def group_ricci(report, tol=1e-8):
 def _block_sums(space, blocks):
     """``G[a,b,c] = sum t[i,j,k] E_a[i,I] E_b[j,J] E_c[k,K] t[I,J,K]`` over the nonzeros of t.
 
-    ``blocks`` lists the elementary blocks ``E = (u, v, M)`` of
-    :class:`ReducedRicci`: ``M`` (the identity for None) from summand u to
-    summand v.  One map pushes every tangent index i of summand u to the
-    indices ``a * d + I`` for each block a that starts at u, so that the
-    pushed copy of t keeps the block of every slot in its key.  Each pushed
-    entry at ``((a, I), (b, J), (c, K))`` then meets the entry of t at
-    ``(I, J, K)``, found by a binary search of the sorted keys of t.
+    ``blocks`` lists the elementary blocks ``E = (u, v)`` of
+    :class:`ReducedRicci`: the identity map from summand u to summand v.
+    One map pushes every tangent index i of summand u, at its place r in
+    u, to the indices ``a * d + I`` for each block a that starts at u, I
+    at place r in v, so that the pushed copy of t keeps the block of every
+    slot in its key.  Each pushed entry at ``((a, I), (b, J), (c, K))`` then
+    meets the entry of t at ``(I, J, K)``, found by a binary search of the
+    sorted keys of t.
     """
-    d, m, sl = space.tangent_dim, len(blocks), space.slices
-    push = np.zeros((d, m * d))
-    for a, (u, v, M) in enumerate(blocks):
-        push[sl[u], a * d + sl[v].start : a * d + sl[v].stop] = (
-            np.eye(sl[u].stop - sl[u].start) if M is None else M
-        )
-    rows = _row_entries(push)
+    d, m = space.tangent_dim, len(blocks)
+    start = np.array([s.start for s in space.slices])
+    u, v = np.array(blocks).T
+    # each row's blocks in ascending order, so the pushed columns ascend
+    i, a = np.nonzero(np.repeat(np.arange(space.n_sub), space.dims)[:, None] == u)
+    cols = a * d + start[v[a]] + i - start[u[a]]
+    rows = (np.searchsorted(i, np.arange(d + 1)), cols, np.ones(cols.size))
     coo = space.structure
     A, B, C, pushed = _coo_transform(coo, (rows, rows, rows), m * d)
     I, J, K, t = coo
@@ -466,26 +470,27 @@ def _integers(values, what):
 class ReducedRicci:
     """Ricci coefficients of an invariant metric straight from its coefficients.
 
-    The metric-space operators are sums of elementary blocks ``E = (u, v,
-    M)``, ``M`` from summand u to summand v: the identity on a summand, and
-    ``B0``, ``B0^T`` between the summands of a pair.  Write ``A = sum_a
-    alpha_a E_a`` and ``A^-1 = sum_a eta_a E_a`` (1/x on an unpaired
+    The metric-space operators are sums of elementary blocks ``E = (u, v)``,
+    the identity map from summand u to summand v: on a summand, and both ways
+    between the summands of a pair, as every pair is aligned.  Write ``A =
+    sum_a alpha_a E_a`` and ``A^-1 = sum_a eta_a E_a`` (1/x on an unpaired
     summand, a 2x2 inverse on a pair), alpha_a and eta_a the coefficients of
     the operator of block a.  With the block sums ``G[a,b,c] = sum t[i,j,k]
     E_a[i,I] E_b[j,J] E_c[k,K] t[I,J,K]`` and the block Killing traces
-    ``k_a = <killing, E_a>``, the Ricci coefficient on the operator O_r is
+    ``k_a = <killing, E_a>``, the trace of the Killing form's (u, v) block,
+    the Ricci coefficient on the operator O_r is
 
         rho_r = 1/|O_r|^2 sum_{e in O_r} ( -1/2 sum_{b,c} G[e,b,c] eta_b alpha_c
                   + 1/4 sum_{c,f} alpha_c alpha_f H[E_c E_e E_f] - 1/2 k_e ),
         H[g]  = sum_{a,b} G[a,b,g] eta_a eta_b;
 
     a product of blocks is a block where each meets the next in a summand
-    (``B0^T B0 = I``) and vanishes otherwise.  Every G and k is checked,
-    once, to be an integer and kept as one (:func:`_integers`).  The build
-    expands these sums exactly into the terms of :meth:`terms`, and the
-    scalar curvature ``tr(A^-1 Ric) = sum_r h_r rho_r |O_r|^2`` into one
-    more; both outputs sum those terms in floats, so the engine evaluates
-    the very polynomials that the exact counts solve.
+    and vanishes otherwise.  Every G and k is checked, once, to be an
+    integer and kept as one (:func:`_integers`).  The build expands these
+    sums exactly into the terms of :meth:`terms`, and the scalar curvature
+    ``tr(A^-1 Ric) = sum_r h_r rho_r |O_r|^2`` into one more; both outputs
+    sum those terms in floats, so the engine evaluates the very polynomials
+    that the exact counts solve.
     """
 
     def __init__(self, space):
@@ -494,20 +499,15 @@ class ReducedRicci:
         # the summands (i, j) of each equivalent pair, in pair order
         self.pairs = tuple((i, j) for i, j, _ in space.pairs)
         self._pi, self._pj = np.array(self.pairs, dtype=int).reshape(-1, 2).T
-        # elementary blocks (row summand, column summand, matrix or None for
-        # the identity) and the operator of each
-        blocks = [(i, i, None) for i in range(s)]
-        for i, j, B0 in space.pairs:
-            blocks += [(j, i, B0), (i, j, B0.T)]
+        # elementary blocks (row summand, column summand) and the operator of each
+        blocks = [(i, i) for i in range(s)]
+        for i, j in self.pairs:
+            blocks += [(j, i), (i, j)]
         op = np.r_[np.arange(s), np.repeat(np.arange(s, n), 2)].tolist()
         sl, K = space.slices, space.killing
         self._G = _integers(_block_sums(space, blocks), "block sum G")
-        self._k = _integers(
-            [np.trace(K[sl[u], sl[v]]) if M is None else np.sum(K[sl[u], sl[v]] * M)
-             for u, v, M in blocks],
-            "block Killing trace k",
-        )
-        norms = np.bincount(op, weights=[sl[u].stop - sl[u].start for u, _, _ in blocks])
+        self._k = _integers([np.trace(K[sl[u], sl[v]]) for u, v in blocks], "block Killing trace k")
+        norms = np.bincount(op, weights=[space.dims[u] for u, _ in blocks])
         # h_q = sign[q] z^power[q], the coefficient of A^-1 on the operator q
         # over z = (coefficients, pair determinants) (see terms)
         p = len(self.pairs)
@@ -524,12 +524,12 @@ class ReducedRicci:
         for (a, b, c), v in zip(np.argwhere(self._G).tolist(), self._G[self._G != 0].tolist()):
             top[op[a]][tuple(eta[b] + alpha[c])] -= 2 * signs[b] * v
             H[c][tuple(eta[a] + eta[b])] += signs[a] * signs[b] * v
-        where = {(u, v): a for a, (u, v, _) in enumerate(blocks)}
+        where = {block: a for a, block in enumerate(blocks)}
         # the rows (c, f, g, e) of E_c E_e E_f = E_g
         chain = [(c, f, where[uc, vf], e)
-                 for e, (ue, ve, _) in enumerate(blocks)
-                 for c, (uc, vc, _) in enumerate(blocks) if vc == ue
-                 for f, (uf, vf, _) in enumerate(blocks) if uf == ve]
+                 for e, (ue, ve) in enumerate(blocks)
+                 for c, (uc, vc) in enumerate(blocks) if vc == ue
+                 for f, (uf, vf) in enumerate(blocks) if uf == ve]
         for c, f, g, e in chain:
             for key, v in H[g].items():
                 top[op[e]][tuple(np.add(key, alpha[c] + alpha[f]))] += v

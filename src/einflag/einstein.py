@@ -468,9 +468,11 @@ def _witness_maps(spec):
     summand v; P is invertible there, so u then fills w, of equal dimension.
     ``L_W`` sends coefficient u to that of its image, and by Schur's lemma
     each pair's mixing coefficient to +- that of its image pair.  The sign is
-    that of one trace, ``tr(B0^T W_j^T B0' W_i)`` with B0' the image pair's,
-    which must be +-d_i; a trace off that raises :class:`InvariantViolation`.
-    Of equal maps the first in candidate order is kept.
+    that of one trace, ``tr(W_j^T W_i)`` with W_i and W_j the witness on
+    summands i and j, each read to the rows of its image, which must be
+    +-d_i, as every pair is aligned; a trace off that raises
+    :class:`InvariantViolation`.  Of equal maps the first in candidate
+    order is kept.
     """
     space = metric_space(spec)
     model, s, d = spec.algebra, space.n_sub, space.tangent_dim
@@ -511,11 +513,12 @@ def _witness_maps(spec):
     starts = np.array([sl.start for sl in space.slices])
     weight = float(spec.inner_scale) * model.gram
     ops = space.operators
-    for p, (i, j, B0) in enumerate(space.pairs):
+    for p, (i, j, _) in enumerate(space.pairs):
+        size = space.dims[i]
         # W on the pair's rows, to the rows of their images in the same
         # order: W[r, c] = sum_a B_w[r, target a] value[a] B[c, a]
         cols = np.r_[space.slices[i], space.slices[j]]
-        rows = np.hstack([starts[image[:, u], None] + np.arange(len(B0)) for u in (i, j)])
+        rows = np.hstack([starts[image[:, u], None] + np.arange(size) for u in (i, j)])
         B = space.basis[cols]
         supp = np.flatnonzero(np.any(B, axis=0))
         moved = target[:, supp]
@@ -523,10 +526,10 @@ def _witness_maps(spec):
         W = W @ B[:, supp].T
         t = s + pair_image[:, p]
         pulled = np.swapaxes(W, 1, 2) @ ops[t[:, None, None], rows[:, :, None], rows[:, None, :]] @ W
-        # the pair's operator holds B0 and its transpose, so half this sum
-        # is tr(B0^T W_j^T B0' W_i), B0' the image pair's as it is mapped
+        # the pair's operator and the image pair's each hold the identity
+        # both ways between their summands, so half this sum is tr(W_j^T W_i)
         trace = np.sum(ops[s + p][np.ix_(cols, cols)] * pulled, axis=(1, 2)) / 2
-        if np.any(np.abs(np.abs(trace) - len(B0)) > 1e-9 * len(B0)):
+        if np.any(np.abs(np.abs(trace) - size) > 1e-9 * size):
             raise InvariantViolation(f"a witness of {spec} maps a pair off +-its image pair")
         L[np.arange(w), s + p, t] = np.sign(trace).astype(np.int64)
     seen = {}

@@ -353,9 +353,17 @@ def _add_equivalent_pairs(subs, equiv, blocks, m_hi):
             subs.append((f"U{m}{n}", [[(_u(i, j), 1.0)] for i, j in prs]))
 
 
+# the second summand of each A3 pair, by block sizes
+_A3_PAIR_IMAGES = {
+    (2, 1, 1): ("M31", [[("w(4,2)", 1.0)], [("w(4,1)", -1.0)]]),
+    (1, 2, 1): ("M32", [[("w(4,3)", 1.0)], [("w(4,2)", -1.0)]]),
+    (1, 1, 2): ("M32", [[("w(4,2)", 1.0)], [("w(3,2)", -1.0)]]),
+}
+
+
 def _decompose_a(spec, blocks):
-    def mod_mn(m, n, order=None):
-        prs = order if order is not None else _pairs_between(blocks[m - 1], blocks[n - 1])
+    def mod_mn(m, n):
+        prs = _pairs_between(blocks[m - 1], blocks[n - 1])
         return (f"M{m}{n}", [[(_w(i, j), 1.0)] for i, j in prs])
 
     if spec.shape == "A3-split":
@@ -365,11 +373,11 @@ def _decompose_a(spec, blocks):
         ]
         return subs, []
     if spec.shape == "A3-pair":
-        # the one-dimensional summand first, then the equivalent pair; on
-        # [2,1,1] the pair is span {w(3,1), w(3,2)} and span {w(4,2), w(4,1)}
+        # the one-dimensional summand first, then the equivalent pair, the
+        # second summand's rows the images of the first's, so that its
+        # intertwiner is the identity (metric_space checks this)
         subs = sorted((mod_mn(m, n) for m, n in ((2, 1), (3, 1), (3, 2))), key=lambda s: len(s[1]) > 1)
-        if len(blocks[0]) == 2:
-            subs[2] = mod_mn(3, 1, [(4, 2), (4, 1)])
+        subs[2] = _A3_PAIR_IMAGES[tuple(map(len, blocks))]
         return subs, [(1, 2)]
     if spec.rank == 3 and len(blocks) == 4:
         # the uncatalogued [1,1,1,1]: six lines, three equivalent pairs

@@ -30,13 +30,15 @@ unlucky draw can only overcount, which raises
 :class:`~einflag.errors.InvariantViolation`; it never lets a wrong space pass.
 
 The operator basis is canonical: orthogonal projectors onto the summands in
-catalogue order, followed by one symmetric intertwiner per equivalent pair,
-normalized so its off-diagonal block ``B0`` satisfies ``B0^T B0 = I`` with a
-positive leading entry, and stored as the exact signed permutation it rounds
-to; every catalogued pair has one, and a map without one raises
-:class:`~einflag.errors.UnimplementedCase`.  Coefficients for the
-projectors are the diagonal scales; the intertwiner coefficients are the
-mixing parameters (named ``b`` for the four-parameter families).
+catalogue order, followed by one symmetric intertwiner per equivalent pair.
+Every pair is declared aligned: the catalogue lists the second summand's
+rows as the images of the first's, so the intertwiner sends row r of
+summand i to row r of summand j, and its off-diagonal block ``B0`` is the
+identity.  :func:`metric_space` checks that the solved map is a multiple of
+the identity and raises :class:`~einflag.errors.InvariantViolation`, naming
+the pair, where it is not.  Coefficients for the projectors are the
+diagonal scales; the intertwiner coefficients are the mixing parameters
+(named ``b`` for the four-parameter families).
 """
 
 import math
@@ -141,6 +143,8 @@ class MetricSpace:
     every summand, each given by all d of its diagonal entries, every one
     exactly +-1.0.
     ``operators`` is the read-only ``(n, d, d)`` stack of the operator basis.
+    ``pairs`` lists ``(i, j, B0)`` per declared pair, ``i < j``, with ``B0``
+    the read-only identity, as every pair is aligned.
     ``certificate_margin`` is the ``(zero, nonzero)`` margin of the Schur
     certificate that proved its dimension: over every block, the largest
     Gram eigenvalue counted as zero and the smallest counted as nonzero,
@@ -275,7 +279,7 @@ class FramePlan:
     frame : tuple
         The flat positions of the nonzeros of V, V's rows, and the role of
         each nonzero: its index into the factors of :func:`_frame_factors`,
-        one per summand and ``_PAIR_ROLES`` per pair, whose gather over the
+        one per summand and four per pair, whose gather over the
         roles is V's entries.
     metric : ndarray
         The flat position in A of the entry of each product of ``inverse``.
@@ -341,19 +345,16 @@ def _quad_plan(group, index, d):
 def _frame_plan(space):
     """Build the :class:`FramePlan` of :attr:`MetricSpace.frame_plan`.
 
-    On a pair (i, j) the frame has the blocks I and ``B0`` in the columns of
-    summand i and I, ``B0`` in those of j (:func:`orthonormal_frame`), and A
-    has ``B0`` and its transpose off the diagonal.
+    On a pair (i, j) the frame (:func:`orthonormal_frame`) and A both have
+    the identity pattern in each of the pair's four blocks, as every pair is
+    aligned.
     """
     d = space.tangent_dim
     sl = space.slices
     vmask, amask = np.eye(d, dtype=bool), np.eye(d, dtype=bool)
-    for i, j, B0 in space.pairs:
-        si, sj, B = sl[i], sl[j], B0 != 0
-        amask[sj, si], amask[si, sj] = B, B.T
-        vmask[sj, si] = B
-        vmask[sj, sj] |= B
-        vmask[si, sj] = np.eye(si.stop - si.start, dtype=bool)
+    for i, j, _ in space.pairs:
+        eye = np.eye(space.dims[i], dtype=bool)
+        amask[sl[j], sl[i]] = amask[sl[i], sl[j]] = vmask[sl[j], sl[i]] = vmask[sl[i], sl[j]] = eye
     v_at, a_at = np.flatnonzero(vmask), np.flatnonzero(amask)
     v_rows = _key_rows(v_at, d)
     ident = (np.arange(d + 1), np.arange(d))
@@ -408,40 +409,22 @@ def _frame_plan(space):
     return plan
 
 
-# the roles of one pair in the frame factors, the kinds of its entries of
-# V: in a column of summand i the eye entry and the B0 entry +1 or -1, in a
-# column of summand j the eye entry, the B0 entry +1 or -1 off and on the
-# diagonal, and the diagonal entry where B0 is zero
-_PAIR_ROLES = 9
-
-
 def _frame_roles(space, v_at):
     """The role of each nonzero of V, at the flat positions ``v_at``: its index
     into :func:`_frame_factors`.
 
     A column of an unpaired summand u holds its diagonal entry alone, role u.
-    Pair k's entries take the ``_PAIR_ROLES`` roles after the summands' and
-    the earlier pairs'.  Each column of a pair holds one eye entry, in the
-    rows of summand i, and ``B0``'s one entry +-1 of that column, in the rows
-    of summand j, as ``B0`` is a signed permutation
-    (:func:`_normalized_intertwiner`).
+    Pair k's entries take the four roles after the summands' and the earlier
+    pairs': ``(e1, f1, e2, f2)``, the entries in the rows of summand i and
+    of summand j of a column of summand i, then of a column of summand j.
     """
-    d, n_sub, sl = space.tangent_dim, space.n_sub, space.slices
+    d, n_sub = space.tangent_dim, space.n_sub
     row, col = np.divmod(v_at, d)
     owner = np.repeat(np.arange(n_sub), space.dims)
     role = owner[col]
-    for k, (i, j, B0) in enumerate(space.pairs):
-        for side, u in enumerate((i, j)):
-            at = np.flatnonzero(owner[col] == u)
-            r = col[at] - sl[u].start
-            eye = owner[row[at]] == i
-            p = np.where(eye, r, row[at] - sl[j].start)  # B0's row of each entry
-            entry = B0[p, r]
-            if side == 0:
-                kind = np.where(eye, 0, 1 + (entry < 0))
-            else:
-                kind = np.select([eye, entry == 0], [3, 8], 4 + (entry < 0) + 2 * (p == r))
-            role[at] = n_sub + _PAIR_ROLES * k + kind
+    for k, (i, j, _) in enumerate(space.pairs):
+        at = (role == i) | (role == j)
+        role[at] = n_sub + 4 * k + 2 * (owner[col[at]] == j) + (owner[row[at]] == j)
     return role
 
 
@@ -485,10 +468,9 @@ def commutation_residual(space):
     For the projector ``P_i`` of summand i, ``G P_i - P_i G`` is G on the
     blocks of block row i or block column i off the diagonal, and zero
     elsewhere; over all projectors that is every entry of G outside its
-    block diagonal.  Given those, the intertwiner of a pair (i, j) leaves
-    only ``G_jj B0 - B0 G_ii`` and ``G_ii B0^T - B0^T G_jj``; every generator
-    is skew or symmetric, so the second is the transpose of the first up to
-    sign and rounding.  No d x d product is formed.
+    block diagonal.  Given those, the intertwiner of an aligned pair (i, j)
+    leaves only ``G_jj - G_ii`` and its transpose up to sign, as every
+    generator is skew or symmetric.  No d x d product is formed.
     """
     sl = space.slices
     owner = np.repeat(np.arange(space.n_sub), [s.stop - s.start for s in sl])
@@ -496,43 +478,10 @@ def commutation_residual(space):
     for table in (space.reps, space.signs):
         off_block = owner[table.row] != owner[table.col]
         worst = max(worst, float(np.max(np.abs(table.value[off_block]), initial=0.0)))
-        for i, j, B0 in space.pairs:
-            resid = _summand_block(space, table, j) @ B0 - B0 @ _summand_block(space, table, i)
+        for i, j, _ in space.pairs:
+            resid = _summand_block(space, table, j) - _summand_block(space, table, i)
             worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
     return worst
-
-
-def _normalized_intertwiner(B0, spec):
-    """Scale B0 to B0^T B0 = I with a positive leading entry, and return the
-    exact signed permutation that it rounds to within 1e-12.
-
-    The solved map carries rounding noise in place of its zeros; the exact
-    zeros, all +0, keep the canonical frame sparse and make the stored map
-    independent of the sign of the noise, which differs between
-    certificates.  A map that rounds to no signed permutation raises
-    :class:`UnimplementedCase`: the canonical frame gives each column of a
-    pair one ``B0`` entry +-1.
-    """
-    G = B0.T @ B0
-    c = np.trace(G) / len(G)
-    if np.max(np.abs(G - c * np.eye(len(G)))) > 1e-8 * c:
-        raise InvariantViolation("intertwiner is not a multiple of an isometry")
-    B0 = B0 / np.sqrt(c)
-    for val in B0.flatten(order="F"):
-        if abs(val) > 1e-8:
-            if val < 0:
-                B0 = -B0
-            break
-    R = np.round(B0)
-    if not (
-        np.all(np.sum(np.abs(R), axis=0) == 1)
-        and np.all(np.sum(np.abs(R), axis=1) == 1)
-        and np.max(np.abs(B0 - R)) <= 1e-12
-    ):
-        raise UnimplementedCase(
-            f"the canonical frame of {spec} needs a signed-permutation intertwiner"
-        )
-    return R + 0.0
 
 
 def _coefficient_names(spec, n_sub, n_pairs):
@@ -548,7 +497,9 @@ def metric_space(spec):
     The generators are kept as :class:`~einflag.flag.GeneratorTable` s:
     ``reps`` is the decomposition's ``isotropy_action``, checked skew entry
     by entry against its mirror, and ``signs`` holds the exact +-1 diagonal
-    sign actions of :func:`_sign_actions`.
+    sign actions of :func:`_sign_actions`.  The solved intertwiner of each
+    declared pair must be a multiple of the identity within 1e-12 of its
+    scale.
     """
     dec = decompose_isotropy(spec)
     Bm, slices = tangent_basis(dec)
@@ -572,19 +523,21 @@ def metric_space(spec):
             )
         i, j = sorted(cls)
         maps = homs.get((i, j), [])
+        pair = f"declared pair {subs[i].name}~{subs[j].name} of {spec}"
         if len(maps) != 1:
-            raise InvariantViolation(
-                f"declared pair {subs[i].name}~{subs[j].name} of "
-                f"{spec} has intertwiner multiplicity {len(maps)}"
-            )
-        pairs.append((i, j, _normalized_intertwiner(maps[0], spec)))
+            raise InvariantViolation(f"{pair} has intertwiner multiplicity {len(maps)}")
+        eye = np.eye(len(maps[0]))
+        c = np.trace(maps[0]) / len(eye)
+        if np.max(np.abs(maps[0] - c * eye)) > 1e-12 * abs(c):
+            raise InvariantViolation(f"{pair} is not aligned: its intertwiner is no multiple of the identity")
+        eye.setflags(write=False)
+        pairs.append((i, j, eye))
 
     operators = np.zeros((len(slices) + len(pairs), d, d))
     for k, s in enumerate(slices):
         operators[k, s, s] = np.eye(s.stop - s.start)
-    for k, (i, j, B0) in enumerate(pairs, len(slices)):
-        operators[k, slices[j], slices[i]] = B0
-        operators[k, slices[i], slices[j]] = B0.T
+    for k, (i, j, eye) in enumerate(pairs, len(slices)):
+        operators[k, slices[j], slices[i]] = operators[k, slices[i], slices[j]] = eye
     operators.setflags(write=False)
 
     names = _coefficient_names(spec, len(slices), len(pairs))
@@ -634,7 +587,7 @@ def metric_eigenvalues(space, coeffs):
     per summand, as a list of floats.
 
     An unpaired summand carries ``x_i``.  A pair carries the eigenvalues of
-    ``[[x_i, b], [b, x_j]]`` (``B0^T B0 = I``), the smaller ``xi1`` on
+    ``[[x_i, b], [b, x_j]]`` (the pair is aligned), the smaller ``xi1`` on
     summand i, as in :func:`orthonormal_frame`: the one of larger magnitude
     from the trace, the other from ``xi1 xi2 = x_i x_j - b^2``, so neither
     cancels.  An unmixed pair, ``|b| < _UNMIXED``, keeps ``x_i`` and ``x_j``.
@@ -731,12 +684,13 @@ def _frame_factors(space, metric):
     """The value of every role of :func:`_frame_roles` at one metric.
 
     The first ``n_sub`` are ``1 / sqrt(lambda_u)``, the diagonal of V on each
-    summand.  On a mixed pair, column r of summand i is ``a1 u + b1 B0 u``
-    and of summand j ``a2 u + b2 B0 u`` (u the r-th basis vector of summand
-    i), scaled to unit g-length; a ``B0`` entry -1 negates its factor, which
-    is exact.  An unmixed pair keeps V diagonal, with +0 elsewhere.  A pair's
-    factors are taken in plain floats, which round as float64 arrays do;
-    ``np.hypot`` is kept because ``math.hypot`` rounds differently.
+    summand.  On a mixed pair, column r of summand i is ``e1 u + f1 v`` and
+    of summand j ``e2 u + f2 v`` (u and v the r-th basis vectors of summands
+    i and j), ``(e1, f1)`` and ``(e2, f2)`` the eigenvectors ``(a1, b1)``
+    and ``(a2, b2)`` scaled to unit g-length.  An unmixed pair keeps V
+    diagonal, with +0 elsewhere.  A pair's factors are taken in plain
+    floats, which round as float64 arrays do; ``np.hypot`` is kept because
+    ``math.hypot`` rounds differently.
     """
     inv = 1.0 / np.sqrt(metric.spectrum)
     if not space.pairs:
@@ -746,7 +700,7 @@ def _frame_factors(space, metric):
     for k, (i, j, _) in enumerate(space.pairs):
         xi, xj, b = c[i], c[j], c[s + k]
         if abs(b) < _UNMIXED:
-            out += [out[i]] + [0.0] * 5 + [out[j]] * 3
+            out += (out[i], 0.0, 0.0, out[j])
             continue
         delta = xi - xj
         gap = float(np.hypot(2.0 * b, delta))
@@ -761,9 +715,7 @@ def _frame_factors(space, metric):
             a2, b2 = b, (gap - delta) / 2.0  # xi2 - xi
         n1 = math.sqrt(lam[i] * (a1 * a1 + b1 * b1))
         n2 = math.sqrt(lam[j] * (a2 * a2 + b2 * b2))
-        e1, f1, e2, f2 = a1 / n1, b1 / n1, a2 / n2, b2 / n2
-        # B0's zero on summand j's diagonal times f2 keeps f2's sign
-        out += (e1, f1, -f1, e2, f2, -f2, f2, -f2, 0.0 * f2)
+        out += (a1 / n1, b1 / n1, a2 / n2, b2 / n2)
     return np.array(out)
 
 

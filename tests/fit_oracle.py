@@ -47,7 +47,8 @@ class ReducedRicci:
     ``B0^T`` between the two summands of a pair -- which are closed under
     multiplication because ``B0^T B0 = I``; so G is contracted once per
     triple of elementary blocks, from the matching sub-blocks of t, and
-    never on a d x d operator.
+    never on a d x d operator.  The engine's ``_block_sums`` takes a block as
+    the identity between its summands, which each pair's ``B0`` is.
 
     Over the products ``hc_k = h_q c_p`` (k = (q, p)) this reads
     ``rho = hc M1 + sum_{l <= k} hc_l hc_k W[l,k] + kappa``.  The quadratic
@@ -83,7 +84,7 @@ class ReducedRicci:
                 if va == ub:
                     prod[a, b, where[ua, vb]] = 1.0
 
-        G = _block_sums(space, blocks)
+        G = _block_sums(space, [(u, v) for u, v, _ in blocks])
         sl = space.slices
         sizes = np.array([sl[u].stop - sl[u].start for u, _, _ in blocks])
         killing = space.killing

@@ -689,13 +689,13 @@ def test_canonical_forms_are_scattered_at_their_first_read(text, monkeypatch):
 @pytest.mark.parametrize("text", FLAGS)
 def test_block_sums_match_the_dense_slices(text):
     # the engine's block sums come from the nonzeros of t; the reference
-    # contracts dense slices of t.  Both are integers to well within the
-    # engine's tolerance, and the engine keeps those integers
+    # contracts dense slices of t through each pair's B0.  Both are integers
+    # to well within the engine's tolerance, and the engine keeps those integers
     sp = metric_space(parse_flag_spec(text))
     blocks = [(i, i, None) for i in range(sp.n_sub)]
     for i, j, B0 in sp.pairs:
         blocks += [(j, i, B0), (i, j, B0.T)]
-    got = curvature_module._block_sums(sp, blocks)
+    got = curvature_module._block_sums(sp, [(u, v) for u, v, _ in blocks])
     want = dense_oracle.block_sums(sp, blocks)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= 1e-14 * scale

@@ -232,7 +232,8 @@ class TestDecompose:
 
         assert np.array_equal(dec.submodules[0].span, [unit("w(4,3)")])
         assert np.array_equal(dec.submodules[1].span, [unit("w(3,1)"), unit("w(3,2)")])
-        assert np.array_equal(dec.submodules[2].span, [unit("w(4,2)"), unit("w(4,1)")])
+        # the second summand of the pair lists the images of the first's rows
+        assert np.array_equal(dec.submodules[2].span, [unit("w(4,2)"), -unit("w(4,1)")])
 
     def test_split_spans_so4(self):
         dec = decompose_isotropy(flag("A:3:[2,2]:-"))

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import re
 import tracemalloc
 
 import dense_oracle
@@ -94,33 +95,33 @@ class TestMetricSpace:
         assert sp.dim == sp.n_sub + len(sp.pairs)
 
     def test_one_two_block_matrix(self):
-        # basis order (w43 | w31, w32 | w42, w41); the intertwiner sends
-        # w31 -> w42 and w32 -> -w41
+        # basis order (w43 | w31, w32 | w42, -w41); the intertwiner sends
+        # w31 -> w42 and w32 -> -w41, row to row
         sp = space("A:3:[2,1,1]:-")
         A = sp.metric_matrix([2.0, 3.0, 5.0, 0.5])
         expect = np.array(
             [
                 [2.0, 0.0, 0.0, 0.0, 0.0],
                 [0.0, 3.0, 0.0, 0.5, 0.0],
-                [0.0, 0.0, 3.0, 0.0, -0.5],
+                [0.0, 0.0, 3.0, 0.0, 0.5],
                 [0.0, 0.5, 0.0, 5.0, 0.0],
-                [0.0, 0.0, -0.5, 0.0, 5.0],
+                [0.0, 0.0, 0.5, 0.0, 5.0],
             ]
         )
-        assert np.allclose(A, expect, atol=1e-12)
+        assert np.array_equal(A, expect)
 
     def test_pair_intertwiner_two_factor(self):
         sp = space("D:4:[3,1]:-")
         (i, j, B0) = sp.pairs[0]
         assert (i, j) == (1, 2)
-        assert np.array_equal(np.abs(B0), np.eye(3))
+        assert np.array_equal(B0, np.eye(3))
 
     def test_full_flag_nine_parameters(self):
         sp = space("A:3:[1,1,1,1]:-")
         assert sp.dim == 9
         assert [(i, j) for i, j, _ in sp.pairs] == [(0, 5), (1, 4), (2, 3)]
         for _, _, B0 in sp.pairs:
-            assert np.array_equal(np.abs(B0), [[1.0]])
+            assert np.array_equal(B0, [[1.0]])
 
     def test_central_pair_constructs(self):
         # two one-dimensional trivial summands may mix freely
@@ -192,14 +193,14 @@ class TestMetricSpace:
         assert len(I) == np.count_nonzero(t)
         assert np.array_equal(t[I, J, K], V)
 
-    def test_pair_intertwiners_are_signed_permutations(self):
-        # every B0 is stored exactly, so the canonical frame keeps its zeros
+    def test_pair_intertwiners_are_the_identity(self):
+        # every pair is aligned, so its B0 is stored as the exact identity,
+        # zeros +0, and read-only
         pairs = [B0 for spec in table_rows(6) for _, _, B0 in space(str(spec)).pairs]
         assert pairs
         for B0 in pairs:
-            assert set(np.unique(B0)) <= {-1.0, 0.0, 1.0}
-            assert np.array_equal(np.abs(B0).sum(axis=0), np.ones(len(B0)))
-            assert np.array_equal(np.abs(B0).sum(axis=1), np.ones(len(B0)))
+            assert np.array_equal(B0.view(np.int64), np.eye(len(B0)).view(np.int64))
+            assert not B0.flags.writeable
 
     def test_killing_symmetric_negative(self):
         sp = space("B:5:[5]:-")
@@ -732,17 +733,25 @@ def test_frame_of_a_pair_at_row_zero_equals_the_dense_construction(text):
     frames_agree(pair_first(text), np.random.default_rng(list(text.encode())))
 
 
-def test_frame_plan_refuses_an_intertwiner_that_is_no_signed_permutation():
-    # the frame's roles give each pair column one B0 entry of magnitude one,
-    # so a solved map that rounds to no signed permutation is refused when
-    # it is normalized
-    sp = space("D:4:[3,1]:-")
-    (_, _, B0), = sp.pairs
-    c, s = np.cos(0.3), np.sin(0.3)
-    turned = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ B0
-    with pytest.raises(UnimplementedCase, match="signed-permutation"):
-        invariant._normalized_intertwiner(turned, sp.spec)
-    assert np.array_equal(invariant._normalized_intertwiner(B0, sp.spec), B0)
+# each A3 pair's second summand with rows that are not the images of the
+# first's: the intertwiner is diag(1, -1) on [2,1,1] and a swap on the others
+UNALIGNED = {
+    "A:3:[2,1,1]:-": ((2, 1, 1), "M21~M31", [[("w(4,2)", 1.0)], [("w(4,1)", 1.0)]]),
+    "A:3:[1,2,1]:-": ((1, 2, 1), "M21~M32", [[("w(4,2)", 1.0)], [("w(4,3)", 1.0)]]),
+    "A:3:[1,1,2]:-": ((1, 1, 2), "M31~M32", [[("w(3,2)", 1.0)], [("w(4,2)", 1.0)]]),
+}
+
+
+@pytest.mark.parametrize("text", UNALIGNED)
+def test_metric_space_refuses_an_unaligned_pair(cold_caches, monkeypatch, text):
+    # the frame, the engine and the witness maps take every pair's B0 to be
+    # the identity, so a declared pair whose intertwiner is not a multiple
+    # of it is refused as the space is built
+    blocks, pair, rows = UNALIGNED[text]
+    name = flag._A3_PAIR_IMAGES[blocks][0]
+    monkeypatch.setitem(flag._A3_PAIR_IMAGES, blocks, (name, rows))
+    with pytest.raises(InvariantViolation, match=f"{pair} of {re.escape(text)} is not aligned"):
+        invariant.metric_space(parse_flag_spec(text))
 
 
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])

@@ -37,6 +37,11 @@ def test_frame_sweep_on_the_pair_flags_of_ranks_4_to_6(kept_memos):
     assert lines[1] == "dense construction bit for bit at 225 metrics, signed zeros included"
 
 
+def test_pairs_aligned_sweep_on_ranks_to_5(cold_caches):
+    lines = sweeps.pairs_aligned(sweeps.block_flags(5), (144, 163, 63))
+    assert lines[0].startswith("207 flags of at most four blocks of ranks 2-5: 144 metric spaces with 163 pairs")
+
+
 @pytest.fixture(scope="module")
 def fresh_sweeps():
     """One fresh interpreter's lines: the scipy or pytest that ``import sweeps`` loads, then the memory
@@ -69,7 +74,7 @@ def test_an_unknown_sweep_exits_2_and_lists_the_names():
 def test_every_sweep_step_of_ci_names_a_sweep():
     ci = (TESTS.parent / ".github" / "workflows" / "tier1.yml").read_text()
     names = re.findall(r"python tests/sweeps\.py (\S+)", ci)
-    assert "<<" not in ci and set(names) <= set(sweeps.SWEEPS) and len(set(names)) == len(names) == 7
+    assert "<<" not in ci and set(names) <= set(sweeps.SWEEPS) and len(set(names)) == len(names) == 8
 
 
 def flipped(witness_maps):

@@ -374,7 +374,7 @@ def _kernel_alone(monkeypatch):
 
 def test_support_kernel_sees_a_twisted_rep_entry(monkeypatch):
     # a skew twist inside the second summand of the pair keeps every
-    # summand but breaks G_jj B0 = B0 G_ii, which only the mixed blocks of
+    # summand but breaks G_jj = G_ii, which only the mixed blocks of
     # a metric or a Ricci form see
     _kernel_alone(monkeypatch)
     sp = metric_space(parse_flag_spec("D:5:[4,1]:-"))
