@@ -56,9 +56,19 @@ from .invariant import (
     metric_space,
     orthonormal_frame,
 )
-from .verify import CHECK_NAMES, CheckResult, run_checks
 
 __version__ = "0.1.0"
+
+# the check suite, einflag.verify, loads at the first read of one of these
+_VERIFY_NAMES = ("CHECK_NAMES", "CheckResult", "run_checks")
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

@@ -38,7 +38,8 @@ orders ``(i, j)`` and ``(j, i)``.  A bracket is a scatter-sum over these
 arrays, never a loop over vector entries, and no ``ad(x)`` matrix is
 formed.  The Killing form is the trace of ``ad . ad`` from the same arrays,
 never a closed-form multiple of the trace form (k is not simple for the B
-and D families).
+and D families), kept as its integer nonzeros ``killing_index = (I, J, V)``
+with ``K[I, J] = V``.
 
 The ambient inner product ``(.,.)`` is the family pairing under which each
 basis is orthogonal: minus the Killing form of so(l+1) for the A family, and
@@ -262,7 +263,7 @@ class AlgebraModel:
             arr.setflags(write=False)
         self.gram = self.pair_entries(elem, row * N + col, val)[0]
         self.structure_index = self._build_structure()
-        self.killing_matrix = self._build_killing()
+        self.killing_index = self._build_killing()
 
     # -- ambient pairing ---------------------------------------------------
 
@@ -347,16 +348,22 @@ class AlgebraModel:
         return arrays
 
     def _build_killing(self):
-        # K[a, b] = tr(ad_a ad_b) = sum_{j,k} C[a,j,k] C[b,k,j]: each entry e
-        # with key j*n + k pairs with every entry f whose transposed key
-        # K[f]*n + J[f] equals it
+        """The nonzeros ``(I, J, V)`` of ``K[a, b] = tr(ad_a ad_b) = sum_{j,k}
+        C[a,j,k] C[b,k,j]``, sorted by ``(I, J)``, the values int64.
+
+        Each structure entry e with key ``j*n + k`` pairs with every entry f
+        whose transposed key ``K[f]*n + J[f]`` equals it; the constants are
+        integers, so every sum is exact and K is exactly symmetric.
+        """
         I, J, K, V = self.structure_index
         n = self.n
         e, f = _matches(J * n + K, K * n + J)
-        Kill = np.bincount(
-            I[e] * n + I[f], weights=V[e] * V[f], minlength=n * n
-        ).reshape(n, n)
-        return (Kill + Kill.T) / 2.0
+        sums = np.bincount(I[e] * n + I[f], weights=V[e] * V[f], minlength=n * n)
+        keys = np.flatnonzero(sums)
+        arrays = (keys // n, keys % n, sums[keys].astype(np.int64))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
     # -- coordinate operations ----------------------------------------------
 
@@ -370,6 +377,72 @@ class AlgebraModel:
 
     def __repr__(self):
         return f"AlgebraModel({self.family}{self.rank}, dim={self.n})"
+
+
+def _nullity(M):
+    """Nullities of an ``(n, k, k)`` stack of integer matrices, by one
+    fraction-free (Bareiss) elimination of the stack in Python integers, so
+    that every division is exact; each matrix pivots on its first nonzero
+    at or below its rank."""
+    A = np.asarray(M).astype(object)
+    n, k = A.shape[:2]
+    rank = np.zeros(n, dtype=np.int64)
+    prev = np.ones(n, dtype=object)
+    row = np.arange(k)
+    for col in range(k):
+        cand = (A[:, :, col] != 0) & (row >= rank[:, None])
+        m = np.flatnonzero(cand.any(axis=1))
+        top, pivot = rank[m], np.argmax(cand[m], axis=1)
+        A[m, pivot], A[m, top] = A[m, top], A[m, pivot]
+        X, t = A[m], A[m, top]
+        p = t[:, col]
+        below = (row > top[:, None])[:, :, None]
+        step = (p[:, None, None] * X - X[:, :, col, None] * t[:, None, :]) // prev[m][:, None, None]
+        A[m] = np.where(below, step, X)
+        prev[m] = p
+        rank[m] += 1
+    return k - rank
+
+
+def _components(r, c, n):
+    """The connected components of the graph on ``range(n)`` with the edges
+    ``(r, c)``: each index takes the least index of its component, passed
+    along the edges until no label moves."""
+    label = np.arange(n)
+    while True:
+        moved = label.copy()
+        np.minimum.at(moved, r, label[c])
+        np.minimum.at(moved, c, label[r])
+        if np.array_equal(moved, label):
+            return label
+        label = moved
+
+
+def _block_stack(label, r, c, v):
+    """The square blocks of a matrix whose nonzeros ``(r, c, v)`` lie within
+    the components ``label`` of :func:`_components`, grouped by size.
+
+    Returns one ``(members, blocks)`` per size k: ``members`` the ``(m, k)``
+    indices of each block, ascending, and ``blocks`` the ``(m, k, k)`` stack
+    of their entries, in v's dtype.
+    """
+    order = np.argsort(label, kind="stable")
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    # each index's block and its place in it
+    block = np.repeat(np.arange(start.size), size)[np.argsort(order)]
+    place = np.empty(label.size, dtype=np.int64)
+    place[order] = np.arange(label.size) - np.repeat(start, size)
+    out = []
+    # not np.unique(size): without return_* it imports numpy.ma, 13 ms cold
+    for k in np.flatnonzero(np.bincount(size)):
+        ids = np.flatnonzero(size == k)
+        local = np.full(start.size, -1)
+        local[ids] = np.arange(ids.size)
+        at = local[block[r]] >= 0
+        blocks = np.zeros((ids.size, k, k), dtype=v.dtype)
+        blocks[local[block[r[at]]], place[r[at]], place[c[at]]] = v[at]
+        out.append((order[start[ids, None] + np.arange(k)], blocks))
+    return out
 
 
 def _row_entries(M):

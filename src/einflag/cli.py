@@ -32,7 +32,6 @@ from .errors import (
 )
 from .flag import decompose_isotropy, enumerate_small_flags, manifold_name, parse_flag_spec
 from .invariant import metric_space
-from .verify import run_checks
 
 __all__ = ["main"]
 
@@ -268,6 +267,9 @@ def _cmd_table1(args, parser):
 
 
 def _cmd_check(args, parser):
+    # the check suite loads only for this command
+    from .verify import run_checks
+
     spec = _parse_spec_or_exit(parser, args.flag)
     results = run_checks(spec)
     failed = [r for r in results if not r.passed]

@@ -23,8 +23,10 @@ key, and the twin is built by its representative's builder under the swap,
 keeping its own summand names.  Shapes outside the catalogued ranges raise
 :class:`~einflag.errors.UnimplementedCase`.
 
-Every constructed decomposition is verified a posteriori: submodules must be
-pairwise orthogonal, ad(k_Theta)-invariant, and fill the tangent space.
+Every constructed decomposition is verified a posteriori, exactly, on its
+declared integer spans (:attr:`Decomposition.certificate`): submodules must be
+pairwise orthogonal, of full rank, ad(k_Theta)-invariant, and fill the
+tangent space.  No tolerance and no random draw enters these decisions.
 """
 
 from __future__ import annotations
@@ -37,7 +39,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraModel, _coo_transform, _row_entries, build_algebra
+from .algebra import (
+    AlgebraModel,
+    _block_stack,
+    _components,
+    _coo_pattern,
+    _coo_sums,
+    _coo_transform,
+    _matches,
+    _nullity,
+    _row_entries,
+    build_algebra,
+)
 from .errors import BadFlag, BadPartition, InvariantViolation, UnimplementedCase
 
 __all__ = [
@@ -181,10 +194,27 @@ def theta(spec):
 
 def _simple_roots(family, rank):
     """The chain ``l_i - l_{i+1}``, then B's ``l_l``, C's ``2 l_l`` or D's
-    ``l_{l-1} + l_l``."""
-    eye = np.eye(rank + 1 if family == "A" else rank)
+    ``l_{l-1} + l_l``, as integer rows."""
+    eye = np.eye(rank + 1 if family == "A" else rank, dtype=np.int64)
     last = {"A": eye[:0], "B": eye[-1:], "C": 2 * eye[-1:], "D": eye[-2:-1] + eye[-1:]}
     return np.vstack([eye[:-1] - eye[1:], last[family]])
+
+
+def _root_coordinates(family, roots):
+    """Twice the coordinates of each integer root over :func:`_simple_roots`,
+    exact integers.
+
+    With P the partial sums of a root's lambda coordinates r, the chain root
+    ``l_i - l_{i+1}`` takes ``P_i``; B's ``l_l`` takes ``P_l``, C's ``2 l_l``
+    takes ``P_l / 2`` and D's ``l_{l-1} -+ l_l`` take ``(P_{l-1} -+ r_l) / 2``.
+    """
+    P = np.cumsum(roots, axis=1)
+    twice = 2 * P[:, : roots.shape[1] - (family == "A")]
+    if family == "C":
+        twice[:, -1] = P[:, -1]
+    elif family == "D":
+        twice[:, -2], twice[:, -1] = P[:, -2] - roots[:, -1], P[:, -2] + roots[:, -1]
+    return twice
 
 
 def split_reductive(spec):
@@ -192,16 +222,17 @@ def split_reductive(spec):
 
     Returns ``(isotropy, tangent)`` as tuples of basis indices.  A basis root
     belongs to the isotropy algebra k_Theta exactly when it lies in the
-    linear span of Theta.
+    linear span of Theta: the simple roots are independent, so exactly when
+    its integer coordinates over them (:func:`_root_coordinates`, checked
+    to rebuild every root) vanish off Theta.
     """
     model = spec.algebra
-    th = theta(spec)
-    in_span = np.zeros(model.n, dtype=bool)
-    if th:
-        A = _simple_roots(spec.family, spec.rank)[[i - 1 for i in th]].T  # spans Theta
-        roots = model.roots.T
-        sol, *_ = np.linalg.lstsq(A, roots, rcond=None)
-        in_span = np.linalg.norm(A @ sol - roots, axis=0) < 1e-9
+    twice = _root_coordinates(spec.family, model.roots)
+    if np.any(twice @ _simple_roots(spec.family, spec.rank) != 2 * model.roots):
+        raise InvariantViolation(f"the roots of {spec} do not expand over its simple roots")
+    outside = np.ones(spec.rank, dtype=bool)
+    outside[[i - 1 for i in theta(spec)]] = False
+    in_span = ~np.any(twice[:, outside], axis=1)
     iso, tan = np.flatnonzero(in_span).tolist(), np.flatnonzero(~in_span).tolist()
     _check_reductive(model, iso, tan)
     return tuple(iso), tuple(tan)
@@ -263,6 +294,123 @@ class GeneratorTable(NamedTuple):
     value: np.ndarray
 
 
+class DecompositionCertificate(NamedTuple):
+    """The exact decisions on a decomposition, from its declared integer spans.
+
+    The rows are the stacked spans, summand by summand, then one unit row
+    per isotropy coordinate: ``entries`` are their nonzeros ``(row, col,
+    val)``, int64, and ``owner`` is the summand of each row, the number of
+    summands for an isotropy row.
+
+    ``gram`` holds the nonzeros ``(a, b, value)`` of the rows' integer Gram
+    under twice the algebra's Gram diagonal, both orders, sorted: the
+    background product is ``inner_scale / 2`` times it.  An entry between
+    two owners is a pair of summands that are not orthogonal, or a summand
+    row that touches an isotropy coordinate.  ``label`` is each row's
+    component under the entries within its owner, and ``ranks`` the exact
+    rank of each summand's rows, from :func:`_gram_ranks`.
+
+    The isotropy action between the summand rows is, for the g-th isotropy
+    basis vector e_p, ``A_g[a, b] = <row a, [e_p, row b]>`` in the same
+    integer product; ``leaks`` are its nonzero entries ``(gen, a, b, value)``
+    whose rows a and b lie in different summands.  With the rows orthogonal
+    and of full rank, and ``[k_Theta, m]`` in m, a summand is
+    ad(k_Theta)-invariant exactly when none of its rows b leaks.
+    ``action`` is the layout of that gather, ``(at, order, pattern)``: the
+    structure entries it reads, the span entries listed by coordinate, and
+    its :func:`~einflag.algebra._coo_pattern`, whose ``keys`` are the
+    computed entries; :attr:`Decomposition.isotropy_action` takes its values
+    over the same layout when the orthonormal rows have the spans' nonzeros.
+    """
+
+    entries: tuple
+    owner: np.ndarray
+    gram: tuple
+    label: np.ndarray
+    ranks: np.ndarray
+    action: tuple
+    leaks: tuple
+
+
+def _as_int64(values, what):
+    """``values`` as int64, or :class:`InvariantViolation` naming ``what``
+    where one of them is not an integer."""
+    values = np.asarray(values)
+    exact = values.astype(np.int64)
+    if np.any(exact != values):
+        raise InvariantViolation(f"{what} is not integral")
+    return exact
+
+
+def _gram_entries(row, col, val, weight, size):
+    """The nonzeros ``(a, b, value)`` of ``R diag(weight) R^T`` for the integer
+    R of ``size`` rows with the nonzeros ``(row, col, val)``: one join of
+    the entries on their column, summed exactly per pair of rows.  Both
+    orders and the diagonal are listed, sorted by ``(a, b)``."""
+    x, y = _matches(col, col)
+    keys, inv = np.unique(row[x] * size + row[y], return_inverse=True)
+    sums = np.bincount(inv, weights=val[x] * val[y] * weight[col[x]], minlength=keys.size)
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    return keys // size, keys % size, sums.astype(np.int64)
+
+
+def _gram_ranks(a, b, value, size):
+    """``(label, rank)`` of a positive semidefinite integer Gram given by its
+    nonzeros: each row's component under the entries off the diagonal
+    (:func:`~einflag.algebra._components`), and the exact rank of each
+    component, stored at its least row, 0 elsewhere.  A row alone has rank 1
+    unless it is zero; a larger component has its size less the nullity of
+    its Gram block (:func:`~einflag.algebra._nullity`)."""
+    off = a != b
+    rank = np.zeros(size, dtype=np.int64)
+    if not off.any():
+        rank[a] = value != 0
+        return np.arange(size), rank
+    label = _components(a[off], b[off], size)
+    for members, blocks in _block_stack(label, a, b, value):
+        k = blocks.shape[1]
+        rank[members[:, 0]] = (blocks[:, 0, 0] != 0) if k == 1 else k - _nullity(blocks)
+    return label, rank
+
+
+def _certificate(dec):
+    """Build :attr:`Decomposition.certificate`."""
+    model = dec.spec.algebra
+    subs = dec.submodules
+    span = np.vstack([s.span for s in subs])
+    d, iso = len(span), np.asarray(dec.isotropy_indices, dtype=np.int64)
+    size = d + iso.size
+    owner = np.r_[np.repeat(np.arange(len(subs)), [s.dim for s in subs]), np.full(iso.size, len(subs))]
+    weight = _as_int64(2 * model.gram, "twice the Gram diagonal")
+    r, c = np.nonzero(span)
+    v = _as_int64(span[r, c], f"a declared span of {dec.spec}")
+    row, col = np.r_[r, d + np.arange(iso.size)], np.r_[c, iso]
+    val = np.r_[v, np.ones(iso.size, dtype=np.int64)]
+    gram = _gram_entries(row, col, val, weight, size)
+    a, b, G = gram
+    within = owner[a] == owner[b]
+    label, rank = _gram_ranks(a[within], b[within], G[within], size)
+    ranks = np.bincount(owner[:d], weights=rank[:d], minlength=len(subs)).astype(np.int64)
+
+    # A_g[a, b] = sum C[p, j, k] row_b[j] (weight row_a)[k] over the summand
+    # rows, one gather from structure_index through their nonzeros, listed
+    # by coordinate (order)
+    I, J, K, V = model.structure_index
+    gen = np.full(model.n, -1)
+    gen[iso] = np.arange(iso.size)
+    at = np.flatnonzero(gen[I] >= 0)
+    order = np.argsort(c * d + r)
+    by_coord = (np.searchsorted(c[order], np.arange(model.n + 1)), r[order])
+    one = (np.arange(iso.size + 1), np.arange(iso.size))
+    pattern = _coo_pattern((gen[I[at]], K[at], J[at]), (one, by_coord, by_coord), d)
+    A = _coo_sums(pattern, V[at][pattern[0]], (None, (v * weight[c])[order], v[order]))
+    keys = pattern[3]
+    g, a, b = keys // (d * d), keys // d % d, keys % d
+    bad = (A != 0) & (owner[a] != owner[b])
+    leaks = (g[bad], a[bad], b[bad], _as_int64(A[bad], "the isotropy action"))
+    return DecompositionCertificate((row, col, val), owner, gram, label, ranks, (at, order, pattern), leaks)
+
+
 def tangent_basis(dec):
     """Stacked orthonormal summand bases and their row slices."""
     rows = np.vstack([s.orthonormal for s in dec.submodules])
@@ -285,6 +433,13 @@ class Decomposition:
     tangent_indices: tuple
 
     @cached_property
+    def certificate(self):
+        """The :class:`DecompositionCertificate` of the declared spans, exact:
+        built at its first read from the spans, the algebra's
+        ``structure_index`` and ``gram``, never from the orthonormal rows."""
+        return _certificate(self)
+
+    @cached_property
     def isotropy_action(self):
         """The isotropy generators ``ad(e_p)``, p in ``isotropy_indices``, as a
         :class:`GeneratorTable` over the stacked summand bases.
@@ -292,19 +447,32 @@ class Decomposition:
         With B the :func:`tangent_basis` rows and ``B_w`` their background
         weights, generator g is ``R[a, b] = sum C[p, j, k] B_w[a, k] B[b, j]``,
         the background product of ``[e_p, b]`` with ``a``.  One gather from
-        the algebra's ``structure_index`` through the nonzeros of both bases.
+        the algebra's ``structure_index`` through the nonzeros of both bases:
+        where every row is its span row scaled (no Gram component of more
+        than one row), those nonzeros are the span's, and the gather takes
+        the certificate's layout and only multiplies and sums its values.
         """
         model = self.spec.algebra
         B, _ = tangent_basis(self)
-        Bw = B * (float(self.spec.inner_scale) * model.gram)
+        d, count = len(B), len(self.isotropy_indices)
+        w = float(self.spec.inner_scale) * model.gram
         I, J, K, V = model.structure_index
-        count = len(self.isotropy_indices)
+        cert = self.certificate
+        if np.bincount(cert.label).max() == 1:
+            at, order, pattern = cert.action
+            r, c, _ = cert.entries
+            r, c = r[: order.size][order], c[: order.size][order]
+            Bv = B[r, c]
+            v = _coo_sums(pattern, V[at][pattern[0]], (None, Bv * w[c], Bv))
+            keys = pattern[3]
+            return GeneratorTable(count, keys // (d * d), keys // d % d, keys % d, v)
+        Bw = B * w
         gen = np.full(model.n, -1)
         gen[list(self.isotropy_indices)] = np.arange(count)
         at = gen[I] >= 0
         one = (np.arange(count + 1), np.arange(count), np.ones(count))
         maps = (one, _row_entries(Bw.T), _row_entries(B.T))
-        g, a, b, v = _coo_transform((gen[I[at]], K[at], J[at], V[at]), maps, B.shape[0])
+        g, a, b, v = _coo_transform((gen[I[at]], K[at], J[at], V[at]), maps, d)
         return GeneratorTable(count, g, a, b, v)
 
 
@@ -465,36 +633,48 @@ def _spin_swap(model):
 
 
 def _orthonormalize(spec, rows):
-    """Gram-Schmidt for the background metric.
+    """The declared rows orthonormalized for the background metric, decided
+    on their exact Gram.
 
-    Rows linked by shared coordinates form a component, whose output vectors
-    lie in its coordinates.  Projections across components are exact zeros,
-    so each row visits only the earlier vectors of its own component.
+    The integer Gram ``G = R (2 gram) R^T`` of the rows R links rows with a
+    nonzero entry off its diagonal into components (:func:`_gram_ranks`).
+    A row alone in its component is divided by ``sqrt(scale |r|^2)``, its
+    squared norm ``G_rr / 2`` read off exactly, as Gram-Schmidt would round
+    it: one vectorized division, and the whole step where no two rows
+    share a coordinate, so that G is diagonal.  Only the rows of larger
+    components, the traceless diagonals of C's U summands, are
+    Gram-Schmidt'd, each visiting the earlier vectors of its own component.
+    A component of less than full rank raises :class:`InvariantViolation`:
+    the span is degenerate.
     """
     model = spec.algebra
     scale = float(spec.inner_scale)
-    label = list(range(len(rows)))
-
-    def root(i):
-        while label[i] != i:
-            i = label[i]
-        return i
-
-    first, done = {}, {}
-    for i, c in np.argwhere(rows).tolist():
-        a, b = root(i), root(first.setdefault(c, i))
-        label[max(a, b)] = min(a, b)
-    out = np.zeros(np.shape(rows))
-    for r, v in enumerate(rows):
-        earlier = done.setdefault(root(r), [])
-        w = v.copy()
+    k = len(rows)
+    r, c = np.nonzero(rows)
+    v = _as_int64(rows[r, c], "a declared span")
+    if np.bincount(c).max(initial=0) <= 1:
+        # no two rows share a coordinate: the Gram is its diagonal
+        norm2 = np.bincount(r, weights=v * v * model.gram[c], minlength=k)
+        if not norm2.all():
+            raise InvariantViolation("declared submodule span is degenerate")
+        return rows / np.sqrt(scale * norm2)[:, None]
+    weight = _as_int64(2 * model.gram, "twice the Gram diagonal")
+    a, b, G = _gram_entries(r, c, v, weight, k)
+    label, rank = _gram_ranks(a, b, G, k)
+    size = np.bincount(label, minlength=k)
+    if not np.array_equal(rank, np.where(label == np.arange(k), size, 0)):
+        raise InvariantViolation("declared submodule span is degenerate")
+    norm2 = np.zeros(k)
+    norm2[a[a == b]] = G[a == b] / 2
+    out = rows / np.sqrt(scale * norm2)[:, None]
+    done = {}
+    for i in np.flatnonzero(size[label] > 1):
+        earlier = done.setdefault(label[i], [])
+        w = rows[i].copy()
         for o in earlier:
             w -= scale * model.ambient_inner_coords(w, o) * o
-        nrm = np.sqrt(scale * model.ambient_inner_coords(w, w))
-        if nrm < 1e-12:
-            raise InvariantViolation("declared submodule span is degenerate")
-        out[r] = w / nrm
-        earlier.append(out[r])
+        out[i] = w / np.sqrt(scale * model.ambient_inner_coords(w, w))
+        earlier.append(out[i])
     return out
 
 
@@ -541,51 +721,35 @@ def decompose_isotropy(spec):
 
 
 def _verify_decomposition(dec):
-    spec = dec.spec
-    model = spec.algebra
-    g = float(spec.inner_scale) * model.gram
-    tan_set = set(dec.tangent_indices)
-
-    total = sum(s.dim for s in dec.submodules)
+    """Raise :class:`InvariantViolation` unless the summands fill the tangent
+    space, stay in it, are pairwise orthogonal, have full rank and are
+    ad(k_Theta)-invariant, each read off :attr:`Decomposition.certificate`
+    exactly.  The summands fill the tangent space and split_reductive has
+    checked ``[k_Theta, m]`` in m, so ad(e_p) leaves a summand exactly when
+    the image of one of its rows pairs with another summand's row."""
+    spec, subs = dec.spec, dec.submodules
+    total = sum(s.dim for s in subs)
     if total != len(dec.tangent_indices):
         raise InvariantViolation(
             f"submodule dimensions sum to {total}, tangent space has "
             f"dimension {len(dec.tangent_indices)} for {spec}"
         )
-
-    for s in dec.submodules:
-        support = np.nonzero(np.max(np.abs(s.span), axis=0) > 1e-12)[0]
-        if not set(support.tolist()) <= tan_set:
-            raise InvariantViolation(f"submodule {s.name} of {spec} leaves the tangent space")
-
-    weighted = [s.orthonormal * g for s in dec.submodules]
-    for a in range(len(dec.submodules)):
-        for b in range(a + 1, len(dec.submodules)):
-            if np.max(np.abs(weighted[a] @ dec.submodules[b].orthonormal.T)) > 1e-10:
-                raise InvariantViolation(
-                    f"submodules {dec.submodules[a].name} and "
-                    f"{dec.submodules[b].name} of {spec} are not orthogonal"
-                )
-
-    # ad(k_Theta)-invariance of every summand.  The summands fill the tangent
-    # space and split_reductive has checked [k_Theta, m] in m, so ad(e_p)
-    # leaves a summand exactly when the column of a summand vector in the
-    # isotropy action reaches another summand's rows.
-    act = dec.isotropy_action
-    d = total
-    owner = np.repeat(np.arange(len(dec.submodules)), [s.dim for s in dec.submodules])
-    elsewhere = owner[act.row] != owner[act.col]
-    leak = np.sqrt(
-        np.bincount(
-            act.gen * d + act.col,
-            weights=np.where(elsewhere, act.value * act.value, 0.0),
-            minlength=act.count * d,
-        )
-    )
-    bad = np.flatnonzero(leak > 1e-9)
-    if bad.size:
-        s = dec.submodules[owner[bad[0] % d]]
-        raise InvariantViolation(f"submodule {s.name} of {spec} is not ad-invariant")
+    cert = dec.certificate
+    owner, (a, b, _) = cert.owner, cert.gram
+    cross = owner[a] < owner[b]
+    touch = np.flatnonzero(cross & (owner[b] == len(subs)))
+    if touch.size:
+        raise InvariantViolation(f"submodule {subs[owner[a[touch[0]]]].name} of {spec} leaves the tangent space")
+    cross = np.flatnonzero(cross)
+    if cross.size:
+        u, w = owner[a[cross[0]]], owner[b[cross[0]]]
+        raise InvariantViolation(f"submodules {subs[u].name} and {subs[w].name} of {spec} are not orthogonal")
+    for s, rank in zip(subs, cert.ranks):
+        if rank != s.dim:
+            raise InvariantViolation(f"submodule {s.name} of {spec} has rank {rank} < {s.dim}")
+    _, _, leak, _ = cert.leaks
+    if leak.size:
+        raise InvariantViolation(f"submodule {subs[owner[leak.min()]].name} of {spec} is not ad-invariant")
 
 
 def enumerate_small_flags(family, rank):

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .algebra import _matches, _pair_sums
+from .algebra import _block_stack, _components, _nullity, _pair_sums
 from .algebraic import normal_is_einstein
 from .curvature import curvature, reduced_ricci, u_map
 from .einstein import (
@@ -43,7 +43,7 @@ from .einstein import (
     solve,
 )
 from .errors import NoCatalogEntry, NoExactCount, NotPositiveDefinite, UnimplementedCase
-from .flag import parse_flag_spec
+from .flag import _orthonormalize, parse_flag_spec
 from .invariant import (
     Frame,
     commutation_residual,
@@ -164,12 +164,13 @@ def _killing_trace_ratios(m):
     on their ambient position, and a Gram entry off the diagonal fails the
     check.
     With G a diagonal g, ``K x = r G x`` is ``g^-1/2 K g^-1/2 y = r y``, and
-    it splits over the connected blocks of K's off-diagonal pattern: one
-    stacked ``eigvalsh`` per block size, 1 x 1 blocks included.  A zero
-    ratio (the centre of u(l) in the C family) is decided exactly: on a
-    block with an eigenvalue near 0, 4K is integral, its nullity comes from
-    :func:`_nullity`, and that many of its eigenvalues, the smallest in
-    magnitude, are set to 0.
+    it splits over the connected blocks of the off-diagonal pattern of K,
+    read from the integer nonzeros ``killing_index``: one stacked
+    ``eigvalsh`` per block size, 1 x 1 blocks included.  A zero ratio (the
+    centre of u(l) in the C family) is decided exactly: on a block with an
+    eigenvalue near 0, the nullity of the integer block comes from
+    :func:`~einflag.algebra._nullity`, and that many of its eigenvalues,
+    the smallest in magnitude, are set to 0.
     """
     n = m.n
     elem, pos, val = _flat_entries(m)
@@ -178,62 +179,20 @@ def _killing_trace_ratios(m):
     if bad.size:
         raise _Failure(f"trace Gram of the basis has an off-diagonal entry {off[bad[0]]:g}")
     scale = 1.0 / np.sqrt(g)
-    K = -np.asarray(m.killing_matrix, dtype=float)
-    # each index takes the least label of its block, passed along K's
-    # off-diagonal nonzeros until no label moves
-    r, c = np.nonzero(K)
-    r, c = r[r != c], c[r != c]
-    label = np.arange(n)
-    while True:
-        moved = label.copy()
-        np.minimum.at(moved, r, label[c])
-        if np.array_equal(moved, label):
-            break
-        label = moved
-    order = np.argsort(label, kind="stable")
-    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    r, c, K = m.killing_index
+    K = -K
+    label = _components(r[r != c], c[r != c], n)
     ratios = []
-    # not np.unique(size): without return_* it imports numpy.ma, 13 ms cold
-    for k in np.flatnonzero(np.bincount(size)):
-        block = order[start[size == k, None] + np.arange(k)]
+    for block, integral in _block_stack(label, r, c, K):
         s = scale[block]
-        B = K[block[:, :, None], block[:, None, :]] * s[:, :, None] * s[:, None, :]
-        ev = np.linalg.eigvalsh(B)
+        ev = np.linalg.eigvalsh(integral * s[:, :, None] * s[:, None, :])
         # eigvalsh is off by about k eps |B|, so only these blocks can be singular
         near = np.flatnonzero(np.min(np.abs(ev), axis=1) <= 1e-8 * np.max(np.abs(ev), axis=1))
         if near.size:
-            b = block[near]
-            K4 = 4.0 * K[b[:, :, None], b[:, None, :]]
-            _require(np.array_equal(K4, np.rint(K4)), "4 x the Killing form is not integral")
-            rows, cols = np.nonzero(np.arange(k) < _nullity(K4.astype(np.int64))[:, None])
+            rows, cols = np.nonzero(np.arange(ev.shape[1]) < _nullity(integral[near])[:, None])
             ev[near[rows], np.argsort(np.abs(ev[near]), axis=1)[rows, cols]] = 0.0
         ratios.append(ev.ravel())
     return np.sort(np.concatenate(ratios))
-
-
-def _nullity(M):
-    """Nullities of an ``(n, k, k)`` stack of integer matrices, by one
-    fraction-free (Bareiss) elimination of the stack in Python integers, so
-    that every division is exact; each matrix pivots on its first nonzero
-    at or below its rank."""
-    A = np.asarray(M).astype(object)
-    n, k = A.shape[:2]
-    rank = np.zeros(n, dtype=np.int64)
-    prev = np.ones(n, dtype=object)
-    row = np.arange(k)
-    for col in range(k):
-        cand = (A[:, :, col] != 0) & (row >= rank[:, None])
-        m = np.flatnonzero(cand.any(axis=1))
-        top, pivot = rank[m], np.argmax(cand[m], axis=1)
-        A[m, pivot], A[m, top] = A[m, top], A[m, pivot]
-        X, t = A[m], A[m, top]
-        p = t[:, col]
-        below = (row > top[:, None])[:, :, None]
-        step = (p[:, None, None] * X - X[:, :, col, None] * t[:, None, :]) // prev[m][:, None, None]
-        A[m] = np.where(below, step, X)
-        prev[m] = p
-        rank[m] += 1
-    return k - rank
 
 
 def _check_killing_trace_ratio(ctx):
@@ -339,55 +298,66 @@ def _check_orthogonal_basis(ctx):
 
 
 def _check_tangent_complement(ctx):
+    """The declared rows and the isotropy coordinates fill the algebra
+    orthogonally, and the frame rows are the declared rows orthonormalized,
+    read off the decomposition's exact certificate: no entry of the integer
+    Gram joins two summands, or a summand and an isotropy coordinate, the
+    ranks add up to the algebra's dimension, and each summand's orthonormal
+    rows equal :func:`~einflag.flag._orthonormalize` of its span bit for bit."""
     dec, m = ctx.dec, ctx.model
-    rows = np.vstack([s.orthonormal for s in dec.submodules])
-    w = float(ctx.spec.inner_scale) * m.gram
-    G = (rows * w) @ rows.T
-    err = np.max(np.abs(G - np.eye(rows.shape[0])))
-    _require(err < 1e-12, f"summand frames not g0-orthonormal: {err:.2e}")
-    iso = list(dec.isotropy_indices)
-    leak = np.max(np.abs(rows[:, iso])) if iso else 0.0
-    _require(leak < 1e-12, f"tangent vectors touch isotropy coords: {leak:.2e}")
+    subs, cert = dec.submodules, dec.certificate
+    iso = dec.isotropy_indices
+    owner, (a, b, value) = cert.owner, cert.gram
+    cross = np.flatnonzero(owner[a] < owner[b])
+    if cross.size:
+        e = cross[0]
+        u, w = owner[a[e]], owner[b[e]]
+        if w < len(subs):
+            what = subs[w].name
+        else:  # the isotropy rows follow the summand rows
+            what = f"isotropy coordinate {m.basis[iso[b[e] - (owner.size - len(iso))]].label}"
+        raise _Failure(f"declared rows of {subs[u].name} and {what} pair to {value[e]} in the integer Gram")
+    rank = int(cert.ranks.sum())
     _require(
-        rows.shape[0] + len(iso) == m.n,
-        f"dim mismatch: {rows.shape[0]} tangent + {len(iso)} isotropy != {m.n}",
+        rank + len(iso) == m.n,
+        f"dim mismatch: {rank} tangent + {len(iso)} isotropy != {m.n}",
     )
+    # the summands are orthogonal, so no Gram component joins two of them,
+    # and the stacked spans orthonormalize as each one on its own
+    rows = np.vstack([s.orthonormal for s in subs])
+    want = _orthonormalize(ctx.spec, np.vstack([s.span for s in subs]))
+    _require(rows.shape == want.shape, f"{len(rows)} frame rows for {len(want)} declared rows")
+    differ = np.flatnonzero(np.any(rows != want, axis=1))
+    if differ.size:
+        raise _Failure(f"frame rows of {subs[owner[differ[0]]].name} are not its declared rows orthonormalized")
     return (
-        f"{rows.shape[0]} tangent + {len(iso)} isotropy coordinates fill "
-        f"the {m.n}-dim algebra orthogonally"
+        f"{rank} tangent + {len(iso)} isotropy coordinates fill the {m.n}-dim algebra "
+        f"orthogonally: the integer Gram of the declared rows is block diagonal, exactly"
     )
 
 
 def _check_isotropy_stability(ctx):
+    """``[e_p, W_i]`` stays in ``W_i`` for every isotropy basis vector e_p, read
+    off the decomposition's exact certificate: no nonzero entry of the
+    integer action between the declared rows joins two summands.  With the
+    rows filling the algebra orthogonally (``tangent-complement``) and
+    ``[k_Theta, m]`` in m (checked by ``split_reductive``), that is
+    ad(k_Theta)-invariance."""
     dec, m = ctx.dec, ctx.model
-    iso = list(dec.isotropy_indices)
+    subs, cert = dec.submodules, dec.certificate
+    iso = dec.isotropy_indices
     if not iso:
         return "isotropy algebra is trivial"
-    w = float(ctx.spec.inner_scale) * m.gram
-    summands = [sub.orthonormal for sub in dec.submodules]
-    rows = np.vstack(summands)
-    bounds = np.cumsum([len(R) for R in summands])[:-1]
-    # (rows @ ad(z))[r, k] = sum C[i, j, k] z[i] rows[r, j] over the entries
-    # with i in the isotropy coordinates, paired with the nonzeros of rows
-    I, J, K, V = m.structure_index
-    at = np.isin(I, iso)
-    I, J, K, V = I[at], J[at], K[at], V[at]
-    r, j = np.nonzero(rows)
-    e, f = _matches(J, j)
-    key, source = r[f] * m.n + K[e], I[e]
-    weight = V[e] * rows[r[f], j[f]]
-    worst = 0.0
-    for _ in range(10):
-        z = np.zeros(m.n)
-        z[iso] = ctx.rng.standard_normal(len(iso))
-        z /= np.linalg.norm(z)
-        images = np.bincount(key, weights=weight * z[source], minlength=rows.size)
-        for R, B in zip(summands, np.split(images.reshape(rows.shape), bounds)):
-            coeffs = (R * w) @ B.T
-            resid = B - coeffs.T @ R
-            worst = max(worst, float(np.sqrt(np.sum((resid * w) * resid))))
-    _require(worst < 1e-12, f"bracket leaks out of a summand: {worst:.2e}")
-    return f"[k, W_i] stays in W_i, max leak {worst:.1e}"
+    gen, a, b, value = cert.leaks
+    if gen.size:
+        raise _Failure(
+            f"bracket leaks out of a summand: [{m.basis[iso[gen[0]]].label}, {subs[cert.owner[b[0]]].name}] "
+            f"pairs to {value[0]} with {subs[cert.owner[a[0]]].name}"
+        )
+    return (
+        f"[k, W_i] stays in W_i: none of the {cert.action[2][3].size} integer action entries "
+        f"of the {len(iso)} isotropy generators joins two summands"
+    )
 
 
 def _expected_dims(spec):
@@ -402,13 +372,15 @@ def _expected_dims(spec):
 
 
 def _check_summand_dimensions(ctx):
+    """Each summand's frame has one row per declared row, its declared rows
+    have full rank, exactly (the certificate's ``ranks``), and the
+    dimensions match the catalogue's block-size formulas."""
     dec = ctx.dec
-    for s in dec.submodules:
+    for s, rank in zip(dec.submodules, dec.certificate.ranks):
         _require(
             s.orthonormal.shape[0] == s.dim,
             f"{s.name}: stored dim {s.dim} != frame rows {s.orthonormal.shape[0]}",
         )
-        rank = np.linalg.matrix_rank(s.orthonormal, tol=1e-9)
         _require(rank == s.dim, f"{s.name}: rank {rank} != dim {s.dim}")
     expected = _expected_dims(ctx.spec)
     _require(expected is not None, "no dimension formula catalogued for this shape")
@@ -418,7 +390,7 @@ def _check_summand_dimensions(ctx):
         f"dims {found} do not match the block-size formulas {expected}",
     )
     total = sum(found.values())
-    return f"dims {found} match the block-size formulas (total {total})"
+    return f"dims {found} match the block-size formulas (total {total}), each the exact rank of its declared rows"
 
 
 def _check_equivalence_classes(ctx):

@@ -18,7 +18,7 @@ import types
 
 import numpy as np
 
-from einflag import algebraic, cli, einstein, invariant, schur, verify
+from einflag import algebraic, cli, einstein, flag, invariant, schur, verify
 from einflag.algebra import _MIN_RANK, build_algebra
 from einflag.cli import _drop_flag_memos, _rank_specs
 from einflag.curvature import curvature
@@ -201,6 +201,68 @@ def schur_certificates(flags):
     return [
         f"{len(flags)} flags of ranks {_ranks(flags)}: the certificate equals the X^2 oracle;",
         f"zero Gram eigenvalues <= {zero:.1e}, nonzero >= {nonzero:.1e} of the norm",
+    ]
+
+
+def exact_decisions(dec):
+    """The decisions of the decomposition's exact certificate, keyed as
+    :func:`decomposition_oracle.decisions`, with the three checks that read it."""
+    cert, m = dec.certificate, len(dec.submodules)
+    owner, (a, b, _) = cert.owner, cert.gram
+    cross = owner[a] < owner[b]
+    ctx = types.SimpleNamespace(dec=dec, model=dec.spec.algebra, spec=dec.spec)
+    verdicts = []
+    for check in (verify._check_tangent_complement, verify._check_isotropy_stability):
+        try:
+            check(ctx)
+            verdicts.append(True)
+        except verify._Failure:
+            verdicts.append(False)
+    return {
+        "within_tangent": not np.any(cross & (owner[b] == m)),
+        "orthogonal": not np.any(cross & (owner[b] < m)),
+        "ranks": cert.ranks.tolist(),
+        "invariant": cert.leaks[0].size == 0,
+        "stable": verdicts[1],
+        "complement": verdicts[0],
+    }
+
+
+def decomposition(flags):
+    """The exact decomposition decisions against the float oracle, on each
+    flag and on the flag with one span row leaking into another summand,
+    and the orthonormal rows against the Gram-Schmidt loop, bit for bit."""
+    import dataclasses
+
+    import decomposition_oracle
+
+    flags, start, rows, checked = list(flags), time.perf_counter(), 0, 0
+    for spec in flags:
+        text = str(spec)
+        assert flag.split_reductive(spec) == decomposition_oracle.split_reductive(spec), text
+        dec = flag.decompose_isotropy(spec)
+        rng = np.random.default_rng(list(text.encode()))
+        want = decomposition_oracle.decisions(dec, rng)
+        assert exact_decisions(dec) == want, (text, want)
+        assert want["ranks"] == [s.dim for s in dec.submodules] and all(v for k, v in want.items() if k != "ranks"), text
+        for s in dec.submodules:
+            loop = decomposition_oracle.gram_schmidt_loop(spec, s.span)
+            assert np.array_equal(s.orthonormal.view(np.int64), loop.view(np.int64)), (text, s.name)
+            rows += s.dim
+        # the first row of summand 0 takes on the first row of summand 1
+        s0, s1 = dec.submodules[:2]
+        span = s0.span.copy()
+        span[0] += s1.span[0]
+        subs = [dataclasses.replace(s0, span=span, orthonormal=flag._orthonormalize(spec, span)), *dec.submodules[1:]]
+        leaky = dataclasses.replace(dec, submodules=subs)
+        assert exact_decisions(leaky)["orthogonal"] is decomposition_oracle.orthogonal(leaky) is False, text
+        checked += 1
+        _drop_flag_memos()
+    return [
+        f"{len(flags)} flags of ranks {_ranks(flags)}: the exact split, orthogonality, ranks, ad-invariance",
+        "and the three decomposition checks decide as the float oracle, also with one",
+        f"span row leaking ({checked} refused as not orthogonal by both); all {rows} orthonormal rows",
+        f"equal the Gram-Schmidt loop's bit for bit ({time.perf_counter() - start:.1f} s)",
     ]
 
 
@@ -427,6 +489,8 @@ SWEEPS = {
         s for family in "AD" for rank in range(17, 26) for s in enumerate_small_flags(family, rank)]),
     "frames": (frames, 45, lambda: [parse_flag_spec(text) for text in pair_flags(range(11, 26))]),
     "pairs-aligned": (functools.partial(pairs_aligned, expect=(947, 1865, 251)), 1198, lambda: block_flags(8)),
+    "decomposition": (decomposition, 767, lambda: [s for s in table_rows(16) if s.rank > 10]
+                      + [parse_flag_spec(text) for text in ("A:25:[20,3,3]:-", "C:25:[12,13]:+", "D:25:[24,1]:-")]),
     "list-memory": (listing, 1, lambda: [("A", 25)]),
     "c25-memory": (check_memory, 1, lambda: [parse_flag_spec("C:25:[12,13]:+")]),
 }

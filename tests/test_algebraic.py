@@ -57,19 +57,23 @@ def test_double_root_flags_read_the_normal_metric_exactly(text):
 
 @pytest.mark.parametrize("text", ["C:5:[5]:-", "C:6:[6]:-"])
 def test_rounding_noise_in_the_killing_term_fits_as_zero(text):
-    # the Killing trace of the flat summand is about 3e-16 in floats and
-    # exactly zero; it is judged against the largest trace of the array, so
-    # that summand's Ricci coefficient has no term at all
+    # the Killing trace of the flat summand is exactly zero, as the form is
+    # scattered from exact traces (the dense float product left about
+    # 3e-16); that much noise is judged against the largest trace of the
+    # array, so that summand's Ricci coefficient still has no term at all
     space = metric_space(parse_flag_spec(text))
     traces = [np.trace(space.killing[sl, sl]) for sl in space.slices]
-    assert 0 < abs(traces[0]) < 1e-15 and abs(traces[1]) > 1
-    eng = engine(text)
-    assert eng._k.tolist() == [0, round(traces[1])]
-    # no bracket of two tangent directions has a tangent part here, so
-    # rho_r = -k_r / (2 |O_r|^2)
-    assert not eng._G.any()
-    size = space.slices[1].stop - space.slices[1].start
-    assert eng.terms() == ({}, {(0, 0): Fraction(-round(traces[1]), 2 * size)})
+    assert traces[0] == 0.0 and abs(traces[1]) > 1
+    noisy = dataclasses.replace(space)
+    noisy.killing = space.killing.copy()
+    noisy.killing[space.slices[0], space.slices[0]] += 3e-16 * np.eye(space.dims[0])
+    for eng in (engine(text), curvature_module.ReducedRicci(noisy)):
+        assert eng._k.tolist() == [0, round(traces[1])]
+        # no bracket of two tangent directions has a tangent part here, so
+        # rho_r = -k_r / (2 |O_r|^2)
+        assert not eng._G.any()
+        size = space.slices[1].stop - space.slices[1].start
+        assert eng.terms() == ({}, {(0, 0): Fraction(-round(traces[1]), 2 * size)})
 
 
 @pytest.mark.parametrize("text", FLAGS)
@@ -201,7 +205,7 @@ def flipped_space(text, which):
     The constant is ``C[I, J, K] = -C[J, I, K]`` of the ``which``-th bracket
     of two tangent basis elements I < J with a tangent part K other than
     both; its two stored entries are negated together, and the Killing
-    matrix is rebuilt.  The cached model is left as it is.
+    form's nonzeros are rebuilt.  The cached model is left as it is.
     """
     space = metric_space(parse_flag_spec(text))
     model = copy.copy(space.spec.algebra)
@@ -210,7 +214,7 @@ def flipped_space(text, which):
     e = np.flatnonzero(tangent[I] & tangent[J] & tangent[K] & (I < J) & (K != I) & (K != J))[which]
     pair = ((I == I[e]) & (J == J[e])) | ((I == J[e]) & (J == I[e]))
     model.structure_index = (I, J, K, np.where(pair & (K == K[e]), -V, V))
-    model.killing_matrix = model._build_killing()
+    model.killing_index = model._build_killing()
     dec = dataclasses.replace(space.dec, spec=dataclasses.replace(space.spec, algebra=model))
     # replace copies no cached property: the copy derives t and K anew
     return space, dataclasses.replace(space, dec=dec)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+import decomposition_oracle
 from conftest import FLAGS, summary, tangent_dim
+from decomposition_oracle import gram_schmidt_loop
 
 from einflag.algebra import build_algebra
 from einflag.errors import BadFlag, BadPartition, InvariantViolation, UnimplementedCase
@@ -14,6 +16,8 @@ from einflag.flag import (
     Submodule,
     _check_reductive,
     _orthonormalize,
+    _root_coordinates,
+    _simple_roots,
     _verify_decomposition,
     decompose_isotropy,
     enumerate_small_flags,
@@ -40,19 +44,6 @@ RANK25 = [
     "D:25:[1,23,1]:+",
     "D:25:[12,13]:+",
 ]
-
-
-def gram_schmidt_loop(spec, rows):
-    """Oracle of ``_orthonormalize``: every earlier vector projected out in turn."""
-    model = spec.algebra
-    scale = float(spec.inner_scale)
-    out = []
-    for v in rows:
-        w = v.copy()
-        for o in out:
-            w -= scale * model.ambient_inner_coords(w, o) * o
-        out.append(w / np.sqrt(scale * model.ambient_inner_coords(w, w)))
-    return np.array(out)
 
 
 class TestSpec:
@@ -146,6 +137,19 @@ class TestSplitReductive:
         iso, _ = split_reductive(spec)
         labels = {spec.algebra.basis[i].label for i in iso}
         assert labels == {"w(3,2)", "w(4,2)", "w(4,3)", "u(5,2)", "u(5,3)", "u(5,4)"}
+
+    @pytest.mark.parametrize("text", FLAGS + RANK25)
+    def test_integer_coordinates_decide_as_the_least_squares_oracle(self, text):
+        spec = flag(text)
+        assert split_reductive(spec) == decomposition_oracle.split_reductive(spec)
+
+    def test_root_coordinates_rebuild_every_root(self):
+        for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+            for rank in (low, low + 1, 7):
+                model = build_algebra(family, rank)
+                twice = _root_coordinates(family, model.roots)
+                assert twice.dtype == np.int64
+                assert np.array_equal(twice @ _simple_roots(family, rank), 2 * model.roots), (family, rank)
 
     @pytest.mark.parametrize(
         "move,message",

@@ -756,8 +756,10 @@ def test_metric_space_refuses_an_unaligned_pair(cold_caches, monkeypatch, text):
 
 @pytest.mark.parametrize("text", FLAGS + ["C:25:[12,13]:+"])
 def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
-    # every ragged transform of t, recorded on a cold build: the isotropy
-    # table and space.structure through _coo_transform, and
+    # every ragged transform of t, recorded on a cold build: space.structure
+    # and, on a flag with a Gram-Schmidt component, the isotropy table
+    # through _coo_transform; the isotropy table and the integer action of
+    # the decomposition's certificate through the certificate's layout; and
     # the canonical-frame report's T through the pattern step of its plan
     # and the sum step of the report, which takes t's entry of each product
     # from the plan, gathered at its build; the reference pads every map row
@@ -792,13 +794,30 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     sp.structure
     coeffs = np.r_[np.linspace(0.7, 1.6, sp.n_sub), np.full(sp.dim - sp.n_sub, 0.1)]
     curvature_module.curvature(make_metric(sp, coeffs))
-    assert len(calls) == 2
+    dec, model = sp.dec, spec.algebra
+    assert len(calls) == 1 + (np.bincount(dec.certificate.label).max() > 1)
     for coo, maps, d, got in calls:
         want = dense_oracle.padded_transform(coo, maps, d)
         for g, w in zip(got[:3], want[:3]):
             assert np.array_equal(g, w)
         bound = 1e-15 * max(1.0, float(np.max(np.abs(want[3]), initial=0.0)))
         assert np.max(np.abs(got[3] - want[3]), initial=0.0) <= bound
+    B, _ = tangent_basis(dec)
+    S, d, count = np.vstack([s.span for s in dec.submodules]), len(B), len(dec.isotropy_indices)
+    I, J, K, V = model.structure_index
+    gen = np.full(model.n, -1)
+    gen[list(dec.isotropy_indices)] = np.arange(count)
+    at = gen[I] >= 0
+    coo, one = (gen[I[at]], K[at], J[at], V[at]), (np.arange(count + 1), np.arange(count), np.ones(count))
+    w = float(spec.inner_scale) * model.gram
+    want = dense_oracle.padded_transform(coo, (one, algebra._row_entries((B * w).T), algebra._row_entries(B.T)), d)
+    reps = sp.reps
+    for g, wa in zip((reps.gen, reps.row, reps.col), want[:3]):
+        assert np.array_equal(g, wa)
+    bound = 1e-15 * max(1.0, float(np.max(np.abs(want[3]), initial=0.0)))
+    assert np.max(np.abs(reps.value - want[3]), initial=0.0) <= bound
+    ints = dense_oracle.padded_transform(coo, (one, algebra._row_entries((S * 2 * model.gram).T), algebra._row_entries(S.T)), d)
+    assert np.array_equal(dec.certificate.action[2][3], (ints[0] * d + ints[1]) * d + ints[2])
     (index, rows, d, pattern), = [p for p in patterns if len(p[1]) == 3]
     (gathered, maps, got), = [v[1:] for v in values if v[0] is pattern]
     vals = sp.structure[3]
@@ -811,3 +830,44 @@ def test_ragged_transform_equals_the_padded_one(monkeypatch, text):
     bound = 1e-15 * max(1.0, float(np.max(np.abs(want), initial=0.0)))
     assert np.max(np.abs(got[at] - want), initial=0.0) <= bound
     assert not np.any(np.delete(got, at))
+
+
+@pytest.mark.parametrize(
+    "text", [str(s) for s in table_rows(8)] + ["A:25:[20,3,3]:-", "C:25:[12,13]:+", "D:25:[24,1]:-"]
+)
+def test_killing_is_exactly_symmetric_and_zero_off_its_pattern(text):
+    # the tangent Killing form is scattered from exact traces: bit-symmetric,
+    # nonzero exactly where the dense float product is above its rounding,
+    # and within that rounding of it; the engine's block traces are the
+    # float route's, rounded
+    import decomposition_oracle
+
+    sp = space(text)
+    K, ref = sp.killing, decomposition_oracle.tangent_killing(sp)
+    scale = float(np.max(np.abs(ref)))
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(K != 0, np.abs(ref) > 1e-12 * scale)
+    assert np.max(np.abs(K - ref)) <= 1e-13 * scale
+    blocks = [(i, i) for i in range(sp.n_sub)] + [b for i, j, _ in sp.pairs for b in ((j, i), (i, j))]
+    sl = sp.slices
+    want = [round(float(np.trace(ref[sl[u], sl[v]]))) for u, v in blocks]
+    assert curvature_module.reduced_ricci(sp.spec)._k.tolist() == want
+
+
+def test_c25_plans_one_killing_entry_per_tangent_direction():
+    # C:25:[12,13]:+ has no pair, so its Killing form is diagonal: 390
+    # entries, where the dense float product planned 511
+    sp = space("C:25:[12,13]:+")
+    assert np.count_nonzero(sp.killing) == sp.tangent_dim == 390
+    (src, _, _, _), values = sp.frame_plan.killing
+    assert np.unique(src).size == 390 and values.size == 390
+
+
+@pytest.mark.parametrize("text", ["A:8:[3,3,3]:-", "B:4:[4]:-", "C:6:[3,3]:+", "C:4:[4]:-", "D:5:[1,3,1]:+", "C:3:[1,2]:-"])
+def test_killing_span_traces_agree_dense_and_sparse(monkeypatch, text):
+    # the dense product of small flags and the two joins of large ones give
+    # the same form, bit for bit
+    sp = space(text)
+    dense = invariant._tangent_killing(sp)
+    monkeypatch.setattr(invariant, "_DENSE_TRACES", -1)
+    assert np.array_equal(invariant._tangent_killing(sp).view(np.int64), dense.view(np.int64))

@@ -1,5 +1,6 @@
-"""The runtime needs numpy alone; scipy is a test-only reference, and the
-cold path never loads ``numpy.ma``."""
+"""The runtime needs numpy alone; scipy is a test-only reference, the
+cold path never loads ``numpy.ma``, and ``solve`` never loads the check
+suite."""
 
 import subprocess
 import sys
@@ -22,5 +23,21 @@ def test_solve_and_check_load_no_scipy():
         "bad = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not bad, bad\n"
         "assert 'numpy.ma' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_solve_loads_no_check_suite():
+    # einflag.verify loads for `check` and for einflag.run_checks only
+    src = Path(einflag.__file__).parent.parent
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import einflag.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert einflag.cli.main(['solve', 'D:5:[4,1]:-']) == 0\n"
+        "assert 'einflag.verify' not in sys.modules\n"
+        "from einflag import run_checks\n"
+        "assert 'einflag.verify' in sys.modules and run_checks.__module__ == 'einflag.verify'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)

@@ -1,6 +1,7 @@
 """The sweeps of :mod:`sweeps` that no other Tier-1 test calls, on small
 sets, the memory sweeps in a fresh interpreter; and the command line."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import einflag.einstein
 import sweeps
+from einflag import flag
 from einflag.flag import parse_flag_spec
 
 TESTS = Path(__file__).parent
@@ -35,6 +37,24 @@ def test_engine_sweep_on_the_max_l6_flags(kept_memos):
 def test_frame_sweep_on_the_pair_flags_of_ranks_4_to_6(kept_memos):
     lines = sweeps.frames(map(parse_flag_spec, sweeps.pair_flags(range(4, 7))))
     assert lines[1] == "dense construction bit for bit at 225 metrics, signed zeros included"
+
+
+def test_decomposition_sweep_on_the_max_l6_flags(kept_memos):
+    lines = sweeps.decomposition(sweeps.table_rows(6))
+    assert lines[0].startswith("90 flags of ranks 2-6: the exact split, ")
+    assert lines[2].startswith("span row leaking (90 refused as not orthogonal by both); all ")
+
+
+def test_a_turned_frame_row_fails_the_decomposition_sweep(monkeypatch):
+    # the stored rows of the first summand of D:5:[4,1]:- turned by one ulp
+    # away from the Gram-Schmidt loop's
+    spec = parse_flag_spec("D:5:[4,1]:-")
+    dec = flag.decompose_isotropy(spec)
+    rows = dec.submodules[0].orthonormal
+    turned = dataclasses.replace(dec.submodules[0], orthonormal=np.nextafter(rows, 2.0))
+    monkeypatch.setattr(flag, "decompose_isotropy", lambda s: dataclasses.replace(dec, submodules=[turned, *dec.submodules[1:]]))
+    with pytest.raises(AssertionError, match=re.escape("D:5:[4,1]:-")):
+        sweeps.decomposition([spec])
 
 
 def test_pairs_aligned_sweep_on_ranks_to_5(cold_caches):
@@ -74,7 +94,7 @@ def test_an_unknown_sweep_exits_2_and_lists_the_names():
 def test_every_sweep_step_of_ci_names_a_sweep():
     ci = (TESTS.parent / ".github" / "workflows" / "tier1.yml").read_text()
     names = re.findall(r"python tests/sweeps\.py (\S+)", ci)
-    assert "<<" not in ci and set(names) <= set(sweeps.SWEEPS) and len(set(names)) == len(names) == 8
+    assert "<<" not in ci and set(names) <= set(sweeps.SWEEPS) and len(set(names)) == len(names) == 9
 
 
 def flipped(witness_maps):

@@ -13,10 +13,12 @@ import re
 import types
 from fractions import Fraction
 
+import decomposition_oracle
 import dense_oracle
 import numpy as np
 import pytest
 from conftest import FLAGS, ad_matrix, ambient_basis, dense_generators, edit_first_generator
+from decomposition_oracle import dense_killing
 
 from einflag import einstein, invariant, verify
 from einflag.algebra import build_algebra
@@ -185,7 +187,7 @@ def test_killing_trace_ratios_match_the_generalized_eigh(family, rank):
     linalg = pytest.importorskip("scipy.linalg")
     m = build_algebra(family, rank)
     mats = ambient_basis(m).reshape(m.n, -1)
-    ref = linalg.eigh(-m.killing_matrix, mats @ mats.T, eigvals_only=True)
+    ref = linalg.eigh(-dense_killing(m), mats @ mats.T, eigvals_only=True)
     got = verify._killing_trace_ratios(m)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -661,7 +663,7 @@ def test_killing_trace_ratio_fails_on_a_non_orthogonal_basis():
         n=m.n,
         ambient_dim=m.ambient_dim,
         entries=_plus_element(m.entries, 0, 1, 1),
-        killing_matrix=m.killing_matrix,
+        killing_index=m.killing_index,
         family=m.family,
     )
     with pytest.raises(verify._Failure, match="off-diagonal entry"):
@@ -867,14 +869,16 @@ def _mixed_decomposition(dec, theta=0.3):
 
 @pytest.mark.parametrize("text", ["D:5:[4,1]:-", "B:4:[4]:-", "A:25:[20,3,3]:-"])
 def test_isotropy_stability_equals_the_dense_ad_products(monkeypatch, text):
-    # the leak from one scatter of the structure entries, against the dense
-    # ad(z) products on the same ten draws, on a decomposition whose first
-    # summand is turned into the second, so that the leak is far from zero
+    # the float oracle's leak, from one scatter of the structure entries,
+    # against the dense ad(z) products on the same ten draws, on a
+    # decomposition whose first summand is turned into the second, so that
+    # the leak is far from zero; the exact checks read the declared spans,
+    # which the turn leaves alone, and tangent-complement fails on the
+    # turned frame rows
     spec = parse_flag_spec(text)
     ctx = verify._Context(spec)
     assert "stays in W_i" in verify._check_isotropy_stability(ctx)
     dec = _mixed_decomposition(ctx.dec)
-    monkeypatch.setattr(verify._Context, "dec", property(lambda self: dec))
     model = spec.algebra
     w = float(spec.inner_scale) * model.gram
     iso = list(dec.isotropy_indices)
@@ -890,5 +894,25 @@ def test_isotropy_stability_equals_the_dense_ad_products(monkeypatch, text):
             resid = B - ((sub.orthonormal * w) @ B.T).T @ sub.orthonormal
             worst = max(worst, float(np.sqrt(np.sum((resid * w) * resid))))
     assert worst > 1e-3
-    with pytest.raises(verify._Failure, match=f"leaks out of a summand: {worst:.2e}"):
-        verify._check_isotropy_stability(verify._Context(spec))
+    got = decomposition_oracle.stability_leak(dec, np.random.default_rng(verify._SEED))
+    assert abs(got - worst) <= 1e-12 * worst
+    monkeypatch.setattr(verify._Context, "dec", property(lambda self: dec))
+    mutated = verify._Context(spec)
+    with pytest.raises(verify._Failure, match=f"frame rows of {dec.submodules[0].name} are not its declared rows orthonormalized"):
+        verify._check_tangent_complement(mutated)
+
+
+@pytest.mark.parametrize("text", ["D:5:[4,1]:-", "C:5:[2,3]:+", "A:25:[20,3,3]:-"])
+def test_decomposition_checks_draw_nothing(monkeypatch, text):
+    # tangent-complement, isotropy-stability and summand-dimensions read the
+    # exact certificate: another seed gives the same lines, and no check
+    # after them sees its draws move
+    names = ("tangent-complement", "isotropy-stability", "summand-dimensions")
+    fns = [fn for name, fn in verify._CHECKS if name in names]
+    details = [fn(verify._Context(parse_flag_spec(text))) for fn in fns]
+    ctx = verify._Context(parse_flag_spec(text))
+    state = ctx.rng.bit_generator.state
+    assert [fn(ctx) for fn in fns] == details
+    assert ctx.rng.bit_generator.state == state
+    monkeypatch.setattr(verify, "_SEED", 7)
+    assert [fn(verify._Context(parse_flag_spec(text))) for fn in fns] == details
