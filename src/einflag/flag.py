@@ -632,6 +632,20 @@ def _spin_swap(model):
     return np.argmax(np.abs(flipped @ model.roots.T), axis=1)
 
 
+def _gram_schmidt_loop(spec, rows):
+    """Gram-Schmidt for the background metric: every earlier vector projected
+    out in turn."""
+    model = spec.algebra
+    scale = float(spec.inner_scale)
+    out = []
+    for v in rows:
+        w = v.copy()
+        for o in out:
+            w -= scale * model.ambient_inner_coords(w, o) * o
+        out.append(w / np.sqrt(scale * model.ambient_inner_coords(w, w)))
+    return np.array(out)
+
+
 def _orthonormalize(spec, rows):
     """The declared rows orthonormalized for the background metric, decided
     on their exact Gram.
@@ -640,24 +654,16 @@ def _orthonormalize(spec, rows):
     nonzero entry off its diagonal into components (:func:`_gram_ranks`).
     A row alone in its component is divided by ``sqrt(scale |r|^2)``, its
     squared norm ``G_rr / 2`` read off exactly, as Gram-Schmidt would round
-    it: one vectorized division, and the whole step where no two rows
-    share a coordinate, so that G is diagonal.  Only the rows of larger
-    components, the traceless diagonals of C's U summands, are
-    Gram-Schmidt'd, each visiting the earlier vectors of its own component.
-    A component of less than full rank raises :class:`InvariantViolation`:
-    the span is degenerate.
+    it: one vectorized division.  Only the rows of larger components, the
+    traceless diagonals of C's U summands, go through
+    :func:`_gram_schmidt_loop`, one component at a time.  A component of
+    less than full rank raises :class:`InvariantViolation`: the span is
+    degenerate.
     """
     model = spec.algebra
-    scale = float(spec.inner_scale)
     k = len(rows)
     r, c = np.nonzero(rows)
     v = _as_int64(rows[r, c], "a declared span")
-    if np.bincount(c).max(initial=0) <= 1:
-        # no two rows share a coordinate: the Gram is its diagonal
-        norm2 = np.bincount(r, weights=v * v * model.gram[c], minlength=k)
-        if not norm2.all():
-            raise InvariantViolation("declared submodule span is degenerate")
-        return rows / np.sqrt(scale * norm2)[:, None]
     weight = _as_int64(2 * model.gram, "twice the Gram diagonal")
     a, b, G = _gram_entries(r, c, v, weight, k)
     label, rank = _gram_ranks(a, b, G, k)
@@ -666,15 +672,10 @@ def _orthonormalize(spec, rows):
         raise InvariantViolation("declared submodule span is degenerate")
     norm2 = np.zeros(k)
     norm2[a[a == b]] = G[a == b] / 2
-    out = rows / np.sqrt(scale * norm2)[:, None]
-    done = {}
-    for i in np.flatnonzero(size[label] > 1):
-        earlier = done.setdefault(label[i], [])
-        w = rows[i].copy()
-        for o in earlier:
-            w -= scale * model.ambient_inner_coords(w, o) * o
-        out[i] = w / np.sqrt(scale * model.ambient_inner_coords(w, w))
-        earlier.append(out[i])
+    out = rows / np.sqrt(float(spec.inner_scale) * norm2)[:, None]
+    for root in np.flatnonzero(size > 1):
+        members = np.flatnonzero(label == root)
+        out[members] = _gram_schmidt_loop(spec, rows[members])
     return out
 
 
@@ -710,10 +711,12 @@ def decompose_isotropy(spec):
     swap = _spin_swap(model) if rep is not spec else slice(None)
     names = dict(spec.record.twin_names) if rep is not spec and spec.record else {}
 
-    submodules = []
-    for name, terms in raw_subs:
-        span = _span_from_terms(model, terms)[:, swap]
-        submodules.append(Submodule(names.get(name, name), span, _orthonormalize(spec, span)))
+    # the summands are orthogonal (_verify_decomposition), so no Gram
+    # component joins two of them and their stacked spans orthonormalize as
+    # each one on its own
+    spans = [_span_from_terms(model, terms)[:, swap] for _, terms in raw_subs]
+    rows = np.split(_orthonormalize(spec, np.vstack(spans)), np.cumsum([len(x) for x in spans])[:-1])
+    submodules = [Submodule(names.get(name, name), x, r) for (name, _), x, r in zip(raw_subs, spans, rows)]
 
     dec = Decomposition(spec, submodules, [tuple(c) for c in equiv], iso, tan)
     _verify_decomposition(dec)

@@ -43,7 +43,6 @@ diagonal scales; the intertwiner coefficients are the mixing parameters
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -68,10 +67,6 @@ __all__ = [
 
 # a pair with |b| below this is unmixed: a diagonal frame, eigenvalues x_i, x_j
 _UNMIXED = 1e-14
-# the span traces of the Killing form are a dense product S K S^T up to this
-# many multiplications d n^2, and two sparse joins above it: about where the
-# two take equal time (one BLAS thread; 6 us against 37 us at A:8, d = 27)
-_DENSE_TRACES = 1 << 18
 
 
 def _gf2_kernel(rows, n):
@@ -256,109 +251,58 @@ class MetricSpace:
         return _frame_plan(self)
 
 
-def _integer_gram_schmidt(G):
-    """Fraction-free Gram-Schmidt of rows with the k x k integer Gram G, of
-    full rank: ``(W, N)``, W integer and lower triangular with ``W G W^T =
-    diag(N)``, in Python integers.
-
-    One Bareiss elimination of ``[G | I]``, every division exact: row i of
-    its right half is ``Delta_i`` times the i-th orthogonalized row over the
-    given ones, ``Delta_i`` the i-th leading principal minor of G, and its
-    squared norm is ``N_i = Delta_i Delta_{i+1}``.
-    """
-    k = len(G)
-    A = np.concatenate([np.asarray(G, dtype=object), np.eye(k, dtype=np.int64).astype(object)], axis=1)
-    prev = 1
-    for i in range(k):
-        p = A[i, i]
-        A[i + 1 :] = (p * A[i + 1 :] - A[i + 1 :, i, None] * A[i]) // prev
-        prev = p
-    minors = [1] + [A[i, i] for i in range(k)]
-    return A[:, k:], [minors[i] * minors[i + 1] for i in range(k)]
-
-
 def _tangent_killing(space):
-    """The Killing form over the orthonormal tangent rows, from exact traces.
+    """The Killing form over the orthonormal tangent rows, scattered from
+    exact span traces.
 
     With S the stacked declared rows and K the algebra's integer
-    ``killing_index``, ``T = S K S^T`` is exact: a dense product while it
-    is small (``_DENSE_TRACES``), else two joins of their nonzeros.
-    A row alone in its Gram component (the decomposition's certificate) is
-    its span row over ``sqrt(scale D_a / 2)``, ``D_a = G_aa`` its squared
-    norm under ``2 gram``, so between two such rows the form is ``2 T_ab /
-    (scale sqrt(D_a D_b))``: one correctly rounded division of integers on
-    the diagonal.  The rows of a larger component, C's traceless diagonals,
-    are ``W s`` over ``sqrt(scale N / 2)``, W and N the
-    :func:`_integer_gram_schmidt` of its Gram block; their entries come from
-    ``Y = W T W^T`` in Python integers, divided as ``Fraction`` s.  Every
-    entry that is exactly zero is 0.0, and the form is exactly symmetric,
-    as T, Y and ``D_a D_b`` are.
+    ``killing_index``, ``T = S K S^T`` is exact: two joins of their
+    nonzeros.  The form is symmetric and ad(k_Theta)-invariant, so on each
+    block (u, v) of the metric space's operators, a summand or either side
+    of an aligned pair, T is ``c G_u``, G_u the certificate's integer Gram
+    of u's rows and c the block's first entry over G_u's first diagonal
+    entry, and T vanishes on every other block.  Both are checked entry by
+    entry in integers, and so is ``G_u = G_v`` on each pair, else
+    :class:`InvariantViolation`: the orthonormal rows of a pair are then
+    the same combinations of the declared ones on both sides, and over
+    them every block is ``2 c / scale`` times the identity, its trace
+    ``tr(2 G_u^-1 T / scale) = 2 c d_u / scale``: one correctly rounded
+    value per block, scattered on its identity pattern.
     """
-    dec = space.dec
-    model, scale = space.spec.algebra, space.spec.inner_scale
-    d = space.tangent_dim
-    cert = dec.certificate
+    spec, cert = space.spec, space.dec.certificate
+    d, scale = space.tangent_dim, spec.inner_scale
     # the span entries come first, the isotropy unit rows after them
     r, c, v = (x[: cert.action[1].size] for x in cert.entries)
-    KI, KJ, KV = model.killing_index
-    if d * model.n**2 <= _DENSE_TRACES:
-        # small integer products, exact in floats in any order
-        S, K = np.zeros((d, model.n)), np.zeros((model.n, model.n))
-        S[r, c], K[KI, KJ] = v, KV
-        T = (S @ K @ S.T).ravel()
-        keys = np.flatnonzero(T)
-        T = T[keys]
-    else:
-        # s_a K s_b: each span entry meets the Killing entries of its
-        # column, and each of those the span entries of its own column
-        x, y = _matches(c, KI)
-        row, col, part = r[x], KJ[y], v[x] * KV[y]
-        x, y = _matches(col, c)
-        keys, inv = np.unique(row[x] * d + r[y], return_inverse=True)
-        T = np.bincount(inv, weights=part[x] * v[y], minlength=keys.size)
-        keys, T = keys[T != 0], T[T != 0]
-    a, b = keys // d, keys % d
+    KI, KJ, KV = spec.algebra.killing_index
+    # s_a K s_b: each span entry meets the Killing entries of its column,
+    # and each of those the span entries of its own column
+    x, y = _matches(c, KI)
+    row, col, part = r[x], KJ[y], v[x] * KV[y]
+    x, y = _matches(col, c)
+    Td = np.bincount(row[x] * d + r[y], weights=part[x] * v[y], minlength=d * d).astype(np.int64).reshape(d, d)
     ga, gb, G = cert.gram
     mine = (ga < d) & (gb < d)
-    D = np.zeros(d, dtype=np.int64)
-    D[ga[mine & (ga == gb)]] = G[mine & (ga == gb)]
-    label = cert.label[:d]
-    larger = np.bincount(label, minlength=d)[label] > 1
-    out = np.zeros(d * d)
-    norm = np.sqrt((D[a] * D[b]).astype(float))
-    if not larger.any():
-        out[keys] = 2 * scale.denominator * T / (scale.numerator * norm)
-        return out.reshape(d, d)
-    alone = ~(larger[a] | larger[b])
-    out[keys[alone]] = 2 * scale.denominator * T[alone] / (scale.numerator * norm[alone])
-    # Y = W T W^T over the rows of larger components and their partners
-    # in T, W the integer Gram-Schmidt of each component (the identity on
-    # the other rows) and D their squared norms in the same scale
-    near = np.unique(np.r_[np.flatnonzero(larger), b[larger[a]]])
-    at = np.full(d, -1)
-    at[near] = np.arange(near.size)
-    W = np.eye(near.size, dtype=np.int64).astype(object)
-    squared = D[near].astype(object)
-    for root in np.unique(label[larger]):
-        rows = np.flatnonzero(label == root)
-        inside = mine & (cert.label[ga] == root) & (cert.label[gb] == root)
-        block = np.zeros((rows.size, rows.size), dtype=np.int64)
-        block[np.searchsorted(rows, ga[inside]), np.searchsorted(rows, gb[inside])] = G[inside]
-        idx = at[rows]
-        W[idx[:, None], idx], squared[idx] = _integer_gram_schmidt(block)
-    Tn = np.zeros((near.size, near.size), dtype=np.int64)
-    touch = ~alone
-    Tn[at[a[touch]], at[b[touch]]] = T[touch]
-    Y = W.dot(Tn.astype(object)).dot(W.T)
-    x, y = np.nonzero(Y != 0)
-    for x, y, v in zip(near[x].tolist(), near[y].tolist(), Y[x, y].tolist()):
-        if larger[x] or larger[y]:
-            Nx, Ny = squared[at[x]], squared[at[y]]
-            if x == y:
-                out[x * d + y] = float(Fraction(2 * v) / (scale * Nx))
-            else:
-                out[x * d + y] = float(Fraction(2 * v) / scale) / math.sqrt(Nx * Ny)
-    return out.reshape(d, d)
+    Gd = np.zeros((d, d), dtype=np.int64)
+    Gd[ga[mine], gb[mine]] = G[mine]
+    # on each block (u, w), c = num / den from its first entry and G_u's
+    # first diagonal entry; each block is cleared from Td once checked
+    sl, names = space.slices, [s.name for s in space.dec.submodules]
+    out = np.zeros((d, d))
+    for u, w in [(u, u) for u in range(space.n_sub)] + [p for i, j, _ in space.pairs for p in ((i, j), (j, i))]:
+        Tb, Gb = Td[sl[u], sl[w]], Gd[sl[u], sl[u]]
+        num, den = int(Tb[0, 0]), int(Gb[0, 0])
+        if np.any(Tb * den != num * Gb) or not np.array_equal(Gb, Gd[sl[w], sl[w]]):
+            raise InvariantViolation(
+                f"the Killing form of {spec} is no multiple of the background metric on {names[u]}, {names[w]}"
+            )
+        # Python's division of integers rounds correctly
+        np.fill_diagonal(out[sl[u], sl[w]], 2 * scale.denominator * num / (scale.numerator * den))
+        Tb[...] = 0
+    if Td.any():
+        a, b = np.argwhere(Td)[0]
+        owner = cert.owner
+        raise InvariantViolation(f"the Killing form of {spec} pairs {names[owner[a]]} and {names[owner[b]]} off its blocks")
+    return out
 
 
 def _trace_size(coo, d):

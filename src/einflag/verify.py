@@ -43,7 +43,7 @@ from .einstein import (
     solve,
 )
 from .errors import NoCatalogEntry, NoExactCount, NotPositiveDefinite, UnimplementedCase
-from .flag import _orthonormalize, parse_flag_spec
+from .flag import _gram_schmidt_loop, parse_flag_spec
 from .invariant import (
     Frame,
     commutation_residual,
@@ -301,9 +301,12 @@ def _check_tangent_complement(ctx):
     """The declared rows and the isotropy coordinates fill the algebra
     orthogonally, and the frame rows are the declared rows orthonormalized,
     read off the decomposition's exact certificate: no entry of the integer
-    Gram joins two summands, or a summand and an isotropy coordinate, the
-    ranks add up to the algebra's dimension, and each summand's orthonormal
-    rows equal :func:`~einflag.flag._orthonormalize` of its span bit for bit."""
+    Gram joins two summands, or a summand and an isotropy coordinate, and
+    the ranks add up to the algebra's dimension.  Each summand's frame rows
+    must equal the plain Gram-Schmidt loop over its declared rows bit for
+    bit: where the summand's integer Gram is diagonal, every projection in
+    that loop is an exact zero, so it is each row over its norm under the
+    background product in one vectorized step."""
     dec, m = ctx.dec, ctx.model
     subs, cert = dec.submodules, dec.certificate
     iso = dec.isotropy_indices
@@ -322,11 +325,17 @@ def _check_tangent_complement(ctx):
         rank + len(iso) == m.n,
         f"dim mismatch: {rank} tangent + {len(iso)} isotropy != {m.n}",
     )
-    # the summands are orthogonal, so no Gram component joins two of them,
-    # and the stacked spans orthonormalize as each one on its own
     rows = np.vstack([s.orthonormal for s in subs])
-    want = _orthonormalize(ctx.spec, np.vstack([s.span for s in subs]))
-    _require(rows.shape == want.shape, f"{len(rows)} frame rows for {len(want)} declared rows")
+    span = np.vstack([s.span for s in subs])
+    _require(rows.shape == span.shape, f"{len(rows)} frame rows for {len(span)} declared rows")
+    want = span / np.sqrt(float(ctx.spec.inner_scale) * ((span * span) @ m.gram))[:, None]
+    label = cert.label[: len(span)]
+    start = 0
+    for s in subs:
+        at = slice(start, start + s.dim)
+        start += s.dim
+        if np.any(label[at] != np.arange(at.start, at.stop)):
+            want[at] = _gram_schmidt_loop(ctx.spec, s.span)
     differ = np.flatnonzero(np.any(rows != want, axis=1))
     if differ.size:
         raise _Failure(f"frame rows of {subs[owner[differ[0]]].name} are not its declared rows orthonormalized")

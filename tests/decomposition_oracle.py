@@ -6,13 +6,16 @@ least-squares span test at 1e-9, ``_verify_decomposition``'s orthogonality
 at 1e-10 and ad-invariance leak at 1e-9 over the orthonormal rows, the
 ``tangent-complement`` float Gram at 1e-12, ``isotropy-stability`` on ten
 random isotropy vectors at 1e-12, ``summand-dimensions``' float rank at
-1e-9, the plain Gram-Schmidt loop, and the dense Killing forms
-``basis @ K @ basis^T``.  Each returns what it decided instead of raising.
+1e-9, and the dense Killing forms ``basis @ K @ basis^T``.  Each returns
+what it decided instead of raising.  ``gram_schmidt_loop`` is the plain
+loop of ``einflag.flag``, which ``tangent-complement`` compares the frame
+rows with.
 """
 
 import numpy as np
 
 from einflag.algebra import _matches
+from einflag.flag import _gram_schmidt_loop as gram_schmidt_loop
 from einflag.flag import _simple_roots, tangent_basis, theta
 
 
@@ -28,20 +31,6 @@ def tangent_killing(space):
     """The Killing form over the orthonormal tangent rows, ``basis @ K @ basis^T``
     in floats."""
     return space.basis @ dense_killing(space.spec.algebra) @ space.basis.T
-
-
-def gram_schmidt_loop(spec, rows):
-    """Gram-Schmidt for the background metric: every earlier vector projected
-    out in turn."""
-    model = spec.algebra
-    scale = float(spec.inner_scale)
-    out = []
-    for v in rows:
-        w = v.copy()
-        for o in out:
-            w -= scale * model.ambient_inner_coords(w, o) * o
-        out.append(w / np.sqrt(scale * model.ambient_inner_coords(w, w)))
-    return np.array(out)
 
 
 def split_reductive(spec):

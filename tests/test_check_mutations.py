@@ -1,9 +1,10 @@
 """Mutations that the exact decomposition checks must fail.
 
 Each mutation changes the data a check reads, never the check's body: the
-decomposition that ``verify._Context.dec`` hands the checks, a catalogue
-record, a span entry, a structure constant of a copy of the algebra, or an
-entry of the algebra's integer Killing form.  ``_verify_decomposition``
+decomposition that ``verify._Context.dec`` hands the checks (a summand's
+span or frame rows), a catalogue record, a span entry, a structure
+constant of a copy of the algebra, or an entry of the algebra's integer
+Killing form, which the tangent Killing form must refuse as well.  ``_verify_decomposition``
 reads the same certificate and must refuse the same data.
 """
 
@@ -176,3 +177,72 @@ def test_a_killing_entry_off_by_one_fails_killing_trace_ratio(text, monkeypatch)
     limit = {"A": 1, "B": 2, "C": 2, "D": 1}[spec.family]
     with pytest.raises(verify._Failure, match=f"distinct Killing/trace ratios, expected <= {limit}"):
         verify._check_killing_trace_ratio(ctx)
+
+
+@pytest.mark.parametrize("text", ["A:25:[20,3,3]:-", "C:5:[2,3]:+", "D:5:[4,1]:-"])
+def test_a_killing_entry_off_by_one_fails_the_tangent_killing_form(text):
+    # on a copy of the algebra, one diagonal Killing entry on a coordinate
+    # that only one summand of several rows touches is off by 1, and then
+    # one entry joining the first two summands: the span traces are no
+    # longer a multiple of the Gram on every block, or leave the blocks
+    from einflag import invariant
+
+    spec = parse_flag_spec(text)
+    sp = invariant.metric_space(spec)
+    spans = [s.span for s in sp.dec.submodules]
+    model = copy.copy(spec.algebra)
+    I, J, V = model.killing_index
+
+    def mutated(index):
+        model.killing_index = index
+        dec = dataclasses.replace(sp.dec, spec=dataclasses.replace(spec, algebra=model))
+        return dataclasses.replace(sp, dec=dec)
+
+    touch = np.array([np.any(s != 0, axis=0) for s in spans])
+    only = (touch.sum(axis=0) == 1) & touch[[len(s) > 1 for s in spans]].any(axis=0)
+    j = np.flatnonzero(only)[0]
+    e = np.flatnonzero((I == j) & (J == j))[0]
+    with pytest.raises(InvariantViolation, match="is no multiple of the background metric on"):
+        invariant._tangent_killing(mutated((I, J, np.where(np.arange(V.size) == e, V + 1, V))))
+    j, k = np.flatnonzero(spans[0][0])[0], np.flatnonzero(spans[1][0])[0]
+    index = (np.r_[I, j, k], np.r_[J, k, j], np.r_[V, 1, 1])
+    with pytest.raises(InvariantViolation, match="off its blocks|is no multiple"):
+        invariant._tangent_killing(mutated(index))
+    assert np.array_equal(invariant._tangent_killing(sp), sp.killing)
+
+
+@pytest.mark.parametrize("text, unprojected", [("A:25:[20,3,3]:-", 0), ("C:5:[2,3]:+", 0), ("C:6:[3,3]:-", 2)])
+def test_misscaled_or_unprojected_frame_rows_fail_tangent_complement(text, unprojected, monkeypatch):
+    # the frame rows of one summand divided by twice their squared norm, or,
+    # where its integer Gram is not diagonal, each row over its own norm with
+    # no projection: tangent-complement compares them with the plain loop
+    spec = parse_flag_spec(text)
+    dec = decompose_isotropy(spec)
+    scale = float(spec.inner_scale)
+    count = 0
+    for k, s in enumerate(dec.submodules):
+        norm2 = (s.span * s.span) @ spec.algebra.gram
+        mutants = [s.span / np.sqrt(2 * scale * norm2)[:, None]]
+        alone = s.span / np.sqrt(scale * norm2)[:, None]
+        if not np.array_equal(alone, s.orthonormal):
+            mutants.append(alone)
+            count += 1
+        for rows in mutants:
+            failed = checks(spec, with_summand(dec, k, s.span, rows), monkeypatch)
+            assert failed["tangent-complement"] == f"frame rows of {s.name} are not its declared rows orthonormalized"
+    assert count == unprojected
+
+
+def test_a_pair_with_unequal_grams_fails_the_tangent_killing_form():
+    # the second summand of D:5:[4,1]:-'s pair declared at twice its rows:
+    # every span trace is still a multiple of the first side's Gram, but
+    # the two sides' Grams differ, so their orthonormal rows are no longer
+    # the same combinations of the declared ones
+    from einflag import invariant
+
+    sp = invariant.metric_space(parse_flag_spec("D:5:[4,1]:-"))
+    (i, j, _), = sp.pairs
+    s = sp.dec.submodules[j]
+    doubled = dataclasses.replace(sp, dec=with_summand(sp.dec, j, 2 * s.span, s.orthonormal))
+    with pytest.raises(InvariantViolation, match="is no multiple of the background metric on"):
+        invariant._tangent_killing(doubled)

@@ -861,13 +861,3 @@ def test_c25_plans_one_killing_entry_per_tangent_direction():
     assert np.count_nonzero(sp.killing) == sp.tangent_dim == 390
     (src, _, _, _), values = sp.frame_plan.killing
     assert np.unique(src).size == 390 and values.size == 390
-
-
-@pytest.mark.parametrize("text", ["A:8:[3,3,3]:-", "B:4:[4]:-", "C:6:[3,3]:+", "C:4:[4]:-", "D:5:[1,3,1]:+", "C:3:[1,2]:-"])
-def test_killing_span_traces_agree_dense_and_sparse(monkeypatch, text):
-    # the dense product of small flags and the two joins of large ones give
-    # the same form, bit for bit
-    sp = space(text)
-    dense = invariant._tangent_killing(sp)
-    monkeypatch.setattr(invariant, "_DENSE_TRACES", -1)
-    assert np.array_equal(invariant._tangent_killing(sp).view(np.int64), dense.view(np.int64))
